@@ -36,7 +36,7 @@ print(f"gap at t=1   : {np.abs(tf.states[-1] - tc.states[-1]).max():.2e}")
 
 chain3 = load_builtin("index3_chain")
 rc3 = reduce_cascade(chain3.dae)
-ev = rc3.evaluator()
+ev = rc3.make_state()
 t = 1.0
 parts = ev.algebraic_parts(t)
 x4 = 1.25 * np.cos(t)

@@ -19,7 +19,6 @@ from ._linalg import orth_basis
 from .errors import (ConstraintSolveFailure, NoConvergence, SamplingFailure)
 from .implicit import fd_jacobian
 from .integrate import Trajectory
-from .reduction import ReducedCascade
 
 __all__ = [
     "LyapunovComponent", "LyapunovSpec", "ComparisonSpec", "SamplerConfig",
@@ -213,16 +212,12 @@ def probe_integral(g: Callable, lower: float, kind: str = "over_value",
 
 
 class _DriftAdapter:
-    """Uniform access to the reduced drift for both reduction routes."""
+    """The reduced drift of either route on one warm-start state."""
 
     def __init__(self, reduced):
         self.reduced = reduced
-        self.is_cascade = isinstance(reduced, ReducedCascade)
-        ps = reduced.ps
-        self.basis = orth_basis(ps.q1 if self.is_cascade
-                                else ps.q1 + ps.q2_sigma)
-        self._state = None if self.is_cascade else reduced.make_state()
-        self._evaluator = reduced.evaluator() if self.is_cascade else None
+        self.basis = orth_basis(reduced.w_projector)
+        self._state = reduced.make_state()
 
     @property
     def dim(self) -> int:
@@ -230,19 +225,10 @@ class _DriftAdapter:
 
     def drift(self, t: float, w: np.ndarray):
         """Drift vector and the assembled on-manifold state at (t, w)."""
-        if self.is_cascade:
-            return self.reduced.drift_w1(t, w, self._evaluator)
-        dw, x, self._state = self.reduced.drift_w(t, w, self._state)
-        return dw, x
+        return self.reduced.drift(t, w, self._state)
 
     def x20_part(self, x: np.ndarray) -> np.ndarray:
         return self.reduced.ps.p20 @ x
-
-    def explicit_norm(self, x: np.ndarray) -> float:
-        ps = self.reduced.ps
-        if self.is_cascade:
-            return float(np.linalg.norm(ps.p1 @ x))
-        return float(np.linalg.norm((ps.p1 + ps.p2_sigma) @ x))
 
 
 def _grid_points(adapter: _DriftAdapter, comp: ComparisonSpec,

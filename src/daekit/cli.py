@@ -8,10 +8,9 @@ fixed seed (no timestamps; floats at full precision).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -46,11 +45,16 @@ def _dump_json(data: dict, path: Path) -> None:
 
 
 def _apply_overrides(problem: LoadedProblem, args) -> None:
+    changes = {}
     if args.tmax is not None:
-        problem.options.t_max = args.tmax
+        changes["t_max"] = args.tmax
     if args.tol is not None:
-        problem.options.rtol = args.tol
-        problem.options.atol = args.tol * 1e-2
+        changes.update(rtol=args.tol, atol=args.tol * 1e-2)
+    try:
+        # rebuilt, not assigned, so the options' own checks run
+        problem.options = dataclasses.replace(problem.options, **changes)
+    except ValueError as exc:
+        raise DaekitError(f"invalid --tmax/--tol override: {exc}")
 
 
 def _pick_approach(problem: LoadedProblem, requested: str) -> str:
@@ -64,7 +68,10 @@ def _pick_approach(problem: LoadedProblem, requested: str) -> str:
 def _x_guess(problem: LoadedProblem, override) -> np.ndarray:
     guess = problem.x_guess.copy()
     if override:
-        vals = [float(v) for v in override.split(",")]
+        try:
+            vals = [float(v) for v in override.split(",")]
+        except ValueError as exc:
+            raise DaekitError(f"--x0 must be comma-separated numbers: {exc}")
         if len(vals) > guess.size:
             raise DaekitError(f"--x0 has {len(vals)} entries for dimension "
                               f"{guess.size}")
@@ -72,16 +79,20 @@ def _x_guess(problem: LoadedProblem, override) -> np.ndarray:
     return guess
 
 
-def _simulate_once(problem: LoadedProblem, guess, approach: str):
-    dae = problem.dae
+def _reduce(problem: LoadedProblem, approach: str):
     if approach == "cascade":
-        reduced = reduce_cascade(dae, waive_structure_check=True)
-        x01 = dae.projectors.p1 @ guess
-        return integrate_cascade(reduced, problem.options.t0, x01,
+        return reduce_cascade(problem.dae, waive_structure_check=True)
+    return reduce_first(problem.dae)
+
+
+def _simulate_once(problem: LoadedProblem, guess, approach: str):
+    reduced = _reduce(problem, approach)
+    t0 = problem.options.t0
+    if approach == "cascade":
+        return integrate_cascade(reduced, t0, problem.dae.projectors.p1 @ guess,
                                  problem.options)
-    reduced = reduce_first(dae)
-    x0 = consistent_initialize(reduced, problem.options.t0, guess)
-    return integrate_first(reduced, problem.options.t0, x0, problem.options)
+    x0 = consistent_initialize(reduced, t0, guess)
+    return integrate_first(reduced, t0, x0, problem.options)
 
 
 def _trajectory_json(traj) -> dict:
@@ -170,10 +181,7 @@ def cmd_certify(args) -> int:
     kind = problem.certificate["kind"]
     lyap = problem.lyapunov()
     comp = problem.comparison()
-    approach = _pick_approach(problem, args.approach)
-    dae = problem.dae
-    reduced = reduce_cascade(dae, waive_structure_check=True) \
-        if approach == "cascade" else reduce_first(dae)
+    reduced = _reduce(problem, _pick_approach(problem, args.approach))
     sampler = SamplerConfig(seed=args.seed)
     if kind == "blowup":
         report = check_blowup_certificate(reduced, lyap, comp, sampler)
@@ -198,18 +206,11 @@ def cmd_sweep(args) -> int:
     if not problem.sweep_values:
         raise DaekitError(f"problem '{problem.name}' declares no sweep block")
     approach = _pick_approach(problem, args.approach)
-    threads = int(os.environ.get("DAEKIT_THREADS", "0")) or None
-
-    def run(idx_value):
-        idx, value = idx_value
+    results = []
+    for idx, value in enumerate(problem.sweep_values):
         guess = problem.x_guess.copy()
         guess[:value.size] = value
-        traj = _simulate_once(problem, guess, approach)
-        return idx, guess, traj
-
-    jobs = list(enumerate(problem.sweep_values))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = sorted(pool.map(run, jobs), key=lambda r: r[0])
+        results.append((idx, guess, _simulate_once(problem, guess, approach)))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -36,7 +36,6 @@ class SolveOptions:
     tol: float = 1e-12
     max_iter: int = 60
     damping: float = 0.5
-    mode: str = "newton"  # "newton" | "fixed_point"
 
     def __post_init__(self):
         if self.tol <= 0 or self.max_iter < 1:
@@ -78,7 +77,7 @@ def solve_fixed_point(problem: ImplicitProblem, t: float, p, y0,
     `history` when given; an estimate >= 1 at failure signals that the
     contraction hypothesis does not hold near this point.
     """
-    opts = opts or SolveOptions(mode="fixed_point")
+    opts = opts or SolveOptions()
     if problem.anchor_W is None:
         raise ValueError("fixed-point mode requires an anchor operator")
     w = np.atleast_2d(np.asarray(problem.anchor_W, dtype=float))
@@ -155,15 +154,6 @@ def solve_newton(problem: ImplicitProblem, t: float, p, y0,
     if res <= opts.tol:
         return y
     raise NoConvergence(opts.max_iter, res, label="newton")
-
-
-def solve(problem: ImplicitProblem, t: float, p, y0,
-          opts: SolveOptions | None = None,
-          history: list | None = None) -> np.ndarray:
-    opts = opts or SolveOptions()
-    if opts.mode == "fixed_point":
-        return solve_fixed_point(problem, t, p, y0, opts, history)
-    return solve_newton(problem, t, p, y0, opts, history)
 
 
 def implicit_derivative(problem: ImplicitProblem, t: float, p,

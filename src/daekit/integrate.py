@@ -76,6 +76,14 @@ class TrajectoryInternals:
     reached_t_max: bool = False
     nonfinite: bool = False
     failure: tuple | None = None  # (t, level, message)
+    stats: dict = dc_field(default_factory=dict)  # nfev, accepted, rejected
+
+    def escaping(self) -> bool:
+        """The tracked norm exceeded the cap and grew monotonically over the
+        configured window of accepted steps."""
+        norms, w = self.norms, self.blowup_window
+        return (len(norms) >= w + 1 and norms[-1] > self.blowup_norm_cap
+                and all(norms[-k] > norms[-k - 1] for k in range(1, w + 1)))
 
 
 @dataclass
@@ -139,13 +147,9 @@ def classify_termination(internals: TrajectoryInternals) -> TerminationReason:
         return TerminationReason(kind="reached_tmax",
                                  t=internals.times[-1] if internals.times else None)
     norms = internals.norms
-    w = internals.blowup_window
-    growth = (len(norms) >= w + 1
-              and all(norms[-k] > norms[-k - 1] for k in range(1, w + 1)))
-    big = bool(norms) and norms[-1] > internals.blowup_norm_cap
     floored = (bool(internals.steps)
                and internals.steps[-1] <= internals.h_min * (1 + 1e-9))
-    if growth and big and (floored or internals.nonfinite):
+    if internals.escaping() and (floored or internals.nonfinite):
         return TerminationReason(
             kind="blowup_suspected",
             t_escape_estimate=_escape_estimate(internals.times, norms),
@@ -217,8 +221,7 @@ def _drive(rhs: Callable, t0: float, y0: np.ndarray,
         h = max(h, opts.h_min)
         at_floor = h <= opts.h_min * (1 + 1e-9)
         ks[0] = k1
-        failed = False
-        overflow = False
+        bad = False  # the step must shrink; at the floor, this is overflow
         y_new = None
         try:
             # overflow near a finite-time escape is expected, not an error
@@ -227,42 +230,27 @@ def _drive(rhs: Callable, t0: float, y0: np.ndarray,
                     yi = y + h * sum(_A[i][j] * ks[j] for j in range(i))
                     if not np.all(np.isfinite(yi)) \
                             or float(np.abs(yi).max()) > 1e150:
-                        overflow = True
+                        bad = True
                         break
                     ks[i] = f(t + _C[i] * h, yi)
                     if i == 6:
                         y_new = yi  # stage 7 sits at the new solution point
         except ConstraintSolveFailure as exc:
-            if not at_floor:
-                # shrink and retry; persistent failure ends at the floor
-                h = max(h * 0.25, opts.h_min)
-                rejected += 1
-                continue
-            if _nonfinite_cause(exc):
-                # the field left the representable range: overflow of the
-                # dynamics, not failure of the solvability hypotheses
-                overflow = True
-            else:
+            # away from the floor: shrink and retry, so persistent failure
+            # ends at the floor.  There, a non-finite cause means the field
+            # left the representable range: overflow of the dynamics, not
+            # failure of the solvability hypotheses
+            if at_floor and not _nonfinite_cause(exc):
                 internals.failure = (exc.t, exc.level, str(exc.cause))
-                failed = True
-        if failed:
-            break
-        if overflow:
-            if at_floor:
-                internals.nonfinite = True
-                internals.times.append(float(t + h))
-                internals.steps.append(float(h))
-                internals.forced.append(True)
-                internals.norms.append(float("inf"))
                 break
-            h = max(h * 0.25, opts.h_min)
-            rejected += 1
-            continue
-        err_vec = h * sum(_E[j] * ks[j] for j in range(7))
-        sc = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        with np.errstate(invalid="ignore", over="ignore"):
-            err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
-        if not np.isfinite(err):
+            bad = True
+        if not bad:
+            err_vec = h * sum(_E[j] * ks[j] for j in range(7))
+            sc = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
+            with np.errstate(invalid="ignore", over="ignore"):
+                err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
+            bad = not np.isfinite(err)
+        if bad:
             if at_floor:
                 internals.nonfinite = True
                 internals.times.append(float(t + h))
@@ -283,10 +271,6 @@ def _drive(rhs: Callable, t0: float, y0: np.ndarray,
             internals.times.append(float(t))
             internals.steps.append(float(h))
             internals.forced.append(forced)
-            if not np.all(np.isfinite(y)):
-                internals.nonfinite = True
-                internals.norms.append(float("inf"))
-                break
             try:
                 on_accept(t, y)
             except ConstraintSolveFailure as exc:
@@ -296,13 +280,9 @@ def _drive(rhs: Callable, t0: float, y0: np.ndarray,
                 else:
                     internals.failure = (exc.t, exc.level, str(exc.cause))
                 break
-            norms = internals.norms
-            wsize = internals.blowup_window
-            if (len(norms) >= wsize + 1 and norms[-1] > internals.blowup_norm_cap
-                    and all(norms[-k] > norms[-k - 1] for k in range(1, wsize + 1))
-                    and at_floor):
+            if at_floor and internals.escaping():
                 break
-            if consecutive_forced > max(50, 3 * wsize):
+            if consecutive_forced > max(50, 3 * internals.blowup_window):
                 break
             fac = 0.9 * err ** (-0.14) * err_prev ** 0.08 if err > 0 else 5.0
             fac = min(5.0, max(0.2, fac))
@@ -320,45 +300,51 @@ def _drive(rhs: Callable, t0: float, y0: np.ndarray,
     return internals
 
 
-def _run(reduced, t0, y0, opts, drift, assemble) -> Trajectory:
-    """Shared loop: integrate y' = drift(t, y), record assembled states."""
+def _run(t0, w0, opts, solve, residual) -> Trajectory:
+    """Integrate w' = dw for (dw, x) = solve(t, w) and record the assembled
+    states x with their constraint residuals residual(t, x)."""
+    w0 = np.array(w0, dtype=float)
     times = [float(t0)]
-    ys = [np.array(y0, dtype=float)]
-    states = []
-    residuals = []
+    ws = [w0]
     internals = TrajectoryInternals(h_min=opts.h_min,
                                     blowup_norm_cap=opts.blowup_norm_cap,
                                     blowup_window=opts.blowup_window)
     internals.times.append(float(t0))
-    internals.norms.append(float(np.linalg.norm(y0)))
+    internals.norms.append(float(np.linalg.norm(w0)))
     internals.steps.append(0.0)
     internals.forced.append(False)
     last = {}
 
-    def rhs(t, y):
-        dy, x = drift(t, y)
-        last["t"], last["y"], last["x"] = t, y, x
-        return dy
+    def rhs(t, w):
+        dw, x = solve(t, w)
+        last["t"], last["w"], last["x"] = t, w, x
+        return dw
 
-    x0_state, res0 = assemble(t0, np.array(y0, dtype=float), last)
-    states.append(x0_state)
-    residuals.append(res0)
+    def assemble(t, w):
+        # an accepted step ends at its last stage, whose solve is reused
+        if last.get("t") == t and last.get("w") is w:
+            x = last["x"]
+        else:
+            _, x = solve(t, w)
+        return x, residual(t, x)
 
-    def on_accept(t, y):
+    x0, res0 = assemble(t0, w0)
+    states = [x0]
+    residuals = [res0]
+
+    def on_accept(t, w):
         times.append(float(t))
-        ys.append(y.copy())
-        x, res = assemble(t, y, last)
+        ws.append(w.copy())
+        x, res = assemble(t, w)
         states.append(x)
         residuals.append(res)
-        internals.norms.append(float(np.linalg.norm(y)))
+        internals.norms.append(float(np.linalg.norm(w)))
 
-    internals = _drive(rhs, t0, np.array(y0, dtype=float), opts, on_accept,
-                       internals)
-    reason = classify_termination(internals)
-    stats = getattr(internals, "stats", {})
+    _drive(rhs, t0, w0, opts, on_accept, internals)
     return Trajectory(times=np.asarray(times), states=np.vstack(states),
-                      w_states=np.vstack(ys), residuals=np.asarray(residuals),
-                      termination=reason, stats=stats)
+                      w_states=np.vstack(ws), residuals=np.asarray(residuals),
+                      termination=classify_termination(internals),
+                      stats=internals.stats)
 
 
 def integrate_first(reduced: ReducedFirst, t0: float, x0, opts: IntegrationOptions
@@ -371,7 +357,6 @@ def integrate_first(reduced: ReducedFirst, t0: float, x0, opts: IntegrationOptio
     state = reduced.make_state()
     if reduced.n:
         state.c20 = reduced.kernel.x_coords(reduced.dae.pencil.b, x0)
-    w0 = reduced.dae.pencil.a @ x0
 
     def solve(t, w):
         # warm-started solve; on failure retry once from a cold
@@ -385,18 +370,8 @@ def integrate_first(reduced: ReducedFirst, t0: float, x0, opts: IntegrationOptio
             except NoConvergence:
                 raise ConstraintSolveFailure(t, "kernel_level", first_exc)
 
-    def drift(t, w):
-        dw, x, _ = solve(t, w)
-        return dw, x
-
-    def assemble(t, w, last):
-        if last.get("t") == t and last.get("y") is w:
-            x = last["x"]
-        else:
-            _, x, _ = solve(t, w)
-        return x, reduced.residual_L0(t, x)
-
-    return _run(reduced, t0, w0, opts, drift, assemble)
+    return _run(t0, reduced.dae.pencil.a @ x0, opts, solve,
+                reduced.residual_L0)
 
 
 def integrate_cascade(reduced: ReducedCascade, t0: float, x01,
@@ -406,30 +381,20 @@ def integrate_cascade(reduced: ReducedCascade, t0: float, x01,
     off = float(np.linalg.norm(x01 - reduced.ps.p1 @ x01))
     if off > 1e-8 * (1.0 + float(np.linalg.norm(x01))):
         raise InconsistentInitialValue(off, 1e-8)
-    evaluator = reduced.evaluator()
-    w10 = reduced.dae.pencil.a @ (reduced.ps.p1 @ x01)
+    evaluator = reduced.make_state()
 
     def solve(t, w1):
-        # on failure retry once from cold level guesses
+        # on failure retry once from cold level guesses, keeping the warm
+        # starts the retry found
         try:
             return reduced.drift_w1(t, w1, evaluator)
         except ConstraintSolveFailure:
-            fresh = reduced.evaluator()
+            fresh = reduced.make_state()
             out = reduced.drift_w1(t, w1, fresh)
             evaluator.warm_chain = fresh.warm_chain
             evaluator.warm_wedge = fresh.warm_wedge
             evaluator.warm_x20 = fresh.warm_x20
             return out
 
-    def drift(t, w1):
-        dw, x = solve(t, w1)
-        return dw, x
-
-    def assemble(t, w1, last):
-        if last.get("t") == t and last.get("y") is w1:
-            x = last["x"]
-        else:
-            _, x = solve(t, w1)
-        return x, reduced.residual_L0(t, x)
-
-    return _run(reduced, t0, w10, opts, drift, assemble)
+    return _run(t0, reduced.dae.pencil.a @ (reduced.ps.p1 @ x01), opts, solve,
+                reduced.residual_L0)

@@ -220,85 +220,8 @@ _REGION_REGISTRY = {"halfspace": _region_halfspace,
 # ---------------------------------------------------------------------------
 # problem format
 
-_NUMBER_OR_PAIR = {
-    "oneOf": [
-        {"type": "number"},
-        {"type": "array", "items": {"type": "number"},
-         "minItems": 2, "maxItems": 2},
-    ]
-}
-
-_MATRIX = {"type": "array", "minItems": 1,
-           "items": {"type": "array", "minItems": 1,
-                     "items": _NUMBER_OR_PAIR}}
-
-_REGISTRY_REF = {
-    "type": "object",
-    "required": ["registry_id"],
-    "properties": {"registry_id": {"type": "string"},
-                   "params": {"type": "object"}},
-    "additionalProperties": False,
-}
-
-PROBLEM_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["name", "A", "B", "field"],
-    "properties": {
-        "name": {"type": "string"},
-        "A": _MATRIX,
-        "B": _MATRIX,
-        "field": _REGISTRY_REF,
-        "structure_tag": {"enum": ["general", "structured",
-                                   "structured_variant"]},
-        "initial": {
-            "type": "object",
-            "properties": {"x_guess": {"type": "array",
-                                       "items": _NUMBER_OR_PAIR}},
-        },
-        "integration": {
-            "type": "object",
-            "properties": {
-                "t0": {"type": "number"},
-                "t_max": {"type": "number"},
-                "rtol": {"type": "number"},
-                "atol": {"type": "number"},
-                "h_min": {"type": "number"},
-                "h_max": {"type": "number"},
-                "blowup_norm_cap": {"type": "number"},
-                "blowup_window": {"type": "integer"},
-            },
-        },
-        "certificate": {
-            "type": "object",
-            "required": ["kind", "V", "U", "psi"],
-            "properties": {
-                "kind": {"enum": ["global_solvability",
-                                  "global_solvability_norm",
-                                  "lagrange_stability", "blowup"]},
-                "combination": {"enum": ["max", "min"]},
-                "V": {"type": "array", "items": _REGISTRY_REF, "minItems": 1},
-                "U": _REGISTRY_REF,
-                "psi": _REGISTRY_REF,
-                "R": {"type": "number"},
-                "region": _REGISTRY_REF,
-                "declared_U_integral": {"enum": ["diverges", "converges"]},
-                "declared_psi_integral": {"enum": ["diverges", "converges"]},
-                "bound_constant": {"type": "number"},
-            },
-        },
-        "sweep": {
-            "type": "object",
-            "required": ["initial_values"],
-            "properties": {"initial_values": {
-                "type": "array",
-                "items": {"type": "array", "items": {"type": "number"}},
-            }},
-        },
-        "reference": {"type": "object",
-                      "properties": {"id": {"type": "string"}}},
-    },
-}
+_FIXTURES = resources.files("daekit") / "fixtures"
+PROBLEM_SCHEMA = json.loads((_FIXTURES / "problem.schema.json").read_text())
 
 
 def _parse_matrix(rows, pointer: str) -> np.ndarray:
@@ -416,22 +339,32 @@ def load_problem_dict(data: dict, name_hint: str = "<dict>") -> LoadedProblem:
     dae = make_dae(a, b, fld, name=data.get("name", name_hint))
 
     integ = data.get("integration", {})
-    options = IntegrationOptions(
-        t0=float(integ.get("t0", 0.0)),
-        t_max=float(integ.get("t_max", 1.0)),
-        rtol=float(integ.get("rtol", 1e-8)),
-        atol=float(integ.get("atol", 1e-10)),
-        h_min=float(integ.get("h_min", 1e-10)),
-        h_max=integ.get("h_max"),
-        blowup_norm_cap=float(integ.get("blowup_norm_cap", 1e6)),
-        blowup_window=int(integ.get("blowup_window", 5)),
-    )
+    try:
+        options = IntegrationOptions(
+            t0=float(integ.get("t0", 0.0)),
+            t_max=float(integ.get("t_max", 1.0)),
+            rtol=float(integ.get("rtol", 1e-8)),
+            atol=float(integ.get("atol", 1e-10)),
+            h_min=float(integ.get("h_min", 1e-10)),
+            h_max=integ.get("h_max"),
+            blowup_norm_cap=float(integ.get("blowup_norm_cap", 1e6)),
+            blowup_window=int(integ.get("blowup_window", 5)),
+        )
+    except ValueError as exc:
+        raise SchemaError("/integration", str(exc))
     n = a.shape[0]
     guess = np.asarray(data.get("initial", {}).get("x_guess", [0.0] * n),
                        dtype=float)
     if guess.size != n:
         raise SchemaError("/initial/x_guess",
                           f"length {guess.size} does not match dimension {n}")
+    try:
+        f_dim = np.shape(fld(options.t0, guess))
+    except (IndexError, ValueError) as exc:
+        raise SchemaError("/field", f"cannot evaluate at (t0, x_guess): {exc}")
+    if f_dim != (n,):
+        raise SchemaError("/field", f"field returns shape {f_dim} for "
+                                    f"dimension {n}")
     cert = _build_certificate(data["certificate"]) \
         if "certificate" in data else None
     sweep = [np.asarray(v, dtype=float)
@@ -455,14 +388,12 @@ def load_problem(path) -> LoadedProblem:
 
 
 def builtin_names() -> list:
-    root = resources.files("daekit") / "fixtures"
-    return sorted(p.name[:-5] for p in root.iterdir()
+    return sorted(p.name[:-5] for p in _FIXTURES.iterdir()
                   if p.name.endswith(".json") and p.name != "problem.schema.json")
 
 
 def load_builtin(name: str) -> LoadedProblem:
-    root = resources.files("daekit") / "fixtures"
-    candidate = root / f"{name}.json"
+    candidate = _FIXTURES / f"{name}.json"
     if not candidate.is_file():
         raise UnknownRegistryId(
             f"no bundled problem '{name}'; available: {builtin_names()}")

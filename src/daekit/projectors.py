@@ -25,7 +25,7 @@ class ProjectorSet:
     """All projectors plus the invertible correction and semi-inverses.
 
     Lists indexed by adjoined-vector order s run s = 0..nu-1 (or nu-2 for
-    the wedge family); `by_mult[(s, j)]` refines by chain multiplicity j.
+    `q2_sigma_s`); `q2s_by_mult[(s, j)]` refines by chain multiplicity j.
     """
 
     nu: int
@@ -37,15 +37,12 @@ class ProjectorSet:
     q2: np.ndarray
     p2s: list
     q2s: list
-    p2s_by_mult: dict
     q2s_by_mult: dict
     p20: np.ndarray
     p2_sigma: np.ndarray
     q2_star: np.ndarray
     q2_sigma: np.ndarray
     q2_sigma_s: list
-    p2_wedge_s: list
-    p2_wedge: np.ndarray
     p2_sigma_1: np.ndarray
     p2_sigma_2: np.ndarray
     q2_star_1: np.ndarray
@@ -105,29 +102,22 @@ def build_projectors(canonical: CanonicalSystem, dual: DualSystem,
     q1 = eye - q2
 
     p2s, q2s = [], []
-    p2s_by_mult, q2s_by_mult = {}, {}
+    q2s_by_mult = {}
     for s in range(nu):
         ps, qs = select(lambda m, j, s=s: j == s + 1)
         p2s.append(ps)
         q2s.append(qs)
         for mult in range(s + 1, nu + 1):
-            pm, qm = select(lambda m, j, s=s, mult=mult: j == s + 1 and m == mult)
-            p2s_by_mult[(s, mult)] = pm
-            q2s_by_mult[(s, mult)] = qm
+            q2s_by_mult[(s, mult)] = select(
+                lambda m, j, s=s, mult=mult: j == s + 1 and m == mult)[1]
 
     p20, _ = select(lambda m, j: j == 1)
     p2_sigma, _ = select(lambda m, j: j >= 2)
     _, q2_star = select(lambda m, j: j == m)
     _, q2_sigma = select(lambda m, j: j < m)
 
-    q2_sigma_s, p2_wedge_s = [], []
-    for s in range(max(nu - 1, 0)):
-        _, qss = select(lambda m, j, s=s: j == s + 1 and m >= s + 2)
-        pws, _ = select(lambda m, j, s=s: j == s + 1 and m >= s + 2)
-        q2_sigma_s.append(qss)
-        p2_wedge_s.append(pws)
-    zp = np.zeros((n_dim, n_dim), dtype=dtype)
-    p2_wedge = sum(p2_wedge_s, zp.copy())
+    q2_sigma_s = [select(lambda m, j, s=s: j == s + 1 and m >= s + 2)[1]
+                  for s in range(max(nu - 1, 0))]
 
     p2_sigma_1, _ = select(lambda m, j: j == m and j >= 2)
     p2_sigma_2, _ = select(lambda m, j: 2 <= j < m)
@@ -137,9 +127,9 @@ def build_projectors(canonical: CanonicalSystem, dual: DualSystem,
     ps = ProjectorSet(
         nu=nu, n=canonical.n, multiplicities=canonical.multiplicities,
         p1=p1, p2=p2, q1=q1, q2=q2,
-        p2s=p2s, q2s=q2s, p2s_by_mult=p2s_by_mult, q2s_by_mult=q2s_by_mult,
+        p2s=p2s, q2s=q2s, q2s_by_mult=q2s_by_mult,
         p20=p20, p2_sigma=p2_sigma, q2_star=q2_star, q2_sigma=q2_sigma,
-        q2_sigma_s=q2_sigma_s, p2_wedge_s=p2_wedge_s, p2_wedge=p2_wedge,
+        q2_sigma_s=q2_sigma_s,
         p2_sigma_1=p2_sigma_1, p2_sigma_2=p2_sigma_2,
         q2_star_1=q2_star_1, q2_star_2=q2_star_2,
         fingerprint=pencil.fingerprint,

@@ -149,7 +149,7 @@ def test_criterion_07_implicit_solver_oracles():
         prob_fp = dataclasses.replace(
             prob, anchor_W=np.array([[3 * yn[0] ** 2 + 1.0]]))
         yf = solve_fixed_point(prob_fp, 0.0, None, np.zeros(1),
-                               SolveOptions(tol=1e-13, mode="fixed_point"))
+                               SolveOptions(tol=1e-13))
         worst_gap = max(worst_gap, float(np.abs(yn - yf).max()))
     prob2 = ImplicitProblem(
         residual=lambda t, p, y: np.array([y[0] + 0.1 * np.sin(y[1]) - 1.0,
@@ -157,7 +157,7 @@ def test_criterion_07_implicit_solver_oracles():
         anchor_W=np.eye(2))
     yn = solve_newton(prob2, 0.0, None, np.zeros(2), SolveOptions(tol=1e-13))
     yf = solve_fixed_point(prob2, 0.0, None, np.zeros(2),
-                           SolveOptions(tol=1e-13, mode="fixed_point"))
+                           SolveOptions(tol=1e-13))
     worst_gap = max(worst_gap, float(np.abs(yn - yf).max()))
 
     prob3 = ImplicitProblem(

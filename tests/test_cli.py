@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from daekit.cli import run
 
@@ -105,16 +106,27 @@ def test_sweep_summary(tmp_path):
         assert (tmp_path / f"index1_blowup_run{k}.csv").exists()
 
 
-def test_sweep_independent_of_concurrency(tmp_path, monkeypatch):
-    outs = []
-    for threads, sub in (("1", "serial"), ("3", "parallel")):
-        monkeypatch.setenv("DAEKIT_THREADS", threads)
-        out = tmp_path / sub
-        assert run(["sweep", "index1_blowup", "--out", str(out)]) == 0
-        outs.append(out)
-    for name in ("index1_blowup_sweep.csv", "index1_blowup_run0.csv",
-                 "index1_blowup_run2.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+@pytest.mark.parametrize("override", [["--tmax", "-1"], ["--tol", "-1"],
+                                      ["--x0", "abc"]])
+def test_invalid_override_exit_two(tmp_path, capsys, override):
+    code = run(["simulate", "index1_blowup", "--out", str(tmp_path)]
+               + override)
+    assert code == 2
+    assert "error: DaekitError:" in capsys.readouterr().err
+    assert not (tmp_path / "index1_blowup_termination.json").exists()
+
+
+@pytest.mark.parametrize("name", ["index1_stable", "index1_blowup",
+                                  "index1_cubic_blowup",
+                                  "ode_scalar_quadratic"])
+def test_certify_report_independent_of_route(tmp_path, name):
+    reports = []
+    for approach in ("first", "cascade"):
+        out = tmp_path / approach
+        assert run(["certify", name, "--approach", approach,
+                    "--out", str(out)]) == 0
+        reports.append((out / f"{name}_certificate.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_byte_identical_outputs(tmp_path):
@@ -124,7 +136,10 @@ def test_byte_identical_outputs(tmp_path):
                     "--out", str(d)]) == 0
         assert run(["certify", "index1_stable", "--seed", "42",
                     "--out", str(d)]) == 0
+        assert run(["sweep", "index1_blowup", "--out", str(d)]) == 0
     for name in ("index1_blowup_trajectory.csv",
                  "index1_blowup_termination.json",
-                 "index1_stable_certificate.json"):
+                 "index1_stable_certificate.json",
+                 "index1_blowup_sweep.csv", "index1_blowup_run0.csv",
+                 "index1_blowup_run2.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()

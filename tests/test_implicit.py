@@ -46,7 +46,7 @@ def test_fixed_point_cubic_vs_bisection():
                           anchor=np.array([[w]]))
     hist = []
     y = solve_fixed_point(prob, 0.0, None, np.zeros(1),
-                          SolveOptions(tol=1e-13, mode="fixed_point"),
+                          SolveOptions(tol=1e-13),
                           history=hist)
     assert abs(y[0] - CUBIC_ROOT) < 1e-10
     assert abs(y[0] - 0.6823278) < 1e-6
@@ -127,7 +127,7 @@ def test_modes_agree_on_shared_corpus():
         prob = ImplicitProblem(residual=fun, jac_y=jac, anchor_W=anchor)
         y_newton = solve_newton(prob, 0.0, None, y0, SolveOptions(tol=1e-13))
         y_fixed = solve_fixed_point(prob, 0.0, None, y0,
-                                    SolveOptions(tol=1e-13, mode="fixed_point"))
+                                    SolveOptions(tol=1e-13))
         assert np.abs(y_newton - y_fixed).max() < 1e-9
         if oracle is not None:
             assert np.abs(y_newton - oracle).max() < 1e-9

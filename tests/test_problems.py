@@ -57,6 +57,25 @@ def test_schema_rejects_missing_field():
         load_problem_dict({"name": "bad", "A": [[1.0]], "B": [[1.0]]})
 
 
+def test_schema_rejects_empty_horizon():
+    data = {"name": "bad", "A": [[1.0]], "B": [[1.0]],
+            "field": {"registry_id": "zero"},
+            "integration": {"t0": 1.0, "t_max": 1.0}}
+    with pytest.raises(SchemaError) as err:
+        load_problem_dict(data)
+    assert err.value.pointer == "/integration"
+
+
+def test_schema_rejects_field_of_wrong_dimension():
+    # a two-component registry field on a 3 x 3 pair
+    data = {"name": "bad", "A": np.diag([1.0, 1.0, 0.0]).tolist(),
+            "B": np.eye(3).tolist(),
+            "field": {"registry_id": "blowup_quadratic"}}
+    with pytest.raises(SchemaError) as err:
+        load_problem_dict(data)
+    assert err.value.pointer == "/field"
+
+
 def test_unknown_registry_id():
     data = {"name": "bad", "A": [[1.0]], "B": [[1.0]],
             "field": {"registry_id": "not_a_field"}}

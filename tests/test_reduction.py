@@ -127,7 +127,7 @@ def test_cascade_chain_level_closed_form():
     # the top level solves x3 = gamma*x3 + g(t), a scalar linear equation
     pb = load_builtin("index2_structured")
     rc = reduce_cascade(pb.dae, waive_structure_check=True)
-    ev = rc.evaluator()
+    ev = rc.make_state()
     for t in (0.0, 0.4, 1.1):
         eta = ev.eta_2sigma(t)
         assert abs(eta[2] - 1.6 * np.sin(t)) <= 1e-10
@@ -144,7 +144,7 @@ def test_cascade_matches_first_for_index1():
     rc = reduce_cascade(dae)
     assert rc.level_count == 1
     rng = np.random.default_rng(2)
-    ev = rc.evaluator()
+    ev = rc.make_state()
     for _ in range(5):
         t = float(rng.uniform(0, 2))
         x1 = dae.projectors.p1 @ rng.standard_normal(2)
@@ -163,7 +163,7 @@ def test_cascade_index3_hand_solution():
     pb = load_builtin("index3_chain")
     rc = reduce_cascade(pb.dae)
     assert rc.nu == 3 and rc.level_count == 5
-    ev = rc.evaluator()
+    ev = rc.make_state()
     for t in (0.2, 0.9, 1.7):
         parts = ev.algebraic_parts(t)
         eta = parts["eta_2sigma"]
@@ -184,7 +184,7 @@ def test_cascade_semi_inverse_equivalence():
     pb = load_builtin("index2_structured")
     dae = pb.dae
     rc = reduce_cascade(dae, waive_structure_check=True)
-    ev = rc.evaluator()
+    ev = rc.make_state()
     b2 = dae.projectors.b2_semi_inv
     for t in (0.3, 1.2):
         vals = ev.chain_values(t)["values"]
@@ -205,7 +205,7 @@ def test_variant_tag_fused_levels_match_standard():
     dae_v = make_dae(pb.dae.pencil.a, pb.dae.pencil.b, fld)
     rc_v = reduce_cascade(dae_v)
     rc_s = reduce_cascade(pb.dae, waive_structure_check=True)
-    ev_v, ev_s = rc_v.evaluator(), rc_s.evaluator()
+    ev_v, ev_s = rc_v.make_state(), rc_s.make_state()
     for t in (0.0, 0.7, 1.3):
         np.testing.assert_allclose(ev_v.eta_2sigma(t), ev_s.eta_2sigma(t),
                                    atol=1e-10)
