@@ -2,7 +2,8 @@
 
 Two modes: an anchored fixed-point iteration (whose per-step contraction
 estimates are reported, so a failed contraction hypothesis is visible), and
-a damped Newton method with a fixed-point fallback.  Plus implicit
+a damped Newton method with a fixed-point fallback, which can keep its
+Jacobian's LU factors across the solves of one run.  Plus implicit
 differentiation of a solved branch.
 """
 
@@ -12,13 +13,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import lapack
 
 from ._linalg import cond2
 from .errors import NoConvergence, SingularJacobian
 
-__all__ = ["ImplicitProblem", "SolveOptions", "solve_fixed_point",
-           "solve_newton", "implicit_derivative", "consistent_initialize",
-           "fd_jacobian"]
+__all__ = ["ImplicitProblem", "SolveOptions", "JacobianCache",
+           "solve_fixed_point", "solve_newton", "implicit_derivative",
+           "consistent_initialize", "fd_jacobian"]
 
 
 @dataclass
@@ -44,7 +46,23 @@ class SolveOptions:
             raise ValueError("damping factor must lie in (0, 1)")
 
 
+@dataclass
+class JacobianCache:
+    """LU factors of dF/dy kept across the solves of one run.
+
+    `factors` is the (lu, piv) pair of LAPACK getrf, or None before the
+    first factorisation.  One cache belongs to one run: sharing it between
+    runs would make a run's result depend on the runs before it.
+    """
+
+    factors: tuple | None = None
+
+
 _MIN_STEP = 2.0 ** -20
+# condition number above which a matrix counts as singular
+_COND_CAP = 1e14
+# a step with kept factors must cut ||F|| at least this many times
+_KEPT_CONTRACTION = 4.0
 
 
 def _vec(y) -> np.ndarray:
@@ -68,6 +86,23 @@ def fd_jacobian(fun: Callable, y: np.ndarray, f0: np.ndarray | None = None,
     return jac
 
 
+def _factor(j: np.ndarray) -> tuple | None:
+    """LU factors of j, or None when j is numerically singular: a zero pivot,
+    or a 1-norm condition estimate (LAPACK gecon) above the cap."""
+    lu, piv, info = lapack.dgetrf(j)
+    if info > 0:
+        return None
+    rcond, _ = lapack.dgecon(lu, np.linalg.norm(j, 1), norm="1")
+    if not rcond * _COND_CAP >= 1.0:
+        return None
+    return lu, piv
+
+
+def _lu_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
+    x, _ = lapack.dgetrs(*factors, rhs)
+    return x
+
+
 def solve_fixed_point(problem: ImplicitProblem, t: float, p, y0,
                       opts: SolveOptions | None = None,
                       history: list | None = None) -> np.ndarray:
@@ -81,7 +116,7 @@ def solve_fixed_point(problem: ImplicitProblem, t: float, p, y0,
     if problem.anchor_W is None:
         raise ValueError("fixed-point mode requires an anchor operator")
     w = np.atleast_2d(np.asarray(problem.anchor_W, dtype=float))
-    if cond2(w) > 1e14:
+    if cond2(w) > _COND_CAP:
         raise SingularJacobian(point=(t,), message="anchor operator singular")
     y = _vec(y0).copy()
     prev_step = None
@@ -110,15 +145,23 @@ def solve_fixed_point(problem: ImplicitProblem, t: float, p, y0,
 
 def solve_newton(problem: ImplicitProblem, t: float, p, y0,
                  opts: SolveOptions | None = None,
-                 history: list | None = None) -> np.ndarray:
+                 history: list | None = None,
+                 jac_cache: JacobianCache | None = None) -> np.ndarray:
     """Damped Newton with backtracking line search on ||F||.
 
-    Falls back to the anchored fixed-point iteration when the Jacobian is
-    numerically singular at an iterate and an anchor is available;
-    otherwise raises SingularJacobian.
+    Each Jacobian is LU-factored once.  Falls back to the anchored
+    fixed-point iteration when the Jacobian is numerically singular at an
+    iterate and an anchor is available; otherwise raises SingularJacobian.
+
+    With `jac_cache` the solve first reuses the factors kept there
+    (simplified Newton, Hairer & Wanner, Solving ODEs II, IV.8): a full step
+    with them is kept when it cuts ||F|| at least 4x.  Otherwise the
+    Jacobian is evaluated and factored at the current iterate, stored in the
+    cache, and the solve goes on as damped Newton.
     """
     opts = opts or SolveOptions()
     y = _vec(y0).copy()
+    kept = jac_cache.factors if jac_cache is not None else None
 
     def jac(yv, f0):
         if problem.jac_y is not None:
@@ -134,12 +177,22 @@ def solve_newton(problem: ImplicitProblem, t: float, p, y0,
             return y
         if not np.isfinite(res):
             raise NoConvergence(it + 1, res, label="newton")
-        j = jac(y, f)
-        if cond2(j) > 1e14:
+        if kept is not None:
+            y_new = y + _lu_solve(kept, -f)
+            f_new = _vec(problem.residual(t, p, y_new))
+            res_new = float(np.linalg.norm(f_new))
+            if res_new * _KEPT_CONTRACTION <= res:
+                y, f, res = y_new, f_new, res_new
+                continue
+            kept = None
+        factors = _factor(jac(y, f))
+        if factors is None:
             if problem.anchor_W is not None:
                 return solve_fixed_point(problem, t, p, y, opts, history)
             raise SingularJacobian(point=(t, tuple(np.round(y, 6))))
-        step = np.linalg.solve(j, -f)
+        if jac_cache is not None:
+            jac_cache.factors = factors
+        step = _lu_solve(factors, -f)
         alpha = 1.0
         while alpha >= _MIN_STEP:
             y_new = y + alpha * step
@@ -171,7 +224,7 @@ def implicit_derivative(problem: ImplicitProblem, t: float, p,
         j = np.atleast_2d(np.asarray(problem.jac_y(t, p, y), dtype=float))
     else:
         j = fd_jacobian(lambda z: problem.residual(t, p, z), y)
-    if cond2(j) > 1e14:
+    if cond2(j) > _COND_CAP:
         raise SingularJacobian(point=(t,), message="dF/dy singular on branch")
     if problem.jac_t is not None:
         ft = _vec(problem.jac_t(t, p, y))

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (ConstraintSolveFailure, InconsistentInitialValue,
                      NoConvergence)
+from .implicit import JacobianCache
 from .reduction import ReducedCascade, ReducedFirst
 
 __all__ = ["IntegrationOptions", "Trajectory", "TerminationReason",
@@ -42,6 +43,9 @@ class IntegrationOptions:
             raise ValueError("need h_min <= h_init <= h_max")
         if self.h_min <= 0:
             raise ValueError("h_min must be positive")
+        # a step bound below the floor would clamp every step to h_min
+        if self.h_max is not None and not self.h_max >= self.h_min:
+            raise ValueError("need h_min <= h_max")
 
 
 @dataclass(frozen=True)
@@ -360,11 +364,12 @@ def integrate_first(reduced: ReducedFirst, t0: float, x0, opts: IntegrationOptio
 
     def solve(t, w):
         # warm-started solve; on failure retry once from a cold
-        # re-initialization of the kernel guess
+        # re-initialization of the kernel guess and Jacobian
         try:
             return reduced.drift_w(t, w, state)
         except NoConvergence as first_exc:
             state.c20 = None
+            state.jac_cache = JacobianCache()
             try:
                 return reduced.drift_w(t, w, state)
             except NoConvergence:
@@ -394,6 +399,7 @@ def integrate_cascade(reduced: ReducedCascade, t0: float, x01,
             evaluator.warm_chain = fresh.warm_chain
             evaluator.warm_wedge = fresh.warm_wedge
             evaluator.warm_x20 = fresh.warm_x20
+            evaluator.jac_cache = fresh.jac_cache
             return out
 
     return _run(t0, reduced.dae.pencil.a @ (reduced.ps.p1 @ x01), opts, solve,

@@ -369,6 +369,11 @@ def load_problem_dict(data: dict, name_hint: str = "<dict>") -> LoadedProblem:
         if "certificate" in data else None
     sweep = [np.asarray(v, dtype=float)
              for v in data.get("sweep", {}).get("initial_values", [])]
+    for k, value in enumerate(sweep):
+        # a start sets the leading entries of the initial guess
+        if value.size > n:
+            raise SchemaError(f"/sweep/initial_values/{k}",
+                              f"length {value.size} exceeds dimension {n}")
     ref = data.get("reference", {}).get("id")
     bound = data.get("certificate", {}).get("bound_constant")
     return LoadedProblem(name=data.get("name", name_hint), dae=dae,

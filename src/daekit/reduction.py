@@ -20,7 +20,8 @@ import numpy as np
 from ._linalg import orth_basis
 from .config import Tolerances
 from .errors import (ConstraintSolveFailure, NoConvergence, StructureViolation)
-from .implicit import (ImplicitProblem, SolveOptions, fd_jacobian, solve_newton)
+from .implicit import (ImplicitProblem, JacobianCache, SolveOptions,
+                       fd_jacobian, solve_newton)
 from .pencil import CanonicalSystem, DualSystem, Pencil
 from .projectors import ProjectorSet
 
@@ -134,6 +135,7 @@ class _FirstState:
 
     c20: np.ndarray | None = None
     cascade: "_CascadeEvaluator | None" = None
+    jac_cache: JacobianCache = dc_field(default_factory=JacobianCache)
 
 
 class _Reduced:
@@ -152,6 +154,38 @@ class _Reduced:
         self.nu = ps.nu
         self.n = ps.n
         self.kernel = _select_block(dae, lambda m, j: j == 1)       # x20 slice
+
+    def _kernel_problem(self, rows: _Block, differentiated: bool
+                        ) -> ImplicitProblem:
+        """The equation for the coordinates c of the kernel component x20,
+        built once per reduction.
+
+        The parameter p = (base, d_vec) carries the per-call data: base is
+        the state without its kernel component, d_vec the offset
+        A (d_chain_1 + d_wedge_1) of the differentiated form.  The plain form
+        solves `rows` of f(t, x) - B x; the differentiated form solves them
+        for f(t, x) - B x20 - d_vec.
+        """
+        fld = self.dae.field
+        b = self.dae.pencil.b
+        phi = self.kernel.phi
+        q_h = rows.q.conj().T
+        b_phi = b @ phi
+
+        if differentiated:
+            def resid(t, p, c):
+                base, d_vec = p
+                x20 = phi @ c
+                return q_h @ (fld(t, base + x20) - b @ x20 - d_vec)
+        else:
+            def resid(t, p, c):
+                x = p[0] + phi @ c
+                return q_h @ (fld(t, x) - b @ x)
+
+        def jac(t, p, c):
+            return q_h @ (fld.jac(t, p[0] + phi @ c) @ phi - b_phi)
+
+        return ImplicitProblem(residual=resid, jac_y=jac)
 
     def split_norm(self, x) -> float:
         return float(np.linalg.norm(self.ps.p1 @ x)
@@ -179,7 +213,13 @@ class ReducedFirst(_Reduced):
         self.p12 = ps.p1 + ps.p2_sigma
         self.w_projector = ps.q1 + ps.q2_sigma
         self.tops = _select_block(dae, lambda m, j: j == m)          # residual rows
-        self.structured = dae.field.structure_tag is not StructureTag.GENERAL
+        # a structure-tagged field's constraint rows do not involve x20, so
+        # x20 solves the differentiated (kernel-level) form instead
+        self.differentiated = (dae.field.structure_tag
+                               is not StructureTag.GENERAL and self.nu >= 2)
+        self.kernel_problem = self._kernel_problem(
+            self.kernel if self.differentiated else self.tops,
+            self.differentiated)
         self._cascade: ReducedCascade | None = None
 
     # -- spec callbacks ----------------------------------------------------
@@ -201,7 +241,7 @@ class ReducedFirst(_Reduced):
     # -- algebraic solve -----------------------------------------------------
     def make_state(self) -> _FirstState:
         st = _FirstState()
-        if self.structured and self.nu >= 2:
+        if self.differentiated:
             st.cascade = self.cascade.make_state()
         return st
 
@@ -224,9 +264,6 @@ class ReducedFirst(_Reduced):
         """
         state = state or self.make_state()
         tol = tol if tol is not None else self.dae.tol.solver
-        b = self.dae.pencil.b
-        a = self.dae.pencil.a
-        fld = self.dae.field
         if self.n == 0:
             return np.zeros(self.dae.pencil.n_dim), state
 
@@ -235,34 +272,13 @@ class ReducedFirst(_Reduced):
         # the floating-point floor of the residual grows alongside
         tol = tol * max(1.0, float(np.linalg.norm(x12)),
                         float(np.linalg.norm(guess)))
-        if self.structured and self.nu >= 2:
-            ev = state.cascade
-            parts = ev.algebraic_parts(t)
-            d_vec = a @ (parts["d_chain_1"] + parts["d_wedge_1"])
-            rows = self.kernel  # kernel-level rows, paired with q_i^1
-
-            def resid(_t, _p, c):
-                x = x12 + self.kernel.lift(c)
-                return rows.y_coords(fld(t, x) - b @ self.kernel.lift(c) - d_vec)
-
-            def jac(_t, _p, c):
-                x = x12 + self.kernel.lift(c)
-                jf = fld.jac(t, x)
-                return rows.y_coords(jf @ self.kernel.phi - b @ self.kernel.phi)
-        else:
-            rows = self.tops
-
-            def resid(_t, _p, c):
-                x = x12 + self.kernel.lift(c)
-                return rows.y_coords(fld(t, x) - b @ x)
-
-            def jac(_t, _p, c):
-                x = x12 + self.kernel.lift(c)
-                jf = fld.jac(t, x)
-                return rows.y_coords(jf @ self.kernel.phi - b @ self.kernel.phi)
-
-        problem = ImplicitProblem(residual=resid, jac_y=jac)
-        c = solve_newton(problem, t, None, guess, SolveOptions(tol=tol))
+        d_vec = None
+        if self.differentiated:
+            parts = state.cascade.algebraic_parts(t)
+            d_vec = self.dae.pencil.a @ (parts["d_chain_1"]
+                                         + parts["d_wedge_1"])
+        c = solve_newton(self.kernel_problem, t, (x12, d_vec), guess,
+                         SolveOptions(tol=tol), jac_cache=state.jac_cache)
         state.c20 = c
         return self.kernel.lift(c), state
 
@@ -293,7 +309,7 @@ class ReducedFirst(_Reduced):
         """
         tol = tol if tol is not None else self.dae.tol.cons
         state = self.make_state()
-        if self.structured and self.nu >= 2:
+        if self.differentiated:
             x1 = self.ps.p1 @ x_guess
             x12 = x1 + state.cascade.eta_2sigma(t0)
         else:
@@ -328,6 +344,7 @@ class ReducedCascade(_Reduced):
         super().__init__(dae)
         self.w_projector = self.ps.q1
         self.variant = dae.field.structure_tag is StructureTag.STRUCTURED_VARIANT
+        self.kernel_problem = self._kernel_problem(self.kernel, True)
         # chain-top slices: level s holds the order-s vectors of chains of
         # exact length s+1 (s = 1..nu-1)
         self.chain_blocks = {
@@ -439,6 +456,7 @@ class _CascadeEvaluator:
         self.warm_chain: dict[int, np.ndarray] = {}
         self.warm_wedge: dict[int, np.ndarray] = {}
         self.warm_x20: np.ndarray | None = None
+        self.jac_cache = JacobianCache()  # of the kernel-level solve
         self._chain_cache: dict[float, dict] = {}
         self._wedge_cache: dict[tuple[int, float], np.ndarray] = {}
         self.opts = SolveOptions(tol=rc.tol.solver)
@@ -630,23 +648,13 @@ class _CascadeEvaluator:
         blk = rc.kernel
         if blk.dim == 0:
             return np.zeros(rc.dae.pencil.n_dim)
-        fld = rc.dae.field
-        a, b = rc.dae.pencil.a, rc.dae.pencil.b
-        x2s = parts["eta_2sigma"]
-        d_vec = a @ (parts["d_chain_1"] + parts["d_wedge_1"])
+        d_vec = rc.dae.pencil.a @ (parts["d_chain_1"] + parts["d_wedge_1"])
         opts = SolveOptions(tol=self.opts.tol * max(1.0, float(np.linalg.norm(x1))))
-
-        def resid(_t, _p, c):
-            x = x1 + x2s + blk.lift(c)
-            return blk.y_coords(fld(t, x) - b @ blk.lift(c) - d_vec)
-
-        def jac(_t, _p, c):
-            x = x1 + x2s + blk.lift(c)
-            return blk.y_coords(fld.jac(t, x) @ blk.phi - b @ blk.phi)
-
         guess = self.warm_x20 if self.warm_x20 is not None else np.zeros(blk.dim)
         try:
-            c = solve_newton(ImplicitProblem(resid, jac), t, None, guess, opts)
+            c = solve_newton(rc.kernel_problem, t,
+                             (x1 + parts["eta_2sigma"], d_vec), guess, opts,
+                             jac_cache=self.jac_cache)
         except NoConvergence as exc:
             raise ConstraintSolveFailure(t, "kernel_level", exc)
         self.warm_x20 = c

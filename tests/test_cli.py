@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import daekit
 from daekit.cli import run
+from daekit.problems import load_builtin
 
 
 def test_analyze_bundled(tmp_path, capsys):
@@ -143,3 +149,59 @@ def test_byte_identical_outputs(tmp_path):
                  "index1_blowup_sweep.csv", "index1_blowup_run0.csv",
                  "index1_blowup_run2.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_sweep_start_longer_than_state_exit_two(tmp_path, capsys):
+    data = dict(load_builtin("index1_blowup").raw,
+                sweep={"initial_values": [[1.0, 0.0, 3.0]]})
+    path = tmp_path / "long_start.json"
+    path.write_text(json.dumps(data))
+    assert run(["sweep", str(path), "--out", str(tmp_path)]) == 2
+    assert "SchemaError: /sweep/initial_values/0" in capsys.readouterr().err
+
+
+def varying_jacobian_problem(starts) -> dict:
+    # the constraint row reads x2 = x1^3 and the kernel is spanned by
+    # (1, -1), so the kernel-level Jacobian changes along a run: LU factors
+    # that leaked from one run into another would change the output bytes
+    return {"name": "varying", "A": [[0.0, 0.0], [1.0, 1.0]],
+            "B": [[0.0, 1.0], [0.0, 1.0]],
+            "field": {"registry_id": "blowup_cubic"},
+            "initial": {"x_guess": [0.5, 0.0]},
+            "integration": {"t_max": 1.0},
+            "certificate": load_builtin("index1_stable").raw["certificate"],
+            "sweep": {"initial_values": starts}}
+
+
+def test_runs_in_one_process_match_separate_processes(tmp_path):
+    starts = [[0.3, 0.0], [0.6, 0.0]]
+    path = tmp_path / "varying.json"
+    path.write_text(json.dumps(varying_jacobian_problem(starts)))
+    together = tmp_path / "together"
+    assert run(["sweep", str(path), "--out", str(together)]) == 0
+    for seed in ("1", "2"):
+        assert run(["certify", str(path), "--seed", seed,
+                    "--out", str(together / seed)]) == 1
+
+    src = str(Path(daekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        entry for entry in (src, os.environ.get("PYTHONPATH")) if entry))
+    commands = []
+    for k, start in enumerate(starts):
+        one = tmp_path / f"start{k}.json"
+        one.write_text(json.dumps(varying_jacobian_problem([start])))
+        commands.append(["sweep", str(one), "--out", str(tmp_path / f"alone{k}")])
+    for seed in ("1", "2"):
+        commands.append(["certify", str(path), "--seed", seed,
+                         "--out", str(tmp_path / "alone" / seed)])
+    procs = [subprocess.Popen([sys.executable, "-m", "daekit", *cmd], env=env,
+                              stdout=subprocess.DEVNULL)
+             for cmd in commands]
+    assert [p.wait(timeout=120) for p in procs] == [0, 0, 1, 1]
+    for k in range(len(starts)):
+        assert ((together / f"varying_run{k}.csv").read_bytes()
+                == (tmp_path / f"alone{k}" / "varying_run0.csv").read_bytes())
+    for seed in ("1", "2"):
+        name = "varying_certificate.json"
+        assert ((together / seed / name).read_bytes()
+                == (tmp_path / "alone" / seed / name).read_bytes())

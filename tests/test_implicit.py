@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from daekit import (ImplicitProblem, NoConvergence, SingularJacobian,
-                    SolveOptions, consistent_initialize, implicit_derivative,
-                    reduce_cascade, reduce_first, solve_fixed_point,
-                    solve_newton)
+from daekit import (ImplicitProblem, JacobianCache, NoConvergence,
+                    SingularJacobian, SolveOptions, consistent_initialize,
+                    implicit_derivative, reduce_cascade, reduce_first,
+                    solve_fixed_point, solve_newton)
 from daekit.problems import load_builtin
 
 
@@ -107,6 +107,76 @@ def test_newton_falls_back_to_anchor():
                            anchor_W=np.array([[0.03, 0.0], [1.0, 1.0]]))
     y = solve_newton(prob, 0.0, None, np.zeros(2), SolveOptions(tol=1e-12))
     assert abs(y[0] - 0.1) < 1e-6 and abs(y[1] + 0.1) < 1e-6
+
+
+def counted(jac):
+    calls = []
+
+    def wrapped(t, p, y):
+        calls.append(y.copy())
+        return jac(t, p, y)
+    return wrapped, calls
+
+
+def test_kept_factors_reused_for_constant_jacobian():
+    k = np.array([[2.0, 1.0], [0.0, 3.0]])
+    jac, calls = counted(lambda t, p, y: k)
+    prob = ImplicitProblem(residual=lambda t, p, y: k @ y - p, jac_y=jac)
+    cache = JacobianCache()
+    solve_newton(prob, 0.0, np.array([1.0, 6.0]), np.zeros(2),
+                 jac_cache=cache)
+    assert len(calls) == 1 and cache.factors is not None
+    rhs = np.array([-2.0, 4.5])
+    kept = solve_newton(prob, 0.0, rhs, np.zeros(2), jac_cache=cache)
+    assert len(calls) == 1  # the kept factors did the whole solve
+    fresh = solve_newton(prob, 0.0, rhs, np.zeros(2))
+    assert np.array_equal(kept, fresh)
+
+
+def test_kept_factors_refreshed_on_slow_contraction():
+    def problem(jac):
+        return ImplicitProblem(
+            residual=lambda t, p, y: np.array([y[0] ** 3 + y[0] - p]),
+            jac_y=jac)
+
+    def slope(t, p, y):
+        return np.array([[3 * y[0] ** 2 + 1.0]])
+
+    jac, calls = counted(slope)
+    cache = JacobianCache()
+    opts = SolveOptions(tol=1e-13)
+    # factors taken at the distant root y = 10 (slope 301 against 1 at y = 0)
+    solve_newton(problem(jac), 0.0, 1010.0, np.array([10.0]), opts,
+                 jac_cache=cache)
+    calls.clear()
+    y = solve_newton(problem(jac), 0.0, 1.0, np.zeros(1), opts,
+                     jac_cache=cache)
+    assert calls and calls[0][0] == 0.0  # refreshed where the kept step failed
+    assert abs(y[0] ** 3 + y[0] - 1.0) <= 1e-13
+    uncached = solve_newton(problem(slope), 0.0, 1.0, np.zeros(1), opts)
+    assert abs(y[0] - uncached[0]) < 1e-10
+    assert abs(y[0] - CUBIC_ROOT) < 1e-10
+    # a nearby right-hand side converges on the kept factors alone
+    calls.clear()
+    y2 = solve_newton(problem(jac), 0.0, 1.001, y, opts, jac_cache=cache)
+    assert not calls and abs(y2[0] ** 3 + y2[0] - 1.001) <= 1e-13
+
+
+@pytest.mark.parametrize("j, b, anchor", [
+    (np.diag([1.0, 1e-16]), np.array([1.0, 0.0]), np.eye(2)),
+    (np.ones((2, 2)), np.ones(2), np.array([[2.0, 1.0], [1.0, 2.0]]))])
+def test_newton_singular_jacobian(j, b, anchor):
+    # an ill-conditioned matrix and one with an exact zero pivot
+    prob = ImplicitProblem(residual=lambda t, p, y: j @ y - b,
+                           jac_y=lambda t, p, y: j)
+    with pytest.raises(SingularJacobian):
+        solve_newton(prob, 0.0, None, np.zeros(2), jac_cache=JacobianCache())
+    anchored = ImplicitProblem(residual=prob.residual, jac_y=prob.jac_y,
+                               anchor_W=anchor)
+    hist = []
+    y = solve_newton(anchored, 0.0, None, np.zeros(2), history=hist)
+    assert "contraction" in hist[-1]  # the fixed-point iteration finished
+    assert np.linalg.norm(j @ y - b) <= 1e-12
 
 
 def test_modes_agree_on_shared_corpus():

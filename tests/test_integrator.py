@@ -127,6 +127,9 @@ def test_options_validation():
         IntegrationOptions(t_max=1.0, rtol=-1e-8)
     with pytest.raises(ValueError):
         IntegrationOptions(t_max=1.0, h_init=1e-12, h_min=1e-10)
+    for h_max in (-1.0, 0.0, 1e-12):  # at or below the step floor
+        with pytest.raises(ValueError):
+            IntegrationOptions(t_max=1.0, h_min=1e-10, h_max=h_max)
     opts = IntegrationOptions(t_max=1.0, h_init=1e-3, h_min=1e-6, h_max=0.1)
     assert opts.h_min <= opts.h_init <= opts.h_max
 

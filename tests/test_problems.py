@@ -66,6 +66,24 @@ def test_schema_rejects_empty_horizon():
     assert err.value.pointer == "/integration"
 
 
+def test_schema_rejects_nonpositive_step_bound():
+    data = {"name": "bad", "A": [[1.0]], "B": [[1.0]],
+            "field": {"registry_id": "zero"},
+            "integration": {"h_max": -1.0}}
+    with pytest.raises(SchemaError) as err:
+        load_problem_dict(data)
+    assert err.value.pointer == "/integration"
+
+
+def test_schema_rejects_sweep_start_longer_than_state():
+    data = {"name": "bad", "A": [[1.0]], "B": [[1.0]],
+            "field": {"registry_id": "zero"},
+            "sweep": {"initial_values": [[1.0], [1.0, 2.0]]}}
+    with pytest.raises(SchemaError) as err:
+        load_problem_dict(data)
+    assert err.value.pointer == "/sweep/initial_values/1"
+
+
 def test_schema_rejects_field_of_wrong_dimension():
     # a two-component registry field on a 3 x 3 pair
     data = {"name": "bad", "A": np.diag([1.0, 1.0, 0.0]).tolist(),

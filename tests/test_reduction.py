@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from daekit import (NonlinearField, StructureTag,
+from daekit import (IntegrationOptions, NonlinearField, StructureTag,
                     StructureViolation, check_structure,
-                    consistent_initialize, reduce_cascade, reduce_first,
-                    residual_L0)
+                    consistent_initialize, integrate_first, reduce_cascade,
+                    reduce_first, residual_L0)
 from daekit.problems import load_builtin, make_dae
 
 
@@ -234,3 +234,27 @@ def test_field_jacobian_validation():
         jacobian=lambda t, x: np.array([[3.0 * x[0]]]))
     with pytest.raises(ValueError):
         bad.validate_jacobian([(0.0, np.array([0.7]))])
+
+
+def test_runs_on_one_reduction_are_independent():
+    # the kernel-level Jacobian of this pair changes along a run (the
+    # constraint reads x2 = x1^3 and the kernel is spanned by (1, -1)); a
+    # run on a reduction that already served another run must match a run
+    # on a fresh one, so no kept factorisation outlives its run
+    fld = NonlinearField(
+        eval=lambda t, x: np.array([x[0] ** 3, np.sin(t) + x[0]]),
+        jacobian=lambda t, x: np.array([[3 * x[0] ** 2, 0.0], [1.0, 0.0]]))
+    dae = make_dae(np.array([[0.0, 0.0], [1.0, 1.0]]),
+                   np.array([[0.0, 1.0], [0.0, 1.0]]), fld)
+    opts = IntegrationOptions(t_max=1.0)
+
+    def simulate(red, guess):
+        x0 = consistent_initialize(red, 0.0, np.array(guess))
+        return integrate_first(red, 0.0, x0, opts)
+
+    shared = reduce_first(dae)
+    simulate(shared, [0.3, 0.0])
+    again = simulate(shared, [0.6, 0.0])
+    fresh = simulate(reduce_first(dae), [0.6, 0.0])
+    assert np.array_equal(again.states, fresh.states)
+    assert again.stats == fresh.stats
