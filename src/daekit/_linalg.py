@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .config import Tolerances, DEFAULT_TOLERANCES
 from .errors import RankAmbiguity
@@ -47,11 +48,25 @@ def guarded_rank(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES,
     return int(np.sum(sig > cut))
 
 
+def svd(m: np.ndarray, full_matrices: bool = True):
+    """Singular value decomposition with vectors, ``(u, sigma, vh)``.
+
+    numpy's divide-and-conquer driver (LAPACK ``gesdd``) is tried first;
+    where it fails to converge, the QR-iteration driver ``gesvd`` is used,
+    which converges on matrices that ``gesdd`` gives up on.
+    """
+    try:
+        return np.linalg.svd(m, full_matrices=full_matrices)
+    except np.linalg.LinAlgError:
+        return scipy.linalg.svd(m, full_matrices=full_matrices,
+                                lapack_driver="gesvd")
+
+
 def orth_basis(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Orthonormal basis of the column space (columns of the result)."""
     if m.size == 0:
         return m.reshape(m.shape[0], 0)
-    u, sig, _ = np.linalg.svd(m, full_matrices=False)
+    u, sig, _ = svd(m, full_matrices=False)
     cut = rank_cutoff(sig, max(m.shape), tol)
     r = int(np.sum(sig > cut))
     return u[:, :r]
@@ -60,7 +75,7 @@ def orth_basis(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarra
 def null_basis(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES,
                ref: float | None = None) -> np.ndarray:
     """Orthonormal basis of the kernel (columns of the result)."""
-    _, sig, vh = np.linalg.svd(m)
+    _, sig, vh = svd(m)
     cut = rank_cutoff(sig, max(m.shape), tol, ref)
     r = int(np.sum(sig > cut))
     return vh[r:].conj().T

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import (as_matrix, cond2, guarded_rank, null_basis, orth_basis,
-                      rank_cutoff, trim_imag)
+                      rank_cutoff, svd, trim_imag)
 from .config import Tolerances, DEFAULT_TOLERANCES
 from .errors import (BiorthogonalizationFailure, ChainExtensionFailure,
                      SingularPencil)
@@ -268,7 +268,7 @@ def build_chains(pencil: Pencil) -> CanonicalSystem:
         w_basis = orth_basis(np.hstack(avoid), tol)
         cand = kernels[j]
         proj = cand - w_basis @ (w_basis.conj().T @ cand)
-        u, sig, _ = np.linalg.svd(proj, full_matrices=False)
+        u, sig, _ = svd(proj, full_matrices=False)
         cut = rank_cutoff(sig, n_dim, tol)
         if int(np.sum(sig > cut)) < need:
             raise ChainExtensionFailure(
@@ -356,7 +356,9 @@ def build_dual_chains(pencil: Pencil, canonical: CanonicalSystem) -> DualSystem:
 
     Both families of conditions are linear in the unknown functionals, so
     each dual chain is obtained from one stacked least-squares solve; the
-    joint system is provably consistent and uniquely solvable.
+    joint system is provably consistent and uniquely solvable. Its matrix
+    depends on the chain length only, so the chains of one length share one
+    solve with a right-hand side per chain.
     """
     tol = pencil.tol
     if canonical.n == 0:
@@ -373,45 +375,46 @@ def build_dual_chains(pencil: Pencil, canonical: CanonicalSystem) -> DualSystem:
     n_dim = pencil.n_dim
     d = bphi.shape[1]
     pairs = canonical.pairs()
+    by_length: dict[int, list[int]] = {}
+    for i, chain in enumerate(canonical.chains):
+        by_length.setdefault(chain.multiplicity, []).append(i)
+
+    solutions: dict[int, tuple[np.ndarray, float]] = {}
+    for m, members in by_length.items():
+        # unknowns: q^1 ... q^m stacked; rows: adjoint chain relations,
+        # then biorthogonality against every B phi column
+        mat = np.zeros((m * (n_dim + d), m * n_dim), dtype=bphi.dtype)
+        # A* q^m = 0
+        mat[:n_dim, (m - 1) * n_dim:] = ah
+        # A* q^j + B* q^{j+1} = 0
+        for j in range(m - 1):
+            rows = slice((j + 1) * n_dim, (j + 2) * n_dim)
+            mat[rows, j * n_dim:(j + 1) * n_dim] = ah
+            mat[rows, (j + 1) * n_dim:(j + 2) * n_dim] = bh
+        # <B phi_k^l, q_i^j> = delta_{ki} delta_{lj}, linear in conj(q):
+        # formulated as (B phi)^H q = e, i.e. rows of bphi^H per level j
+        for j in range(m):
+            top = m * n_dim + j * d
+            mat[top:top + d, j * n_dim:(j + 1) * n_dim] = bphi.conj().T
+        vec = np.zeros((mat.shape[0], len(members)), dtype=bphi.dtype)
+        for k, i in enumerate(members):
+            for j in range(m):
+                vec[m * n_dim + j * d + pairs.index((i, j + 1)), k] = 1.0
+        sol, *_ = np.linalg.lstsq(mat, vec, rcond=None)
+        resid = np.linalg.norm(mat @ sol - vec, axis=0)
+        for k, i in enumerate(members):
+            solutions[i] = (sol[:, k].copy(), float(resid[k]))
 
     duals: list[tuple] = []
     scale = max(1.0, float(np.linalg.norm(a)) + float(np.linalg.norm(b)))
     for i, chain in enumerate(canonical.chains):
-        m = chain.multiplicity
-        # unknowns: q^1 ... q^m stacked; rows: adjoint chain relations,
-        # then biorthogonality against every B phi column
-        rows = []
-        rhs = []
-        # A* q^m = 0
-        top = np.zeros((n_dim, n_dim * m), dtype=bphi.dtype)
-        top[:, (m - 1) * n_dim:] = ah
-        rows.append(top)
-        rhs.append(np.zeros(n_dim, dtype=bphi.dtype))
-        # A* q^j + B* q^{j+1} = 0
-        for j in range(m - 1):
-            row = np.zeros((n_dim, n_dim * m), dtype=bphi.dtype)
-            row[:, j * n_dim:(j + 1) * n_dim] = ah
-            row[:, (j + 1) * n_dim:(j + 2) * n_dim] = bh
-            rows.append(row)
-            rhs.append(np.zeros(n_dim, dtype=bphi.dtype))
-        # <B phi_k^l, q_i^j> = delta_{ki} delta_{lj}, linear in conj(q):
-        # formulated as (B phi)^H q = e, i.e. rows of bphi^H per level j
-        for j in range(m):
-            row = np.zeros((d, n_dim * m), dtype=bphi.dtype)
-            row[:, j * n_dim:(j + 1) * n_dim] = bphi.conj().T
-            rows.append(row)
-            e = np.zeros(d, dtype=bphi.dtype)
-            e[pairs.index((i, j + 1))] = 1.0
-            rhs.append(e)
-        mat = np.vstack(rows)
-        vec = np.concatenate(rhs)
-        sol, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-        resid = float(np.linalg.norm(mat @ sol - vec))
+        sol, resid = solutions[i]
         if resid > tol.biorth * scale * 10:
             raise BiorthogonalizationFailure(
                 f"dual chain {i} solve residual {resid:.3e}; the pairing "
                 "matrix is numerically singular")
-        qs = [sol[j * n_dim:(j + 1) * n_dim] for j in range(m)]
+        qs = [sol[j * n_dim:(j + 1) * n_dim]
+              for j in range(chain.multiplicity)]
         if not pencil.is_complex and not np.iscomplexobj(phi):
             qs = [trim_imag(q, tol.imag_trim) for q in qs]
         duals.append(tuple(qs))

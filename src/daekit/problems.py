@@ -8,16 +8,13 @@ initial-value, integration and sweep blocks.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from .certificates import ComparisonSpec, LyapunovComponent, LyapunovSpec
 from .errors import SchemaError, UnknownRegistryId
@@ -224,21 +221,82 @@ _FIXTURES = resources.files("daekit") / "fixtures"
 PROBLEM_SCHEMA = json.loads((_FIXTURES / "problem.schema.json").read_text())
 
 
-def _parse_matrix(rows, pointer: str) -> np.ndarray:
-    parsed = []
-    for row in rows:
-        out_row = []
-        for entry in row:
-            if isinstance(entry, (int, float)):
-                out_row.append(float(entry))
-            else:
-                out_row.append(complex(entry[0], entry[1]))
-        parsed.append(out_row)
-    mat = np.array(parsed)
-    if np.iscomplexobj(mat) and np.all(mat.imag == 0.0):
-        mat = mat.real
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise SchemaError(pointer, f"matrix must be square, got {mat.shape}")
+# Matrix entries are checked here in one pass, not by the schema: its
+# per-entry `oneOf` made validation cost seconds on a 128 x 128 pair.  The
+# rest of a document is validated against the shipped schema minus the rule
+# for one A/B entry, which `_is_entry` states in Python.
+_ENTRY_MISMATCH = "{!r} is not valid under any of the given schemas"
+_PLAIN_NUMBERS = frozenset((float, int))
+
+
+def _without_matrix_entries(schema: dict) -> dict:
+    out = copy.deepcopy(schema)
+    for key in ("A", "B"):
+        del out["properties"][key]["items"]["items"]
+    return out
+
+
+_VALIDATOR = jsonschema.Draft202012Validator(
+    _without_matrix_entries(PROBLEM_SCHEMA))
+
+
+def _is_number(value) -> bool:
+    return type(value) in _PLAIN_NUMBERS or _VALIDATOR.is_type(value, "number")
+
+
+def _is_entry(value) -> bool:
+    """A matrix entry: a number (not a bool) or an [re, im] pair of them."""
+    return _is_number(value) or (isinstance(value, list) and len(value) == 2
+                                 and _is_number(value[0])
+                                 and _is_number(value[1]))
+
+
+def _is_plain_row(row: list) -> bool:
+    return _PLAIN_NUMBERS.issuperset(map(type, row))
+
+
+def _schema_errors(data) -> list:
+    """(path, message) of every schema violation, as `jsonschema` reports
+    them against the shipped schema."""
+    errors = [(list(e.absolute_path), e.message)
+              for e in _VALIDATOR.iter_errors(data)]
+    for key in ("A", "B"):
+        rows = data.get(key) if isinstance(data, dict) else None
+        if not isinstance(rows, list):
+            continue
+        for i, row in enumerate(rows):
+            if isinstance(row, list) and not _is_plain_row(row):
+                errors += [([key, i, j], _ENTRY_MISMATCH.format(v))
+                           for j, v in enumerate(row) if not _is_entry(v)]
+    return errors
+
+
+def _parse_matrix(rows: list, pointer: str) -> np.ndarray:
+    """A schema-valid A or B as a square, finite array; complex only if an
+    entry has a non-zero imaginary part."""
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise SchemaError(pointer, f"row {i} has {len(row)} entries, "
+                                       f"row 0 has {width}")
+    if width != len(rows):
+        raise SchemaError(pointer,
+                          f"matrix must be square, got {(len(rows), width)}")
+    try:
+        if all(_is_plain_row(row) for row in rows):
+            mat = np.array(rows, dtype=float)
+        else:
+            mat = np.array([[complex(*v) if isinstance(v, list) else v
+                             for v in row] for row in rows], dtype=complex)
+            if np.all(mat.imag == 0.0):
+                mat = mat.real
+    except OverflowError as exc:
+        raise SchemaError(pointer, f"entry out of range: {exc}")
+    bad = np.argwhere(~np.isfinite(mat))
+    if bad.size:
+        i, j = bad[0]
+        raise SchemaError(f"{pointer}/{i}/{j}",
+                          f"entry {rows[i][j]!r} is not finite")
     return mat
 
 
@@ -322,14 +380,11 @@ def _build_certificate(spec: dict) -> dict:
 
 def load_problem_dict(data: dict, name_hint: str = "<dict>") -> LoadedProblem:
     """Validate and construct a problem from an already-parsed dictionary."""
-    if jsonschema is not None:
-        validator = jsonschema.Draft202012Validator(PROBLEM_SCHEMA)
-        errors = sorted(validator.iter_errors(data),
-                        key=lambda e: list(e.absolute_path))
-        if errors:
-            err = errors[0]
-            pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-            raise SchemaError(pointer, err.message)
+    errors = _schema_errors(data)
+    if errors:
+        # the first error by path; `min` keeps the report order among ties
+        path, message = min(errors, key=lambda e: e[0])
+        raise SchemaError("/" + "/".join(str(p) for p in path), message)
     a = _parse_matrix(data["A"], "/A")
     b = _parse_matrix(data["B"], "/B")
     if a.shape != b.shape:

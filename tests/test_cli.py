@@ -160,6 +160,19 @@ def test_sweep_start_longer_than_state_exit_two(tmp_path, capsys):
     assert "SchemaError: /sweep/initial_values/0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a_text, pointer", [
+    ("[[1.0, 0.0], [0.0]]", "/A"),
+    ("[[NaN, 0.0], [0.0, 0.0]]", "/A/0/0"),
+    ("[[1.0, Infinity], [0.0, 0.0]]", "/A/0/1")])
+def test_malformed_matrix_exit_two(tmp_path, capsys, a_text, pointer):
+    path = tmp_path / "bad_matrix.json"
+    path.write_text(f'{{"name": "bad", "A": {a_text}, '
+                    '"B": [[1.0, 0.0], [0.0, 1.0]], '
+                    '"field": {"registry_id": "zero"}}')
+    assert run(["analyze", str(path), "--out", str(tmp_path)]) == 2
+    assert f"SchemaError: {pointer}:" in capsys.readouterr().err
+
+
 def varying_jacobian_problem(starts) -> dict:
     # the constraint row reads x2 = x1^3 and the kernel is spanned by
     # (1, -1), so the kernel-level Jacobian changes along a run: LU factors

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from daekit import (Pencil, RankAmbiguity, SingularPencil, build_chains,
-                    build_dual_chains, chain_residuals, compute_index,
-                    dual_residuals, find_regular_point)
+from daekit import (Pencil, RankAmbiguity, SingularPencil, build_all,
+                    build_chains, build_dual_chains, chain_residuals,
+                    compute_index, dual_residuals, find_regular_point)
+from daekit._linalg import subspace_gap
+from daekit.problems import random_weierstrass
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 EYE2 = np.eye(2)
@@ -147,3 +149,29 @@ def test_real_input_gives_real_output(analyzed_corpus):
         for qs in dual.chains:
             for q in qs:
                 assert not np.iscomplexobj(q)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_duals_of_equal_length_chains(seed):
+    # three chains of length 3 and two of length 2 share two solves
+    ws = random_weierstrass(seed, 48, [3, 3, 3, 2, 2])
+    cs = build_chains(ws.pencil)
+    assert cs.multiplicities == [3, 3, 3, 2, 2]
+    ds = build_dual_chains(ws.pencil, cs)
+    assert [len(qs) for qs in ds.chains] == cs.multiplicities
+    assert dual_residuals(ws.pencil, cs, ds)["worst"] <= 1e-8
+
+
+def test_index_five_pair_beyond_the_bundled_problems():
+    # numpy's divide-and-conquer SVD (gesdd) can fail to converge on the
+    # third power of G for this pair; the analysis retries with gesvd
+    ws = random_weierstrass(7, 64, [5, 5, 5, 1])
+    cs, ds, ps = build_all(ws.pencil)
+    assert cs.nu == 5 and cs.multiplicities == [5, 5, 5, 1]
+    assert chain_residuals(ws.pencil, cs)["worst"] <= 1e-8
+    assert dual_residuals(ws.pencil, cs, ds)["worst"] <= 1e-8
+    gt = ws.projectors_gt
+    for name in ("p1", "p2", "q1", "q2"):
+        assert np.abs(getattr(ps, name) - gt[name]).max() <= 1e-6
+    assert subspace_gap(ps.p20, gt["p20"]) <= 1e-6
+    assert subspace_gap(ps.q2_sigma, gt["q2_sigma"]) <= 1e-6

@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from jsonschema import Draft202012Validator
 
-from daekit import (SchemaError, UnknownRegistryId, builtin, builtin_names,
-                    compute_index, load_builtin, load_problem)
-from daekit.problems import (load_problem_dict, random_weierstrass,
-                             reference_solution)
+from daekit import (DaekitError, SchemaError, UnknownRegistryId, builtin,
+                    builtin_names, compute_index, load_builtin, load_problem)
+from daekit.problems import (PROBLEM_SCHEMA, load_problem_dict,
+                             random_weierstrass, reference_solution)
 
 EXPECTED_BUILTINS = {
     "ode_index0", "ode_scalar_quadratic", "ode_scalar_decay",
@@ -50,6 +52,41 @@ def test_schema_rejects_nonsquare_matrix():
     with pytest.raises(SchemaError) as err:
         load_problem_dict(data)
     assert err.value.pointer == "/A"
+
+
+@pytest.mark.parametrize("key", ["A", "B"])
+def test_schema_rejects_ragged_rows(key):
+    data = {"name": "bad", "A": [[1.0, 0.0], [0.0, 0.0]],
+            "B": [[1.0, 0.0], [0.0, 1.0]],
+            "field": {"registry_id": "zero"}}
+    data[key] = [[1.0, 0.0], [0.0]]
+    with pytest.raises(SchemaError) as err:
+        load_problem_dict(data)
+    assert err.value.pointer == f"/{key}"
+
+
+@pytest.mark.parametrize("key, entry", [("A", "NaN"), ("B", "Infinity"),
+                                        ("B", "-Infinity")])
+def test_schema_rejects_non_finite_entry(tmp_path, key, entry):
+    # Python's json reads NaN and +-Infinity, and the schema's `number`
+    # lets them through
+    rows = {"A": "[[1.0, 0.0], [0.0, 0.0]]", "B": "[[1.0, 0.0], [0.0, 1.0]]"}
+    rows[key] = f"[[1.0, 0.0], [0.0, {entry}]]"
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"name": "bad", "A": {rows["A"]}, "B": {rows["B"]}, '
+                    f'"field": {{"registry_id": "zero"}}}}')
+    with pytest.raises(SchemaError) as err:
+        load_problem(path)
+    assert err.value.pointer == f"/{key}/1/1"
+
+
+def test_schema_rejects_non_finite_complex_entry():
+    data = {"name": "bad", "A": [[1.0, [0.0, float("nan")]], [0.0, 0.0]],
+            "B": [[1.0, 0.0], [0.0, 1.0]],
+            "field": {"registry_id": "zero"}}
+    with pytest.raises(SchemaError) as err:
+        load_problem_dict(data)
+    assert err.value.pointer == "/A/0/1"
 
 
 def test_schema_rejects_missing_field():
@@ -153,3 +190,72 @@ def test_random_weierstrass_ground_truth():
 def test_random_weierstrass_rejects_overfull_segre():
     with pytest.raises(ValueError):
         random_weierstrass(seed=0, n_dim=3, segre=[2, 2])
+
+
+# ---------------------------------------------------------------------------
+# the shipped schema as the oracle for the loader's errors
+
+_ORACLE = Draft202012Validator(PROBLEM_SCHEMA)
+_NUMBERS = st.one_of(st.floats(min_value=-1e3, max_value=1e3),
+                     st.integers(-5, 5))
+_SCALARS = st.one_of(_NUMBERS, st.just(float("nan")), st.just(float("inf")),
+                     st.booleans(), st.text(max_size=2), st.none())
+# mostly valid entries, so that a fault sits among valid ones
+_ENTRIES = st.one_of(
+    _NUMBERS, _NUMBERS, _NUMBERS, st.lists(_NUMBERS, min_size=2, max_size=2),
+    st.lists(_NUMBERS, min_size=1, max_size=3),
+    st.tuples(_SCALARS, _SCALARS).map(list), _SCALARS, st.just([]), st.lists(_SCALARS, min_size=1, max_size=3),
+    st.lists(st.lists(_SCALARS, max_size=2), min_size=1, max_size=2))
+
+
+@st.composite
+def _matrices(draw):
+    """Mostly square matrices of up to 3 rows; some rows of another length;
+    now and then no matrix at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_SCALARS)
+    n = draw(st.integers(0, 3))
+    lengths = draw(st.lists(st.sampled_from([n, n, n, n, 0, 1, 2, 3]),
+                            min_size=n, max_size=n))
+    return [draw(st.lists(_ENTRIES, min_size=k, max_size=k))
+            for k in lengths]
+
+
+@st.composite
+def _documents(draw):
+    data = {"name": "fuzz", "A": draw(_matrices()), "B": draw(_matrices()),
+            "field": {"registry_id": "zero"}}
+    fault = draw(st.sampled_from(["none", "none", "field", "name",
+                                  "integration"]))
+    if fault == "field":
+        del data["field"]
+    elif fault == "name":
+        data["name"] = draw(st.one_of(st.integers(), st.none(),
+                                      st.lists(st.text(max_size=1))))
+    elif fault == "integration":
+        key = draw(st.sampled_from(["t0", "rtol", "blowup_window"]))
+        data["integration"] = {key: draw(st.one_of(st.text(max_size=2),
+                                                   st.booleans(),
+                                                   st.just(0.5)))}
+    return data
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_documents())
+def test_loader_errors_match_shipped_schema(data):
+    errors = sorted(_ORACLE.iter_errors(data),
+                    key=lambda e: list(e.absolute_path))
+    if not errors:
+        # the loader's own checks (ragged, square, finite, analysis) may
+        # still reject the document, but only with a classified error
+        try:
+            load_problem_dict(data)
+        except DaekitError:
+            pass
+        return
+    with pytest.raises(SchemaError) as err:
+        load_problem_dict(data)
+    first = errors[0]
+    assert err.value.pointer == "/" + "/".join(
+        str(p) for p in first.absolute_path)
+    assert str(err.value) == f"{err.value.pointer}: {first.message}"
