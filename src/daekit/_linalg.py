@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .config import Tolerances, DEFAULT_TOLERANCES
 from .errors import RankAmbiguity
@@ -53,11 +52,14 @@ def svd(m: np.ndarray, full_matrices: bool = True):
 
     numpy's divide-and-conquer driver (LAPACK ``gesdd``) is tried first;
     where it fails to converge, the QR-iteration driver ``gesvd`` is used,
-    which converges on matrices that ``gesdd`` gives up on.
+    which converges on matrices that ``gesdd`` gives up on.  scipy is
+    imported only on that path, so the pair analysis loads no scipy.
     """
     try:
         return np.linalg.svd(m, full_matrices=full_matrices)
     except np.linalg.LinAlgError:
+        import scipy.linalg
+
         return scipy.linalg.svd(m, full_matrices=full_matrices,
                                 lapack_driver="gesvd")
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._linalg import orth_basis
 from .errors import (ConstraintSolveFailure, NoConvergence, SamplingFailure)
@@ -177,6 +176,11 @@ def probe_integral(g: Callable, lower: float, kind: str = "over_value",
         edges = [start] + [start + 2.0 ** k for k in range(windows)]
     else:
         raise ValueError("kind must be 'over_value' or 'over_time'")
+
+    # imported here, not at module level, so that only a certificate check
+    # loads scipy.integrate; outside the `try`, so that a failed import is an
+    # error and not an "inconclusive" verdict
+    from scipy.integrate import quad
 
     contributions = []
     for a, b in zip(edges[:-1], edges[1:]):

@@ -72,6 +72,8 @@ def _x_guess(problem: LoadedProblem, override) -> np.ndarray:
             vals = [float(v) for v in override.split(",")]
         except ValueError as exc:
             raise DaekitError(f"--x0 must be comma-separated numbers: {exc}")
+        if not np.all(np.isfinite(vals)):
+            raise DaekitError(f"--x0 entries must be finite: {override}")
         if len(vals) > guess.size:
             raise DaekitError(f"--x0 has {len(vals)} entries for dimension "
                               f"{guess.size}")

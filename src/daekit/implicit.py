@@ -9,11 +9,11 @@ differentiation of a solved branch.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lapack
 
 from ._linalg import cond2
 from .errors import NoConvergence, SingularJacobian
@@ -86,9 +86,19 @@ def fd_jacobian(fun: Callable, y: np.ndarray, f0: np.ndarray | None = None,
     return jac
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK wrappers, imported at the first Newton solve, so that
+    importing daekit loads no scipy."""
+    from scipy.linalg import lapack
+
+    return lapack
+
+
 def _factor(j: np.ndarray) -> tuple | None:
     """LU factors of j, or None when j is numerically singular: a zero pivot,
     or a 1-norm condition estimate (LAPACK gecon) above the cap."""
+    lapack = _lapack()
     lu, piv, info = lapack.dgetrf(j)
     if info > 0:
         return None
@@ -99,7 +109,7 @@ def _factor(j: np.ndarray) -> tuple | None:
 
 
 def _lu_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
-    x, _ = lapack.dgetrs(*factors, rhs)
+    x, _ = _lapack().dgetrs(*factors, rhs)
     return x
 
 

@@ -6,6 +6,7 @@ finite-time escape, constraint-solve failure, step collapse).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -34,6 +35,14 @@ class IntegrationOptions:
     blowup_window: int = 5
 
     def __post_init__(self):
+        # a NaN passes every comparison below, an infinite horizon or
+        # tolerance makes the step loop run without end, and an escape past
+        # a cap of NaN or infinity ends as a step collapse
+        for name in ("t0", "t_max", "rtol", "atol", "h_init", "h_min",
+                     "h_max", "blowup_norm_cap"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.t_max <= self.t0:
             raise ValueError("t_max must exceed t0")
         if self.rtol <= 0 or self.atol <= 0:

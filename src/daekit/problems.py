@@ -300,6 +300,25 @@ def _parse_matrix(rows: list, pointer: str) -> np.ndarray:
     return mat
 
 
+def _parse_vector(values: list, pointer: str) -> np.ndarray:
+    """A schema-valid list of numbers as a finite real vector.  The schema
+    admits [re, im] pairs in `x_guess`, but daekit states are real."""
+    for k, v in enumerate(values):
+        if isinstance(v, list):
+            raise SchemaError(f"{pointer}/{k}",
+                              f"entry {v!r} is complex; states are real")
+    try:
+        vec = np.array(values, dtype=float)
+    except OverflowError as exc:
+        raise SchemaError(pointer, f"entry out of range: {exc}")
+    bad = np.flatnonzero(~np.isfinite(vec))
+    if bad.size:
+        k = bad[0]
+        raise SchemaError(f"{pointer}/{k}",
+                          f"entry {values[k]!r} is not finite")
+    return vec
+
+
 @dataclass
 class LoadedProblem:
     name: str
@@ -405,11 +424,11 @@ def load_problem_dict(data: dict, name_hint: str = "<dict>") -> LoadedProblem:
             blowup_norm_cap=float(integ.get("blowup_norm_cap", 1e6)),
             blowup_window=int(integ.get("blowup_window", 5)),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise SchemaError("/integration", str(exc))
     n = a.shape[0]
-    guess = np.asarray(data.get("initial", {}).get("x_guess", [0.0] * n),
-                       dtype=float)
+    guess = _parse_vector(data.get("initial", {}).get("x_guess", [0.0] * n),
+                          "/initial/x_guess")
     if guess.size != n:
         raise SchemaError("/initial/x_guess",
                           f"length {guess.size} does not match dimension {n}")
@@ -422,8 +441,8 @@ def load_problem_dict(data: dict, name_hint: str = "<dict>") -> LoadedProblem:
                                     f"dimension {n}")
     cert = _build_certificate(data["certificate"]) \
         if "certificate" in data else None
-    sweep = [np.asarray(v, dtype=float)
-             for v in data.get("sweep", {}).get("initial_values", [])]
+    sweep = [_parse_vector(v, f"/sweep/initial_values/{k}") for k, v
+             in enumerate(data.get("sweep", {}).get("initial_values", []))]
     for k, value in enumerate(sweep):
         # a start sets the leading entries of the initial guess
         if value.size > n:

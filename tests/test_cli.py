@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import daekit
+from daekit import cli
 from daekit.cli import run
 from daekit.problems import load_builtin
 
@@ -113,7 +114,7 @@ def test_sweep_summary(tmp_path):
 
 
 @pytest.mark.parametrize("override", [["--tmax", "-1"], ["--tol", "-1"],
-                                      ["--x0", "abc"]])
+                                      ["--x0", "abc"], ["--x0", "1,nan"]])
 def test_invalid_override_exit_two(tmp_path, capsys, override):
     code = run(["simulate", "index1_blowup", "--out", str(tmp_path)]
                + override)
@@ -171,6 +172,41 @@ def test_malformed_matrix_exit_two(tmp_path, capsys, a_text, pointer):
                     '"field": {"registry_id": "zero"}}')
     assert run(["analyze", str(path), "--out", str(tmp_path)]) == 2
     assert f"SchemaError: {pointer}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "sweep"])
+@pytest.mark.parametrize("x_guess, pointer", [
+    ("[[1.0, 2.0], 0.0]", "/initial/x_guess/0"),
+    ("[1.0, NaN]", "/initial/x_guess/1")])
+def test_bad_initial_guess_exit_two(tmp_path, capsys, command, x_guess,
+                                    pointer):
+    raw = json.dumps(dict(load_builtin("index1_blowup").raw,
+                          initial={"x_guess": "GUESS"}))
+    path = tmp_path / "bad_guess.json"
+    path.write_text(raw.replace('"GUESS"', x_guess))
+    assert run([command, str(path), "--out", str(tmp_path)]) == 2
+    assert f"SchemaError: {pointer}:" in capsys.readouterr().err
+
+
+def _must_not_integrate(*args):
+    raise AssertionError("a run started on non-finite options")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_infinite_horizon_exit_two(tmp_path, capsys, monkeypatch, command):
+    # an infinite horizon makes the step loop run without end, so the run
+    # itself is replaced: the options must be rejected before it starts
+    monkeypatch.setattr(cli, "_simulate_once", _must_not_integrate)
+    raw = json.dumps(dict(load_builtin("index1_blowup").raw,
+                          integration={"t_max": "TMAX"}))
+    path = tmp_path / "endless.json"
+    path.write_text(raw.replace('"TMAX"', "Infinity"))
+    assert run([command, str(path), "--out", str(tmp_path)]) == 2
+    assert "SchemaError: /integration:" in capsys.readouterr().err
+    assert run([command, "index1_blowup", "--tmax", "inf",
+                "--out", str(tmp_path)]) == 2
+    assert "error: DaekitError: invalid --tmax/--tol override: t_max must " \
+           "be finite" in capsys.readouterr().err
 
 
 def varying_jacobian_problem(starts) -> dict:

@@ -130,6 +130,11 @@ def test_options_validation():
     for h_max in (-1.0, 0.0, 1e-12):  # at or below the step floor
         with pytest.raises(ValueError):
             IntegrationOptions(t_max=1.0, h_min=1e-10, h_max=h_max)
+    for key in ("t0", "t_max", "rtol", "atol", "h_init", "h_min", "h_max",
+                "blowup_norm_cap"):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"^{key} must be finite"):
+                IntegrationOptions(**{key: value})
     opts = IntegrationOptions(t_max=1.0, h_init=1e-3, h_min=1e-6, h_max=0.1)
     assert opts.h_min <= opts.h_init <= opts.h_max
 

@@ -121,6 +121,39 @@ def test_schema_rejects_sweep_start_longer_than_state():
     assert err.value.pointer == "/sweep/initial_values/1"
 
 
+def _unit_pair(**blocks) -> dict:
+    return {"name": "bad", "A": np.eye(2).tolist(), "B": np.eye(2).tolist(),
+            "field": {"registry_id": "zero"}, **blocks}
+
+
+@pytest.mark.parametrize("blocks, pointer", [
+    # the schema admits [re, im] pairs in x_guess, but states are real
+    ({"initial": {"x_guess": [[1.0, 2.0], 0.0]}}, "/initial/x_guess/0"),
+    ({"initial": {"x_guess": [0.0, [1.0, 0.0]]}}, "/initial/x_guess/1"),
+    ({"initial": {"x_guess": [0.0, float("nan")]}}, "/initial/x_guess/1"),
+    ({"initial": {"x_guess": [-float("inf"), 0.0]}}, "/initial/x_guess/0"),
+    ({"sweep": {"initial_values": [[1.0], [1.0, float("nan")]]}},
+     "/sweep/initial_values/1/1"),
+    ({"sweep": {"initial_values": [[float("inf")]]}},
+     "/sweep/initial_values/0/0"),
+    ({"initial": {"x_guess": [10 ** 400, 0.0]}}, "/initial/x_guess")])
+def test_schema_rejects_start_not_finite_real(blocks, pointer):
+    with pytest.raises(SchemaError) as err:
+        load_problem_dict(_unit_pair(**blocks))
+    assert err.value.pointer == pointer
+
+
+@pytest.mark.parametrize("key, value", [
+    ("t0", float("nan")), ("t_max", float("inf")), ("rtol", float("nan")),
+    ("atol", float("inf")), ("h_min", float("nan")), ("h_max", float("inf")),
+    ("blowup_norm_cap", float("inf")),
+    pytest.param("t_max", 10 ** 400, id="t_max-huge_int")])
+def test_schema_rejects_non_finite_integration_option(key, value):
+    with pytest.raises(SchemaError) as err:
+        load_problem_dict(_unit_pair(integration={key: value}))
+    assert err.value.pointer == "/integration"
+
+
 def test_schema_rejects_field_of_wrong_dimension():
     # a two-component registry field on a 3 x 3 pair
     data = {"name": "bad", "A": np.diag([1.0, 1.0, 0.0]).tolist(),
