@@ -52,6 +52,9 @@ class IntegrationOptions:
             raise ValueError("need h_min <= h_init <= h_max")
         if self.h_min <= 0:
             raise ValueError("h_min must be positive")
+        # below one, escaping() checks no growth and reads the cap alone
+        if self.blowup_window < 1:
+            raise ValueError("blowup_window must be at least 1")
         # a step bound below the floor would clamp every step to h_min
         if self.h_max is not None and not self.h_max >= self.h_min:
             raise ValueError("need h_min <= h_max")
@@ -405,9 +408,7 @@ def integrate_cascade(reduced: ReducedCascade, t0: float, x01,
         except ConstraintSolveFailure:
             fresh = reduced.make_state()
             out = reduced.drift_w1(t, w1, fresh)
-            evaluator.warm_chain = fresh.warm_chain
-            evaluator.warm_wedge = fresh.warm_wedge
-            evaluator.warm_x20 = fresh.warm_x20
+            evaluator.warm = fresh.warm
             evaluator.jac_cache = fresh.jac_cache
             return out
 

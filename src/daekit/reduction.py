@@ -155,28 +155,30 @@ class _Reduced:
         self.n = ps.n
         self.kernel = _select_block(dae, lambda m, j: j == 1)       # x20 slice
 
-    def _kernel_problem(self, rows: _Block, differentiated: bool
-                        ) -> ImplicitProblem:
-        """The equation for the coordinates c of the kernel component x20,
-        built once per reduction.
+    def _level_problem(self, blk: _Block, plain_rows: _Block | None = None
+                       ) -> ImplicitProblem:
+        """The equation for the coordinates c of the component phi c on the
+        slice `blk`, built once per reduction.
 
-        The parameter p = (base, d_vec) carries the per-call data: base is
-        the state without its kernel component, d_vec the offset
-        A (d_chain_1 + d_wedge_1) of the differentiated form.  The plain form
-        solves `rows` of f(t, x) - B x; the differentiated form solves them
-        for f(t, x) - B x20 - d_vec.
+        Every algebraic level solves rows^H (f(t, base + phi c) - B phi c
+        - offset) = 0 on its own rows.  The parameter p = (base, offset)
+        carries the per-call data: base is the state without the level's
+        component, offset is A times the time derivative of the parts one
+        order up, or zero.  With `plain_rows` it builds the plain form
+        instead, the direct route's kernel equation for a general field:
+        those rows of f(t, x) - B x at x = base + phi c.
         """
         fld = self.dae.field
         b = self.dae.pencil.b
-        phi = self.kernel.phi
-        q_h = rows.q.conj().T
+        phi = blk.phi
+        q_h = (blk if plain_rows is None else plain_rows).q.conj().T
         b_phi = b @ phi
 
-        if differentiated:
+        if plain_rows is None:
             def resid(t, p, c):
-                base, d_vec = p
-                x20 = phi @ c
-                return q_h @ (fld(t, base + x20) - b @ x20 - d_vec)
+                base, offset = p
+                x = phi @ c
+                return q_h @ (fld(t, base + x) - b @ x - offset)
         else:
             def resid(t, p, c):
                 x = p[0] + phi @ c
@@ -217,9 +219,8 @@ class ReducedFirst(_Reduced):
         # x20 solves the differentiated (kernel-level) form instead
         self.differentiated = (dae.field.structure_tag
                                is not StructureTag.GENERAL and self.nu >= 2)
-        self.kernel_problem = self._kernel_problem(
-            self.kernel if self.differentiated else self.tops,
-            self.differentiated)
+        self.kernel_problem = self._level_problem(
+            self.kernel, None if self.differentiated else self.tops)
         self._cascade: ReducedCascade | None = None
 
     # -- spec callbacks ----------------------------------------------------
@@ -274,9 +275,7 @@ class ReducedFirst(_Reduced):
                         float(np.linalg.norm(guess)))
         d_vec = None
         if self.differentiated:
-            parts = state.cascade.algebraic_parts(t)
-            d_vec = self.dae.pencil.a @ (parts["d_chain_1"]
-                                         + parts["d_wedge_1"])
+            d_vec = state.cascade.algebraic_parts(t)["d_vec"]
         c = solve_newton(self.kernel_problem, t, (x12, d_vec), guess,
                          SolveOptions(tol=tol), jac_cache=state.jac_cache)
         state.c20 = c
@@ -343,8 +342,6 @@ class ReducedCascade(_Reduced):
     def __init__(self, dae: SemilinearDAE):
         super().__init__(dae)
         self.w_projector = self.ps.q1
-        self.variant = dae.field.structure_tag is StructureTag.STRUCTURED_VARIANT
-        self.kernel_problem = self._kernel_problem(self.kernel, True)
         # chain-top slices: level s holds the order-s vectors of chains of
         # exact length s+1 (s = 1..nu-1)
         self.chain_blocks = {
@@ -356,6 +353,29 @@ class ReducedCascade(_Reduced):
             s: _select_block(dae, lambda m, j, s=s: j == s + 1 and m >= s + 2)
             for s in range(1, max(self.nu - 1, 1))
         }
+        # chain levels, top first, each with the chain-top slices it solves
+        # for.  A variant field's chain rows read every chain-top slice, so
+        # its chain levels are one fused equation over the stacked slices.
+        if dae.field.structure_tag is StructureTag.STRUCTURED_VARIANT:
+            fused = tuple(s for s in range(1, self.nu)
+                          if self.chain_blocks[s].dim)
+            self.chain_levels = [("chain_levels", fused)] if fused else []
+        else:
+            self.chain_levels = [(f"chain_level_{s}", (s,))
+                                 for s in range(self.nu - 1, 0, -1)
+                                 if self.chain_blocks[s].dim]
+        # every non-empty algebraic level, top first: label -> (slice, equation)
+        slices = {label: _Block(
+            np.column_stack([self.chain_blocks[s].phi for s in group]),
+            np.column_stack([self.chain_blocks[s].q for s in group]))
+            for label, group in self.chain_levels}
+        slices.update((f"wedge_level_{s}", self.wedge_blocks[s])
+                      for s in reversed(self.wedge_blocks)
+                      if self.wedge_blocks[s].dim)
+        if self.kernel.dim:
+            slices["kernel_level"] = self.kernel
+        self.levels = {label: (blk, self._level_problem(blk))
+                       for label, blk in slices.items()}
         self.tol = dae.tol
 
     @property
@@ -386,7 +406,8 @@ class ReducedCascade(_Reduced):
         x1 = self.ps.p1 @ x_guess
         parts = ev.algebraic_parts(t0)
         if self.kernel.dim:
-            ev.warm_x20 = self.kernel.x_coords(self.dae.pencil.b, x_guess)
+            ev.warm["kernel_level"] = self.kernel.x_coords(self.dae.pencil.b,
+                                                           x_guess)
         x20 = ev.solve_x20(t0, x1, parts)
         x0 = x1 + parts["eta_2sigma"] + x20
         res = self.residual_L0(t0, x0)
@@ -395,41 +416,30 @@ class ReducedCascade(_Reduced):
         return x0
 
     def level_residuals(self, t, x, evaluator: "_CascadeEvaluator | None" = None):
-        """Residual norm of every algebraic equation at the state x.
+        """Residual norm of every algebraic level equation at the state x.
 
-        Chain rows are evaluated on the components of x itself; the kernel
-        row needs the level derivatives, which are functions of time only
-        and come from the evaluator.
+        Each level's component and the components of the levels above it
+        are read from x; the offsets are functions of time only and come
+        from the evaluator.
         """
         ev = evaluator or self.make_state()
-        fld = self.dae.field
         b = self.dae.pencil.b
-        a = self.dae.pencil.a
-        n_dim = self.dae.pencil.n_dim
+        zero = np.zeros(self.dae.pencil.n_dim)
+        offsets = [(label, zero) for label, _ in self.chain_levels]
+        offsets += [(f"wedge_level_{s}", ev.level_offset(s, t))
+                    for s in reversed(self.wedge_blocks)
+                    if self.wedge_blocks[s].dim]
+        if self.kernel.dim:
+            offsets.append(("kernel_level", ev.algebraic_parts(t)["d_vec"]))
         out = {}
-        for s, blk in self.chain_blocks.items():
-            if blk.dim == 0:
-                continue
-            arg = sum((self.chain_blocks[j].lift(
-                self.chain_blocks[j].x_coords(b, x))
-                for j in range(s, self.nu) if self.chain_blocks[j].dim),
-                np.zeros(n_dim))
-            if self.variant:
-                arg = sum((self.chain_blocks[j].lift(
-                    self.chain_blocks[j].x_coords(b, x))
-                    for j in range(1, self.nu) if self.chain_blocks[j].dim),
-                    np.zeros(n_dim))
-            own = blk.lift(blk.x_coords(b, x))
-            r = blk.y_coords(fld(t, arg) - b @ own)
-            out[f"chain_level_{s}"] = float(np.linalg.norm(r))
-        parts = ev.algebraic_parts(t)
-        x1 = self.ps.p1 @ x
-        x20 = self.ps.p20 @ x
-        x2s = self.ps.p2_sigma @ x
-        d_vec = a @ (parts["d_chain_1"] + parts["d_wedge_1"])
-        r20 = self.kernel.y_coords(
-            fld(t, x1 + x2s + x20) - b @ x20 - d_vec)
-        out["kernel_level"] = float(np.linalg.norm(r20))
+        above = zero
+        for label, offset in offsets:
+            blk, problem = self.levels[label]
+            c = blk.x_coords(b, x)
+            base = self.ps.p1 @ x + above if label == "kernel_level" else above
+            r = problem.residual(t, (base, offset), c)
+            out[label] = float(np.linalg.norm(r))
+            above = above + blk.lift(c)
         return out
 
 
@@ -453,13 +463,27 @@ class _CascadeEvaluator:
 
     def __init__(self, rc: ReducedCascade):
         self.rc = rc
-        self.warm_chain: dict[int, np.ndarray] = {}
-        self.warm_wedge: dict[int, np.ndarray] = {}
-        self.warm_x20: np.ndarray | None = None
+        self.warm: dict[str, np.ndarray] = {}  # last solution of each level
         self.jac_cache = JacobianCache()  # of the kernel-level solve
         self._chain_cache: dict[float, dict] = {}
         self._wedge_cache: dict[tuple[int, float], np.ndarray] = {}
         self.opts = SolveOptions(tol=rc.tol.solver)
+
+    def _solve(self, label: str, t: float, base, offset, opts: SolveOptions,
+               jac_cache: JacobianCache | None = None) -> np.ndarray:
+        """Coordinates of the level's component, warm-started from its last
+        solution."""
+        blk, problem = self.rc.levels[label]
+        guess = self.warm.get(label)
+        if guess is None:
+            guess = np.zeros(blk.dim)
+        try:
+            c = solve_newton(problem, t, (base, offset), guess, opts,
+                             jac_cache=jac_cache)
+        except NoConvergence as exc:
+            raise ConstraintSolveFailure(t, label, exc)
+        self.warm[label] = c
+        return c
 
     # -- chain-top levels ----------------------------------------------------
     def chain_values(self, t: float) -> dict:
@@ -469,86 +493,30 @@ class _CascadeEvaluator:
         rc = self.rc
         fld = rc.dae.field
         b = rc.dae.pencil.b
-        n_dim = rc.dae.pencil.n_dim
-        values: dict[int, np.ndarray] = {}
-        derivs: dict[int, np.ndarray] = {}
-        jacs: dict[int, np.ndarray] = {}
+        zero = np.zeros(rc.dae.pencil.n_dim)
+        values = {s: np.zeros(0) for s in range(1, rc.nu)}
+        derivs = dict(values)
+        above = []  # (slice, value, derivative) of the levels solved so far
+        for label, group in rc.chain_levels:
+            blk = rc.levels[label][0]
+            upper = sum((u.lift(c) for u, c, _ in reversed(above)), zero)
+            c = self._solve(label, t, upper, zero, self.opts)
+            # implicit derivative with chain rule through upper levels
+            x = upper + blk.lift(c)
+            jf = fld.jac(t, x)
+            j_own = blk.y_coords(jf @ blk.phi - b @ blk.phi)
+            rhs = blk.y_coords(fld.dt(t, x))
+            for u, _, du in reversed(above):
+                rhs = rhs + blk.y_coords(jf @ u.phi) @ du
+            dc = np.linalg.solve(j_own, -rhs)
+            above.append((blk, c, dc))
+            off = 0
+            for s in group:
+                end = off + rc.chain_blocks[s].dim
+                values[s], derivs[s] = c[off:end], dc[off:end]
+                off = end
 
-        if rc.variant:
-            blocks = [rc.chain_blocks[s] for s in range(1, rc.nu)]
-            dims = [blk.dim for blk in blocks]
-            total = sum(dims)
-            if total:
-                phi = np.column_stack([blk.phi for blk in blocks if blk.dim]) \
-                    if total else np.zeros((n_dim, 0))
-                q = np.column_stack([blk.q for blk in blocks if blk.dim])
-
-                def resid(_t, _p, c):
-                    x = phi @ c
-                    return q.conj().T @ (fld(t, x) - b @ x)
-
-                def jac(_t, _p, c):
-                    x = phi @ c
-                    return q.conj().T @ ((fld.jac(t, x) - b) @ phi)
-
-                guess = self.warm_chain.get(-1, np.zeros(total))
-                c = solve_newton(ImplicitProblem(resid, jac), t, None, guess,
-                                 self.opts)
-                self.warm_chain[-1] = c
-                x = phi @ c
-                j_full = q.conj().T @ ((fld.jac(t, x) - b) @ phi)
-                dt_coords = q.conj().T @ fld.dt(t, x)
-                dc = np.linalg.solve(j_full, -dt_coords)
-                off = 0
-                for s, blk in zip(range(1, rc.nu), blocks):
-                    values[s] = c[off:off + blk.dim]
-                    derivs[s] = dc[off:off + blk.dim]
-                    off += blk.dim
-            for s in range(1, rc.nu):
-                values.setdefault(s, np.zeros(0))
-                derivs.setdefault(s, np.zeros(0))
-        else:
-            for s in range(rc.nu - 1, 0, -1):
-                blk = rc.chain_blocks[s]
-                if blk.dim == 0:
-                    values[s] = np.zeros(0)
-                    derivs[s] = np.zeros(0)
-                    continue
-                upper = sum((rc.chain_blocks[j].lift(values[j])
-                             for j in range(s + 1, rc.nu)
-                             if rc.chain_blocks[j].dim),
-                            np.zeros(n_dim))
-
-                def resid(_t, _p, c, blk=blk, upper=upper):
-                    x = upper + blk.lift(c)
-                    return blk.y_coords(fld(t, x) - b @ blk.lift(c))
-
-                def jac(_t, _p, c, blk=blk, upper=upper):
-                    x = upper + blk.lift(c)
-                    return blk.y_coords((fld.jac(t, x) @ blk.phi)
-                                        - b @ blk.phi)
-
-                guess = self.warm_chain.get(s, np.zeros(blk.dim))
-                try:
-                    c = solve_newton(ImplicitProblem(resid, jac), t, None,
-                                     guess, self.opts)
-                except NoConvergence as exc:
-                    raise ConstraintSolveFailure(t, f"chain_level_{s}", exc)
-                self.warm_chain[s] = c
-                values[s] = c
-                # implicit derivative with chain rule through upper levels
-                x = upper + blk.lift(c)
-                jf = fld.jac(t, x)
-                j_own = blk.y_coords(jf @ blk.phi - b @ blk.phi)
-                rhs = blk.y_coords(fld.dt(t, x))
-                for j in range(s + 1, rc.nu):
-                    ub = rc.chain_blocks[j]
-                    if ub.dim:
-                        rhs = rhs + blk.y_coords(jf @ ub.phi) @ derivs[j]
-                derivs[s] = np.linalg.solve(j_own, -rhs)
-                jacs[s] = j_own
-
-        got = {"values": values, "derivatives": derivs, "jacobians": jacs}
+        got = {"values": values, "derivatives": derivs}
         if len(self._chain_cache) >= self._CACHE_MAX:
             self._chain_cache.pop(next(iter(self._chain_cache)))
         self._chain_cache[t] = got
@@ -565,42 +533,12 @@ class _CascadeEvaluator:
         if blk.dim == 0:
             self._wedge_cache[key] = np.zeros(0)
             return self._wedge_cache[key]
-        fld = rc.dae.field
-        a, b = rc.dae.pencil.a, rc.dae.pencil.b
-        n_dim = rc.dae.pencil.n_dim
-        chain = self.chain_values(t)
-        chain_part = sum((rc.chain_blocks[j].lift(chain["values"][j])
-                          for j in range(1, rc.nu) if rc.chain_blocks[j].dim),
-                         np.zeros(n_dim))
+        chain_part = self._chain_part(t)
         upper_wedge = sum((rc.wedge_blocks[i].lift(self.wedge_value(i, t))
                            for i in range(s + 1, rc.nu - 1)),
-                          np.zeros(n_dim))
-        if s == rc.nu - 2:
-            d_term = rc.chain_blocks[rc.nu - 1].lift(
-                chain["derivatives"][rc.nu - 1]) if rc.chain_blocks[rc.nu - 1].dim \
-                else np.zeros(n_dim)
-        else:
-            d_chain = rc.chain_blocks[s + 1].lift(chain["derivatives"][s + 1]) \
-                if rc.chain_blocks[s + 1].dim else np.zeros(n_dim)
-            d_wedge = rc.wedge_blocks[s + 1].lift(self.wedge_derivative(s + 1, t))
-            d_term = d_chain + d_wedge
-        offset = a @ d_term
-
-        def resid(_t, _p, c):
-            x = chain_part + upper_wedge + blk.lift(c)
-            return blk.y_coords(fld(t, x) - b @ blk.lift(c) - offset)
-
-        def jac(_t, _p, c):
-            x = chain_part + upper_wedge + blk.lift(c)
-            return blk.y_coords(fld.jac(t, x) @ blk.phi - b @ blk.phi)
-
-        guess = self.warm_wedge.get(s, np.zeros(blk.dim))
-        try:
-            c = solve_newton(ImplicitProblem(resid, jac), t, None, guess,
-                             self.opts)
-        except NoConvergence as exc:
-            raise ConstraintSolveFailure(t, f"wedge_level_{s}", exc)
-        self.warm_wedge[s] = c
+                          np.zeros(rc.dae.pencil.n_dim))
+        c = self._solve(f"wedge_level_{s}", t, chain_part + upper_wedge,
+                        self.level_offset(s, t), self.opts)
         if len(self._wedge_cache) >= 4 * self._CACHE_MAX:
             self._wedge_cache.pop(next(iter(self._wedge_cache)))
         self._wedge_cache[key] = c
@@ -614,51 +552,53 @@ class _CascadeEvaluator:
         h = max(1e-6, 1e-6 * abs(t))
         return (self.wedge_value(s, t + h) - self.wedge_value(s, t - h)) / (2 * h)
 
+    def level_offset(self, s: int, t: float) -> np.ndarray:
+        """Offset of wedge level s, or of the kernel level for s = 0: A times
+        the time derivative of the chain and wedge parts of level s + 1."""
+        rc = self.rc
+        chain = self.chain_values(t)  # first: solve order sets warm starts
+        blk = rc.chain_blocks[s + 1]
+        d_term = blk.lift(chain["derivatives"][s + 1]) if blk.dim \
+            else np.zeros(rc.dae.pencil.n_dim)
+        if s + 1 in rc.wedge_blocks:
+            d_term = d_term + rc.wedge_blocks[s + 1].lift(
+                self.wedge_derivative(s + 1, t))
+        return rc.dae.pencil.a @ d_term
+
     # -- assembled pieces --------------------------------------------------------
+    def _chain_part(self, t: float) -> np.ndarray:
+        rc = self.rc
+        values = self.chain_values(t)["values"]
+        return sum((rc.chain_blocks[j].lift(values[j]) for j in range(1, rc.nu)
+                    if rc.chain_blocks[j].dim), np.zeros(rc.dae.pencil.n_dim))
+
     def eta_2sigma(self, t: float) -> np.ndarray:
         rc = self.rc
-        n_dim = rc.dae.pencil.n_dim
         if rc.nu <= 1:
-            return np.zeros(n_dim)
-        chain = self.chain_values(t)
-        out = sum((rc.chain_blocks[j].lift(chain["values"][j])
-                   for j in range(1, rc.nu) if rc.chain_blocks[j].dim),
-                  np.zeros(n_dim))
+            return np.zeros(rc.dae.pencil.n_dim)
+        out = self._chain_part(t)
         for s in range(1, rc.nu - 1):
             out = out + rc.wedge_blocks[s].lift(self.wedge_value(s, t))
         return out
 
     def algebraic_parts(self, t: float) -> dict:
+        """The algebraic part eta_2sigma of the state and the offset d_vec of
+        the kernel level, both functions of time only."""
         rc = self.rc
-        n_dim = rc.dae.pencil.n_dim
-        zero = np.zeros(n_dim)
         if rc.nu <= 1:
-            return {"eta_2sigma": zero, "d_chain_1": zero, "d_wedge_1": zero}
-        chain = self.chain_values(t)
-        d_chain_1 = rc.chain_blocks[1].lift(chain["derivatives"][1]) \
-            if rc.chain_blocks[1].dim else zero
-        d_wedge_1 = zero
-        if rc.nu >= 3 and rc.wedge_blocks[1].dim:
-            d_wedge_1 = rc.wedge_blocks[1].lift(self.wedge_derivative(1, t))
-        return {"eta_2sigma": self.eta_2sigma(t),
-                "d_chain_1": d_chain_1, "d_wedge_1": d_wedge_1}
+            zero = np.zeros(rc.dae.pencil.n_dim)
+            return {"eta_2sigma": zero, "d_vec": zero}
+        d_vec = self.level_offset(0, t)
+        return {"eta_2sigma": self.eta_2sigma(t), "d_vec": d_vec}
 
     def solve_x20(self, t: float, x1: np.ndarray, parts: dict) -> np.ndarray:
         rc = self.rc
-        blk = rc.kernel
-        if blk.dim == 0:
+        if rc.kernel.dim == 0:
             return np.zeros(rc.dae.pencil.n_dim)
-        d_vec = rc.dae.pencil.a @ (parts["d_chain_1"] + parts["d_wedge_1"])
         opts = SolveOptions(tol=self.opts.tol * max(1.0, float(np.linalg.norm(x1))))
-        guess = self.warm_x20 if self.warm_x20 is not None else np.zeros(blk.dim)
-        try:
-            c = solve_newton(rc.kernel_problem, t,
-                             (x1 + parts["eta_2sigma"], d_vec), guess, opts,
-                             jac_cache=self.jac_cache)
-        except NoConvergence as exc:
-            raise ConstraintSolveFailure(t, "kernel_level", exc)
-        self.warm_x20 = c
-        return blk.lift(c)
+        c = self._solve("kernel_level", t, x1 + parts["eta_2sigma"],
+                        parts["d_vec"], opts, self.jac_cache)
+        return rc.kernel.lift(c)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,16 @@ def test_reduce_summary(tmp_path):
     assert summary["structure_check"]["passed"] is True
 
 
+@pytest.mark.parametrize("command", ["reduce", "simulate"])
+def test_cascade_route_needs_structure_tag_exit_two(tmp_path, capsys,
+                                                    command):
+    code = run([command, "index2_nilpotent_linear", "--approach", "cascade",
+                "--out", str(tmp_path)])
+    assert code == 2
+    assert "error: StructureViolation:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_simulate_blowup(tmp_path, capsys):
     code = run(["simulate", "index1_blowup", "--x0", "1",
                 "--out", str(tmp_path)])

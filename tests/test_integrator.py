@@ -3,9 +3,10 @@ import pytest
 from scipy.linalg import expm
 
 from daekit import (InconsistentInitialValue, IntegrationOptions,
-                    NonlinearField, TrajectoryInternals, classify_termination,
-                    consistent_initialize, integrate_cascade, integrate_first,
-                    reduce_cascade, reduce_first)
+                    NonlinearField, StructureTag, TrajectoryInternals,
+                    classify_termination, consistent_initialize,
+                    integrate_cascade, integrate_first, reduce_cascade,
+                    reduce_first)
 from daekit.problems import load_builtin, make_dae, reference_solution
 
 
@@ -106,6 +107,32 @@ def test_classifier_constraint_failure():
     assert 0.25 <= traj.termination.t <= 0.45
 
 
+@pytest.mark.parametrize("tag, level", [
+    (StructureTag.STRUCTURED, "chain_level_1"),
+    (StructureTag.STRUCTURED_VARIANT, "chain_levels")])
+def test_classifier_chain_level_failure(tag, level):
+    # from t = 0.3 the chain row reads x3 = x3^2 + 1, which has no real
+    # root: the run ends in a classified failure at the chain level, also
+    # where the chain levels of a variant field are solved as one equation
+    pb = load_builtin("index2_structured")
+    base = pb.dae.field.eval
+
+    def field(t, x):
+        out = base(t, x)
+        if t >= 0.3:
+            out[2] = x[2] ** 2 + 1.0
+        return out
+
+    dae = make_dae(pb.dae.pencil.a, pb.dae.pencil.b,
+                   NonlinearField(eval=field, structure_tag=tag))
+    red = reduce_cascade(dae, waive_structure_check=True)
+    traj = integrate_cascade(red, 0.0, dae.projectors.p1 @ pb.x_guess,
+                             pb.options)
+    assert traj.termination.kind == "constraint_solve_failure"
+    assert traj.termination.level == level
+    assert 0.3 <= traj.termination.t <= 0.31
+
+
 def test_classifier_unit():
     internals = TrajectoryInternals(h_min=1e-10, blowup_norm_cap=10.0,
                                     blowup_window=3)
@@ -135,6 +162,9 @@ def test_options_validation():
         for value in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match=f"^{key} must be finite"):
                 IntegrationOptions(**{key: value})
+    for window in (0, -1):  # no monotone-growth check left
+        with pytest.raises(ValueError, match="^blowup_window"):
+            IntegrationOptions(blowup_window=window)
     opts = IntegrationOptions(t_max=1.0, h_init=1e-3, h_min=1e-6, h_max=0.1)
     assert opts.h_min <= opts.h_init <= opts.h_max
 

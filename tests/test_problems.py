@@ -147,7 +147,9 @@ def test_schema_rejects_start_not_finite_real(blocks, pointer):
     ("t0", float("nan")), ("t_max", float("inf")), ("rtol", float("nan")),
     ("atol", float("inf")), ("h_min", float("nan")), ("h_max", float("inf")),
     ("blowup_norm_cap", float("inf")),
-    pytest.param("t_max", 10 ** 400, id="t_max-huge_int")])
+    pytest.param("t_max", 10 ** 400, id="t_max-huge_int"),
+    pytest.param("blowup_window", 0, id="blowup_window-zero"),
+    pytest.param("blowup_window", -2, id="blowup_window-negative")])
 def test_schema_rejects_non_finite_integration_option(key, value):
     with pytest.raises(SchemaError) as err:
         load_problem_dict(_unit_pair(integration={key: value}))

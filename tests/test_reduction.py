@@ -209,13 +209,30 @@ def test_variant_tag_fused_levels_match_standard():
     for t in (0.0, 0.7, 1.3):
         np.testing.assert_allclose(ev_v.eta_2sigma(t), ev_s.eta_2sigma(t),
                                    atol=1e-10)
-        pv = ev_v.algebraic_parts(t)
-        ps_ = ev_s.algebraic_parts(t)
-        np.testing.assert_allclose(pv["d_chain_1"], ps_["d_chain_1"],
+        np.testing.assert_allclose(ev_v.chain_values(t)["derivatives"][1],
+                                   ev_s.chain_values(t)["derivatives"][1],
+                                   atol=1e-10)
+        np.testing.assert_allclose(ev_v.algebraic_parts(t)["d_vec"],
+                                   ev_s.algebraic_parts(t)["d_vec"],
                                    atol=1e-10)
     x0v = consistent_initialize(rc_v, 0.0, pb.x_guess)
     x0s = consistent_initialize(rc_s, 0.0, pb.x_guess)
     np.testing.assert_allclose(x0v, x0s, atol=1e-10)
+
+
+@pytest.mark.parametrize("name, labels", [
+    ("index2_structured", ["chain_level_1", "kernel_level"]),
+    ("index3_chain", ["chain_level_2", "wedge_level_1", "kernel_level"])])
+def test_level_residuals_vanish_on_the_manifold(name, labels):
+    pb = load_builtin(name)
+    rc = reduce_cascade(pb.dae)
+    x0 = consistent_initialize(rc, 0.4, pb.x_guess)
+    res = rc.level_residuals(0.4, x0)
+    assert list(res) == labels
+    assert max(res.values()) <= 1e-12
+    # moving the kernel component off its solution shows in its own row
+    moved = rc.level_residuals(0.4, x0 + 0.1 * rc.kernel.phi[:, 0])
+    assert moved["kernel_level"] >= 1e-3
 
 
 def test_structured_tag_required_for_cascade():
