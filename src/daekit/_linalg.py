@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import Tolerances, DEFAULT_TOLERANCES
@@ -88,6 +90,12 @@ def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
     num = float(np.linalg.norm(lhs - rhs))
     den = max(1.0, float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
     return num / den
+
+
+def norm2(v: np.ndarray) -> float:
+    """Euclidean norm of a real 1-D array: numpy's `norm` computes
+    sqrt(v . v) too, so the bits are equal, without its per-call overhead."""
+    return math.sqrt(v @ v)
 
 
 def cond2(m: np.ndarray) -> float:

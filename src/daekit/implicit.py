@@ -10,12 +10,13 @@ differentiation of a solved branch.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._linalg import cond2
+from ._linalg import cond2, norm2
 from .errors import NoConvergence, SingularJacobian
 
 __all__ = ["ImplicitProblem", "SolveOptions", "JacobianCache",
@@ -66,6 +67,9 @@ _KEPT_CONTRACTION = 4.0
 
 
 def _vec(y) -> np.ndarray:
+    # a float64 vector is returned as it is, as the general path would
+    if type(y) is np.ndarray and y.dtype == np.float64 and y.ndim == 1:
+        return y
     return np.atleast_1d(np.asarray(y, dtype=float))
 
 
@@ -179,18 +183,18 @@ def solve_newton(problem: ImplicitProblem, t: float, p, y0,
         return fd_jacobian(lambda z: problem.residual(t, p, z), yv, f0)
 
     f = _vec(problem.residual(t, p, y))
-    res = float(np.linalg.norm(f))
+    res = norm2(f)
     for it in range(opts.max_iter):
         if history is not None:
             history.append({"iter": it, "residual": res})
         if res <= opts.tol:
             return y
-        if not np.isfinite(res):
+        if not math.isfinite(res):
             raise NoConvergence(it + 1, res, label="newton")
         if kept is not None:
             y_new = y + _lu_solve(kept, -f)
             f_new = _vec(problem.residual(t, p, y_new))
-            res_new = float(np.linalg.norm(f_new))
+            res_new = norm2(f_new)
             if res_new * _KEPT_CONTRACTION <= res:
                 y, f, res = y_new, f_new, res_new
                 continue
@@ -207,8 +211,8 @@ def solve_newton(problem: ImplicitProblem, t: float, p, y0,
         while alpha >= _MIN_STEP:
             y_new = y + alpha * step
             f_new = _vec(problem.residual(t, p, y_new))
-            res_new = float(np.linalg.norm(f_new))
-            if np.isfinite(res_new) and res_new <= (1.0 - 1e-4 * alpha) * res:
+            res_new = norm2(f_new)
+            if math.isfinite(res_new) and res_new <= (1.0 - 1e-4 * alpha) * res:
                 break
             alpha *= opts.damping
         else:

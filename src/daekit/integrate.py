@@ -12,6 +12,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._linalg import norm2
 from .errors import (ConstraintSolveFailure, InconsistentInitialValue,
                      NoConvergence)
 from .implicit import JacobianCache
@@ -177,21 +178,31 @@ def classify_termination(internals: TrajectoryInternals) -> TerminationReason:
     return TerminationReason(kind="step_collapse", t=t_last, detail=detail)
 
 
-# Dormand-Prince 5(4) coefficients
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40])
-_E = _B5 - _B4
+# Dormand-Prince 5(4) coefficients, as Python floats
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+       187 / 2100, 1 / 40)
+_E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
+
+
+def _combine(coefs, ks):
+    """0 + sum of c_j k_j in the order of j, zero coefficients included: a
+    0 * inf term still makes NaN, and the leading 0 turns a -0.0 sum to
+    +0.0, as the built-in sum does."""
+    acc = 0
+    for c, k in zip(coefs, ks):
+        acc = acc + c * k
+    return acc
 
 
 def _nonfinite_cause(exc: ConstraintSolveFailure) -> bool:
@@ -243,9 +254,9 @@ def _drive(rhs: Callable, t0: float, y0: np.ndarray,
             # overflow near a finite-time escape is expected, not an error
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(1, 7):
-                    yi = y + h * sum(_A[i][j] * ks[j] for j in range(i))
-                    if not np.all(np.isfinite(yi)) \
-                            or float(np.abs(yi).max()) > 1e150:
+                    yi = y + h * _combine(_A[i], ks)
+                    # NaN and inf fail the test too
+                    if not np.abs(yi).max() <= 1e150:
                         bad = True
                         break
                     ks[i] = f(t + _C[i] * h, yi)
@@ -261,7 +272,7 @@ def _drive(rhs: Callable, t0: float, y0: np.ndarray,
                 break
             bad = True
         if not bad:
-            err_vec = h * sum(_E[j] * ks[j] for j in range(7))
+            err_vec = h * _combine(_E, ks)
             sc = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
             with np.errstate(invalid="ignore", over="ignore"):
                 err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
@@ -326,7 +337,7 @@ def _run(t0, w0, opts, solve, residual) -> Trajectory:
                                     blowup_norm_cap=opts.blowup_norm_cap,
                                     blowup_window=opts.blowup_window)
     internals.times.append(float(t0))
-    internals.norms.append(float(np.linalg.norm(w0)))
+    internals.norms.append(norm2(w0))
     internals.steps.append(0.0)
     internals.forced.append(False)
     last = {}
@@ -354,7 +365,7 @@ def _run(t0, w0, opts, solve, residual) -> Trajectory:
         x, res = assemble(t, w)
         states.append(x)
         residuals.append(res)
-        internals.norms.append(float(np.linalg.norm(w)))
+        internals.norms.append(norm2(w))
 
     _drive(rhs, t0, w0, opts, on_accept, internals)
     return Trajectory(times=np.asarray(times), states=np.vstack(states),
@@ -388,7 +399,7 @@ def integrate_first(reduced: ReducedFirst, t0: float, x0, opts: IntegrationOptio
                 raise ConstraintSolveFailure(t, "kernel_level", first_exc)
 
     return _run(t0, reduced.dae.pencil.a @ x0, opts, solve,
-                reduced.residual_L0)
+                lambda t, x: reduced.residual_L0(t, x, state))
 
 
 def integrate_cascade(reduced: ReducedCascade, t0: float, x01,
@@ -410,7 +421,8 @@ def integrate_cascade(reduced: ReducedCascade, t0: float, x01,
             out = reduced.drift_w1(t, w1, fresh)
             evaluator.warm = fresh.warm
             evaluator.jac_cache = fresh.jac_cache
+            evaluator.field_at = fresh.field_at
             return out
 
     return _run(t0, reduced.dae.pencil.a @ (reduced.ps.p1 @ x01), opts, solve,
-                reduced.residual_L0)
+                lambda t, x: reduced.residual_L0(t, x, evaluator))

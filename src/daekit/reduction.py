@@ -17,9 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-from ._linalg import orth_basis
+from ._linalg import norm2, orth_basis
 from .config import Tolerances
-from .errors import (ConstraintSolveFailure, NoConvergence, StructureViolation)
+from .errors import (ConstraintSolveFailure, NoConvergence, SingularJacobian,
+                     StructureViolation)
 from .implicit import (ImplicitProblem, JacobianCache, SolveOptions,
                        fd_jacobian, solve_newton)
 from .pencil import CanonicalSystem, DualSystem, Pencil
@@ -136,6 +137,10 @@ class _FirstState:
     c20: np.ndarray | None = None
     cascade: "_CascadeEvaluator | None" = None
     jac_cache: JacobianCache = dc_field(default_factory=JacobianCache)
+    # of the kernel solve, its tolerance set per solve to the state scale
+    opts: SolveOptions = dc_field(default_factory=SolveOptions)
+    # (t, key, f(t, x)) of the last kernel residual or drift, see _field
+    field_at: tuple | None = None
 
 
 class _Reduced:
@@ -167,6 +172,9 @@ class _Reduced:
         order up, or zero.  With `plain_rows` it builds the plain form
         instead, the direct route's kernel equation for a general field:
         those rows of f(t, x) - B x at x = base + phi c.
+
+        The third entry of p is the per-run state or None.  A state gets
+        the field value of every residual, keyed by c, for `_field`.
         """
         fld = self.dae.field
         b = self.dae.pencil.b
@@ -176,13 +184,20 @@ class _Reduced:
 
         if plain_rows is None:
             def resid(t, p, c):
-                base, offset = p
+                base, offset, state = p
                 x = phi @ c
-                return q_h @ (fld(t, base + x) - b @ x - offset)
+                fx = fld(t, base + x)
+                if state is not None:
+                    state.field_at = (t, c, fx)
+                return q_h @ (fx - b @ x - offset)
         else:
             def resid(t, p, c):
-                x = p[0] + phi @ c
-                return q_h @ (fld(t, x) - b @ x)
+                base, _, state = p
+                x = base + phi @ c
+                fx = fld(t, x)
+                if state is not None:
+                    state.field_at = (t, c, fx)
+                return q_h @ (fx - b @ x)
 
         def jac(t, p, c):
             return q_h @ (fld.jac(t, p[0] + phi @ c) @ phi - b_phi)
@@ -194,15 +209,35 @@ class _Reduced:
                      + np.linalg.norm(self.ps.p2_sigma @ x)
                      + np.linalg.norm(self.ps.p20 @ x))
 
-    def f2_star(self, t, x):
-        """Constraint residual vector (ambient)."""
-        f = self.dae.field(t, x)
+    def _field(self, t, x, state, key):
+        """f(t, x), taken from the per-run state where its record holds f at
+        (t, key), and recorded there under x.
+
+        A level solve records f at its last residual, which is the residual
+        at the returned coordinates c.  Its argument base + phi c has the
+        same bits as the assembled state x when key is c, so the drift
+        needs no evaluation of its own; nor does the residual of an
+        accepted step, with key x.
+        """
+        got = state.field_at
+        if got is not None and got[0] == t and got[1] is key:
+            f = got[2]
+        else:
+            f = self.dae.field(t, x)
+        state.field_at = (t, x, f)
+        return f
+
+    def f2_star(self, t, x, state=None):
+        """Constraint residual vector (ambient).  With the per-run state, a
+        field value recorded there at x is reused."""
+        f = (self.dae.field(t, x) if state is None
+             else self._field(t, x, state, x))
         return self.ps.q2_star @ (f - self.dae.pencil.b @ x)
 
-    def residual_L0(self, t, x) -> float:
+    def residual_L0(self, t, x, state=None) -> float:
         """Constraint distance, scaled by the block norm of the state so the
         measure stays meaningful on trajectories of growing magnitude."""
-        return float(np.linalg.norm(self.f2_star(t, x))
+        return float(np.linalg.norm(self.f2_star(t, x, state))
                      / max(1.0, self.split_norm(x)))
 
 
@@ -229,11 +264,6 @@ class ReducedFirst(_Reduced):
         f = self.dae.field(t, x)
         return self.ps.a_tilde_inv @ (self.w_projector
                                       @ (f - self.dae.pencil.b @ x))
-
-    def pi_hat(self, t, x):
-        """Image-side drift of the reduced ODE for w."""
-        f = self.dae.field(t, x)
-        return self.w_projector @ (f - self.dae.pencil.b @ x)
 
     def f2_star_components(self, t, x1, x2_sigma, x20):
         return self.f2_star(t, np.asarray(x1) + np.asarray(x2_sigma)
@@ -271,13 +301,14 @@ class ReducedFirst(_Reduced):
         guess = state.c20 if state.c20 is not None else np.zeros(self.kernel.dim)
         # absolute tolerance scaled by the state magnitude: at large states
         # the floating-point floor of the residual grows alongside
-        tol = tol * max(1.0, float(np.linalg.norm(x12)),
-                        float(np.linalg.norm(guess)))
+        state.opts.tol = tol * max(1.0, norm2(x12), norm2(guess))
+        if state.opts.tol <= 0:  # as SolveOptions would reject it
+            raise ValueError("tol must be positive")
         d_vec = None
         if self.differentiated:
             d_vec = state.cascade.algebraic_parts(t)["d_vec"]
-        c = solve_newton(self.kernel_problem, t, (x12, d_vec), guess,
-                         SolveOptions(tol=tol), jac_cache=state.jac_cache)
+        c = solve_newton(self.kernel_problem, t, (x12, d_vec, state), guess,
+                         state.opts, jac_cache=state.jac_cache)
         state.c20 = c
         return self.kernel.lift(c), state
 
@@ -292,7 +323,8 @@ class ReducedFirst(_Reduced):
         x12 = self.ps.a_tilde_inv @ w
         x20, _ = self.solve_x20(t, x12, state)
         x = x12 + x20
-        return self.pi_hat(t, x), x
+        f = self._field(t, x, state, state.c20)
+        return self.w_projector @ (f - self.dae.pencil.b @ x), x
 
     # The protocol's drift looks drift_w up at call time, so a wrapper set on
     # the class attribute (the benchmark tracer counts right-hand sides by
@@ -317,7 +349,8 @@ class ReducedFirst(_Reduced):
             state.c20 = self.kernel.x_coords(self.dae.pencil.b, x_guess)
         x20, _ = self.solve_x20(t0, x12, state, tol=min(tol * 1e-2, self.dae.tol.solver))
         x0 = x12 + x20
-        res = self.residual_L0(t0, x0)
+        self._field(t0, x0, state, state.c20)  # the solve's value, under x0
+        res = self.residual_L0(t0, x0, state)
         if res > tol:
             raise NoConvergence(1, res, label="consistent_initialize")
         return x0
@@ -393,7 +426,7 @@ class ReducedCascade(_Reduced):
         parts = evaluator.algebraic_parts(t)
         x20 = evaluator.solve_x20(t, x1, parts)
         x = x1 + parts["eta_2sigma"] + x20
-        f = self.dae.field(t, x)
+        f = self._field(t, x, evaluator, evaluator.warm.get("kernel_level"))
         drift = self.w_projector @ (f - self.dae.pencil.b @ x1)
         return drift, x
 
@@ -410,7 +443,8 @@ class ReducedCascade(_Reduced):
                                                            x_guess)
         x20 = ev.solve_x20(t0, x1, parts)
         x0 = x1 + parts["eta_2sigma"] + x20
-        res = self.residual_L0(t0, x0)
+        self._field(t0, x0, ev, ev.warm.get("kernel_level"))  # under x0
+        res = self.residual_L0(t0, x0, ev)
         if res > tol:
             raise NoConvergence(1, res, label="consistent_initialize")
         return x0
@@ -437,7 +471,7 @@ class ReducedCascade(_Reduced):
             blk, problem = self.levels[label]
             c = blk.x_coords(b, x)
             base = self.ps.p1 @ x + above if label == "kernel_level" else above
-            r = problem.residual(t, (base, offset), c)
+            r = problem.residual(t, (base, offset, None), c)
             out[label] = float(np.linalg.norm(r))
             above = above + blk.lift(c)
         return out
@@ -468,6 +502,10 @@ class _CascadeEvaluator:
         self._chain_cache: dict[float, dict] = {}
         self._wedge_cache: dict[tuple[int, float], np.ndarray] = {}
         self.opts = SolveOptions(tol=rc.tol.solver)
+        # of the kernel-level solve, its tolerance set per solve
+        self.kernel_opts = SolveOptions(tol=rc.tol.solver)
+        # (t, key, f(t, x)) of the last level residual or drift, see _field
+        self.field_at: tuple | None = None
 
     def _solve(self, label: str, t: float, base, offset, opts: SolveOptions,
                jac_cache: JacobianCache | None = None) -> np.ndarray:
@@ -478,7 +516,7 @@ class _CascadeEvaluator:
         if guess is None:
             guess = np.zeros(blk.dim)
         try:
-            c = solve_newton(problem, t, (base, offset), guess, opts,
+            c = solve_newton(problem, t, (base, offset, self), guess, opts,
                              jac_cache=jac_cache)
         except NoConvergence as exc:
             raise ConstraintSolveFailure(t, label, exc)
@@ -508,7 +546,13 @@ class _CascadeEvaluator:
             rhs = blk.y_coords(fld.dt(t, x))
             for u, _, du in reversed(above):
                 rhs = rhs + blk.y_coords(jf @ u.phi) @ du
-            dc = np.linalg.solve(j_own, -rhs)
+            try:
+                dc = np.linalg.solve(j_own, -rhs)
+            except np.linalg.LinAlgError:
+                # Newton returns at once where the residual already vanishes,
+                # so an exactly singular level Jacobian can first show here
+                raise SingularJacobian(point=(t,),
+                                       message=f"dF/dy of {label} singular")
             above.append((blk, c, dc))
             off = 0
             for s in group:
@@ -595,9 +639,9 @@ class _CascadeEvaluator:
         rc = self.rc
         if rc.kernel.dim == 0:
             return np.zeros(rc.dae.pencil.n_dim)
-        opts = SolveOptions(tol=self.opts.tol * max(1.0, float(np.linalg.norm(x1))))
+        self.kernel_opts.tol = self.opts.tol * max(1.0, norm2(x1))
         c = self._solve("kernel_level", t, x1 + parts["eta_2sigma"],
-                        parts["d_vec"], opts, self.jac_cache)
+                        parts["d_vec"], self.kernel_opts, self.jac_cache)
         return rc.kernel.lift(c)
 
 

@@ -47,6 +47,21 @@ def test_cascade_route_needs_structure_tag_exit_two(tmp_path, capsys,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("approach", ["cascade", "first"])
+def test_singular_chain_level_exit_two(tmp_path, capsys, approach):
+    # at gamma = 1 the chain level's Jacobian is exactly singular at t = 0,
+    # where its residual already vanishes: Newton returns at once, and the
+    # implicit derivative of the level meets the singular matrix
+    data = load_builtin("index2_structured").raw
+    data = dict(data, field=dict(data["field"], params={"gamma": 1.0}))
+    path = tmp_path / "singular_chain.json"
+    path.write_text(json.dumps(data))
+    code = run(["simulate", str(path), "--approach", approach,
+                "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error: SingularJacobian:" in capsys.readouterr().err
+
+
 def test_simulate_blowup(tmp_path, capsys):
     code = run(["simulate", "index1_blowup", "--x0", "1",
                 "--out", str(tmp_path)])

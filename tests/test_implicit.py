@@ -5,6 +5,7 @@ from daekit import (ImplicitProblem, JacobianCache, NoConvergence,
                     SingularJacobian, SolveOptions, consistent_initialize,
                     implicit_derivative, reduce_cascade, reduce_first,
                     solve_fixed_point, solve_newton)
+from daekit._linalg import norm2
 from daekit.problems import load_builtin
 
 
@@ -273,3 +274,16 @@ def test_consistent_initialize_cascade_levels():
     assert abs(x0[2] - 1.6 * np.sin(0.0)) < 1e-12
     again = consistent_initialize(red, 0.0, x0)
     assert np.abs(again - x0).max() <= 1e-10
+
+
+def test_norm2_is_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(7)
+    vectors = [s * rng.standard_normal(n) for n in (1, 2, 3, 7, 64, 1000)
+               for s in (1e-200, 1e-3, 1.0, 1e150)]
+    vectors += [np.zeros(0), np.array([np.inf, 1.0]), np.array([-np.inf]),
+                np.array([np.nan, 2.0]), np.array([1e200, -1e200]),
+                np.array([1.3e154, 1.3e154])]
+    with np.errstate(over="ignore"):
+        for v in vectors:
+            got = np.float64(norm2(v)).tobytes()
+            assert got == np.float64(np.linalg.norm(v)).tobytes(), v

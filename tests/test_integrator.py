@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -257,3 +259,65 @@ def test_trajectory_csv_roundtrip(tmp_path):
     term_path = tmp_path / "term.json"
     traj.termination_json(term_path)
     assert '"reached_tmax"' in term_path.read_text()
+
+
+def _counting(pb):
+    """The problem's pair with its field wrapped to count evaluations."""
+    orig = pb.dae.field
+    calls = [0]
+
+    def ev(t, x):
+        calls[0] += 1
+        return orig.eval(t, x)
+
+    fld = NonlinearField(ev, orig.jacobian, orig.t_derivative,
+                         orig.structure_tag)
+    return dataclasses.replace(pb.dae, field=fld), calls
+
+
+def test_direct_rhs_evaluates_the_field_only_in_newton_residuals():
+    # a warm kernel solve takes two residuals; the drift and the residual
+    # of an accepted step reuse the last one (one more for the initial
+    # check of x0)
+    pb = load_builtin("index1_blowup")
+    dae, calls = _counting(pb)
+    red = reduce_first(dae)
+    x0 = consistent_initialize(red, 0.0, pb.x_guess)
+    calls[0] = 0
+    traj = integrate_first(red, 0.0, x0, pb.options)
+    assert traj.termination.kind == "blowup_suspected"
+    assert calls[0] <= 2 * traj.stats["nfev"] + 5
+
+
+@pytest.mark.parametrize("approach", ["first", "cascade"])
+@pytest.mark.parametrize("name", ["index1_blowup", "index3_chain"])
+def test_trajectory_residuals_match_fresh_evaluation(name, approach):
+    pb = load_builtin(name)
+    t0 = pb.options.t0
+    if approach == "first":
+        red = reduce_first(pb.dae)
+        x0 = consistent_initialize(red, t0, pb.x_guess)
+        traj = integrate_first(red, t0, x0, pb.options)
+    else:
+        red = reduce_cascade(pb.dae)
+        traj = integrate_cascade(red, t0, pb.dae.projectors.p1 @ pb.x_guess,
+                                 pb.options)
+    assert len(traj.times) > 10
+    fresh = [red.residual_L0(t, x) for t, x in zip(traj.times, traj.states)]
+    assert traj.residuals.tolist() == fresh
+
+
+def test_stage_sums_match_the_builtin_sum_bit_for_bit():
+    # reference: the generator sum the stage and error vectors were formed
+    # with; a zero coefficient meets inf, and a sum of -0.0 terms
+    from daekit.integrate import _A, _E, _combine
+
+    rng = np.random.default_rng(5)
+    ks = [rng.standard_normal(4) for _ in range(7)]
+    ks[1][0] = np.inf
+    for k in ks:
+        k[3] = -0.0
+    with np.errstate(invalid="ignore"):
+        for coefs in (*_A[1:], _E):
+            ref = sum(c * k for c, k in zip(coefs, ks))
+            assert _combine(coefs, ks).tobytes() == ref.tobytes()
