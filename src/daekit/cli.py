@@ -126,13 +126,13 @@ def cmd_reduce(args) -> int:
     _apply_overrides(problem, args)
     dae = problem.dae
     approach = _pick_approach(problem, args.approach)
-    _reduce(problem, approach)  # a route the field does not admit raises
-    nu = dae.projectors.nu
+    # a route the field does not admit raises
+    reduced = _reduce(problem, approach)
     summary = {
         "name": problem.name,
         "approach": approach,
-        "index": nu,
-        "equations": max(2 * nu - 1, 1),
+        "index": reduced.nu,
+        "equations": reduced.level_count,
         "kernel_dimension": dae.projectors.n,
         "structure_tag": dae.field.structure_tag.value,
     }

@@ -48,8 +48,8 @@ class IntegrationOptions:
             raise ValueError("t_max must exceed t0")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
-        hmax = self.h_max if self.h_max is not None else self.t_max - self.t0
-        if self.h_init is not None and not (self.h_min <= self.h_init <= hmax):
+        if self.h_init is not None and not (
+                self.h_min <= self.h_init <= self.step_bound):
             raise ValueError("need h_min <= h_init <= h_max")
         if self.h_min <= 0:
             raise ValueError("h_min must be positive")
@@ -59,6 +59,11 @@ class IntegrationOptions:
         # a step bound below the floor would clamp every step to h_min
         if self.h_max is not None and not self.h_max >= self.h_min:
             raise ValueError("need h_min <= h_max")
+
+    @property
+    def step_bound(self) -> float:
+        """The largest step: h_max, or the whole span t_max - t0 if unset."""
+        return self.h_max if self.h_max is not None else self.t_max - self.t0
 
 
 @dataclass(frozen=True)
@@ -211,20 +216,20 @@ def _nonfinite_cause(exc: ConstraintSolveFailure) -> bool:
             and not np.isfinite(cause.last_residual))
 
 
-def _initial_step(rhs, t0, y0, f0, opts: IntegrationOptions) -> float:
+def _initial_step(y0, f0, opts: IntegrationOptions) -> float:
     sc = opts.atol + opts.rtol * np.abs(y0)
     d0 = float(np.sqrt(np.mean((y0 / sc) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / sc) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    hmax = opts.h_max if opts.h_max is not None else opts.t_max - opts.t0
-    return float(min(max(h0, opts.h_min), hmax, opts.t_max - opts.t0))
+    return float(min(max(h0, opts.h_min), opts.step_bound,
+                     opts.t_max - opts.t0))
 
 
 def _drive(rhs: Callable, t0: float, y0: np.ndarray,
            opts: IntegrationOptions, on_accept: Callable,
            internals: TrajectoryInternals) -> TrajectoryInternals:
     """Embedded 5(4) pair with PI step control and a forced-accept floor."""
-    hmax = opts.h_max if opts.h_max is not None else opts.t_max - opts.t0
+    hmax = opts.step_bound
     t, y = t0, np.array(y0, dtype=float)
     nfev = [0]
 
@@ -238,7 +243,7 @@ def _drive(rhs: Callable, t0: float, y0: np.ndarray,
         internals.failure = (exc.t, exc.level, str(exc.cause))
         internals.stats = {"nfev": nfev[0], "accepted": 0, "rejected": 0}
         return internals
-    h = opts.h_init if opts.h_init is not None else _initial_step(f, t, y, k1, opts)
+    h = opts.h_init if opts.h_init is not None else _initial_step(y, k1, opts)
     err_prev = 1e-4
     accepted = rejected = 0
     consecutive_forced = 0
@@ -383,15 +388,17 @@ def integrate_first(reduced: ReducedFirst, t0: float, x0, opts: IntegrationOptio
         raise InconsistentInitialValue(res0, reduced.dae.tol.cons)
     state = reduced.make_state()
     if reduced.n:
-        state.c20 = reduced.kernel.x_coords(reduced.dae.pencil.b, x0)
+        state.warm["kernel_level"] = reduced.kernel.x_coords(
+            reduced.dae.pencil.b, x0)
 
     def solve(t, w):
         # warm-started solve; on failure retry once from a cold
-        # re-initialization of the kernel guess and Jacobian
+        # re-initialization of the kernel guess and Jacobian, keeping the
+        # warm starts of the chain and wedge levels
         try:
             return reduced.drift_w(t, w, state)
         except NoConvergence as first_exc:
-            state.c20 = None
+            state.warm.pop("kernel_level", None)
             state.jac_cache = JacobianCache()
             try:
                 return reduced.drift_w(t, w, state)

@@ -33,6 +33,14 @@ __all__ = ["LoadedProblem", "load_problem", "load_problem_dict", "builtin",
 # field registry
 
 
+def _number(params: dict, key: str, default: float) -> float:
+    """The finite number params[key], or the default."""
+    value = float(params.get(key, default))
+    if not np.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+    return value
+
+
 def _field_zero(params):
     return NonlinearField(
         eval=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
@@ -41,7 +49,7 @@ def _field_zero(params):
 
 
 def _field_scalar_power(params):
-    p = float(params.get("exponent", 2.0))
+    p = _number(params, "exponent", 2.0)
 
     return NonlinearField(
         eval=lambda t, x: np.array([x[0] ** p]),
@@ -82,7 +90,7 @@ def _field_nilpotent_linear(params):
 
 
 def _field_structured_index2(params):
-    gamma = float(params.get("gamma", 0.5))
+    gamma = _number(params, "gamma", 0.5)
 
     def ev(t, x):
         return np.array([
@@ -133,7 +141,7 @@ def _field_structured_index3(params):
 
 
 def _field_failing_constraint(params):
-    switch = float(params.get("switch_time", 0.3))
+    switch = _number(params, "switch_time", 0.3)
 
     def ev(t, x):
         if t < switch:
@@ -172,14 +180,14 @@ _LYAPUNOV_REGISTRY = {"squared_norm": _lyap_squared_norm}
 
 
 def _u_affine(params):
-    a = float(params.get("offset", 1.0))
-    b = float(params.get("slope", 1.0))
+    a = _number(params, "offset", 1.0)
+    b = _number(params, "slope", 1.0)
     return lambda u: a + b * u
 
 
 def _u_power(params):
-    c = float(params.get("coefficient", 1.0))
-    p = float(params.get("exponent", 1.0))
+    c = _number(params, "coefficient", 1.0)
+    p = _number(params, "exponent", 1.0)
     return lambda u: c * max(u, 0.0) ** p
 
 
@@ -187,26 +195,29 @@ _U_REGISTRY = {"affine": _u_affine, "power": _u_power}
 
 
 def _psi_constant(params):
-    v = float(params.get("value", 1.0))
+    v = _number(params, "value", 1.0)
     return lambda t: v
 
 
 def _psi_exp_decay(params):
-    rate = float(params.get("rate", 1.0))
+    rate = _number(params, "rate", 1.0)
     return lambda t: float(np.exp(-rate * t))
 
 
 _PSI_REGISTRY = {"constant": _psi_constant, "exp_decay": _psi_exp_decay}
 
 
-def _region_halfspace(params):
+def _region_halfspace(params, n_dim):
     normal = np.asarray(params["normal"], dtype=float)
-    offset = float(params.get("offset", 0.0))
+    if normal.shape != (n_dim,) or not np.all(np.isfinite(normal)):
+        raise ValueError(f"normal must be {n_dim} finite numbers, "
+                         f"got {params['normal']!r}")
+    offset = _number(params, "offset", 0.0)
     return lambda w: float(np.dot(normal, w)) > offset
 
 
-def _region_norm_above(params):
-    r = float(params.get("radius", 1.0))
+def _region_norm_above(params, n_dim):
+    r = _number(params, "radius", 1.0)
     return lambda w: float(np.linalg.norm(w)) > r
 
 
@@ -351,50 +362,63 @@ def make_dae(a, b, field: NonlinearField, name: str = "",
                          dual=dual, field=field, name=name)
 
 
-def _build_field(spec: dict, tag: StructureTag, pointer: str) -> NonlinearField:
+def _from_registry(registry: dict, spec: dict, pointer: str, what: str,
+                   *args):
+    """What the registry entry named by spec["registry_id"] builds from
+    spec["params"] (and args).  Params its builder cannot take are a
+    SchemaError at pointer/params."""
     rid = spec["registry_id"]
-    if rid not in FIELD_REGISTRY:
-        raise UnknownRegistryId(f"{pointer}: unknown field '{rid}'")
-    fld = FIELD_REGISTRY[rid](spec.get("params", {}))
+    if rid not in registry:
+        raise UnknownRegistryId(f"{pointer}: unknown {what} '{rid}'")
+    try:
+        return registry[rid](spec.get("params", {}), *args)
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        raise SchemaError(f"{pointer}/params",
+                          f"{what} '{rid}': {type(exc).__name__}: {exc}")
+
+
+def _build_field(spec: dict, tag: StructureTag, pointer: str) -> NonlinearField:
+    fld = _from_registry(FIELD_REGISTRY, spec, pointer, "field")
     if tag is not StructureTag.GENERAL:
         fld.structure_tag = tag
     return fld
 
 
-def _build_certificate(spec: dict) -> dict:
-    comps = []
-    for k, v in enumerate(spec["V"]):
-        rid = v["registry_id"]
-        if rid not in _LYAPUNOV_REGISTRY:
-            raise UnknownRegistryId(
-                f"/certificate/V/{k}: unknown functional '{rid}'")
-        comps.append(_LYAPUNOV_REGISTRY[rid](v.get("params", {})))
+def _build_certificate(spec: dict, n_dim: int) -> dict:
+    comps = [_from_registry(_LYAPUNOV_REGISTRY, v, f"/certificate/V/{k}",
+                            "functional") for k, v in enumerate(spec["V"])]
     kind = spec["kind"]
     combination = spec.get("combination",
                            "min" if kind == "blowup" else "max")
     lyap = LyapunovSpec(components=comps, kind=combination)
 
-    uid = spec["U"]["registry_id"]
-    if uid not in _U_REGISTRY:
-        raise UnknownRegistryId(f"/certificate/U: unknown envelope '{uid}'")
-    u_fn = _U_REGISTRY[uid](spec["U"].get("params", {}))
-    pid = spec["psi"]["registry_id"]
-    if pid not in _PSI_REGISTRY:
-        raise UnknownRegistryId(f"/certificate/psi: unknown weight '{pid}'")
-    psi_fn = _PSI_REGISTRY[pid](spec["psi"].get("params", {}))
+    u_fn = _from_registry(_U_REGISTRY, spec["U"], "/certificate/U",
+                          "envelope")
+    psi_fn = _from_registry(_PSI_REGISTRY, spec["psi"], "/certificate/psi",
+                            "weight")
     region = None
     label = ""
     if "region" in spec:
-        rid = spec["region"]["registry_id"]
-        if rid not in _REGION_REGISTRY:
-            raise UnknownRegistryId(f"/certificate/region: unknown '{rid}'")
-        region = _REGION_REGISTRY[rid](spec["region"].get("params", {}))
-        label = rid
-    comp = ComparisonSpec(U=u_fn, psi=psi_fn, R=float(spec.get("R", 1.0)),
+        region = _from_registry(_REGION_REGISTRY, spec["region"],
+                                "/certificate/region", "region", n_dim)
+        label = spec["region"]["registry_id"]
+    try:
+        radius = _number(spec, "R", 1.0)
+    except (ValueError, OverflowError) as exc:
+        raise SchemaError("/certificate/R", str(exc))
+    if radius <= 0:  # the sampler draws magnitudes up to R
+        raise SchemaError("/certificate/R", f"must be positive, got {radius}")
+    comp = ComparisonSpec(U=u_fn, psi=psi_fn, R=radius,
                           domain_set=region, domain_label=label,
                           declared_U_integral=spec.get("declared_U_integral"),
                           declared_psi_integral=spec.get("declared_psi_integral"))
     return {"kind": kind, "lyapunov": lyap, "comparison": comp}
+
+
+# the `integration` keys of a problem file, each with its conversion
+_INTEGRATION_KEYS = {"t0": float, "t_max": float, "rtol": float,
+                     "atol": float, "h_min": float, "h_max": lambda v: v,
+                     "blowup_norm_cap": float, "blowup_window": int}
 
 
 def load_problem_dict(data: dict, name_hint: str = "<dict>") -> LoadedProblem:
@@ -414,16 +438,10 @@ def load_problem_dict(data: dict, name_hint: str = "<dict>") -> LoadedProblem:
 
     integ = data.get("integration", {})
     try:
-        options = IntegrationOptions(
-            t0=float(integ.get("t0", 0.0)),
-            t_max=float(integ.get("t_max", 1.0)),
-            rtol=float(integ.get("rtol", 1e-8)),
-            atol=float(integ.get("atol", 1e-10)),
-            h_min=float(integ.get("h_min", 1e-10)),
-            h_max=integ.get("h_max"),
-            blowup_norm_cap=float(integ.get("blowup_norm_cap", 1e6)),
-            blowup_window=int(integ.get("blowup_window", 5)),
-        )
+        # the keys the file sets; every default lives on IntegrationOptions
+        options = IntegrationOptions(**{
+            key: convert(integ[key])
+            for key, convert in _INTEGRATION_KEYS.items() if key in integ})
     except (ValueError, OverflowError) as exc:
         raise SchemaError("/integration", str(exc))
     n = a.shape[0]
@@ -439,7 +457,7 @@ def load_problem_dict(data: dict, name_hint: str = "<dict>") -> LoadedProblem:
     if f_dim != (n,):
         raise SchemaError("/field", f"field returns shape {f_dim} for "
                                     f"dimension {n}")
-    cert = _build_certificate(data["certificate"]) \
+    cert = _build_certificate(data["certificate"], n) \
         if "certificate" in data else None
     sweep = [_parse_vector(v, f"/sweep/initial_values/{k}") for k, v
              in enumerate(data.get("sweep", {}).get("initial_values", []))]

@@ -6,7 +6,8 @@ equation for the kernel component x20.  The cascade route applies to fields
 with a declared block-triangular structure: the chain-top components are
 solved level by level as functions of time only, their time derivatives are
 obtained by implicit differentiation, and only the kernel level remains
-coupled to the differential variable.
+coupled to the differential variable.  Both routes share one table of level
+equations and one per-run state.
 """
 
 from __future__ import annotations
@@ -126,30 +127,15 @@ def _select_block(dae: SemilinearDAE, pred) -> _Block:
     return _Block(dae.canonical.matrix()[:, idx], dae.dual.matrix()[:, idx])
 
 
-# ---------------------------------------------------------------------------
-# direct reduction
-
-
-@dataclass
-class _FirstState:
-    """Warm-start data carried through one integration or sampling run."""
-
-    c20: np.ndarray | None = None
-    cascade: "_CascadeEvaluator | None" = None
-    jac_cache: JacobianCache = dc_field(default_factory=JacobianCache)
-    # of the kernel solve, its tolerance set per solve to the state scale
-    opts: SolveOptions = dc_field(default_factory=SolveOptions)
-    # (t, key, f(t, x)) of the last kernel residual or drift, see _field
-    field_at: tuple | None = None
-
-
 class _Reduced:
     """What both routes share.
 
-    A route adds the reduction protocol: `w_projector` (the projector onto
-    the space of the reduced variable w), `make_state()` (the per-run
-    warm-start object) and `drift(t, w, state) -> (dw, x)` (the reduced
-    right-hand side plus the assembled state).
+    The level table (the slices and equation of every algebraic level),
+    `make_state()` (the per-run state) and `consistent_point`.  A route
+    adds `_initial_state` and the reduction protocol: `w_projector` (the
+    projector onto the space of the reduced variable w) and `drift(t, w,
+    state) -> (dw, x)` (the reduced right-hand side plus the assembled
+    state).
     """
 
     def __init__(self, dae: SemilinearDAE):
@@ -158,7 +144,65 @@ class _Reduced:
         self.ps = ps
         self.nu = ps.nu
         self.n = ps.n
+        self.tol = dae.tol
         self.kernel = _select_block(dae, lambda m, j: j == 1)       # x20 slice
+        # chain-top slices: level s holds the order-s vectors of chains of
+        # exact length s+1 (s = 1..nu-1)
+        self.chain_blocks = {
+            s: _select_block(dae, lambda m, j, s=s: j == s + 1 and m == s + 1)
+            for s in range(1, max(self.nu, 1))
+        }
+        # wedge slices: order-s vectors of strictly longer chains
+        self.wedge_blocks = {
+            s: _select_block(dae, lambda m, j, s=s: j == s + 1 and m >= s + 2)
+            for s in range(1, max(self.nu - 1, 1))
+        }
+        # chain levels, top first, each with the chain-top slices it solves
+        # for.  A variant field's chain rows read every chain-top slice, so
+        # its chain levels are one fused equation over the stacked slices.
+        if dae.field.structure_tag is StructureTag.STRUCTURED_VARIANT:
+            fused = tuple(s for s in range(1, self.nu)
+                          if self.chain_blocks[s].dim)
+            self.chain_levels = [("chain_levels", fused)] if fused else []
+        else:
+            self.chain_levels = [(f"chain_level_{s}", (s,))
+                                 for s in range(self.nu - 1, 0, -1)
+                                 if self.chain_blocks[s].dim]
+        # every non-empty algebraic level, top first: label -> (slice, equation)
+        slices = {label: _Block(
+            np.column_stack([self.chain_blocks[s].phi for s in group]),
+            np.column_stack([self.chain_blocks[s].q for s in group]))
+            for label, group in self.chain_levels}
+        slices.update((f"wedge_level_{s}", self.wedge_blocks[s])
+                      for s in reversed(self.wedge_blocks)
+                      if self.wedge_blocks[s].dim)
+        if self.kernel.dim:
+            slices["kernel_level"] = self.kernel
+        self.levels = {label: (blk, self._level_problem(blk))
+                       for label, blk in slices.items()}
+
+    @property
+    def level_count(self) -> int:
+        """Number of equations in the reduced system (2 nu - 1, floor 1)."""
+        return max(2 * self.nu - 1, 1)
+
+    def make_state(self) -> "_CascadeEvaluator":
+        return _CascadeEvaluator(self)
+
+    def consistent_point(self, t0, x_guess, tol: float | None = None):
+        """The route's `_initial_state` from the guess, checked on L0."""
+        tol = tol if tol is not None else self.dae.tol.cons
+        state = self.make_state()
+        if self.kernel.dim:
+            state.warm["kernel_level"] = self.kernel.x_coords(
+                self.dae.pencil.b, x_guess)
+        x0 = self._initial_state(t0, x_guess, state, tol)
+        # the kernel solve's field value, recorded under x0
+        self._field(t0, x0, state, state.warm.get("kernel_level"))
+        res = self.residual_L0(t0, x0, state)
+        if res > tol:
+            raise NoConvergence(1, res, label="consistent_initialize")
+        return x0
 
     def _level_problem(self, blk: _Block, plain_rows: _Block | None = None
                        ) -> ImplicitProblem:
@@ -241,6 +285,10 @@ class _Reduced:
                      / max(1.0, self.split_norm(x)))
 
 
+# ---------------------------------------------------------------------------
+# direct reduction
+
+
 class ReducedFirst(_Reduced):
     """Explicit form with the whole (x1 + x2_sigma) block differential."""
 
@@ -250,13 +298,14 @@ class ReducedFirst(_Reduced):
         self.p12 = ps.p1 + ps.p2_sigma
         self.w_projector = ps.q1 + ps.q2_sigma
         self.tops = _select_block(dae, lambda m, j: j == m)          # residual rows
-        # a structure-tagged field's constraint rows do not involve x20, so
-        # x20 solves the differentiated (kernel-level) form instead
+        # a structure-tagged field's constraint rows do not involve x20 (the
+        # Jacobian of the plain form is singular), so x20 solves the
+        # differentiated kernel-level form; any other field, the plain form
         self.differentiated = (dae.field.structure_tag
                                is not StructureTag.GENERAL and self.nu >= 2)
-        self.kernel_problem = self._level_problem(
-            self.kernel, None if self.differentiated else self.tops)
-        self._cascade: ReducedCascade | None = None
+        if self.kernel.dim and not self.differentiated:
+            self.levels["kernel_level"] = (
+                self.kernel, self._level_problem(self.kernel, self.tops))
 
     # -- spec callbacks ----------------------------------------------------
     def pi(self, t, x):
@@ -270,60 +319,42 @@ class ReducedFirst(_Reduced):
                             + np.asarray(x20))
 
     # -- algebraic solve -----------------------------------------------------
-    def make_state(self) -> _FirstState:
-        st = _FirstState()
-        if self.differentiated:
-            st.cascade = self.cascade.make_state()
-        return st
-
-    @property
-    def cascade(self) -> "ReducedCascade":
-        if self._cascade is None:
-            self._cascade = ReducedCascade(self.dae)
-        return self._cascade
-
-    def solve_x20(self, t, x12, state: _FirstState | None = None,
+    def solve_x20(self, t, x12, state: "_CascadeEvaluator | None" = None,
                   tol: float | None = None):
-        """Kernel component on the constraint manifold at fixed (t, x12).
-
-        For a general field this solves the constraint rows directly.  For
-        a structure-tagged field those rows do not involve the kernel
-        component, so the solve uses the differentiated-constraint form
-        instead (the kernel-level equation with the implicit time
-        derivatives of the structured levels); without it the direct
-        Jacobian is singular by construction.
-        """
+        """Kernel component on the constraint manifold at fixed (t, x12),
+        from the table's kernel level.  Failure is a bare NoConvergence,
+        for the cold retry of `integrate_first`."""
         state = state or self.make_state()
         tol = tol if tol is not None else self.dae.tol.solver
         if self.n == 0:
             return np.zeros(self.dae.pencil.n_dim), state
 
-        guess = state.c20 if state.c20 is not None else np.zeros(self.kernel.dim)
+        guess = state.warm.get("kernel_level")
+        guess = np.zeros(self.kernel.dim) if guess is None else guess
         # absolute tolerance scaled by the state magnitude: at large states
         # the floating-point floor of the residual grows alongside
-        state.opts.tol = tol * max(1.0, norm2(x12), norm2(guess))
-        if state.opts.tol <= 0:  # as SolveOptions would reject it
+        state.kernel_opts.tol = tol * max(1.0, norm2(x12), norm2(guess))
+        if state.kernel_opts.tol <= 0:  # as SolveOptions would reject it
             raise ValueError("tol must be positive")
-        d_vec = None
-        if self.differentiated:
-            d_vec = state.cascade.algebraic_parts(t)["d_vec"]
-        c = solve_newton(self.kernel_problem, t, (x12, d_vec, state), guess,
-                         state.opts, jac_cache=state.jac_cache)
-        state.c20 = c
+        d_vec = (state.algebraic_parts(t)["d_vec"] if self.differentiated
+                 else None)
+        c = solve_newton(self.levels["kernel_level"][1], t, (x12, d_vec, state),
+                         guess, state.kernel_opts, jac_cache=state.jac_cache)
+        state.warm["kernel_level"] = c
         return self.kernel.lift(c), state
 
-    def eta_hat(self, t, w, state: _FirstState | None = None):
+    def eta_hat(self, t, w, state: "_CascadeEvaluator | None" = None):
         """Kernel component as a function of the reduced variable."""
         x12 = self.ps.a_tilde_inv @ w
         return self.solve_x20(t, x12, state)
 
-    def drift_w(self, t, w, state: _FirstState):
+    def drift_w(self, t, w, state: "_CascadeEvaluator"):
         """Right-hand side of the reduced ODE, plus the assembled state."""
         w = self.w_projector @ w
         x12 = self.ps.a_tilde_inv @ w
         x20, _ = self.solve_x20(t, x12, state)
         x = x12 + x20
-        f = self._field(t, x, state, state.c20)
+        f = self._field(t, x, state, state.warm.get("kernel_level"))
         return self.w_projector @ (f - self.dae.pencil.b @ x), x
 
     # The protocol's drift looks drift_w up at call time, so a wrapper set on
@@ -331,29 +362,17 @@ class ReducedFirst(_Reduced):
     # the drift_w spans) sees every call.
     drift = property(lambda self: self.drift_w)
 
-    def consistent_point(self, t0, x_guess, tol: float | None = None):
-        """Keep the explicit components of the guess, solve the rest.
-
-        For structure-tagged fields the constraint levels pin the chain-top
-        components as well, so those parts of the guess are replaced by the
-        level solutions.
-        """
-        tol = tol if tol is not None else self.dae.tol.cons
-        state = self.make_state()
+    def _initial_state(self, t0, x_guess, state, tol):
+        """Keep the explicit components of the guess, solve the rest; for a
+        structure-tagged field the levels pin the chain-top parts too."""
         if self.differentiated:
             x1 = self.ps.p1 @ x_guess
-            x12 = x1 + state.cascade.eta_2sigma(t0)
+            x12 = x1 + state.eta_2sigma(t0)
         else:
             x12 = self.p12 @ x_guess
-        if self.n:
-            state.c20 = self.kernel.x_coords(self.dae.pencil.b, x_guess)
-        x20, _ = self.solve_x20(t0, x12, state, tol=min(tol * 1e-2, self.dae.tol.solver))
-        x0 = x12 + x20
-        self._field(t0, x0, state, state.c20)  # the solve's value, under x0
-        res = self.residual_L0(t0, x0, state)
-        if res > tol:
-            raise NoConvergence(1, res, label="consistent_initialize")
-        return x0
+        x20, _ = self.solve_x20(t0, x12, state,
+                                tol=min(tol * 1e-2, self.dae.tol.solver))
+        return x12 + x20
 
 
 def reduce_first(dae: SemilinearDAE) -> ReducedFirst:
@@ -375,49 +394,6 @@ class ReducedCascade(_Reduced):
     def __init__(self, dae: SemilinearDAE):
         super().__init__(dae)
         self.w_projector = self.ps.q1
-        # chain-top slices: level s holds the order-s vectors of chains of
-        # exact length s+1 (s = 1..nu-1)
-        self.chain_blocks = {
-            s: _select_block(dae, lambda m, j, s=s: j == s + 1 and m == s + 1)
-            for s in range(1, max(self.nu, 1))
-        }
-        # wedge slices: order-s vectors of strictly longer chains
-        self.wedge_blocks = {
-            s: _select_block(dae, lambda m, j, s=s: j == s + 1 and m >= s + 2)
-            for s in range(1, max(self.nu - 1, 1))
-        }
-        # chain levels, top first, each with the chain-top slices it solves
-        # for.  A variant field's chain rows read every chain-top slice, so
-        # its chain levels are one fused equation over the stacked slices.
-        if dae.field.structure_tag is StructureTag.STRUCTURED_VARIANT:
-            fused = tuple(s for s in range(1, self.nu)
-                          if self.chain_blocks[s].dim)
-            self.chain_levels = [("chain_levels", fused)] if fused else []
-        else:
-            self.chain_levels = [(f"chain_level_{s}", (s,))
-                                 for s in range(self.nu - 1, 0, -1)
-                                 if self.chain_blocks[s].dim]
-        # every non-empty algebraic level, top first: label -> (slice, equation)
-        slices = {label: _Block(
-            np.column_stack([self.chain_blocks[s].phi for s in group]),
-            np.column_stack([self.chain_blocks[s].q for s in group]))
-            for label, group in self.chain_levels}
-        slices.update((f"wedge_level_{s}", self.wedge_blocks[s])
-                      for s in reversed(self.wedge_blocks)
-                      if self.wedge_blocks[s].dim)
-        if self.kernel.dim:
-            slices["kernel_level"] = self.kernel
-        self.levels = {label: (blk, self._level_problem(blk))
-                       for label, blk in slices.items()}
-        self.tol = dae.tol
-
-    @property
-    def level_count(self) -> int:
-        """Number of equations in the reduced system (2 nu - 1, floor 1)."""
-        return max(2 * self.nu - 1, 1)
-
-    def make_state(self) -> "_CascadeEvaluator":
-        return _CascadeEvaluator(self)
 
     def drift_w1(self, t, w1, evaluator: "_CascadeEvaluator"):
         """Right-hand side of the reduced ODE for w1 = corrected-A x1."""
@@ -433,21 +409,11 @@ class ReducedCascade(_Reduced):
     # looked up at call time for the same reason as ReducedFirst.drift
     drift = property(lambda self: self.drift_w1)
 
-    def consistent_point(self, t0, x_guess, tol: float | None = None):
-        tol = tol if tol is not None else self.dae.tol.cons
-        ev = self.make_state()
+    def _initial_state(self, t0, x_guess, state, tol):
+        """The explicit part of the guess plus the level solutions."""
         x1 = self.ps.p1 @ x_guess
-        parts = ev.algebraic_parts(t0)
-        if self.kernel.dim:
-            ev.warm["kernel_level"] = self.kernel.x_coords(self.dae.pencil.b,
-                                                           x_guess)
-        x20 = ev.solve_x20(t0, x1, parts)
-        x0 = x1 + parts["eta_2sigma"] + x20
-        self._field(t0, x0, ev, ev.warm.get("kernel_level"))  # under x0
-        res = self.residual_L0(t0, x0, ev)
-        if res > tol:
-            raise NoConvergence(1, res, label="consistent_initialize")
-        return x0
+        parts = state.algebraic_parts(t0)
+        return x1 + parts["eta_2sigma"] + state.solve_x20(t0, x1, parts)
 
     def level_residuals(self, t, x, evaluator: "_CascadeEvaluator | None" = None):
         """Residual norm of every algebraic level equation at the state x.
@@ -491,11 +457,13 @@ def reduce_cascade(dae: SemilinearDAE, waive_structure_check: bool = False
 
 
 class _CascadeEvaluator:
-    """Per-run solver state: warm starts and a small per-time cache."""
+    """The per-run state of both routes, from `make_state()`: the warm start
+    of every level, the kept kernel-level Jacobian, the field record and
+    small per-time caches of the chain and wedge levels."""
 
     _CACHE_MAX = 24
 
-    def __init__(self, rc: ReducedCascade):
+    def __init__(self, rc: _Reduced):
         self.rc = rc
         self.warm: dict[str, np.ndarray] = {}  # last solution of each level
         self.jac_cache = JacobianCache()  # of the kernel-level solve
@@ -513,8 +481,7 @@ class _CascadeEvaluator:
         solution."""
         blk, problem = self.rc.levels[label]
         guess = self.warm.get(label)
-        if guess is None:
-            guess = np.zeros(blk.dim)
+        guess = np.zeros(blk.dim) if guess is None else guess
         try:
             c = solve_newton(problem, t, (base, offset, self), guess, opts,
                              jac_cache=jac_cache)
@@ -686,7 +653,7 @@ def check_structure(dae: SemilinearDAE,
     if nu <= 1:
         return StructureReport(True, "<vacuous>", 0.0)
 
-    rc = ReducedCascade(dae)
+    rc = _Reduced(dae)  # its level slices
     n_dim = dae.pencil.n_dim
     p1_basis = orth_basis(dae.projectors.p1)
     all_dirs = [p1_basis[:, k] for k in range(p1_basis.shape[1])]

@@ -11,6 +11,7 @@ import daekit
 from daekit import cli
 from daekit.cli import run
 from daekit.problems import load_builtin
+from test_problems import BAD_INPUTS, edited_builtin
 
 
 def test_analyze_bundled(tmp_path, capsys):
@@ -279,3 +280,13 @@ def test_runs_in_one_process_match_separate_processes(tmp_path):
         name = "varying_certificate.json"
         assert ((together / seed / name).read_bytes()
                 == (tmp_path / "alone" / seed / name).read_bytes())
+
+
+@pytest.mark.parametrize("name, keys, value, pointer", BAD_INPUTS)
+def test_bad_registry_params_and_geometry_exit_two(tmp_path, capsys, name,
+                                                   keys, value, pointer):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edited_builtin(name, keys, value)))
+    command = "certify" if keys[0] == "certificate" else "analyze"
+    assert run([command, str(path), "--out", str(tmp_path)]) == 2
+    assert f"error: SchemaError: {pointer}:" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -171,6 +172,49 @@ def test_unknown_registry_id():
             "field": {"registry_id": "not_a_field"}}
     with pytest.raises(UnknownRegistryId):
         load_problem_dict(data)
+
+
+# a bundled problem, the keys down to one entry, its new value, and the
+# pointer of the SchemaError that loading the edited problem raises
+_BAD_CASES = [
+    ("ode_scalar_quadratic", ("field", "params", "exponent"), "x",
+     "/field/params"),
+    ("ode_scalar_quadratic", ("field", "params", "exponent"), [1],
+     "/field/params"),
+    ("ode_scalar_quadratic", ("field", "params", "exponent"), 10 ** 400,
+     "/field/params"),
+    ("index2_structured", ("field", "params", "gamma"), None, "/field/params"),
+    ("index2_structured", ("field", "params", "gamma"), float("inf"),
+     "/field/params"),
+    ("index1_stable", ("certificate", "psi", "params", "rate"), "fast",
+     "/certificate/psi/params"),
+    ("index1_blowup", ("certificate", "region", "params"), {"offset": 0.5},
+     "/certificate/region/params"),
+    ("index1_blowup", ("certificate", "region", "params", "normal"),
+     [1.0, 0.0, 0.0], "/certificate/region/params"),
+    ("index1_stable", ("certificate", "R"), 0.0, "/certificate/R"),
+    ("index1_stable", ("certificate", "R"), -1.0, "/certificate/R"),
+    ("index1_stable", ("certificate", "R"), float("nan"), "/certificate/R"),
+]
+BAD_INPUTS = [pytest.param(*case, id=f"{case[0]}-{case[1][-1]}={case[2]!r}")
+              for case in _BAD_CASES]
+
+
+def edited_builtin(name: str, keys: tuple, value) -> dict:
+    data = copy.deepcopy(load_builtin(name).raw)
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("name, keys, value, pointer", BAD_INPUTS)
+def test_bad_registry_params_and_geometry_are_schema_errors(name, keys, value,
+                                                            pointer):
+    with pytest.raises(SchemaError) as err:
+        load_problem_dict(edited_builtin(name, keys, value))
+    assert err.value.pointer == pointer
 
 
 def test_complex_matrix_entries():

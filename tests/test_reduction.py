@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from daekit import (IntegrationOptions, NonlinearField, StructureTag,
                     consistent_initialize, integrate_first, reduce_cascade,
                     reduce_first, residual_L0)
 from daekit.problems import load_builtin, make_dae
+from daekit.reduction import ReducedCascade
 
 
 def quad_lag_dae():
@@ -275,3 +278,31 @@ def test_runs_on_one_reduction_are_independent():
     fresh = simulate(reduce_first(dae), [0.6, 0.0])
     assert np.array_equal(again.states, fresh.states)
     assert again.stats == fresh.stats
+
+
+@pytest.mark.parametrize("name", ["index3_chain", "index2_structured"])
+def test_direct_route_runs_on_the_shared_level_state(name, monkeypatch):
+    # both routes run on one kind of per-run state over one level table:
+    # the direct route's kernel warm start sits next to the chain and wedge
+    # ones, and no second (cascade) reduction is built for its d_vec
+    pb = load_builtin(name)
+    cascade_state = reduce_cascade(pb.dae).make_state()
+    built = []
+    init = ReducedCascade.__init__
+
+    def counting_init(self, dae):
+        built.append(dae)
+        init(self, dae)
+
+    monkeypatch.setattr(ReducedCascade, "__init__", counting_init)
+    red = reduce_first(pb.dae)
+    state = red.make_state()
+    assert type(state) is type(cascade_state)
+    t0 = pb.options.t0
+    x0 = consistent_initialize(red, t0, pb.x_guess)
+    red.drift_w(t0, pb.dae.pencil.a @ x0, state)
+    assert "kernel_level" in red.levels
+    assert set(state.warm) == set(red.levels) == set(cascade_state.rc.levels)
+    opts = dataclasses.replace(pb.options, t_max=t0 + 0.1)
+    assert integrate_first(red, t0, x0, opts).termination.kind == "reached_tmax"
+    assert built == []

@@ -5,13 +5,13 @@
 #   tools/cli_outputs.sh SOURCE_ROOT OUT_DIR
 #
 # SOURCE_ROOT is a checkout of this repository; its src/ is imported, so it
-# needs no install.  Each of the 120 commands (analyze, reduce, simulate
-# --approach auto|first|cascade --format csv|json, certify --approach
-# first|cascade, sweep --format csv|json, on each of the 10 fixtures) runs
-# in a fresh process inside its own directory OUT_DIR/<fixture>/<command>,
-# which receives the files written under --out files, plus stdout, stderr
-# and the exit code.  Each demo's stdout, stderr and exit code go to
-# OUT_DIR/demos.  Compare two trees with
+# needs no install.  Each of the 140 commands (analyze, reduce --approach
+# auto|first|cascade, simulate --approach auto|first|cascade --format
+# csv|json, certify --approach first|cascade, sweep --format csv|json, on
+# each of the 10 fixtures) runs in a fresh process inside its own directory
+# OUT_DIR/<fixture>/<command>, which receives the files written under --out
+# files, plus stdout, stderr and the exit code.  Each demo's stdout, stderr
+# and exit code go to OUT_DIR/demos.  Compare two trees with
 #
 #   tools/cli_outputs.sh base out-base
 #   tools/cli_outputs.sh head out-head
@@ -29,7 +29,9 @@ export PYTHONPATH="$root/src"
 
 commands=(
     "analyze"
-    "reduce"
+    "reduce --approach auto"
+    "reduce --approach first"
+    "reduce --approach cascade"
     "simulate --approach auto --format csv"
     "simulate --approach auto --format json"
     "simulate --approach first --format csv"
