@@ -9,6 +9,7 @@ computed trajectories rather than asserted statically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -294,6 +295,22 @@ def _slack(lhs: float, rhs: float) -> float:
     return 1e-9 * (1.0 + abs(lhs) + abs(rhs))
 
 
+def _envelope(comp: ComparisonSpec, v: float, t: float) -> float:
+    """U(V) psi(t) at one sample; an overflow inside U or psi reads as inf."""
+    try:
+        return comp.U(v) * comp.psi(t)
+    except OverflowError:
+        return math.inf
+
+
+def _require_finite(t: float, lhs: float, rhs: float) -> None:
+    """End the check at a sample with a non-finite side: every comparison
+    with NaN is false, so such a sample would count as satisfied."""
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise SamplingFailure(f"non-finite sample at t={t:.6g}: "
+                              f"lhs {lhs}, rhs {rhs}")
+
+
 def _probe_U(comp: ComparisonSpec, trace: list | None = None) -> str:
     if comp.declared_U_integral is not None:
         return comp.declared_U_integral
@@ -324,14 +341,14 @@ def check_global_solvability(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
     lyap.validate([w for (_, w, _, _) in samples[:cfg.grad_check_points]])
     violations = []
     for t, w, dw, _x in samples:
-        v = lyap.value(w)
-        rhs = comp.U(v) * comp.psi(t)
+        rhs = _envelope(comp, lyap.value(w), t)
         if mode == "gradient":
             lhs = float(np.dot(dw, lyap.active_gradient(w)))
         elif mode == "norm_lipschitz":
             lhs = float(np.linalg.norm(dw))
         else:
             raise ValueError("mode must be 'gradient' or 'norm_lipschitz'")
+        _require_finite(t, lhs, rhs)
         if lhs > rhs + _slack(lhs, rhs):
             violations.append({"t": t, "w": w.tolist(), "lhs": lhs, "rhs": rhs})
     traces = {"U": [], "psi": []}
@@ -422,9 +439,9 @@ def check_blowup_certificate(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
     lyap.validate([w for (_, w, _, _) in samples[:cfg.grad_check_points]])
     violations = []
     for t, w, dw, _x in samples:
-        v = lyap.value(w)
-        rhs = comp.U(v) * comp.psi(t)
+        rhs = _envelope(comp, lyap.value(w), t)
         lhs = float(np.dot(dw, lyap.active_gradient(w)))
+        _require_finite(t, lhs, rhs)
         if lhs < rhs - _slack(lhs, rhs):
             violations.append({"t": t, "w": w.tolist(), "lhs": lhs, "rhs": rhs})
     traces = {"U": [], "psi": []}

@@ -58,6 +58,21 @@ class JacobianCache:
 
     factors: tuple | None = None
 
+    def factor_solve(self, j: np.ndarray, rhs: np.ndarray
+                     ) -> np.ndarray | None:
+        """Solution of j y = rhs, with the factors of j kept for the next
+        solve.
+
+        j is factored and tested for singularity as in `solve_newton`, so a
+        caller that has the Jacobian at a solution both uses and keeps its
+        one factorisation.  Where j is numerically singular the cache is
+        emptied and None is returned.
+        """
+        self.factors = _factor(j)
+        if self.factors is None:
+            return None
+        return _lu_solve(self.factors, rhs)
+
 
 _MIN_STEP = 2.0 ** -20
 # condition number above which a matrix counts as singular

@@ -394,12 +394,12 @@ def integrate_first(reduced: ReducedFirst, t0: float, x0, opts: IntegrationOptio
     def solve(t, w):
         # warm-started solve; on failure retry once from a cold
         # re-initialization of the kernel guess and Jacobian, keeping the
-        # warm starts of the chain and wedge levels
+        # warm starts and kept factors of the chain and wedge levels
         try:
             return reduced.drift_w(t, w, state)
         except NoConvergence as first_exc:
             state.warm.pop("kernel_level", None)
-            state.jac_cache = JacobianCache()
+            state.jac_caches["kernel_level"] = JacobianCache()
             try:
                 return reduced.drift_w(t, w, state)
             except NoConvergence:
@@ -427,7 +427,7 @@ def integrate_cascade(reduced: ReducedCascade, t0: float, x01,
             fresh = reduced.make_state()
             out = reduced.drift_w1(t, w1, fresh)
             evaluator.warm = fresh.warm
-            evaluator.jac_cache = fresh.jac_cache
+            evaluator.jac_caches = fresh.jac_caches
             evaluator.field_at = fresh.field_at
             return out
 

@@ -152,7 +152,8 @@ class _Reduced:
             s: _select_block(dae, lambda m, j, s=s: j == s + 1 and m == s + 1)
             for s in range(1, max(self.nu, 1))
         }
-        # wedge slices: order-s vectors of strictly longer chains
+        # wedge slices: order-s vectors of strictly longer chains; never
+        # empty, as a longest chain (length nu >= s + 2) has one
         self.wedge_blocks = {
             s: _select_block(dae, lambda m, j, s=s: j == s + 1 and m >= s + 2)
             for s in range(1, max(self.nu - 1, 1))
@@ -174,8 +175,7 @@ class _Reduced:
             np.column_stack([self.chain_blocks[s].q for s in group]))
             for label, group in self.chain_levels}
         slices.update((f"wedge_level_{s}", self.wedge_blocks[s])
-                      for s in reversed(self.wedge_blocks)
-                      if self.wedge_blocks[s].dim)
+                      for s in reversed(self.wedge_blocks))
         if self.kernel.dim:
             slices["kernel_level"] = self.kernel
         self.levels = {label: (blk, self._level_problem(blk))
@@ -339,7 +339,8 @@ class ReducedFirst(_Reduced):
         d_vec = (state.algebraic_parts(t)["d_vec"] if self.differentiated
                  else None)
         c = solve_newton(self.levels["kernel_level"][1], t, (x12, d_vec, state),
-                         guess, state.kernel_opts, jac_cache=state.jac_cache)
+                         guess, state.kernel_opts,
+                         jac_cache=state.jac_caches["kernel_level"])
         state.warm["kernel_level"] = c
         return self.kernel.lift(c), state
 
@@ -427,8 +428,7 @@ class ReducedCascade(_Reduced):
         zero = np.zeros(self.dae.pencil.n_dim)
         offsets = [(label, zero) for label, _ in self.chain_levels]
         offsets += [(f"wedge_level_{s}", ev.level_offset(s, t))
-                    for s in reversed(self.wedge_blocks)
-                    if self.wedge_blocks[s].dim]
+                    for s in reversed(self.wedge_blocks)]
         if self.kernel.dim:
             offsets.append(("kernel_level", ev.algebraic_parts(t)["d_vec"]))
         out = {}
@@ -458,7 +458,7 @@ def reduce_cascade(dae: SemilinearDAE, waive_structure_check: bool = False
 
 class _CascadeEvaluator:
     """The per-run state of both routes, from `make_state()`: the warm start
-    of every level, the kept kernel-level Jacobian, the field record and
+    and the kept Jacobian factors of every level, the field record and
     small per-time caches of the chain and wedge levels."""
 
     _CACHE_MAX = 24
@@ -466,7 +466,8 @@ class _CascadeEvaluator:
     def __init__(self, rc: _Reduced):
         self.rc = rc
         self.warm: dict[str, np.ndarray] = {}  # last solution of each level
-        self.jac_cache = JacobianCache()  # of the kernel-level solve
+        # kept factors of each level's Jacobian, for its next Newton solve
+        self.jac_caches = {label: JacobianCache() for label in rc.levels}
         self._chain_cache: dict[float, dict] = {}
         self._wedge_cache: dict[tuple[int, float], np.ndarray] = {}
         self.opts = SolveOptions(tol=rc.tol.solver)
@@ -475,16 +476,16 @@ class _CascadeEvaluator:
         # (t, key, f(t, x)) of the last level residual or drift, see _field
         self.field_at: tuple | None = None
 
-    def _solve(self, label: str, t: float, base, offset, opts: SolveOptions,
-               jac_cache: JacobianCache | None = None) -> np.ndarray:
+    def _solve(self, label: str, t: float, base, offset, opts: SolveOptions
+               ) -> np.ndarray:
         """Coordinates of the level's component, warm-started from its last
-        solution."""
+        solution and its kept Jacobian factors."""
         blk, problem = self.rc.levels[label]
         guess = self.warm.get(label)
         guess = np.zeros(blk.dim) if guess is None else guess
         try:
             c = solve_newton(problem, t, (base, offset, self), guess, opts,
-                             jac_cache=jac_cache)
+                             jac_cache=self.jac_caches[label])
         except NoConvergence as exc:
             raise ConstraintSolveFailure(t, label, exc)
         self.warm[label] = c
@@ -506,18 +507,19 @@ class _CascadeEvaluator:
             blk = rc.levels[label][0]
             upper = sum((u.lift(c) for u, c, _ in reversed(above)), zero)
             c = self._solve(label, t, upper, zero, self.opts)
-            # implicit derivative with chain rule through upper levels
+            # implicit derivative with chain rule through upper levels; its
+            # one factorisation of the level Jacobian at the solution is
+            # kept for the level's next Newton solve
             x = upper + blk.lift(c)
             jf = fld.jac(t, x)
             j_own = blk.y_coords(jf @ blk.phi - b @ blk.phi)
             rhs = blk.y_coords(fld.dt(t, x))
             for u, _, du in reversed(above):
                 rhs = rhs + blk.y_coords(jf @ u.phi) @ du
-            try:
-                dc = np.linalg.solve(j_own, -rhs)
-            except np.linalg.LinAlgError:
+            dc = self.jac_caches[label].factor_solve(j_own, -rhs)
+            if dc is None:
                 # Newton returns at once where the residual already vanishes,
-                # so an exactly singular level Jacobian can first show here
+                # so a singular level Jacobian can first show here
                 raise SingularJacobian(point=(t,),
                                        message=f"dF/dy of {label} singular")
             above.append((blk, c, dc))
@@ -540,10 +542,6 @@ class _CascadeEvaluator:
         got = self._wedge_cache.get(key)
         if got is not None:
             return got
-        blk = rc.wedge_blocks[s]
-        if blk.dim == 0:
-            self._wedge_cache[key] = np.zeros(0)
-            return self._wedge_cache[key]
         chain_part = self._chain_part(t)
         upper_wedge = sum((rc.wedge_blocks[i].lift(self.wedge_value(i, t))
                            for i in range(s + 1, rc.nu - 1)),
@@ -557,9 +555,6 @@ class _CascadeEvaluator:
 
     def wedge_derivative(self, s: int, t: float) -> np.ndarray:
         """Central finite difference of the wedge-level branch."""
-        blk = self.rc.wedge_blocks[s]
-        if blk.dim == 0:
-            return np.zeros(0)
         h = max(1e-6, 1e-6 * abs(t))
         return (self.wedge_value(s, t + h) - self.wedge_value(s, t - h)) / (2 * h)
 
@@ -608,7 +603,7 @@ class _CascadeEvaluator:
             return np.zeros(rc.dae.pencil.n_dim)
         self.kernel_opts.tol = self.opts.tol * max(1.0, norm2(x1))
         c = self._solve("kernel_level", t, x1 + parts["eta_2sigma"],
-                        parts["d_vec"], self.kernel_opts, self.jac_cache)
+                        parts["d_vec"], self.kernel_opts)
         return rc.kernel.lift(c)
 
 
@@ -676,12 +671,9 @@ def check_structure(dae: SemilinearDAE,
             allowed = {("chain", j) for j in range(1, nu)}
         checks.append((f"chain_rows_level_{s}", blk.q, allowed))
     for s in range(1, nu - 1):
-        blk = rc.wedge_blocks[s]
-        if blk.dim == 0:
-            continue
         allowed = {("chain", j) for j in range(1, nu)}
         allowed |= {("wedge", i) for i in range(s, nu - 1)}
-        checks.append((f"wedge_rows_level_{s}", blk.q, allowed))
+        checks.append((f"wedge_rows_level_{s}", rc.wedge_blocks[s].q, allowed))
 
     rng = np.random.default_rng(cfg.seed)
     report: dict[str, float] = {}

@@ -174,6 +174,30 @@ def test_sampling_failure_on_unreachable_region():
                                  SamplerConfig(n_samples=32))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("check", [check_global_solvability,
+                                   check_lagrange_stability])
+def test_non_finite_sample_is_a_sampling_failure(check):
+    # at R = 1e300 the sampled drift and envelope overflow; every comparison
+    # with NaN is false, so such a sample must not count as satisfied
+    red, pb = stable_setup()
+    comp = dataclasses.replace(pb.comparison(), R=1e300)
+    with pytest.raises(SamplingFailure, match="non-finite sample at t="):
+        check(red, pb.lyapunov(), comp)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("envelope", [lambda u: float("nan"),
+                                      lambda u: 2.0 * u ** 400])
+def test_non_finite_envelope_ends_the_escape_check(envelope):
+    # NaN fails every comparison; u ** 400 raises OverflowError on floats
+    red, pb = cubic_flow()
+    comp = dataclasses.replace(pb.comparison(), U=envelope)
+    with pytest.raises(SamplingFailure, match="non-finite sample at t="):
+        check_blowup_certificate(red, pb.lyapunov(), comp,
+                                 SamplerConfig(n_samples=32))
+
+
 # -- lyapunov spec ------------------------------------------------------------
 
 def test_tie_breaking_is_lowest_index():

@@ -178,6 +178,21 @@ def test_byte_identical_outputs(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name, radius", [("index1_stable", 1e300),
+                                          ("index1_cubic_blowup", 1e80)])
+def test_non_finite_certificate_sample_exit_two(tmp_path, capsys, name,
+                                                radius):
+    # the samples' drift or envelope overflows: index1_stable passed with
+    # 0 violations, and the escape check raised a raw OverflowError in U
+    path = tmp_path / "huge_radius.json"
+    path.write_text(json.dumps(edited_builtin(name, ("certificate", "R"),
+                                              radius)))
+    assert run(["certify", str(path), "--out", str(tmp_path)]) == 2
+    assert ("error: SamplingFailure: non-finite sample at t="
+            in capsys.readouterr().err)
+
+
 def test_sweep_start_longer_than_state_exit_two(tmp_path, capsys):
     data = dict(load_builtin("index1_blowup").raw,
                 sweep={"initial_values": [[1.0, 0.0, 3.0]]})

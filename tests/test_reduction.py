@@ -1,14 +1,16 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from daekit import (IntegrationOptions, NonlinearField, StructureTag,
                     StructureViolation, check_structure,
-                    consistent_initialize, integrate_first, reduce_cascade,
-                    reduce_first, residual_L0)
-from daekit.problems import load_builtin, make_dae
-from daekit.reduction import ReducedCascade
+                    consistent_initialize, integrate_cascade, integrate_first,
+                    reduce_cascade, reduce_first, residual_L0)
+from daekit import reduction
+from daekit.problems import load_builtin, make_dae, random_weierstrass
+from daekit.reduction import ReducedCascade, _CascadeEvaluator, _Reduced
 
 
 def quad_lag_dae():
@@ -306,3 +308,126 @@ def test_direct_route_runs_on_the_shared_level_state(name, monkeypatch):
     opts = dataclasses.replace(pb.options, t_max=t0 + 0.1)
     assert integrate_first(red, t0, x0, opts).termination.kind == "reached_tmax"
     assert built == []
+
+
+@pytest.mark.parametrize("seed, segre", [
+    (1, [2, 1]), (2, [3, 1]), (3, [3, 3, 2]), (4, [4, 2, 1]), (5, [4, 4]),
+    (6, [5, 3, 1]), (7, [6]), (8, [6, 5, 2, 1])])
+def test_every_wedge_slice_is_non_empty(seed, segre):
+    # wedge slice s holds the order-(s + 1) vector of a longest chain,
+    # whose length nu is at least s + 2
+    ws = random_weierstrass(seed, sum(segre) + 2, segre)
+    zero = NonlinearField(eval=lambda t, x: np.zeros(len(x)))
+    red = _Reduced(make_dae(ws.pencil.a, ws.pencil.b, zero))
+    assert red.nu == max(segre)
+    assert list(red.wedge_blocks) == list(range(1, red.nu - 1))
+    assert all(blk.dim for blk in red.wedge_blocks.values())
+    assert ({label for label in red.levels if label.startswith("wedge")}
+            == {f"wedge_level_{s}" for s in red.wedge_blocks})
+
+
+def _run_route(dae, pb, approach, opts):
+    """(reduction, trajectory) of the problem's pair with the field of
+    `dae`, on the direct or the cascade route."""
+    t0 = opts.t0
+    if approach == "first":
+        red = reduce_first(dae)
+        x0 = consistent_initialize(red, t0, pb.x_guess)
+        return red, integrate_first(red, t0, x0, opts)
+    red = reduce_cascade(dae)
+    return red, integrate_cascade(red, t0, dae.projectors.p1 @ pb.x_guess,
+                                  opts)
+
+
+def _empty_kept_factors_before_each_solve(monkeypatch):
+    solve_newton = reduction.solve_newton
+
+    def cold(problem, t, p, y0, opts=None, history=None, jac_cache=None):
+        if jac_cache is not None:
+            jac_cache.factors = None
+        return solve_newton(problem, t, p, y0, opts, history, jac_cache)
+
+    monkeypatch.setattr(reduction, "solve_newton", cold)
+
+
+@pytest.mark.parametrize("approach", ["first", "cascade"])
+@pytest.mark.parametrize("name", ["index2_structured", "index3_chain"])
+def test_kept_level_factors_leave_the_trajectory_unchanged(name, approach,
+                                                           monkeypatch):
+    # every level equation here is affine, so a step with kept factors is
+    # the step a fresh Newton iteration takes
+    pb = load_builtin(name)
+    _, kept = _run_route(pb.dae, pb, approach, pb.options)
+    _empty_kept_factors_before_each_solve(monkeypatch)
+    _, cold = _run_route(pb.dae, pb, approach, pb.options)
+    assert kept.times.tobytes() == cold.times.tobytes()
+    assert kept.states.tobytes() == cold.states.tobytes()
+    assert kept.stats == cold.stats
+
+
+@pytest.mark.parametrize("approach", ["first", "cascade"])
+@pytest.mark.parametrize("name", ["index2_structured", "index3_chain"])
+def test_chain_level_evaluates_its_jacobian_once_per_time(name, approach,
+                                                          monkeypatch):
+    # the implicit derivative's factorisation at a solved time serves the
+    # level's next Newton solve; beyond that, each level evaluates its
+    # Jacobian at its first solve and the kernel at its rare refreshes
+    pb = load_builtin(name)
+    calls = [0]
+
+    def jac(t, x):
+        calls[0] += 1
+        return pb.dae.field.jacobian(t, x)
+
+    dae = dataclasses.replace(
+        pb.dae, field=dataclasses.replace(pb.dae.field, jacobian=jac))
+    solved = Counter()
+    solve = _CascadeEvaluator._solve
+
+    def counting(self, label, *args):
+        solved[label] += 1
+        return solve(self, label, *args)
+
+    monkeypatch.setattr(_CascadeEvaluator, "_solve", counting)
+    red, traj = _run_route(dae, pb, approach, pb.options)
+    assert traj.termination.kind == "reached_tmax"
+    chain_solves = sum(n for label, n in solved.items()
+                       if label.startswith("chain_level"))
+    assert chain_solves > 50
+    assert calls[0] <= chain_solves + 2 * len(red.levels)
+
+
+def _cubic_chain_row(pb):
+    """index2_structured's pair with a chain row whose Jacobian changes
+    along a run: the level equation 0.5 x3 + 0.1 x3^3 = 0.8 sin t has the
+    derivative 0.5 + 0.3 x3^2, so kept factors are never exact."""
+    base = pb.dae.field
+
+    def ev(t, x):
+        f = base.eval(t, x)
+        f[2] = 0.5 * x[2] - 0.1 * x[2] ** 3 + 0.8 * np.sin(t)
+        return f
+
+    def jac(t, x):
+        j = base.jacobian(t, x)
+        j[2, 2] = 0.5 - 0.3 * x[2] ** 2
+        return j
+
+    fld = dataclasses.replace(base, eval=ev, jacobian=jac)
+    return make_dae(pb.dae.pencil.a, pb.dae.pencil.b, fld)
+
+
+def test_kept_factors_follow_a_varying_chain_jacobian(monkeypatch):
+    pb = load_builtin("index2_structured")
+    dae = _cubic_chain_row(pb)
+    opts = dataclasses.replace(pb.options, rtol=1e-10, atol=1e-12)
+    routes = ("first", "cascade")
+    kept = {a: _run_route(dae, pb, a, opts)[1] for a in routes}
+    _empty_kept_factors_before_each_solve(monkeypatch)
+    for a in routes:
+        cold = _run_route(dae, pb, a, opts)[1]
+        assert kept[a].termination.kind == "reached_tmax"
+        assert cold.termination.kind == "reached_tmax"
+        assert np.abs(kept[a].states[-1] - cold.states[-1]).max() <= 1e-10
+    gap = np.abs(kept["first"].states[-1] - kept["cascade"].states[-1]).max()
+    assert gap <= 1e-7
