@@ -23,9 +23,9 @@ from .implicit import (ImplicitProblem, JacobianCache, SolveOptions,
                        consistent_initialize, implicit_derivative,
                        solve_fixed_point, solve_newton)
 from .reduction import (NonlinearField, ReducedCascade, ReducedFirst,
-                        SemilinearDAE, StructureCheckConfig, StructureReport,
-                        StructureTag, check_structure, reduce_cascade,
-                        reduce_first, residual_L0)
+                        SemilinearDAE, StructureReport, StructureTag,
+                        check_structure, reduce_cascade, reduce_first,
+                        residual_L0)
 from .integrate import (IntegrationOptions, TerminationReason, Trajectory,
                         TrajectoryInternals, classify_termination,
                         integrate_cascade, integrate_first)

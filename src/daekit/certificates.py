@@ -10,7 +10,7 @@ computed trajectories rather than asserted statically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from typing import Callable
 
 import numpy as np
@@ -38,6 +38,19 @@ VIOLATED = "hypotheses_violated"
 UNDECIDED = "inconclusive"
 
 
+# Sampler knobs.  A deterministic grid (times crossed with coordinate
+# directions at magnitudes that are multiples of R) comes before the random
+# fill; the fill gives up after _MAX_ATTEMPT_FACTOR draws per wanted sample.
+_GRID_TIMES = (0.0, 1.0, 10.0, 100.0)
+_GRID_MAGNITUDES = (1.0, 10.0, 100.0)
+_MAX_ATTEMPT_FACTOR = 8
+_GRAD_CHECK_POINTS = 3          # samples on which V's gradients are checked
+_KERNEL_LADDER = (1.0, 2.0, 4.0, 8.0)   # bounds b of the Lagrange ladder
+_TIE_TOLERANCE = 1e-9           # relative, for the active component of V
+_PROBE_WINDOWS = 40             # geometric windows of probe_integral
+_PROBE_TAIL = 1e-2              # tail fraction below which it converges
+
+
 @dataclass
 class LyapunovComponent:
     eval: Callable
@@ -50,24 +63,23 @@ class LyapunovSpec:
 
     components: list
     kind: str = "max"  # "max" for solvability/stability, "min" for escape
-    tie_tolerance: float = 1e-9
 
-    def value(self, w) -> float:
-        vals = [float(c.eval(w)) for c in self.components]
-        return max(vals) if self.kind == "max" else min(vals)
-
-    def active_index(self, w) -> int:
-        """Lowest index among components tied at the extremum."""
+    def _extremum(self, w) -> tuple[float, int]:
+        """V(w) and the lowest index among components tied at it."""
         vals = [float(c.eval(w)) for c in self.components]
         target = max(vals) if self.kind == "max" else min(vals)
         for k, v in enumerate(vals):
-            if abs(v - target) <= self.tie_tolerance * (1.0 + abs(target)):
-                return k
-        return int(np.argmax(vals) if self.kind == "max" else np.argmin(vals))
+            if abs(v - target) <= _TIE_TOLERANCE * (1.0 + abs(target)):
+                return target, k
+        # an infinite extremum ties with nothing (inf - inf is NaN)
+        return target, int(np.argmax(vals) if self.kind == "max"
+                           else np.argmin(vals))
 
-    def active_gradient(self, w) -> np.ndarray:
-        return np.asarray(self.components[self.active_index(w)].gradient(w),
-                          dtype=float)
+    def value(self, w) -> float:
+        return self._extremum(w)[0]
+
+    def active_index(self, w) -> int:
+        return self._extremum(w)[1]
 
     def validate(self, points, rtol: float = 1e-4) -> float:
         """Check nonnegativity and gradient-vs-finite-difference agreement."""
@@ -103,17 +115,14 @@ class ComparisonSpec:
 
 @dataclass
 class SamplerConfig:
+    """The settable part of the sample cloud: its size and seed, the range
+    of the log-uniform times, and the span of the log-uniform magnitudes."""
+
     n_samples: int = 500
     seed: int = 42
     t_low: float = 1e-3
     t_high: float = 1e3
     w_span: float = 1e3          # magnitudes log-uniform on [R, R * w_span]
-    max_attempt_factor: int = 8
-    grad_check_points: int = 3
-    # deterministic grid drawn before the random fill: times crossed with
-    # coordinate directions at a ladder of magnitudes
-    grid_times: tuple = (0.0, 1.0, 10.0, 100.0)
-    grid_magnitudes: tuple = (1.0, 10.0, 100.0)  # multiples of R
 
 
 @dataclass
@@ -127,15 +136,7 @@ class CertificateReport:
     extras: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "samples_checked": self.samples_checked,
-            "violations": self.violations,
-            "integral_U": self.integral_U,
-            "integral_psi": self.integral_psi,
-            "verdict": self.verdict,
-            "extras": self.extras,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -147,19 +148,8 @@ class MonitorReport:
     in_region_fraction: float | None = None
     first_exit_index: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "worst_margin": self.worst_margin,
-            "worst_margin_relative": self.worst_margin_relative,
-            "worst_pair": list(self.worst_pair),
-            "in_region_fraction": self.in_region_fraction,
-            "first_exit_index": self.first_exit_index,
-        }
-
 
 def probe_integral(g: Callable, lower: float, kind: str = "over_value",
-                   windows: int = 40, eps_int: float = 1e-2,
                    trace: list | None = None) -> str:
     """Heuristic classification of the improper integral of g.
 
@@ -171,10 +161,10 @@ def probe_integral(g: Callable, lower: float, kind: str = "over_value",
     """
     if kind == "over_value":
         base = max(lower, 1e-6)
-        edges = [base * 2.0 ** k for k in range(windows + 1)]
+        edges = [base * 2.0 ** k for k in range(_PROBE_WINDOWS + 1)]
     elif kind == "over_time":
         start = max(lower, 0.0)
-        edges = [start] + [start + 2.0 ** k for k in range(windows)]
+        edges = [start] + [start + 2.0 ** k for k in range(_PROBE_WINDOWS)]
     else:
         raise ValueError("kind must be 'over_value' or 'over_time'")
 
@@ -209,7 +199,7 @@ def probe_integral(g: Callable, lower: float, kind: str = "over_value",
     tail_fraction = float(np.sum(contributions[-3:]) / total)
     if tail_ratio >= 0.995:
         return DIVERGES
-    if tail_ratio <= 0.95 and tail_fraction <= max(eps_int, 1e-12):
+    if tail_ratio <= 0.95 and tail_fraction <= _PROBE_TAIL:
         return CONVERGES
     if tail_fraction <= 1e-9:
         return CONVERGES
@@ -224,30 +214,24 @@ class _DriftAdapter:
         self.basis = orth_basis(reduced.w_projector)
         self._state = reduced.make_state()
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
     def drift(self, t: float, w: np.ndarray):
         """Drift vector and the assembled on-manifold state at (t, w)."""
         return self.reduced.drift(t, w, self._state)
 
-    def x20_part(self, x: np.ndarray) -> np.ndarray:
-        return self.reduced.ps.p20 @ x
 
-
-def _grid_points(adapter: _DriftAdapter, comp: ComparisonSpec,
-                 cfg: SamplerConfig):
-    for t in cfg.grid_times:
-        for mag in cfg.grid_magnitudes:
-            for k in range(adapter.dim):
-                for sign in (1.0, -1.0):
-                    yield t, adapter.basis[:, k] * (sign * mag * comp.R)
+def _draw_direction(rng, adapter: _DriftAdapter, cfg: SamplerConfig):
+    """A log-uniform time and a unit direction of the reduced coordinates,
+    or None for a zero direction."""
+    t = 10.0 ** rng.uniform(np.log10(cfg.t_low), np.log10(cfg.t_high))
+    direction = rng.standard_normal(adapter.basis.shape[1])
+    nrm = float(np.linalg.norm(direction))
+    return None if nrm == 0.0 else (t, direction / nrm)
 
 
 def _draw_samples(adapter: _DriftAdapter, comp: ComparisonSpec,
-                  cfg: SamplerConfig, region_required: bool):
-    """Deterministic grid first, then seeded random fill up to n_samples."""
+                  cfg: SamplerConfig, region: Callable | None):
+    """(t, w, drift) triples: the grid first, then a seeded random fill up
+    to n_samples, keeping points inside `region` when one is given."""
     rng = np.random.default_rng(cfg.seed)
     want = cfg.n_samples
     out = []
@@ -255,31 +239,30 @@ def _draw_samples(adapter: _DriftAdapter, comp: ComparisonSpec,
 
     def try_add(t, w):
         nonlocal failures
-        if region_required and comp.domain_set is not None \
-                and not comp.domain_set(w):
+        if region is not None and not region(w):
             return
         try:
-            dw, x = adapter.drift(t, w)
+            dw, _ = adapter.drift(t, w)
         except (NoConvergence, ConstraintSolveFailure):
             failures += 1
             return
-        out.append((t, w, dw, x))
+        out.append((t, w, dw))
 
-    for t, w in _grid_points(adapter, comp, cfg):
+    grid = ((t, adapter.basis[:, k] * (sign * mag * comp.R))
+            for t in _GRID_TIMES for mag in _GRID_MAGNITUDES
+            for k in range(adapter.basis.shape[1]) for sign in (1.0, -1.0))
+    for t, w in grid:
         if len(out) >= want:
             break
         try_add(t, w)
 
     attempts = 0
-    max_attempts = cfg.max_attempt_factor * want
-    while len(out) < want and attempts < max_attempts:
+    while len(out) < want and attempts < _MAX_ATTEMPT_FACTOR * want:
         attempts += 1
-        t = 10.0 ** rng.uniform(np.log10(cfg.t_low), np.log10(cfg.t_high))
-        direction = rng.standard_normal(adapter.dim)
-        nrm = float(np.linalg.norm(direction))
-        if nrm == 0.0:
+        draw = _draw_direction(rng, adapter, cfg)
+        if draw is None:
             continue
-        direction /= nrm
+        t, direction = draw
         mag = 10.0 ** rng.uniform(np.log10(comp.R),
                                   np.log10(comp.R * cfg.w_span))
         try_add(t, adapter.basis @ (mag * direction))
@@ -291,37 +274,70 @@ def _draw_samples(adapter: _DriftAdapter, comp: ComparisonSpec,
     return out
 
 
-def _slack(lhs: float, rhs: float) -> float:
-    return 1e-9 * (1.0 + abs(lhs) + abs(rhs))
+def _gradient_side(dw, w, active: LyapunovComponent) -> float:
+    """<drift, grad V_active>, the left side of the gradient checks."""
+    return float(np.dot(dw, np.asarray(active.gradient(w), dtype=float)))
 
 
-def _envelope(comp: ComparisonSpec, v: float, t: float) -> float:
-    """U(V) psi(t) at one sample; an overflow inside U or psi reads as inf."""
-    try:
-        return comp.U(v) * comp.psi(t)
-    except OverflowError:
-        return math.inf
+def _probes(comp: ComparisonSpec):
+    """Classes of the integrals of 1/U over values and of psi over time,
+    declared ones first, and the windows of the probes that ran."""
+    traces = {"U": [], "psi": []}
+    u_probe = comp.declared_U_integral
+    if u_probe is None:
+        u_probe = probe_integral(lambda u: 1.0 / comp.U(u), lower=1.0,
+                                 kind="over_value", trace=traces["U"])
+    psi_probe = comp.declared_psi_integral
+    if psi_probe is None:
+        psi_probe = probe_integral(comp.psi, lower=0.0, kind="over_time",
+                                   trace=traces["psi"])
+    return u_probe, psi_probe, traces
 
 
-def _require_finite(t: float, lhs: float, rhs: float) -> None:
-    """End the check at a sample with a non-finite side: every comparison
-    with NaN is false, so such a sample would count as satisfied."""
-    if not (math.isfinite(lhs) and math.isfinite(rhs)):
-        raise SamplingFailure(f"non-finite sample at t={t:.6g}: "
-                              f"lhs {lhs}, rhs {rhs}")
+def _verdict(violations: list, passes: bool) -> str:
+    return VIOLATED if violations else PASS if passes else UNDECIDED
 
 
-def _probe_U(comp: ComparisonSpec, trace: list | None = None) -> str:
-    if comp.declared_U_integral is not None:
-        return comp.declared_U_integral
-    return probe_integral(lambda u: 1.0 / comp.U(u), lower=1.0,
-                          kind="over_value", trace=trace)
-
-
-def _probe_psi(comp: ComparisonSpec, trace: list | None = None) -> str:
-    if comp.declared_psi_integral is not None:
-        return comp.declared_psi_integral
-    return probe_integral(comp.psi, lower=0.0, kind="over_time", trace=trace)
+def _sampled_check(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
+                   cfg: SamplerConfig, kind: str, lhs: Callable,
+                   direction: str, passes: Callable,
+                   region: Callable | None = None,
+                   extras: dict | None = None) -> CertificateReport:
+    """lhs(drift, w, active component) <= U(V) psi(t) ("le"), or >= ("ge"),
+    on sampled manifold points, then the probes of both integrals.  The
+    verdict is VIOLATED on any violation, else PASS if `passes(integral_U,
+    integral_psi)`.  A non-finite side ends the check in a SamplingFailure
+    (NaN fails every comparison, so it would count as satisfied); numpy's
+    overflow warnings on the way to it are muted.
+    """
+    adapter = _DriftAdapter(reduced)
+    violations = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = _draw_samples(adapter, comp, cfg, region)
+        lyap.validate([w for (_, w, _) in samples[:_GRAD_CHECK_POINTS]])
+        for t, w, dw in samples:
+            v, k = lyap._extremum(w)
+            try:
+                rhs = comp.U(v) * comp.psi(t)
+            except OverflowError:  # inside U or psi: reads as inf
+                rhs = math.inf
+            side = lhs(dw, w, lyap.components[k])
+            if not (math.isfinite(side) and math.isfinite(rhs)):
+                raise SamplingFailure(f"non-finite sample at t={t:.6g}: "
+                                      f"lhs {side}, rhs {rhs}")
+            slack = 1e-9 * (1.0 + abs(side) + abs(rhs))
+            if (side > rhs + slack if direction == "le"
+                    else side < rhs - slack):
+                violations.append({"t": t, "w": w.tolist(), "lhs": side,
+                                   "rhs": rhs})
+    u_probe, psi_probe, traces = _probes(comp)
+    return CertificateReport(kind=kind, samples_checked=len(samples),
+                             violations=violations, integral_U=u_probe,
+                             integral_psi=psi_probe,
+                             verdict=_verdict(violations,
+                                              passes(u_probe, psi_probe)),
+                             extras={**(extras or {}),
+                                     "probe_traces": traces})
 
 
 def check_global_solvability(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
@@ -335,88 +351,55 @@ def check_global_solvability(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
     """
     if lyap.kind != "max":
         raise ValueError("global-solvability certificates use a max combination")
-    cfg = sampler or SamplerConfig()
-    adapter = _DriftAdapter(reduced)
-    samples = _draw_samples(adapter, comp, cfg, region_required=False)
-    lyap.validate([w for (_, w, _, _) in samples[:cfg.grad_check_points]])
-    violations = []
-    for t, w, dw, _x in samples:
-        rhs = _envelope(comp, lyap.value(w), t)
-        if mode == "gradient":
-            lhs = float(np.dot(dw, lyap.active_gradient(w)))
-        elif mode == "norm_lipschitz":
-            lhs = float(np.linalg.norm(dw))
-        else:
-            raise ValueError("mode must be 'gradient' or 'norm_lipschitz'")
-        _require_finite(t, lhs, rhs)
-        if lhs > rhs + _slack(lhs, rhs):
-            violations.append({"t": t, "w": w.tolist(), "lhs": lhs, "rhs": rhs})
-    traces = {"U": [], "psi": []}
-    u_probe = _probe_U(comp, traces["U"])
-    psi_probe = _probe_psi(comp, traces["psi"])
-    if violations:
-        verdict = VIOLATED
-    elif u_probe == DIVERGES:
-        verdict = PASS
+    if mode == "gradient":
+        kind, lhs = "global_solvability", _gradient_side
+    elif mode == "norm_lipschitz":
+        kind = "global_solvability_norm"
+        lhs = lambda dw, w, active: float(np.linalg.norm(dw))
     else:
-        verdict = UNDECIDED
-    kind = ("global_solvability" if mode == "gradient"
-            else "global_solvability_norm")
-    return CertificateReport(kind=kind, samples_checked=len(samples),
-                             violations=violations, integral_U=u_probe,
-                             integral_psi=psi_probe, verdict=verdict,
-                             extras={"probe_traces": traces})
+        raise ValueError("mode must be 'gradient' or 'norm_lipschitz'")
+    return _sampled_check(reduced, lyap, comp, sampler or SamplerConfig(),
+                          kind, lhs, "le",
+                          passes=lambda u, psi: u == DIVERGES)
 
 
 def check_lagrange_stability(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
                              sampler: SamplerConfig | None = None,
-                             mode: str = "gradient",
-                             ladder=(1.0, 2.0, 4.0, 8.0)) -> CertificateReport:
+                             mode: str = "gradient") -> CertificateReport:
     """Global-existence check plus integrable time weight plus an empirical
     boundedness ladder for the kernel component."""
     cfg = sampler or SamplerConfig()
     base = check_global_solvability(reduced, lyap, comp, cfg, mode)
-    psi_probe = base.integral_psi
-    if base.verdict == VIOLATED:
-        verdict = VIOLATED
-    elif base.integral_U == DIVERGES and psi_probe == CONVERGES:
-        verdict = PASS
-    else:
-        verdict = UNDECIDED
+    verdict = _verdict(base.violations, base.integral_U == DIVERGES
+                       and base.integral_psi == CONVERGES)
 
     # kernel-component bound K(b) over manifold samples with bounded
-    # explicit part
+    # explicit part; a fresh adapter, so its warm starts are its own
     adapter = _DriftAdapter(reduced)
     rng = np.random.default_rng(cfg.seed + 1)
     kb = {}
-    per_b = max(16, cfg.n_samples // (4 * max(len(ladder), 1)))
-    for b in ladder:
+    per_b = max(16, cfg.n_samples // (4 * len(_KERNEL_LADDER)))
+    for b in _KERNEL_LADDER:
         worst = 0.0
         placed = 0
         attempts = 0
-        while placed < per_b and attempts < cfg.max_attempt_factor * per_b:
+        while placed < per_b and attempts < _MAX_ATTEMPT_FACTOR * per_b:
             attempts += 1
-            t = 10.0 ** rng.uniform(np.log10(cfg.t_low), np.log10(cfg.t_high))
-            direction = rng.standard_normal(adapter.dim)
-            nrm = float(np.linalg.norm(direction))
-            if nrm == 0.0:
+            draw = _draw_direction(rng, adapter, cfg)
+            if draw is None:
                 continue
-            w = adapter.basis @ (direction / nrm * rng.uniform(0.0, b))
+            t, direction = draw
+            w = adapter.basis @ (direction * rng.uniform(0.0, b))
             try:
                 _, x = adapter.drift(t, w)
             except (NoConvergence, ConstraintSolveFailure):
                 continue
             placed += 1
-            worst = max(worst, float(np.linalg.norm(adapter.x20_part(x))))
+            worst = max(worst, float(np.linalg.norm(reduced.ps.p20 @ x)))
         kb[str(b)] = worst
-    extras = dict(base.extras)
-    extras["kernel_bound_ladder"] = kb
-    return CertificateReport(kind="lagrange_stability",
-                             samples_checked=base.samples_checked,
-                             violations=base.violations,
-                             integral_U=base.integral_U,
-                             integral_psi=psi_probe, verdict=verdict,
-                             extras=extras)
+    return replace(
+        base, kind="lagrange_stability", verdict=verdict,
+        extras={**base.extras, "kernel_bound_ladder": kb})
 
 
 def check_blowup_certificate(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
@@ -433,31 +416,11 @@ def check_blowup_certificate(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
         raise ValueError("escape certificates use a min combination")
     if comp.domain_set is None:
         raise ValueError("escape certificates need a declared region")
-    cfg = sampler or SamplerConfig()
-    adapter = _DriftAdapter(reduced)
-    samples = _draw_samples(adapter, comp, cfg, region_required=True)
-    lyap.validate([w for (_, w, _, _) in samples[:cfg.grad_check_points]])
-    violations = []
-    for t, w, dw, _x in samples:
-        rhs = _envelope(comp, lyap.value(w), t)
-        lhs = float(np.dot(dw, lyap.active_gradient(w)))
-        _require_finite(t, lhs, rhs)
-        if lhs < rhs - _slack(lhs, rhs):
-            violations.append({"t": t, "w": w.tolist(), "lhs": lhs, "rhs": rhs})
-    traces = {"U": [], "psi": []}
-    u_probe = _probe_U(comp, traces["U"])
-    psi_probe = _probe_psi(comp, traces["psi"])
-    if violations:
-        verdict = VIOLATED
-    elif u_probe == CONVERGES and psi_probe == DIVERGES:
-        verdict = PASS
-    else:
-        verdict = UNDECIDED
-    return CertificateReport(kind="blowup", samples_checked=len(samples),
-                             violations=violations, integral_U=u_probe,
-                             integral_psi=psi_probe, verdict=verdict,
-                             extras={"region": comp.domain_label,
-                                     "probe_traces": traces})
+    return _sampled_check(
+        reduced, lyap, comp, sampler or SamplerConfig(), "blowup",
+        _gradient_side, "ge",
+        passes=lambda u, psi: u == CONVERGES and psi == DIVERGES,
+        region=comp.domain_set, extras={"region": comp.domain_label})
 
 
 def monitor_comparison(trajectory: Trajectory, lyap: LyapunovSpec,

@@ -7,7 +7,7 @@ above machine precision for O(N^3) arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,6 @@ class Tolerances:
     # Imaginary parts below this (relative) are trimmed when reporting
     # real-field results computed through a complex detour.
     imag_trim: float = 1e-10
-
-    def with_(self, **kw) -> "Tolerances":
-        return replace(self, **kw)
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -54,14 +54,6 @@ class ProjectorSet:
     fingerprint: str = ""
     residuals: dict = field(default_factory=dict)
 
-    def to_report(self) -> dict:
-        return {
-            "index": self.nu,
-            "kernel_dimension": self.n,
-            "multiplicities": list(self.multiplicities),
-            "identity_residuals": dict(self.residuals),
-        }
-
 
 def _outer(cols_left: np.ndarray, cols_right: np.ndarray) -> np.ndarray:
     """Sum of outer products  sum_k  left[:,k] right[:,k]^H."""

@@ -29,7 +29,7 @@ from .projectors import ProjectorSet
 
 __all__ = ["StructureTag", "NonlinearField", "SemilinearDAE", "ReducedFirst",
            "ReducedCascade", "reduce_first", "reduce_cascade", "residual_L0",
-           "check_structure", "StructureReport", "StructureCheckConfig"]
+           "check_structure", "StructureReport"]
 
 
 class StructureTag(enum.Enum):
@@ -313,10 +313,6 @@ class ReducedFirst(_Reduced):
         f = self.dae.field(t, x)
         return self.ps.a_tilde_inv @ (self.w_projector
                                       @ (f - self.dae.pencil.b @ x))
-
-    def f2_star_components(self, t, x1, x2_sigma, x20):
-        return self.f2_star(t, np.asarray(x1) + np.asarray(x2_sigma)
-                            + np.asarray(x20))
 
     # -- algebraic solve -----------------------------------------------------
     def solve_x20(self, t, x12, state: "_CascadeEvaluator | None" = None,
@@ -611,13 +607,11 @@ class _CascadeEvaluator:
 # structure verification
 
 
-@dataclass
-class StructureCheckConfig:
-    n_samples: int = 32
-    rel_perturbation: float = 1e-2
-    seed: int = 1234
-    tol: float | None = None
-    state_scale: float = 1.0
+# sampling of the structure check: states standard normal per coordinate,
+# times uniform on [0, 10], each excluded direction moved by _STRUCT_STEP
+_STRUCT_SAMPLES = 32
+_STRUCT_STEP = 1e-2
+_STRUCT_SEED = 1234
 
 
 @dataclass
@@ -628,18 +622,16 @@ class StructureReport:
     per_projection: dict = dc_field(default_factory=dict)
 
 
-def check_structure(dae: SemilinearDAE,
-                    config: StructureCheckConfig | None = None
-                    ) -> StructureReport:
+def check_structure(dae: SemilinearDAE) -> StructureReport:
     """Sampled verification of the declared field structure.
 
     For every projected component that the declared structure restricts,
     sample states, perturb only the excluded state slices, and measure the
     induced change of the projected component.  Raises StructureViolation
-    on the first projection whose observed dependence exceeds tolerance.
+    on the first projection whose observed dependence exceeds
+    `dae.tol.struct_dep`.
     """
-    cfg = config or StructureCheckConfig()
-    tol = cfg.tol if cfg.tol is not None else dae.tol.struct_dep
+    tol = dae.tol.struct_dep
     tag = dae.field.structure_tag
     nu = dae.projectors.nu
     if tag is StructureTag.GENERAL:
@@ -675,7 +667,7 @@ def check_structure(dae: SemilinearDAE,
         allowed |= {("wedge", i) for i in range(s, nu - 1)}
         checks.append((f"wedge_rows_level_{s}", rc.wedge_blocks[s].q, allowed))
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(_STRUCT_SEED)
     report: dict[str, float] = {}
     worst_label, worst_dep = "<none>", 0.0
     for label, q_cols, allowed in checks:
@@ -688,15 +680,15 @@ def check_structure(dae: SemilinearDAE,
                 excluded.extend(dirs)
         dep = 0.0
         sample = None
-        for _ in range(cfg.n_samples):
+        for _ in range(_STRUCT_SAMPLES):
             t = float(rng.uniform(0.0, 10.0))
-            x = cfg.state_scale * rng.standard_normal(n_dim)
+            x = rng.standard_normal(n_dim)
             base = q_cols.conj().T @ dae.field(t, x)
             for direction in excluded:
-                h = cfg.rel_perturbation * cfg.state_scale
-                moved = q_cols.conj().T @ dae.field(t, x + h * direction)
+                moved = q_cols.conj().T @ dae.field(
+                    t, x + _STRUCT_STEP * direction)
                 delta = float(np.linalg.norm(moved - base)) / (
-                    h * max(1.0, float(np.linalg.norm(base))))
+                    _STRUCT_STEP * max(1.0, float(np.linalg.norm(base))))
                 if delta > dep:
                     dep = delta
                     sample = (t, x.copy())

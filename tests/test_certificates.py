@@ -9,6 +9,7 @@ from daekit import (ComparisonSpec, IntegrationOptions, LyapunovComponent,
                     check_lagrange_stability, consistent_initialize,
                     integrate_first, monitor_comparison, probe_integral,
                     reduce_first)
+from daekit import certificates
 from daekit.certificates import CONVERGES, DIVERGES, INCONCLUSIVE, PASS, \
     UNDECIDED, VIOLATED
 from daekit.problems import load_builtin
@@ -96,6 +97,17 @@ def test_norm_mode():
     assert rep.violations == []
 
 
+def test_unknown_mode_rejected_before_sampling(monkeypatch):
+    def no_drift(self, t, w):
+        raise AssertionError("drift solved before the mode was checked")
+
+    monkeypatch.setattr(certificates._DriftAdapter, "drift", no_drift)
+    red, pb = stable_setup()
+    with pytest.raises(ValueError, match="mode must be"):
+        check_global_solvability(red, sq_norm(), pb.comparison(),
+                                 mode="bogus")
+
+
 # -- stability ---------------------------------------------------------------
 
 def test_lagrange_stability_fixture():
@@ -174,7 +186,6 @@ def test_sampling_failure_on_unreachable_region():
                                  SamplerConfig(n_samples=32))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("check", [check_global_solvability,
                                    check_lagrange_stability])
 def test_non_finite_sample_is_a_sampling_failure(check):
@@ -186,7 +197,6 @@ def test_non_finite_sample_is_a_sampling_failure(check):
         check(red, pb.lyapunov(), comp)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("envelope", [lambda u: float("nan"),
                                       lambda u: 2.0 * u ** 400])
 def test_non_finite_envelope_ends_the_escape_check(envelope):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -178,7 +179,6 @@ def test_byte_identical_outputs(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name, radius", [("index1_stable", 1e300),
                                           ("index1_cubic_blowup", 1e80)])
 def test_non_finite_certificate_sample_exit_two(tmp_path, capsys, name,
@@ -191,6 +191,23 @@ def test_non_finite_certificate_sample_exit_two(tmp_path, capsys, name,
     assert run(["certify", str(path), "--out", str(tmp_path)]) == 2
     assert ("error: SamplingFailure: non-finite sample at t="
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("name", ["index1_stable", "index1_cubic_blowup"])
+def test_overflowing_certificate_samples_warn_nothing(tmp_path, capsys,
+                                                      name):
+    # at R = 1e300 the samples overflow in the drift, in V and in the
+    # level residuals; the classified error alone reaches stderr
+    path = tmp_path / "huge_radius.json"
+    path.write_text(json.dumps(edited_builtin(name, ("certificate", "R"),
+                                              1e300)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["certify", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: SamplingFailure: ")
 
 
 def test_sweep_start_longer_than_state_exit_two(tmp_path, capsys):

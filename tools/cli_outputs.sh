@@ -5,11 +5,11 @@
 #   tools/cli_outputs.sh SOURCE_ROOT OUT_DIR
 #
 # SOURCE_ROOT is a checkout of this repository; its src/ is imported, so it
-# needs no install.  Each of the 160 commands (analyze, reduce --approach
+# needs no install.  Each of the 180 commands (analyze, reduce --approach
 # auto|first|cascade, simulate --approach auto|first|cascade --format
 # csv|json, simulate --approach first|cascade --tol 1e-10, certify
-# --approach first|cascade, sweep --format csv|json, on each of the 10
-# fixtures) runs in a fresh process inside its own directory
+# --approach first|cascade with the default seed and with --seed 7, sweep
+# --format csv|json, on each of the 10 fixtures) runs in a fresh process inside its own directory
 # OUT_DIR/<fixture>/<command>, which receives the files written under --out
 # files, plus stdout, stderr and the exit code.  Each demo's stdout, stderr
 # and exit code go to OUT_DIR/demos.  Compare two trees with
@@ -43,6 +43,8 @@ commands=(
     "simulate --approach cascade --tol 1e-10"
     "certify --approach first"
     "certify --approach cascade"
+    "certify --approach first --seed 7"
+    "certify --approach cascade --seed 7"
     "sweep --format csv"
     "sweep --format json"
 )
