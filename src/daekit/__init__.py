@@ -19,9 +19,8 @@ from .pencil import (CanonicalSystem, Chain, DualSystem, Pencil,
 from .projectors import (ProjectorSet, build_all, build_projectors,
                          build_semi_inverses, build_tilde_A,
                          verify_projectors)
-from .implicit import (ImplicitProblem, JacobianCache, SolveOptions,
-                       consistent_initialize, implicit_derivative,
-                       solve_fixed_point, solve_newton)
+from .implicit import (ImplicitProblem, JacobianCache, consistent_initialize,
+                       implicit_derivative, solve_newton)
 from .reduction import (NonlinearField, ReducedCascade, ReducedFirst,
                         SemilinearDAE, StructureReport, StructureTag,
                         check_structure, reduce_cascade, reduce_first,

@@ -235,11 +235,12 @@ def _draw_samples(adapter: _DriftAdapter, comp: ComparisonSpec,
     rng = np.random.default_rng(cfg.seed)
     want = cfg.n_samples
     out = []
-    failures = 0
+    failures = outside = 0
 
     def try_add(t, w):
-        nonlocal failures
+        nonlocal failures, outside
         if region is not None and not region(w):
+            outside += 1
             return
         try:
             dw, _ = adapter.drift(t, w)
@@ -267,10 +268,11 @@ def _draw_samples(adapter: _DriftAdapter, comp: ComparisonSpec,
                                   np.log10(comp.R * cfg.w_span))
         try_add(t, adapter.basis @ (mag * direction))
     if len(out) < want:
+        rejected = "" if region is None else f"{outside} outside the region, "
         raise SamplingFailure(
             f"placed {len(out)}/{want} samples after the grid plus "
-            f"{attempts} random attempts ({failures} constraint-solve "
-            f"failures)")
+            f"{attempts} random attempts ({rejected}{failures} "
+            f"constraint-solve failures)")
     return out
 
 

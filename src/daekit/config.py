@@ -34,7 +34,7 @@ class Tolerances:
     traj: float = 1e-6
     # Maximum relative dependence tolerated by the structure check.
     struct_dep: float = 1e-7
-    # Inner algebraic solves (Newton / fixed point).
+    # Inner algebraic (Newton) solves.
     solver: float = 1e-12
     # Imaginary parts below this (relative) are trimmed when reporting
     # real-field results computed through a complex detour.

@@ -59,22 +59,21 @@ class StructureViolation(DaekitError):
 class NoConvergence(DaekitError):
     """An iterative solve did not reach the residual tolerance."""
 
-    def __init__(self, iters: int, last_residual: float,
-                 contraction_estimate: float | None = None, label: str = ""):
+    def __init__(self, iters: int, last_residual: float, label: str = ""):
         tag = f" [{label}]" if label else ""
+        # the fixed trailing ", contraction estimate None" keeps the text of
+        # the CLI's termination records stable
         super().__init__(
             f"no convergence{tag} after {iters} iterations, "
-            f"residual {last_residual:.3e}, "
-            f"contraction estimate {contraction_estimate}")
+            f"residual {last_residual:.3e}, contraction estimate None")
         self.iters = iters
         self.last_residual = last_residual
-        self.contraction_estimate = contraction_estimate
         self.label = label
 
 
 class SingularJacobian(DaekitError):
-    """The derivative of the residual is numerically singular and there is
-    no invertible anchor operator to fall back to."""
+    """The derivative of the residual is numerically singular, so the
+    algebraic equation is not uniquely solvable near the point."""
 
     def __init__(self, point=None, message: str = "singular jacobian"):
         super().__init__(message if point is None

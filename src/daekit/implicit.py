@@ -1,10 +1,9 @@
-"""Nonlinear algebraic solvers for the constraint equations.
+"""Nonlinear algebraic solver for the constraint equations.
 
-Two modes: an anchored fixed-point iteration (whose per-step contraction
-estimates are reported, so a failed contraction hypothesis is visible), and
-a damped Newton method with a fixed-point fallback, which can keep its
-Jacobian's LU factors across the solves of one run.  Plus implicit
-differentiation of a solved branch.
+Damped Newton on a factored, condition-checked Jacobian, which can keep its
+LU factors across the solves of one run: a numerically singular Jacobian
+raises SingularJacobian, the sign that the level's algebraic part is not
+uniquely solvable there.  Plus implicit differentiation of a solved branch.
 """
 
 from __future__ import annotations
@@ -19,32 +18,17 @@ import numpy as np
 from ._linalg import cond2, norm2
 from .errors import NoConvergence, SingularJacobian
 
-__all__ = ["ImplicitProblem", "SolveOptions", "JacobianCache",
-           "solve_fixed_point", "solve_newton", "implicit_derivative",
-           "consistent_initialize", "fd_jacobian"]
+__all__ = ["ImplicitProblem", "JacobianCache", "solve_newton",
+           "implicit_derivative", "consistent_initialize", "fd_jacobian"]
 
 
 @dataclass
 class ImplicitProblem:
-    """Residual F(t, p, y) with optional derivatives and anchor operator."""
+    """Residual F(t, p, y) with optional derivatives."""
 
     residual: Callable
     jac_y: Callable | None = None
     jac_t: Callable | None = None
-    anchor_W: np.ndarray | None = None
-
-
-@dataclass
-class SolveOptions:
-    tol: float = 1e-12
-    max_iter: int = 60
-    damping: float = 0.5
-
-    def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("tol must be positive and max_iter >= 1")
-        if not 0.0 < self.damping < 1.0:
-            raise ValueError("damping factor must lie in (0, 1)")
 
 
 @dataclass
@@ -74,6 +58,10 @@ class JacobianCache:
         return _lu_solve(self.factors, rhs)
 
 
+# Newton iterations per solve
+_MAX_ITER = 60
+# line-search step factor, and the shortest step tried
+_DAMPING = 0.5
 _MIN_STEP = 2.0 ** -20
 # condition number above which a matrix counts as singular
 _COND_CAP = 1e14
@@ -132,55 +120,16 @@ def _lu_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_fixed_point(problem: ImplicitProblem, t: float, p, y0,
-                      opts: SolveOptions | None = None,
-                      history: list | None = None) -> np.ndarray:
-    """Anchored iteration y <- y - W^{-1} F(t, p, y).
-
-    Per-step contraction estimates ||dy_k|| / ||dy_{k-1}|| are recorded in
-    `history` when given; an estimate >= 1 at failure signals that the
-    contraction hypothesis does not hold near this point.
-    """
-    opts = opts or SolveOptions()
-    if problem.anchor_W is None:
-        raise ValueError("fixed-point mode requires an anchor operator")
-    w = np.atleast_2d(np.asarray(problem.anchor_W, dtype=float))
-    if cond2(w) > _COND_CAP:
-        raise SingularJacobian(point=(t,), message="anchor operator singular")
-    y = _vec(y0).copy()
-    prev_step = None
-    contraction = None
-    for it in range(opts.max_iter):
-        f = _vec(problem.residual(t, p, y))
-        res = float(np.linalg.norm(f))
-        if history is not None:
-            history.append({"iter": it, "residual": res,
-                            "contraction": contraction})
-        if res <= opts.tol:
-            return y
-        if not np.isfinite(res) or res > 1e100:
-            raise NoConvergence(it + 1, res, contraction, label="fixed_point")
-        step = np.linalg.solve(w, f)
-        if prev_step is not None and prev_step > 0:
-            contraction = float(np.linalg.norm(step)) / prev_step
-        prev_step = float(np.linalg.norm(step))
-        y = y - step
-        if not np.all(np.isfinite(y)):
-            raise NoConvergence(it + 1, res, contraction, label="fixed_point")
-    f = _vec(problem.residual(t, p, y))
-    raise NoConvergence(opts.max_iter, float(np.linalg.norm(f)),
-                        contraction, label="fixed_point")
-
-
 def solve_newton(problem: ImplicitProblem, t: float, p, y0,
-                 opts: SolveOptions | None = None,
+                 tol: float = 1e-12,
                  history: list | None = None,
                  jac_cache: JacobianCache | None = None) -> np.ndarray:
     """Damped Newton with backtracking line search on ||F||.
 
-    Each Jacobian is LU-factored once.  Falls back to the anchored
-    fixed-point iteration when the Jacobian is numerically singular at an
-    iterate and an anchor is available; otherwise raises SingularJacobian.
+    Stops when ||F|| <= tol (absolute, positive).  Each Jacobian is
+    LU-factored once; a numerically singular one (zero pivot, or condition
+    estimate above 1e14) raises SingularJacobian.  Each iterate's residual
+    norm is appended to `history` when given.
 
     With `jac_cache` the solve first reuses the factors kept there
     (simplified Newton, Hairer & Wanner, Solving ODEs II, IV.8): a full step
@@ -188,7 +137,8 @@ def solve_newton(problem: ImplicitProblem, t: float, p, y0,
     Jacobian is evaluated and factored at the current iterate, stored in the
     cache, and the solve goes on as damped Newton.
     """
-    opts = opts or SolveOptions()
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     y = _vec(y0).copy()
     kept = jac_cache.factors if jac_cache is not None else None
 
@@ -199,10 +149,10 @@ def solve_newton(problem: ImplicitProblem, t: float, p, y0,
 
     f = _vec(problem.residual(t, p, y))
     res = norm2(f)
-    for it in range(opts.max_iter):
+    for it in range(_MAX_ITER):
         if history is not None:
             history.append({"iter": it, "residual": res})
-        if res <= opts.tol:
+        if res <= tol:
             return y
         if not math.isfinite(res):
             raise NoConvergence(it + 1, res, label="newton")
@@ -216,8 +166,6 @@ def solve_newton(problem: ImplicitProblem, t: float, p, y0,
             kept = None
         factors = _factor(jac(y, f))
         if factors is None:
-            if problem.anchor_W is not None:
-                return solve_fixed_point(problem, t, p, y, opts, history)
             raise SingularJacobian(point=(t, tuple(np.round(y, 6))))
         if jac_cache is not None:
             jac_cache.factors = factors
@@ -229,13 +177,13 @@ def solve_newton(problem: ImplicitProblem, t: float, p, y0,
             res_new = norm2(f_new)
             if math.isfinite(res_new) and res_new <= (1.0 - 1e-4 * alpha) * res:
                 break
-            alpha *= opts.damping
+            alpha *= _DAMPING
         else:
             raise NoConvergence(it + 1, res, label="newton-linesearch")
         y, f, res = y_new, f_new, res_new
-    if res <= opts.tol:
+    if res <= tol:
         return y
-    raise NoConvergence(opts.max_iter, res, label="newton")
+    raise NoConvergence(_MAX_ITER, res, label="newton")
 
 
 def implicit_derivative(problem: ImplicitProblem, t: float, p,

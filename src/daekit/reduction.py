@@ -20,10 +20,9 @@ import numpy as np
 
 from ._linalg import norm2, orth_basis
 from .config import Tolerances
-from .errors import (ConstraintSolveFailure, NoConvergence, SingularJacobian,
-                     StructureViolation)
-from .implicit import (ImplicitProblem, JacobianCache, SolveOptions,
-                       fd_jacobian, solve_newton)
+from .errors import (ConstraintSolveFailure, DaekitError, NoConvergence,
+                     SingularJacobian, StructureViolation)
+from .implicit import ImplicitProblem, JacobianCache, fd_jacobian, solve_newton
 from .pencil import CanonicalSystem, DualSystem, Pencil
 from .projectors import ProjectorSet
 
@@ -139,6 +138,12 @@ class _Reduced:
     """
 
     def __init__(self, dae: SemilinearDAE):
+        for name, mat in (("A", dae.pencil.a), ("B", dae.pencil.b)):
+            if np.iscomplexobj(mat):
+                # analysis takes complex pairs; a reduction would drop the
+                # imaginary parts of the field and of every solve
+                raise DaekitError(f"matrix {name} is complex: reduction "
+                                  "needs a real pair, as states are real")
         self.dae = dae
         ps = dae.projectors
         self.ps = ps
@@ -329,14 +334,11 @@ class ReducedFirst(_Reduced):
         guess = np.zeros(self.kernel.dim) if guess is None else guess
         # absolute tolerance scaled by the state magnitude: at large states
         # the floating-point floor of the residual grows alongside
-        state.kernel_opts.tol = tol * max(1.0, norm2(x12), norm2(guess))
-        if state.kernel_opts.tol <= 0:  # as SolveOptions would reject it
-            raise ValueError("tol must be positive")
+        tol = tol * max(1.0, norm2(x12), norm2(guess))
         d_vec = (state.algebraic_parts(t)["d_vec"] if self.differentiated
                  else None)
         c = solve_newton(self.levels["kernel_level"][1], t, (x12, d_vec, state),
-                         guess, state.kernel_opts,
-                         jac_cache=state.jac_caches["kernel_level"])
+                         guess, tol, jac_cache=state.jac_caches["kernel_level"])
         state.warm["kernel_level"] = c
         return self.kernel.lift(c), state
 
@@ -466,21 +468,20 @@ class _CascadeEvaluator:
         self.jac_caches = {label: JacobianCache() for label in rc.levels}
         self._chain_cache: dict[float, dict] = {}
         self._wedge_cache: dict[tuple[int, float], np.ndarray] = {}
-        self.opts = SolveOptions(tol=rc.tol.solver)
-        # of the kernel-level solve, its tolerance set per solve
-        self.kernel_opts = SolveOptions(tol=rc.tol.solver)
         # (t, key, f(t, x)) of the last level residual or drift, see _field
         self.field_at: tuple | None = None
 
-    def _solve(self, label: str, t: float, base, offset, opts: SolveOptions
+    def _solve(self, label: str, t: float, base, offset, scale: float = 1.0
                ) -> np.ndarray:
         """Coordinates of the level's component, warm-started from its last
-        solution and its kept Jacobian factors."""
+        solution and its kept Jacobian factors, to the solver tolerance
+        times `scale`."""
         blk, problem = self.rc.levels[label]
         guess = self.warm.get(label)
         guess = np.zeros(blk.dim) if guess is None else guess
         try:
-            c = solve_newton(problem, t, (base, offset, self), guess, opts,
+            c = solve_newton(problem, t, (base, offset, self), guess,
+                             self.rc.tol.solver * scale,
                              jac_cache=self.jac_caches[label])
         except NoConvergence as exc:
             raise ConstraintSolveFailure(t, label, exc)
@@ -502,7 +503,7 @@ class _CascadeEvaluator:
         for label, group in rc.chain_levels:
             blk = rc.levels[label][0]
             upper = sum((u.lift(c) for u, c, _ in reversed(above)), zero)
-            c = self._solve(label, t, upper, zero, self.opts)
+            c = self._solve(label, t, upper, zero)
             # implicit derivative with chain rule through upper levels; its
             # one factorisation of the level Jacobian at the solution is
             # kept for the level's next Newton solve
@@ -543,7 +544,7 @@ class _CascadeEvaluator:
                            for i in range(s + 1, rc.nu - 1)),
                           np.zeros(rc.dae.pencil.n_dim))
         c = self._solve(f"wedge_level_{s}", t, chain_part + upper_wedge,
-                        self.level_offset(s, t), self.opts)
+                        self.level_offset(s, t))
         if len(self._wedge_cache) >= 4 * self._CACHE_MAX:
             self._wedge_cache.pop(next(iter(self._wedge_cache)))
         self._wedge_cache[key] = c
@@ -597,9 +598,8 @@ class _CascadeEvaluator:
         rc = self.rc
         if rc.kernel.dim == 0:
             return np.zeros(rc.dae.pencil.n_dim)
-        self.kernel_opts.tol = self.opts.tol * max(1.0, norm2(x1))
         c = self._solve("kernel_level", t, x1 + parts["eta_2sigma"],
-                        parts["d_vec"], self.kernel_opts)
+                        parts["d_vec"], max(1.0, norm2(x1)))
         return rc.kernel.lift(c)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import daekit
 from daekit import cli
 from daekit.cli import run
-from daekit.problems import load_builtin
+from daekit.problems import LoadedProblem, load_builtin
 from test_problems import BAD_INPUTS, edited_builtin
 
 
@@ -208,6 +209,60 @@ def test_overflowing_certificate_samples_warn_nothing(tmp_path, capsys,
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: SamplingFailure: ")
+
+
+def test_sampling_failure_counts_region_rejections(tmp_path, capsys,
+                                                   monkeypatch):
+    # at R = 1e300 no sample places: about half the candidates fall outside
+    # the half-space, the rest fail their constraint solve, and the message
+    # gives both counts
+    rejected = []
+    comparison = LoadedProblem.comparison
+
+    def counting(self):
+        spec = comparison(self)
+        inside = spec.domain_set
+
+        def domain_set(w):
+            ok = inside(w)
+            if not ok:
+                rejected.append(w)
+            return ok
+        return dataclasses.replace(spec, domain_set=domain_set)
+
+    monkeypatch.setattr(LoadedProblem, "comparison", counting)
+    path = tmp_path / "huge_radius.json"
+    path.write_text(json.dumps(edited_builtin(
+        "index1_cubic_blowup", ("certificate", "R"), 1e300)))
+    assert run(["certify", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert rejected
+    assert (f"random attempts ({len(rejected)} outside the region, "
+            in err), err
+    assert "constraint-solve failures)" in err
+
+
+@pytest.mark.parametrize("command, code", [
+    ("analyze", 0), ("reduce", 2), ("simulate", 2), ("certify", 2),
+    ("sweep", 2)])
+def test_complex_pair_rejected_before_any_solve(tmp_path, capsys, command,
+                                                code):
+    # the states of a complex pair are not real: analysis runs, every
+    # command that reduces stops at once, before any imaginary part is cast
+    # away (simulate and sweep ended in NoConvergence, certify in a verdict)
+    path = tmp_path / "complex_b.json"
+    path.write_text(json.dumps(edited_builtin(
+        "index1_blowup", ("B",), [[0.0, 0.0], [0.0, [1.0, 0.5]]])))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([command, str(path), "--out", str(tmp_path)]) == code
+    assert caught == []
+    err = capsys.readouterr().err.splitlines()
+    if code == 0:
+        assert err == []
+    else:
+        assert err == ["error: DaekitError: matrix B is complex: reduction "
+                       "needs a real pair, as states are real"]
 
 
 def test_sweep_start_longer_than_state_exit_two(tmp_path, capsys):

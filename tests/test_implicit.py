@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from daekit import (ImplicitProblem, JacobianCache, NoConvergence,
-                    SingularJacobian, SolveOptions, consistent_initialize,
+                    SingularJacobian, consistent_initialize,
                     implicit_derivative, reduce_cascade, reduce_first,
-                    solve_fixed_point, solve_newton)
+                    solve_newton)
 from daekit._linalg import norm2
 from daekit.problems import load_builtin
 
@@ -26,39 +26,11 @@ def bisect_root(fun, lo, hi, tol=1e-12):
 CUBIC_ROOT = bisect_root(lambda y: y ** 3 + y - 1.0, 0.0, 1.0, tol=1e-14)
 
 
-def scalar_problem(fun, jac=None, anchor=None):
+def scalar_problem(fun, jac=None):
     return ImplicitProblem(
         residual=lambda t, p, y: np.array([fun(float(y[0]))]),
         jac_y=(None if jac is None
-               else lambda t, p, y: np.array([[jac(float(y[0]))]])),
-        anchor_W=anchor)
-
-
-def test_fixed_point_one_step():
-    prob = scalar_problem(lambda y: y - 3.5, anchor=np.array([[1.0]]))
-    y = solve_fixed_point(prob, 0.0, None, np.zeros(1))
-    assert abs(y[0] - 3.5) < 1e-12
-
-
-def test_fixed_point_cubic_vs_bisection():
-    # anchor at the derivative near the root
-    w = 3 * 0.6 ** 2 + 1.0
-    prob = scalar_problem(lambda y: y ** 3 + y - 1.0,
-                          anchor=np.array([[w]]))
-    hist = []
-    y = solve_fixed_point(prob, 0.0, None, np.zeros(1),
-                          SolveOptions(tol=1e-13),
-                          history=hist)
-    assert abs(y[0] - CUBIC_ROOT) < 1e-10
-    assert abs(y[0] - 0.6823278) < 1e-6
-    assert len(hist) >= 2  # contraction estimates recorded
-
-
-def test_fixed_point_no_real_root():
-    prob = scalar_problem(lambda y: y ** 2 + 1.0, anchor=np.array([[2.0]]))
-    with pytest.raises(NoConvergence) as err:
-        solve_fixed_point(prob, 0.0, None, np.zeros(1))
-    assert err.value.last_residual > 0
+               else lambda t, p, y: np.array([[jac(float(y[0]))]])))
 
 
 def test_newton_cubic_with_quadratic_tail():
@@ -66,7 +38,7 @@ def test_newton_cubic_with_quadratic_tail():
     prob = scalar_problem(lambda y: y ** 3 + y - 1.0,
                           jac=lambda y: 3 * y ** 2 + 1.0)
     y = solve_newton(prob, 0.0, None, np.zeros(1),
-                     SolveOptions(tol=1e-14), history=hist)
+                     1e-14, history=hist)
     assert abs(y[0] - CUBIC_ROOT) < 1e-10
     res = [h["residual"] for h in hist if h["residual"] > 0]
     # quadratic tail: each contraction above the fp floor squares the scale
@@ -86,28 +58,15 @@ def test_newton_linear_exact_in_one_step():
 
 def test_newton_degenerate_root():
     # derivative vanishes at the start while the residual does not:
-    # singular, and there is no anchor to fall back to
+    # singular, so SingularJacobian
     prob = scalar_problem(lambda y: y ** 2 + 1.0, jac=lambda y: 2 * y)
     with pytest.raises(SingularJacobian):
         solve_newton(prob, 0.0, None, np.zeros(1))
     # on the doubly degenerate root itself the damped iteration still
     # drives the residual below tolerance (the root converges at sqrt-rate)
     prob2 = scalar_problem(lambda y: y ** 2, jac=lambda y: 2 * y)
-    y = solve_newton(prob2, 0.0, None, np.ones(1), SolveOptions(tol=1e-12))
+    y = solve_newton(prob2, 0.0, None, np.ones(1), 1e-12)
     assert y[0] ** 2 <= 1e-12
-
-
-def test_newton_falls_back_to_anchor():
-    def fun(t, p, y):
-        return np.array([y[0] ** 3 - 0.001, y[1] + y[0]])
-
-    def jac(t, p, y):
-        return np.array([[3 * y[0] ** 2, 0.0], [1.0, 1.0]])
-
-    prob = ImplicitProblem(residual=fun, jac_y=jac,
-                           anchor_W=np.array([[0.03, 0.0], [1.0, 1.0]]))
-    y = solve_newton(prob, 0.0, None, np.zeros(2), SolveOptions(tol=1e-12))
-    assert abs(y[0] - 0.1) < 1e-6 and abs(y[1] + 0.1) < 1e-6
 
 
 def counted(jac):
@@ -145,63 +104,74 @@ def test_kept_factors_refreshed_on_slow_contraction():
 
     jac, calls = counted(slope)
     cache = JacobianCache()
-    opts = SolveOptions(tol=1e-13)
+    tol = 1e-13
     # factors taken at the distant root y = 10 (slope 301 against 1 at y = 0)
-    solve_newton(problem(jac), 0.0, 1010.0, np.array([10.0]), opts,
+    solve_newton(problem(jac), 0.0, 1010.0, np.array([10.0]), tol,
                  jac_cache=cache)
     calls.clear()
-    y = solve_newton(problem(jac), 0.0, 1.0, np.zeros(1), opts,
+    y = solve_newton(problem(jac), 0.0, 1.0, np.zeros(1), tol,
                      jac_cache=cache)
     assert calls and calls[0][0] == 0.0  # refreshed where the kept step failed
     assert abs(y[0] ** 3 + y[0] - 1.0) <= 1e-13
-    uncached = solve_newton(problem(slope), 0.0, 1.0, np.zeros(1), opts)
+    uncached = solve_newton(problem(slope), 0.0, 1.0, np.zeros(1), tol)
     assert abs(y[0] - uncached[0]) < 1e-10
     assert abs(y[0] - CUBIC_ROOT) < 1e-10
     # a nearby right-hand side converges on the kept factors alone
     calls.clear()
-    y2 = solve_newton(problem(jac), 0.0, 1.001, y, opts, jac_cache=cache)
+    y2 = solve_newton(problem(jac), 0.0, 1.001, y, tol, jac_cache=cache)
     assert not calls and abs(y2[0] ** 3 + y2[0] - 1.001) <= 1e-13
 
 
-@pytest.mark.parametrize("j, b, anchor", [
-    (np.diag([1.0, 1e-16]), np.array([1.0, 0.0]), np.eye(2)),
-    (np.ones((2, 2)), np.ones(2), np.array([[2.0, 1.0], [1.0, 2.0]]))])
-def test_newton_singular_jacobian(j, b, anchor):
+@pytest.mark.parametrize("j, b", [
+    (np.diag([1.0, 1e-16]), np.array([1.0, 0.0])),
+    (np.ones((2, 2)), np.ones(2))])
+def test_newton_singular_jacobian(j, b):
     # an ill-conditioned matrix and one with an exact zero pivot
     prob = ImplicitProblem(residual=lambda t, p, y: j @ y - b,
                            jac_y=lambda t, p, y: j)
     with pytest.raises(SingularJacobian):
         solve_newton(prob, 0.0, None, np.zeros(2), jac_cache=JacobianCache())
-    anchored = ImplicitProblem(residual=prob.residual, jac_y=prob.jac_y,
-                               anchor_W=anchor)
-    hist = []
-    y = solve_newton(anchored, 0.0, None, np.zeros(2), history=hist)
-    assert "contraction" in hist[-1]  # the fixed-point iteration finished
-    assert np.linalg.norm(j @ y - b) <= 1e-12
 
 
-def test_modes_agree_on_shared_corpus():
-    # scalar and 2-d residuals with known-by-oracle roots
-    cases = []
+@pytest.mark.parametrize("tol", [0.0, -1e-12])
+def test_newton_rejects_non_positive_tol(tol):
+    prob = ImplicitProblem(residual=lambda t, p, y: y - 1.0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve_newton(prob, 0.0, None, np.zeros(1), tol)
+
+
+def test_consistent_point_rejects_zero_tol():
+    pb = load_builtin("index1_blowup")
+    red = reduce_first(pb.dae)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        red.consistent_point(0.0, pb.x_guess, tol=0.0)
+
+
+def cardano_root(c):
+    """Independent oracle: the real root of y^3 + y - c in closed form."""
+    s = np.sqrt(c ** 2 / 4 + 1 / 27)
+    return np.cbrt(c / 2 + s) + np.cbrt(c / 2 - s)
+
+
+def test_newton_against_independent_oracles():
+    from scipy.optimize import fsolve
     for c in (0.5, 1.0, 2.0, 5.0):
-        root = bisect_root(lambda y, c=c: y ** 3 + y - c, 0.0, 3.0, 1e-14)
-        cases.append((
-            lambda t, p, y, c=c: np.array([y[0] ** 3 + y[0] - c]),
-            lambda t, p, y: np.array([[3 * y[0] ** 2 + 1.0]]),
-            np.array([[3 * root ** 2 + 1.0]]), np.zeros(1),
-            np.array([root])))
-    cases.append((
-        lambda t, p, y: np.array([y[0] + 0.1 * np.sin(y[1]) - 1.0,
-                                  y[1] + 0.1 * y[0] ** 2 - 2.0]),
-        None, np.eye(2), np.zeros(2), None))
-    for fun, jac, anchor, y0, oracle in cases:
-        prob = ImplicitProblem(residual=fun, jac_y=jac, anchor_W=anchor)
-        y_newton = solve_newton(prob, 0.0, None, y0, SolveOptions(tol=1e-13))
-        y_fixed = solve_fixed_point(prob, 0.0, None, y0,
-                                    SolveOptions(tol=1e-13))
-        assert np.abs(y_newton - y_fixed).max() < 1e-9
-        if oracle is not None:
-            assert np.abs(y_newton - oracle).max() < 1e-9
+        prob = scalar_problem(lambda y, c=c: y ** 3 + y - c,
+                              jac=lambda y: 3 * y ** 2 + 1.0)
+        y = solve_newton(prob, 0.0, None, np.zeros(1), 1e-13)
+        assert abs(y[0] - cardano_root(c)) < 1e-9
+
+    def fun(y):
+        return np.array([y[0] + 0.1 * np.sin(y[1]) - 1.0,
+                         y[1] + 0.1 * y[0] ** 2 - 2.0])
+
+    # finite-difference Jacobian on the Newton side, MINPACK hybrd on the
+    # reference side
+    prob = ImplicitProblem(residual=lambda t, p, y: fun(y))
+    y = solve_newton(prob, 0.0, None, np.zeros(2), 1e-13)
+    ref = fsolve(fun, np.zeros(2), xtol=1e-14)
+    assert np.abs(fun(ref)).max() < 1e-12
+    assert np.abs(y - ref).max() < 1e-9
 
 
 def test_implicit_derivative_explicit_branch():

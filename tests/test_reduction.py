@@ -342,10 +342,10 @@ def _run_route(dae, pb, approach, opts):
 def _empty_kept_factors_before_each_solve(monkeypatch):
     solve_newton = reduction.solve_newton
 
-    def cold(problem, t, p, y0, opts=None, history=None, jac_cache=None):
+    def cold(problem, t, p, y0, tol=1e-12, history=None, jac_cache=None):
         if jac_cache is not None:
             jac_cache.factors = None
-        return solve_newton(problem, t, p, y0, opts, history, jac_cache)
+        return solve_newton(problem, t, p, y0, tol, history, jac_cache)
 
     monkeypatch.setattr(reduction, "solve_newton", cold)
 
