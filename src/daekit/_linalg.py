@@ -52,18 +52,16 @@ def guarded_rank(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES,
 def svd(m: np.ndarray, full_matrices: bool = True):
     """Singular value decomposition with vectors, ``(u, sigma, vh)``.
 
-    numpy's divide-and-conquer driver (LAPACK ``gesdd``) is tried first;
-    where it fails to converge, the QR-iteration driver ``gesvd`` is used,
-    which converges on matrices that ``gesdd`` gives up on.  scipy is
-    imported only on that path, so the pair analysis loads no scipy.
+    numpy's divide-and-conquer driver (LAPACK ``gesdd``) sometimes fails to
+    converge on a matrix whose conjugate transpose it decomposes; where the
+    first call fails, m^H = u' sigma vh' is decomposed instead and
+    m = vh'^H sigma u'^H returned.
     """
     try:
         return np.linalg.svd(m, full_matrices=full_matrices)
     except np.linalg.LinAlgError:
-        import scipy.linalg
-
-        return scipy.linalg.svd(m, full_matrices=full_matrices,
-                                lapack_driver="gesvd")
+        u, s, vh = np.linalg.svd(m.conj().T, full_matrices=full_matrices)
+        return vh.conj().T, s, u.conj().T
 
 
 def orth_basis(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

@@ -73,12 +73,15 @@ class NoConvergence(DaekitError):
 
 class SingularJacobian(DaekitError):
     """The derivative of the residual is numerically singular, so the
-    algebraic equation is not uniquely solvable near the point."""
+    algebraic equation is not uniquely solvable near the point.  `level`
+    names the algebraic level of the reduction where one is known."""
 
-    def __init__(self, point=None, message: str = "singular jacobian"):
+    def __init__(self, point=None, message: str = "singular jacobian",
+                 level: str | None = None):
         super().__init__(message if point is None
                          else f"{message} at {point}")
         self.point = point
+        self.level = level
 
 
 class InconsistentInitialValue(DaekitError):

@@ -1,14 +1,18 @@
 """Nonlinear algebraic solver for the constraint equations.
 
-Damped Newton on a factored, condition-checked Jacobian, which can keep its
-LU factors across the solves of one run: a numerically singular Jacobian
-raises SingularJacobian, the sign that the level's algebraic part is not
-uniquely solvable there.  Plus implicit differentiation of a solved branch.
+Damped Newton on a condition-checked Jacobian, which can be kept across the
+solves of one run: a numerically singular Jacobian raises SingularJacobian,
+the sign that the level's algebraic part is not uniquely solvable there.
+Plus implicit differentiation of a solved branch.
+
+The singularity test, an LU factorisation with partial pivoting and a 1-norm
+condition estimate, is plain Python over lists of floats, as the level
+equations are small; the solves are a division or numpy's LAPACK.  This
+module loads no scipy.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -33,24 +37,24 @@ class ImplicitProblem:
 
 @dataclass
 class JacobianCache:
-    """LU factors of dF/dy kept across the solves of one run.
+    """dF/dy kept across the solves of one run, once it has passed the
+    singularity test.
 
-    `factors` is the (lu, piv) pair of LAPACK getrf, or None before the
-    first factorisation.  One cache belongs to one run: sharing it between
+    `factors` is the form of the Jacobian that `_factor` returns, or None
+    before the first one.  One cache belongs to one run: sharing it between
     runs would make a run's result depend on the runs before it.
     """
 
-    factors: tuple | None = None
+    factors: float | np.ndarray | None = None
 
     def factor_solve(self, j: np.ndarray, rhs: np.ndarray
                      ) -> np.ndarray | None:
-        """Solution of j y = rhs, with the factors of j kept for the next
-        solve.
+        """Solution of j y = rhs, with j kept for the next solve.
 
-        j is factored and tested for singularity as in `solve_newton`, so a
-        caller that has the Jacobian at a solution both uses and keeps its
-        one factorisation.  Where j is numerically singular the cache is
-        emptied and None is returned.
+        j is tested for singularity as in `solve_newton`, so a caller that
+        has the Jacobian at a solution both uses and keeps its one test.
+        Where j is numerically singular the cache is emptied and None is
+        returned.
         """
         self.factors = _factor(j)
         if self.factors is None:
@@ -93,31 +97,151 @@ def fd_jacobian(fun: Callable, y: np.ndarray, f0: np.ndarray | None = None,
     return jac
 
 
-@functools.cache
-def _lapack():
-    """scipy's LAPACK wrappers, imported at the first Newton solve, so that
-    importing daekit loads no scipy."""
-    from scipy.linalg import lapack
+def _factor(j: np.ndarray) -> float | np.ndarray | None:
+    """j in the form that `_lu_solve` keeps, or None when j is numerically
+    singular: a non-finite entry, a zero pivot, or a 1-norm condition
+    estimate above the cap.
 
-    return lapack
-
-
-def _factor(j: np.ndarray) -> tuple | None:
-    """LU factors of j, or None when j is numerically singular: a zero pivot,
-    or a 1-norm condition estimate (LAPACK gecon) above the cap."""
-    lapack = _lapack()
-    lu, piv, info = lapack.dgetrf(j)
-    if info > 0:
+    The test factors j with partial pivoting and estimates ||j^-1||_1 from
+    the factors, in Python floats: the levels are small (dimension 1 or 2
+    on every bundled problem), where that beats the per-call overhead of
+    numpy.  Kept is the one entry of a 1x1 j, or a copy of j.
+    """
+    rows = j.tolist()
+    n = len(rows)
+    col_sums = [0.0] * n
+    for row in rows:
+        for k in range(n):
+            col_sums[k] += abs(row[k])
+    # NaN and inf propagate into the sum; an overflowing sum means an
+    # infinite 1-norm, singular all the same
+    if not math.isfinite(sum(col_sums)):
         return None
-    rcond, _ = lapack.dgecon(lu, np.linalg.norm(j, 1), norm="1")
-    if not rcond * _COND_CAP >= 1.0:
+    factors = _lu(rows)
+    if factors is None or not max(col_sums) * _inv_norm1(factors) <= _COND_CAP:
         return None
-    return lu, piv
+    return factors[0][0][0] if n == 1 else j.copy()
 
 
-def _lu_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
-    x, _ = _lapack().dgetrs(*factors, rhs)
+def _lu(rows: list) -> tuple | None:
+    """LU factors with partial pivoting of the matrix given as a list of
+    rows, which is overwritten, or None at a zero pivot.
+
+    The factors are (lu, perm): the rows of L (unit diagonal, not stored)
+    and U in one list of row lists, and the original index of each row.
+    """
+    n = len(rows)
+    perm = list(range(n))
+    for k in range(n):
+        p, big = k, abs(rows[k][k])
+        for i in range(k + 1, n):
+            if abs(rows[i][k]) > big:
+                p, big = i, abs(rows[i][k])
+        if big == 0.0:
+            return None
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            perm[k], perm[p] = perm[p], perm[k]
+        top = rows[k]
+        for i in range(k + 1, n):
+            row = rows[i]
+            m = row[k] / top[k]
+            row[k] = m
+            for c in range(k + 1, n):
+                row[c] -= m * top[c]
+    return rows, perm
+
+
+def _solve(factors: tuple, b: list) -> list:
+    """Solution of A x = b from the factors of A, as a list."""
+    lu, perm = factors
+    n = len(lu)
+    x = [b[p] for p in perm]
+    for i in range(n):
+        row = lu[i]
+        s = x[i]
+        for k in range(i):
+            s -= row[k] * x[k]
+        x[i] = s
+    for i in range(n - 1, -1, -1):
+        row = lu[i]
+        s = x[i]
+        for k in range(i + 1, n):
+            s -= row[k] * x[k]
+        x[i] = s / row[i]
     return x
+
+
+def _solve_transposed(factors: tuple, b: list) -> list:
+    """Solution of A^T x = b from the factors of A, as a list."""
+    lu, perm = factors
+    n = len(lu)
+    y = list(b)
+    for i in range(n):
+        s = y[i]
+        for k in range(i):
+            s -= lu[k][i] * y[k]
+        y[i] = s / lu[i][i]
+    for i in range(n - 1, -1, -1):
+        s = y[i]
+        for k in range(i + 1, n):
+            s -= lu[k][i] * y[k]
+        y[i] = s
+    x = [0.0] * n
+    for i, p in enumerate(perm):
+        x[p] = y[i]
+    return x
+
+
+def _inv_norm1(factors: tuple) -> float:
+    """Lower estimate of ||A^-1||_1 from the factors of A: Hager's method
+    with Higham's refinements (Hager 1984, SISC 5:311; Higham 1988, ACM
+    TOMS 14:381, Algorithm 4.1), the estimator of LAPACK's gecon.  Each
+    candidate is ||A^-1 x||_1 for some x with ||x||_1 = 1, so in exact
+    arithmetic the estimate never exceeds the norm."""
+    lu = factors[0]
+    n = len(lu)
+    if n == 1:
+        # the first candidate, |1/a|, is the norm itself
+        return abs(1.0 / lu[0][0])
+    x = _solve(factors, [1.0 / n] * n)
+    est = sum(map(abs, x))
+    sign = [1.0 if v >= 0.0 else -1.0 for v in x]
+    z = _solve_transposed(factors, sign)
+    j = max(range(n), key=lambda i: abs(z[i]))
+    for _ in range(4):
+        unit = [0.0] * n
+        unit[j] = 1.0
+        x = _solve(factors, unit)
+        old, est = est, sum(map(abs, x))
+        new_sign = [1.0 if v >= 0.0 else -1.0 for v in x]
+        # a repeated sign vector or no growth: the iteration has converged
+        if new_sign == sign or est <= old:
+            est = max(est, old)
+            break
+        sign = new_sign
+        z = _solve_transposed(factors, sign)
+        j_last, j = j, max(range(n), key=lambda i: abs(z[i]))
+        if abs(z[j_last]) == abs(z[j]):
+            break
+    # Higham's extra vector, for matrices on which the iteration stalls
+    alt = _solve(factors, [(1.0 if i % 2 == 0 else -1.0) * (1.0 + i / (n - 1))
+                           for i in range(n)])
+    return max(est, 2.0 * sum(map(abs, alt)) / (3.0 * n))
+
+
+def _lu_solve(factors: float | np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solution of j x = rhs for j in the form `_factor` keeps.
+
+    At dimension 1 it is the division rhs / a.  Above, it is numpy's LAPACK
+    gesv, which factors j again on each call: OpenBLAS's getf2 and getrs
+    round differently from `_lu` and `_solve` (a reciprocal of the pivot,
+    fused multiply-adds), and gesv keeps the bits of the getrf + getrs pair
+    that the solves used before (checked for dimensions 2 to 5).
+    """
+    if isinstance(factors, float):
+        return rhs / factors
+    return np.linalg.solve(factors, rhs)
 
 
 def solve_newton(problem: ImplicitProblem, t: float, p, y0,
@@ -126,16 +250,16 @@ def solve_newton(problem: ImplicitProblem, t: float, p, y0,
                  jac_cache: JacobianCache | None = None) -> np.ndarray:
     """Damped Newton with backtracking line search on ||F||.
 
-    Stops when ||F|| <= tol (absolute, positive).  Each Jacobian is
-    LU-factored once; a numerically singular one (zero pivot, or condition
-    estimate above 1e14) raises SingularJacobian.  Each iterate's residual
-    norm is appended to `history` when given.
+    Stops when ||F|| <= tol (absolute, positive).  Each Jacobian is tested
+    once; a numerically singular one (non-finite entry, zero pivot, or
+    condition estimate above 1e14) raises SingularJacobian.  Each iterate's
+    residual norm is appended to `history` when given.
 
-    With `jac_cache` the solve first reuses the factors kept there
+    With `jac_cache` the solve first reuses the Jacobian kept there
     (simplified Newton, Hairer & Wanner, Solving ODEs II, IV.8): a full step
-    with them is kept when it cuts ||F|| at least 4x.  Otherwise the
-    Jacobian is evaluated and factored at the current iterate, stored in the
-    cache, and the solve goes on as damped Newton.
+    with it is kept when it cuts ||F|| at least 4x.  Otherwise the Jacobian
+    is evaluated and tested at the current iterate, stored in the cache,
+    and the solve goes on as damped Newton.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._linalg import norm2
 from .errors import (ConstraintSolveFailure, InconsistentInitialValue,
-                     NoConvergence)
+                     NoConvergence, SingularJacobian)
 from .implicit import JacobianCache
 from .reduction import ReducedCascade, ReducedFirst
 
@@ -348,7 +348,12 @@ def _run(t0, w0, opts, solve, residual) -> Trajectory:
     last = {}
 
     def rhs(t, w):
-        dw, x = solve(t, w)
+        try:
+            dw, x = solve(t, w)
+        except SingularJacobian as exc:
+            # a level that loses its inverse after t0 ends the run; one
+            # singular at t0 raises from the first `assemble` below
+            raise ConstraintSolveFailure(t, exc.level, exc)
         last["t"], last["w"], last["x"] = t, w, x
         return dw
 
@@ -394,7 +399,7 @@ def integrate_first(reduced: ReducedFirst, t0: float, x0, opts: IntegrationOptio
     def solve(t, w):
         # warm-started solve; on failure retry once from a cold
         # re-initialization of the kernel guess and Jacobian, keeping the
-        # warm starts and kept factors of the chain and wedge levels
+        # warm starts and kept Jacobians of the chain and wedge levels
         try:
             return reduced.drift_w(t, w, state)
         except NoConvergence as first_exc:

@@ -197,6 +197,8 @@ class _Reduced:
     def consistent_point(self, t0, x_guess, tol: float | None = None):
         """The route's `_initial_state` from the guess, checked on L0."""
         tol = tol if tol is not None else self.dae.tol.cons
+        if tol <= 0:
+            raise ValueError("tol must be positive")
         state = self.make_state()
         if self.kernel.dim:
             state.warm["kernel_level"] = self.kernel.x_coords(
@@ -337,8 +339,13 @@ class ReducedFirst(_Reduced):
         tol = tol * max(1.0, norm2(x12), norm2(guess))
         d_vec = (state.algebraic_parts(t)["d_vec"] if self.differentiated
                  else None)
-        c = solve_newton(self.levels["kernel_level"][1], t, (x12, d_vec, state),
-                         guess, tol, jac_cache=state.jac_caches["kernel_level"])
+        try:
+            c = solve_newton(self.levels["kernel_level"][1], t,
+                             (x12, d_vec, state), guess, tol,
+                             jac_cache=state.jac_caches["kernel_level"])
+        except SingularJacobian as exc:
+            exc.level = "kernel_level"
+            raise
         state.warm["kernel_level"] = c
         return self.kernel.lift(c), state
 
@@ -456,7 +463,7 @@ def reduce_cascade(dae: SemilinearDAE, waive_structure_check: bool = False
 
 class _CascadeEvaluator:
     """The per-run state of both routes, from `make_state()`: the warm start
-    and the kept Jacobian factors of every level, the field record and
+    and the kept Jacobian of every level, the field record and
     small per-time caches of the chain and wedge levels."""
 
     _CACHE_MAX = 24
@@ -464,7 +471,7 @@ class _CascadeEvaluator:
     def __init__(self, rc: _Reduced):
         self.rc = rc
         self.warm: dict[str, np.ndarray] = {}  # last solution of each level
-        # kept factors of each level's Jacobian, for its next Newton solve
+        # kept Jacobian of each level, for its next Newton solve
         self.jac_caches = {label: JacobianCache() for label in rc.levels}
         self._chain_cache: dict[float, dict] = {}
         self._wedge_cache: dict[tuple[int, float], np.ndarray] = {}
@@ -474,7 +481,7 @@ class _CascadeEvaluator:
     def _solve(self, label: str, t: float, base, offset, scale: float = 1.0
                ) -> np.ndarray:
         """Coordinates of the level's component, warm-started from its last
-        solution and its kept Jacobian factors, to the solver tolerance
+        solution and its kept Jacobian, to the solver tolerance
         times `scale`."""
         blk, problem = self.rc.levels[label]
         guess = self.warm.get(label)
@@ -485,6 +492,9 @@ class _CascadeEvaluator:
                              jac_cache=self.jac_caches[label])
         except NoConvergence as exc:
             raise ConstraintSolveFailure(t, label, exc)
+        except SingularJacobian as exc:
+            exc.level = label
+            raise
         self.warm[label] = c
         return c
 
@@ -504,9 +514,9 @@ class _CascadeEvaluator:
             blk = rc.levels[label][0]
             upper = sum((u.lift(c) for u, c, _ in reversed(above)), zero)
             c = self._solve(label, t, upper, zero)
-            # implicit derivative with chain rule through upper levels; its
-            # one factorisation of the level Jacobian at the solution is
-            # kept for the level's next Newton solve
+            # implicit derivative with chain rule through upper levels; the
+            # level Jacobian at the solution, tested once, is kept for the
+            # level's next Newton solve
             x = upper + blk.lift(c)
             jf = fld.jac(t, x)
             j_own = blk.y_coords(jf @ blk.phi - b @ blk.phi)
@@ -518,7 +528,8 @@ class _CascadeEvaluator:
                 # Newton returns at once where the residual already vanishes,
                 # so a singular level Jacobian can first show here
                 raise SingularJacobian(point=(t,),
-                                       message=f"dF/dy of {label} singular")
+                                       message=f"dF/dy of {label} singular",
+                                       level=label)
             above.append((blk, c, dc))
             off = 0
             for s in group:

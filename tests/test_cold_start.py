@@ -1,6 +1,6 @@
-"""scipy is loaded by the commands that call it, at first use, and not by
-`import daekit.cli`.  Each check runs in a fresh interpreter, because the
-test process itself has long since imported scipy."""
+"""No command but `certify` loads scipy, and `certify` only at first use,
+for `quad`.  Each check runs in a fresh interpreter, because the test
+process itself has long since imported scipy."""
 
 import json
 import os
@@ -25,18 +25,23 @@ if argv:
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
-# numpy's gesdd made to fail, so `_linalg.svd` has to take its gesvd branch
-_SVD_FALLBACK = """
+# the first numpy SVD of each `_linalg.svd` call made to fail, so that each
+# takes the retry on the conjugate transpose
+_SVD_RETRY = """
 import sys
 import numpy as np
 from daekit import _linalg
 
-assert "scipy.linalg" not in sys.modules
+svd = np.linalg.svd
+calls = []
 
-def fail(*args, **kwargs):
-    raise np.linalg.LinAlgError("SVD did not converge")
+def fail_every_other_call(*args, **kwargs):
+    calls.append(None)
+    if len(calls) % 2:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return svd(*args, **kwargs)
 
-np.linalg.svd = fail
+np.linalg.svd = fail_every_other_call
 rng = np.random.default_rng(5)
 real = rng.standard_normal((5, 3))
 for m in (real, real.T, real + 1j * rng.standard_normal((5, 3))):
@@ -44,7 +49,9 @@ for m in (real, real.T, real + 1j * rng.standard_normal((5, 3))):
         u, s, vh = _linalg.svd(m, full_matrices=full)
         k = s.size
         assert np.max(np.abs((u[:, :k] * s) @ vh[:k] - m)) <= 1e-12
-assert "scipy.linalg" in sys.modules
+        assert u.shape[0] == m.shape[0] and vh.shape[1] == m.shape[1]
+assert len(calls) == 12
+assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
 """
 
 
@@ -61,18 +68,21 @@ def _python(code: str, *args: str, cwd: Path) -> str:
     ([], []),
     (["analyze", "index3_chain"], []),
     (["reduce", "index2_structured"], []),
-    (["simulate", "index1_blowup", "--x0", "1"], ["scipy.linalg"]),
-    (["sweep", "index1_blowup"], ["scipy.linalg"]),
-], ids=["import", "analyze", "reduce", "simulate", "sweep"])
+    (["simulate", "index1_blowup", "--x0", "1"], []),
+    (["simulate", "index3_chain", "--approach", "cascade"], []),
+    (["sweep", "index1_blowup"], []),
+    (["certify", "index1_stable"], ["scipy.integrate"]),
+], ids=["import", "analyze", "reduce", "simulate", "simulate-cascade",
+        "sweep", "certify"])
 def test_scipy_loaded_only_at_first_use(tmp_path, command, expected):
     argv = command + ["--out", str(tmp_path)] if command else []
     stdout = _python(_LOADED_AFTER_RUN, json.dumps(argv), cwd=tmp_path)
     loaded = json.loads(stdout.splitlines()[-1])
-    for package in ("scipy.linalg", "scipy.integrate"):
-        assert (package in loaded) == (package in expected), loaded
-    if not expected:
+    if expected:
+        assert set(expected) <= set(loaded), loaded
+    else:
         assert loaded == []
 
 
-def test_svd_falls_back_to_gesvd(tmp_path):
-    _python(_SVD_FALLBACK, cwd=tmp_path)
+def test_svd_retries_on_transpose(tmp_path):
+    _python(_SVD_RETRY, cwd=tmp_path)

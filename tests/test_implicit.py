@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from daekit import implicit
 from daekit import (ImplicitProblem, JacobianCache, NoConvergence,
                     SingularJacobian, consistent_initialize,
                     implicit_derivative, reduce_cascade, reduce_first,
@@ -124,13 +127,82 @@ def test_kept_factors_refreshed_on_slow_contraction():
 
 @pytest.mark.parametrize("j, b", [
     (np.diag([1.0, 1e-16]), np.array([1.0, 0.0])),
-    (np.ones((2, 2)), np.ones(2))])
+    (np.ones((2, 2)), np.ones(2)),
+    (np.zeros((2, 2)), np.ones(2)),
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2)),
+    (np.array([[1.0, 0.0], [np.inf, 1.0]]), np.ones(2))])
 def test_newton_singular_jacobian(j, b):
-    # an ill-conditioned matrix and one with an exact zero pivot
-    prob = ImplicitProblem(residual=lambda t, p, y: j @ y - b,
+    # an ill-conditioned matrix, exact zero pivots and non-finite entries;
+    # the residual stays finite, so only the Jacobian can stop the solve
+    assert JacobianCache().factor_solve(j, b) is None
+    prob = ImplicitProblem(residual=lambda t, p, y: y - b,
                            jac_y=lambda t, p, y: j)
     with pytest.raises(SingularJacobian):
         solve_newton(prob, 0.0, None, np.zeros(2), jac_cache=JacobianCache())
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lu_solve_matches_numpy(n):
+    # the kept solve, and the triangular solves of the condition estimate
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        j = rng.standard_normal((n, n))
+        rhs = rng.standard_normal(n)
+        factors = implicit._lu(j.tolist())
+        ref = np.linalg.solve(j, rhs)
+        for got, want in (
+                (JacobianCache().factor_solve(j, rhs), ref),
+                (implicit._solve(factors, rhs.tolist()), ref),
+                (implicit._solve_transposed(factors, rhs.tolist()),
+                 np.linalg.solve(j.T, rhs))):
+            err = np.abs(np.asarray(got) - want).max()
+            assert err <= 1e-10 * np.abs(want).max()
+
+
+def test_lu_solve_at_dimension_one_is_a_division():
+    rng = np.random.default_rng(11)
+    scales = 10.0 ** rng.integers(-150, 150, 2000)
+    for a, r in zip(rng.standard_normal(2000) * scales,
+                    rng.standard_normal(2000)):
+        j, rhs = np.array([[a]]), np.array([r])
+        assert implicit._lu_solve(implicit._factor(j), rhs)[0] == r / a
+
+
+def _exact_inverse_norm1(j):
+    """||j^-1||_1 by Gauss-Jordan elimination in exact rational
+    arithmetic on the float entries of j."""
+    n = j.shape[0]
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == k))
+                                          for k in range(n)]
+            for i, row in enumerate(j.tolist())]
+    for k in range(n):
+        p = next(i for i in range(k, n) if rows[i][k] != 0)
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k][k]
+        rows[k] = [v / pivot for v in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k] != 0:
+                m = rows[i][k]
+                rows[i] = [a - m * b for a, b in zip(rows[i], rows[k])]
+    return float(max(sum(abs(rows[i][n + c]) for i in range(n))
+                     for c in range(n)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_condition_estimate_within_a_factor_n(n):
+    # Q diag(d) with d in [1, 4] is well conditioned; scaling its columns by
+    # powers of two makes kappa_1 up to ~1e12 while the factorisation stays
+    # an exact scaling, so the estimate rounds as in the well-conditioned case
+    rng = np.random.default_rng(100 + n)
+    for trial in range(10):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        j = q * rng.uniform(1.0, 4.0, n)
+        if trial % 2:
+            j = j * 2.0 ** rng.integers(-20, 21, n)
+        factors = implicit._lu(j.tolist())
+        kappa = np.abs(j).sum(axis=0).max() * _exact_inverse_norm1(j)
+        est = np.abs(j).sum(axis=0).max() * implicit._inv_norm1(factors)
+        assert kappa / n <= est <= kappa * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-12])
@@ -140,11 +212,13 @@ def test_newton_rejects_non_positive_tol(tol):
         solve_newton(prob, 0.0, None, np.zeros(1), tol)
 
 
-def test_consistent_point_rejects_zero_tol():
-    pb = load_builtin("index1_blowup")
-    red = reduce_first(pb.dae)
+@pytest.mark.parametrize("reduce", [reduce_first, reduce_cascade])
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+def test_consistent_point_rejects_zero_tol(reduce, tol):
+    pb = load_builtin("index2_structured")
+    red = reduce(pb.dae)
     with pytest.raises(ValueError, match="tol must be positive"):
-        red.consistent_point(0.0, pb.x_guess, tol=0.0)
+        red.consistent_point(0.0, pb.x_guess, tol=tol)
 
 
 def cardano_root(c):

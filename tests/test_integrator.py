@@ -135,6 +135,68 @@ def test_classifier_chain_level_failure(tag, level):
     assert 0.3 <= traj.termination.t <= 0.31
 
 
+def test_kernel_level_singular_during_run_ends_it():
+    # x1' = 1, 0 = x2^2 + x1 from (-1, 1): x2 = sqrt(1 - t), and the level
+    # Jacobian 2 x2 vanishes at t = 1, where the solution stops existing.
+    # The failed solves past t = 1 retry from x2 = 0, where it is zero.
+    fld = NonlinearField(
+        eval=lambda t, x: np.array([1.0, x[1] + x[1] ** 2 + x[0]]),
+        jacobian=lambda t, x: np.array([[0.0, 0.0], [1.0, 1.0 + 2 * x[1]]]))
+    dae = make_dae(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), fld)
+    traj = integrate_first(reduce_first(dae), 0.0, np.array([-1.0, 1.0]),
+                           IntegrationOptions(t_max=2.0))
+    assert traj.termination.kind == "constraint_solve_failure"
+    assert traj.termination.level == "kernel_level"
+    assert "singular jacobian" in traj.termination.detail
+    assert traj.times[-1] < 1.0
+    np.testing.assert_allclose(traj.states[:, 1], np.sqrt(1.0 - traj.times),
+                               rtol=1e-8)
+
+
+@pytest.mark.parametrize("approach", ["first", "cascade"])
+def test_chain_level_singular_during_run_ends_it(approach):
+    # the chain row (1/2 - t)(x3 - sin t) = 0 has the solution x3 = sin t
+    # and a Jacobian that vanishes at t = 1/2, which the fixed steps of
+    # 1/8 meet exactly
+    pb = load_builtin("index2_structured")
+    base = pb.dae.field
+
+    def field(t, x):
+        out = base.eval(t, x)
+        out[2] = x[2] + (0.5 - t) * (x[2] - np.sin(t))
+        return out
+
+    def jacobian(t, x):
+        out = base.jacobian(t, x)
+        out[2, 2] = 1.5 - t
+        return out
+
+    def t_derivative(t, x):
+        out = base.t_derivative(t, x)
+        out[2] = np.sin(t) - x[2] - (0.5 - t) * np.cos(t)
+        return out
+
+    dae = make_dae(pb.dae.pencil.a, pb.dae.pencil.b, NonlinearField(
+        eval=field, jacobian=jacobian, t_derivative=t_derivative,
+        structure_tag=StructureTag.STRUCTURED))
+    opts = IntegrationOptions(t_max=1.0, h_init=0.125, h_min=0.125,
+                              h_max=0.125)
+    if approach == "first":
+        red = reduce_first(dae)
+        traj = integrate_first(red, 0.0,
+                               consistent_initialize(red, 0.0, pb.x_guess),
+                               opts)
+    else:
+        red = reduce_cascade(dae, waive_structure_check=True)
+        traj = integrate_cascade(red, 0.0, dae.projectors.p1 @ pb.x_guess,
+                                 opts)
+    assert traj.termination.kind == "constraint_solve_failure"
+    assert traj.termination.level == "chain_level_1"
+    assert traj.termination.t == 0.5
+    np.testing.assert_array_equal(traj.times, [0.0, 0.125, 0.25, 0.375])
+    assert np.abs(traj.states[:, 2] - np.sin(traj.times)).max() <= 1e-10
+
+
 def test_classifier_unit():
     internals = TrajectoryInternals(h_min=1e-10, blowup_norm_cap=10.0,
                                     blowup_window=3)

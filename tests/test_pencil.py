@@ -164,7 +164,7 @@ def test_duals_of_equal_length_chains(seed):
 
 def test_index_five_pair_beyond_the_bundled_problems():
     # numpy's divide-and-conquer SVD (gesdd) can fail to converge on the
-    # third power of G for this pair; the analysis retries with gesvd
+    # third power of G for this pair; the analysis retries on its transpose
     ws = random_weierstrass(7, 64, [5, 5, 5, 1])
     cs, ds, ps = build_all(ws.pencil)
     assert cs.nu == 5 and cs.multiplicities == [5, 5, 5, 1]
