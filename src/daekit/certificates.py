@@ -9,6 +9,7 @@ computed trajectories rather than asserted statically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field as dc_field, replace
 from typing import Callable
@@ -49,6 +50,9 @@ _KERNEL_LADDER = (1.0, 2.0, 4.0, 8.0)   # bounds b of the Lagrange ladder
 _TIE_TOLERANCE = 1e-9           # relative, for the active component of V
 _PROBE_WINDOWS = 40             # geometric windows of probe_integral
 _PROBE_TAIL = 1e-2              # tail fraction below which it converges
+_PROBE_RTOL = 1e-14             # 20- vs 10-node agreement of a window piece
+_PROBE_DEPTH = 30               # halvings of a window piece at most
+_PROBE_SPLITS = 200             # bisections in one window at most
 
 
 @dataclass
@@ -149,15 +153,70 @@ class MonitorReport:
     first_exit_index: int | None = None
 
 
+@functools.cache
+def _gauss_rules() -> tuple:
+    """The 20- and 10-node Gauss–Legendre rules on [-1, 1], as tuples of
+    (node, weight) float pairs.  Built at the first probe, so that only a
+    certificate check imports numpy.polynomial."""
+    from numpy.polynomial.legendre import leggauss
+    return tuple(tuple(zip(*(map(float, a) for a in leggauss(n))))
+                 for n in (20, 10))
+
+
+def _gauss_pair(g: Callable, a: float, b: float) -> tuple[float, float]:
+    """The 20- and 10-node Gauss–Legendre values of the integral of g over
+    [a, b], in plain Python floats."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    out = []
+    for rule in _gauss_rules():
+        s = 0.0
+        for x, w in rule:
+            s += w * float(g(mid + half * x))
+        out.append(half * s)
+    return out[0], out[1]
+
+
+def _window_integral(g: Callable, a: float, b: float, floor: float) -> float:
+    """Adaptive Gauss–Legendre integral of g over [a, b].
+
+    A piece takes its 20-node value when that agrees with the 10-node value
+    within _PROBE_RTOL times the larger of the window's 20-node value and
+    `floor`; otherwise it is bisected, down to _PROBE_DEPTH halvings and
+    for at most _PROBE_SPLITS bisections in the window.  A non-finite value
+    ends the window at once.
+    """
+    fine, coarse = _gauss_pair(g, a, b)
+    tol = _PROBE_RTOL * max(abs(fine), floor)
+    total = 0.0
+    splits = 0
+    pending = [(a, b, fine, coarse, 0)]
+    while pending:
+        a, b, fine, coarse, depth = pending.pop()
+        if not math.isfinite(fine + coarse):
+            return fine + coarse
+        if (abs(fine - coarse) <= tol or depth == _PROBE_DEPTH
+                or splits == _PROBE_SPLITS):
+            total += fine
+            continue
+        splits += 1
+        mid = 0.5 * (a + b)
+        for lo, hi in ((a, mid), (mid, b)):
+            pending.append((lo, hi, *_gauss_pair(g, lo, hi), depth + 1))
+    return total
+
+
 def probe_integral(g: Callable, lower: float, kind: str = "over_value",
                    trace: list | None = None) -> str:
     """Heuristic classification of the improper integral of g.
 
-    Geometric windows are integrated with adaptive quadrature; the decision
-    uses the asymptotic ratio of consecutive window contributions together
-    with the tail fraction of the partial sum.  Slowly divergent and slowly
-    convergent integrands land in the inconclusive bucket on purpose.
-    Window contributions are appended to `trace` when given.
+    Geometric windows are integrated with adaptive Gauss–Legendre
+    quadrature (`_window_integral`, numpy's nodes and weights, plain Python
+    floats); the decision uses the asymptotic ratio of consecutive window
+    contributions together with the tail fraction of the partial sum.
+    Slowly divergent and slowly convergent integrands land in the
+    inconclusive bucket on purpose.  An exception inside g reads as
+    inconclusive, a non-finite window as divergent.  Window contributions
+    are appended to `trace` when given.
     """
     if kind == "over_value":
         base = max(lower, 1e-6)
@@ -168,22 +227,22 @@ def probe_integral(g: Callable, lower: float, kind: str = "over_value",
     else:
         raise ValueError("kind must be 'over_value' or 'over_time'")
 
-    # imported here, not at module level, so that only a certificate check
-    # loads scipy.integrate; outside the `try`, so that a failed import is an
+    # built outside the `try`, so that a failed import of the rules is an
     # error and not an "inconclusive" verdict
-    from scipy.integrate import quad
-
+    _gauss_rules()
     contributions = []
+    running = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         try:
             with np.errstate(all="ignore"):
-                val, _ = quad(g, a, b, limit=200)
+                val = _window_integral(g, a, b, running)
         except Exception:
             return INCONCLUSIVE
         if trace is not None:
-            trace.append({"window": [a, b], "value": float(val)})
-        if not np.isfinite(val):
+            trace.append({"window": [a, b], "value": val})
+        if not math.isfinite(val):
             return DIVERGES
+        running += abs(val)
         contributions.append(max(val, 0.0))
     total = float(np.sum(contributions))
     if not np.isfinite(total):

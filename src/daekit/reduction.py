@@ -337,8 +337,7 @@ class ReducedFirst(_Reduced):
         # absolute tolerance scaled by the state magnitude: at large states
         # the floating-point floor of the residual grows alongside
         tol = tol * max(1.0, norm2(x12), norm2(guess))
-        d_vec = (state.algebraic_parts(t)["d_vec"] if self.differentiated
-                 else None)
+        d_vec = state.level_offset(0, t) if self.differentiated else None
         try:
             c = solve_newton(self.levels["kernel_level"][1], t,
                              (x12, d_vec, state), guess, tol,

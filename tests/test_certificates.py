@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from daekit import (ComparisonSpec, IntegrationOptions, LyapunovComponent,
                     check_lagrange_stability, consistent_initialize,
                     integrate_first, monitor_comparison, probe_integral,
                     reduce_first)
-from daekit import certificates
+from daekit import certificates, problems
 from daekit.certificates import CONVERGES, DIVERGES, INCONCLUSIVE, PASS, \
     UNDECIDED, VIOLATED
 from daekit.problems import load_builtin
@@ -45,6 +47,91 @@ def test_probe_time_weights():
     assert probe_integral(lambda t: np.exp(-t), 0.0, kind="over_time") \
         == CONVERGES
     assert probe_integral(lambda t: 1.0, 0.0, kind="over_time") == DIVERGES
+
+
+def _power_window(p):
+    def integral(lo, hi):
+        if p == 1.0:
+            return math.log(hi / lo)
+        return lo ** (1.0 - p) * -math.expm1((1.0 - p) * math.log(hi / lo)) \
+            / (p - 1.0)
+    return integral
+
+
+def _affine_window(offset, slope):
+    def integral(lo, hi):
+        if slope == 0.0:
+            return (hi - lo) / offset
+        return math.log1p(slope * (hi - lo) / (offset + slope * lo)) / slope
+    return integral
+
+
+def _exp_window(rate):
+    return lambda lo, hi: math.exp(-rate * lo) \
+        * -math.expm1(-rate * (hi - lo)) / rate
+
+
+# the registry envelopes with the closed-form integral of each window and
+# the class the probe gives them
+_ENVELOPES = (
+    [pytest.param("U", "power", {"exponent": p}, _power_window(p), cls,
+                  id=f"power-{p}")
+     for p, cls in [(0.5, DIVERGES), (1.0, DIVERGES), (1.5, CONVERGES),
+                    (2.0, CONVERGES), (3.0, CONVERGES), (10.0, CONVERGES),
+                    (30.0, INCONCLUSIVE)]]
+    + [pytest.param("U", "affine", {"offset": a, "slope": b},
+                    _affine_window(a, b), DIVERGES, id=f"affine-{a}-{b}")
+       for a, b in [(1.0, 1.0), (0.5, 2.0), (1.0, 0.0)]]
+    + [pytest.param("psi", "exp_decay", {"rate": r}, _exp_window(r),
+                    CONVERGES, id=f"exp_decay-{r}")
+       for r in (1e-3, 0.1, 1.0, 10.0, 100.0, 1e3)]
+    + [pytest.param("psi", "constant", {"value": 1.0},
+                    lambda lo, hi: hi - lo, DIVERGES, id="constant")])
+
+
+@pytest.mark.parametrize("which, name, params, exact, expected", _ENVELOPES)
+def test_probe_windows_match_closed_form(which, name, params, exact,
+                                         expected):
+    if which == "U":
+        envelope = problems._U_REGISTRY[name](params)
+        args = (lambda u: 1.0 / envelope(u), 1.0, "over_value")
+    else:
+        args = (problems._PSI_REGISTRY[name](params), 0.0, "over_time")
+    trace = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert probe_integral(*args, trace=trace) == expected
+    assert caught == []
+    values = [exact(*w["window"]) for w in trace]
+    total = sum(values)
+    for w, value in zip(trace, values):
+        if value >= 1e-12 * total:
+            assert abs(w["value"] - value) <= 1e-13 * value, w
+        else:
+            assert abs(w["value"] - value) <= 1e-15 * total, w
+
+
+def test_probe_overflow_inconclusive_and_nan_diverges():
+    power = problems._U_REGISTRY["power"]({"exponent": 400.0})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert probe_integral(lambda u: 1.0 / power(u), 1.0) == INCONCLUSIVE
+        assert probe_integral(lambda u: float("nan"), 1.0) == DIVERGES
+    assert caught == []
+
+
+def test_probe_rough_integrand_ends_within_the_split_budget():
+    # |sin t| has a kink every pi, so on the far windows no piece's two
+    # rules ever agree; the budget of bisections per window ends the probe
+    calls = [0]
+
+    def rough(t):
+        calls[0] += 1
+        return abs(math.sin(t))
+
+    assert probe_integral(rough, 0.0, kind="over_time") == DIVERGES
+    assert calls[0] <= certificates._PROBE_WINDOWS * 30 \
+        * (1 + 2 * certificates._PROBE_SPLITS)
 
 
 # -- global solvability -----------------------------------------------------

@@ -1,6 +1,7 @@
-"""No command but `certify` loads scipy, and `certify` only at first use,
-for `quad`.  Each check runs in a fresh interpreter, because the test
-process itself has long since imported scipy."""
+"""No command loads scipy, and only `certify` loads numpy.polynomial, at
+its first integral probe, for the Gauss–Legendre rules.  Each check runs in
+a fresh interpreter, because the test process itself has long since
+imported scipy."""
 
 import json
 import os
@@ -15,14 +16,15 @@ import daekit
 _SRC = str(Path(daekit.__file__).resolve().parents[1])
 
 # runs `cli.run(argv)` when argv is not empty; its last stdout line lists
-# the loaded scipy modules
+# the loaded scipy and numpy.polynomial modules
 _LOADED_AFTER_RUN = """
 import json, sys
 from daekit import cli
 argv = json.loads(sys.argv[1])
 if argv:
     assert cli.run(argv) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                        or m.startswith("numpy.polynomial"))))
 """
 
 # the first numpy SVD of each `_linalg.svd` call made to fail, so that each
@@ -64,24 +66,23 @@ def _python(code: str, *args: str, cwd: Path) -> str:
     return done.stdout
 
 
-@pytest.mark.parametrize("command, expected", [
-    ([], []),
-    (["analyze", "index3_chain"], []),
-    (["reduce", "index2_structured"], []),
-    (["simulate", "index1_blowup", "--x0", "1"], []),
-    (["simulate", "index3_chain", "--approach", "cascade"], []),
-    (["sweep", "index1_blowup"], []),
-    (["certify", "index1_stable"], ["scipy.integrate"]),
+@pytest.mark.parametrize("command, probes", [
+    ([], False),
+    (["analyze", "index3_chain"], False),
+    (["reduce", "index2_structured"], False),
+    (["simulate", "index1_blowup", "--x0", "1"], False),
+    (["simulate", "index3_chain", "--approach", "cascade"], False),
+    (["sweep", "index1_blowup"], False),
+    (["certify", "index1_stable"], True),
+    (["certify", "index1_cubic_blowup", "--approach", "cascade"], True),
 ], ids=["import", "analyze", "reduce", "simulate", "simulate-cascade",
-        "sweep", "certify"])
-def test_scipy_loaded_only_at_first_use(tmp_path, command, expected):
+        "sweep", "certify", "certify-cascade"])
+def test_scipy_loaded_only_at_first_use(tmp_path, command, probes):
     argv = command + ["--out", str(tmp_path)] if command else []
     stdout = _python(_LOADED_AFTER_RUN, json.dumps(argv), cwd=tmp_path)
     loaded = json.loads(stdout.splitlines()[-1])
-    if expected:
-        assert set(expected) <= set(loaded), loaded
-    else:
-        assert loaded == []
+    assert not any(m.split(".")[0] == "scipy" for m in loaded), loaded
+    assert ("numpy.polynomial" in loaded) == probes, loaded
 
 
 def test_svd_retries_on_transpose(tmp_path):

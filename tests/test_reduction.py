@@ -397,6 +397,33 @@ def test_chain_level_evaluates_its_jacobian_once_per_time(name, approach,
     assert calls[0] <= chain_solves + 2 * len(red.levels)
 
 
+def test_direct_route_solves_wedge_levels_only_for_the_kernel_offset(
+        monkeypatch):
+    # the direct route reads the kernel level's offset d_vec alone, whose
+    # finite difference solves the wedge level at t - h and t + h; the wedge
+    # value at t itself is solved only by the consistent initial point, on
+    # its own state, at t0 - h, t0 and t0 + h
+    pb = load_builtin("index3_chain")
+    solved = Counter()
+    times = set()
+    solve, drift_w = _CascadeEvaluator._solve, reduction.ReducedFirst.drift_w
+
+    def counting(self, label, *args):
+        solved[label] += 1
+        return solve(self, label, *args)
+
+    def timed(self, t, w, state):
+        times.add(t)
+        return drift_w(self, t, w, state)
+
+    monkeypatch.setattr(_CascadeEvaluator, "_solve", counting)
+    monkeypatch.setattr(reduction.ReducedFirst, "drift_w", timed)
+    _, traj = _run_route(pb.dae, pb, "first", pb.options)
+    assert traj.termination.kind == "reached_tmax"
+    assert len(times) > 100
+    assert solved["wedge_level_1"] == 2 * len(times) + 3
+
+
 def _cubic_chain_row(pb):
     """index2_structured's pair with a chain row whose Jacobian changes
     along a run: the level equation 0.5 x3 + 0.1 x3^3 = 0.8 sin t has the
