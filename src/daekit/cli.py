@@ -175,6 +175,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.seed < 0:
+        raise DaekitError(f"--seed must be non-negative: {args.seed}")
     problem = _load(args.problem)
     _apply_overrides(problem, args)
     if problem.certificate is None:

@@ -5,10 +5,9 @@ solves of one run: a numerically singular Jacobian raises SingularJacobian,
 the sign that the level's algebraic part is not uniquely solvable there.
 Plus implicit differentiation of a solved branch.
 
-The singularity test, an LU factorisation with partial pivoting and a 1-norm
-condition estimate, is plain Python over lists of floats, as the level
-equations are small; the solves are a division or numpy's LAPACK.  This
-module loads no scipy.
+The singularity test is the 1-norm condition number, in Python floats at
+dimension 1 and from numpy above it; the solves are a division or numpy's
+LAPACK.  This module loads no scipy.
 """
 
 from __future__ import annotations
@@ -19,7 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._linalg import cond2, norm2
+# `cond2` is not called here, but `perfbench/layertrace.py` patches
+# `implicit.cond2` by name, so it stays importable until the tracer stops
+from ._linalg import cond2, norm2  # noqa: F401
 from .errors import NoConvergence, SingularJacobian
 
 __all__ = ["ImplicitProblem", "JacobianCache", "solve_newton",
@@ -99,145 +100,27 @@ def fd_jacobian(fun: Callable, y: np.ndarray, f0: np.ndarray | None = None,
 
 def _factor(j: np.ndarray) -> float | np.ndarray | None:
     """j in the form that `_lu_solve` keeps, or None when j is numerically
-    singular: a non-finite entry, a zero pivot, or a 1-norm condition
-    estimate above the cap.
+    singular: a 1-norm condition number ||j||_1 ||j^-1||_1 above the cap.
 
-    The test factors j with partial pivoting and estimates ||j^-1||_1 from
-    the factors, in Python floats: the levels are small (dimension 1 or 2
-    on every bundled problem), where that beats the per-call overhead of
-    numpy.  Kept is the one entry of a 1x1 j, or a copy of j.
+    Kept is the one entry of a 1x1 j, or a copy of j.  At dimension 1 the
+    test stays in Python floats, clear of numpy's per-call overhead:
+    |a| |1/a| is NaN for an infinite or NaN a and infinite for a subnormal
+    one.  Above, numpy's `cond` reads an exactly singular j or an
+    overflowing 1-norm as inf, without a warning, and a NaN entry as NaN.
     """
-    rows = j.tolist()
-    n = len(rows)
-    col_sums = [0.0] * n
-    for row in rows:
-        for k in range(n):
-            col_sums[k] += abs(row[k])
-    # NaN and inf propagate into the sum; an overflowing sum means an
-    # infinite 1-norm, singular all the same
-    if not math.isfinite(sum(col_sums)):
+    if j.shape == (1, 1):
+        a = float(j[0, 0])
+        if a != 0.0 and abs(a) * abs(1.0 / a) <= _COND_CAP:
+            return a
         return None
-    factors = _lu(rows)
-    if factors is None or not max(col_sums) * _inv_norm1(factors) <= _COND_CAP:
-        return None
-    return factors[0][0][0] if n == 1 else j.copy()
-
-
-def _lu(rows: list) -> tuple | None:
-    """LU factors with partial pivoting of the matrix given as a list of
-    rows, which is overwritten, or None at a zero pivot.
-
-    The factors are (lu, perm): the rows of L (unit diagonal, not stored)
-    and U in one list of row lists, and the original index of each row.
-    """
-    n = len(rows)
-    perm = list(range(n))
-    for k in range(n):
-        p, big = k, abs(rows[k][k])
-        for i in range(k + 1, n):
-            if abs(rows[i][k]) > big:
-                p, big = i, abs(rows[i][k])
-        if big == 0.0:
-            return None
-        if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
-            perm[k], perm[p] = perm[p], perm[k]
-        top = rows[k]
-        for i in range(k + 1, n):
-            row = rows[i]
-            m = row[k] / top[k]
-            row[k] = m
-            for c in range(k + 1, n):
-                row[c] -= m * top[c]
-    return rows, perm
-
-
-def _solve(factors: tuple, b: list) -> list:
-    """Solution of A x = b from the factors of A, as a list."""
-    lu, perm = factors
-    n = len(lu)
-    x = [b[p] for p in perm]
-    for i in range(n):
-        row = lu[i]
-        s = x[i]
-        for k in range(i):
-            s -= row[k] * x[k]
-        x[i] = s
-    for i in range(n - 1, -1, -1):
-        row = lu[i]
-        s = x[i]
-        for k in range(i + 1, n):
-            s -= row[k] * x[k]
-        x[i] = s / row[i]
-    return x
-
-
-def _solve_transposed(factors: tuple, b: list) -> list:
-    """Solution of A^T x = b from the factors of A, as a list."""
-    lu, perm = factors
-    n = len(lu)
-    y = list(b)
-    for i in range(n):
-        s = y[i]
-        for k in range(i):
-            s -= lu[k][i] * y[k]
-        y[i] = s / lu[i][i]
-    for i in range(n - 1, -1, -1):
-        s = y[i]
-        for k in range(i + 1, n):
-            s -= lu[k][i] * y[k]
-        y[i] = s
-    x = [0.0] * n
-    for i, p in enumerate(perm):
-        x[p] = y[i]
-    return x
-
-
-def _inv_norm1(factors: tuple) -> float:
-    """Lower estimate of ||A^-1||_1 from the factors of A: Hager's method
-    with Higham's refinements (Hager 1984, SISC 5:311; Higham 1988, ACM
-    TOMS 14:381, Algorithm 4.1), the estimator of LAPACK's gecon.  Each
-    candidate is ||A^-1 x||_1 for some x with ||x||_1 = 1, so in exact
-    arithmetic the estimate never exceeds the norm."""
-    lu = factors[0]
-    n = len(lu)
-    if n == 1:
-        # the first candidate, |1/a|, is the norm itself
-        return abs(1.0 / lu[0][0])
-    x = _solve(factors, [1.0 / n] * n)
-    est = sum(map(abs, x))
-    sign = [1.0 if v >= 0.0 else -1.0 for v in x]
-    z = _solve_transposed(factors, sign)
-    j = max(range(n), key=lambda i: abs(z[i]))
-    for _ in range(4):
-        unit = [0.0] * n
-        unit[j] = 1.0
-        x = _solve(factors, unit)
-        old, est = est, sum(map(abs, x))
-        new_sign = [1.0 if v >= 0.0 else -1.0 for v in x]
-        # a repeated sign vector or no growth: the iteration has converged
-        if new_sign == sign or est <= old:
-            est = max(est, old)
-            break
-        sign = new_sign
-        z = _solve_transposed(factors, sign)
-        j_last, j = j, max(range(n), key=lambda i: abs(z[i]))
-        if abs(z[j_last]) == abs(z[j]):
-            break
-    # Higham's extra vector, for matrices on which the iteration stalls
-    alt = _solve(factors, [(1.0 if i % 2 == 0 else -1.0) * (1.0 + i / (n - 1))
-                           for i in range(n)])
-    return max(est, 2.0 * sum(map(abs, alt)) / (3.0 * n))
+    return j.copy() if np.linalg.cond(j, 1) <= _COND_CAP else None
 
 
 def _lu_solve(factors: float | np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solution of j x = rhs for j in the form `_factor` keeps.
 
     At dimension 1 it is the division rhs / a.  Above, it is numpy's LAPACK
-    gesv, which factors j again on each call: OpenBLAS's getf2 and getrs
-    round differently from `_lu` and `_solve` (a reciprocal of the pivot,
-    fused multiply-adds), and gesv keeps the bits of the getrf + getrs pair
-    that the solves used before (checked for dimensions 2 to 5).
+    gesv, which factors j again on each call.
     """
     if isinstance(factors, float):
         return rhs / factors
@@ -251,9 +134,10 @@ def solve_newton(problem: ImplicitProblem, t: float, p, y0,
     """Damped Newton with backtracking line search on ||F||.
 
     Stops when ||F|| <= tol (absolute, positive).  Each Jacobian is tested
-    once; a numerically singular one (non-finite entry, zero pivot, or
-    condition estimate above 1e14) raises SingularJacobian.  Each iterate's
-    residual norm is appended to `history` when given.
+    once; a numerically singular one (1-norm condition number above 1e14,
+    which a non-finite entry or an exactly singular matrix exceeds) raises
+    SingularJacobian.  Each iterate's residual norm is appended to
+    `history` when given.
 
     With `jac_cache` the solve first reuses the Jacobian kept there
     (simplified Newton, Hairer & Wanner, Solving ODEs II, IV.8): a full step
@@ -325,7 +209,8 @@ def implicit_derivative(problem: ImplicitProblem, t: float, p,
         j = np.atleast_2d(np.asarray(problem.jac_y(t, p, y), dtype=float))
     else:
         j = fd_jacobian(lambda z: problem.residual(t, p, z), y)
-    if cond2(j) > _COND_CAP:
+    factors = _factor(j)
+    if factors is None:
         raise SingularJacobian(point=(t,), message="dF/dy singular on branch")
     if problem.jac_t is not None:
         ft = _vec(problem.jac_t(t, p, y))
@@ -333,7 +218,7 @@ def implicit_derivative(problem: ImplicitProblem, t: float, p,
         h = max(1e-6, 1e-6 * abs(t))
         ft = (_vec(problem.residual(t + h, p, y))
               - _vec(problem.residual(t - h, p, y))) / (2.0 * h)
-    out = np.linalg.solve(j, -ft)
+    out = _lu_solve(factors, -ft)
     if cross_check:
         hb = max(1e-5, 1e-5 * abs(t))
         yp = solve_newton(problem, t + hb, p, y)

@@ -91,7 +91,6 @@ class TrajectoryInternals:
     times: list = dc_field(default_factory=list)
     norms: list = dc_field(default_factory=list)
     steps: list = dc_field(default_factory=list)
-    forced: list = dc_field(default_factory=list)
     h_min: float = 1e-10
     blowup_norm_cap: float = 1e6
     blowup_window: int = 5
@@ -287,7 +286,6 @@ def _drive(rhs: Callable, t0: float, y0: np.ndarray,
                 internals.nonfinite = True
                 internals.times.append(float(t + h))
                 internals.steps.append(float(h))
-                internals.forced.append(True)
                 internals.norms.append(float("inf"))
                 break
             h = max(h * 0.25, opts.h_min)
@@ -302,7 +300,6 @@ def _drive(rhs: Callable, t0: float, y0: np.ndarray,
             accepted += 1
             internals.times.append(float(t))
             internals.steps.append(float(h))
-            internals.forced.append(forced)
             try:
                 on_accept(t, y)
             except ConstraintSolveFailure as exc:
@@ -344,7 +341,6 @@ def _run(t0, w0, opts, solve, residual) -> Trajectory:
     internals.times.append(float(t0))
     internals.norms.append(norm2(w0))
     internals.steps.append(0.0)
-    internals.forced.append(False)
     last = {}
 
     def rhs(t, w):

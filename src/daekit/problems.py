@@ -476,11 +476,15 @@ def load_problem_dict(data: dict, name_hint: str = "<dict>") -> LoadedProblem:
 
 def load_problem(path) -> LoadedProblem:
     """Load a problem file; schema errors carry JSON-pointer locations."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("/", f"invalid JSON: {exc}")
+    except IsADirectoryError:
+        raise SchemaError("/", f"{path} is a directory, not a problem file")
+    except UnicodeDecodeError as exc:
+        raise SchemaError("/", f"not UTF-8 text: {exc}")
+    except json.JSONDecodeError as exc:
+        raise SchemaError("/", f"invalid JSON: {exc}")
     return load_problem_dict(data, name_hint=str(path))
 
 

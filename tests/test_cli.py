@@ -120,13 +120,20 @@ def test_certify_violation_exit_one(tmp_path):
 
 
 def test_error_exit_two(tmp_path, capsys):
-    assert run(["analyze", "no_such_problem", "--out", str(tmp_path)]) == 2
-    assert "error:" in capsys.readouterr().err
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"name": "bad", "A": [[1.0, 0.0]],
                                "B": [[1.0]],
                                "field": {"registry_id": "zero"}}))
-    assert run(["analyze", str(bad), "--out", str(tmp_path)]) == 2
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    out = tmp_path / "out"
+    for argv in (["analyze", "no_such_problem"], ["analyze", str(bad)],
+                 ["analyze", str(tmp_path)], ["analyze", str(latin1)],
+                 ["certify", "index1_stable", "--seed", "-1"]):
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_sweep_summary(tmp_path):

@@ -203,7 +203,6 @@ def test_classifier_unit():
     internals.times = [0.0, 0.5, 0.8, 0.9, 0.95]
     internals.norms = [1.0, 2.0, 5.0, 12.0, 30.0]
     internals.steps = [0.0, 0.5, 0.3, 0.1, 1e-10]
-    internals.forced = [False] * 5
     reason = classify_termination(internals)
     assert reason.kind == "blowup_suspected"
     assert reason.t_escape_estimate >= 0.95
