@@ -123,7 +123,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_reduce(args) -> int:
     problem = _load(args.problem)
-    _apply_overrides(problem, args)
     dae = problem.dae
     approach = _pick_approach(problem, args.approach)
     # a route the field does not admit raises
@@ -178,7 +177,6 @@ def cmd_certify(args) -> int:
     if args.seed < 0:
         raise DaekitError(f"--seed must be non-negative: {args.seed}")
     problem = _load(args.problem)
-    _apply_overrides(problem, args)
     if problem.certificate is None:
         raise DaekitError(f"problem '{problem.name}' declares no certificate")
     kind = problem.certificate["kind"]
@@ -238,43 +236,57 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end like every other error: one line, exit code 2."""
+
+    def error(self, message):
+        raise DaekitError(f"{self.prog}: {message}")
+
+
+_OPTIONS = {
+    "--tol": dict(type=float, default=None,
+                  help="override step-error tolerance (rtol; atol=tol/100)"),
+    "--tmax": dict(type=float, default=None,
+                   help="override the integration horizon"),
+    "--seed": dict(type=int, default=42,
+                   help="seed of the certificate sampler"),
+    "--format": dict(choices=["csv", "json"], default="csv"),
+    "--approach": dict(choices=["auto", "first", "cascade"], default="auto"),
+    "--x0": dict(default=None, help="comma-separated override of the "
+                                    "leading initial-guess entries"),
+}
+
+# each command takes only the options it reads
+_COMMANDS = (
+    ("analyze", cmd_analyze, ()),
+    ("reduce", cmd_reduce, ("--approach",)),
+    ("simulate", cmd_simulate,
+     ("--tol", "--tmax", "--format", "--approach", "--x0")),
+    ("certify", cmd_certify, ("--seed", "--approach")),
+    ("sweep", cmd_sweep, ("--tol", "--tmax", "--format", "--approach")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="daekit",
         description="Analyze, reduce, simulate and certify semilinear "
                     "differential-algebraic systems.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, fn, options in _COMMANDS:
+        p = sub.add_parser(name)
         p.add_argument("problem", help="problem file or bundled problem name")
         p.add_argument("--out", default="daekit-out", help="output directory")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override step-error tolerance (rtol; atol=tol/100)")
-        p.add_argument("--tmax", type=float, default=None,
-                       help="override the integration horizon")
-        p.add_argument("--seed", type=int, default=42,
-                       help="seed of the certificate sampler (certify)")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--approach", choices=["auto", "first", "cascade"],
-                       default="auto")
-
-    for name, fn in (("analyze", cmd_analyze), ("reduce", cmd_reduce),
-                     ("simulate", cmd_simulate), ("certify", cmd_certify),
-                     ("sweep", cmd_sweep)):
-        p = sub.add_parser(name)
-        common(p)
-        if name in ("simulate",):
-            p.add_argument("--x0", default=None,
-                           help="comma-separated override of the leading "
-                                "initial-guess entries")
+        for flag in options:
+            p.add_argument(flag, **_OPTIONS[flag])
         p.set_defaults(fn=fn)
     return parser
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except DaekitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

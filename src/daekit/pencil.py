@@ -2,8 +2,10 @@
 
 The central objects are the shifted inverse G = (lambda* A + B)^{-1} A and
 its staircase of kernels at the eigenvalue 0: the staircase fixes how many
-chains of each length exist, chains of G are converted into chains of the
-pair, and the dual chains are pinned by biorthogonality.
+chains of each length exist, and chains of G are converted into chains of
+the pair. The dual chains are the matching rows of the Weierstrass form's
+left transform: one N x N solve pairs them with the chains and with the
+finite deflating subspace range(G^nu).
 """
 
 from __future__ import annotations
@@ -351,76 +353,56 @@ def build_chains(pencil: Pencil) -> CanonicalSystem:
 
 
 def build_dual_chains(pencil: Pencil, canonical: CanonicalSystem) -> DualSystem:
-    """Dual chains, uniquely pinned by the adjoint chain relations plus
-    biorthogonality against {B phi_i^j}.
+    """Dual chains: the rows of the Weierstrass left transform that belong
+    to the chains, from one N x N solve.
 
-    Both families of conditions are linear in the unknown functionals, so
-    each dual chain is obtained from one stacked least-squares solve; the
-    joint system is provably consistent and uniquely solvable. Its matrix
-    depends on the chain length only, so the chains of one length share one
-    solve with a right-hand side per chain.
+    The duals q_i^j are pinned by the adjoint chain relations
+    (A^H q^m = 0, A^H q^j + B^H q^{j+1} = 0) and biorthogonality
+    <B phi_k^l, q_i^j> = delta_ik delta_jl; that system has a unique
+    solution, the chain rows of the left transform of the Weierstrass form
+    (Gantmacher 1959, ch. XII; Berger, Ilchmann & Trenn 2012). Those rows
+    annihilate (lambda A + B) T_f, where T_f spans the finite deflating
+    subspace range(G^nu), G = (lambda A + B)^{-1} A; here T_f holds the
+    first N - d left singular vectors of G^nu. On the chains, A phi^l =
+    -B phi^{l-1} gives q_i^{jH} (lambda A + B) phi_k^l = delta_ik
+    (delta_jl - lambda delta_{j,l-1}). So Q^H M = [0, I + lambda N_c] with
+    M = (lambda A + B) [T_f, Phi] and N_c the per-chain signed shift: one
+    solve with M^H.
     """
     tol = pencil.tol
     if canonical.n == 0:
         return DualSystem(chains=())
-    a = pencil.a
-    b = pencil.b
     phi = canonical.matrix()
-    if np.iscomplexobj(phi):
-        a = a.astype(np.complex128)
-        b = b.astype(np.complex128)
-    bphi = b @ phi                      # columns span the image-side root space
-    ah = a.conj().T
-    bh = b.conj().T
-    n_dim = pencil.n_dim
-    d = bphi.shape[1]
-    pairs = canonical.pairs()
-    by_length: dict[int, list[int]] = {}
-    for i, chain in enumerate(canonical.chains):
-        by_length.setdefault(chain.multiplicity, []).append(i)
-
-    solutions: dict[int, tuple[np.ndarray, float]] = {}
-    for m, members in by_length.items():
-        # unknowns: q^1 ... q^m stacked; rows: adjoint chain relations,
-        # then biorthogonality against every B phi column
-        mat = np.zeros((m * (n_dim + d), m * n_dim), dtype=bphi.dtype)
-        # A* q^m = 0
-        mat[:n_dim, (m - 1) * n_dim:] = ah
-        # A* q^j + B* q^{j+1} = 0
-        for j in range(m - 1):
-            rows = slice((j + 1) * n_dim, (j + 2) * n_dim)
-            mat[rows, j * n_dim:(j + 1) * n_dim] = ah
-            mat[rows, (j + 1) * n_dim:(j + 2) * n_dim] = bh
-        # <B phi_k^l, q_i^j> = delta_{ki} delta_{lj}, linear in conj(q):
-        # formulated as (B phi)^H q = e, i.e. rows of bphi^H per level j
-        for j in range(m):
-            top = m * n_dim + j * d
-            mat[top:top + d, j * n_dim:(j + 1) * n_dim] = bphi.conj().T
-        vec = np.zeros((mat.shape[0], len(members)), dtype=bphi.dtype)
-        for k, i in enumerate(members):
-            for j in range(m):
-                vec[m * n_dim + j * d + pairs.index((i, j + 1)), k] = 1.0
-        sol, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-        resid = np.linalg.norm(mat @ sol - vec, axis=0)
-        for k, i in enumerate(members):
-            solutions[i] = (sol[:, k].copy(), float(resid[k]))
-
-    duals: list[tuple] = []
-    scale = max(1.0, float(np.linalg.norm(a)) + float(np.linalg.norm(b)))
-    for i, chain in enumerate(canonical.chains):
-        sol, resid = solutions[i]
-        if resid > tol.biorth * scale * 10:
-            raise BiorthogonalizationFailure(
-                f"dual chain {i} solve residual {resid:.3e}; the pairing "
-                "matrix is numerically singular")
-        qs = [sol[j * n_dim:(j + 1) * n_dim]
-              for j in range(chain.multiplicity)]
-        if not pencil.is_complex and not np.iscomplexobj(phi):
-            qs = [trim_imag(q, tol.imag_trim) for q in qs]
-        duals.append(tuple(qs))
+    n_dim, d = phi.shape
+    lam = pencil.regular_point()
+    g = _shift_inverse(pencil)
+    power = np.linalg.matrix_power(g, canonical.nu)
+    finite = svd(power)[0][:, :n_dim - d]
+    pairing = pencil.shifted(lam) @ np.hstack([finite, phi])
+    # [0, I + lambda N_c]^H: the identity, and -conj(lambda) pairing each
+    # vector above a chain's first level with the dual one level below
+    rhs = np.zeros((n_dim, d), dtype=pairing.dtype)
+    rhs[n_dim - d:] = np.eye(d)
+    for c, (_, level) in enumerate(canonical.pairs()):
+        if level > 1:
+            rhs[n_dim - d + c, c - 1] = -np.conj(lam)
+    try:
+        q = np.linalg.solve(pairing.conj().T, rhs)
+    except np.linalg.LinAlgError:
+        q = None
+    if q is None or not np.all(np.isfinite(q)):
+        raise BiorthogonalizationFailure(
+            "the pairing matrix of the chains and the finite deflating "
+            "subspace is numerically singular")
+    vectors = list(q.T.copy())
+    if not pencil.is_complex and not np.iscomplexobj(phi):
+        vectors = [trim_imag(v, tol.imag_trim) for v in vectors]
+    vectors = iter(vectors)
+    duals = [tuple(next(vectors) for _ in range(m))
+             for m in canonical.multiplicities]
     dual = DualSystem(chains=tuple(duals))
     worst = dual_residuals(pencil, canonical, dual)["worst"]
-    if worst > tol.biorth:
+    if not worst <= tol.biorth:
         raise BiorthogonalizationFailure(
             f"dual system residuals too large (worst {worst:.3e})")
     return dual

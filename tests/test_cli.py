@@ -136,6 +136,38 @@ def test_error_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def _must_not_load(spec):
+    raise AssertionError(f"{spec} loaded for a malformed command line")
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["analyze", "index3_chain", "--tmax", "-1", "--tol", "-1", "--seed",
+      "-5"], "--tmax -1 --tol -1 --seed -5"),
+    (["simulate", "index1_blowup", "--seed", "-5"], "--seed -5")])
+def test_option_the_command_does_not_read_exit_two(tmp_path, capsys,
+                                                    monkeypatch, argv, unread):
+    monkeypatch.setattr(cli, "_load", _must_not_load)
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: DaekitError: daekit: unrecognized arguments: {unread}\n")
+    assert not out.exists()
+
+
+def test_recorded_command_lines_parse():
+    # every command line of tools/cli_outputs.sh is still accepted
+    script = (Path(__file__).resolve().parents[1] / "tools"
+              / "cli_outputs.sh").read_text()
+    block = script.split("commands=(", 1)[1].split("\n)", 1)[0]
+    lines = [line.strip().strip('"') for line in block.splitlines()
+             if line.strip()]
+    assert len(lines) == 18
+    parser = cli.build_parser()
+    for line in lines:
+        sub, *flags = line.split()
+        parser.parse_args([sub, "index3_chain", *flags, "--out", "files"])
+
+
 def test_sweep_summary(tmp_path):
     code = run(["sweep", "index1_blowup", "--out", str(tmp_path)])
     assert code == 0

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from daekit import (Pencil, RankAmbiguity, SingularPencil, build_all,
-                    build_chains, build_dual_chains, chain_residuals,
-                    compute_index, dual_residuals, find_regular_point)
+from daekit import (BiorthogonalizationFailure, Pencil, RankAmbiguity,
+                    SingularPencil, build_all, build_chains,
+                    build_dual_chains, chain_residuals, compute_index,
+                    dual_residuals, find_regular_point)
 from daekit._linalg import subspace_gap
+from daekit.pencil import DualSystem
 from daekit.problems import random_weierstrass
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -175,3 +179,125 @@ def test_index_five_pair_beyond_the_bundled_problems():
         assert np.abs(getattr(ps, name) - gt[name]).max() <= 1e-6
     assert subspace_gap(ps.p20, gt["p20"]) <= 1e-6
     assert subspace_gap(ps.q2_sigma, gt["q2_sigma"]) <= 1e-6
+
+
+def stacked_duals(pencil, canonical):
+    """Reference duals from the stacked formulation: per chain length m,
+    the adjoint chain relations and biorthogonality against B phi on the
+    unknowns q^1 ... q^m, solved in the least-squares sense."""
+    a, b = pencil.a, pencil.b
+    phi = canonical.matrix()
+    bphi = b @ phi
+    n_dim, d = phi.shape
+    pairs = canonical.pairs()
+    duals = []
+    for i, chain in enumerate(canonical.chains):
+        m = chain.multiplicity
+        mat = np.zeros((m * (n_dim + d), m * n_dim), dtype=bphi.dtype)
+        mat[:n_dim, (m - 1) * n_dim:] = a.conj().T
+        for j in range(m - 1):
+            rows = slice((j + 1) * n_dim, (j + 2) * n_dim)
+            mat[rows, j * n_dim:(j + 1) * n_dim] = a.conj().T
+            mat[rows, (j + 1) * n_dim:(j + 2) * n_dim] = b.conj().T
+        vec = np.zeros(mat.shape[0], dtype=bphi.dtype)
+        for j in range(m):
+            top = m * n_dim + j * d
+            mat[top:top + d, j * n_dim:(j + 1) * n_dim] = bphi.conj().T
+            vec[top + pairs.index((i, j + 1))] = 1.0
+        sol = np.linalg.lstsq(mat, vec, rcond=None)[0]
+        duals.append(tuple(sol[j * n_dim:(j + 1) * n_dim] for j in range(m)))
+    return DualSystem(chains=tuple(duals))
+
+
+def weierstrass_corpus():
+    rng = np.random.default_rng(20)
+    for k in range(42):
+        n_dim = int(rng.integers(4, 40))
+        segre, budget = [], int(rng.integers(1, n_dim // 2 + 1))
+        while budget > 0:
+            segre.append(int(rng.integers(1, min(6, budget) + 1)))
+            budget -= segre[-1]
+        yield random_weierstrass(600 + k, n_dim, segre)
+
+
+def test_duals_match_the_stacked_least_squares_solve():
+    for ws in weierstrass_corpus():
+        cs = build_chains(ws.pencil)
+        got = build_dual_chains(ws.pencil, cs).matrix()
+        ref = stacked_duals(ws.pencil, cs).matrix()
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_duals_at_the_largest_benchmark_shape():
+    ws = random_weierstrass(11, 128, [6] * 5 + [2])
+    cs = build_chains(ws.pencil)
+    ds = build_dual_chains(ws.pencil, cs)
+    assert cs.multiplicities == [6] * 5 + [2]
+    assert chain_residuals(ws.pencil, cs)["worst"] <= 1e-10
+    assert dual_residuals(ws.pencil, cs, ds)["worst"] <= 1e-10
+    p2 = cs.matrix() @ ds.matrix().conj().T @ ws.pencil.b
+    assert np.abs(p2 - ws.projectors_gt["p2"]).max() <= 1e-8
+
+
+def test_duals_reach_numpy_linalg_with_square_matrices_only(monkeypatch):
+    ws = random_weierstrass(5, 24, [4, 3, 2])
+    cs = build_chains(ws.pencil)
+    shapes = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            shapes.extend(np.shape(v) for v in (*args, *kwargs.values())
+                          if isinstance(v, np.ndarray))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("solve", "lstsq", "svd", "qr", "inv", "pinv", "eig",
+                 "matrix_power", "norm", "cond", "matrix_rank"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg,
+                                                                name)))
+    build_dual_chains(ws.pencil, cs)
+    assert shapes and max(max(s) for s in shapes) <= 24
+
+
+def _replaced(canonical, vector, level=0):
+    """The canonical system with one vector of its first chain replaced."""
+    first, *rest = canonical.chains
+    vs = first.vectors()
+    vs[level] = vector
+    first = dataclasses.replace(first, eigenvector=vs[0],
+                                adjoined=tuple(vs[1:]))
+    return dataclasses.replace(canonical, chains=(first, *rest))
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_chain_vector_in_the_finite_subspace_fails_biorthogonalization(level):
+    # the pairing matrix (lambda A + B) [T_f, Phi] is then singular: its
+    # solve must not return duals, nor let a LinAlgError escape
+    ws = random_weierstrass(4, 12, [3, 2])
+    p = ws.pencil
+    cs = build_chains(p)
+    g = np.linalg.solve(p.shifted(p.regular_point()), p.a)
+    x = np.linalg.matrix_power(g, cs.nu) @ np.ones(12)
+    with pytest.raises(BiorthogonalizationFailure):
+        build_dual_chains(p, _replaced(cs, x / np.linalg.norm(x),
+                                       level=level))
+
+
+def test_zero_chain_vector_fails_biorthogonalization():
+    ws = random_weierstrass(4, 12, [3, 2])
+    cs = build_chains(ws.pencil)
+    # an exactly singular pairing matrix: numpy's solve raises LinAlgError
+    with pytest.raises(BiorthogonalizationFailure, match="pairing matrix"):
+        build_dual_chains(ws.pencil, _replaced(cs, np.zeros(12), level=1))
+
+
+def test_complex_shift_of_a_real_pair_gives_real_duals():
+    # the complex detour: the pairing matrix is complex, the duals of real
+    # chains are real and do not depend on the shift
+    ws = random_weierstrass(3, 10, [3, 2])
+    cs = build_chains(ws.pencil)
+    detour = Pencil(ws.pencil.a, ws.pencil.b, lambda_star=0.5 + 0.7j)
+    ds = build_dual_chains(detour, cs)
+    assert not np.iscomplexobj(ds.matrix())
+    np.testing.assert_allclose(
+        ds.matrix(), build_dual_chains(ws.pencil, cs).matrix(), atol=1e-12)

@@ -17,6 +17,10 @@
 #   tools/cli_outputs.sh base out-base
 #   tools/cli_outputs.sh head out-head
 #   diff -r out-base out-head
+#
+# and, where outputs are meant to move, measure how far with
+#
+#   python tools/compare_outputs.py out-base out-head
 set -u
 
 if [ $# -ne 2 ]; then
