@@ -17,7 +17,6 @@ from .pencil import (CanonicalSystem, Chain, DualSystem, Pencil,
                      chain_residuals, compute_index, dual_residuals,
                      find_regular_point)
 from .projectors import (ProjectorSet, build_all, build_projectors,
-                         build_semi_inverses, build_tilde_A,
                          verify_projectors)
 from .implicit import (ImplicitProblem, JacobianCache, consistent_initialize,
                        implicit_derivative, solve_newton)

@@ -31,22 +31,29 @@ def rank_cutoff(sigmas: np.ndarray, n: int, tol: Tolerances,
     return tol.rank_factor * n * _EPS * scale
 
 
-def guarded_rank(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES,
-                 what: str = "matrix", ref: float | None = None) -> int:
-    """Numerical rank with an ambiguity guard.
+def guarded_count(sig: np.ndarray, n: int, tol: Tolerances, what: str,
+                  ref: float | None = None) -> int:
+    """Numerical rank from descending singular values, with an ambiguity
+    guard.
 
     Raises RankAmbiguity when a singular value sits inside the guard band
     around the cutoff, i.e. when the keep/drop decision is ill-conditioned.
     """
-    sig = np.linalg.svd(m, compute_uv=False)
     if sig.size == 0 or sig[0] == 0.0:
         return 0
-    cut = rank_cutoff(sig, max(m.shape), tol, ref)
+    cut = rank_cutoff(sig, n, tol, ref)
     lo, hi = cut / tol.guard_low, cut * tol.guard_high
     for s in sig:
         if lo < s < hi:
             raise RankAmbiguity(f"rank of {what} ambiguous", float(s), (lo, hi))
     return int(np.sum(sig > cut))
+
+
+def guarded_rank(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES,
+                 what: str = "matrix") -> int:
+    """Numerical rank of `m` with the ambiguity guard of `guarded_count`."""
+    return guarded_count(np.linalg.svd(m, compute_uv=False), max(m.shape),
+                         tol, what)
 
 
 def svd(m: np.ndarray, full_matrices: bool = True):
@@ -72,15 +79,6 @@ def orth_basis(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarra
     cut = rank_cutoff(sig, max(m.shape), tol)
     r = int(np.sum(sig > cut))
     return u[:, :r]
-
-
-def null_basis(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES,
-               ref: float | None = None) -> np.ndarray:
-    """Orthonormal basis of the kernel (columns of the result)."""
-    _, sig, vh = svd(m)
-    cut = rank_cutoff(sig, max(m.shape), tol, ref)
-    r = int(np.sum(sig > cut))
-    return vh[r:].conj().T
 
 
 def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:

@@ -1,11 +1,13 @@
 """Regularity, index and root-vector chains of a matrix pair (A, B).
 
 The central objects are the shifted inverse G = (lambda* A + B)^{-1} A and
-its staircase of kernels at the eigenvalue 0: the staircase fixes how many
-chains of each length exist, and chains of G are converted into chains of
-the pair. The dual chains are the matching rows of the Weierstrass form's
-left transform: one N x N solve pairs them with the chains and with the
-finite deflating subspace range(G^nu).
+its staircase of kernels at the eigenvalue 0. One SVD of each power G^j
+decides its rank, gives its kernel basis and, at j = nu, an orthonormal
+basis of the finite deflating subspace range(G^nu). The staircase fixes
+how many chains of each length exist, and chains of G are converted into
+chains of the pair. The dual chains are the matching rows of the
+Weierstrass form's left transform: one N x N solve pairs them with the
+chains and with that finite subspace basis.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import (as_matrix, cond2, guarded_rank, null_basis, orth_basis,
-                      rank_cutoff, svd, trim_imag)
+from ._linalg import (as_matrix, cond2, guarded_count, guarded_rank,
+                      orth_basis, rank_cutoff, svd, trim_imag)
 from .config import Tolerances, DEFAULT_TOLERANCES
 from .errors import (BiorthogonalizationFailure, ChainExtensionFailure,
                      SingularPencil)
@@ -86,9 +88,18 @@ class Chain:
 
 @dataclass(frozen=True)
 class CanonicalSystem:
+    """Root-vector chains of the pair, longest first, and a basis of the
+    finite deflating subspace range(G^nu).
+
+    `finite` is the orthonormal basis from the SVD of G^nu, N x (N - d)
+    for d chain vectors: the identity for index 0. range(G^nu) does not
+    depend on the shift lambda of G.
+    """
+
     chains: tuple
     n: int
     nu: int
+    finite: np.ndarray
 
     def pairs(self):
         """Column labels (chain index, level j starting at 1)."""
@@ -170,25 +181,35 @@ def _shift_inverse(pencil: Pencil) -> np.ndarray:
     return np.linalg.solve(c, a)
 
 
-def _rank_staircase(g: np.ndarray, tol: Tolerances) -> list[int]:
-    """Ranks of successive powers of g until stabilization.
+def _staircase(pencil: Pencil):
+    """The staircase of kernels of the powers of G, one SVD per power.
 
-    The rank threshold for the j-th power is referenced against
-    sigma_max(g)**j, not against the power's own largest singular value:
-    once the power is numerically zero the latter is pure rounding fuzz.
+    The SVD of G^j, j = 1..nu+1, gives its rank, the kernel basis and, at
+    j = nu, the range basis. Returns (G, ranks [N, rank G, ..., rank
+    G^{nu+1}], kernel bases of G^0..G^nu, orthonormal basis of
+    range(G^nu)). The rank threshold for the j-th power is referenced
+    against sigma_max(G)**j, not against the power's own largest singular
+    value: once the power is numerically zero the latter is pure rounding
+    fuzz.
     """
+    g = _shift_inverse(pencil)
     n = g.shape[0]
-    smax = float(np.linalg.svd(g, compute_uv=False)[0]) if n else 0.0
     ranks = [n]
-    p = np.eye(n, dtype=g.dtype)
+    kernels = [np.zeros((n, 0), dtype=g.dtype)]
+    p = finite = np.eye(n, dtype=g.dtype)  # G^0
     for j in range(1, n + 2):
         p = p @ g
-        r = guarded_rank(p, tol, what="power of shifted inverse",
-                         ref=max(smax, 1e-300) ** j)
+        u, sig, vh = svd(p)
+        if j == 1:
+            smax = float(sig[0])
+        r = guarded_count(sig, n, pencil.tol, what="power of shifted inverse",
+                          ref=max(smax, 1e-300) ** j)
         ranks.append(r)
         if r == ranks[-2]:
-            return ranks
-    return ranks  # pragma: no cover - must stabilize within n steps
+            return g, ranks, kernels, finite
+        kernels.append(vh[r:].conj().T)
+        finite = u[:, :r]
+    raise AssertionError("rank staircase did not stabilize")  # pragma: no cover
 
 
 def _segre(ranks: list[int]) -> list[int]:
@@ -204,13 +225,9 @@ def _segre(ranks: list[int]) -> list[int]:
 
 def compute_index(pencil: Pencil) -> int:
     """Pole order of (A + mu B)^{-1} at mu = 0; zero iff A is invertible."""
-    tol = pencil.tol
-    n = pencil.n_dim
-    if guarded_rank(pencil.a, tol, what="A") == n:
+    if guarded_rank(pencil.a, pencil.tol, what="A") == pencil.n_dim:
         return 0
-    g = _shift_inverse(pencil)
-    ranks = _rank_staircase(g, tol)
-    return len(ranks) - 2
+    return len(_staircase(pencil)[1]) - 2
 
 
 def _sign_fix(chain_vectors: list[np.ndarray]) -> list[np.ndarray]:
@@ -238,22 +255,13 @@ def build_chains(pencil: Pencil) -> CanonicalSystem:
     tol = pencil.tol
     n_dim = pencil.n_dim
     if guarded_rank(pencil.a, tol, what="A") == n_dim:
-        return CanonicalSystem(chains=(), n=0, nu=0)
+        return CanonicalSystem(chains=(), n=0, nu=0, finite=np.eye(n_dim))
 
     lam = pencil.regular_point()
-    g = _shift_inverse(pencil)
-    ranks = _rank_staircase(g, tol)
+    g, ranks, kernels, finite = _staircase(pencil)
     nu = len(ranks) - 2
     lengths = _segre(ranks)
     count_exact = {m: lengths.count(m) for m in set(lengths)}
-
-    # kernels of successive powers (rank reference as in the staircase)
-    smax = float(np.linalg.svd(g, compute_uv=False)[0])
-    kernels = {0: np.zeros((n_dim, 0), dtype=g.dtype)}
-    p = np.eye(n_dim, dtype=g.dtype)
-    for j in range(1, nu + 1):
-        p = p @ g
-        kernels[j] = null_basis(p, tol, ref=max(smax, 1e-300) ** j)
 
     # greedy top-vector selection, longest chains first
     tops: list[tuple[np.ndarray, int]] = []
@@ -343,9 +351,10 @@ def build_chains(pencil: Pencil) -> CanonicalSystem:
     finished.sort(key=sort_key)
     chains = tuple(Chain(eigenvector=ch[0], adjoined=tuple(ch[1:]),
                          multiplicity=len(ch)) for ch in finished)
-    system = CanonicalSystem(chains=chains, n=len(chains), nu=nu)
+    system = CanonicalSystem(chains=chains, n=len(chains), nu=nu,
+                             finite=finite)
     worst = chain_residuals(pencil, system)["worst"]
-    if worst > tol.chain:
+    if not worst <= tol.chain:
         raise ChainExtensionFailure(
             f"constructed chains violate the chain relations "
             f"(worst relative residual {worst:.3e})")
@@ -362,8 +371,8 @@ def build_dual_chains(pencil: Pencil, canonical: CanonicalSystem) -> DualSystem:
     solution, the chain rows of the left transform of the Weierstrass form
     (Gantmacher 1959, ch. XII; Berger, Ilchmann & Trenn 2012). Those rows
     annihilate (lambda A + B) T_f, where T_f spans the finite deflating
-    subspace range(G^nu), G = (lambda A + B)^{-1} A; here T_f holds the
-    first N - d left singular vectors of G^nu. On the chains, A phi^l =
+    subspace range(G^nu), G = (lambda A + B)^{-1} A; here T_f is the
+    basis `canonical.finite` from the staircase. On the chains, A phi^l =
     -B phi^{l-1} gives q_i^{jH} (lambda A + B) phi_k^l = delta_ik
     (delta_jl - lambda delta_{j,l-1}). So Q^H M = [0, I + lambda N_c] with
     M = (lambda A + B) [T_f, Phi] and N_c the per-chain signed shift: one
@@ -375,10 +384,7 @@ def build_dual_chains(pencil: Pencil, canonical: CanonicalSystem) -> DualSystem:
     phi = canonical.matrix()
     n_dim, d = phi.shape
     lam = pencil.regular_point()
-    g = _shift_inverse(pencil)
-    power = np.linalg.matrix_power(g, canonical.nu)
-    finite = svd(power)[0][:, :n_dim - d]
-    pairing = pencil.shifted(lam) @ np.hstack([finite, phi])
+    pairing = pencil.shifted(lam) @ np.hstack([canonical.finite, phi])
     # [0, I + lambda N_c]^H: the identity, and -conj(lambda) pairing each
     # vector above a chain's first level with the dual one level below
     rhs = np.zeros((n_dim, d), dtype=pairing.dtype)

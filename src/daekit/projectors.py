@@ -1,13 +1,13 @@
 """Projector family and auxiliary operators built from the chain systems.
 
 Everything is assembled as explicit matrices by outer-product sums of chain
-and dual vectors; every defining identity is verified numerically before a
-set is returned.
+and dual vectors; every defining identity is verified numerically, once,
+before a set is returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,8 +16,8 @@ from .errors import InvariantViolation
 from .pencil import (CanonicalSystem, DualSystem, Pencil, build_chains,
                      build_dual_chains)
 
-__all__ = ["ProjectorSet", "build_projectors", "build_tilde_A",
-           "build_semi_inverses", "build_all", "verify_projectors"]
+__all__ = ["ProjectorSet", "build_projectors", "build_all",
+           "verify_projectors"]
 
 
 @dataclass
@@ -47,10 +47,10 @@ class ProjectorSet:
     p2_sigma_2: np.ndarray
     q2_star_1: np.ndarray
     q2_star_2: np.ndarray
-    a_tilde: np.ndarray | None = None
-    a_tilde_inv: np.ndarray | None = None
-    a_semi_inv: np.ndarray | None = None
-    b2_semi_inv: np.ndarray | None = None
+    a_tilde: np.ndarray
+    a_tilde_inv: np.ndarray
+    a_semi_inv: np.ndarray
+    b2_semi_inv: np.ndarray
     fingerprint: str = ""
     residuals: dict = field(default_factory=dict)
 
@@ -62,7 +62,9 @@ def _outer(cols_left: np.ndarray, cols_right: np.ndarray) -> np.ndarray:
 
 def build_projectors(canonical: CanonicalSystem, dual: DualSystem,
                      pencil: Pencil) -> ProjectorSet:
-    """Assemble the projector family as partial outer-product sums."""
+    """Assemble the projector family as partial outer-product sums, the
+    invertible correction of A and the semi-inverses, and verify every
+    defining identity once."""
     n_dim = pencil.n_dim
     nu = canonical.nu
     a, b = pencil.a, pencil.b
@@ -116,6 +118,8 @@ def build_projectors(canonical: CanonicalSystem, dual: DualSystem,
     _, q2_star_1 = select(lambda m, j: j == m == 1)
     _, q2_star_2 = select(lambda m, j: j == m and m >= 2)
 
+    a_tilde, a_tilde_inv = _tilde_a(pencil, canonical, dual)
+    z, *_ = np.linalg.lstsq(b @ p2, q2, rcond=None)
     ps = ProjectorSet(
         nu=nu, n=canonical.n, multiplicities=canonical.multiplicities,
         p1=p1, p2=p2, q1=q1, q2=q2,
@@ -124,14 +128,20 @@ def build_projectors(canonical: CanonicalSystem, dual: DualSystem,
         q2_sigma_s=q2_sigma_s,
         p2_sigma_1=p2_sigma_1, p2_sigma_2=p2_sigma_2,
         q2_star_1=q2_star_1, q2_star_2=q2_star_2,
+        a_tilde=a_tilde, a_tilde_inv=a_tilde_inv,
+        a_semi_inv=a_tilde_inv @ (q1 + q2_sigma), b2_semi_inv=p2 @ z,
         fingerprint=pencil.fingerprint,
     )
-    _check(ps, pencil, stage="projectors")
+    ps.residuals = verify_projectors(ps, pencil)
+    worst_name = max(ps.residuals, key=ps.residuals.get)
+    worst = ps.residuals[worst_name]
+    if not worst <= pencil.tol.proj:
+        raise InvariantViolation(worst_name, worst, pencil.tol.proj)
     return ps
 
 
-def build_tilde_A(pencil: Pencil, canonical: CanonicalSystem,
-                  dual: DualSystem) -> tuple[np.ndarray, np.ndarray]:
+def _tilde_a(pencil: Pencil, canonical: CanonicalSystem,
+             dual: DualSystem) -> tuple[np.ndarray, np.ndarray]:
     """Invertible correction of A and its inverse.
 
     The correction adds, for every chain, the rank-one coupling of the
@@ -147,7 +157,11 @@ def build_tilde_A(pencil: Pencil, canonical: CanonicalSystem,
         kernel_functional = b.conj().T @ qs[0]
         corr = corr + np.outer(top_image, kernel_functional.conj())
     a_tilde = a + corr
-    a_tilde_inv = np.linalg.inv(a_tilde)
+    try:
+        a_tilde_inv = np.linalg.inv(a_tilde)
+    except np.linalg.LinAlgError:
+        raise InvariantViolation("a_tilde invertible", float("inf"),
+                                 pencil.tol.proj) from None
     # closed-form cross check: inv = semi-inverse part + kernel couplings
     closed = a_tilde_inv.copy()
     if canonical.n:
@@ -160,34 +174,16 @@ def build_tilde_A(pencil: Pencil, canonical: CanonicalSystem,
             dual.matrix()[:, [k for k, (i, j) in enumerate(canonical.pairs())
                               if j == canonical.chains[i].multiplicity]])) + couple
     r = rel_residual(a_tilde_inv, closed)
-    if r > pencil.tol.proj:
+    if not r <= pencil.tol.proj:
         raise InvariantViolation("a_tilde_inv closed form", r, pencil.tol.proj)
     return a_tilde, a_tilde_inv
-
-
-def build_semi_inverses(ps: ProjectorSet, pencil: Pencil) -> ProjectorSet:
-    """Fill the semi-inverse operators on a projector set with the
-    invertible correction already present."""
-    if ps.a_tilde_inv is None:
-        raise ValueError("build_tilde_A results missing from the set")
-    a_semi_inv = ps.a_tilde_inv @ (ps.q1 + ps.q2_sigma)
-    bp2 = pencil.b @ ps.p2
-    z, *_ = np.linalg.lstsq(bp2, ps.q2, rcond=None)
-    b2_semi_inv = ps.p2 @ z
-    out = replace(ps, a_semi_inv=a_semi_inv, b2_semi_inv=b2_semi_inv)
-    _check(out, pencil, stage="semi-inverses")
-    return out
 
 
 def build_all(pencil: Pencil):
     """Chains, duals and the fully verified projector set in one call."""
     canonical = build_chains(pencil)
     dual = build_dual_chains(pencil, canonical)
-    ps = build_projectors(canonical, dual, pencil)
-    a_tilde, a_tilde_inv = build_tilde_A(pencil, canonical, dual)
-    ps = replace(ps, a_tilde=a_tilde, a_tilde_inv=a_tilde_inv)
-    ps = build_semi_inverses(ps, pencil)
-    return canonical, dual, ps
+    return canonical, dual, build_projectors(canonical, dual, pencil)
 
 
 def verify_projectors(ps: ProjectorSet, pencil: Pencil) -> dict:
@@ -224,28 +220,16 @@ def verify_projectors(ps: ProjectorSet, pencil: Pencil) -> dict:
             put(f"B intertwines level s={s}", ps.q2s[s] @ b, b @ ps.p2s[s])
         for s in range(ps.nu - 1):
             put(f"A shifts level s={s}", ps.q2s[s] @ a, a @ ps.p2s[s + 1])
-    if ps.a_tilde is not None:
-        put("a_tilde right inverse", ps.a_tilde @ ps.a_tilde_inv, eye)
-        put("a_tilde left inverse", ps.a_tilde_inv @ ps.a_tilde, eye)
-        put("a_tilde_inv A", ps.a_tilde_inv @ a, ps.p1 + ps.p2_sigma)
-        put("A a_tilde_inv", a @ ps.a_tilde_inv, ps.q1 + ps.q2_sigma)
-    if ps.a_semi_inv is not None:
-        put("semi-inverse left", ps.a_semi_inv @ a, ps.p1 + ps.p2_sigma)
-        put("semi-inverse right", a @ ps.a_semi_inv, ps.q1 + ps.q2_sigma)
-        put("semi-inverse range", (ps.p1 + ps.p2_sigma) @ ps.a_semi_inv,
-            ps.a_semi_inv)
-    if ps.b2_semi_inv is not None:
-        bp2 = b @ ps.p2
-        put("b2 semi-inverse left", ps.b2_semi_inv @ bp2, ps.p2)
-        put("b2 semi-inverse right", bp2 @ ps.b2_semi_inv, ps.q2)
-        put("b2 semi-inverse range", ps.p2 @ ps.b2_semi_inv, ps.b2_semi_inv)
+    put("a_tilde right inverse", ps.a_tilde @ ps.a_tilde_inv, eye)
+    put("a_tilde left inverse", ps.a_tilde_inv @ ps.a_tilde, eye)
+    put("a_tilde_inv A", ps.a_tilde_inv @ a, ps.p1 + ps.p2_sigma)
+    put("A a_tilde_inv", a @ ps.a_tilde_inv, ps.q1 + ps.q2_sigma)
+    put("semi-inverse left", ps.a_semi_inv @ a, ps.p1 + ps.p2_sigma)
+    put("semi-inverse right", a @ ps.a_semi_inv, ps.q1 + ps.q2_sigma)
+    put("semi-inverse range", (ps.p1 + ps.p2_sigma) @ ps.a_semi_inv,
+        ps.a_semi_inv)
+    bp2 = b @ ps.p2
+    put("b2 semi-inverse left", ps.b2_semi_inv @ bp2, ps.p2)
+    put("b2 semi-inverse right", bp2 @ ps.b2_semi_inv, ps.q2)
+    put("b2 semi-inverse range", ps.p2 @ ps.b2_semi_inv, ps.b2_semi_inv)
     return out
-
-
-def _check(ps: ProjectorSet, pencil: Pencil, stage: str):
-    res = verify_projectors(ps, pencil)
-    ps.residuals = res
-    worst_name = max(res, key=res.get)
-    worst = res[worst_name]
-    if worst > pencil.tol.proj:
-        raise InvariantViolation(f"{stage}: {worst_name}", worst, pencil.tol.proj)

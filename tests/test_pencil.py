@@ -7,8 +7,9 @@ from daekit import (BiorthogonalizationFailure, Pencil, RankAmbiguity,
                     SingularPencil, build_all, build_chains,
                     build_dual_chains, chain_residuals, compute_index,
                     dual_residuals, find_regular_point)
-from daekit._linalg import subspace_gap
-from daekit.pencil import DualSystem
+from daekit._linalg import (guarded_count, guarded_rank, rank_cutoff,
+                            subspace_gap, svd)
+from daekit.pencil import DualSystem, _shift_inverse, _staircase
 from daekit.problems import random_weierstrass
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -45,6 +46,71 @@ def test_rank_ambiguity_guard():
     # a singular value placed inside the guard band of the rank cutoff
     with pytest.raises(RankAmbiguity):
         compute_index(Pencil(np.diag([1.0, 1e-10]), EYE2))
+
+
+def test_staircase_rank_ambiguity_guard():
+    # A's rank is clear, but sigma(G^2) = 2.5e-11 lies inside the guard
+    # band (5.6e-14, 1.7e-9) of the second power's rank cutoff
+    for analyse in (compute_index, build_chains):
+        with pytest.raises(RankAmbiguity,
+                           match="rank of power of shifted inverse ambiguous"):
+            analyse(Pencil(np.diag([1.0, 5e-6, 0.0]), np.eye(3)))
+
+
+def two_pass_staircase(pencil):
+    """Reference: the guarded rank of each power of G from its singular
+    values alone, then the kernel of each power from a second SVD."""
+    tol = pencil.tol
+    g = _shift_inverse(pencil)
+    n = g.shape[0]
+    smax = float(np.linalg.svd(g, compute_uv=False)[0])
+    ranks = [n]
+    p = np.eye(n, dtype=g.dtype)
+    for j in range(1, n + 2):
+        p = p @ g
+        ranks.append(guarded_count(np.linalg.svd(p, compute_uv=False), n, tol,
+                                   "power", ref=max(smax, 1e-300) ** j))
+        if ranks[-1] == ranks[-2]:
+            break
+    kernels = [np.zeros((n, 0), dtype=g.dtype)]
+    p = np.eye(n, dtype=g.dtype)
+    for j in range(1, len(ranks) - 1):
+        p = p @ g
+        _, sig, vh = svd(p)
+        cut = rank_cutoff(sig, n, tol, ref=max(smax, 1e-300) ** j)
+        kernels.append(vh[int(np.sum(sig > cut)):].conj().T)
+    return ranks, kernels
+
+
+def benchmark_shapes():
+    """Pairs of the sizes and chain patterns the pair-analysis benchmark
+    draws: N = 32, 64, 128, index 1..6, chains of the index filling a
+    quarter of the dimension and one shorter chain for the remainder."""
+    for n_dim in (32, 64, 128):
+        for index in range(1, 7):
+            count, rest = divmod(n_dim // 4, index)
+            segre = [index] * count + ([rest] if rest else [])
+            yield random_weierstrass(n_dim + index, n_dim, segre)
+
+
+def test_one_pass_staircase_matches_the_two_pass_reference(pencil_corpus):
+    for ws in [*pencil_corpus, *benchmark_shapes()]:
+        p = Pencil(ws.pencil.a, ws.pencil.b)
+        _, ranks, kernels, finite = _staircase(p)
+        ref_ranks, ref_kernels = two_pass_staircase(p)
+        assert ranks == ref_ranks
+        assert len(kernels) == len(ref_kernels) == ws.index + 1
+        for got, ref in zip(kernels, ref_kernels):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        n_dim, d = ws.pencil.n_dim, sum(ws.segre)
+        if ws.index == 0:
+            # A is invertible: the analysis takes no staircase
+            assert guarded_rank(ws.pencil.a) == n_dim
+            finite = build_chains(p).finite
+            assert np.array_equal(finite, np.eye(n_dim))
+        assert finite.shape == (n_dim, n_dim - d)
+        truth = np.linalg.inv(ws.t_mat)[:, :n_dim - d]
+        assert subspace_gap(finite, truth) <= 1e-8
 
 
 def test_chains_nilpotent_pair():

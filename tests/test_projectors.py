@@ -1,10 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import daekit.projectors
 from daekit import (InvariantViolation, Pencil, build_chains,
-                    build_dual_chains, build_projectors, build_tilde_A,
-                    verify_projectors)
+                    build_dual_chains, build_projectors, verify_projectors)
 from daekit._linalg import subspace_gap
+from daekit.pencil import DualSystem
 from daekit.projectors import build_all
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -38,24 +41,18 @@ def test_projectors_index_zero():
 
 
 def test_tilde_a_nilpotent_pair():
-    p = Pencil(NILPOTENT, EYE2)
-    cs = build_chains(p)
-    ds = build_dual_chains(p, cs)
-    a_tilde, a_tilde_inv = build_tilde_A(p, cs, ds)
-    np.testing.assert_allclose(a_tilde, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
-    np.testing.assert_allclose(a_tilde_inv, [[0.0, -1.0], [1.0, 0.0]],
+    _, _, ps = build_all(Pencil(NILPOTENT, EYE2))
+    np.testing.assert_allclose(ps.a_tilde, [[0.0, 1.0], [-1.0, 0.0]],
+                               atol=1e-12)
+    np.testing.assert_allclose(ps.a_tilde_inv, [[0.0, -1.0], [1.0, 0.0]],
                                atol=1e-12)
 
 
 def test_tilde_a_trivial_cases():
-    p = Pencil(EYE2, np.diag([1.0, 2.0]))
-    a_tilde, a_tilde_inv = build_tilde_A(p, build_chains(p),
-                                         build_dual_chains(p, build_chains(p)))
-    np.testing.assert_allclose(a_tilde, EYE2, atol=1e-12)
-    p = Pencil(np.diag([1.0, 0.0]), EYE2)
-    cs = build_chains(p)
-    a_tilde, _ = build_tilde_A(p, cs, build_dual_chains(p, cs))
-    np.testing.assert_allclose(a_tilde, EYE2, atol=1e-12)
+    _, _, ps = build_all(Pencil(EYE2, np.diag([1.0, 2.0])))
+    np.testing.assert_allclose(ps.a_tilde, EYE2, atol=1e-12)
+    _, _, ps = build_all(Pencil(np.diag([1.0, 0.0]), EYE2))
+    np.testing.assert_allclose(ps.a_tilde, EYE2, atol=1e-12)
 
 
 def test_semi_inverses_examples():
@@ -120,6 +117,51 @@ def test_inconsistent_inputs_raise():
     ds3 = build_dual_chains(p3, cs3)
     with pytest.raises(InvariantViolation):
         build_projectors(cs1, ds3, p1)
+
+
+def test_nan_duals_raise():
+    p = Pencil(NILPOTENT, EYE2)
+    cs = build_chains(p)
+    nan_duals = DualSystem(chains=tuple(
+        tuple(np.full(2, np.nan) for _ in qs)
+        for qs in build_dual_chains(p, cs).chains))
+    with pytest.raises(InvariantViolation):
+        build_projectors(cs, nan_duals, p)
+
+
+def test_pair_analysis_does_each_piece_of_work_once(pencil_corpus,
+                                                    monkeypatch):
+    svd, rel_residual = np.linalg.svd, daekit.projectors.rel_residual
+    decomposed = []
+    residual_calls = []
+
+    def recording_svd(m, *args, **kwargs):
+        m = np.asarray(m)
+        decomposed.append((m.shape, m.dtype.str, m.tobytes()))
+        return svd(m, *args, **kwargs)
+
+    def counting_residual(lhs, rhs):
+        residual_calls.append(1)
+        return rel_residual(lhs, rhs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(daekit.projectors, "rel_residual", counting_residual)
+    for ws in pencil_corpus:
+        decomposed.clear()
+        residual_calls.clear()
+        pencil = Pencil(ws.pencil.a, ws.pencil.b)
+        canonical, _, ps = build_all(pencil)
+        for (shape, _, data), count in Counter(decomposed).items():
+            # equal values of different quantities: A = 0 makes G and its
+            # powers 0, and a lone chain of length 1 is the top direction
+            # whose SVD chose it, decomposed again in the independence check
+            assert count == 1 or not any(data) or (
+                canonical.multiplicities == [1] and shape[1] == 1)
+        # every identity once, and the closed form of a_tilde's inverse
+        assert len(residual_calls) == len(ps.residuals) + 1
+        # what `analyze` reports as projector_residuals
+        assert list(ps.residuals.items()) == list(
+            verify_projectors(ps, pencil).items())
 
 
 def test_ground_truth_subspaces(analyzed_corpus):
