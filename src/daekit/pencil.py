@@ -13,7 +13,7 @@ chains and with that finite subspace basis.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,13 +93,15 @@ class CanonicalSystem:
 
     `finite` is the orthonormal basis from the SVD of G^nu, N x (N - d)
     for d chain vectors: the identity for index 0. range(G^nu) does not
-    depend on the shift lambda of G.
+    depend on the shift lambda of G. `residuals` is what `chain_residuals`
+    returns for the chains, kept by `build_chains` from its final check.
     """
 
     chains: tuple
     n: int
     nu: int
     finite: np.ndarray
+    residuals: dict | None = None
 
     def pairs(self):
         """Column labels (chain index, level j starting at 1)."""
@@ -122,6 +124,7 @@ class CanonicalSystem:
 @dataclass(frozen=True)
 class DualSystem:
     chains: tuple  # tuple of tuples of vectors, aligned with CanonicalSystem
+    residuals: dict | None = None  # `dual_residuals`, from `build_dual_chains`
 
     def matrix(self) -> np.ndarray:
         cols = [v for c in self.chains for v in c]
@@ -255,7 +258,8 @@ def build_chains(pencil: Pencil) -> CanonicalSystem:
     tol = pencil.tol
     n_dim = pencil.n_dim
     if guarded_rank(pencil.a, tol, what="A") == n_dim:
-        return CanonicalSystem(chains=(), n=0, nu=0, finite=np.eye(n_dim))
+        system = CanonicalSystem(chains=(), n=0, nu=0, finite=np.eye(n_dim))
+        return replace(system, residuals=chain_residuals(pencil, system))
 
     lam = pencil.regular_point()
     g, ranks, kernels, finite = _staircase(pencil)
@@ -353,12 +357,12 @@ def build_chains(pencil: Pencil) -> CanonicalSystem:
                          multiplicity=len(ch)) for ch in finished)
     system = CanonicalSystem(chains=chains, n=len(chains), nu=nu,
                              finite=finite)
-    worst = chain_residuals(pencil, system)["worst"]
-    if not worst <= tol.chain:
+    residuals = chain_residuals(pencil, system)
+    if not residuals["worst"] <= tol.chain:
         raise ChainExtensionFailure(
             f"constructed chains violate the chain relations "
-            f"(worst relative residual {worst:.3e})")
-    return system
+            f"(worst relative residual {residuals['worst']:.3e})")
+    return replace(system, residuals=residuals)
 
 
 def build_dual_chains(pencil: Pencil, canonical: CanonicalSystem) -> DualSystem:
@@ -380,7 +384,8 @@ def build_dual_chains(pencil: Pencil, canonical: CanonicalSystem) -> DualSystem:
     """
     tol = pencil.tol
     if canonical.n == 0:
-        return DualSystem(chains=())
+        dual = DualSystem(chains=())
+        return replace(dual, residuals=dual_residuals(pencil, canonical, dual))
     phi = canonical.matrix()
     n_dim, d = phi.shape
     lam = pencil.regular_point()
@@ -407,11 +412,12 @@ def build_dual_chains(pencil: Pencil, canonical: CanonicalSystem) -> DualSystem:
     duals = [tuple(next(vectors) for _ in range(m))
              for m in canonical.multiplicities]
     dual = DualSystem(chains=tuple(duals))
-    worst = dual_residuals(pencil, canonical, dual)["worst"]
-    if not worst <= tol.biorth:
+    residuals = dual_residuals(pencil, canonical, dual)
+    if not residuals["worst"] <= tol.biorth:
         raise BiorthogonalizationFailure(
-            f"dual system residuals too large (worst {worst:.3e})")
-    return dual
+            f"dual system residuals too large "
+            f"(worst {residuals['worst']:.3e})")
+    return replace(dual, residuals=residuals)
 
 
 def chain_residuals(pencil: Pencil, canonical: CanonicalSystem) -> dict:
@@ -460,7 +466,9 @@ def dual_residuals(pencil: Pencil, canonical: CanonicalSystem,
 
 def analysis_report(pencil: Pencil, canonical: CanonicalSystem,
                     dual: DualSystem) -> dict:
-    """JSON-ready summary of the pencil analysis."""
+    """JSON-ready summary of the pencil analysis; the residuals are those
+    `build_chains` and `build_dual_chains` kept, or computed here for
+    systems built otherwise."""
     lam = pencil.lambda_star
     lam_out = ([lam.real, lam.imag] if isinstance(lam, complex) else lam)
     return {
@@ -469,6 +477,8 @@ def analysis_report(pencil: Pencil, canonical: CanonicalSystem,
         "index": canonical.nu,
         "kernel_dimension": canonical.n,
         "multiplicities": canonical.multiplicities,
-        "chain_residuals": chain_residuals(pencil, canonical),
-        "dual_residuals": dual_residuals(pencil, canonical, dual),
+        "chain_residuals": (canonical.residuals
+                            or chain_residuals(pencil, canonical)),
+        "dual_residuals": dual.residuals or dual_residuals(pencil, canonical,
+                                                          dual),
     }

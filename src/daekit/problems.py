@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import copy
 import json
+import numbers
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .certificates import ComparisonSpec, LyapunovComponent, LyapunovSpec
@@ -232,11 +232,96 @@ _FIXTURES = resources.files("daekit") / "fixtures"
 PROBLEM_SCHEMA = json.loads((_FIXTURES / "problem.schema.json").read_text())
 
 
-# Matrix entries are checked here in one pass, not by the schema: its
+# `_walk` interprets the keywords of the shipped schema by JSON Schema draft
+# 2020-12, with jsonschema's type rules, error order and wording; `_checked`
+# refuses any other keyword, so a schema edit that needs one cannot pass
+# unchecked.
+_TYPES = {
+    "array": lambda v: isinstance(v, list),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+    "number": lambda v: (not isinstance(v, bool)
+                         and isinstance(v, numbers.Number)),
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+}
+_KEYWORDS = frozenset(("$schema", "type", "enum", "required", "properties",
+                       "additionalProperties", "items", "minItems",
+                       "maxItems", "oneOf"))
+_NO_MATCH = "{!r} is not valid under any of the given schemas"
+
+
+def _checked(schema: dict, pointer: str = "") -> dict:
+    """The schema, once every keyword and value in it is one `_walk`
+    interprets; ValueError otherwise."""
+    for key, rule in schema.items():
+        where = f"{pointer}/{key}"
+        if key not in _KEYWORDS:
+            raise ValueError(f"unsupported schema keyword at {where}")
+        if (key == "type" and not (isinstance(rule, str) and rule in _TYPES)
+                or key == "enum" and not all(isinstance(e, str) for e in rule)
+                or key == "additionalProperties" and rule is not False):
+            raise ValueError(f"unsupported schema value at {where}: {rule!r}")
+        if key == "properties":
+            for name, sub in rule.items():
+                _checked(sub, f"{where}/{name}")
+        elif key == "items":
+            _checked(rule, where)
+        elif key == "oneOf":
+            for k, sub in enumerate(rule):
+                _checked(sub, f"{where}/{k}")
+    return schema
+
+
+def _walk(value, schema: dict, path: list):
+    """(path, message) of each way value breaks schema, in schema key order."""
+    for key, rule in schema.items():
+        if key == "type":
+            if not _TYPES[rule](value):
+                yield path, f"{value!r} is not of type {rule!r}"
+        elif key == "enum":
+            if not (isinstance(value, str) and value in rule):
+                yield path, f"{value!r} is not one of {rule!r}"
+        elif key == "oneOf":
+            valid = [sub for sub in rule if not any(_walk(value, sub, path))]
+            if not valid:
+                yield path, _NO_MATCH.format(value)
+            elif len(valid) > 1:  # jsonschema names the first valid one last
+                yield path, f"{value!r} is valid under each of " + ", ".join(
+                    map(repr, valid[1:] + valid[:1]))
+        elif isinstance(value, list):
+            if key == "items":
+                for i, item in enumerate(value):
+                    yield from _walk(item, rule, path + [i])
+            elif key == "minItems" and len(value) < rule:
+                yield path, f"{value!r} " + (
+                    "should be non-empty" if rule == 1 else "is too short")
+            elif key == "maxItems" and len(value) > rule:
+                yield path, f"{value!r} " + (
+                    "is expected to be empty" if rule == 0 else "is too long")
+        elif isinstance(value, dict):
+            if key == "required":
+                for name in rule:
+                    if name not in value:
+                        yield path, f"{name!r} is a required property"
+            elif key == "properties":
+                for name, sub in rule.items():
+                    if name in value:
+                        yield from _walk(value[name], sub, path + [name])
+            elif key == "additionalProperties":
+                known = schema.get("properties", {})
+                extra = sorted((k for k in value if k not in known), key=str)
+                if extra:
+                    yield path, ("Additional properties are not allowed "
+                                 f"({', '.join(map(repr, extra))} "
+                                 f"{'was' if len(extra) == 1 else 'were'} "
+                                 "unexpected)")
+
+
+# Matrix entries are checked here in one pass, not by the walk: the schema's
 # per-entry `oneOf` made validation cost seconds on a 128 x 128 pair.  The
-# rest of a document is validated against the shipped schema minus the rule
-# for one A/B entry, which `_is_entry` states in Python.
-_ENTRY_MISMATCH = "{!r} is not valid under any of the given schemas"
+# rest of a document is walked against the shipped schema minus the rule for
+# one A/B entry, which `_is_entry` states in Python.
 _PLAIN_NUMBERS = frozenset((float, int))
 
 
@@ -247,12 +332,11 @@ def _without_matrix_entries(schema: dict) -> dict:
     return out
 
 
-_VALIDATOR = jsonschema.Draft202012Validator(
-    _without_matrix_entries(PROBLEM_SCHEMA))
+_RULES = _without_matrix_entries(_checked(PROBLEM_SCHEMA))
 
 
 def _is_number(value) -> bool:
-    return type(value) in _PLAIN_NUMBERS or _VALIDATOR.is_type(value, "number")
+    return type(value) in _PLAIN_NUMBERS or _TYPES["number"](value)
 
 
 def _is_entry(value) -> bool:
@@ -267,17 +351,17 @@ def _is_plain_row(row: list) -> bool:
 
 
 def _schema_errors(data) -> list:
-    """(path, message) of every schema violation, as `jsonschema` reports
-    them against the shipped schema."""
-    errors = [(list(e.absolute_path), e.message)
-              for e in _VALIDATOR.iter_errors(data)]
+    """(path, message) of every violation of the shipped schema, with the
+    paths, messages and order of jsonschema's draft 2020-12 validator; the
+    matrix entries' errors come last."""
+    errors = list(_walk(data, _RULES, []))
     for key in ("A", "B"):
         rows = data.get(key) if isinstance(data, dict) else None
         if not isinstance(rows, list):
             continue
         for i, row in enumerate(rows):
             if isinstance(row, list) and not _is_plain_row(row):
-                errors += [([key, i, j], _ENTRY_MISMATCH.format(v))
+                errors += [([key, i, j], _NO_MATCH.format(v))
                            for j, v in enumerate(row) if not _is_entry(v)]
     return errors
 

@@ -30,6 +30,18 @@ def test_analyze_bundled(tmp_path, capsys):
     assert max(report["projector_residuals"].values()) <= 1e-8
 
 
+def test_analyze_computes_each_residual_once(tmp_path, monkeypatch):
+    # the report reads the residuals of the chains' and duals' final checks
+    calls = []
+    for name in ("chain_residuals", "dual_residuals"):
+        def counting(*args, _name=name, _inner=getattr(daekit.pencil, name)):
+            calls.append(_name)
+            return _inner(*args)
+        monkeypatch.setattr(daekit.pencil, name, counting)
+    assert run(["analyze", "index3_chain", "--out", str(tmp_path)]) == 0
+    assert sorted(calls) == ["chain_residuals", "dual_residuals"]
+
+
 def test_reduce_summary(tmp_path):
     code = run(["reduce", "index2_structured", "--out", str(tmp_path)])
     assert code == 0

@@ -1,7 +1,7 @@
-"""No command loads scipy, and only `certify` loads numpy.polynomial, at
-its first integral probe, for the Gauss–Legendre rules.  Each check runs in
-a fresh interpreter, because the test process itself has long since
-imported scipy."""
+"""No command loads scipy or jsonschema, and only `certify` loads
+numpy.polynomial, at its first integral probe, for the Gauss–Legendre
+rules.  Each check runs in a fresh interpreter, because the test process
+itself has long since imported both."""
 
 import json
 import os
@@ -15,15 +15,20 @@ import daekit
 
 _SRC = str(Path(daekit.__file__).resolve().parents[1])
 
+# packages no command may load: scipy, and jsonschema with the packages
+# it brings in
+_NEVER_LOADED = ("scipy", "jsonschema", "referencing", "attrs", "rpds")
+
 # runs `cli.run(argv)` when argv is not empty; its last stdout line lists
-# the loaded scipy and numpy.polynomial modules
+# the loaded modules of the packages in argv[2:] and of numpy.polynomial
 _LOADED_AFTER_RUN = """
 import json, sys
 from daekit import cli
 argv = json.loads(sys.argv[1])
 if argv:
     assert cli.run(argv) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in sys.argv[2:]
                         or m.startswith("numpy.polynomial"))))
 """
 
@@ -78,10 +83,13 @@ def _python(code: str, *args: str, cwd: Path) -> str:
 ], ids=["import", "analyze", "reduce", "simulate", "simulate-cascade",
         "sweep", "certify", "certify-cascade"])
 def test_scipy_loaded_only_at_first_use(tmp_path, command, probes):
+    """Neither scipy nor jsonschema (nor what jsonschema brings in) after
+    the import or any command; numpy.polynomial only after certify."""
     argv = command + ["--out", str(tmp_path)] if command else []
-    stdout = _python(_LOADED_AFTER_RUN, json.dumps(argv), cwd=tmp_path)
+    stdout = _python(_LOADED_AFTER_RUN, json.dumps(argv), *_NEVER_LOADED,
+                     cwd=tmp_path)
     loaded = json.loads(stdout.splitlines()[-1])
-    assert not any(m.split(".")[0] == "scipy" for m in loaded), loaded
+    assert not any(m.split(".")[0] in _NEVER_LOADED for m in loaded), loaded
     assert ("numpy.polynomial" in loaded) == probes, loaded
 
 

@@ -132,6 +132,8 @@ def test_chains_trivial_kernel():
     rng = np.random.default_rng(0)
     cs = build_chains(Pencil(np.eye(3), rng.standard_normal((3, 3))))
     assert cs.n == 0 and cs.nu == 0 and cs.chains == ()
+    assert cs.residuals == {"kernel": 0.0, "links": 0.0,
+                            "min_singular_value": 1.0, "worst": 0.0}
 
 
 def test_duals_nilpotent_pair():
@@ -150,7 +152,10 @@ def test_duals_index_one():
 
 def test_duals_empty_for_index_zero():
     p = Pencil(EYE2, np.diag([1.0, 2.0]))
-    assert build_dual_chains(p, build_chains(p)).chains == ()
+    ds = build_dual_chains(p, build_chains(p))
+    assert ds.chains == ()
+    assert ds.residuals == {"adjoint_links": 0.0, "biorthogonality": 0.0,
+                            "worst": 0.0}
 
 
 def test_corpus_chain_and_dual_invariants(analyzed_corpus):
@@ -161,6 +166,7 @@ def test_corpus_chain_and_dual_invariants(analyzed_corpus):
         assert canonical.multiplicities == sorted(ws.segre, reverse=True)
         assert sum(canonical.multiplicities) == sum(ws.segre)
         cres = chain_residuals(p, canonical)
+        assert canonical.residuals == cres  # kept from the final check
         assert cres["worst"] <= 1e-8
         if canonical.n:
             assert cres["min_singular_value"] > 1e-8
@@ -169,6 +175,7 @@ def test_corpus_chain_and_dual_invariants(analyzed_corpus):
             for v in chain.adjoined:
                 assert np.linalg.norm(v) <= 1e3  # unit-order, not unit
         dres = dual_residuals(p, canonical, dual)
+        assert dual.residuals == dres
         assert dres["worst"] <= 1e-8
 
 

@@ -8,8 +8,9 @@ from jsonschema import Draft202012Validator
 
 from daekit import (DaekitError, SchemaError, UnknownRegistryId, builtin,
                     builtin_names, compute_index, load_builtin, load_problem)
-from daekit.problems import (PROBLEM_SCHEMA, load_problem_dict,
-                             random_weierstrass, reference_solution)
+from daekit.problems import (PROBLEM_SCHEMA, _checked, _walk,
+                             load_problem_dict, random_weierstrass,
+                             reference_solution)
 
 EXPECTED_BUILTINS = {
     "ode_index0", "ode_scalar_quadratic", "ode_scalar_decay",
@@ -319,9 +320,9 @@ def _documents(draw):
     return data
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(_documents())
-def test_loader_errors_match_shipped_schema(data):
+def _assert_loader_matches_oracle(data):
+    """The loader raises the oracle's first error by path, and otherwise
+    nothing but a DaekitError."""
     errors = sorted(_ORACLE.iter_errors(data),
                     key=lambda e: list(e.absolute_path))
     if not errors:
@@ -338,3 +339,229 @@ def test_loader_errors_match_shipped_schema(data):
     assert err.value.pointer == "/" + "/".join(
         str(p) for p in first.absolute_path)
     assert str(err.value) == f"{err.value.pointer}: {first.message}"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_documents())
+def test_loader_errors_match_shipped_schema(data):
+    _assert_loader_matches_oracle(data)
+
+
+# every other block of the schema: a valid document that uses them, with a
+# value replaced, a key dropped or a key added at up to two places; every
+# container is drawn new, since the faults edit them in place
+_ANY = st.one_of(_SCALARS, st.builds(list), st.builds(dict),
+                 st.lists(_NUMBERS, max_size=3),
+                 st.dictionaries(st.sampled_from(["registry_id", "params",
+                                                  "zz"]),
+                                 st.one_of(st.text(max_size=2), _NUMBERS,
+                                           st.builds(dict)), max_size=2))
+
+
+def _registry(*ids):
+    return st.fixed_dictionaries({"registry_id": st.sampled_from(ids)},
+                                 optional={"params": st.builds(dict)})
+
+
+def _optional(**keys):
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+_VALID_DOCUMENTS = st.fixed_dictionaries(
+    {"name": st.text(max_size=2),
+     "A": st.builds(lambda: [[1.0, 0.0], [0.0, 0.0]]),
+     "B": st.builds(lambda: [[1.0, 0.0], [0.0, 1.0]]),
+     "field": _registry("zero", "stable_linear")},
+    optional={
+        "structure_tag": st.sampled_from(["general", "structured",
+                                          "structured_variant"]),
+        "initial": _optional(x_guess=st.lists(_NUMBERS, min_size=2,
+                                              max_size=2)),
+        "integration": _optional(t_max=st.floats(0.5, 2.0),
+                                 blowup_window=st.sampled_from([3, 4.0])),
+        "certificate": st.fixed_dictionaries(
+            {"kind": st.sampled_from(["global_solvability",
+                                      "global_solvability_norm",
+                                      "lagrange_stability", "blowup"]),
+             "V": st.lists(_registry("squared_norm"), min_size=1,
+                           max_size=2),
+             "U": _registry("affine", "power"),
+             "psi": _registry("constant", "exp_decay")},
+            optional={"combination": st.sampled_from(["max", "min"]),
+                      "R": st.floats(0.5, 2.0),
+                      "region": _registry("halfspace", "norm_above"),
+                      "declared_U_integral": st.sampled_from(
+                          ["diverges", "converges"]),
+                      "declared_psi_integral": st.sampled_from(
+                          ["diverges", "converges"]),
+                      "bound_constant": _NUMBERS}),
+        "sweep": st.fixed_dictionaries({"initial_values": st.lists(
+            st.lists(_NUMBERS, max_size=2), max_size=2)}),
+        "reference": _optional(id=st.text(max_size=2)),
+        "zz": _ANY,  # the root admits keys of its own
+    })
+
+
+def _containers(node, out):
+    """node and every dict or list below it, leaving out the matrices."""
+    out.append(node)
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        if isinstance(child, (dict, list)) and key not in ("A", "B"):
+            _containers(child, out)
+    return out
+
+
+@st.composite
+def _whole_documents(draw):
+    data = draw(_VALID_DOCUMENTS)
+    for _ in range(draw(st.sampled_from([1, 1, 2, 0]))):
+        node = draw(st.sampled_from(_containers(data, [])[::-1]))
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        fault = draw(st.sampled_from(["replace", "drop", "add"]))
+        if fault == "add" or not keys:
+            if isinstance(node, dict):
+                node[draw(st.sampled_from(["zz", "yy", "params"]))] = \
+                    draw(_ANY)
+            else:
+                node.append(draw(_ANY))
+        elif fault == "drop":
+            del node[draw(st.sampled_from(keys))]
+        else:
+            node[draw(st.sampled_from(keys))] = draw(_ANY)
+    return data
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_whole_documents())
+def test_loader_errors_match_shipped_schema_in_every_block(data):
+    _assert_loader_matches_oracle(data)
+
+
+# a valid document with every block, and one edit to it per case: the keys
+# down to a value and its new value, or _DROP to delete the key
+_FULL = {
+    "name": "full", "A": [[1.0, 0.0], [0.0, 0.0]],
+    "B": [[1.0, 0.0], [0.0, 1.0]],
+    "field": {"registry_id": "stable_linear", "params": {}},
+    "structure_tag": "general", "initial": {"x_guess": [0.5, 0.0]},
+    "integration": {"t_max": 1.0, "blowup_window": 3.0},
+    "certificate": {"kind": "blowup", "combination": "min",
+                    "V": [{"registry_id": "squared_norm"}],
+                    "U": {"registry_id": "affine", "params": {}},
+                    "psi": {"registry_id": "constant"},
+                    "region": {"registry_id": "norm_above",
+                               "params": {"radius": 1.0}},
+                    "R": 1.0, "declared_U_integral": "diverges",
+                    "declared_psi_integral": "converges",
+                    "bound_constant": 1.0},
+    "sweep": {"initial_values": [[0.5], []]},
+    "reference": {"id": "none"},
+    "notes": "the root admits keys of its own",
+}
+_DROP = object()
+_EDITS = [
+    ((), None),
+    (("certificate", "kind"), "stable"),
+    (("certificate", "combination"), "mean"),
+    (("certificate", "declared_U_integral"), "maybe"),
+    (("certificate", "declared_psi_integral"), 1),
+    (("certificate", "psi"), _DROP),
+    (("certificate",), {"kind": "blowup"}),
+    (("certificate", "U", "registry_id"), _DROP),
+    (("certificate", "V"), []),
+    (("certificate", "V", 0, "zz"), 1),
+    (("certificate", "U", "zz"), 1),
+    (("certificate", "psi", "weight"), 1),
+    (("certificate", "region", "params"), 1),
+    (("certificate", "region"), {"registry_id": "norm_above", "zz": 1,
+                                 "yy": 2}),
+    (("certificate", "R"), True),
+    (("sweep", "initial_values"), _DROP),
+    (("sweep", "initial_values", 1), [0.5, "a"]),
+    (("sweep", "initial_values"), [0.5]),
+    (("initial", "x_guess", 1), [1.0]),
+    (("initial", "x_guess", 1), [1.0, 2.0, 3.0]),
+    (("initial", "x_guess", 0), "a"),
+    (("initial", "x_guess"), {}),
+    (("integration", "blowup_window"), 2.5),
+    (("reference", "id"), 3),
+    (("reference",), []),
+    (("structure_tag",), "other"),
+    (("field", "zz"), {}),
+]
+
+
+@pytest.mark.parametrize("keys, value", _EDITS, ids=[
+    "valid" if not k else "/".join(map(str, k))
+    + ("-drop" if v is _DROP else f"={v!r}") for k, v in _EDITS])
+def test_loader_errors_match_shipped_schema_for_each_block(keys, value):
+    data = copy.deepcopy(_FULL)
+    if keys:
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        if value is _DROP:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+    assert bool(list(_ORACLE.iter_errors(data))) == bool(keys)
+    _assert_loader_matches_oracle(data)
+    if not keys:
+        load_problem_dict(data)
+
+
+@pytest.mark.parametrize("blocks, accepted", [
+    ({"A": [[np.float64(1.0), np.float64(0.0)], [np.int64(0), np.int64(0)]]},
+     True),
+    ({"integration": {"t_max": np.float64(2.0),
+                      "blowup_window": np.float64(3.0)}}, True),
+    ({"initial": {"x_guess": [np.int64(1), np.float64(0.5)]}}, True),
+    ({"certificate": {"kind": "blowup", "V": [{"registry_id": "squared_norm"}],
+                      "U": {"registry_id": "affine"},
+                      "psi": {"registry_id": "constant"},
+                      "R": np.float64(2.0)}}, True),
+    # jsonschema's `integer` is an int or an integral float
+    ({"integration": {"blowup_window": np.int64(3)}}, False),
+    ({"A": [[np.bool_(True), 0.0], [0.0, 0.0]]}, False),
+    ({"sweep": {"initial_values": [[np.bool_(False)]]}}, False),
+], ids=["float64-int64-entries", "float64-options", "int64-guess",
+        "float64-radius", "int64-window", "bool_-entry", "bool_-start"])
+def test_numpy_scalars_as_the_oracle_reads_them(blocks, accepted):
+    data = {"name": "np", "A": [[1.0, 0.0], [0.0, 0.0]],
+            "B": np.eye(2).tolist(), "field": {"registry_id": "zero"},
+            **blocks}
+    assert (not list(_ORACLE.iter_errors(data))) == accepted
+    _assert_loader_matches_oracle(data)
+    if accepted:
+        load_problem_dict(data)
+
+
+# keyword uses the shipped schema leaves out, each walked as jsonschema does
+@pytest.mark.parametrize("schema, value", [
+    ({"oneOf": [{"type": "number"}, {"type": "integer"},
+                {"type": "number"}]}, 3),
+    ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 2.5),
+    ({"type": "array", "minItems": 3, "maxItems": 0}, [1]),
+    ({"type": "array", "maxItems": 1}, [1, 2]),
+    ({"type": "object", "properties": {"a": {}},
+      "additionalProperties": False}, {"c": 1, "a": 1, "b": 2}),
+])
+def test_walk_matches_the_oracle_beyond_the_shipped_schema(schema, value):
+    want = [(list(e.absolute_path), e.message)
+            for e in Draft202012Validator(schema).iter_errors(value)]
+    assert list(_walk(value, _checked(schema), [])) == want
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "object",
+     "properties": {"name": {"type": "string", "pattern": "^a"}}},
+    {"items": {"type": "null"}},
+    {"type": ["number", "string"]},
+    {"enum": ["a", 1]},
+    {"additionalProperties": {"type": "number"}},
+], ids=["pattern", "null-type", "type-list", "non-string-enum",
+        "additionalProperties-schema"])
+def test_unsupported_schema_raises(schema):
+    with pytest.raises(ValueError, match="unsupported schema"):
+        _checked(schema)
