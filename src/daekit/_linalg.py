@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .config import Tolerances, DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES as TOL
 from .errors import RankAmbiguity
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -21,17 +21,17 @@ def as_matrix(a) -> np.ndarray:
     return np.ascontiguousarray(m, dtype=np.float64)
 
 
-def rank_cutoff(sigmas: np.ndarray, n: int, tol: Tolerances,
-                ref: float | None = None) -> float:
+def rank_cutoff(sigmas: np.ndarray, n: int, ref: float | None = None
+                ) -> float:
     """Rank threshold; `ref` overrides the scale when the matrix itself may
     be numerically zero (e.g. a power of a nilpotent matrix, whose own
     largest singular value is pure floating-point fuzz)."""
     smax = float(sigmas[0]) if sigmas.size else 0.0
     scale = max(smax, ref) if ref is not None else smax
-    return tol.rank_factor * n * _EPS * scale
+    return TOL.rank_factor * n * _EPS * scale
 
 
-def guarded_count(sig: np.ndarray, n: int, tol: Tolerances, what: str,
+def guarded_count(sig: np.ndarray, n: int, what: str,
                   ref: float | None = None) -> int:
     """Numerical rank from descending singular values, with an ambiguity
     guard.
@@ -41,19 +41,18 @@ def guarded_count(sig: np.ndarray, n: int, tol: Tolerances, what: str,
     """
     if sig.size == 0 or sig[0] == 0.0:
         return 0
-    cut = rank_cutoff(sig, n, tol, ref)
-    lo, hi = cut / tol.guard_low, cut * tol.guard_high
+    cut = rank_cutoff(sig, n, ref)
+    lo, hi = cut / TOL.guard_low, cut * TOL.guard_high
     for s in sig:
         if lo < s < hi:
             raise RankAmbiguity(f"rank of {what} ambiguous", float(s), (lo, hi))
     return int(np.sum(sig > cut))
 
 
-def guarded_rank(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES,
-                 what: str = "matrix") -> int:
+def guarded_rank(m: np.ndarray, what: str = "matrix") -> int:
     """Numerical rank of `m` with the ambiguity guard of `guarded_count`."""
     return guarded_count(np.linalg.svd(m, compute_uv=False), max(m.shape),
-                         tol, what)
+                         what)
 
 
 def svd(m: np.ndarray, full_matrices: bool = True):
@@ -71,20 +70,31 @@ def svd(m: np.ndarray, full_matrices: bool = True):
         return vh.conj().T, s, u.conj().T
 
 
-def orth_basis(m: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def orth_basis(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column space (columns of the result)."""
     if m.size == 0:
         return m.reshape(m.shape[0], 0)
     u, sig, _ = svd(m, full_matrices=False)
-    cut = rank_cutoff(sig, max(m.shape), tol)
+    cut = rank_cutoff(sig, max(m.shape))
     r = int(np.sum(sig > cut))
     return u[:, :r]
 
 
 def rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """Relative Frobenius distance, floored at absolute scale 1."""
+    """Relative Frobenius distance, floored at absolute scale 1.
+
+    numpy's norm squares the entries, so where the largest entry exceeds
+    2**500 both arrays are first scaled by one power of two, which is
+    exact; below that the quotient is the unscaled one, bit for bit.
+    """
+    big = max(float(np.abs(lhs).max(initial=0.0)),
+              float(np.abs(rhs).max(initial=0.0)))
+    floor = 1.0
+    if big > 2.0 ** 500:
+        floor = math.ldexp(1.0, -math.frexp(big)[1])
+        lhs, rhs = lhs * floor, rhs * floor
     num = float(np.linalg.norm(lhs - rhs))
-    den = max(1.0, float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
+    den = max(floor, float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
     return num / den
 
 
@@ -103,11 +113,10 @@ def cond2(m: np.ndarray) -> float:
     return float(sig[0] / sig[-1])
 
 
-def subspace_gap(a: np.ndarray, b: np.ndarray,
-                 tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def subspace_gap(a: np.ndarray, b: np.ndarray) -> float:
     """Sine of the largest principal angle between two column spans."""
-    ua = orth_basis(a, tol)
-    ub = orth_basis(b, tol)
+    ua = orth_basis(a)
+    ub = orth_basis(b)
     if ua.shape[1] != ub.shape[1]:
         return 1.0
     if ua.shape[1] == 0:

@@ -163,8 +163,8 @@ def cmd_simulate(args) -> int:
     else:
         data_path = out_dir / f"{problem.name}_trajectory.csv"
         traj.to_csv(data_path)
-    term_path = out_dir / f"{problem.name}_termination.json"
-    traj.termination_json(term_path)
+    _dump_json(traj.termination.to_dict(),
+               out_dir / f"{problem.name}_termination.json")
     term = traj.termination
     msg = term.kind
     if term.kind == "blowup_suspected":

@@ -1,8 +1,9 @@
 """Numerical tolerances shared across the toolkit.
 
-All thresholds are configurable; the defaults follow standard numerical-rank
-practice (rank cutoffs scaled by the largest singular value) with headroom
-above machine precision for O(N^3) arithmetic.
+The thresholds are constants: every module reads the one record
+DEFAULT_TOLERANCES.  They follow standard numerical-rank practice (rank
+cutoffs scaled by the largest singular value) with headroom above machine
+precision for O(N^3) arithmetic.
 """
 
 from __future__ import annotations

@@ -5,7 +5,6 @@ finite-time escape, constraint-solve failure, step collapse).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
@@ -13,6 +12,7 @@ from typing import Callable
 import numpy as np
 
 from ._linalg import norm2
+from .config import DEFAULT_TOLERANCES as TOL
 from .errors import (ConstraintSolveFailure, InconsistentInitialValue,
                      NoConvergence, SingularJacobian)
 from .implicit import JacobianCache
@@ -86,7 +86,8 @@ class TerminationReason:
 
 @dataclass
 class TrajectoryInternals:
-    """Raw per-step record used by the termination classifier."""
+    """Per-step record of a run, read by the termination classifier; an
+    overflow at the floor ends it with one point that was not accepted."""
 
     times: list = dc_field(default_factory=list)
     norms: list = dc_field(default_factory=list)
@@ -129,11 +130,6 @@ class Trajectory:
                        float(np.linalg.norm(self.w_states[k])),
                        self.residuals[k]]
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-    def termination_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.termination.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _escape_estimate(times, norms) -> float:
@@ -224,36 +220,47 @@ def _initial_step(y0, f0, opts: IntegrationOptions) -> float:
                      opts.t_max - opts.t0))
 
 
-def _drive(rhs: Callable, t0: float, y0: np.ndarray,
-           opts: IntegrationOptions, on_accept: Callable,
-           internals: TrajectoryInternals) -> TrajectoryInternals:
-    """Embedded 5(4) pair with PI step control and a forced-accept floor."""
-    hmax = opts.step_bound
-    t, y = t0, np.array(y0, dtype=float)
-    nfev = [0]
+def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
+         residual: Callable) -> Trajectory:
+    """Integrate w' = dw for (dw, x) = solve(t, w) by the embedded
+    Dormand-Prince 5(4) pair with PI step control and a forced-accept floor.
+
+    Each accepted point records w, the assembled state x and its constraint
+    residual residual(t, x).  The solve at t0 gives x0 and the first
+    right-hand side; a level singular there raises.  The pair is
+    first-same-as-last: an accepted step ends at its seventh stage, so the
+    state that stage's solve assembled is the state recorded.
+    """
+    t, y = t0, np.array(w0, dtype=float)
+    k1, x = solve(t, y)
+    nfev = 1
+    rec = TrajectoryInternals(times=[float(t0)], norms=[norm2(y)],
+                              steps=[0.0], h_min=opts.h_min,
+                              blowup_norm_cap=opts.blowup_norm_cap,
+                              blowup_window=opts.blowup_window)
+    ws, states, residuals = [y], [x], [residual(t, x)]
 
     def f(tt, yy):
-        nfev[0] += 1
-        return rhs(tt, yy)
+        nonlocal nfev, x
+        nfev += 1
+        try:
+            dw, x = solve(tt, yy)
+        except SingularJacobian as exc:
+            # a level that loses its inverse after t0 ends the run
+            raise ConstraintSolveFailure(tt, exc.level, exc)
+        return dw
 
-    try:
-        k1 = f(t, y)
-    except ConstraintSolveFailure as exc:
-        internals.failure = (exc.t, exc.level, str(exc.cause))
-        internals.stats = {"nfev": nfev[0], "accepted": 0, "rejected": 0}
-        return internals
     h = opts.h_init if opts.h_init is not None else _initial_step(y, k1, opts)
     err_prev = 1e-4
     accepted = rejected = 0
     consecutive_forced = 0
     ks = [None] * 7
     while t < opts.t_max * (1 - 1e-14) and t + opts.h_min <= opts.t_max:
-        h = min(h, hmax, opts.t_max - t)
+        h = min(h, opts.step_bound, opts.t_max - t)
         h = max(h, opts.h_min)
         at_floor = h <= opts.h_min * (1 + 1e-9)
         ks[0] = k1
         bad = False  # the step must shrink; at the floor, this is overflow
-        y_new = None
         try:
             # overflow near a finite-time escape is expected, not an error
             with np.errstate(over="ignore", invalid="ignore"):
@@ -264,29 +271,28 @@ def _drive(rhs: Callable, t0: float, y0: np.ndarray,
                         bad = True
                         break
                     ks[i] = f(t + _C[i] * h, yi)
-                    if i == 6:
-                        y_new = yi  # stage 7 sits at the new solution point
         except ConstraintSolveFailure as exc:
             # away from the floor: shrink and retry, so persistent failure
             # ends at the floor.  There, a non-finite cause means the field
             # left the representable range: overflow of the dynamics, not
             # failure of the solvability hypotheses
             if at_floor and not _nonfinite_cause(exc):
-                internals.failure = (exc.t, exc.level, str(exc.cause))
+                rec.failure = (exc.t, exc.level, str(exc.cause))
                 break
             bad = True
         if not bad:
+            # the last stage, yi, sits at the new solution point
             err_vec = h * _combine(_E, ks)
-            sc = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(y_new))
+            sc = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(yi))
             with np.errstate(invalid="ignore", over="ignore"):
                 err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
             bad = not np.isfinite(err)
         if bad:
             if at_floor:
-                internals.nonfinite = True
-                internals.times.append(float(t + h))
-                internals.steps.append(float(h))
-                internals.norms.append(float("inf"))
+                rec.nonfinite = True
+                rec.times.append(float(t + h))
+                rec.steps.append(float(h))
+                rec.norms.append(float("inf"))
                 break
             h = max(h * 0.25, opts.h_min)
             rejected += 1
@@ -295,23 +301,19 @@ def _drive(rhs: Callable, t0: float, y0: np.ndarray,
             forced = err > 1.0
             consecutive_forced = consecutive_forced + 1 if forced else 0
             t = t + h
-            y = y_new
+            y = yi
             k1 = ks[6]
             accepted += 1
-            internals.times.append(float(t))
-            internals.steps.append(float(h))
-            try:
-                on_accept(t, y)
-            except ConstraintSolveFailure as exc:
-                internals.norms.append(float(np.linalg.norm(y)))
-                if _nonfinite_cause(exc):
-                    internals.nonfinite = True
-                else:
-                    internals.failure = (exc.t, exc.level, str(exc.cause))
+            # x is still the last stage's: no solve ran after it
+            rec.times.append(float(t))
+            rec.steps.append(float(h))
+            rec.norms.append(norm2(y))
+            ws.append(y)
+            states.append(x)
+            residuals.append(residual(t, x))
+            if at_floor and rec.escaping():
                 break
-            if at_floor and internals.escaping():
-                break
-            if consecutive_forced > max(50, 3 * internals.blowup_window):
+            if consecutive_forced > max(50, 3 * rec.blowup_window):
                 break
             fac = 0.9 * err ** (-0.14) * err_prev ** 0.08 if err > 0 else 5.0
             fac = min(5.0, max(0.2, fac))
@@ -323,61 +325,12 @@ def _drive(rhs: Callable, t0: float, y0: np.ndarray,
             rejected += 1
             h = h * min(1.0, max(0.2, 0.9 * err ** (-0.2)))
     else:
-        internals.reached_t_max = True
-    internals.stats = {"nfev": nfev[0], "accepted": accepted,
-                       "rejected": rejected}
-    return internals
-
-
-def _run(t0, w0, opts, solve, residual) -> Trajectory:
-    """Integrate w' = dw for (dw, x) = solve(t, w) and record the assembled
-    states x with their constraint residuals residual(t, x)."""
-    w0 = np.array(w0, dtype=float)
-    times = [float(t0)]
-    ws = [w0]
-    internals = TrajectoryInternals(h_min=opts.h_min,
-                                    blowup_norm_cap=opts.blowup_norm_cap,
-                                    blowup_window=opts.blowup_window)
-    internals.times.append(float(t0))
-    internals.norms.append(norm2(w0))
-    internals.steps.append(0.0)
-    last = {}
-
-    def rhs(t, w):
-        try:
-            dw, x = solve(t, w)
-        except SingularJacobian as exc:
-            # a level that loses its inverse after t0 ends the run; one
-            # singular at t0 raises from the first `assemble` below
-            raise ConstraintSolveFailure(t, exc.level, exc)
-        last["t"], last["w"], last["x"] = t, w, x
-        return dw
-
-    def assemble(t, w):
-        # an accepted step ends at its last stage, whose solve is reused
-        if last.get("t") == t and last.get("w") is w:
-            x = last["x"]
-        else:
-            _, x = solve(t, w)
-        return x, residual(t, x)
-
-    x0, res0 = assemble(t0, w0)
-    states = [x0]
-    residuals = [res0]
-
-    def on_accept(t, w):
-        times.append(float(t))
-        ws.append(w.copy())
-        x, res = assemble(t, w)
-        states.append(x)
-        residuals.append(res)
-        internals.norms.append(norm2(w))
-
-    _drive(rhs, t0, w0, opts, on_accept, internals)
-    return Trajectory(times=np.asarray(times), states=np.vstack(states),
-                      w_states=np.vstack(ws), residuals=np.asarray(residuals),
-                      termination=classify_termination(internals),
-                      stats=internals.stats)
+        rec.reached_t_max = True
+    rec.stats = {"nfev": nfev, "accepted": accepted, "rejected": rejected}
+    return Trajectory(times=np.asarray(rec.times[:len(ws)]),
+                      states=np.vstack(states), w_states=np.vstack(ws),
+                      residuals=np.asarray(residuals),
+                      termination=classify_termination(rec), stats=rec.stats)
 
 
 def integrate_first(reduced: ReducedFirst, t0: float, x0, opts: IntegrationOptions
@@ -385,8 +338,8 @@ def integrate_first(reduced: ReducedFirst, t0: float, x0, opts: IntegrationOptio
     """Integrate the direct reduction from a consistent initial state."""
     x0 = np.asarray(x0, dtype=float)
     res0 = reduced.residual_L0(t0, x0)
-    if res0 > reduced.dae.tol.cons:
-        raise InconsistentInitialValue(res0, reduced.dae.tol.cons)
+    if res0 > TOL.cons:
+        raise InconsistentInitialValue(res0, TOL.cons)
     state = reduced.make_state()
     if reduced.n:
         state.warm["kernel_level"] = reduced.kernel.x_coords(

@@ -13,13 +13,13 @@ chains and with that finite subspace basis.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._linalg import (as_matrix, cond2, guarded_count, guarded_rank,
                       orth_basis, rank_cutoff, svd, trim_imag)
-from .config import Tolerances, DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES as TOL
 from .errors import (BiorthogonalizationFailure, ChainExtensionFailure,
                      SingularPencil)
 
@@ -38,7 +38,6 @@ class Pencil:
     a: np.ndarray
     b: np.ndarray
     lambda_star: complex | float | None = None
-    tol: Tolerances = field(default_factory=lambda: DEFAULT_TOLERANCES)
 
     def __post_init__(self):
         self.a = as_matrix(self.a)
@@ -47,7 +46,7 @@ class Pencil:
             raise ValueError("A and B must be square with identical shapes")
         if self.lambda_star is not None:
             c = self.lambda_star * self.a + self.b
-            if cond2(c) > self.tol.cond_cap:
+            if cond2(c) > TOL.cond_cap:
                 raise ValueError("cached regular point is not acceptable")
 
     @property
@@ -108,6 +107,12 @@ class CanonicalSystem:
         return [(i, j + 1) for i, c in enumerate(self.chains)
                 for j in range(c.multiplicity)]
 
+    def columns(self, pred) -> list[int]:
+        """Indices, in `matrix()` order, of the columns whose chain length m
+        and level j satisfy pred(m, j)."""
+        return [k for k, (i, j) in enumerate(self.pairs())
+                if pred(self.chains[i].multiplicity, j)]
+
     def matrix(self) -> np.ndarray:
         """All chain vectors stacked as columns, chain-major."""
         cols = [v for c in self.chains for v in c.vectors()]
@@ -160,11 +165,10 @@ def find_regular_point(pencil: Pencil, seed: int = 0, n_random: int = 16):
     to ||B||/||A||. Raises SingularPencil when every candidate fails the
     condition-number cap.
     """
-    tol = pencil.tol
     tried = 0
     for lam in _candidate_points(pencil, seed, n_random):
         tried += 1
-        if cond2(pencil.shifted(lam)) <= tol.cond_cap:
+        if cond2(pencil.shifted(lam)) <= TOL.cond_cap:
             if isinstance(lam, complex) and lam.imag == 0.0:
                 lam = lam.real
             pencil.lambda_star = lam
@@ -205,7 +209,7 @@ def _staircase(pencil: Pencil):
         u, sig, vh = svd(p)
         if j == 1:
             smax = float(sig[0])
-        r = guarded_count(sig, n, pencil.tol, what="power of shifted inverse",
+        r = guarded_count(sig, n, what="power of shifted inverse",
                           ref=max(smax, 1e-300) ** j)
         ranks.append(r)
         if r == ranks[-2]:
@@ -228,7 +232,7 @@ def _segre(ranks: list[int]) -> list[int]:
 
 def compute_index(pencil: Pencil) -> int:
     """Pole order of (A + mu B)^{-1} at mu = 0; zero iff A is invertible."""
-    if guarded_rank(pencil.a, pencil.tol, what="A") == pencil.n_dim:
+    if guarded_rank(pencil.a, what="A") == pencil.n_dim:
         return 0
     return len(_staircase(pencil)[1]) - 2
 
@@ -255,9 +259,8 @@ def build_chains(pencil: Pencil) -> CanonicalSystem:
     polished by a minimal-norm least-squares correction with a
     range-membership residual test.
     """
-    tol = pencil.tol
     n_dim = pencil.n_dim
-    if guarded_rank(pencil.a, tol, what="A") == n_dim:
+    if guarded_rank(pencil.a, what="A") == n_dim:
         system = CanonicalSystem(chains=(), n=0, nu=0, finite=np.eye(n_dim))
         return replace(system, residuals=chain_residuals(pencil, system))
 
@@ -279,11 +282,11 @@ def build_chains(pencil: Pencil) -> CanonicalSystem:
             for _ in range(lvl - j):
                 w = g @ w
             avoid.append(w.reshape(-1, 1))
-        w_basis = orth_basis(np.hstack(avoid), tol)
+        w_basis = orth_basis(np.hstack(avoid))
         cand = kernels[j]
         proj = cand - w_basis @ (w_basis.conj().T @ cand)
         u, sig, _ = svd(proj, full_matrices=False)
-        cut = rank_cutoff(sig, n_dim, tol)
+        cut = rank_cutoff(sig, n_dim)
         if int(np.sum(sig > cut)) < need:
             raise ChainExtensionFailure(
                 f"staircase predicts {need} chains of length {j} but only "
@@ -322,7 +325,7 @@ def build_chains(pencil: Pencil) -> CanonicalSystem:
         for j in range(1, len(chain)):
             rhs = -b @ chain[j - 1]
             membership = float(np.linalg.norm(a @ (a_pinv @ rhs) - rhs))
-            if membership > tol.chain * scale * max(1.0, float(np.linalg.norm(rhs))):
+            if membership > TOL.chain * scale * max(1.0, float(np.linalg.norm(rhs))):
                 raise ChainExtensionFailure(
                     f"extension to level {j + 1} failed the range test "
                     f"(residual {membership:.3e})")
@@ -345,7 +348,7 @@ def build_chains(pencil: Pencil) -> CanonicalSystem:
 
     finished = [_sign_fix(ch) for ch in finished]
     if not pencil.is_complex:
-        finished = [[trim_imag(v, tol.imag_trim) for v in ch] for ch in finished]
+        finished = [[trim_imag(v, TOL.imag_trim) for v in ch] for ch in finished]
 
     def sort_key(ch):
         v = ch[0]
@@ -358,7 +361,7 @@ def build_chains(pencil: Pencil) -> CanonicalSystem:
     system = CanonicalSystem(chains=chains, n=len(chains), nu=nu,
                              finite=finite)
     residuals = chain_residuals(pencil, system)
-    if not residuals["worst"] <= tol.chain:
+    if not residuals["worst"] <= TOL.chain:
         raise ChainExtensionFailure(
             f"constructed chains violate the chain relations "
             f"(worst relative residual {residuals['worst']:.3e})")
@@ -382,7 +385,6 @@ def build_dual_chains(pencil: Pencil, canonical: CanonicalSystem) -> DualSystem:
     M = (lambda A + B) [T_f, Phi] and N_c the per-chain signed shift: one
     solve with M^H.
     """
-    tol = pencil.tol
     if canonical.n == 0:
         dual = DualSystem(chains=())
         return replace(dual, residuals=dual_residuals(pencil, canonical, dual))
@@ -407,13 +409,13 @@ def build_dual_chains(pencil: Pencil, canonical: CanonicalSystem) -> DualSystem:
             "subspace is numerically singular")
     vectors = list(q.T.copy())
     if not pencil.is_complex and not np.iscomplexobj(phi):
-        vectors = [trim_imag(v, tol.imag_trim) for v in vectors]
+        vectors = [trim_imag(v, TOL.imag_trim) for v in vectors]
     vectors = iter(vectors)
     duals = [tuple(next(vectors) for _ in range(m))
              for m in canonical.multiplicities]
     dual = DualSystem(chains=tuple(duals))
     residuals = dual_residuals(pencil, canonical, dual)
-    if not residuals["worst"] <= tol.biorth:
+    if not residuals["worst"] <= TOL.biorth:
         raise BiorthogonalizationFailure(
             f"dual system residuals too large "
             f"(worst {residuals['worst']:.3e})")

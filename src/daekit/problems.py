@@ -437,10 +437,9 @@ class LoadedProblem:
         return self.certificate["comparison"]
 
 
-def make_dae(a, b, field: NonlinearField, name: str = "",
-             tol=None) -> SemilinearDAE:
+def make_dae(a, b, field: NonlinearField, name: str = "") -> SemilinearDAE:
     """Full analysis pipeline: regular point, chains, duals, projectors."""
-    pencil = Pencil(a, b) if tol is None else Pencil(a, b, tol=tol)
+    pencil = Pencil(a, b)
     canonical, dual, ps = build_all(pencil)
     return SemilinearDAE(pencil=pencil, projectors=ps, canonical=canonical,
                          dual=dual, field=field, name=name)

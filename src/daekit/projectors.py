@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import rel_residual
+from .config import DEFAULT_TOLERANCES as TOL
 from .errors import InvariantViolation
 from .pencil import (CanonicalSystem, DualSystem, Pencil, build_chains,
                      build_dual_chains)
@@ -69,19 +70,17 @@ def build_projectors(canonical: CanonicalSystem, dual: DualSystem,
     nu = canonical.nu
     a, b = pencil.a, pencil.b
     eye = np.eye(n_dim)
-    pairs = canonical.pairs()
     dual_shape = [len(qs) for qs in dual.chains]
     if dual_shape != canonical.multiplicities:
         raise InvariantViolation("chain/dual multiplicity match",
-                                 float("inf"), pencil.tol.proj)
+                                 float("inf"), TOL.proj)
     phi = canonical.matrix()
     qmat = dual.matrix()
     dtype = np.result_type(phi.dtype if phi.size else float,
                            qmat.dtype if qmat.size else float, a.dtype)
 
     def select(pred):
-        idx = [k for k, (i, j) in enumerate(pairs)
-               if pred(canonical.chains[i].multiplicity, j)]
+        idx = canonical.columns(pred)
         if not idx:
             zp = np.zeros((n_dim, n_dim), dtype=dtype)
             return zp, zp.copy()
@@ -135,8 +134,8 @@ def build_projectors(canonical: CanonicalSystem, dual: DualSystem,
     ps.residuals = verify_projectors(ps, pencil)
     worst_name = max(ps.residuals, key=ps.residuals.get)
     worst = ps.residuals[worst_name]
-    if not worst <= pencil.tol.proj:
-        raise InvariantViolation(worst_name, worst, pencil.tol.proj)
+    if not worst <= TOL.proj:
+        raise InvariantViolation(worst_name, worst, TOL.proj)
     return ps
 
 
@@ -161,21 +160,19 @@ def _tilde_a(pencil: Pencil, canonical: CanonicalSystem,
         a_tilde_inv = np.linalg.inv(a_tilde)
     except np.linalg.LinAlgError:
         raise InvariantViolation("a_tilde invertible", float("inf"),
-                                 pencil.tol.proj) from None
+                                 TOL.proj) from None
     # closed-form cross check: inv = semi-inverse part + kernel couplings
     closed = a_tilde_inv.copy()
     if canonical.n:
         couple = sum(np.outer(ch.eigenvector, qs[-1].conj())
                      for ch, qs in zip(canonical.chains, dual.chains))
         # semi-inverse part reproduces inv on the complement:
+        tops = canonical.columns(lambda m, j: j == m)
         closed = a_tilde_inv @ (np.eye(n_dim) - _outer(
-            b @ canonical.matrix()[:, [k for k, (i, j) in enumerate(canonical.pairs())
-                                       if j == canonical.chains[i].multiplicity]],
-            dual.matrix()[:, [k for k, (i, j) in enumerate(canonical.pairs())
-                              if j == canonical.chains[i].multiplicity]])) + couple
+            b @ canonical.matrix()[:, tops], dual.matrix()[:, tops])) + couple
     r = rel_residual(a_tilde_inv, closed)
-    if not r <= pencil.tol.proj:
-        raise InvariantViolation("a_tilde_inv closed form", r, pencil.tol.proj)
+    if not r <= TOL.proj:
+        raise InvariantViolation("a_tilde_inv closed form", r, TOL.proj)
     return a_tilde, a_tilde_inv
 
 

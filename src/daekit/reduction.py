@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from ._linalg import norm2, orth_basis
-from .config import Tolerances
+from .config import DEFAULT_TOLERANCES as TOL
 from .errors import (ConstraintSolveFailure, DaekitError, NoConvergence,
                      SingularJacobian, StructureViolation)
 from .implicit import ImplicitProblem, JacobianCache, fd_jacobian, solve_newton
@@ -89,10 +89,6 @@ class SemilinearDAE:
         if self.projectors.fingerprint != self.pencil.fingerprint:
             raise ValueError("projector set was built from a different pair")
 
-    @property
-    def tol(self) -> Tolerances:
-        return self.pencil.tol
-
 
 @dataclass(frozen=True)
 class _Block:
@@ -116,9 +112,7 @@ class _Block:
 
 
 def _select_block(dae: SemilinearDAE, pred) -> _Block:
-    pairs = dae.canonical.pairs()
-    idx = [k for k, (i, j) in enumerate(pairs)
-           if pred(dae.canonical.chains[i].multiplicity, j)]
+    idx = dae.canonical.columns(pred)
     n_dim = dae.pencil.n_dim
     if not idx:
         z = np.zeros((n_dim, 0))
@@ -149,7 +143,6 @@ class _Reduced:
         self.ps = ps
         self.nu = ps.nu
         self.n = ps.n
-        self.tol = dae.tol
         self.kernel = _select_block(dae, lambda m, j: j == 1)       # x20 slice
         # chain-top slices: level s holds the order-s vectors of chains of
         # exact length s+1 (s = 1..nu-1)
@@ -196,7 +189,7 @@ class _Reduced:
 
     def consistent_point(self, t0, x_guess, tol: float | None = None):
         """The route's `_initial_state` from the guess, checked on L0."""
-        tol = tol if tol is not None else self.dae.tol.cons
+        tol = tol if tol is not None else TOL.cons
         if tol <= 0:
             raise ValueError("tol must be positive")
         state = self.make_state()
@@ -328,7 +321,7 @@ class ReducedFirst(_Reduced):
         from the table's kernel level.  Failure is a bare NoConvergence,
         for the cold retry of `integrate_first`."""
         state = state or self.make_state()
-        tol = tol if tol is not None else self.dae.tol.solver
+        tol = tol if tol is not None else TOL.solver
         if self.n == 0:
             return np.zeros(self.dae.pencil.n_dim), state
 
@@ -376,7 +369,7 @@ class ReducedFirst(_Reduced):
         else:
             x12 = self.p12 @ x_guess
         x20, _ = self.solve_x20(t0, x12, state,
-                                tol=min(tol * 1e-2, self.dae.tol.solver))
+                                tol=min(tol * 1e-2, TOL.solver))
         return x12 + x20
 
 
@@ -487,7 +480,7 @@ class _CascadeEvaluator:
         guess = np.zeros(blk.dim) if guess is None else guess
         try:
             c = solve_newton(problem, t, (base, offset, self), guess,
-                             self.rc.tol.solver * scale,
+                             TOL.solver * scale,
                              jac_cache=self.jac_caches[label])
         except NoConvergence as exc:
             raise ConstraintSolveFailure(t, label, exc)
@@ -639,9 +632,8 @@ def check_structure(dae: SemilinearDAE) -> StructureReport:
     sample states, perturb only the excluded state slices, and measure the
     induced change of the projected component.  Raises StructureViolation
     on the first projection whose observed dependence exceeds
-    `dae.tol.struct_dep`.
+    `DEFAULT_TOLERANCES.struct_dep`.
     """
-    tol = dae.tol.struct_dep
     tag = dae.field.structure_tag
     nu = dae.projectors.nu
     if tag is StructureTag.GENERAL:
@@ -705,6 +697,6 @@ def check_structure(dae: SemilinearDAE) -> StructureReport:
         report[label] = dep
         if dep > worst_dep:
             worst_dep, worst_label = dep, label
-        if dep > tol:
+        if dep > TOL.struct_dep:
             raise StructureViolation(label, dep, sample)
     return StructureReport(True, worst_label, worst_dep, report)

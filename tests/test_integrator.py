@@ -153,11 +153,10 @@ def test_kernel_level_singular_during_run_ends_it():
                                rtol=1e-8)
 
 
-@pytest.mark.parametrize("approach", ["first", "cascade"])
-def test_chain_level_singular_during_run_ends_it(approach):
-    # the chain row (1/2 - t)(x3 - sin t) = 0 has the solution x3 = sin t
-    # and a Jacobian that vanishes at t = 1/2, which the fixed steps of
-    # 1/8 meet exactly
+def _chain_singular_at_half():
+    """(dae, x_guess, opts): the chain row (1/2 - t)(x3 - sin t) = 0 has
+    the solution x3 = sin t and a Jacobian that vanishes at t = 1/2, which
+    the fixed steps of 1/8 meet exactly."""
     pb = load_builtin("index2_structured")
     base = pb.dae.field
 
@@ -181,20 +180,93 @@ def test_chain_level_singular_during_run_ends_it(approach):
         structure_tag=StructureTag.STRUCTURED))
     opts = IntegrationOptions(t_max=1.0, h_init=0.125, h_min=0.125,
                               h_max=0.125)
+    return dae, pb.x_guess, opts
+
+
+def _integrate(dae, x_guess, opts, approach, wrap=lambda red: None):
+    """Trajectory of `dae` from the guess on the direct or the cascade
+    route; `wrap(reduction)` runs just before the integration."""
+    t0 = opts.t0
     if approach == "first":
         red = reduce_first(dae)
-        traj = integrate_first(red, 0.0,
-                               consistent_initialize(red, 0.0, pb.x_guess),
-                               opts)
-    else:
-        red = reduce_cascade(dae, waive_structure_check=True)
-        traj = integrate_cascade(red, 0.0, dae.projectors.p1 @ pb.x_guess,
-                                 opts)
+        x0 = consistent_initialize(red, t0, x_guess)
+        wrap(red)
+        return integrate_first(red, t0, x0, opts)
+    red = reduce_cascade(dae, waive_structure_check=True)
+    wrap(red)
+    return integrate_cascade(red, t0, dae.projectors.p1 @ x_guess, opts)
+
+
+@pytest.mark.parametrize("approach", ["first", "cascade"])
+def test_chain_level_singular_during_run_ends_it(approach):
+    traj = _integrate(*_chain_singular_at_half(), approach)
     assert traj.termination.kind == "constraint_solve_failure"
     assert traj.termination.level == "chain_level_1"
     assert traj.termination.t == 0.5
     np.testing.assert_array_equal(traj.times, [0.0, 0.125, 0.25, 0.375])
     assert np.abs(traj.states[:, 2] - np.sin(traj.times)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("approach", ["first", "cascade"])
+@pytest.mark.parametrize("name", ["index1_blowup", "index1_stable",
+                                  "index2_structured", "index3_chain"])
+def test_each_rhs_evaluation_solves_once(name, approach):
+    # the solve that assembles x0 gives the first right-hand side, and an
+    # accepted step records the state its last stage's solve assembled
+    pb = load_builtin(name)
+    calls = [0]
+
+    def wrap(red):
+        drift = red.drift
+
+        def counted(*args):
+            calls[0] += 1
+            return drift(*args)
+
+        setattr(red, "drift_w" if approach == "first" else "drift_w1",
+                counted)
+
+    traj = _integrate(pb.dae, pb.x_guess, pb.options, approach, wrap)
+    assert calls[0] == traj.stats["nfev"]
+
+
+def _unresolvable():
+    fld = NonlinearField(eval=lambda t, x: np.array([np.sin(1e8 * t)]))
+    return (make_dae(np.eye(1), np.zeros((1, 1)), fld), np.zeros(1),
+            IntegrationOptions(t_max=1.0, rtol=1e-10, atol=1e-12, h_min=1e-4))
+
+
+def _bundled(name):
+    pb = load_builtin(name)
+    return pb.dae, pb.x_guess, pb.options
+
+
+_ENDINGS = {
+    "reached_tmax": (lambda: _bundled("index1_stable"), "reached_tmax"),
+    "escape at the floor": (lambda: _bundled("index1_blowup"),
+                            "blowup_suspected"),
+    # ends on a step that overflows at the floor, which is no accepted point
+    "overflow": (lambda: (load_builtin("ode_scalar_quadratic").dae,
+                          np.array([1.0]),
+                          IntegrationOptions(t_max=2.0,
+                                             blowup_norm_cap=1e120)),
+                 "blowup_suspected"),
+    "step collapse": (_unresolvable, "step_collapse"),
+    "solve failure after t0": (_chain_singular_at_half,
+                               "constraint_solve_failure"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("approach", ["first", "cascade"])
+@pytest.mark.parametrize("ending", list(_ENDINGS))
+def test_trajectory_arrays_hold_one_row_per_accepted_point(ending, approach):
+    build, kind = _ENDINGS[ending]
+    traj = _integrate(*build(), approach)
+    assert traj.termination.kind == kind
+    rows = traj.stats["accepted"] + 1
+    assert (traj.times.shape[0] == traj.states.shape[0]
+            == traj.w_states.shape[0] == traj.residuals.shape[0] == rows)
 
 
 def test_classifier_unit():
@@ -317,9 +389,8 @@ def test_trajectory_csv_roundtrip(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     np.testing.assert_allclose(data[:, 0], traj.times, rtol=0, atol=0)
     np.testing.assert_allclose(data[:, 1], traj.states[:, 0], rtol=0, atol=0)
-    term_path = tmp_path / "term.json"
-    traj.termination_json(term_path)
-    assert '"reached_tmax"' in term_path.read_text()
+    assert traj.termination.to_dict() == {"kind": "reached_tmax",
+                                          "t": traj.times[-1]}
 
 
 def _counting(pb):

@@ -60,7 +60,6 @@ def test_staircase_rank_ambiguity_guard():
 def two_pass_staircase(pencil):
     """Reference: the guarded rank of each power of G from its singular
     values alone, then the kernel of each power from a second SVD."""
-    tol = pencil.tol
     g = _shift_inverse(pencil)
     n = g.shape[0]
     smax = float(np.linalg.svd(g, compute_uv=False)[0])
@@ -68,7 +67,7 @@ def two_pass_staircase(pencil):
     p = np.eye(n, dtype=g.dtype)
     for j in range(1, n + 2):
         p = p @ g
-        ranks.append(guarded_count(np.linalg.svd(p, compute_uv=False), n, tol,
+        ranks.append(guarded_count(np.linalg.svd(p, compute_uv=False), n,
                                    "power", ref=max(smax, 1e-300) ** j))
         if ranks[-1] == ranks[-2]:
             break
@@ -77,7 +76,7 @@ def two_pass_staircase(pencil):
     for j in range(1, len(ranks) - 1):
         p = p @ g
         _, sig, vh = svd(p)
-        cut = rank_cutoff(sig, n, tol, ref=max(smax, 1e-300) ** j)
+        cut = rank_cutoff(sig, n, ref=max(smax, 1e-300) ** j)
         kernels.append(vh[int(np.sum(sig > cut)):].conj().T)
     return ranks, kernels
 

@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 import daekit.projectors
 from daekit import (InvariantViolation, Pencil, build_chains,
                     build_dual_chains, build_projectors, verify_projectors)
-from daekit._linalg import subspace_gap
+from daekit._linalg import rel_residual, subspace_gap
 from daekit.pencil import DualSystem
+from daekit.problems import load_problem_dict
 from daekit.projectors import build_all
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -180,3 +182,23 @@ def test_ground_truth_subspaces(analyzed_corpus):
         assert subspace_gap(ps.q2_sigma, gt["q2_sigma"]) <= 1e-6  # A D2
         assert subspace_gap(eye - ps.p2_sigma, eye - gt["p2_sigma"]) <= 1e-6
         assert subspace_gap(eye - ps.q2_star, eye - gt["q2_star"]) <= 1e-6
+
+
+def test_rel_residual_of_large_entries_does_not_overflow():
+    # the squared entries overflow; a 5 % identity error used to read 0.0
+    lhs = np.full((2, 2), 1e155)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = rel_residual(lhs, lhs - 5e153)
+    assert abs(r - 0.05) <= 1e-12
+
+
+def test_tiny_b_pair_loads_without_overflow():
+    # B of order 1e-233 makes chain vectors and operators of order 1e233
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pb = load_problem_dict({"name": "tiny", "A": [[0.0]],
+                                "B": [[5.700772058129799e-233]],
+                                "field": {"registry_id": "zero"}})
+    assert pb.dae.projectors.nu == 1
+    assert max(pb.dae.projectors.residuals.values()) == 0.0
