@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from ._linalg import orth_basis
-from .errors import (ConstraintSolveFailure, NoConvergence, SamplingFailure)
+from .errors import ConstraintSolveFailure, SamplingFailure
 from .implicit import fd_jacobian
 from .integrate import Trajectory
 
@@ -148,7 +148,6 @@ class MonitorReport:
     direction: str
     worst_margin: float
     worst_margin_relative: float
-    worst_pair: tuple
     in_region_fraction: float | None = None
     first_exit_index: int | None = None
 
@@ -303,7 +302,7 @@ def _draw_samples(adapter: _DriftAdapter, comp: ComparisonSpec,
             return
         try:
             dw, _ = adapter.drift(t, w)
-        except (NoConvergence, ConstraintSolveFailure):
+        except ConstraintSolveFailure:
             failures += 1
             return
         out.append((t, w, dw))
@@ -453,7 +452,7 @@ def check_lagrange_stability(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
             w = adapter.basis @ (direction * rng.uniform(0.0, b))
             try:
                 _, x = adapter.drift(t, w)
-            except (NoConvergence, ConstraintSolveFailure):
+            except ConstraintSolveFailure:
                 continue
             placed += 1
             worst = max(worst, float(np.linalg.norm(reduced.ps.p20 @ x)))
@@ -504,14 +503,10 @@ def monitor_comparison(trajectory: Trajectory, lyap: LyapunovSpec,
     if direction == "ge":
         # want D nondecreasing: compare each point with the largest earlier D
         run_extreme = np.maximum.accumulate(d)
-        margins = d[1:] - run_extreme[:-1]
-        worst_idx = int(np.argmin(margins)) + 1
-        worst = float(margins[worst_idx - 1])
+        worst = float(np.min(d[1:] - run_extreme[:-1]))
     elif direction == "le":
         run_extreme = np.minimum.accumulate(d)
-        margins = d[1:] - run_extreme[:-1]
-        worst_idx = int(np.argmax(margins)) + 1
-        worst = float(margins[worst_idx - 1])
+        worst = float(np.max(d[1:] - run_extreme[:-1]))
     else:
         raise ValueError("direction must be 'ge' or 'le'")
     scale = 1.0 + float(np.max(np.abs(vs))) + float(np.max(np.abs(cum)))
@@ -524,6 +519,5 @@ def monitor_comparison(trajectory: Trajectory, lyap: LyapunovSpec,
             first_exit = int(inside.index(False))
     return MonitorReport(direction=direction, worst_margin=worst,
                          worst_margin_relative=worst / scale,
-                         worst_pair=(worst_idx - 1, worst_idx),
                          in_region_fraction=in_frac,
                          first_exit_index=first_exit)

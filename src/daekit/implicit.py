@@ -231,12 +231,10 @@ def implicit_derivative(problem: ImplicitProblem, t: float, p,
     return out
 
 
-def consistent_initialize(reduced, t0: float, x_guess,
-                          tol: float | None = None) -> np.ndarray:
+def consistent_initialize(reduced, t0: float, x_guess) -> np.ndarray:
     """Project a guess onto the constraint manifold of a reduced system.
 
     Dispatches to the reduction object: the explicit components of the
     guess are kept and the algebraic components are solved for.
     """
-    return reduced.consistent_point(t0, np.asarray(x_guess, dtype=float),
-                                    tol=tol)
+    return reduced.consistent_point(t0, np.asarray(x_guess, dtype=float))

@@ -86,8 +86,9 @@ class TerminationReason:
 
 @dataclass
 class TrajectoryInternals:
-    """Per-step record of a run, read by the termination classifier; an
-    overflow at the floor ends it with one point that was not accepted."""
+    """Per-step record of the accepted points of a run, read by the
+    termination classifier; `nonfinite` marks a run ended at the floor by a
+    step that left the representable range."""
 
     times: list = dc_field(default_factory=list)
     norms: list = dc_field(default_factory=list)
@@ -102,8 +103,10 @@ class TrajectoryInternals:
 
     def escaping(self) -> bool:
         """The tracked norm exceeded the cap and grew monotonically over the
-        configured window of accepted steps."""
-        norms, w = self.norms, self.blowup_window
+        configured window of accepted steps; an overflow at the floor counts
+        as one more step to an infinite norm."""
+        norms = self.norms + [math.inf] * self.nonfinite
+        w = self.blowup_window
         return (len(norms) >= w + 1 and norms[-1] > self.blowup_norm_cap
                 and all(norms[-k] > norms[-k - 1] for k in range(1, w + 1)))
 
@@ -166,16 +169,18 @@ def classify_termination(internals: TrajectoryInternals) -> TerminationReason:
     norms = internals.norms
     floored = (bool(internals.steps)
                and internals.steps[-1] <= internals.h_min * (1 + 1e-9))
+    overflow = "state left the representable range" \
+        if internals.nonfinite else ""
     if internals.escaping() and (floored or internals.nonfinite):
         return TerminationReason(
             kind="blowup_suspected",
             t_escape_estimate=_escape_estimate(internals.times, norms),
             final_norm=float(norms[-1]),
-            t=float(internals.times[-1]))
+            t=float(internals.times[-1]), detail=overflow)
     t_last = float(internals.times[-1]) if internals.times else None
-    detail = "state left the representable range" if internals.nonfinite \
-        else "step size collapsed without norm growth"
-    return TerminationReason(kind="step_collapse", t=t_last, detail=detail)
+    return TerminationReason(
+        kind="step_collapse", t=t_last,
+        detail=overflow or "step size collapsed without norm growth")
 
 
 # Dormand-Prince 5(4) coefficients, as Python floats
@@ -290,9 +295,6 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
         if bad:
             if at_floor:
                 rec.nonfinite = True
-                rec.times.append(float(t + h))
-                rec.steps.append(float(h))
-                rec.norms.append(float("inf"))
                 break
             h = max(h * 0.25, opts.h_min)
             rejected += 1
@@ -327,7 +329,7 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
     else:
         rec.reached_t_max = True
     rec.stats = {"nfev": nfev, "accepted": accepted, "rejected": rejected}
-    return Trajectory(times=np.asarray(rec.times[:len(ws)]),
+    return Trajectory(times=np.asarray(rec.times),
                       states=np.vstack(states), w_states=np.vstack(ws),
                       residuals=np.asarray(residuals),
                       termination=classify_termination(rec), stats=rec.stats)
@@ -340,24 +342,23 @@ def integrate_first(reduced: ReducedFirst, t0: float, x0, opts: IntegrationOptio
     res0 = reduced.residual_L0(t0, x0)
     if res0 > TOL.cons:
         raise InconsistentInitialValue(res0, TOL.cons)
-    state = reduced.make_state()
-    if reduced.n:
-        state.warm["kernel_level"] = reduced.kernel.x_coords(
-            reduced.dae.pencil.b, x0)
+    state = reduced.make_state(x0)
 
     def solve(t, w):
-        # warm-started solve; on failure retry once from a cold
-        # re-initialization of the kernel guess and Jacobian, keeping the
-        # warm starts and kept Jacobians of the chain and wedge levels
+        # warm-started solve; on a kernel-level failure retry once from a
+        # cold re-initialization of the kernel guess and Jacobian, keeping
+        # the warm starts and kept Jacobians of the chain and wedge levels
         try:
             return reduced.drift_w(t, w, state)
-        except NoConvergence as first_exc:
+        except ConstraintSolveFailure as first_exc:
+            if first_exc.level != "kernel_level":
+                raise
             state.warm.pop("kernel_level", None)
             state.jac_caches["kernel_level"] = JacobianCache()
             try:
                 return reduced.drift_w(t, w, state)
-            except NoConvergence:
-                raise ConstraintSolveFailure(t, "kernel_level", first_exc)
+            except ConstraintSolveFailure:
+                raise first_exc
 
     return _run(t0, reduced.dae.pencil.a @ x0, opts, solve,
                 lambda t, x: reduced.residual_L0(t, x, state))

@@ -422,7 +422,6 @@ class LoadedProblem:
     x_guess: np.ndarray
     certificate: dict | None = None
     sweep_values: list = dc_field(default_factory=list)
-    reference_id: str | None = None
     raw: dict = dc_field(default_factory=dict)
     bound_constant: float | None = None
 
@@ -549,11 +548,10 @@ def load_problem_dict(data: dict, name_hint: str = "<dict>") -> LoadedProblem:
         if value.size > n:
             raise SchemaError(f"/sweep/initial_values/{k}",
                               f"length {value.size} exceeds dimension {n}")
-    ref = data.get("reference", {}).get("id")
     bound = data.get("certificate", {}).get("bound_constant")
     return LoadedProblem(name=data.get("name", name_hint), dae=dae,
                          options=options, x_guess=guess, certificate=cert,
-                         sweep_values=sweep, reference_id=ref, raw=data,
+                         sweep_values=sweep, raw=data,
                          bound_constant=bound)
 
 
@@ -621,7 +619,6 @@ class WeierstrassSample:
     segre: list
     n: int
     projectors_gt: dict
-    s_mat: np.ndarray
     t_mat: np.ndarray
 
 
@@ -692,4 +689,4 @@ def random_weierstrass(seed: int, n_dim: int, segre) -> WeierstrassSample:
     return WeierstrassSample(pencil=Pencil(a, b),
                              index=(max(segre) if segre else 0),
                              segre=segre, n=len(segre), projectors_gt=gt,
-                             s_mat=s_mat, t_mat=t_mat)
+                             t_mat=t_mat)

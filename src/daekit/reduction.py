@@ -13,7 +13,7 @@ equations and one per-run state.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -184,23 +184,23 @@ class _Reduced:
         """Number of equations in the reduced system (2 nu - 1, floor 1)."""
         return max(2 * self.nu - 1, 1)
 
-    def make_state(self) -> "_CascadeEvaluator":
-        return _CascadeEvaluator(self)
-
-    def consistent_point(self, t0, x_guess, tol: float | None = None):
-        """The route's `_initial_state` from the guess, checked on L0."""
-        tol = tol if tol is not None else TOL.cons
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        state = self.make_state()
-        if self.kernel.dim:
+    def make_state(self, x=None) -> "_CascadeEvaluator":
+        """A fresh per-run state; with a state x, the kernel level is
+        warm-started from the kernel coordinates of x."""
+        state = _CascadeEvaluator(self)
+        if x is not None and self.kernel.dim:
             state.warm["kernel_level"] = self.kernel.x_coords(
-                self.dae.pencil.b, x_guess)
-        x0 = self._initial_state(t0, x_guess, state, tol)
+                self.dae.pencil.b, x)
+        return state
+
+    def consistent_point(self, t0, x_guess):
+        """The route's `_initial_state` from the guess, checked on L0."""
+        state = self.make_state(x_guess)
+        x0 = self._initial_state(t0, x_guess, state)
         # the kernel solve's field value, recorded under x0
         self._field(t0, x0, state, state.warm.get("kernel_level"))
         res = self.residual_L0(t0, x0, state)
-        if res > tol:
+        if res > TOL.cons:
             raise NoConvergence(1, res, label="consistent_initialize")
         return x0
 
@@ -315,30 +315,18 @@ class ReducedFirst(_Reduced):
                                       @ (f - self.dae.pencil.b @ x))
 
     # -- algebraic solve -----------------------------------------------------
-    def solve_x20(self, t, x12, state: "_CascadeEvaluator | None" = None,
-                  tol: float | None = None):
+    def solve_x20(self, t, x12, state: "_CascadeEvaluator | None" = None):
         """Kernel component on the constraint manifold at fixed (t, x12),
-        from the table's kernel level.  Failure is a bare NoConvergence,
-        for the cold retry of `integrate_first`."""
+        from the table's kernel level."""
         state = state or self.make_state()
-        tol = tol if tol is not None else TOL.solver
         if self.n == 0:
             return np.zeros(self.dae.pencil.n_dim), state
-
         guess = state.warm.get("kernel_level")
-        guess = np.zeros(self.kernel.dim) if guess is None else guess
-        # absolute tolerance scaled by the state magnitude: at large states
-        # the floating-point floor of the residual grows alongside
-        tol = tol * max(1.0, norm2(x12), norm2(guess))
+        # tolerance scaled by the state magnitude: at large states the
+        # floating-point floor of the residual grows alongside
+        scale = max(1.0, norm2(x12), 0.0 if guess is None else norm2(guess))
         d_vec = state.level_offset(0, t) if self.differentiated else None
-        try:
-            c = solve_newton(self.levels["kernel_level"][1], t,
-                             (x12, d_vec, state), guess, tol,
-                             jac_cache=state.jac_caches["kernel_level"])
-        except SingularJacobian as exc:
-            exc.level = "kernel_level"
-            raise
-        state.warm["kernel_level"] = c
+        c = state._solve("kernel_level", t, x12, d_vec, scale)
         return self.kernel.lift(c), state
 
     def eta_hat(self, t, w, state: "_CascadeEvaluator | None" = None):
@@ -360,7 +348,7 @@ class ReducedFirst(_Reduced):
     # the drift_w spans) sees every call.
     drift = property(lambda self: self.drift_w)
 
-    def _initial_state(self, t0, x_guess, state, tol):
+    def _initial_state(self, t0, x_guess, state):
         """Keep the explicit components of the guess, solve the rest; for a
         structure-tagged field the levels pin the chain-top parts too."""
         if self.differentiated:
@@ -368,9 +356,7 @@ class ReducedFirst(_Reduced):
             x12 = x1 + state.eta_2sigma(t0)
         else:
             x12 = self.p12 @ x_guess
-        x20, _ = self.solve_x20(t0, x12, state,
-                                tol=min(tol * 1e-2, TOL.solver))
-        return x12 + x20
+        return x12 + self.solve_x20(t0, x12, state)[0]
 
 
 def reduce_first(dae: SemilinearDAE) -> ReducedFirst:
@@ -407,7 +393,7 @@ class ReducedCascade(_Reduced):
     # looked up at call time for the same reason as ReducedFirst.drift
     drift = property(lambda self: self.drift_w1)
 
-    def _initial_state(self, t0, x_guess, state, tol):
+    def _initial_state(self, t0, x_guess, state):
         """The explicit part of the guess plus the level solutions."""
         x1 = self.ps.p1 @ x_guess
         parts = state.algebraic_parts(t0)
@@ -473,8 +459,9 @@ class _CascadeEvaluator:
     def _solve(self, label: str, t: float, base, offset, scale: float = 1.0
                ) -> np.ndarray:
         """Coordinates of the level's component, warm-started from its last
-        solution and its kept Jacobian, to the solver tolerance
-        times `scale`."""
+        solution and its kept Jacobian, to the solver tolerance times
+        `scale`: the one Newton solve of every level on both routes.  A
+        failure raises ConstraintSolveFailure labelled with the level."""
         blk, problem = self.rc.levels[label]
         guess = self.warm.get(label)
         guess = np.zeros(blk.dim) if guess is None else guess
@@ -622,7 +609,6 @@ class StructureReport:
     passed: bool
     worst_projection: str
     worst_dependence: float
-    per_projection: dict = dc_field(default_factory=dict)
 
 
 def check_structure(dae: SemilinearDAE) -> StructureReport:
@@ -670,7 +656,6 @@ def check_structure(dae: SemilinearDAE) -> StructureReport:
         checks.append((f"wedge_rows_level_{s}", rc.wedge_blocks[s].q, allowed))
 
     rng = np.random.default_rng(_STRUCT_SEED)
-    report: dict[str, float] = {}
     worst_label, worst_dep = "<none>", 0.0
     for label, q_cols, allowed in checks:
         excluded = list(all_dirs)
@@ -694,9 +679,8 @@ def check_structure(dae: SemilinearDAE) -> StructureReport:
                 if delta > dep:
                     dep = delta
                     sample = (t, x.copy())
-        report[label] = dep
         if dep > worst_dep:
             worst_dep, worst_label = dep, label
         if dep > TOL.struct_dep:
             raise StructureViolation(label, dep, sample)
-    return StructureReport(True, worst_label, worst_dep, report)
+    return StructureReport(True, worst_label, worst_dep)

@@ -236,15 +236,6 @@ def test_newton_rejects_non_positive_tol(tol):
         solve_newton(prob, 0.0, None, np.zeros(1), tol)
 
 
-@pytest.mark.parametrize("reduce", [reduce_first, reduce_cascade])
-@pytest.mark.parametrize("tol", [0.0, -1.0])
-def test_consistent_point_rejects_zero_tol(reduce, tol):
-    pb = load_builtin("index2_structured")
-    red = reduce(pb.dae)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        red.consistent_point(0.0, pb.x_guess, tol=tol)
-
-
 def cardano_root(c):
     """Independent oracle: the real root of y^3 + y - c in closed form."""
     s = np.sqrt(c ** 2 / 4 + 1 / 27)

@@ -257,7 +257,6 @@ _ENDINGS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("approach", ["first", "cascade"])
 @pytest.mark.parametrize("ending", list(_ENDINGS))
 def test_trajectory_arrays_hold_one_row_per_accepted_point(ending, approach):
@@ -368,14 +367,37 @@ def test_step_collapse_on_unresolvable_field():
     assert traj.termination.kind == "step_collapse"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def _ends_on_the_last_accepted_point(traj):
+    # the record keeps accepted points only: the classification reads the
+    # last of them, not the end of the step that overflowed
+    term = traj.termination
+    assert term.kind == "blowup_suspected"
+    assert term.detail == "state left the representable range"
+    assert term.t == traj.times[-1]
+    assert term.final_norm == float(np.linalg.norm(traj.w_states[-1]))
+    assert term.t_escape_estimate >= traj.times[-1]
+    return term
+
+
 def test_overflow_is_classified_as_escape():
     pb = load_builtin("ode_scalar_quadratic")
     red = reduce_first(pb.dae)
     opts = IntegrationOptions(t_max=2.0, blowup_norm_cap=1e120)
     traj = integrate_first(red, 0.0, np.array([1.0]), opts)
-    assert traj.termination.kind in ("blowup_suspected", "step_collapse")
-    assert traj.termination.kind == "blowup_suspected"
+    _ends_on_the_last_accepted_point(traj)
+
+
+def test_overflow_escape_estimate_reads_accepted_points():
+    # x1' = x1^3 escapes at 1 / (2 x1(0)^2); from this start a step leaves
+    # the representable range at the floor
+    pb = load_builtin("index1_cubic_blowup")
+    red = reduce_first(pb.dae)
+    x1_init = 0.8541666666666666
+    x0 = consistent_initialize(red, 0.0, np.array([x1_init, 0.0]))
+    term = _ends_on_the_last_accepted_point(
+        integrate_first(red, 0.0, x0, pb.options))
+    exact = 1.0 / (2.0 * x1_init ** 2)
+    assert abs(term.t_escape_estimate - exact) <= 1e-8 * exact
 
 
 def test_trajectory_csv_roundtrip(tmp_path):

@@ -4,7 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from daekit import (IntegrationOptions, NonlinearField, StructureTag,
+from daekit import (ConstraintSolveFailure, IntegrationOptions,
+                    NoConvergence, NonlinearField, StructureTag,
                     StructureViolation, check_structure,
                     consistent_initialize, integrate_cascade, integrate_first,
                     reduce_cascade, reduce_first, residual_L0)
@@ -422,6 +423,39 @@ def test_direct_route_solves_wedge_levels_only_for_the_kernel_offset(
     assert traj.termination.kind == "reached_tmax"
     assert len(times) > 100
     assert solved["wedge_level_1"] == 2 * len(times) + 3
+
+
+@pytest.mark.parametrize("name", ["index1_blowup", "index3_chain",
+                                  "index2_structured"])
+def test_direct_route_solves_the_kernel_level_on_the_state(name, monkeypatch):
+    # each right-hand side of the direct route solves its kernel level once,
+    # through the per-run state's one level solve
+    pb = load_builtin(name)
+    red = reduce_first(pb.dae)
+    t0 = pb.options.t0
+    x0 = consistent_initialize(red, t0, pb.x_guess)
+    solved = Counter()
+    solve = _CascadeEvaluator._solve
+
+    def counting(self, label, *args):
+        solved[label] += 1
+        return solve(self, label, *args)
+
+    monkeypatch.setattr(_CascadeEvaluator, "_solve", counting)
+    traj = integrate_first(red, t0, x0, pb.options)
+    assert solved["kernel_level"] == traj.stats["nfev"]
+
+
+def test_direct_kernel_failure_is_a_constraint_solve_failure():
+    # from t = 0.3 the kernel row reads x2^2 + 1 + x1 = 0, which has no
+    # real root near the run: the failure is labelled as on the cascade route
+    pb = load_builtin("failing_constraint")
+    red = reduce_first(pb.dae)
+    x0 = consistent_initialize(red, 0.0, pb.x_guess)
+    with pytest.raises(ConstraintSolveFailure) as info:
+        red.drift_w(0.5, pb.dae.pencil.a @ x0, red.make_state(x0))
+    assert info.value.level == "kernel_level"
+    assert isinstance(info.value.cause, NoConvergence)
 
 
 def _cubic_chain_row(pb):
