@@ -29,7 +29,7 @@ from .integrate import (IntegrationOptions, TerminationReason, Trajectory,
                         integrate_cascade, integrate_first)
 from .certificates import (CertificateReport, ComparisonSpec,
                            LyapunovComponent, LyapunovSpec, MonitorReport,
-                           SamplerConfig, check_blowup_certificate,
+                           check_blowup_certificate,
                            check_global_solvability,
                            check_lagrange_stability, monitor_comparison,
                            probe_integral)

@@ -22,7 +22,7 @@ from .implicit import fd_jacobian
 from .integrate import Trajectory
 
 __all__ = [
-    "LyapunovComponent", "LyapunovSpec", "ComparisonSpec", "SamplerConfig",
+    "LyapunovComponent", "LyapunovSpec", "ComparisonSpec",
     "CertificateReport", "MonitorReport", "probe_integral",
     "check_global_solvability", "check_lagrange_stability",
     "check_blowup_certificate", "monitor_comparison",
@@ -41,13 +41,18 @@ UNDECIDED = "inconclusive"
 
 # Sampler knobs.  A deterministic grid (times crossed with coordinate
 # directions at magnitudes that are multiples of R) comes before the random
-# fill; the fill gives up after _MAX_ATTEMPT_FACTOR draws per wanted sample.
+# fill of log-uniform times and magnitudes; the fill gives up after
+# _MAX_ATTEMPT_FACTOR draws per wanted sample.
 _GRID_TIMES = (0.0, 1.0, 10.0, 100.0)
 _GRID_MAGNITUDES = (1.0, 10.0, 100.0)
+_N_SAMPLES = 500
+_T_LOW, _T_HIGH = 1e-3, 1e3
+_W_SPAN = 1e3                   # magnitudes on [R, R * _W_SPAN]
 _MAX_ATTEMPT_FACTOR = 8
 _GRAD_CHECK_POINTS = 3          # samples on which V's gradients are checked
 _KERNEL_LADDER = (1.0, 2.0, 4.0, 8.0)   # bounds b of the Lagrange ladder
 _TIE_TOLERANCE = 1e-9           # relative, for the active component of V
+_GRAD_RTOL = 1e-4               # V's gradient vs central differences
 _PROBE_WINDOWS = 40             # geometric windows of probe_integral
 _PROBE_TAIL = 1e-2              # tail fraction below which it converges
 _PROBE_RTOL = 1e-14             # 20- vs 10-node agreement of a window piece
@@ -85,7 +90,7 @@ class LyapunovSpec:
     def active_index(self, w) -> int:
         return self._extremum(w)[1]
 
-    def validate(self, points, rtol: float = 1e-4) -> float:
+    def validate(self, points) -> float:
         """Check nonnegativity and gradient-vs-finite-difference agreement."""
         worst = 0.0
         for w in points:
@@ -98,8 +103,9 @@ class LyapunovSpec:
                                   np.asarray(w, float)).ravel()
                 scale = max(1.0, float(np.abs(gfd).max()))
                 worst = max(worst, float(np.abs(g - gfd).max()) / scale)
-        if worst > rtol:
-            raise ValueError(f"gradient mismatch {worst:.3e} exceeds {rtol}")
+        if worst > _GRAD_RTOL:
+            raise ValueError(f"gradient mismatch {worst:.3e} exceeds "
+                             f"{_GRAD_RTOL}")
         return worst
 
 
@@ -115,18 +121,6 @@ class ComparisonSpec:
     domain_label: str = ""
     declared_U_integral: str | None = None    # "diverges" | "converges"
     declared_psi_integral: str | None = None
-
-
-@dataclass
-class SamplerConfig:
-    """The settable part of the sample cloud: its size and seed, the range
-    of the log-uniform times, and the span of the log-uniform magnitudes."""
-
-    n_samples: int = 500
-    seed: int = 42
-    t_low: float = 1e-3
-    t_high: float = 1e3
-    w_span: float = 1e3          # magnitudes log-uniform on [R, R * w_span]
 
 
 @dataclass
@@ -277,21 +271,21 @@ class _DriftAdapter:
         return self.reduced.drift(t, w, self._state)
 
 
-def _draw_direction(rng, adapter: _DriftAdapter, cfg: SamplerConfig):
+def _draw_direction(rng, adapter: _DriftAdapter):
     """A log-uniform time and a unit direction of the reduced coordinates,
     or None for a zero direction."""
-    t = 10.0 ** rng.uniform(np.log10(cfg.t_low), np.log10(cfg.t_high))
+    t = 10.0 ** rng.uniform(np.log10(_T_LOW), np.log10(_T_HIGH))
     direction = rng.standard_normal(adapter.basis.shape[1])
     nrm = float(np.linalg.norm(direction))
     return None if nrm == 0.0 else (t, direction / nrm)
 
 
-def _draw_samples(adapter: _DriftAdapter, comp: ComparisonSpec,
-                  cfg: SamplerConfig, region: Callable | None):
+def _draw_samples(adapter: _DriftAdapter, comp: ComparisonSpec, seed: int,
+                  region: Callable | None):
     """(t, w, drift) triples: the grid first, then a seeded random fill up
-    to n_samples, keeping points inside `region` when one is given."""
-    rng = np.random.default_rng(cfg.seed)
-    want = cfg.n_samples
+    to _N_SAMPLES, keeping points inside `region` when one is given."""
+    rng = np.random.default_rng(seed)
+    want = _N_SAMPLES
     out = []
     failures = outside = 0
 
@@ -318,12 +312,12 @@ def _draw_samples(adapter: _DriftAdapter, comp: ComparisonSpec,
     attempts = 0
     while len(out) < want and attempts < _MAX_ATTEMPT_FACTOR * want:
         attempts += 1
-        draw = _draw_direction(rng, adapter, cfg)
+        draw = _draw_direction(rng, adapter)
         if draw is None:
             continue
         t, direction = draw
         mag = 10.0 ** rng.uniform(np.log10(comp.R),
-                                  np.log10(comp.R * cfg.w_span))
+                                  np.log10(comp.R * _W_SPAN))
         try_add(t, adapter.basis @ (mag * direction))
     if len(out) < want:
         rejected = "" if region is None else f"{outside} outside the region, "
@@ -359,7 +353,7 @@ def _verdict(violations: list, passes: bool) -> str:
 
 
 def _sampled_check(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
-                   cfg: SamplerConfig, kind: str, lhs: Callable,
+                   seed: int, kind: str, lhs: Callable,
                    direction: str, passes: Callable,
                    region: Callable | None = None,
                    extras: dict | None = None) -> CertificateReport:
@@ -373,7 +367,7 @@ def _sampled_check(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
     adapter = _DriftAdapter(reduced)
     violations = []
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = _draw_samples(adapter, comp, cfg, region)
+        samples = _draw_samples(adapter, comp, seed, region)
         lyap.validate([w for (_, w, _) in samples[:_GRAD_CHECK_POINTS]])
         for t, w, dw in samples:
             v, k = lyap._extremum(w)
@@ -401,7 +395,7 @@ def _sampled_check(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
 
 
 def check_global_solvability(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
-                             sampler: SamplerConfig | None = None,
+                             seed: int = 42,
                              mode: str = "gradient") -> CertificateReport:
     """Sampled check of the growth-envelope condition for global existence.
 
@@ -418,34 +412,31 @@ def check_global_solvability(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
         lhs = lambda dw, w, active: float(np.linalg.norm(dw))
     else:
         raise ValueError("mode must be 'gradient' or 'norm_lipschitz'")
-    return _sampled_check(reduced, lyap, comp, sampler or SamplerConfig(),
-                          kind, lhs, "le",
+    return _sampled_check(reduced, lyap, comp, seed, kind, lhs, "le",
                           passes=lambda u, psi: u == DIVERGES)
 
 
 def check_lagrange_stability(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
-                             sampler: SamplerConfig | None = None,
-                             mode: str = "gradient") -> CertificateReport:
-    """Global-existence check plus integrable time weight plus an empirical
-    boundedness ladder for the kernel component."""
-    cfg = sampler or SamplerConfig()
-    base = check_global_solvability(reduced, lyap, comp, cfg, mode)
+                             seed: int = 42) -> CertificateReport:
+    """Gradient-mode global-existence check plus integrable time weight plus
+    an empirical boundedness ladder for the kernel component."""
+    base = check_global_solvability(reduced, lyap, comp, seed)
     verdict = _verdict(base.violations, base.integral_U == DIVERGES
                        and base.integral_psi == CONVERGES)
 
     # kernel-component bound K(b) over manifold samples with bounded
     # explicit part; a fresh adapter, so its warm starts are its own
     adapter = _DriftAdapter(reduced)
-    rng = np.random.default_rng(cfg.seed + 1)
+    rng = np.random.default_rng(seed + 1)
     kb = {}
-    per_b = max(16, cfg.n_samples // (4 * len(_KERNEL_LADDER)))
+    per_b = max(16, _N_SAMPLES // (4 * len(_KERNEL_LADDER)))
     for b in _KERNEL_LADDER:
         worst = 0.0
         placed = 0
         attempts = 0
         while placed < per_b and attempts < _MAX_ATTEMPT_FACTOR * per_b:
             attempts += 1
-            draw = _draw_direction(rng, adapter, cfg)
+            draw = _draw_direction(rng, adapter)
             if draw is None:
                 continue
             t, direction = draw
@@ -463,8 +454,7 @@ def check_lagrange_stability(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
 
 
 def check_blowup_certificate(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
-                             sampler: SamplerConfig | None = None
-                             ) -> CertificateReport:
+                             seed: int = 42) -> CertificateReport:
     """Sampled check of the escape certificate on the declared region.
 
     Tests <drift, grad V_active> >= U(V) psi(t) on manifold samples inside
@@ -477,8 +467,7 @@ def check_blowup_certificate(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
     if comp.domain_set is None:
         raise ValueError("escape certificates need a declared region")
     return _sampled_check(
-        reduced, lyap, comp, sampler or SamplerConfig(), "blowup",
-        _gradient_side, "ge",
+        reduced, lyap, comp, seed, "blowup", _gradient_side, "ge",
         passes=lambda u, psi: u == CONVERGES and psi == DIVERGES,
         region=comp.domain_set, extras={"region": comp.domain_label})
 

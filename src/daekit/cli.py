@@ -17,8 +17,7 @@ import numpy as np
 
 from . import __version__
 from .certificates import (VIOLATED, check_blowup_certificate,
-                           check_global_solvability, check_lagrange_stability,
-                           SamplerConfig)
+                           check_global_solvability, check_lagrange_stability)
 from .errors import DaekitError
 from .implicit import consistent_initialize
 from .integrate import integrate_cascade, integrate_first
@@ -183,16 +182,15 @@ def cmd_certify(args) -> int:
     lyap = problem.lyapunov()
     comp = problem.comparison()
     reduced = _reduce(problem, _pick_approach(problem, args.approach))
-    sampler = SamplerConfig(seed=args.seed)
     if kind == "blowup":
-        report = check_blowup_certificate(reduced, lyap, comp, sampler)
+        report = check_blowup_certificate(reduced, lyap, comp, args.seed)
     elif kind == "lagrange_stability":
-        report = check_lagrange_stability(reduced, lyap, comp, sampler)
+        report = check_lagrange_stability(reduced, lyap, comp, args.seed)
     elif kind == "global_solvability_norm":
-        report = check_global_solvability(reduced, lyap, comp, sampler,
+        report = check_global_solvability(reduced, lyap, comp, args.seed,
                                           mode="norm_lipschitz")
     else:
-        report = check_global_solvability(reduced, lyap, comp, sampler)
+        report = check_global_solvability(reduced, lyap, comp, args.seed)
     out = Path(args.out) / f"{problem.name}_certificate.json"
     _dump_json(report.to_dict(), out)
     print(f"{problem.name}: {kind} verdict={report.verdict} "

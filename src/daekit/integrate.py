@@ -29,7 +29,6 @@ class IntegrationOptions:
     t_max: float = 1.0
     rtol: float = 1e-8
     atol: float = 1e-10
-    h_init: float | None = None
     h_min: float = 1e-10
     h_max: float | None = None
     blowup_norm_cap: float = 1e6
@@ -39,8 +38,8 @@ class IntegrationOptions:
         # a NaN passes every comparison below, an infinite horizon or
         # tolerance makes the step loop run without end, and an escape past
         # a cap of NaN or infinity ends as a step collapse
-        for name in ("t0", "t_max", "rtol", "atol", "h_init", "h_min",
-                     "h_max", "blowup_norm_cap"):
+        for name in ("t0", "t_max", "rtol", "atol", "h_min", "h_max",
+                     "blowup_norm_cap"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -48,9 +47,6 @@ class IntegrationOptions:
             raise ValueError("t_max must exceed t0")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.h_init is not None and not (
-                self.h_min <= self.h_init <= self.step_bound):
-            raise ValueError("need h_min <= h_init <= h_max")
         if self.h_min <= 0:
             raise ValueError("h_min must be positive")
         # below one, escaping() checks no growth and reads the cap alone
@@ -86,16 +82,14 @@ class TerminationReason:
 
 @dataclass
 class TrajectoryInternals:
-    """Per-step record of the accepted points of a run, read by the
-    termination classifier; `nonfinite` marks a run ended at the floor by a
-    step that left the representable range."""
+    """Per-step record of the accepted points of a run under `opts`, read by
+    the termination classifier; `nonfinite` marks a run ended at the floor
+    by a step that left the representable range."""
 
+    opts: IntegrationOptions
     times: list = dc_field(default_factory=list)
     norms: list = dc_field(default_factory=list)
     steps: list = dc_field(default_factory=list)
-    h_min: float = 1e-10
-    blowup_norm_cap: float = 1e6
-    blowup_window: int = 5
     reached_t_max: bool = False
     nonfinite: bool = False
     failure: tuple | None = None  # (t, level, message)
@@ -106,8 +100,8 @@ class TrajectoryInternals:
         configured window of accepted steps; an overflow at the floor counts
         as one more step to an infinite norm."""
         norms = self.norms + [math.inf] * self.nonfinite
-        w = self.blowup_window
-        return (len(norms) >= w + 1 and norms[-1] > self.blowup_norm_cap
+        w = self.opts.blowup_window
+        return (len(norms) >= w + 1 and norms[-1] > self.opts.blowup_norm_cap
                 and all(norms[-k] > norms[-k - 1] for k in range(1, w + 1)))
 
 
@@ -168,7 +162,7 @@ def classify_termination(internals: TrajectoryInternals) -> TerminationReason:
                                  t=internals.times[-1] if internals.times else None)
     norms = internals.norms
     floored = (bool(internals.steps)
-               and internals.steps[-1] <= internals.h_min * (1 + 1e-9))
+               and internals.steps[-1] <= internals.opts.h_min * (1 + 1e-9))
     overflow = "state left the representable range" \
         if internals.nonfinite else ""
     if internals.escaping() and (floored or internals.nonfinite):
@@ -239,10 +233,8 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
     t, y = t0, np.array(w0, dtype=float)
     k1, x = solve(t, y)
     nfev = 1
-    rec = TrajectoryInternals(times=[float(t0)], norms=[norm2(y)],
-                              steps=[0.0], h_min=opts.h_min,
-                              blowup_norm_cap=opts.blowup_norm_cap,
-                              blowup_window=opts.blowup_window)
+    rec = TrajectoryInternals(opts=opts, times=[float(t0)],
+                              norms=[norm2(y)], steps=[0.0])
     ws, states, residuals = [y], [x], [residual(t, x)]
 
     def f(tt, yy):
@@ -255,7 +247,7 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
             raise ConstraintSolveFailure(tt, exc.level, exc)
         return dw
 
-    h = opts.h_init if opts.h_init is not None else _initial_step(y, k1, opts)
+    h = _initial_step(y, k1, opts)
     err_prev = 1e-4
     accepted = rejected = 0
     consecutive_forced = 0
@@ -315,7 +307,7 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
             residuals.append(residual(t, x))
             if at_floor and rec.escaping():
                 break
-            if consecutive_forced > max(50, 3 * rec.blowup_window):
+            if consecutive_forced > max(50, 3 * opts.blowup_window):
                 break
             fac = 0.9 * err ** (-0.14) * err_prev ** 0.08 if err > 0 else 5.0
             fac = min(5.0, max(0.2, fac))

@@ -13,7 +13,7 @@ chains and with that finite subspace basis.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,21 +33,18 @@ __all__ = [
 
 @dataclass
 class Pencil:
-    """Square matrix pair (A, B) defining lambda*A + B."""
+    """Square matrix pair (A, B) defining lambda*A + B; `lambda_star` is
+    the regular point `regular_point()` found, once it has run."""
 
     a: np.ndarray
     b: np.ndarray
-    lambda_star: complex | float | None = None
+    lambda_star: complex | float | None = field(default=None, init=False)
 
     def __post_init__(self):
         self.a = as_matrix(self.a)
         self.b = as_matrix(self.b)
         if self.a.shape != self.b.shape or self.a.shape[0] != self.a.shape[1]:
             raise ValueError("A and B must be square with identical shapes")
-        if self.lambda_star is not None:
-            c = self.lambda_star * self.a + self.b
-            if cond2(c) > TOL.cond_cap:
-                raise ValueError("cached regular point is not acceptable")
 
     @property
     def n_dim(self) -> int:
@@ -67,9 +64,9 @@ class Pencil:
     def shifted(self, lam) -> np.ndarray:
         return lam * self.a + self.b
 
-    def regular_point(self, seed: int = 0):
+    def regular_point(self):
         if self.lambda_star is None:
-            self.lambda_star = find_regular_point(self, seed=seed)
+            self.lambda_star = find_regular_point(self)
         return self.lambda_star
 
 
@@ -138,7 +135,12 @@ class DualSystem:
         return np.column_stack(cols)
 
 
-def _candidate_points(pencil: Pencil, seed: int, n_random: int):
+# seed and length of each random run in the ladder of candidate shifts
+_LADDER_SEED = 0
+_LADDER_RANDOM = 16
+
+
+def _candidate_points(pencil: Pencil):
     n = pencil.n_dim
     for k in range(1, n + 2):
         yield float(k)
@@ -146,19 +148,19 @@ def _candidate_points(pencil: Pencil, seed: int, n_random: int):
     na = float(np.linalg.norm(pencil.a))
     nb = float(np.linalg.norm(pencil.b))
     scale = nb / na if na > 0 and nb > 0 else 1.0
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
+    rng = np.random.default_rng(_LADDER_SEED)
+    for _ in range(_LADDER_RANDOM):
         draw = rng.standard_normal()
         if pencil.is_complex:
             draw = draw + 1j * rng.standard_normal()
         yield scale * draw
     if not pencil.is_complex:
         # complex detour for real pairs whose real candidates all failed
-        for _ in range(n_random):
+        for _ in range(_LADDER_RANDOM):
             yield scale * (rng.standard_normal() + 1j * rng.standard_normal())
 
 
-def find_regular_point(pencil: Pencil, seed: int = 0, n_random: int = 16):
+def find_regular_point(pencil: Pencil):
     """First shift in a deterministic ladder making lambda*A + B invertible.
 
     The ladder is 1, -1, 2, -2, ... followed by seeded random draws scaled
@@ -166,7 +168,7 @@ def find_regular_point(pencil: Pencil, seed: int = 0, n_random: int = 16):
     condition-number cap.
     """
     tried = 0
-    for lam in _candidate_points(pencil, seed, n_random):
+    for lam in _candidate_points(pencil):
         tried += 1
         if cond2(pencil.shifted(lam)) <= TOL.cond_cap:
             if isinstance(lam, complex) and lam.imag == 0.0:
@@ -469,8 +471,7 @@ def dual_residuals(pencil: Pencil, canonical: CanonicalSystem,
 def analysis_report(pencil: Pencil, canonical: CanonicalSystem,
                     dual: DualSystem) -> dict:
     """JSON-ready summary of the pencil analysis; the residuals are those
-    `build_chains` and `build_dual_chains` kept, or computed here for
-    systems built otherwise."""
+    `build_chains` and `build_dual_chains` kept."""
     lam = pencil.lambda_star
     lam_out = ([lam.real, lam.imag] if isinstance(lam, complex) else lam)
     return {
@@ -479,8 +480,6 @@ def analysis_report(pencil: Pencil, canonical: CanonicalSystem,
         "index": canonical.nu,
         "kernel_dimension": canonical.n,
         "multiplicities": canonical.multiplicities,
-        "chain_residuals": (canonical.residuals
-                            or chain_residuals(pencil, canonical)),
-        "dual_residuals": dual.residuals or dual_residuals(pencil, canonical,
-                                                          dual),
+        "chain_residuals": canonical.residuals,
+        "dual_residuals": dual.residuals,
     }

@@ -470,8 +470,7 @@ def _build_certificate(spec: dict, n_dim: int) -> dict:
     comps = [_from_registry(_LYAPUNOV_REGISTRY, v, f"/certificate/V/{k}",
                             "functional") for k, v in enumerate(spec["V"])]
     kind = spec["kind"]
-    combination = spec.get("combination",
-                           "min" if kind == "blowup" else "max")
+    combination = "min" if kind == "blowup" else "max"
     lyap = LyapunovSpec(components=comps, kind=combination)
 
     u_fn = _from_registry(_U_REGISTRY, spec["U"], "/certificate/U",
@@ -490,6 +489,15 @@ def _build_certificate(spec: dict, n_dim: int) -> dict:
         raise SchemaError("/certificate/R", str(exc))
     if radius <= 0:  # the sampler draws magnitudes up to R
         raise SchemaError("/certificate/R", f"must be positive, got {radius}")
+    # what the checks require of their kind, so that a file breaking it ends
+    # as a malformed file and not as a verdict
+    if spec.get("combination", combination) != combination:
+        raise SchemaError("/certificate/combination",
+                          f"a {kind} certificate uses a {combination} "
+                          "combination")
+    if kind == "blowup" and region is None:
+        raise SchemaError("/certificate/region",
+                          "a blowup certificate needs a declared region")
     comp = ComparisonSpec(U=u_fn, psi=psi_fn, R=radius,
                           domain_set=region, domain_label=label,
                           declared_U_integral=spec.get("declared_U_integral"),

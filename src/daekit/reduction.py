@@ -37,6 +37,11 @@ class StructureTag(enum.Enum):
     STRUCTURED_VARIANT = "structured_variant"
 
 
+# relative mismatch of an analytic field Jacobian against central
+# differences above which `validate_jacobian` raises
+_JAC_RTOL = 1e-5
+
+
 @dataclass
 class NonlinearField:
     """Right-hand side f(t, x) with optional analytic derivatives."""
@@ -60,17 +65,19 @@ class NonlinearField:
         h = max(1e-6, 1e-6 * abs(t))
         return (self(t + h, x) - self(t - h, x)) / (2.0 * h)
 
-    def validate_jacobian(self, points, rtol: float = 1e-5) -> float:
+    def validate_jacobian(self, points) -> float:
         """Worst relative mismatch between the analytic Jacobian and
-        central differences over the sample points."""
+        central differences over the sample points; above _JAC_RTOL it
+        raises."""
         worst = 0.0
         for t, x in points:
             ja = self.jac(t, x)
             jf = fd_jacobian(lambda z: self.eval(t, z), np.asarray(x, float))
             scale = max(1.0, float(np.abs(jf).max()))
             worst = max(worst, float(np.abs(ja - jf).max()) / scale)
-        if worst > rtol:
-            raise ValueError(f"jacobian mismatch {worst:.3e} exceeds {rtol}")
+        if worst > _JAC_RTOL:
+            raise ValueError(f"jacobian mismatch {worst:.3e} exceeds "
+                             f"{_JAC_RTOL}")
         return worst
 
 

@@ -70,7 +70,7 @@ def test_criterion_04_linear_exactness_and_order():
     errs = {}
     for h in (1.0 / 8, 1.0 / 16):
         opts = IntegrationOptions(t_max=1.0, rtol=1e-2, atol=1e-2,
-                                  h_init=h, h_min=h, h_max=h)
+                                  h_min=h, h_max=h)
         t = integrate_first(red, 0.0, x0, opts)
         errs[h] = float(np.abs(t.states[-1] - exact).max())
     order = float(np.log2(errs[1.0 / 8] / errs[1.0 / 16]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from daekit import (ComparisonSpec, IntegrationOptions, LyapunovComponent,
-                    LyapunovSpec, SamplerConfig, SamplingFailure,
+                    LyapunovSpec, SamplingFailure,
                     check_blowup_certificate, check_global_solvability,
                     check_lagrange_stability, consistent_initialize,
                     integrate_first, monitor_comparison, probe_integral,
@@ -157,9 +157,7 @@ def test_global_solvability_zero_weight_violated():
     # below that band for the checker to see them
     red, pb = stable_setup()
     comp = ComparisonSpec(U=lambda u: 1.0 + u, psi=lambda t: 0.0, R=1e-3)
-    rep = check_global_solvability(
-        red, sq_norm(), comp,
-        SamplerConfig(t_low=1e-3, t_high=1.0, w_span=1e3))
+    rep = check_global_solvability(red, sq_norm(), comp)
     assert rep.verdict == VIOLATED
     for v in rep.violations:
         assert 0.0 < v["w"][0] < np.exp(-v["t"])
@@ -269,8 +267,7 @@ def test_sampling_failure_on_unreachable_region():
     comp = dataclasses.replace(
         pb.comparison(), domain_set=lambda w: float(w[0]) > 1e9)
     with pytest.raises(SamplingFailure):
-        check_blowup_certificate(red, pb.lyapunov(), comp,
-                                 SamplerConfig(n_samples=32))
+        check_blowup_certificate(red, pb.lyapunov(), comp)
 
 
 @pytest.mark.parametrize("check", [check_global_solvability,
@@ -291,8 +288,7 @@ def test_non_finite_envelope_ends_the_escape_check(envelope):
     red, pb = cubic_flow()
     comp = dataclasses.replace(pb.comparison(), U=envelope)
     with pytest.raises(SamplingFailure, match="non-finite sample at t="):
-        check_blowup_certificate(red, pb.lyapunov(), comp,
-                                 SamplerConfig(n_samples=32))
+        check_blowup_certificate(red, pb.lyapunov(), comp)
 
 
 # -- lyapunov spec ------------------------------------------------------------

@@ -12,8 +12,10 @@ import pytest
 import daekit
 from daekit import cli
 from daekit.cli import run
+from hypothesis import given, settings
+
 from daekit.problems import LoadedProblem, load_builtin
-from test_problems import BAD_INPUTS, edited_builtin
+from test_problems import _VALID_DOCUMENTS, BAD_INPUTS, edited_builtin
 
 
 def test_analyze_bundled(tmp_path, capsys):
@@ -129,6 +131,47 @@ def test_certify_violation_exit_one(tmp_path):
     path = tmp_path / "violated.json"
     path.write_text(json.dumps(problem))
     assert run(["certify", str(path), "--out", str(tmp_path)]) == 1
+
+
+def _without_region(name):
+    data = load_builtin(name).raw
+    return dict(data, certificate={k: v for k, v in data["certificate"].items()
+                                   if k != "region"})
+
+
+@pytest.mark.parametrize("data, pointer", [
+    (_without_region("index1_cubic_blowup"), "/certificate/region"),
+    (edited_builtin("index1_cubic_blowup", ("certificate", "combination"),
+                    "max"), "/certificate/combination"),
+    (edited_builtin("index1_stable", ("certificate", "combination"), "min"),
+     "/certificate/combination"),
+], ids=["blowup-no-region", "blowup-max", "stability-min"])
+def test_contradictory_certificate_block_exit_two(tmp_path, capsys, data,
+                                                  pointer):
+    # each block passes the schema but not the check it names; exit code 1
+    # would read as a verdict
+    path = tmp_path / "contradictory.json"
+    path.write_text(json.dumps(data))
+    assert run(["certify", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        f"error: SchemaError: {pointer}: "), err
+    assert not (tmp_path / "out").exists()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_VALID_DOCUMENTS)
+def test_every_valid_document_ends_each_command_classified(tmp_path_factory,
+                                                           data):
+    # 0 success, 1 violated hypotheses, 2 a classified error: never a raw
+    # exception
+    root = tmp_path_factory.mktemp("doc")
+    path = root / "doc.json"
+    path.write_text(json.dumps(data))
+    for argv in (["reduce"], ["simulate", "--tmax", "0.5"], ["certify"],
+                 ["sweep", "--tmax", "0.5"]):
+        code = run([argv[0], str(path), *argv[1:], "--out", str(root / "out")])
+        assert code in (0, 1, 2), argv
 
 
 def test_error_exit_two(tmp_path, capsys):

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from daekit import implicit
-from daekit import (ImplicitProblem, JacobianCache, NoConvergence,
-                    SingularJacobian, consistent_initialize,
-                    implicit_derivative, reduce_cascade, reduce_first,
-                    solve_newton)
+from daekit import (ImplicitProblem, JacobianCache, SingularJacobian,
+                    consistent_initialize, implicit_derivative,
+                    reduce_cascade, reduce_first, solve_newton)
 from daekit._linalg import norm2
 from daekit.problems import load_builtin
 
@@ -282,20 +281,6 @@ def test_implicit_derivative_cubic_branch():
     yp = bisect_root(lambda y: y ** 3 + y - (1.0 + h), 0.0, 2.0, 1e-14)
     ym = bisect_root(lambda y: y ** 3 + y - (1.0 - h), 0.0, 2.0, 1e-14)
     assert abs(d[0] - (yp - ym) / (2 * h)) < 1e-4 * abs(d[0])
-
-
-def test_implicit_derivative_cross_check_flag():
-    prob = ImplicitProblem(
-        residual=lambda t, p, y: np.array([y[0] ** 3 + y[0] - t]),
-        jac_y=lambda t, p, y: np.array([[3 * y[0] ** 2 + 1.0]]))
-    y1 = np.array([CUBIC_ROOT])
-    d = implicit_derivative(prob, 1.0, None, y1, cross_check=True)
-    assert abs(d[0] - 1.0 / (3 * CUBIC_ROOT ** 2 + 1.0)) < 1e-8
-    # a wrong time derivative makes the cross-check fire
-    bad = ImplicitProblem(residual=prob.residual, jac_y=prob.jac_y,
-                          jac_t=lambda t, p, y: np.array([2.0]))
-    with pytest.raises(NoConvergence):
-        implicit_derivative(bad, 1.0, None, y1, cross_check=True)
 
 
 def test_implicit_derivative_constant_branch():

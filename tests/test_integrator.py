@@ -32,7 +32,7 @@ def test_order_of_accuracy():
     errs = {}
     for h in (1.0 / 8, 1.0 / 16):
         opts = IntegrationOptions(t_max=1.0, rtol=1e-2, atol=1e-2,
-                                  h_init=h, h_min=h, h_max=h)
+                                  h_min=h, h_max=h)
         traj = integrate_first(red, 0.0, x0, opts)
         exact = reference_solution("index2_nilpotent_linear", 1.0, x0)
         errs[h] = np.abs(traj.states[-1] - exact).max()
@@ -178,8 +178,7 @@ def _chain_singular_at_half():
     dae = make_dae(pb.dae.pencil.a, pb.dae.pencil.b, NonlinearField(
         eval=field, jacobian=jacobian, t_derivative=t_derivative,
         structure_tag=StructureTag.STRUCTURED))
-    opts = IntegrationOptions(t_max=1.0, h_init=0.125, h_min=0.125,
-                              h_max=0.125)
+    opts = IntegrationOptions(t_max=1.0, h_min=0.125, h_max=0.125)
     return dae, pb.x_guess, opts
 
 
@@ -269,8 +268,8 @@ def test_trajectory_arrays_hold_one_row_per_accepted_point(ending, approach):
 
 
 def test_classifier_unit():
-    internals = TrajectoryInternals(h_min=1e-10, blowup_norm_cap=10.0,
-                                    blowup_window=3)
+    internals = TrajectoryInternals(IntegrationOptions(
+        h_min=1e-10, blowup_norm_cap=10.0, blowup_window=3))
     internals.times = [0.0, 0.5, 0.8, 0.9, 0.95]
     internals.norms = [1.0, 2.0, 5.0, 12.0, 30.0]
     internals.steps = [0.0, 0.5, 0.3, 0.1, 1e-10]
@@ -286,12 +285,10 @@ def test_options_validation():
         IntegrationOptions(t0=1.0, t_max=0.5)
     with pytest.raises(ValueError):
         IntegrationOptions(t_max=1.0, rtol=-1e-8)
-    with pytest.raises(ValueError):
-        IntegrationOptions(t_max=1.0, h_init=1e-12, h_min=1e-10)
     for h_max in (-1.0, 0.0, 1e-12):  # at or below the step floor
         with pytest.raises(ValueError):
             IntegrationOptions(t_max=1.0, h_min=1e-10, h_max=h_max)
-    for key in ("t0", "t_max", "rtol", "atol", "h_init", "h_min", "h_max",
+    for key in ("t0", "t_max", "rtol", "atol", "h_min", "h_max",
                 "blowup_norm_cap"):
         for value in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match=f"^{key} must be finite"):
@@ -299,8 +296,6 @@ def test_options_validation():
     for window in (0, -1):  # no monotone-growth check left
         with pytest.raises(ValueError, match="^blowup_window"):
             IntegrationOptions(blowup_window=window)
-    opts = IntegrationOptions(t_max=1.0, h_init=1e-3, h_min=1e-6, h_max=0.1)
-    assert opts.h_min <= opts.h_init <= opts.h_max
 
 
 def test_inconsistent_initial_value_raises():

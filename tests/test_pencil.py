@@ -368,7 +368,8 @@ def test_complex_shift_of_a_real_pair_gives_real_duals():
     # chains are real and do not depend on the shift
     ws = random_weierstrass(3, 10, [3, 2])
     cs = build_chains(ws.pencil)
-    detour = Pencil(ws.pencil.a, ws.pencil.b, lambda_star=0.5 + 0.7j)
+    detour = Pencil(ws.pencil.a, ws.pencil.b)
+    detour.lambda_star = 0.5 + 0.7j
     ds = build_dual_chains(detour, cs)
     assert not np.iscomplexobj(ds.matrix())
     np.testing.assert_allclose(

@@ -520,6 +520,7 @@ def test_loader_errors_match_shipped_schema_for_each_block(keys, value):
     ({"certificate": {"kind": "blowup", "V": [{"registry_id": "squared_norm"}],
                       "U": {"registry_id": "affine"},
                       "psi": {"registry_id": "constant"},
+                      "region": {"registry_id": "norm_above"},
                       "R": np.float64(2.0)}}, True),
     # jsonschema's `integer` is an int or an integral float
     ({"integration": {"blowup_window": np.int64(3)}}, False),
