@@ -8,13 +8,13 @@ reproduces to ~1e-10 while re-solving the constraint at every step.
 
 import numpy as np
 
-from daekit import consistent_initialize, integrate_first, reduce_first
+from daekit import integrate_first, reduce_first
 from daekit.problems import load_builtin, reference_solution
 
 problem = load_builtin("index2_nilpotent_linear")
 reduced = reduce_first(problem.dae)
 
-x0 = consistent_initialize(reduced, 0.0, problem.x_guess)
+x0 = reduced.consistent_point(0.0, problem.x_guess)
 print(f"consistent initial state: {x0} "
       f"(constraint residual {reduced.residual_L0(0.0, x0):.1e})")
 

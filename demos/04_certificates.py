@@ -16,8 +16,7 @@ import dataclasses
 import numpy as np
 
 from daekit import (check_blowup_certificate, check_lagrange_stability,
-                    consistent_initialize, integrate_first,
-                    monitor_comparison, reduce_first)
+                    integrate_first, monitor_comparison, reduce_first)
 from daekit.problems import load_builtin
 
 stable = load_builtin("index1_stable")
@@ -30,7 +29,7 @@ print("  1/U integral:", report.integral_U, " psi integral:",
       report.integral_psi)
 print("  kernel bound ladder K(b):", report.extras["kernel_bound_ladder"])
 
-x0 = consistent_initialize(red, 0.0, stable.x_guess)
+x0 = red.consistent_point(0.0, stable.x_guess)
 traj = integrate_first(red, 0.0, x0, stable.options)
 sup = float(np.linalg.norm(traj.states, axis=1).max())
 print(f"  sup |x(t)| over [0,100] = {sup:.3f} "
@@ -43,7 +42,7 @@ print("\nescape certificate:", report.verdict)
 print("  1/U integral:", report.integral_U, " psi integral:",
       report.integral_psi)
 
-x0 = consistent_initialize(redc, 0.0, np.array([0.8, 0.0]))
+x0 = redc.consistent_point(0.0, np.array([0.8, 0.0]))
 traj = integrate_first(redc, 0.0, x0, cubic.options)
 print(f"  simulated from x1(0)=0.8: {traj.termination.kind}, escape "
       f"estimate {traj.termination.t_escape_estimate:.6f} "

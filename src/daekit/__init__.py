@@ -18,12 +18,11 @@ from .pencil import (CanonicalSystem, Chain, DualSystem, Pencil,
                      find_regular_point)
 from .projectors import (ProjectorSet, build_all, build_projectors,
                          verify_projectors)
-from .implicit import (ImplicitProblem, JacobianCache, consistent_initialize,
-                       implicit_derivative, solve_newton)
+from .implicit import (ImplicitProblem, JacobianCache, implicit_derivative,
+                       solve_newton)
 from .reduction import (NonlinearField, ReducedCascade, ReducedFirst,
                         SemilinearDAE, StructureReport, StructureTag,
-                        check_structure, reduce_cascade, reduce_first,
-                        residual_L0)
+                        check_structure, reduce_cascade, reduce_first)
 from .integrate import (IntegrationOptions, TerminationReason, Trajectory,
                         TrajectoryInternals, classify_termination,
                         integrate_cascade, integrate_first)

@@ -19,7 +19,6 @@ from . import __version__
 from .certificates import (VIOLATED, check_blowup_certificate,
                            check_global_solvability, check_lagrange_stability)
 from .errors import DaekitError
-from .implicit import consistent_initialize
 from .integrate import integrate_cascade, integrate_first
 from .pencil import analysis_report
 from .problems import LoadedProblem, load_builtin, load_problem
@@ -88,11 +87,9 @@ def _reduce(problem: LoadedProblem, approach: str):
 def _simulate_once(problem: LoadedProblem, guess, approach: str):
     reduced = _reduce(problem, approach)
     t0 = problem.options.t0
-    if approach == "cascade":
-        return integrate_cascade(reduced, t0, problem.dae.projectors.p1 @ guess,
-                                 problem.options)
-    x0 = consistent_initialize(reduced, t0, guess)
-    return integrate_first(reduced, t0, x0, problem.options)
+    x0 = reduced.consistent_point(t0, guess)
+    integrate = integrate_cascade if approach == "cascade" else integrate_first
+    return integrate(reduced, t0, x0, problem.options)
 
 
 def _trajectory_json(traj) -> dict:
@@ -104,6 +101,16 @@ def _trajectory_json(traj) -> dict:
         "termination": traj.termination.to_dict(),
         "stats": traj.stats,
     }
+
+
+def _write_trajectory(traj, fmt: str, out_dir: Path, name: str) -> Path:
+    """Write the trajectory to out_dir/name.json or name.csv."""
+    path = out_dir / f"{name}.{fmt}"
+    if fmt == "json":
+        _dump_json(_trajectory_json(traj), path)
+    else:
+        traj.to_csv(path)
+    return path
 
 
 def cmd_analyze(args) -> int:
@@ -156,12 +163,8 @@ def cmd_simulate(args) -> int:
     traj = _simulate_once(problem, guess, approach)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.format == "json":
-        data_path = out_dir / f"{problem.name}_trajectory.json"
-        _dump_json(_trajectory_json(traj), data_path)
-    else:
-        data_path = out_dir / f"{problem.name}_trajectory.csv"
-        traj.to_csv(data_path)
+    data_path = _write_trajectory(traj, args.format, out_dir,
+                                  f"{problem.name}_trajectory")
     _dump_json(traj.termination.to_dict(),
                out_dir / f"{problem.name}_termination.json")
     term = traj.termination
@@ -223,11 +226,8 @@ def cmd_sweep(args) -> int:
         fin = f"{float(np.linalg.norm(traj.w_states[-1])):.17g}"
         lines.append(f"{idx}," + ",".join(f"{v:.17g}" for v in guess)
                      + f",{term.kind},{esc},{fin}")
-        if args.format == "json":
-            _dump_json(_trajectory_json(traj),
-                       out_dir / f"{problem.name}_run{idx}.json")
-        else:
-            traj.to_csv(out_dir / f"{problem.name}_run{idx}.csv")
+        _write_trajectory(traj, args.format, out_dir,
+                          f"{problem.name}_run{idx}")
     summary = out_dir / f"{problem.name}_sweep.csv"
     summary.write_text("\n".join(lines) + "\n")
     print(f"{problem.name}: swept {len(results)} initial points -> {summary}")

@@ -24,7 +24,7 @@ from ._linalg import cond2, norm2  # noqa: F401
 from .errors import NoConvergence, SingularJacobian
 
 __all__ = ["ImplicitProblem", "JacobianCache", "solve_newton",
-           "implicit_derivative", "consistent_initialize", "fd_jacobian"]
+           "implicit_derivative", "fd_jacobian"]
 
 
 @dataclass
@@ -80,6 +80,12 @@ def _vec(y) -> np.ndarray:
     if type(y) is np.ndarray and y.dtype == np.float64 and y.ndim == 1:
         return y
     return np.atleast_1d(np.asarray(y, dtype=float))
+
+
+def _time_derivative(g: Callable, t: float):
+    """Central difference of g at t, with step max(1e-6, 1e-6*|t|)."""
+    h = max(1e-6, 1e-6 * abs(t))
+    return (g(t + h) - g(t - h)) / (2.0 * h)
 
 
 def fd_jacobian(fun: Callable, y: np.ndarray, f0: np.ndarray | None = None
@@ -199,8 +205,7 @@ def implicit_derivative(problem: ImplicitProblem, t: float, p,
                         y_solution) -> np.ndarray:
     """Time derivative of the solved branch: -(dF/dy)^{-1} dF/dt.
 
-    dF/dt is taken by central differences with step max(1e-6, 1e-6*|t|),
-    holding y fixed.
+    dF/dt is taken by `_time_derivative`, holding y fixed.
     """
     y = _vec(y_solution)
     if problem.jac_y is not None:
@@ -210,16 +215,5 @@ def implicit_derivative(problem: ImplicitProblem, t: float, p,
     factors = _factor(j)
     if factors is None:
         raise SingularJacobian(point=(t,), message="dF/dy singular on branch")
-    h = max(1e-6, 1e-6 * abs(t))
-    ft = (_vec(problem.residual(t + h, p, y))
-          - _vec(problem.residual(t - h, p, y))) / (2.0 * h)
+    ft = _time_derivative(lambda tt: _vec(problem.residual(tt, p, y)), t)
     return _lu_solve(factors, -ft)
-
-
-def consistent_initialize(reduced, t0: float, x_guess) -> np.ndarray:
-    """Project a guess onto the constraint manifold of a reduced system.
-
-    Dispatches to the reduction object: the explicit components of the
-    guess are kept and the algebraic components are solved for.
-    """
-    return reduced.consistent_point(t0, np.asarray(x_guess, dtype=float))

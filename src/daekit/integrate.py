@@ -327,14 +327,20 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
                       termination=classify_termination(rec), stats=rec.stats)
 
 
-def integrate_first(reduced: ReducedFirst, t0: float, x0, opts: IntegrationOptions
-                    ) -> Trajectory:
-    """Integrate the direct reduction from a consistent initial state."""
+def _start(reduced, t0: float, x0):
+    """x0 as floats and the per-run state seeded from it; an x0 off the
+    constraint manifold raises InconsistentInitialValue."""
     x0 = np.asarray(x0, dtype=float)
     res0 = reduced.residual_L0(t0, x0)
     if res0 > TOL.cons:
         raise InconsistentInitialValue(res0, TOL.cons)
-    state = reduced.make_state(x0)
+    return x0, reduced.make_state(x0)
+
+
+def integrate_first(reduced: ReducedFirst, t0: float, x0, opts: IntegrationOptions
+                    ) -> Trajectory:
+    """Integrate the direct reduction from a consistent initial state."""
+    x0, state = _start(reduced, t0, x0)
 
     def solve(t, w):
         # warm-started solve; on a kernel-level failure retry once from a
@@ -356,14 +362,14 @@ def integrate_first(reduced: ReducedFirst, t0: float, x0, opts: IntegrationOptio
                 lambda t, x: reduced.residual_L0(t, x, state))
 
 
-def integrate_cascade(reduced: ReducedCascade, t0: float, x01,
+def integrate_cascade(reduced: ReducedCascade, t0: float, x0,
                       opts: IntegrationOptions) -> Trajectory:
-    """Integrate the cascade reduction from an explicit-part initial value."""
-    x01 = np.asarray(x01, dtype=float)
-    off = float(np.linalg.norm(x01 - reduced.ps.p1 @ x01))
-    if off > 1e-8 * (1.0 + float(np.linalg.norm(x01))):
-        raise InconsistentInitialValue(off, 1e-8)
-    evaluator = reduced.make_state()
+    """Integrate the cascade reduction from a consistent initial state.
+
+    The reduced variable w1 holds the explicit part alone: it starts at
+    A P1 x0.
+    """
+    x0, evaluator = _start(reduced, t0, x0)
 
     def solve(t, w1):
         # on failure retry once from cold level guesses, keeping the warm
@@ -378,5 +384,5 @@ def integrate_cascade(reduced: ReducedCascade, t0: float, x01,
             evaluator.field_at = fresh.field_at
             return out
 
-    return _run(t0, reduced.dae.pencil.a @ (reduced.ps.p1 @ x01), opts, solve,
+    return _run(t0, reduced.dae.pencil.a @ (reduced.ps.p1 @ x0), opts, solve,
                 lambda t, x: reduced.residual_L0(t, x, evaluator))

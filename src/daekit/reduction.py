@@ -22,12 +22,13 @@ from ._linalg import norm2, orth_basis
 from .config import DEFAULT_TOLERANCES as TOL
 from .errors import (ConstraintSolveFailure, DaekitError, NoConvergence,
                      SingularJacobian, StructureViolation)
-from .implicit import ImplicitProblem, JacobianCache, fd_jacobian, solve_newton
+from .implicit import (ImplicitProblem, JacobianCache, _time_derivative,
+                       fd_jacobian, solve_newton)
 from .pencil import CanonicalSystem, DualSystem, Pencil
 from .projectors import ProjectorSet
 
 __all__ = ["StructureTag", "NonlinearField", "SemilinearDAE", "ReducedFirst",
-           "ReducedCascade", "reduce_first", "reduce_cascade", "residual_L0",
+           "ReducedCascade", "reduce_first", "reduce_cascade",
            "check_structure", "StructureReport"]
 
 
@@ -62,8 +63,7 @@ class NonlinearField:
     def dt(self, t, x):
         if self.t_derivative is not None:
             return np.asarray(self.t_derivative(t, x), dtype=float)
-        h = max(1e-6, 1e-6 * abs(t))
-        return (self(t + h, x) - self(t - h, x)) / (2.0 * h)
+        return _time_derivative(lambda tt: self(tt, x), t)
 
     def validate_jacobian(self, points) -> float:
         """Worst relative mismatch between the analytic Jacobian and
@@ -201,7 +201,10 @@ class _Reduced:
         return state
 
     def consistent_point(self, t0, x_guess):
-        """The route's `_initial_state` from the guess, checked on L0."""
+        """The route's `_initial_state` from the guess, checked on L0: the
+        explicit components of the guess are kept and the algebraic ones
+        solved for."""
+        x_guess = np.asarray(x_guess, dtype=float)
         state = self.make_state(x_guess)
         x0 = self._initial_state(t0, x_guess, state)
         # the kernel solve's field value, recorded under x0
@@ -368,11 +371,6 @@ class ReducedFirst(_Reduced):
 
 def reduce_first(dae: SemilinearDAE) -> ReducedFirst:
     return ReducedFirst(dae)
-
-
-def residual_L0(reduced, t, x) -> float:
-    """Distance of (t, x) from the constraint manifold."""
-    return reduced.residual_L0(t, x)
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +547,7 @@ class _CascadeEvaluator:
 
     def wedge_derivative(self, s: int, t: float) -> np.ndarray:
         """Central finite difference of the wedge-level branch."""
-        h = max(1e-6, 1e-6 * abs(t))
-        return (self.wedge_value(s, t + h) - self.wedge_value(s, t - h)) / (2 * h)
+        return _time_derivative(lambda tt: self.wedge_value(s, tt), t)
 
     def level_offset(self, s: int, t: float) -> np.ndarray:
         """Offset of wedge level s, or of the kernel level for s = 0: A times

@@ -7,10 +7,9 @@ import time
 import numpy as np
 
 from daekit import (IntegrationOptions, chain_residuals, check_blowup_certificate,
-                    check_lagrange_stability, compute_index,
-                    consistent_initialize, dual_residuals, integrate_cascade,
-                    integrate_first, reduce_cascade, reduce_first,
-                    solve_newton, verify_projectors)
+                    check_lagrange_stability, compute_index, dual_residuals,
+                    integrate_cascade, integrate_first, reduce_cascade,
+                    reduce_first, solve_newton, verify_projectors)
 from daekit.certificates import CONVERGES, DIVERGES, PASS
 from daekit.implicit import ImplicitProblem, implicit_derivative
 from daekit.problems import load_builtin, reference_solution
@@ -61,7 +60,7 @@ def test_criterion_03_chain_and_dual_validity(analyzed_corpus):
 def test_criterion_04_linear_exactness_and_order():
     pb = load_builtin("index2_nilpotent_linear")
     red = reduce_first(pb.dae)
-    x0 = consistent_initialize(red, 0.0, pb.x_guess)
+    x0 = red.consistent_point(0.0, pb.x_guess)
     exact = reference_solution("index2_nilpotent_linear", 1.0, x0)
 
     traj = integrate_first(red, 0.0, x0, pb.options)
@@ -94,7 +93,7 @@ def test_criterion_05_blowup_estimation():
     for x1 in (0.5, 1.0, 2.0):
         guess = pb.x_guess.copy()
         guess[0] = x1
-        x0 = consistent_initialize(red, 0.0, guess)
+        x0 = red.consistent_point(0.0, guess)
         t0 = time.time()
         traj = integrate_first(red, 0.0, x0, pb.options)
         elapsed = time.time() - t0
@@ -117,17 +116,16 @@ def test_criterion_06_constraint_preservation():
             pb.dae.field.structure_tag.value != "general"
         if structured:
             red = reduce_cascade(pb.dae, waive_structure_check=True)
-            x0 = consistent_initialize(red, pb.options.t0, pb.x_guess)
-            traj = integrate_cascade(red, pb.options.t0,
-                                     pb.dae.projectors.p1 @ x0, pb.options)
+            x0 = red.consistent_point(pb.options.t0, pb.x_guess)
+            traj = integrate_cascade(red, pb.options.t0, x0, pb.options)
         else:
             red = reduce_first(pb.dae)
-            x0 = consistent_initialize(red, pb.options.t0, pb.x_guess)
+            x0 = red.consistent_point(pb.options.t0, pb.x_guess)
             traj = integrate_first(red, pb.options.t0, x0, pb.options)
         worst_traj = max(worst_traj, float(traj.residuals.max()))
         worst_init = max(worst_init,
                          red.residual_L0(pb.options.t0, x0))
-        again = consistent_initialize(red, pb.options.t0, x0)
+        again = red.consistent_point(pb.options.t0, x0)
         worst_idem = max(worst_idem, float(np.abs(again - x0).max()))
     report(6, worst_traj <= 1e-6 and worst_init <= 1e-10
            and worst_idem <= 1e-10,
@@ -188,7 +186,7 @@ def test_criterion_08_certificate_coherence():
                  and rep.samples_checked == 500
                  and rep.integral_psi == CONVERGES
                  and rep.integral_U == DIVERGES)
-    x0 = consistent_initialize(red, 0.0, pb.x_guess)
+    x0 = red.consistent_point(0.0, pb.x_guess)
     traj = integrate_first(red, 0.0, x0, pb.options)  # horizon 100
     sup_norm = float(np.linalg.norm(traj.states, axis=1).max())
     bounded_ok = (traj.termination.kind == "reached_tmax"
@@ -205,7 +203,7 @@ def test_criterion_08_certificate_coherence():
     escapes = 0
     for x1 in starts:
         guess = np.array([float(x1), 0.0])
-        x0c = consistent_initialize(redc, 0.0, guess)
+        x0c = redc.consistent_point(0.0, guess)
         assert region(pbc.dae.pencil.a @ x0c)
         t = integrate_first(redc, 0.0, x0c, pbc.options)
         escapes += t.termination.kind == "blowup_suspected"
@@ -221,16 +219,16 @@ def test_criterion_09_approach_equivalence():
     rf = reduce_first(dae)
     rc = reduce_cascade(dae, waive_structure_check=True)
     checkpoints = np.linspace(0.0, 1.0, 21)
-    xf = consistent_initialize(rf, 0.0, pb.x_guess)
+    xf = rf.consistent_point(0.0, pb.x_guess)
     xc = xf.copy()
     sup = 0.0
     for ta, tb in zip(checkpoints[:-1], checkpoints[1:]):
         opts = IntegrationOptions(t0=ta, t_max=tb, rtol=1e-11, atol=1e-13)
         tf = integrate_first(rf, ta, xf, opts)
-        tc = integrate_cascade(rc, ta, dae.projectors.p1 @ xc, opts)
+        tc = integrate_cascade(rc, ta, xc, opts)
         xf, xc = tf.states[-1], tc.states[-1]
         sup = max(sup, float(np.abs(xf - xc).max()))
-        xf = consistent_initialize(rf, tb, xf)
+        xf = rf.consistent_point(tb, xf)
     report(9, sup <= 1e-8,
            f"sup-norm gap between the approaches over [0,1]: {sup:.2e} "
            f"(<= 1e-8)")

@@ -8,9 +8,8 @@ import pytest
 from daekit import (ComparisonSpec, IntegrationOptions, LyapunovComponent,
                     LyapunovSpec, SamplingFailure,
                     check_blowup_certificate, check_global_solvability,
-                    check_lagrange_stability, consistent_initialize,
-                    integrate_first, monitor_comparison, probe_integral,
-                    reduce_first)
+                    check_lagrange_stability, integrate_first,
+                    monitor_comparison, probe_integral, reduce_first)
 from daekit import certificates, problems
 from daekit.certificates import CONVERGES, DIVERGES, INCONCLUSIVE, PASS, \
     UNDECIDED, VIOLATED
@@ -326,7 +325,7 @@ def test_kind_mismatch_rejected():
 
 def cubic_trajectory(x1_init=0.8, norm_cap=1e3):
     red, pb = cubic_flow()
-    x0 = consistent_initialize(red, 0.0, np.array([x1_init, 0.0]))
+    x0 = red.consistent_point(0.0, np.array([x1_init, 0.0]))
     traj = integrate_first(red, 0.0, x0, IntegrationOptions(
         t_max=5.0, rtol=1e-11, atol=1e-13))
     keep = np.abs(traj.w_states[:, 0]) < norm_cap

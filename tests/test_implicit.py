@@ -6,8 +6,8 @@ import pytest
 
 from daekit import implicit
 from daekit import (ImplicitProblem, JacobianCache, SingularJacobian,
-                    consistent_initialize, implicit_derivative,
-                    reduce_cascade, reduce_first, solve_newton)
+                    implicit_derivative, reduce_cascade, reduce_first,
+                    solve_newton)
 from daekit._linalg import norm2
 from daekit.problems import load_builtin
 
@@ -291,10 +291,10 @@ def test_implicit_derivative_constant_branch():
 
 def test_consistent_initialize_blowup_fixture():
     red = reduce_first(load_builtin("index1_blowup").dae)
-    x0 = consistent_initialize(red, 0.0, np.array([1.0, 0.0]))
+    x0 = red.consistent_point(0.0, np.array([1.0, 0.0]))
     np.testing.assert_allclose(x0, [1.0, 1.0], atol=1e-12)
     assert red.residual_L0(0.0, x0) <= 1e-10
-    again = consistent_initialize(red, 0.0, x0)
+    again = red.consistent_point(0.0, x0)
     assert np.abs(again - x0).max() <= 1e-10  # idempotent
 
 
@@ -304,7 +304,7 @@ def test_consistent_initialize_zero_field():
     fld = NonlinearField(eval=lambda t, x: np.zeros(2))
     dae = make_dae(np.diag([1.0, 0.0]), np.eye(2), fld)
     red = reduce_first(dae)
-    x0 = consistent_initialize(red, 0.0, np.array([0.7, 0.4]))
+    x0 = red.consistent_point(0.0, np.array([0.7, 0.4]))
     np.testing.assert_allclose(x0, dae.projectors.p1 @ np.array([0.7, 0.4]),
                                atol=1e-12)
 
@@ -312,11 +312,11 @@ def test_consistent_initialize_zero_field():
 def test_consistent_initialize_cascade_levels():
     pb = load_builtin("index2_structured")
     red = reduce_cascade(pb.dae, waive_structure_check=True)
-    x0 = consistent_initialize(red, 0.0, pb.x_guess)
+    x0 = red.consistent_point(0.0, pb.x_guess)
     assert red.residual_L0(0.0, x0) <= 1e-10
     # the chain level is scalar linear: x3 solves x3 = 0.5 x3 + 0.8 sin t
     assert abs(x0[2] - 1.6 * np.sin(0.0)) < 1e-12
-    again = consistent_initialize(red, 0.0, x0)
+    again = red.consistent_point(0.0, x0)
     assert np.abs(again - x0).max() <= 1e-10
 
 

@@ -6,16 +6,15 @@ from scipy.linalg import expm
 
 from daekit import (InconsistentInitialValue, IntegrationOptions,
                     NonlinearField, StructureTag, TrajectoryInternals,
-                    classify_termination, consistent_initialize,
-                    integrate_cascade, integrate_first, reduce_cascade,
-                    reduce_first)
+                    classify_termination, integrate_cascade,
+                    integrate_first, reduce_cascade, reduce_first)
 from daekit.problems import load_builtin, make_dae, reference_solution
 
 
 def test_linear_index2_matches_closed_form():
     pb = load_builtin("index2_nilpotent_linear")
     red = reduce_first(pb.dae)
-    x0 = consistent_initialize(red, 0.0, pb.x_guess)
+    x0 = red.consistent_point(0.0, pb.x_guess)
     traj = integrate_first(red, 0.0, x0, pb.options)
     assert traj.termination.kind == "reached_tmax"
     exact = reference_solution("index2_nilpotent_linear", 1.0, x0)
@@ -28,7 +27,7 @@ def test_order_of_accuracy():
     # five-stage order; halving tolerances must also reduce the error
     pb = load_builtin("index2_nilpotent_linear")
     red = reduce_first(pb.dae)
-    x0 = consistent_initialize(red, 0.0, pb.x_guess)
+    x0 = red.consistent_point(0.0, pb.x_guess)
     errs = {}
     for h in (1.0 / 8, 1.0 / 16):
         opts = IntegrationOptions(t_max=1.0, rtol=1e-2, atol=1e-2,
@@ -54,7 +53,7 @@ def test_blowup_escape_estimates(x1_init):
     red = reduce_first(pb.dae)
     guess = pb.x_guess.copy()
     guess[0] = x1_init
-    x0 = consistent_initialize(red, 0.0, guess)
+    x0 = red.consistent_point(0.0, guess)
     traj = integrate_first(red, 0.0, x0, pb.options)
     assert traj.termination.kind == "blowup_suspected"
     exact = 1.0 / x1_init
@@ -75,7 +74,7 @@ def test_zero_field_decay_block():
     fld = NonlinearField(eval=lambda t, x: np.zeros(2))
     dae = make_dae(np.diag([1.0, 0.0]), np.eye(2), fld)
     red = reduce_first(dae)
-    x0 = consistent_initialize(red, 0.0, np.array([1.0, 0.5]))
+    x0 = red.consistent_point(0.0, np.array([1.0, 0.5]))
     np.testing.assert_allclose(x0, [1.0, 0.0], atol=1e-12)
     traj = integrate_first(red, 0.0, x0, IntegrationOptions(
         t_max=2.0, rtol=1e-10, atol=1e-12))
@@ -102,7 +101,7 @@ def test_classifier_decay_reaches_horizon():
 def test_classifier_constraint_failure():
     pb = load_builtin("failing_constraint")
     red = reduce_first(pb.dae)
-    x0 = consistent_initialize(red, 0.0, pb.x_guess)
+    x0 = red.consistent_point(0.0, pb.x_guess)
     traj = integrate_first(red, 0.0, x0, pb.options)
     assert traj.termination.kind == "constraint_solve_failure"
     assert traj.termination.level == "kernel_level"
@@ -128,22 +127,27 @@ def test_classifier_chain_level_failure(tag, level):
     dae = make_dae(pb.dae.pencil.a, pb.dae.pencil.b,
                    NonlinearField(eval=field, structure_tag=tag))
     red = reduce_cascade(dae, waive_structure_check=True)
-    traj = integrate_cascade(red, 0.0, dae.projectors.p1 @ pb.x_guess,
+    traj = integrate_cascade(red, 0.0, red.consistent_point(0.0, pb.x_guess),
                              pb.options)
     assert traj.termination.kind == "constraint_solve_failure"
     assert traj.termination.level == level
     assert 0.3 <= traj.termination.t <= 0.31
 
 
-def test_kernel_level_singular_during_run_ends_it():
-    # x1' = 1, 0 = x2^2 + x1 from (-1, 1): x2 = sqrt(1 - t), and the level
-    # Jacobian 2 x2 vanishes at t = 1, where the solution stops existing.
-    # The failed solves past t = 1 retry from x2 = 0, where it is zero.
+def _fold():
+    """x1' = 1, 0 = x2^2 + x1: from (-1, 1), x2 = sqrt(1 - t), and the
+    kernel-level Jacobian 2 x2 vanishes at t = 1, where the solution stops
+    existing, and at x2 = 0."""
     fld = NonlinearField(
         eval=lambda t, x: np.array([1.0, x[1] + x[1] ** 2 + x[0]]),
         jacobian=lambda t, x: np.array([[0.0, 0.0], [1.0, 1.0 + 2 * x[1]]]))
-    dae = make_dae(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), fld)
-    traj = integrate_first(reduce_first(dae), 0.0, np.array([-1.0, 1.0]),
+    return make_dae(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), fld)
+
+
+def test_kernel_level_singular_during_run_ends_it():
+    # the failed solves past t = 1 retry from x2 = 0, where the Jacobian is
+    # zero
+    traj = integrate_first(reduce_first(_fold()), 0.0, np.array([-1.0, 1.0]),
                            IntegrationOptions(t_max=2.0))
     assert traj.termination.kind == "constraint_solve_failure"
     assert traj.termination.level == "kernel_level"
@@ -151,6 +155,17 @@ def test_kernel_level_singular_during_run_ends_it():
     assert traj.times[-1] < 1.0
     np.testing.assert_allclose(traj.states[:, 1], np.sqrt(1.0 - traj.times),
                                rtol=1e-8)
+
+
+def test_cascade_starts_where_the_kernel_jacobian_vanishes_at_zero():
+    # the kernel level starts from the kernel part of x0, not from x2 = 0
+    dae = _fold()
+    x0 = np.array([-1.0, 1.0])
+    opts = IntegrationOptions(t_max=0.5)
+    tc = integrate_cascade(reduce_cascade(dae), 0.0, x0, opts)
+    tf = integrate_first(reduce_first(dae), 0.0, x0, opts)
+    assert tc.termination.kind == "reached_tmax"
+    assert np.abs(tc.states[-1] - tf.states[-1]).max() <= 1e-9
 
 
 def _chain_singular_at_half():
@@ -187,13 +202,13 @@ def _integrate(dae, x_guess, opts, approach, wrap=lambda red: None):
     route; `wrap(reduction)` runs just before the integration."""
     t0 = opts.t0
     if approach == "first":
-        red = reduce_first(dae)
-        x0 = consistent_initialize(red, t0, x_guess)
-        wrap(red)
-        return integrate_first(red, t0, x0, opts)
-    red = reduce_cascade(dae, waive_structure_check=True)
+        red, integrate = reduce_first(dae), integrate_first
+    else:
+        red = reduce_cascade(dae, waive_structure_check=True)
+        integrate = integrate_cascade
+    x0 = red.consistent_point(t0, x_guess)
     wrap(red)
-    return integrate_cascade(red, t0, dae.projectors.p1 @ x_guess, opts)
+    return integrate(red, t0, x0, opts)
 
 
 @pytest.mark.parametrize("approach", ["first", "cascade"])
@@ -298,17 +313,25 @@ def test_options_validation():
             IntegrationOptions(blowup_window=window)
 
 
-def test_inconsistent_initial_value_raises():
+@pytest.mark.parametrize("approach", ["first", "cascade"])
+def test_inconsistent_initial_value_raises(approach):
+    # both routes check the full state on L0; the explicit part of a guess
+    # alone lies off it
     pb = load_builtin("index1_blowup")
-    red = reduce_first(pb.dae)
+    guess = np.array([1.0, 0.0])
+    if approach == "first":
+        red, integrate, x0 = reduce_first(pb.dae), integrate_first, guess
+    else:
+        red, integrate = reduce_cascade(pb.dae), integrate_cascade
+        x0 = pb.dae.projectors.p1 @ guess
     with pytest.raises(InconsistentInitialValue):
-        integrate_first(red, 0.0, np.array([1.0, 0.0]), pb.options)
+        integrate(red, 0.0, x0, pb.options)
 
 
 def test_w_consistency_along_trajectory():
     pb = load_builtin("index2_nilpotent_linear")
     red = reduce_first(pb.dae)
-    x0 = consistent_initialize(red, 0.0, pb.x_guess)
+    x0 = red.consistent_point(0.0, pb.x_guess)
     traj = integrate_first(red, 0.0, x0, pb.options)
     for k in range(traj.times.size):
         ax = pb.dae.pencil.a @ traj.states[k]
@@ -322,17 +345,17 @@ def test_cross_method_agreement_index2():
     rc = reduce_cascade(dae, waive_structure_check=True)
     checkpoints = np.linspace(0.0, 1.0, 11)
     opts = dict(rtol=1e-11, atol=1e-13)
-    xf = consistent_initialize(rf, 0.0, pb.x_guess)
+    xf = rf.consistent_point(0.0, pb.x_guess)
     xc = xf.copy()
     sup = 0.0
     for ta, tb in zip(checkpoints[:-1], checkpoints[1:]):
         o = IntegrationOptions(t0=ta, t_max=tb, **opts)
         tf = integrate_first(rf, ta, xf, o)
-        tc = integrate_cascade(rc, ta, dae.projectors.p1 @ xc, o)
+        tc = integrate_cascade(rc, ta, xc, o)
         xf = tf.states[-1]
         xc = tc.states[-1]
         sup = max(sup, float(np.abs(xf - xc).max()))
-        xf = consistent_initialize(rf, tb, xf)
+        xf = rf.consistent_point(tb, xf)
     assert sup <= 1e-8
 
 
@@ -347,9 +370,9 @@ def test_cascade_matches_first_for_index1_trajectories():
     rf = reduce_first(dae)
     rc = reduce_cascade(dae)
     opts = IntegrationOptions(t_max=2.0, rtol=1e-10, atol=1e-12)
-    x0 = consistent_initialize(rf, 0.0, pb.x_guess)
+    x0 = rf.consistent_point(0.0, pb.x_guess)
     tf = integrate_first(rf, 0.0, x0, opts)
-    tc = integrate_cascade(rc, 0.0, dae.projectors.p1 @ x0, opts)
+    tc = integrate_cascade(rc, 0.0, x0, opts)
     assert np.abs(tf.states[-1] - tc.states[-1]).max() <= 1e-9
 
 
@@ -388,7 +411,7 @@ def test_overflow_escape_estimate_reads_accepted_points():
     pb = load_builtin("index1_cubic_blowup")
     red = reduce_first(pb.dae)
     x1_init = 0.8541666666666666
-    x0 = consistent_initialize(red, 0.0, np.array([x1_init, 0.0]))
+    x0 = red.consistent_point(0.0, np.array([x1_init, 0.0]))
     term = _ends_on_the_last_accepted_point(
         integrate_first(red, 0.0, x0, pb.options))
     exact = 1.0 / (2.0 * x1_init ** 2)
@@ -431,7 +454,7 @@ def test_direct_rhs_evaluates_the_field_only_in_newton_residuals():
     pb = load_builtin("index1_blowup")
     dae, calls = _counting(pb)
     red = reduce_first(dae)
-    x0 = consistent_initialize(red, 0.0, pb.x_guess)
+    x0 = red.consistent_point(0.0, pb.x_guess)
     calls[0] = 0
     traj = integrate_first(red, 0.0, x0, pb.options)
     assert traj.termination.kind == "blowup_suspected"
@@ -444,13 +467,10 @@ def test_trajectory_residuals_match_fresh_evaluation(name, approach):
     pb = load_builtin(name)
     t0 = pb.options.t0
     if approach == "first":
-        red = reduce_first(pb.dae)
-        x0 = consistent_initialize(red, t0, pb.x_guess)
-        traj = integrate_first(red, t0, x0, pb.options)
+        red, integrate = reduce_first(pb.dae), integrate_first
     else:
-        red = reduce_cascade(pb.dae)
-        traj = integrate_cascade(red, t0, pb.dae.projectors.p1 @ pb.x_guess,
-                                 pb.options)
+        red, integrate = reduce_cascade(pb.dae), integrate_cascade
+    traj = integrate(red, t0, red.consistent_point(t0, pb.x_guess), pb.options)
     assert len(traj.times) > 10
     fresh = [red.residual_L0(t, x) for t, x in zip(traj.times, traj.states)]
     assert traj.residuals.tolist() == fresh

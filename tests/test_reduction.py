@@ -6,9 +6,8 @@ import pytest
 
 from daekit import (ConstraintSolveFailure, IntegrationOptions,
                     NoConvergence, NonlinearField, StructureTag,
-                    StructureViolation, check_structure,
-                    consistent_initialize, integrate_cascade, integrate_first,
-                    reduce_cascade, reduce_first, residual_L0)
+                    StructureViolation, check_structure, integrate_cascade,
+                    integrate_first, reduce_cascade, reduce_first)
 from daekit import reduction
 from daekit.problems import load_builtin, make_dae, random_weierstrass
 from daekit.reduction import ReducedCascade, _CascadeEvaluator, _Reduced
@@ -69,13 +68,13 @@ def test_reduce_first_index0_is_explicit():
 
 def test_residual_L0_examples():
     red = reduce_first(quad_lag_dae())
-    assert residual_L0(red, 0.0, np.array([1.0, 1.0])) <= 1e-14
-    assert abs(residual_L0(red, 0.0, np.array([1.0, 0.0])) - 1.0) <= 1e-14
+    assert red.residual_L0(0.0, np.array([1.0, 1.0])) <= 1e-14
+    assert abs(red.residual_L0(0.0, np.array([1.0, 0.0])) - 1.0) <= 1e-14
     fld = NonlinearField(eval=lambda t, x: np.zeros(2))
     dae = make_dae(np.diag([1.0, 0.0]), np.eye(2), fld)
     red0 = reduce_first(dae)
     x = dae.projectors.p1 @ np.array([0.9, 0.6])
-    assert residual_L0(red0, 0.0, x) <= 1e-14
+    assert red0.residual_L0(0.0, x) <= 1e-14
 
 
 def test_recombination_identity():
@@ -221,8 +220,8 @@ def test_variant_tag_fused_levels_match_standard():
         np.testing.assert_allclose(ev_v.algebraic_parts(t)["d_vec"],
                                    ev_s.algebraic_parts(t)["d_vec"],
                                    atol=1e-10)
-    x0v = consistent_initialize(rc_v, 0.0, pb.x_guess)
-    x0s = consistent_initialize(rc_s, 0.0, pb.x_guess)
+    x0v = rc_v.consistent_point(0.0, pb.x_guess)
+    x0s = rc_s.consistent_point(0.0, pb.x_guess)
     np.testing.assert_allclose(x0v, x0s, atol=1e-10)
 
 
@@ -232,7 +231,7 @@ def test_variant_tag_fused_levels_match_standard():
 def test_level_residuals_vanish_on_the_manifold(name, labels):
     pb = load_builtin(name)
     rc = reduce_cascade(pb.dae)
-    x0 = consistent_initialize(rc, 0.4, pb.x_guess)
+    x0 = rc.consistent_point(0.4, pb.x_guess)
     res = rc.level_residuals(0.4, x0)
     assert list(res) == labels
     assert max(res.values()) <= 1e-12
@@ -272,7 +271,7 @@ def test_runs_on_one_reduction_are_independent():
     opts = IntegrationOptions(t_max=1.0)
 
     def simulate(red, guess):
-        x0 = consistent_initialize(red, 0.0, np.array(guess))
+        x0 = red.consistent_point(0.0, np.array(guess))
         return integrate_first(red, 0.0, x0, opts)
 
     shared = reduce_first(dae)
@@ -302,7 +301,7 @@ def test_direct_route_runs_on_the_shared_level_state(name, monkeypatch):
     state = red.make_state()
     assert type(state) is type(cascade_state)
     t0 = pb.options.t0
-    x0 = consistent_initialize(red, t0, pb.x_guess)
+    x0 = red.consistent_point(t0, pb.x_guess)
     red.drift_w(t0, pb.dae.pencil.a @ x0, state)
     assert "kernel_level" in red.levels
     assert set(state.warm) == set(red.levels) == set(cascade_state.rc.levels)
@@ -332,12 +331,10 @@ def _run_route(dae, pb, approach, opts):
     `dae`, on the direct or the cascade route."""
     t0 = opts.t0
     if approach == "first":
-        red = reduce_first(dae)
-        x0 = consistent_initialize(red, t0, pb.x_guess)
-        return red, integrate_first(red, t0, x0, opts)
-    red = reduce_cascade(dae)
-    return red, integrate_cascade(red, t0, dae.projectors.p1 @ pb.x_guess,
-                                  opts)
+        red, integrate = reduce_first(dae), integrate_first
+    else:
+        red, integrate = reduce_cascade(dae), integrate_cascade
+    return red, integrate(red, t0, red.consistent_point(t0, pb.x_guess), opts)
 
 
 def _empty_kept_factors_before_each_solve(monkeypatch):
@@ -433,7 +430,7 @@ def test_direct_route_solves_the_kernel_level_on_the_state(name, monkeypatch):
     pb = load_builtin(name)
     red = reduce_first(pb.dae)
     t0 = pb.options.t0
-    x0 = consistent_initialize(red, t0, pb.x_guess)
+    x0 = red.consistent_point(t0, pb.x_guess)
     solved = Counter()
     solve = _CascadeEvaluator._solve
 
@@ -451,7 +448,7 @@ def test_direct_kernel_failure_is_a_constraint_solve_failure():
     # real root near the run: the failure is labelled as on the cascade route
     pb = load_builtin("failing_constraint")
     red = reduce_first(pb.dae)
-    x0 = consistent_initialize(red, 0.0, pb.x_guess)
+    x0 = red.consistent_point(0.0, pb.x_guess)
     with pytest.raises(ConstraintSolveFailure) as info:
         red.drift_w(0.5, pb.dae.pencil.a @ x0, red.make_state(x0))
     assert info.value.level == "kernel_level"
