@@ -9,14 +9,14 @@ every projector of the decomposition, checking the defining identities.
 import numpy as np
 
 from daekit import (Pencil, analysis_report, build_chains, build_dual_chains,
-                    compute_index, find_regular_point, verify_projectors)
+                    compute_index, verify_projectors)
 from daekit.projectors import build_all
 
 A = np.array([[0.0, 1.0], [0.0, 0.0]])
 B = np.eye(2)
 
 pencil = Pencil(A, B)
-lam = find_regular_point(pencil)
+lam = pencil.regular_point()
 print(f"regular point lambda* = {lam}  (lam*A + B is invertible)")
 print(f"index nu = {compute_index(pencil)}  (double pole of the resolvent)")
 

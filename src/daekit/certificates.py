@@ -18,7 +18,7 @@ import numpy as np
 
 from ._linalg import orth_basis
 from .errors import ConstraintSolveFailure, SamplingFailure
-from .implicit import fd_jacobian
+from .implicit import _fd_mismatch
 from .integrate import Trajectory
 
 __all__ = [
@@ -92,17 +92,13 @@ class LyapunovSpec:
 
     def validate(self, points) -> float:
         """Check nonnegativity and gradient-vs-finite-difference agreement."""
-        worst = 0.0
-        for w in points:
-            for k, comp in enumerate(self.components):
-                v = float(comp.eval(w))
-                if v < -1e-12:
-                    raise ValueError(f"component {k} negative at sampled point")
-                g = np.atleast_1d(np.asarray(comp.gradient(w), dtype=float))
-                gfd = fd_jacobian(lambda z: np.atleast_1d(comp.eval(z)),
-                                  np.asarray(w, float)).ravel()
-                scale = max(1.0, float(np.abs(gfd).max()))
-                worst = max(worst, float(np.abs(g - gfd).max()) / scale)
+        for k, comp in enumerate(self.components):
+            if any(float(comp.eval(w)) < -1e-12 for w in points):
+                raise ValueError(f"component {k} negative at sampled point")
+        worst = _fd_mismatch(
+            (lambda z, c=comp: np.atleast_1d(c.eval(z)),
+             np.atleast_2d(np.asarray(comp.gradient(w), dtype=float)), w)
+            for w in points for comp in self.components)
         if worst > _GRAD_RTOL:
             raise ValueError(f"gradient mismatch {worst:.3e} exceeds "
                              f"{_GRAD_RTOL}")

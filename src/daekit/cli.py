@@ -57,9 +57,7 @@ def _apply_overrides(problem: LoadedProblem, args) -> None:
 def _pick_approach(problem: LoadedProblem, requested: str) -> str:
     if requested != "auto":
         return requested
-    structured = problem.dae.field.structure_tag is not StructureTag.GENERAL
-    return "cascade" if structured and problem.dae.projectors.nu >= 2 \
-        else "first"
+    return "cascade" if problem.dae.structured else "first"
 
 
 def _x_guess(problem: LoadedProblem, override) -> np.ndarray:

@@ -46,11 +46,16 @@ class InvariantViolation(DaekitError):
 
 
 class StructureViolation(DaekitError):
-    """A projected component of the field depends on an excluded state slice."""
+    """A projected component of the field depends on an excluded state
+    slice, or (with no projection) the field declares no structure tag."""
 
-    def __init__(self, projection: str, dependence: float, sample):
-        super().__init__(f"projection {projection} depends on excluded "
-                         f"components (observed dependence {dependence:.3e})")
+    def __init__(self, projection: str | None = None,
+                 dependence: float = float("nan"), sample=None):
+        super().__init__(
+            f"projection {projection} depends on excluded components "
+            f"(observed dependence {dependence:.3e})" if projection else
+            "the field declares no structure_tag ('structured' or "
+            "'structured_variant'): the cascade route and its check need one")
         self.projection = projection
         self.dependence = dependence
         self.sample = sample

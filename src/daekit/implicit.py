@@ -105,6 +105,17 @@ def fd_jacobian(fun: Callable, y: np.ndarray, f0: np.ndarray | None = None
     return jac
 
 
+def _fd_mismatch(cases) -> float:
+    """Worst max |derivative - fd| / max(1, max |fd|) over the cases (fun,
+    derivative, y), for fd the `fd_jacobian` of fun at y."""
+    worst = 0.0
+    for fun, derivative, y in cases:
+        fd = fd_jacobian(fun, np.asarray(y, float))
+        scale = max(1.0, float(np.abs(fd).max()))
+        worst = max(worst, float(np.abs(derivative - fd).max()) / scale)
+    return worst
+
+
 def _factor(j: np.ndarray) -> float | np.ndarray | None:
     """j in the form that `_lu_solve` keeps, or None when j is numerically
     singular: a 1-norm condition number ||j||_1 ||j^-1||_1 above the cap.

@@ -12,9 +12,7 @@ from typing import Callable
 import numpy as np
 
 from ._linalg import norm2
-from .config import DEFAULT_TOLERANCES as TOL
-from .errors import (ConstraintSolveFailure, InconsistentInitialValue,
-                     NoConvergence, SingularJacobian)
+from .errors import ConstraintSolveFailure, NoConvergence, SingularJacobian
 from .implicit import JacobianCache
 from .reduction import ReducedCascade, ReducedFirst
 
@@ -331,9 +329,7 @@ def _start(reduced, t0: float, x0):
     """x0 as floats and the per-run state seeded from it; an x0 off the
     constraint manifold raises InconsistentInitialValue."""
     x0 = np.asarray(x0, dtype=float)
-    res0 = reduced.residual_L0(t0, x0)
-    if res0 > TOL.cons:
-        raise InconsistentInitialValue(res0, TOL.cons)
+    reduced.check_start(t0, x0)
     return x0, reduced.make_state(x0)
 
 

@@ -34,17 +34,21 @@ __all__ = [
 @dataclass
 class Pencil:
     """Square matrix pair (A, B) defining lambda*A + B; `lambda_star` is
-    the regular point `regular_point()` found, once it has run."""
+    the regular point `regular_point()` found, once it has run, and `scale`
+    is max(1, ||A|| + ||B||) in Frobenius norms, the scale of the chains."""
 
     a: np.ndarray
     b: np.ndarray
     lambda_star: complex | float | None = field(default=None, init=False)
+    scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self.a = as_matrix(self.a)
         self.b = as_matrix(self.b)
         if self.a.shape != self.b.shape or self.a.shape[0] != self.a.shape[1]:
             raise ValueError("A and B must be square with identical shapes")
+        self.scale = max(1.0, float(np.linalg.norm(self.a))
+                         + float(np.linalg.norm(self.b)))
 
     @property
     def n_dim(self) -> int:
@@ -65,6 +69,7 @@ class Pencil:
         return lam * self.a + self.b
 
     def regular_point(self):
+        """`find_regular_point` on the first call, kept in `lambda_star`."""
         if self.lambda_star is None:
             self.lambda_star = find_regular_point(self)
         return self.lambda_star
@@ -173,7 +178,6 @@ def find_regular_point(pencil: Pencil):
         if cond2(pencil.shifted(lam)) <= TOL.cond_cap:
             if isinstance(lam, complex) and lam.imag == 0.0:
                 lam = lam.real
-            pencil.lambda_star = lam
             return lam
     raise SingularPencil(
         f"no regular point among {tried} candidates; "
@@ -322,12 +326,12 @@ def build_chains(pencil: Pencil) -> CanonicalSystem:
         a = a.astype(np.complex128)
         b = b.astype(np.complex128)
     a_pinv = np.linalg.pinv(a)
-    scale = max(1.0, float(np.linalg.norm(a)) + float(np.linalg.norm(b)))
     for chain in raw_chains:
         for j in range(1, len(chain)):
             rhs = -b @ chain[j - 1]
             membership = float(np.linalg.norm(a @ (a_pinv @ rhs) - rhs))
-            if membership > TOL.chain * scale * max(1.0, float(np.linalg.norm(rhs))):
+            if membership > TOL.chain * pencil.scale * max(
+                    1.0, float(np.linalg.norm(rhs))):
                 raise ChainExtensionFailure(
                     f"extension to level {j + 1} failed the range test "
                     f"(residual {membership:.3e})")
@@ -427,7 +431,7 @@ def build_dual_chains(pencil: Pencil, canonical: CanonicalSystem) -> DualSystem:
 def chain_residuals(pencil: Pencil, canonical: CanonicalSystem) -> dict:
     """Relative residuals of the chain relations; keys per relation kind."""
     a, b = pencil.a, pencil.b
-    scale = max(1.0, float(np.linalg.norm(a)) + float(np.linalg.norm(b)))
+    scale = pencil.scale
     kernel = 0.0
     links = 0.0
     for ch in canonical.chains:
@@ -450,7 +454,7 @@ def dual_residuals(pencil: Pencil, canonical: CanonicalSystem,
                    dual: DualSystem) -> dict:
     a, b = pencil.a, pencil.b
     ah, bh = a.conj().T, b.conj().T
-    scale = max(1.0, float(np.linalg.norm(a)) + float(np.linalg.norm(b)))
+    scale = pencil.scale
     chain_rel = 0.0
     for qs in dual.chains:
         m = len(qs)

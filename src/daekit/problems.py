@@ -57,17 +57,13 @@ def _field_scalar_power(params):
         t_derivative=lambda t, x: np.zeros(1))
 
 
-def _field_blowup_quadratic(params):
-    return NonlinearField(
-        eval=lambda t, x: np.array([x[0] ** 2, np.sin(t) + x[0]]),
-        jacobian=lambda t, x: np.array([[2.0 * x[0], 0.0], [1.0, 0.0]]),
-        t_derivative=lambda t, x: np.array([0.0, np.cos(t)]))
-
-
-def _field_blowup_cubic(params):
-    return NonlinearField(
-        eval=lambda t, x: np.array([x[0] ** 3, np.sin(t) + x[0]]),
-        jacobian=lambda t, x: np.array([[3.0 * x[0] ** 2, 0.0], [1.0, 0.0]]),
+def _field_blowup(p: int):
+    """The escape field of power p: x1' = x1^p, the algebraic part tracks
+    sin(t) + x1."""
+    return lambda params: NonlinearField(
+        eval=lambda t, x: np.array([x[0] ** p, np.sin(t) + x[0]]),
+        jacobian=lambda t, x: np.array([[p * x[0] ** (p - 1), 0.0],
+                                        [1.0, 0.0]]),
         t_derivative=lambda t, x: np.array([0.0, np.cos(t)]))
 
 
@@ -156,8 +152,8 @@ def _field_failing_constraint(params):
 FIELD_REGISTRY = {
     "zero": _field_zero,
     "scalar_power": _field_scalar_power,
-    "blowup_quadratic": _field_blowup_quadratic,
-    "blowup_cubic": _field_blowup_cubic,
+    "blowup_quadratic": _field_blowup(2),
+    "blowup_cubic": _field_blowup(3),
     "stable_linear": _field_stable_linear,
     "nilpotent_linear_forced": _field_nilpotent_linear,
     "structured_index2": _field_structured_index2,
@@ -245,38 +241,53 @@ _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "string": lambda v: isinstance(v, str),
 }
-_KEYWORDS = frozenset(("$schema", "type", "enum", "required", "properties",
-                       "additionalProperties", "items", "minItems",
-                       "maxItems", "oneOf"))
+_KEYWORDS = frozenset(("$schema", "$defs", "$ref", "type", "enum",
+                       "required", "properties", "additionalProperties",
+                       "items", "minItems", "maxItems", "oneOf"))
 _NO_MATCH = "{!r} is not valid under any of the given schemas"
 
 
-def _checked(schema: dict, pointer: str = "") -> dict:
-    """The schema, once every keyword and value in it is one `_walk`
-    interprets; ValueError otherwise."""
-    for key, rule in schema.items():
-        where = f"{pointer}/{key}"
-        if key not in _KEYWORDS:
-            raise ValueError(f"unsupported schema keyword at {where}")
-        if (key == "type" and not (isinstance(rule, str) and rule in _TYPES)
-                or key == "enum" and not all(isinstance(e, str) for e in rule)
-                or key == "additionalProperties" and rule is not False):
-            raise ValueError(f"unsupported schema value at {where}: {rule!r}")
-        if key == "properties":
-            for name, sub in rule.items():
-                _checked(sub, f"{where}/{name}")
-        elif key == "items":
-            _checked(rule, where)
-        elif key == "oneOf":
-            for k, sub in enumerate(rule):
-                _checked(sub, f"{where}/{k}")
-    return schema
+def _checked(schema: dict) -> dict:
+    """A copy of the schema in which each `$ref` holds the definition of the
+    root's `$defs` that it names, once every keyword and value in it is one
+    `_walk` interprets; ValueError otherwise."""
+    out = copy.deepcopy(schema)
+    refs = {f"#/$defs/{k}": sub for k, sub in out.get("$defs", {}).items()}
+
+    def check(node: dict, pointer: str):
+        for key, rule in node.items():
+            where = f"{pointer}/{key}"
+            if key not in _KEYWORDS:
+                raise ValueError(f"unsupported schema keyword at {where}")
+            names = {"type": _TYPES, "$ref": refs}.get(key)
+            if (names is not None
+                    and not (isinstance(rule, str) and rule in names)
+                    or key == "enum" and not all(isinstance(e, str)
+                                                 for e in rule)
+                    or key == "additionalProperties" and rule is not False):
+                raise ValueError(f"unsupported schema value at {where}: "
+                                 f"{rule!r}")
+            if key in ("properties", "$defs"):
+                for name, sub in rule.items():
+                    check(sub, f"{where}/{name}")
+            elif key == "items":
+                check(rule, where)
+            elif key == "oneOf":
+                for k, sub in enumerate(rule):
+                    check(sub, f"{where}/{k}")
+            elif key == "$ref":
+                node[key] = refs[rule]
+
+    check(out, "")
+    return out
 
 
 def _walk(value, schema: dict, path: list):
     """(path, message) of each way value breaks schema, in schema key order."""
     for key, rule in schema.items():
-        if key == "type":
+        if key == "$ref":  # `_checked` put the definition in its place
+            yield from _walk(value, rule, path)
+        elif key == "type":
             if not _TYPES[rule](value):
                 yield path, f"{value!r} is not of type {rule!r}"
         elif key == "enum":
@@ -323,16 +334,8 @@ def _walk(value, schema: dict, path: list):
 # rest of a document is walked against the shipped schema minus the rule for
 # one A/B entry, which `_is_entry` states in Python.
 _PLAIN_NUMBERS = frozenset((float, int))
-
-
-def _without_matrix_entries(schema: dict) -> dict:
-    out = copy.deepcopy(schema)
-    for key in ("A", "B"):
-        del out["properties"][key]["items"]["items"]
-    return out
-
-
-_RULES = _without_matrix_entries(_checked(PROBLEM_SCHEMA))
+_RULES = _checked(PROBLEM_SCHEMA)
+del _RULES["$defs"]["matrix"]["items"]["items"]  # the entry rule of A and B
 
 
 def _is_number(value) -> bool:
@@ -396,12 +399,7 @@ def _parse_matrix(rows: list, pointer: str) -> np.ndarray:
 
 
 def _parse_vector(values: list, pointer: str) -> np.ndarray:
-    """A schema-valid list of numbers as a finite real vector.  The schema
-    admits [re, im] pairs in `x_guess`, but daekit states are real."""
-    for k, v in enumerate(values):
-        if isinstance(v, list):
-            raise SchemaError(f"{pointer}/{k}",
-                              f"entry {v!r} is complex; states are real")
+    """A schema-valid list of numbers as a finite real vector."""
     try:
         vec = np.array(values, dtype=float)
     except OverflowError as exc:

@@ -79,43 +79,40 @@ def build_projectors(canonical: CanonicalSystem, dual: DualSystem,
     dtype = np.result_type(phi.dtype if phi.size else float,
                            qmat.dtype if qmat.size else float, a.dtype)
 
-    def select(pred):
+    def select(pred, side: str) -> np.ndarray:
+        """The P-side (side "p") or Q-side ("q") projector onto the chain
+        columns whose (m, j) satisfy pred."""
         idx = canonical.columns(pred)
         if not idx:
-            zp = np.zeros((n_dim, n_dim), dtype=dtype)
-            return zp, zp.copy()
+            return np.zeros((n_dim, n_dim), dtype=dtype)
         ph = phi[:, idx]
         qs = qmat[:, idx]
-        pmat = _outer(ph, b.conj().T @ qs)   # phi <x, B* q> pairing
-        qproj = _outer(b @ ph, qs)           # B phi <y, q> pairing
-        return pmat, qproj
+        if side == "p":
+            return _outer(ph, b.conj().T @ qs)   # phi <x, B* q> pairing
+        return _outer(b @ ph, qs)                # B phi <y, q> pairing
 
-    p2, q2 = select(lambda m, j: True)
+    p2, q2 = (select(lambda m, j: True, side) for side in "pq")
     p1 = eye - p2
     q1 = eye - q2
 
-    p2s, q2s = [], []
-    q2s_by_mult = {}
-    for s in range(nu):
-        ps, qs = select(lambda m, j, s=s: j == s + 1)
-        p2s.append(ps)
-        q2s.append(qs)
-        for mult in range(s + 1, nu + 1):
-            q2s_by_mult[(s, mult)] = select(
-                lambda m, j, s=s, mult=mult: j == s + 1 and m == mult)[1]
+    p2s, q2s = ([select(lambda m, j, s=s: j == s + 1, side)
+                 for s in range(nu)] for side in "pq")
+    q2s_by_mult = {(s, mult): select(
+        lambda m, j, s=s, mult=mult: j == s + 1 and m == mult, "q")
+        for s in range(nu) for mult in range(s + 1, nu + 1)}
 
-    p20, _ = select(lambda m, j: j == 1)
-    p2_sigma, _ = select(lambda m, j: j >= 2)
-    _, q2_star = select(lambda m, j: j == m)
-    _, q2_sigma = select(lambda m, j: j < m)
+    p20 = select(lambda m, j: j == 1, "p")
+    p2_sigma = select(lambda m, j: j >= 2, "p")
+    q2_star = select(lambda m, j: j == m, "q")
+    q2_sigma = select(lambda m, j: j < m, "q")
 
-    q2_sigma_s = [select(lambda m, j, s=s: j == s + 1 and m >= s + 2)[1]
+    q2_sigma_s = [select(lambda m, j, s=s: j == s + 1 and m >= s + 2, "q")
                   for s in range(max(nu - 1, 0))]
 
-    p2_sigma_1, _ = select(lambda m, j: j == m and j >= 2)
-    p2_sigma_2, _ = select(lambda m, j: 2 <= j < m)
-    _, q2_star_1 = select(lambda m, j: j == m == 1)
-    _, q2_star_2 = select(lambda m, j: j == m and m >= 2)
+    p2_sigma_1 = select(lambda m, j: j == m and j >= 2, "p")
+    p2_sigma_2 = select(lambda m, j: 2 <= j < m, "p")
+    q2_star_1 = select(lambda m, j: j == m == 1, "q")
+    q2_star_2 = select(lambda m, j: j == m and m >= 2, "q")
 
     a_tilde, a_tilde_inv = _tilde_a(pencil, canonical, dual)
     z, *_ = np.linalg.lstsq(b @ p2, q2, rcond=None)

@@ -20,10 +20,11 @@ import numpy as np
 
 from ._linalg import norm2, orth_basis
 from .config import DEFAULT_TOLERANCES as TOL
-from .errors import (ConstraintSolveFailure, DaekitError, NoConvergence,
+from .errors import (ConstraintSolveFailure, DaekitError,
+                     InconsistentInitialValue, NoConvergence,
                      SingularJacobian, StructureViolation)
-from .implicit import (ImplicitProblem, JacobianCache, _time_derivative,
-                       fd_jacobian, solve_newton)
+from .implicit import (ImplicitProblem, JacobianCache, _fd_mismatch,
+                       _time_derivative, fd_jacobian, solve_newton)
 from .pencil import CanonicalSystem, DualSystem, Pencil
 from .projectors import ProjectorSet
 
@@ -69,12 +70,9 @@ class NonlinearField:
         """Worst relative mismatch between the analytic Jacobian and
         central differences over the sample points; above _JAC_RTOL it
         raises."""
-        worst = 0.0
-        for t, x in points:
-            ja = self.jac(t, x)
-            jf = fd_jacobian(lambda z: self.eval(t, z), np.asarray(x, float))
-            scale = max(1.0, float(np.abs(jf).max()))
-            worst = max(worst, float(np.abs(ja - jf).max()) / scale)
+        worst = _fd_mismatch(
+            (lambda z, t=t: self.eval(t, z), self.jac(t, x), x)
+            for t, x in points)
         if worst > _JAC_RTOL:
             raise ValueError(f"jacobian mismatch {worst:.3e} exceeds "
                              f"{_JAC_RTOL}")
@@ -95,6 +93,12 @@ class SemilinearDAE:
     def __post_init__(self):
         if self.projectors.fingerprint != self.pencil.fingerprint:
             raise ValueError("projector set was built from a different pair")
+
+    @property
+    def structured(self) -> bool:
+        """The field declares a structure and the index is 2 or more."""
+        return (self.field.structure_tag is not StructureTag.GENERAL
+                and self.projectors.nu >= 2)
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,7 @@ class _Reduced:
     """What both routes share.
 
     The level table (the slices and equation of every algebraic level),
-    `make_state()` (the per-run state) and `consistent_point`.  A route
+    `make_state()`, `consistent_point` and `check_start`.  A route
     adds `_initial_state` and the reduction protocol: `w_projector` (the
     projector onto the space of the reduced variable w) and `drift(t, w,
     state) -> (dw, x)` (the reduced right-hand side plus the assembled
@@ -209,10 +213,15 @@ class _Reduced:
         x0 = self._initial_state(t0, x_guess, state)
         # the kernel solve's field value, recorded under x0
         self._field(t0, x0, state, state.warm.get("kernel_level"))
+        self.check_start(t0, x0, state)
+        return x0
+
+    def check_start(self, t0, x0, state=None) -> None:
+        """Raise InconsistentInitialValue unless (t0, x0) lies on the
+        constraint manifold L0: residual_L0 at most TOL.cons."""
         res = self.residual_L0(t0, x0, state)
         if res > TOL.cons:
-            raise NoConvergence(1, res, label="consistent_initialize")
-        return x0
+            raise InconsistentInitialValue(res, TOL.cons)
 
     def _level_problem(self, blk: _Block, plain_rows: _Block | None = None
                        ) -> ImplicitProblem:
@@ -311,8 +320,7 @@ class ReducedFirst(_Reduced):
         # a structure-tagged field's constraint rows do not involve x20 (the
         # Jacobian of the plain form is singular), so x20 solves the
         # differentiated kernel-level form; any other field, the plain form
-        self.differentiated = (dae.field.structure_tag
-                               is not StructureTag.GENERAL and self.nu >= 2)
+        self.differentiated = dae.structured
         if self.kernel.dim and not self.differentiated:
             self.levels["kernel_level"] = (
                 self.kernel, self._level_problem(self.kernel, self.tops))
@@ -435,12 +443,11 @@ def reduce_cascade(dae: SemilinearDAE, waive_structure_check: bool = False
                    ) -> ReducedCascade:
     """Build the cascade reduction, verifying the declared field structure
     by sampling unless explicitly waived."""
-    if dae.field.structure_tag is StructureTag.GENERAL and dae.projectors.nu > 1:
-        raise StructureViolation("<untagged>", float("nan"),
-                                 "cascade reduction needs a structure tag")
-    if (not waive_structure_check
-            and dae.field.structure_tag is not StructureTag.GENERAL):
-        check_structure(dae)
+    if dae.structured:
+        if not waive_structure_check:
+            check_structure(dae)
+    elif dae.projectors.nu >= 2:
+        raise StructureViolation()
     return ReducedCascade(dae)
 
 
@@ -627,48 +634,36 @@ def check_structure(dae: SemilinearDAE) -> StructureReport:
     tag = dae.field.structure_tag
     nu = dae.projectors.nu
     if tag is StructureTag.GENERAL:
-        raise StructureViolation("<untagged>", float("nan"),
-                                 "field carries no structure tag")
-    if nu <= 1:
+        raise StructureViolation()
+    if not dae.structured:
         return StructureReport(True, "<vacuous>", 0.0)
 
     rc = _Reduced(dae)  # its level slices
     n_dim = dae.pencil.n_dim
-    p1_basis = orth_basis(dae.projectors.p1)
-    all_dirs = [p1_basis[:, k] for k in range(p1_basis.shape[1])]
-    all_dirs += [rc.kernel.phi[:, k] for k in range(rc.kernel.dim)]
-    chain_dirs = {s: [rc.chain_blocks[s].phi[:, k]
-                      for k in range(rc.chain_blocks[s].dim)]
-                  for s in rc.chain_blocks}
-    wedge_dirs = {s: [rc.wedge_blocks[s].phi[:, k]
-                      for k in range(rc.wedge_blocks[s].dim)]
-                  for s in rc.wedge_blocks}
 
-    checks = []  # (label, q_cols, allowed_levels)
+    def directions(blocks):
+        return [v for blk in blocks for v in blk.phi.T]
+
+    # every row set may depend on neither the explicit part nor x20; chain
+    # rows of level s on no wedge slice and, for a structured field, on no
+    # chain slice below s; wedge rows of level s on no wedge slice below s
+    always = [*orth_basis(dae.projectors.p1).T, *rc.kernel.phi.T]
+    wedges = rc.wedge_blocks
+    checks = []  # (label, q_cols, excluded directions)
     for s in range(1, nu):
         blk = rc.chain_blocks[s]
-        if blk.dim == 0:
-            continue
-        if tag is StructureTag.STRUCTURED:
-            allowed = {("chain", j) for j in range(s, nu)}
-        else:
-            allowed = {("chain", j) for j in range(1, nu)}
-        checks.append((f"chain_rows_level_{s}", blk.q, allowed))
+        below = range(1, s) if tag is StructureTag.STRUCTURED else ()
+        if blk.dim:
+            checks.append((f"chain_rows_level_{s}", blk.q, always
+                           + directions(rc.chain_blocks[j] for j in below)
+                           + directions(wedges.values())))
     for s in range(1, nu - 1):
-        allowed = {("chain", j) for j in range(1, nu)}
-        allowed |= {("wedge", i) for i in range(s, nu - 1)}
-        checks.append((f"wedge_rows_level_{s}", rc.wedge_blocks[s].q, allowed))
+        checks.append((f"wedge_rows_level_{s}", wedges[s].q,
+                       always + directions(wedges[i] for i in range(1, s))))
 
     rng = np.random.default_rng(_STRUCT_SEED)
     worst_label, worst_dep = "<none>", 0.0
-    for label, q_cols, allowed in checks:
-        excluded = list(all_dirs)
-        for j, dirs in chain_dirs.items():
-            if ("chain", j) not in allowed:
-                excluded.extend(dirs)
-        for i, dirs in wedge_dirs.items():
-            if ("wedge", i) not in allowed:
-                excluded.extend(dirs)
+    for label, q_cols, excluded in checks:
         dep = 0.0
         sample = None
         for _ in range(_STRUCT_SAMPLES):

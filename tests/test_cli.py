@@ -60,7 +60,9 @@ def test_cascade_route_needs_structure_tag_exit_two(tmp_path, capsys,
     code = run([command, "index2_nilpotent_linear", "--approach", "cascade",
                 "--out", str(tmp_path)])
     assert code == 2
-    assert "error: StructureViolation:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: StructureViolation:" in err
+    assert "structure_tag" in err and "nan" not in err
     assert not any(tmp_path.iterdir())
 
 

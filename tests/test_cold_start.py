@@ -63,8 +63,11 @@ assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
 
 
 def _python(code: str, *args: str, cwd: Path) -> str:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        entry for entry in (_SRC, os.environ.get("PYTHONPATH")) if entry))
+    # a RuntimeWarning is an error in the fresh interpreters, as in the tests
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning",
+               PYTHONPATH=os.pathsep.join(
+                   entry for entry in (_SRC, os.environ.get("PYTHONPATH"))
+                   if entry))
     done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           cwd=cwd, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

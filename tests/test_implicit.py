@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from daekit import implicit
-from daekit import (ImplicitProblem, JacobianCache, SingularJacobian,
-                    implicit_derivative, reduce_cascade, reduce_first,
-                    solve_newton)
+from daekit import (ImplicitProblem, InconsistentInitialValue, JacobianCache,
+                    SingularJacobian, implicit_derivative, reduce_cascade,
+                    reduce_first, solve_newton)
 from daekit._linalg import norm2
 from daekit.problems import load_builtin
 
@@ -318,6 +318,18 @@ def test_consistent_initialize_cascade_levels():
     assert abs(x0[2] - 1.6 * np.sin(0.0)) < 1e-12
     again = red.consistent_point(0.0, x0)
     assert np.abs(again - x0).max() <= 1e-10
+
+
+def test_consistent_point_off_the_manifold_raises():
+    # index3_chain's pair with the index-2 field: the guess keeps x1 and the
+    # levels cannot bring the start onto L0
+    from daekit.problems import FIELD_REGISTRY, make_dae
+    pb = load_builtin("index3_chain")
+    dae = make_dae(pb.dae.pencil.a, pb.dae.pencil.b,
+                   FIELD_REGISTRY["structured_index2"]({}))
+    with pytest.raises(InconsistentInitialValue) as err:
+        reduce_first(dae).consistent_point(0.0, pb.x_guess)
+    assert err.value.residual > err.value.tol
 
 
 def test_norm2_is_numpy_norm_bit_for_bit():

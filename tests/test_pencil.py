@@ -25,6 +25,13 @@ def test_regular_point_nilpotent():
     assert find_regular_point(Pencil(NILPOTENT, EYE2)) == 1.0
 
 
+def test_regular_point_caches_only_through_the_method():
+    p = Pencil(NILPOTENT, EYE2)
+    assert find_regular_point(p) == 1.0
+    assert p.lambda_star is None
+    assert p.regular_point() == 1.0 and p.lambda_star == 1.0
+
+
 def test_regular_point_zero_pencil():
     with pytest.raises(SingularPencil):
         find_regular_point(Pencil(np.zeros((2, 2)), np.zeros((2, 2))))

@@ -129,7 +129,7 @@ def _unit_pair(**blocks) -> dict:
 
 
 @pytest.mark.parametrize("blocks, pointer", [
-    # the schema admits [re, im] pairs in x_guess, but states are real
+    # x_guess items are numbers: an [re, im] pair fails at the schema
     ({"initial": {"x_guess": [[1.0, 2.0], 0.0]}}, "/initial/x_guess/0"),
     ({"initial": {"x_guess": [0.0, [1.0, 0.0]]}}, "/initial/x_guess/1"),
     ({"initial": {"x_guess": [0.0, float("nan")]}}, "/initial/x_guess/1"),
@@ -547,6 +547,12 @@ def test_numpy_scalars_as_the_oracle_reads_them(blocks, accepted):
     ({"type": "array", "maxItems": 1}, [1, 2]),
     ({"type": "object", "properties": {"a": {}},
       "additionalProperties": False}, {"c": 1, "a": 1, "b": 2}),
+    # a `$ref` beside other keywords, and one inside a definition
+    ({"$defs": {"n": {"type": "number"},
+                "pair": {"type": "array", "items": {"$ref": "#/$defs/n"},
+                         "maxItems": 2}},
+      "type": "array", "items": {"$ref": "#/$defs/pair"}, "minItems": 3},
+     [[1, "a", True], "b"]),
 ])
 def test_walk_matches_the_oracle_beyond_the_shipped_schema(schema, value):
     want = [(list(e.absolute_path), e.message)
@@ -561,8 +567,10 @@ def test_walk_matches_the_oracle_beyond_the_shipped_schema(schema, value):
     {"type": ["number", "string"]},
     {"enum": ["a", 1]},
     {"additionalProperties": {"type": "number"}},
+    {"items": {"$ref": "other.json#/$defs/n"}},
+    {"$defs": {"n": {"type": "number"}}, "items": {"$ref": "#/$defs/m"}},
 ], ids=["pattern", "null-type", "type-list", "non-string-enum",
-        "additionalProperties-schema"])
+        "additionalProperties-schema", "non-local-ref", "unknown-definition"])
 def test_unsupported_schema_raises(schema):
     with pytest.raises(ValueError, match="unsupported schema"):
         _checked(schema)
