@@ -168,7 +168,9 @@ def cmd_simulate(args) -> int:
     term = traj.termination
     msg = term.kind
     if term.kind == "blowup_suspected":
-        msg += f" (escape estimate {term.t_escape_estimate:.6g})"
+        rate = "" if term.blowup_rate is None \
+            else f", rate {term.blowup_rate:.6g}"
+        msg += f" (escape estimate {term.t_escape_estimate:.6g}{rate})"
     print(f"{problem.name}: {msg}, {traj.times.size} points -> {data_path}")
     return 0
 

@@ -20,6 +20,14 @@ __all__ = ["IntegrationOptions", "Trajectory", "TerminationReason",
            "TrajectoryInternals", "integrate_first", "integrate_cascade",
            "classify_termination"]
 
+# The rate fit past the cap: alpha is searched below _RATE_MAX, and the
+# escape is called once the fits through the triples ending at the last
+# blowup_window points agree in alpha and in the escape time within
+# _RATE_FIT_RTOL.  The default rtol is too tight for the agreement: the
+# fits difference the recorded norms twice.
+_RATE_MAX = 20.0
+_RATE_FIT_RTOL = 1e-6
+
 
 @dataclass
 class IntegrationOptions:
@@ -64,6 +72,7 @@ class IntegrationOptions:
 class TerminationReason:
     kind: str  # reached_tmax | blowup_suspected | constraint_solve_failure | step_collapse
     t_escape_estimate: float | None = None
+    blowup_rate: float | None = None  # alpha of a rate-fit escape
     final_norm: float | None = None
     t: float | None = None
     level: str | None = None
@@ -71,7 +80,8 @@ class TerminationReason:
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
-        for key in ("t_escape_estimate", "final_norm", "t", "level", "detail"):
+        for key in ("t_escape_estimate", "blowup_rate", "final_norm", "t",
+                    "level", "detail"):
             val = getattr(self, key)
             if val not in (None, ""):
                 out[key] = val
@@ -82,7 +92,8 @@ class TerminationReason:
 class TrajectoryInternals:
     """Per-step record of the accepted points of a run under `opts`, read by
     the termination classifier; `nonfinite` marks a run ended at the floor
-    by a step that left the representable range."""
+    by a step that left the representable range, `rate_fit` the (alpha,
+    T*) of a run ended by a converged rate fit past the cap."""
 
     opts: IntegrationOptions
     times: list = dc_field(default_factory=list)
@@ -91,16 +102,35 @@ class TrajectoryInternals:
     reached_t_max: bool = False
     nonfinite: bool = False
     failure: tuple | None = None  # (t, level, message)
+    rate_fit: tuple | None = None  # (alpha, t_escape)
     stats: dict = dc_field(default_factory=dict)  # nfev, accepted, rejected
 
     def escaping(self) -> bool:
         """The tracked norm exceeded the cap and grew monotonically over the
         configured window of accepted steps; an overflow at the floor counts
         as one more step to an infinite norm."""
-        norms = self.norms + [math.inf] * self.nonfinite
         w = self.opts.blowup_window
-        return (len(norms) >= w + 1 and norms[-1] > self.opts.blowup_norm_cap
-                and all(norms[-k] > norms[-k - 1] for k in range(1, w + 1)))
+        norms = self.norms[-(w + 1 - self.nonfinite):] \
+            + [math.inf] * self.nonfinite
+        return (len(norms) == w + 1 and norms[-1] > self.opts.blowup_norm_cap
+                and all(a < b for a, b in zip(norms, norms[1:])))
+
+    def converged_fit(self) -> tuple | None:
+        """The last (alpha, T*) of the rate fits through the triples ending
+        at the window's points, where all of them are found, agree with it
+        within _RATE_FIT_RTOL (T* relative to T* - t0), and put the escape
+        by t_max; else None."""
+        opts, n = self.opts, len(self.norms)
+        fits = [_rate_fit(self.times[k - 3:k], self.norms[k - 3:k])
+                for k in range(max(3, n - opts.blowup_window + 1), n + 1)]
+        if len(fits) < opts.blowup_window or None in fits:
+            return None
+        alpha, t_escape = fits[-1]
+        span = t_escape - self.times[0]
+        agree = all(abs(a - alpha) <= _RATE_FIT_RTOL * alpha
+                    and abs(t - t_escape) <= _RATE_FIT_RTOL * span
+                    for a, t in fits)
+        return fits[-1] if agree and t_escape <= opts.t_max else None
 
 
 @dataclass
@@ -143,13 +173,58 @@ def _escape_estimate(times, norms) -> float:
     return float(est)
 
 
+def _log_expm1(x: float) -> float:
+    """log(e^x - 1) for x > 0, without overflow."""
+    return x + math.log1p(-math.exp(-x)) if x > 1.0 \
+        else math.log(math.expm1(x))
+
+
+def _rate_fit(times, norms) -> tuple | None:
+    """(alpha, T*) of the power law |w| = C (T* - t)^(-alpha) through three
+    points, with alpha below _RATE_MAX; None where the norms do not grow
+    strictly or grow no faster than such a law allows.
+
+    The law makes u = |w|^(-1/alpha) affine in t.  With beta = 1/alpha and
+    L_k = log(n_3 / n_k), equal secant slopes of u read
+    expm1(beta L_1) / expm1(beta L_2) = (t_3 - t_1) / (t_3 - t_2).  The
+    left side grows strictly with beta, so bisection finds beta; T* is
+    where the secant of u through the last two points meets zero.
+    """
+    (t1, t2, t3), (n1, n2, n3) = times, norms
+    if not (t1 < t2 < t3 and 0.0 < n1 < n2 < n3 < math.inf):
+        return None
+    l1, l2 = math.log(n3 / n1), math.log(n3 / n2)
+    if not l1 > l2 > 0.0:  # norms too close for their logarithms
+        return None
+    target = math.log((t3 - t1) / (t3 - t2))
+
+    def gap(beta):
+        return _log_expm1(beta * l1) - _log_expm1(beta * l2) - target
+
+    # alpha below the bound by more than the fits are compared to, so that
+    # rounding puts no fit of a law at the bound under it
+    lo = (1.0 + _RATE_FIT_RTOL) / _RATE_MAX
+    if gap(lo) >= 0.0:
+        return None
+    # expm1(a) / expm1(b) >= e^(a - b) for a > b > 0: gap(hi) >= 0
+    hi = target / (l1 - l2)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if gap(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 1.0 / mid, t3 + (t3 - t2) * math.exp(-_log_expm1(mid * l2))
+
+
 def classify_termination(internals: TrajectoryInternals) -> TerminationReason:
     """Label the end of an integration from its per-step record.
 
-    A suspected finite-time escape requires all three signals together:
-    the tracked norm exceeded the cap, it grew monotonically over the
-    configured window of accepted steps, and the step size was driven to
-    its floor (or the state left the representable range while growing).
+    A suspected finite-time escape needs the tracked norm above the cap
+    and growing monotonically over the configured window of accepted
+    steps, and one of two endings: the rate fits past the cap converged
+    (their rate and escape time are reported), or the step size was
+    driven to its floor (or the state left the representable range while
+    growing), where the escape time is extrapolated from the last points.
     """
     if internals.failure is not None:
         t, level, msg = internals.failure
@@ -159,6 +234,12 @@ def classify_termination(internals: TrajectoryInternals) -> TerminationReason:
         return TerminationReason(kind="reached_tmax",
                                  t=internals.times[-1] if internals.times else None)
     norms = internals.norms
+    if internals.rate_fit is not None:
+        alpha, t_escape = internals.rate_fit
+        return TerminationReason(
+            kind="blowup_suspected", t_escape_estimate=t_escape,
+            blowup_rate=alpha, final_norm=float(norms[-1]),
+            t=float(internals.times[-1]))
     floored = (bool(internals.steps)
                and internals.steps[-1] <= internals.opts.h_min * (1 + 1e-9))
     overflow = "state left the representable range" \
@@ -219,17 +300,22 @@ def _initial_step(y0, f0, opts: IntegrationOptions) -> float:
 
 def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
          residual: Callable) -> Trajectory:
-    """Integrate w' = dw for (dw, x) = solve(t, w) by the embedded
-    Dormand-Prince 5(4) pair with PI step control and a forced-accept floor.
+    """Integrate w' = dw for (dw, x) = solve(t, w, x_accepted) by the
+    embedded Dormand-Prince 5(4) pair with PI step control and a
+    forced-accept floor.  Past the escape cap, each accepted step fits a
+    blow-up rate, and the run stops once the fits converge (see
+    classify_termination).
 
-    Each accepted point records w, the assembled state x and its constraint
-    residual residual(t, x).  The solve at t0 gives x0 and the first
-    right-hand side; a level singular there raises.  The pair is
-    first-same-as-last: an accepted step ends at its seventh stage, so the
-    state that stage's solve assembled is the state recorded.
+    x_accepted is the state of the last accepted point, None at t0, for a
+    solve that retries from it.  Each accepted point records w, the
+    assembled state x and its constraint residual residual(t, x).  The
+    solve at t0 gives x0 and the first right-hand side; a level singular
+    there raises.  The pair is first-same-as-last: an accepted step ends at
+    its seventh stage, so the state that stage's solve assembled is the
+    state recorded.
     """
     t, y = t0, np.array(w0, dtype=float)
-    k1, x = solve(t, y)
+    k1, x = solve(t, y, None)
     nfev = 1
     rec = TrajectoryInternals(opts=opts, times=[float(t0)],
                               norms=[norm2(y)], steps=[0.0])
@@ -239,7 +325,7 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
         nonlocal nfev, x
         nfev += 1
         try:
-            dw, x = solve(tt, yy)
+            dw, x = solve(tt, yy, states[-1])
         except SingularJacobian as exc:
             # a level that loses its inverse after t0 ends the run
             raise ConstraintSolveFailure(tt, exc.level, exc)
@@ -303,8 +389,10 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
             ws.append(y)
             states.append(x)
             residuals.append(residual(t, x))
-            if at_floor and rec.escaping():
-                break
+            if rec.escaping():
+                rec.rate_fit = rec.converged_fit()
+                if rec.rate_fit is not None or at_floor:
+                    break
             if consecutive_forced > max(50, 3 * opts.blowup_window):
                 break
             fac = 0.9 * err ** (-0.14) * err_prev ** 0.08 if err > 0 else 5.0
@@ -338,16 +426,18 @@ def integrate_first(reduced: ReducedFirst, t0: float, x0, opts: IntegrationOptio
     """Integrate the direct reduction from a consistent initial state."""
     x0, state = _start(reduced, t0, x0)
 
-    def solve(t, w):
-        # warm-started solve; on a kernel-level failure retry once from a
-        # cold re-initialization of the kernel guess and Jacobian, keeping
-        # the warm starts and kept Jacobians of the chain and wedge levels
+    def solve(t, w, x_accepted):
+        # warm-started solve; on a kernel-level failure retry once with the
+        # kernel level warm-started from the last accepted state (x0 before
+        # the first) and a fresh Jacobian, keeping the warm starts and kept
+        # Jacobians of the chain and wedge levels
         try:
             return reduced.drift_w(t, w, state)
         except ConstraintSolveFailure as first_exc:
             if first_exc.level != "kernel_level":
                 raise
-            state.warm.pop("kernel_level", None)
+            seed = reduced.make_state(x0 if x_accepted is None else x_accepted)
+            state.warm["kernel_level"] = seed.warm["kernel_level"]
             state.jac_caches["kernel_level"] = JacobianCache()
             try:
                 return reduced.drift_w(t, w, state)
@@ -367,7 +457,7 @@ def integrate_cascade(reduced: ReducedCascade, t0: float, x0,
     """
     x0, evaluator = _start(reduced, t0, x0)
 
-    def solve(t, w1):
+    def solve(t, w1, _x_accepted):
         # on failure retry once from cold level guesses, keeping the warm
         # starts the retry found
         try:

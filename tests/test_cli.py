@@ -85,13 +85,27 @@ def test_simulate_blowup(tmp_path, capsys):
     code = run(["simulate", "index1_blowup", "--x0", "1",
                 "--out", str(tmp_path)])
     assert code == 0
-    assert "blowup_suspected" in capsys.readouterr().out
+    assert "blowup_suspected (escape estimate 1, rate 1)" \
+        in capsys.readouterr().out
     term = json.loads(
         (tmp_path / "index1_blowup_termination.json").read_text())
     assert term["kind"] == "blowup_suspected"
     assert abs(term["t_escape_estimate"] - 1.0) <= 0.01
+    assert abs(term["blowup_rate"] - 1.0) <= 1e-3
     csv = (tmp_path / "index1_blowup_trajectory.csv").read_text()
     assert csv.splitlines()[0] == "t,x_1,x_2,w_norm,residual"
+
+
+def test_simulate_escape_at_the_floor_reports_no_rate(tmp_path, capsys):
+    # x1' = x1^3 reaches the step floor before its norm passes the cap
+    assert run(["simulate", "index1_cubic_blowup", "--out", str(tmp_path)]) \
+        == 0
+    assert "blowup_suspected (escape estimate 0.5)," \
+        in capsys.readouterr().out
+    term = json.loads(
+        (tmp_path / "index1_cubic_blowup_termination.json").read_text())
+    assert term["kind"] == "blowup_suspected"
+    assert "blowup_rate" not in term
 
 
 def test_simulate_json_format(tmp_path):

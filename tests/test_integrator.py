@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from daekit import (InconsistentInitialValue, IntegrationOptions,
                     NonlinearField, StructureTag, TrajectoryInternals,
                     classify_termination, integrate_cascade,
                     integrate_first, reduce_cascade, reduce_first)
-from daekit.problems import load_builtin, make_dae, reference_solution
+from daekit.integrate import _rate_fit
+from daekit.problems import (_FIXTURES, load_builtin, make_dae,
+                             reference_solution)
 
 
 def test_linear_index2_matches_closed_form():
@@ -145,16 +148,20 @@ def _fold():
 
 
 def test_kernel_level_singular_during_run_ends_it():
-    # the failed solves past t = 1 retry from x2 = 0, where the Jacobian is
-    # zero
+    # a failed solve retries from the last accepted state, not from x2 = 0,
+    # where the Jacobian is zero, so the run ends at the fold
     traj = integrate_first(reduce_first(_fold()), 0.0, np.array([-1.0, 1.0]),
                            IntegrationOptions(t_max=2.0))
     assert traj.termination.kind == "constraint_solve_failure"
     assert traj.termination.level == "kernel_level"
-    assert "singular jacobian" in traj.termination.detail
-    assert traj.times[-1] < 1.0
-    np.testing.assert_allclose(traj.states[:, 1], np.sqrt(1.0 - traj.times),
-                               rtol=1e-8)
+    assert 0.999 < traj.times[-1] < 1.0
+    # the constraint holds to the solver tolerance at every point; near the
+    # fold a residual r moves x2 by r / (2 x2), so x2 is compared with the
+    # closed form where 1 - t >= 1e-3 only
+    assert traj.residuals.max() <= 1e-12
+    away = 1.0 - traj.times >= 1e-3
+    np.testing.assert_allclose(traj.states[away, 1],
+                               np.sqrt(1.0 - traj.times[away]), rtol=1e-8)
 
 
 def test_cascade_starts_where_the_kernel_jacobian_vanishes_at_zero():
@@ -257,7 +264,9 @@ def _bundled(name):
 
 _ENDINGS = {
     "reached_tmax": (lambda: _bundled("index1_stable"), "reached_tmax"),
-    "escape at the floor": (lambda: _bundled("index1_blowup"),
+    "escape by rate fit": (lambda: _bundled("index1_blowup"),
+                           "blowup_suspected"),
+    "escape at the floor": (lambda: _bundled("index1_cubic_blowup"),
                             "blowup_suspected"),
     # ends on a step that overflows at the floor, which is no accepted point
     "overflow": (lambda: (load_builtin("ode_scalar_quadratic").dae,
@@ -282,6 +291,99 @@ def test_trajectory_arrays_hold_one_row_per_accepted_point(ending, approach):
             == traj.w_states.shape[0] == traj.residuals.shape[0] == rows)
 
 
+# accepted steps and relative escape-time error of each bundled escape
+# when the floor rule alone ended it
+_FLOOR_ONLY = {"index1_blowup": (345, 2.65e-10),
+               "ode_scalar_quadratic": (374, 8.2e-11),
+               "index1_cubic_blowup": (215, 4.1e-9)}
+
+
+def _certified_rate(name):
+    """1 / (2 (p - 1)) for the bundled escape certificate U = c v^p on
+    v = |w|^2: the rate alpha of |w| ~ (T* - t)^(-alpha) it implies."""
+    data = json.loads((_FIXTURES / f"{name}.json").read_text())
+    p = data["certificate"]["U"]["params"]["exponent"]
+    return 1.0 / (2.0 * (p - 1.0))
+
+
+@pytest.mark.parametrize("approach", ["first", "cascade"])
+@pytest.mark.parametrize("name", list(_FLOOR_ONLY))
+def test_bundled_escapes(name, approach):
+    # x1' = x1^p from x1(0) = 1 escapes at 1 / (p - 1); the quadratic ones
+    # end by the rate fit, the cubic one reaches the floor before the cap
+    pb = load_builtin(name)
+    traj = _integrate(pb.dae, pb.x_guess, pb.options, approach)
+    term = traj.termination
+    assert term.kind == "blowup_suspected"
+    accepted, err = _FLOOR_ONLY[name]
+    exact = 0.5 if name == "index1_cubic_blowup" else 1.0
+    assert abs(term.t_escape_estimate - exact) <= 1.01 * err * exact
+    if name == "index1_cubic_blowup":
+        assert term.blowup_rate is None
+        # the last step was taken at the floor
+        step = traj.times[-1] - traj.times[-2]
+        assert step <= 1.01 * pb.options.h_min
+    else:
+        assert abs(term.blowup_rate - _certified_rate(name)) <= 1e-3
+        assert traj.stats["accepted"] <= 0.7 * accepted
+        assert term.final_norm > pb.options.blowup_norm_cap
+
+
+def _exponential(t_max):
+    """x' = x from x(0) = 1: past the cap at t = log(1e6) and no escape."""
+    fld = NonlinearField(eval=lambda t, x: np.array(x, dtype=float))
+    return (make_dae(np.eye(1), np.zeros((1, 1)), fld), np.ones(1),
+            IntegrationOptions(t_max=t_max))
+
+
+def test_exponential_growth_past_the_cap_is_no_escape():
+    traj = _integrate(*_exponential(40.0), "first")
+    assert traj.termination.kind == "reached_tmax"
+    assert traj.w_states[-1][0] > 1e17
+
+
+def test_fitted_escape_after_the_horizon_is_not_called():
+    # x' = x^2 from 2e6, past the cap from the start, escapes at 5e-7
+    pb = load_builtin("ode_scalar_quadratic")
+    red = reduce_first(pb.dae)
+    x0 = np.array([2e6])
+    traj = integrate_first(red, 0.0, x0, IntegrationOptions(t_max=4e-7))
+    assert traj.termination.kind == "reached_tmax"
+    term = integrate_first(red, 0.0, x0,
+                           IntegrationOptions(t_max=6e-7)).termination
+    assert term.kind == "blowup_suspected"
+    assert abs(term.t_escape_estimate - 5e-7) <= 1e-9 * 5e-7
+
+
+_TIMES = [0.9, 0.95, 0.97]
+
+
+def test_rate_fit_on_exact_power_laws():
+    for alpha in (1.0, 0.5):
+        fit_alpha, t_escape = _rate_fit(_TIMES, [(1.0 - t) ** -alpha
+                                                 for t in _TIMES])
+        assert abs(fit_alpha - alpha) <= 1e-12
+        assert abs(t_escape - 1.0) <= 1e-12
+    # a jump after two nearly equal norms: a steep law, found without
+    # overflow, escaping just after the last point
+    fit_alpha, t_escape = _rate_fit(_TIMES, [1.0, 1.0 + 1e-12, 1e6])
+    assert 0.0 < fit_alpha < 1e-6
+    assert _TIMES[-1] <= t_escape <= _TIMES[-1] + 1e-12
+
+
+@pytest.mark.parametrize("times, norms", [
+    (_TIMES, [5.0, 5.0, 5.0]),                              # equal
+    (_TIMES, [1e6, 1e6 * (1 + 1e-16), 1e6 * (1 + 3e-16)]),  # equal logs
+    (_TIMES, [(1.0 - t) ** -20.0 for t in _TIMES]),         # at the bound
+    (_TIMES, [(1.0 - t) ** -30.0 for t in _TIMES]),         # past it
+    (_TIMES, [np.exp(t) for t in _TIMES]),                  # exponential
+    (_TIMES, [3.0, 2.0, 1.0]),                              # falling
+    ([0.9, 0.9, 0.97], [1.0, 2.0, 3.0]),                    # equal times
+])
+def test_rate_fit_rejects_degenerate_triples(times, norms):
+    assert _rate_fit(times, norms) is None
+
+
 def test_classifier_unit():
     internals = TrajectoryInternals(IntegrationOptions(
         h_min=1e-10, blowup_norm_cap=10.0, blowup_window=3))
@@ -291,6 +393,14 @@ def test_classifier_unit():
     reason = classify_termination(internals)
     assert reason.kind == "blowup_suspected"
     assert reason.t_escape_estimate >= 0.95
+    assert "blowup_rate" not in reason.to_dict()
+    # a converged rate fit gives the estimate and the rate
+    internals.rate_fit = (1.0, 0.97)
+    reason = classify_termination(internals)
+    assert reason.kind == "blowup_suspected"
+    assert reason.to_dict() == {
+        "kind": "blowup_suspected", "t_escape_estimate": 0.97,
+        "blowup_rate": 1.0, "final_norm": 30.0, "t": 0.95}
     internals.reached_t_max = True
     assert classify_termination(internals).kind == "reached_tmax"
 
