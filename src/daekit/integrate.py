@@ -148,13 +148,13 @@ class Trajectory:
         n = self.states.shape[1]
         header = "t," + ",".join(f"x_{k + 1}" for k in range(n)) \
             + ",w_norm,residual"
+        fmt = "{:.17g}".format
+        rows = zip(self.times.tolist(), self.states.tolist(),
+                   map(norm2, self.w_states), self.residuals.tolist())
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            for k in range(self.times.size):
-                row = [self.times[k], *self.states[k],
-                       float(np.linalg.norm(self.w_states[k])),
-                       self.residuals[k]]
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            for t, x, w_norm, res in rows:
+                fh.write(",".join(map(fmt, (t, *x, w_norm, res))) + "\n")
 
 
 def _escape_estimate(times, norms) -> float:
@@ -273,14 +273,20 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 _E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 
 
-def _combine(coefs, ks):
-    """0 + sum of c_j k_j in the order of j, zero coefficients included: a
-    0 * inf term still makes NaN, and the leading 0 turns a -0.0 sum to
+# The stage sums and the error sum as one table: row i < 7 holds 0 and
+# then _A[i], row 7 holds 0 and then _E, one coefficient per row of a run's
+# stage buffer, whose row 0 stays zero and whose rows 1-7 hold k1-k7.
+_TABLE = np.zeros((8, 8, 1))
+for _i, _coefs in enumerate((*_A[1:], _E), start=1):
+    _TABLE[_i, 1:len(_coefs) + 1, 0] = _coefs
+
+
+def _stage_sum(buf, i):
+    """0 + sum of c_j k_j over the rows of table row i in the order of j,
+    zero coefficients included: accumulate adds the rows strictly in order,
+    a 0 * inf term still makes NaN, and the zero row 0 turns a -0.0 sum to
     +0.0, as the built-in sum does."""
-    acc = 0
-    for c, k in zip(coefs, ks):
-        acc = acc + c * k
-    return acc
+    return np.add.accumulate(_TABLE[i, :i + 1] * buf[:i + 1], axis=0)[-1]
 
 
 def _nonfinite_cause(exc: ConstraintSolveFailure) -> bool:
@@ -335,23 +341,33 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
     err_prev = 1e-4
     accepted = rejected = 0
     consecutive_forced = 0
-    ks = [None] * 7
+    # row 0 stays zero, rows 1-7 hold k1-k7 of the step (see _stage_sum)
+    buf = np.zeros((8, y.size))
+    buf[1] = k1
     while t < opts.t_max * (1 - 1e-14) and t + opts.h_min <= opts.t_max:
         h = min(h, opts.step_bound, opts.t_max - t)
         h = max(h, opts.h_min)
         at_floor = h <= opts.h_min * (1 + 1e-9)
-        ks[0] = k1
         bad = False  # the step must shrink; at the floor, this is overflow
         try:
             # overflow near a finite-time escape is expected, not an error
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(1, 7):
-                    yi = y + h * _combine(_A[i], ks)
+                    yi = y + h * _stage_sum(buf, i)
                     # NaN and inf fail the test too
                     if not np.abs(yi).max() <= 1e150:
                         bad = True
                         break
-                    ks[i] = f(t + _C[i] * h, yi)
+                    buf[i + 1] = f(t + _C[i] * h, yi)
+                else:
+                    # the last stage, yi, sits at the new solution point;
+                    # the error norm is the root mean square of err_vec / sc
+                    err_vec = h * _stage_sum(buf, 7)
+                    sc = opts.atol + opts.rtol * np.maximum(np.abs(y),
+                                                            np.abs(yi))
+                    r = err_vec / sc
+                    err = math.sqrt(float(np.add.reduce(r * r)) / r.size)
+                    bad = not math.isfinite(err)
         except ConstraintSolveFailure as exc:
             # away from the floor: shrink and retry, so persistent failure
             # ends at the floor.  There, a non-finite cause means the field
@@ -361,13 +377,6 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
                 rec.failure = (exc.t, exc.level, str(exc.cause))
                 break
             bad = True
-        if not bad:
-            # the last stage, yi, sits at the new solution point
-            err_vec = h * _combine(_E, ks)
-            sc = opts.atol + opts.rtol * np.maximum(np.abs(y), np.abs(yi))
-            with np.errstate(invalid="ignore", over="ignore"):
-                err = float(np.sqrt(np.mean((err_vec / sc) ** 2)))
-            bad = not np.isfinite(err)
         if bad:
             if at_floor:
                 rec.nonfinite = True
@@ -380,7 +389,7 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
             consecutive_forced = consecutive_forced + 1 if forced else 0
             t = t + h
             y = yi
-            k1 = ks[6]
+            buf[1] = buf[7]
             accepted += 1
             # x is still the last stage's: no solve ran after it
             rec.times.append(float(t))

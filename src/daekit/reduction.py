@@ -268,9 +268,8 @@ class _Reduced:
         return ImplicitProblem(residual=resid, jac_y=jac)
 
     def split_norm(self, x) -> float:
-        return float(np.linalg.norm(self.ps.p1 @ x)
-                     + np.linalg.norm(self.ps.p2_sigma @ x)
-                     + np.linalg.norm(self.ps.p20 @ x))
+        return (norm2(self.ps.p1 @ x) + norm2(self.ps.p2_sigma @ x)
+                + norm2(self.ps.p20 @ x))
 
     def _field(self, t, x, state, key):
         """f(t, x), taken from the per-run state where its record holds f at
@@ -300,8 +299,8 @@ class _Reduced:
     def residual_L0(self, t, x, state=None) -> float:
         """Constraint distance, scaled by the block norm of the state so the
         measure stays meaningful on trajectories of growing magnitude."""
-        return float(np.linalg.norm(self.f2_star(t, x, state))
-                     / max(1.0, self.split_norm(x)))
+        return (norm2(self.f2_star(t, x, state))
+                / max(1.0, self.split_norm(x)))
 
 
 # ---------------------------------------------------------------------------

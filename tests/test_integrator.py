@@ -586,17 +586,23 @@ def test_trajectory_residuals_match_fresh_evaluation(name, approach):
     assert traj.residuals.tolist() == fresh
 
 
-def test_stage_sums_match_the_builtin_sum_bit_for_bit():
+@pytest.mark.parametrize("n", [1, 4, 64])
+def test_stage_sums_match_the_builtin_sum_bit_for_bit(n):
     # reference: the generator sum the stage and error vectors were formed
-    # with; a zero coefficient meets inf, and a sum of -0.0 terms
-    from daekit.integrate import _A, _E, _combine
+    # with; a zero coefficient meets inf, a NaN entry, and sums of -0.0
+    # terms
+    from daekit.integrate import _A, _E, _stage_sum
 
     rng = np.random.default_rng(5)
-    ks = [rng.standard_normal(4) for _ in range(7)]
-    ks[1][0] = np.inf
-    for k in ks:
-        k[3] = -0.0
+    base = [rng.standard_normal(n) for _ in range(7)]
+    cases = [base, [np.full(n, -0.0)] * 7]
+    for row, value in ((1, np.inf), (3, np.nan)):
+        ks = [k.copy() for k in base]
+        ks[row][-1] = value
+        cases.append(ks)
     with np.errstate(invalid="ignore"):
-        for coefs in (*_A[1:], _E):
-            ref = sum(c * k for c, k in zip(coefs, ks))
-            assert _combine(coefs, ks).tobytes() == ref.tobytes()
+        for ks in cases:
+            buf = np.vstack([np.zeros(n), *ks])
+            for i, coefs in enumerate((*_A[1:], _E), start=1):
+                ref = sum(c * k for c, k in zip(coefs, ks))
+                assert _stage_sum(buf, i).tobytes() == ref.tobytes()
