@@ -25,10 +25,10 @@ print(f"\nkernel dimension n = {canonical.n}, "
       f"chain multiplicities = {canonical.multiplicities}")
 for k, chain in enumerate(canonical.chains):
     print(f"chain {k}: eigenvector {chain.eigenvector}, "
-          f"adjoined {[list(v) for v in chain.adjoined]}")
+          f"adjoined {[v.tolist() for v in chain.adjoined]}")
 
 dual = build_dual_chains(pencil, canonical)
-print("dual chain:", [list(q) for q in dual.chains[0]])
+print("dual chain:", [q.tolist() for q in dual.chains[0]])
 
 canonical, dual, ps = build_all(pencil)
 print("\nP2 (root-space projector):\n", ps.p2)

@@ -5,9 +5,9 @@ escape time from x1(0) = a is 1/a.  Once the norm has grown monotonically
 past the cap, the integrator fits |w| = C (T* - t)^(-alpha) through each
 three consecutive points; when the fits agree it stops, reports the escape
 as *suspected*, and gives T* as the escape time and alpha (1 here) as the
-rate.  From x1(0) = 0.5 the escape falls on the horizon t_max = 2, and the
-fitted T* lies just past it, so that run goes on until its step reaches
-the floor, where the escape time is extrapolated and no rate is given.
+rate.  From x1(0) = 0.5 the escape falls on the horizon t_max = 2: the
+fitted T* lies past it by less than the fit tolerance, so that run is
+called by the fit too.
 """
 
 import numpy as np

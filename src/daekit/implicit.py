@@ -192,7 +192,7 @@ def solve_newton(problem: ImplicitProblem, t: float, p, y0,
             kept = None
         factors = _factor(jac(y, f))
         if factors is None:
-            raise SingularJacobian(point=(t, tuple(np.round(y, 6))))
+            raise SingularJacobian(point=(t, tuple(np.round(y, 6).tolist())))
         if jac_cache is not None:
             jac_cache.factors = factors
         step = _lu_solve(factors, -f)

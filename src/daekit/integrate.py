@@ -119,18 +119,17 @@ class TrajectoryInternals:
         """The last (alpha, T*) of the rate fits through the triples ending
         at the window's points, where all of them are found, agree with it
         within _RATE_FIT_RTOL (T* relative to T* - t0), and put the escape
-        by t_max; else None."""
+        at most t_max within that tolerance; else None."""
         opts, n = self.opts, len(self.norms)
         fits = [_rate_fit(self.times[k - 3:k], self.norms[k - 3:k])
                 for k in range(max(3, n - opts.blowup_window + 1), n + 1)]
         if len(fits) < opts.blowup_window or None in fits:
             return None
         alpha, t_escape = fits[-1]
-        span = t_escape - self.times[0]
+        tol = _RATE_FIT_RTOL * (t_escape - self.times[0])
         agree = all(abs(a - alpha) <= _RATE_FIT_RTOL * alpha
-                    and abs(t - t_escape) <= _RATE_FIT_RTOL * span
-                    for a, t in fits)
-        return fits[-1] if agree and t_escape <= opts.t_max else None
+                    and abs(t - t_escape) <= tol for a, t in fits)
+        return fits[-1] if agree and t_escape - opts.t_max <= tol else None
 
 
 @dataclass
@@ -271,21 +270,16 @@ _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
        187 / 2100, 1 / 40)
 _E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
-
-
-# The stage sums and the error sum as one table: row i < 7 holds 0 and
-# then _A[i], row 7 holds 0 and then _E, one coefficient per row of a run's
-# stage buffer, whose row 0 stays zero and whose rows 1-7 hold k1-k7.
 _TABLE = np.zeros((8, 8, 1))
 for _i, _coefs in enumerate((*_A[1:], _E), start=1):
-    _TABLE[_i, 1:len(_coefs) + 1, 0] = _coefs
+    _TABLE[_i, 1:_i + 1, 0] = _coefs
 
 
 def _stage_sum(buf, i):
-    """0 + sum of c_j k_j over the rows of table row i in the order of j,
-    zero coefficients included: accumulate adds the rows strictly in order,
-    a 0 * inf term still makes NaN, and the zero row 0 turns a -0.0 sum to
-    +0.0, as the built-in sum does."""
+    """0 + sum of c_j k_j in the order of j, for the c_j of _A[i] (of _E for
+    i = 7) and a stage buffer whose row 0 is zero and rows 1-7 hold k1-k7:
+    the rows are added strictly in order, a zero c_j still makes NaN of inf,
+    and the zero row turns a -0.0 sum to +0.0, as the built-in sum does."""
     return np.add.accumulate(_TABLE[i, :i + 1] * buf[:i + 1], axis=0)[-1]
 
 
@@ -295,10 +289,15 @@ def _nonfinite_cause(exc: ConstraintSolveFailure) -> bool:
             and not np.isfinite(cause.last_residual))
 
 
+def _rms(r) -> float:
+    """np.sqrt(np.mean(r ** 2)) of a 1-D array, by the same operations."""
+    return math.sqrt(float(np.add.reduce(r * r)) / r.size)
+
+
 def _initial_step(y0, f0, opts: IntegrationOptions) -> float:
     sc = opts.atol + opts.rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / sc) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / sc) ** 2)))
+    d0 = _rms(y0 / sc)
+    d1 = _rms(f0 / sc)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     return float(min(max(h0, opts.h_min), opts.step_bound,
                      opts.t_max - opts.t0))
@@ -321,7 +320,8 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
     state recorded.
     """
     t, y = t0, np.array(w0, dtype=float)
-    k1, x = solve(t, y, None)
+    buf = np.zeros((8, y.size))  # the stage buffer of _stage_sum
+    buf[1], x = solve(t, y, None)
     nfev = 1
     rec = TrajectoryInternals(opts=opts, times=[float(t0)],
                               norms=[norm2(y)], steps=[0.0])
@@ -337,18 +337,15 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
             raise ConstraintSolveFailure(tt, exc.level, exc)
         return dw
 
-    h = _initial_step(y, k1, opts)
+    h = _initial_step(y, buf[1], opts)
     err_prev = 1e-4
     accepted = rejected = 0
     consecutive_forced = 0
-    # row 0 stays zero, rows 1-7 hold k1-k7 of the step (see _stage_sum)
-    buf = np.zeros((8, y.size))
-    buf[1] = k1
     while t < opts.t_max * (1 - 1e-14) and t + opts.h_min <= opts.t_max:
         h = min(h, opts.step_bound, opts.t_max - t)
         h = max(h, opts.h_min)
         at_floor = h <= opts.h_min * (1 + 1e-9)
-        bad = False  # the step must shrink; at the floor, this is overflow
+        bad = True  # the step must shrink; at the floor, this is overflow
         try:
             # overflow near a finite-time escape is expected, not an error
             with np.errstate(over="ignore", invalid="ignore"):
@@ -356,17 +353,12 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
                     yi = y + h * _stage_sum(buf, i)
                     # NaN and inf fail the test too
                     if not np.abs(yi).max() <= 1e150:
-                        bad = True
                         break
                     buf[i + 1] = f(t + _C[i] * h, yi)
                 else:
-                    # the last stage, yi, sits at the new solution point;
-                    # the error norm is the root mean square of err_vec / sc
-                    err_vec = h * _stage_sum(buf, 7)
-                    sc = opts.atol + opts.rtol * np.maximum(np.abs(y),
-                                                            np.abs(yi))
-                    r = err_vec / sc
-                    err = math.sqrt(float(np.add.reduce(r * r)) / r.size)
+                    # the last stage, yi, sits at the new solution point
+                    sc = opts.atol + opts.rtol * np.maximum(abs(y), abs(yi))
+                    err = _rms(h * _stage_sum(buf, 7) / sc)
                     bad = not math.isfinite(err)
         except ConstraintSolveFailure as exc:
             # away from the floor: shrink and retry, so persistent failure
@@ -376,7 +368,6 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
             if at_floor and not _nonfinite_cause(exc):
                 rec.failure = (exc.t, exc.level, str(exc.cause))
                 break
-            bad = True
         if bad:
             if at_floor:
                 rec.nonfinite = True

@@ -63,8 +63,10 @@ def test_newton_degenerate_root():
     # derivative vanishes at the start while the residual does not:
     # singular, so SingularJacobian
     prob = scalar_problem(lambda y: y ** 2 + 1.0, jac=lambda y: 2 * y)
-    with pytest.raises(SingularJacobian):
+    with pytest.raises(SingularJacobian) as info:
         solve_newton(prob, 0.0, None, np.zeros(1))
+    # plain floats, whatever the numpy version's scalar repr
+    assert str(info.value) == "singular jacobian at (0.0, (0.0,))"
     # on the doubly degenerate root itself the damped iteration still
     # drives the residual below tolerance (the root converges at sqrt-rate)
     prob2 = scalar_problem(lambda y: y ** 2, jac=lambda y: 2 * y)

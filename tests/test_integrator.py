@@ -329,6 +329,22 @@ def test_bundled_escapes(name, approach):
         assert term.final_norm > pb.options.blowup_norm_cap
 
 
+def test_escape_on_the_horizon_is_called_by_the_fit():
+    # x1' = x1^2 from 0.5 escapes at t_max = 2; the fitted T* lies past it
+    # by less than the fit tolerance (357 accepted steps at the floor)
+    pb = load_builtin("index1_blowup")
+    red = reduce_first(pb.dae)
+    guess = pb.x_guess.copy()
+    guess[0] = 0.5
+    traj = integrate_first(red, 0.0, red.consistent_point(0.0, guess),
+                           pb.options)
+    term = traj.termination
+    assert term.kind == "blowup_suspected"
+    assert abs(term.blowup_rate - 1.0) <= 1e-6
+    assert abs(term.t_escape_estimate - 2.0) <= 1e-6 * 2.0
+    assert traj.times.size <= 260
+
+
 def _exponential(t_max):
     """x' = x from x(0) = 1: past the cap at t = log(1e6) and no escape."""
     fld = NonlinearField(eval=lambda t, x: np.array(x, dtype=float))
@@ -543,6 +559,42 @@ def test_trajectory_csv_roundtrip(tmp_path):
                                           "t": traj.times[-1]}
 
 
+def test_trajectory_csv_matches_the_per_row_writer(tmp_path):
+    pb = load_builtin("index3_chain")
+    red = reduce_first(pb.dae)
+    traj = integrate_first(red, 0.0, red.consistent_point(0.0, pb.x_guess),
+                           pb.options)
+    # reference: one row at a time from the numpy arrays
+    n = traj.states.shape[1]
+    ref = ["t," + ",".join(f"x_{k + 1}" for k in range(n))
+           + ",w_norm,residual"]
+    for k in range(traj.times.size):
+        row = [traj.times[k], *traj.states[k],
+               float(np.linalg.norm(traj.w_states[k])), traj.residuals[k]]
+        ref.append(",".join(f"{v:.17g}" for v in row))
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    assert path.read_bytes() == ("\n".join(ref) + "\n").encode()
+
+
+@pytest.mark.parametrize("n", [1, 4, 64])
+def test_error_norm_matches_numpy_rms_bit_for_bit(n):
+    from daekit.integrate import _rms
+
+    rng = np.random.default_rng(7)
+    sc = 1e-10 + 1e-8 * np.abs(rng.standard_normal(n))
+    cases = [rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)]
+    for value in (np.inf, -np.inf, np.nan, 1e300):
+        e = cases[0].copy()
+        e[-1] = value
+        cases.append(e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in cases:
+            ref = float(np.sqrt(np.mean((e / sc) ** 2)))
+            got = _rms(e / sc)
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+
 def _counting(pb):
     """The problem's pair with its field wrapped to count evaluations."""
     orig = pb.dae.field
@@ -586,23 +638,24 @@ def test_trajectory_residuals_match_fresh_evaluation(name, approach):
     assert traj.residuals.tolist() == fresh
 
 
-@pytest.mark.parametrize("n", [1, 4, 64])
-def test_stage_sums_match_the_builtin_sum_bit_for_bit(n):
+def test_stage_sums_match_the_builtin_sum_bit_for_bit():
     # reference: the generator sum the stage and error vectors were formed
     # with; a zero coefficient meets inf, a NaN entry, and sums of -0.0
     # terms
     from daekit.integrate import _A, _E, _stage_sum
 
     rng = np.random.default_rng(5)
-    base = [rng.standard_normal(n) for _ in range(7)]
-    cases = [base, [np.full(n, -0.0)] * 7]
-    for row, value in ((1, np.inf), (3, np.nan)):
-        ks = [k.copy() for k in base]
-        ks[row][-1] = value
-        cases.append(ks)
+    cases = []
+    for n in (1, 4, 64):
+        base = [rng.standard_normal(n) for _ in range(7)]
+        cases += [base, [np.full(n, -0.0)] * 7]
+        for row, value in ((1, np.inf), (3, np.nan)):
+            ks = [k.copy() for k in base]
+            ks[row][-1] = value
+            cases.append(ks)
     with np.errstate(invalid="ignore"):
         for ks in cases:
-            buf = np.vstack([np.zeros(n), *ks])
+            buf = np.vstack([np.zeros_like(ks[0]), *ks])
             for i, coefs in enumerate((*_A[1:], _E), start=1):
                 ref = sum(c * k for c, k in zip(coefs, ks))
                 assert _stage_sum(buf, i).tobytes() == ref.tobytes()
