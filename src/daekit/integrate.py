@@ -345,7 +345,7 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
         h = min(h, opts.step_bound, opts.t_max - t)
         h = max(h, opts.h_min)
         at_floor = h <= opts.h_min * (1 + 1e-9)
-        bad = True  # the step must shrink; at the floor, this is overflow
+        bad = True  # unless err is finite: shrink, or overflow at the floor
         try:
             # overflow near a finite-time escape is expected, not an error
             with np.errstate(over="ignore", invalid="ignore"):
