@@ -14,11 +14,11 @@ from daekit.problems import load_builtin, reference_solution
 problem = load_builtin("index2_nilpotent_linear")
 reduced = reduce_first(problem.dae)
 
-x0 = reduced.consistent_point(0.0, problem.x_guess)
+# the run projects the guess onto the constraint manifold, then integrates
+traj = integrate_first(reduced, 0.0, problem.x_guess, problem.options)
+x0 = reduced.consistent_point(0.0, problem.x_guess)  # that projection
 print(f"consistent initial state: {x0} "
       f"(constraint residual {reduced.residual_L0(0.0, x0):.1e})")
-
-traj = integrate_first(reduced, 0.0, x0, problem.options)
 print(f"termination: {traj.termination.kind} after {traj.times.size} points, "
       f"{traj.stats['nfev']} field evaluations")
 

@@ -23,8 +23,7 @@ print(f"{'x1(0)':>6} {'exact t*':>9} {'estimate':>12} {'rel err':>9} "
 for a in (0.5, 1.0, 2.0):
     guess = problem.x_guess.copy()
     guess[0] = a
-    x0 = reduced.consistent_point(0.0, guess)
-    traj = integrate_first(reduced, 0.0, x0, problem.options)
+    traj = integrate_first(reduced, 0.0, guess, problem.options)
     assert traj.termination.kind == "blowup_suspected"
     est = traj.termination.t_escape_estimate
     rate = traj.termination.blowup_rate

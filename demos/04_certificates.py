@@ -29,8 +29,7 @@ print("  1/U integral:", report.integral_U, " psi integral:",
       report.integral_psi)
 print("  kernel bound ladder K(b):", report.extras["kernel_bound_ladder"])
 
-x0 = red.consistent_point(0.0, stable.x_guess)
-traj = integrate_first(red, 0.0, x0, stable.options)
+traj = integrate_first(red, 0.0, stable.x_guess, stable.options)
 sup = float(np.linalg.norm(traj.states, axis=1).max())
 print(f"  sup |x(t)| over [0,100] = {sup:.3f} "
       f"(declared bound {stable.bound_constant})")
@@ -42,8 +41,7 @@ print("\nescape certificate:", report.verdict)
 print("  1/U integral:", report.integral_U, " psi integral:",
       report.integral_psi)
 
-x0 = redc.consistent_point(0.0, np.array([0.8, 0.0]))
-traj = integrate_first(redc, 0.0, x0, cubic.options)
+traj = integrate_first(redc, 0.0, np.array([0.8, 0.0]), cubic.options)
 print(f"  simulated from x1(0)=0.8: {traj.termination.kind}, escape "
       f"estimate {traj.termination.t_escape_estimate:.6f} "
       f"(exact {1 / (2 * 0.8 ** 2):.6f})")

@@ -26,9 +26,8 @@ print(f"reduced system has {rc.level_count} equations (index "
       f"{rc.nu}, kernel dimension {rc.n})")
 
 opts = IntegrationOptions(t_max=1.0, rtol=1e-11, atol=1e-13)
-x0 = rf.consistent_point(0.0, problem.x_guess)
-tf = integrate_first(rf, 0.0, x0, opts)
-tc = integrate_cascade(rc, 0.0, x0, opts)
+tf = integrate_first(rf, 0.0, problem.x_guess, opts)
+tc = integrate_cascade(rc, 0.0, problem.x_guess, opts)
 print(f"direct route : x(1) = {tf.states[-1]}")
 print(f"cascade route: x(1) = {tc.states[-1]}")
 print(f"gap at t=1   : {np.abs(tf.states[-1] - tc.states[-1]).max():.2e}")
@@ -44,7 +43,6 @@ print(f"\nindex-3 single chain at t={t}:")
 print(f"  solved x4 = {parts['eta_2sigma'][3]:.10f} (closed form {x4:.10f})")
 print(f"  solved x3 = {parts['eta_2sigma'][2]:.10f} (closed form {x3:.10f})")
 
-traj = integrate_cascade(rc3, 0.0, rc3.consistent_point(0.0, chain3.x_guess),
-                         chain3.options)
+traj = integrate_cascade(rc3, 0.0, chain3.x_guess, chain3.options)
 print(f"  integrated to t={traj.times[-1]}: {traj.termination.kind}, "
       f"constraint residual <= {traj.residuals.max():.1e}")

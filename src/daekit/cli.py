@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -85,10 +86,8 @@ def _reduce(problem: LoadedProblem, approach: str):
 
 def _simulate_once(problem: LoadedProblem, guess, approach: str):
     reduced = _reduce(problem, approach)
-    t0 = problem.options.t0
-    x0 = reduced.consistent_point(t0, guess)
     integrate = integrate_cascade if approach == "cascade" else integrate_first
-    return integrate(reduced, t0, x0, problem.options)
+    return integrate(reduced, problem.options.t0, guess, problem.options)
 
 
 def _trajectory_json(traj) -> dict:
@@ -236,7 +235,12 @@ def cmd_sweep(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors end like every other error: one line, exit code 2."""
+    """Usage errors end like every other error: one line, exit code 2.  A
+    token like "-0.5,1" or "-1e-3" is a value, as no option starts so."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise DaekitError(f"{self.prog}: {message}")

@@ -33,6 +33,9 @@ class Tolerances:
     cons: float = 1e-10
     # Constraint residual allowed along accepted trajectory steps.
     traj: float = 1e-6
+    # Largest state entry a run starts from or steps to: squares and
+    # products of larger entries overflow.
+    state_max: float = 1e150
     # Maximum relative dependence tolerated by the structure check.
     struct_dep: float = 1e-7
     # Inner algebraic (Newton) solves.

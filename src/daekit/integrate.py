@@ -12,6 +12,7 @@ from typing import Callable
 import numpy as np
 
 from ._linalg import norm2
+from .config import DEFAULT_TOLERANCES as TOL
 from .errors import ConstraintSolveFailure, NoConvergence, SingularJacobian
 from .implicit import JacobianCache
 from .reduction import ReducedCascade, ReducedFirst
@@ -352,7 +353,7 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
                 for i in range(1, 7):
                     yi = y + h * _stage_sum(buf, i)
                     # NaN and inf fail the test too
-                    if not np.abs(yi).max() <= 1e150:
+                    if not np.abs(yi).max() <= TOL.state_max:
                         break
                     buf[i + 1] = f(t + _C[i] * h, yi)
                 else:
@@ -413,18 +414,12 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
                       termination=classify_termination(rec), stats=rec.stats)
 
 
-def _start(reduced, t0: float, x0):
-    """x0 as floats and the per-run state seeded from it; an x0 off the
-    constraint manifold raises InconsistentInitialValue."""
-    x0 = np.asarray(x0, dtype=float)
-    reduced.check_start(t0, x0)
-    return x0, reduced.make_state(x0)
-
-
-def integrate_first(reduced: ReducedFirst, t0: float, x0, opts: IntegrationOptions
-                    ) -> Trajectory:
-    """Integrate the direct reduction from a consistent initial state."""
-    x0, state = _start(reduced, t0, x0)
+def integrate_first(reduced: ReducedFirst, t0: float, x_guess,
+                    opts: IntegrationOptions) -> Trajectory:
+    """Integrate the direct reduction from the guess projected onto L0 by
+    `consistent_point`, on the per-run state that made the projection."""
+    state = reduced.make_state(x_guess)
+    x0 = reduced.consistent_point(t0, x_guess, state)
 
     def solve(t, w, x_accepted):
         # warm-started solve; on a kernel-level failure retry once with the
@@ -448,14 +443,16 @@ def integrate_first(reduced: ReducedFirst, t0: float, x0, opts: IntegrationOptio
                 lambda t, x: reduced.residual_L0(t, x, state))
 
 
-def integrate_cascade(reduced: ReducedCascade, t0: float, x0,
+def integrate_cascade(reduced: ReducedCascade, t0: float, x_guess,
                       opts: IntegrationOptions) -> Trajectory:
-    """Integrate the cascade reduction from a consistent initial state.
+    """Integrate the cascade reduction from the guess projected onto L0 by
+    `consistent_point`, on the per-run state that made the projection.
 
     The reduced variable w1 holds the explicit part alone: it starts at
     A P1 x0.
     """
-    x0, evaluator = _start(reduced, t0, x0)
+    evaluator = reduced.make_state(x_guess)
+    x0 = reduced.consistent_point(t0, x_guess, evaluator)
 
     def solve(t, w1, _x_accepted):
         # on failure retry once from cold level guesses, keeping the warm

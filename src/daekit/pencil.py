@@ -266,7 +266,11 @@ def build_chains(pencil: Pencil) -> CanonicalSystem:
     range-membership residual test.
     """
     n_dim = pencil.n_dim
-    if guarded_rank(pencil.a, what="A") == n_dim:
+    # one SVD of A gives its rank and the polish step's pseudo-inverse, as
+    # numpy's pinv takes it: of the conjugate, with values to 1e-15 sigma_max
+    a_u, a_sig, a_vt = np.linalg.svd(pencil.a.conjugate(),
+                                     full_matrices=False)
+    if guarded_count(a_sig, n_dim, "A") == n_dim:
         system = CanonicalSystem(chains=(), n=0, nu=0, finite=np.eye(n_dim))
         return replace(system, residuals=chain_residuals(pencil, system))
 
@@ -321,11 +325,13 @@ def build_chains(pencil: Pencil) -> CanonicalSystem:
 
     # polish: enforce A phi^j = -B phi^{j-1} by least squares, testing
     # range membership of -B phi^{j-1}
+    large = a_sig > 1e-15 * a_sig[0]
+    s_inv = np.divide(1, a_sig, where=large, out=np.zeros_like(a_sig))
+    a_pinv = a_vt.T @ (s_inv[:, np.newaxis] * a_u.T)
     a, b = pencil.a, pencil.b
     if np.iscomplexobj(g):
         a = a.astype(np.complex128)
         b = b.astype(np.complex128)
-    a_pinv = np.linalg.pinv(a)
     for chain in raw_chains:
         for j in range(1, len(chain)):
             rhs = -b @ chain[j - 1]

@@ -23,8 +23,8 @@ from .config import DEFAULT_TOLERANCES as TOL
 from .errors import (ConstraintSolveFailure, DaekitError,
                      InconsistentInitialValue, NoConvergence,
                      SingularJacobian, StructureViolation)
-from .implicit import (ImplicitProblem, JacobianCache, _fd_mismatch,
-                       _time_derivative, fd_jacobian, solve_newton)
+from .implicit import (ImplicitProblem, JacobianCache, _time_derivative,
+                       fd_jacobian, solve_newton)
 from .pencil import CanonicalSystem, DualSystem, Pencil
 from .projectors import ProjectorSet
 
@@ -37,11 +37,6 @@ class StructureTag(enum.Enum):
     GENERAL = "general"
     STRUCTURED = "structured"
     STRUCTURED_VARIANT = "structured_variant"
-
-
-# relative mismatch of an analytic field Jacobian against central
-# differences above which `validate_jacobian` raises
-_JAC_RTOL = 1e-5
 
 
 @dataclass
@@ -65,18 +60,6 @@ class NonlinearField:
         if self.t_derivative is not None:
             return np.asarray(self.t_derivative(t, x), dtype=float)
         return _time_derivative(lambda tt: self(tt, x), t)
-
-    def validate_jacobian(self, points) -> float:
-        """Worst relative mismatch between the analytic Jacobian and
-        central differences over the sample points; above _JAC_RTOL it
-        raises."""
-        worst = _fd_mismatch(
-            (lambda z, t=t: self.eval(t, z), self.jac(t, x), x)
-            for t, x in points)
-        if worst > _JAC_RTOL:
-            raise ValueError(f"jacobian mismatch {worst:.3e} exceeds "
-                             f"{_JAC_RTOL}")
-        return worst
 
 
 @dataclass
@@ -135,11 +118,10 @@ class _Reduced:
     """What both routes share.
 
     The level table (the slices and equation of every algebraic level),
-    `make_state()`, `consistent_point` and `check_start`.  A route
-    adds `_initial_state` and the reduction protocol: `w_projector` (the
-    projector onto the space of the reduced variable w) and `drift(t, w,
-    state) -> (dw, x)` (the reduced right-hand side plus the assembled
-    state).
+    `make_state()` and `consistent_point`.  A route adds `_initial_state`
+    and the reduction protocol: `w_projector` (the projector onto the
+    space of the reduced variable w) and `drift(t, w, state) -> (dw, x)`
+    (the reduced right-hand side plus the assembled state).
     """
 
     def __init__(self, dae: SemilinearDAE):
@@ -200,28 +182,30 @@ class _Reduced:
         warm-started from the kernel coordinates of x."""
         state = _CascadeEvaluator(self)
         if x is not None and self.kernel.dim:
-            state.warm["kernel_level"] = self.kernel.x_coords(
-                self.dae.pencil.b, x)
+            # an x out of range is rejected by consistent_point before use
+            with np.errstate(over="ignore", invalid="ignore"):
+                state.warm["kernel_level"] = self.kernel.x_coords(
+                    self.dae.pencil.b, x)
         return state
 
-    def consistent_point(self, t0, x_guess):
+    def consistent_point(self, t0, x_guess, state=None):
         """The route's `_initial_state` from the guess, checked on L0: the
         explicit components of the guess are kept and the algebraic ones
-        solved for."""
+        solved for, on the per-run state (a fresh one if None), which a run
+        then starts from.  A guess entry above TOL.state_max, which the
+        step loop could not step, or a start off L0 raises."""
         x_guess = np.asarray(x_guess, dtype=float)
-        state = self.make_state(x_guess)
+        if not np.abs(x_guess).max() <= TOL.state_max:
+            raise DaekitError("initial guess entries must be finite and at "
+                              f"most {TOL.state_max:g} in magnitude")
+        state = state or self.make_state(x_guess)
         x0 = self._initial_state(t0, x_guess, state)
         # the kernel solve's field value, recorded under x0
         self._field(t0, x0, state, state.warm.get("kernel_level"))
-        self.check_start(t0, x0, state)
-        return x0
-
-    def check_start(self, t0, x0, state=None) -> None:
-        """Raise InconsistentInitialValue unless (t0, x0) lies on the
-        constraint manifold L0: residual_L0 at most TOL.cons."""
         res = self.residual_L0(t0, x0, state)
         if res > TOL.cons:
             raise InconsistentInitialValue(res, TOL.cons)
+        return x0
 
     def _level_problem(self, blk: _Block, plain_rows: _Block | None = None
                        ) -> ImplicitProblem:

@@ -261,6 +261,39 @@ def test_invalid_override_exit_two(tmp_path, capsys, override):
     assert not (tmp_path / "index1_blowup_termination.json").exists()
 
 
+@pytest.mark.parametrize("name, value", [("index2_structured", "-0.5,1"),
+                                         ("index1_blowup", "-1e-3")])
+def test_negative_x0_in_either_spelling(tmp_path, name, value):
+    # a value that starts with a minus sign is not taken for an option
+    states = []
+    for spelling in (["--x0", value], [f"--x0={value}"]):
+        out = tmp_path / spelling[0]
+        assert run(["simulate", name, "--out", str(out)] + spelling) == 0
+        data = np.loadtxt(out / f"{name}_trajectory.csv", delimiter=",",
+                          skiprows=1, ndmin=2)
+        states.append(data)
+    np.testing.assert_array_equal(states[0], states[1])
+    assert states[0][0, 1] == float(value.split(",")[0])
+
+
+@pytest.mark.parametrize("name, value", [
+    ("index1_blowup", "1e308"), ("ode_scalar_decay", "1e300"),
+    ("index3_chain", "1e308,1e308,1e308,1e308")])
+def test_start_beyond_the_state_bound_exit_two(tmp_path, capsys, name,
+                                               value):
+    # the step loop steps no entry above 1e150, so such a guess is
+    # rejected before any solve, with no warning (the last one overflows
+    # in the kernel warm start taken from it)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["simulate", name, "--x0", value, "--out", str(tmp_path)])
+    assert code == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DaekitError: ")
+    assert not (tmp_path / f"{name}_termination.json").exists()
+
+
 @pytest.mark.parametrize("name", ["index1_stable", "index1_blowup",
                                   "index1_cubic_blowup",
                                   "ode_scalar_quadratic"])

@@ -130,8 +130,7 @@ def test_classifier_chain_level_failure(tag, level):
     dae = make_dae(pb.dae.pencil.a, pb.dae.pencil.b,
                    NonlinearField(eval=field, structure_tag=tag))
     red = reduce_cascade(dae, waive_structure_check=True)
-    traj = integrate_cascade(red, 0.0, red.consistent_point(0.0, pb.x_guess),
-                             pb.options)
+    traj = integrate_cascade(red, 0.0, pb.x_guess, pb.options)
     assert traj.termination.kind == "constraint_solve_failure"
     assert traj.termination.level == level
     assert 0.3 <= traj.termination.t <= 0.31
@@ -213,9 +212,8 @@ def _integrate(dae, x_guess, opts, approach, wrap=lambda red: None):
     else:
         red = reduce_cascade(dae, waive_structure_check=True)
         integrate = integrate_cascade
-    x0 = red.consistent_point(t0, x_guess)
     wrap(red)
-    return integrate(red, t0, x0, opts)
+    return integrate(red, t0, x_guess, opts)
 
 
 @pytest.mark.parametrize("approach", ["first", "cascade"])
@@ -336,8 +334,7 @@ def test_escape_on_the_horizon_is_called_by_the_fit():
     red = reduce_first(pb.dae)
     guess = pb.x_guess.copy()
     guess[0] = 0.5
-    traj = integrate_first(red, 0.0, red.consistent_point(0.0, guess),
-                           pb.options)
+    traj = integrate_first(red, 0.0, guess, pb.options)
     term = traj.termination
     assert term.kind == "blowup_suspected"
     assert abs(term.blowup_rate - 1.0) <= 1e-6
@@ -439,19 +436,36 @@ def test_options_validation():
             IntegrationOptions(blowup_window=window)
 
 
+def _route(dae, approach):
+    if approach == "first":
+        return reduce_first(dae), integrate_first
+    return reduce_cascade(dae, waive_structure_check=True), integrate_cascade
+
+
 @pytest.mark.parametrize("approach", ["first", "cascade"])
 def test_inconsistent_initial_value_raises(approach):
-    # both routes check the full state on L0; the explicit part of a guess
-    # alone lies off it
-    pb = load_builtin("index1_blowup")
-    guess = np.array([1.0, 0.0])
-    if approach == "first":
-        red, integrate, x0 = reduce_first(pb.dae), integrate_first, guess
-    else:
-        red, integrate = reduce_cascade(pb.dae), integrate_cascade
-        x0 = pb.dae.projectors.p1 @ guess
-    with pytest.raises(InconsistentInitialValue):
-        integrate(red, 0.0, x0, pb.options)
+    # index3_chain's pair with the index-2 field: the projection keeps x1
+    # and the levels cannot bring the start onto L0
+    from daekit.problems import FIELD_REGISTRY
+    pb = load_builtin("index3_chain")
+    dae = make_dae(pb.dae.pencil.a, pb.dae.pencil.b,
+                   FIELD_REGISTRY["structured_index2"]({}))
+    red, integrate = _route(dae, approach)
+    with pytest.raises(InconsistentInitialValue) as err:
+        integrate(red, 0.0, pb.x_guess, pb.options)
+    assert err.value.residual > err.value.tol
+
+
+@pytest.mark.parametrize("approach", ["first", "cascade"])
+@pytest.mark.parametrize("name", ["index1_blowup", "index2_structured",
+                                  "index3_chain"])
+def test_a_consistent_start_is_kept(name, approach):
+    # the integrators project every start; a point already on L0 stays
+    pb = load_builtin(name)
+    red, integrate = _route(pb.dae, approach)
+    x0 = red.consistent_point(pb.options.t0, pb.x_guess)
+    traj = integrate(red, pb.options.t0, x0, pb.options)
+    assert np.abs(traj.states[0] - x0).max() <= 1e-10
 
 
 def test_w_consistency_along_trajectory():
@@ -562,8 +576,7 @@ def test_trajectory_csv_roundtrip(tmp_path):
 def test_trajectory_csv_matches_the_per_row_writer(tmp_path):
     pb = load_builtin("index3_chain")
     red = reduce_first(pb.dae)
-    traj = integrate_first(red, 0.0, red.consistent_point(0.0, pb.x_guess),
-                           pb.options)
+    traj = integrate_first(red, 0.0, pb.x_guess, pb.options)
     # reference: one row at a time from the numpy arrays
     n = traj.states.shape[1]
     ref = ["t," + ",".join(f"x_{k + 1}" for k in range(n))
@@ -632,7 +645,7 @@ def test_trajectory_residuals_match_fresh_evaluation(name, approach):
         red, integrate = reduce_first(pb.dae), integrate_first
     else:
         red, integrate = reduce_cascade(pb.dae), integrate_cascade
-    traj = integrate(red, t0, red.consistent_point(t0, pb.x_guess), pb.options)
+    traj = integrate(red, t0, pb.x_guess, pb.options)
     assert len(traj.times) > 10
     fresh = [red.residual_L0(t, x) for t, x in zip(traj.times, traj.states)]
     assert traj.residuals.tolist() == fresh
