@@ -2,12 +2,12 @@
 
 The explicit part of the bundled problem obeys dx1/dt = x1^2, so the exact
 escape time from x1(0) = a is 1/a.  Once the norm has grown monotonically
-past the cap, the integrator fits |w| = C (T* - t)^(-alpha) through each
-three consecutive points; when the fits agree it stops, reports the escape
-as *suspected*, and gives T* as the escape time and alpha (1 here) as the
-rate.  From x1(0) = 0.5 the escape falls on the horizon t_max = 2: the
-fitted T* lies past it by less than the fit tolerance, so that run is
-called by the fit too.
+past the cap (|w| = 100 by default), the integrator fits
+|w| = C (T* - t)^(-alpha) through each three consecutive points; when the
+fits agree it stops, reports the escape as *suspected*, and gives T* as the
+escape time and alpha (1 here) as the rate.  From x1(0) = 0.5 the escape
+falls on the horizon t_max = 2: the fitted T* lies past it by less than the
+fit tolerance, so that run is called by the fit too.
 """
 
 import numpy as np
@@ -33,7 +33,8 @@ for a in (0.5, 1.0, 2.0):
           f"{abs(est - exact) / exact:9.1e} "
           f"{rate:>9} {traj.stats['accepted']:6d}")
 
-print("\nfinal recorded norms (growth up to the cap):")
+print("\nfinal recorded norms (growth just past the cap, where the fits "
+      "agree):")
 tail = traj.w_states[-4:]
 for w in tail:
     print(f"  |w| = {np.linalg.norm(w):.3e}")

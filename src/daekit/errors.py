@@ -66,11 +66,8 @@ class NoConvergence(DaekitError):
 
     def __init__(self, iters: int, last_residual: float, label: str = ""):
         tag = f" [{label}]" if label else ""
-        # the fixed trailing ", contraction estimate None" keeps the text of
-        # the CLI's termination records stable
-        super().__init__(
-            f"no convergence{tag} after {iters} iterations, "
-            f"residual {last_residual:.3e}, contraction estimate None")
+        super().__init__(f"no convergence{tag} after {iters} iterations, "
+                         f"residual {last_residual:.3e}")
         self.iters = iters
         self.last_residual = last_residual
         self.label = label

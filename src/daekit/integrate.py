@@ -38,7 +38,7 @@ class IntegrationOptions:
     atol: float = 1e-10
     h_min: float = 1e-10
     h_max: float | None = None
-    blowup_norm_cap: float = 1e6
+    blowup_norm_cap: float = 1e2
     blowup_window: int = 5
 
     def __post_init__(self):

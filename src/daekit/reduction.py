@@ -193,7 +193,9 @@ class _Reduced:
         explicit components of the guess are kept and the algebraic ones
         solved for, on the per-run state (a fresh one if None), which a run
         then starts from.  A guess entry above TOL.state_max, which the
-        step loop could not step, or a start off L0 raises."""
+        step loop could not step, or a start off L0 raises; for a field
+        that declares a structure, a start off L0 first runs
+        check_structure, so a mis-declared structure_tag is named."""
         x_guess = np.asarray(x_guess, dtype=float)
         if not np.abs(x_guess).max() <= TOL.state_max:
             raise DaekitError("initial guess entries must be finite and at "
@@ -204,6 +206,8 @@ class _Reduced:
         self._field(t0, x0, state, state.warm.get("kernel_level"))
         res = self.residual_L0(t0, x0, state)
         if res > TOL.cons:
+            if self.dae.structured:
+                check_structure(self.dae)
             raise InconsistentInitialValue(res, TOL.cons)
         return x0
 

@@ -97,9 +97,12 @@ def test_simulate_blowup(tmp_path, capsys):
 
 
 def test_simulate_escape_at_the_floor_reports_no_rate(tmp_path, capsys):
-    # x1' = x1^3 reaches the step floor before its norm passes the cap
-    assert run(["simulate", "index1_cubic_blowup", "--out", str(tmp_path)]) \
-        == 0
+    # under a cap of 1e6 set by the problem file, x1' = x1^3 reaches the
+    # step floor before its norm passes the cap
+    path = tmp_path / "index1_cubic_blowup.json"
+    path.write_text(json.dumps(edited_builtin(
+        "index1_cubic_blowup", ("integration", "blowup_norm_cap"), 1e6)))
+    assert run(["simulate", str(path), "--out", str(tmp_path)]) == 0
     assert "blowup_suspected (escape estimate 0.5)," \
         in capsys.readouterr().out
     term = json.loads(

@@ -10,6 +10,7 @@ from daekit import (ImplicitProblem, InconsistentInitialValue, JacobianCache,
                     reduce_first, solve_newton)
 from daekit._linalg import norm2
 from daekit.problems import load_builtin
+from test_reduction import misdeclared_index2
 
 
 def bisect_root(fun, lo, hi, tol=1e-12):
@@ -323,12 +324,10 @@ def test_consistent_initialize_cascade_levels():
 
 
 def test_consistent_point_off_the_manifold_raises():
-    # index3_chain's pair with the index-2 field: the guess keeps x1 and the
-    # levels cannot bring the start onto L0
-    from daekit.problems import FIELD_REGISTRY, make_dae
-    pb = load_builtin("index3_chain")
-    dae = make_dae(pb.dae.pencil.a, pb.dae.pencil.b,
-                   FIELD_REGISTRY["structured_index2"]({}))
+    # a dependence of the chain row on x1 below the structure check's
+    # tolerance: the check passes, and the levels cannot bring the start
+    # onto L0
+    dae, pb = misdeclared_index2(1e-8, 0)
     with pytest.raises(InconsistentInitialValue) as err:
         reduce_first(dae).consistent_point(0.0, pb.x_guess)
     assert err.value.residual > err.value.tol

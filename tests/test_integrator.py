@@ -12,6 +12,7 @@ from daekit import (InconsistentInitialValue, IntegrationOptions,
 from daekit.integrate import _rate_fit
 from daekit.problems import (_FIXTURES, load_builtin, make_dae,
                              reference_solution)
+from test_reduction import misdeclared_index2
 
 
 def test_linear_index2_matches_closed_form():
@@ -260,12 +261,18 @@ def _bundled(name):
     return pb.dae, pb.x_guess, pb.options
 
 
+def _floor_cubic():
+    pb = load_builtin("index1_cubic_blowup")
+    return (pb.dae, pb.x_guess,
+            dataclasses.replace(pb.options, blowup_norm_cap=1e6))
+
+
 _ENDINGS = {
     "reached_tmax": (lambda: _bundled("index1_stable"), "reached_tmax"),
     "escape by rate fit": (lambda: _bundled("index1_blowup"),
                            "blowup_suspected"),
-    "escape at the floor": (lambda: _bundled("index1_cubic_blowup"),
-                            "blowup_suspected"),
+    # under a cap of 1e6 x1' = x1^3 reaches the floor before the cap
+    "escape at the floor": (_floor_cubic, "blowup_suspected"),
     # ends on a step that overflows at the floor, which is no accepted point
     "overflow": (lambda: (load_builtin("ode_scalar_quadratic").dae,
                           np.array([1.0]),
@@ -290,7 +297,8 @@ def test_trajectory_arrays_hold_one_row_per_accepted_point(ending, approach):
 
 
 # accepted steps and relative escape-time error of each bundled escape
-# when the floor rule alone ended it
+# ended by the floor rule with no rate fit: the rate fit must take fewer
+# steps at no larger error
 _FLOOR_ONLY = {"index1_blowup": (345, 2.65e-10),
                "ode_scalar_quadratic": (374, 8.2e-11),
                "index1_cubic_blowup": (215, 4.1e-9)}
@@ -307,8 +315,8 @@ def _certified_rate(name):
 @pytest.mark.parametrize("approach", ["first", "cascade"])
 @pytest.mark.parametrize("name", list(_FLOOR_ONLY))
 def test_bundled_escapes(name, approach):
-    # x1' = x1^p from x1(0) = 1 escapes at 1 / (p - 1); the quadratic ones
-    # end by the rate fit, the cubic one reaches the floor before the cap
+    # x1' = x1^p from x1(0) = 1 escapes at 1 / (p - 1); each ends by
+    # the rate fit past the cap, well before the floor
     pb = load_builtin(name)
     traj = _integrate(pb.dae, pb.x_guess, pb.options, approach)
     term = traj.termination
@@ -316,15 +324,9 @@ def test_bundled_escapes(name, approach):
     accepted, err = _FLOOR_ONLY[name]
     exact = 0.5 if name == "index1_cubic_blowup" else 1.0
     assert abs(term.t_escape_estimate - exact) <= 1.01 * err * exact
-    if name == "index1_cubic_blowup":
-        assert term.blowup_rate is None
-        # the last step was taken at the floor
-        step = traj.times[-1] - traj.times[-2]
-        assert step <= 1.01 * pb.options.h_min
-    else:
-        assert abs(term.blowup_rate - _certified_rate(name)) <= 1e-3
-        assert traj.stats["accepted"] <= 0.7 * accepted
-        assert term.final_norm > pb.options.blowup_norm_cap
+    assert abs(term.blowup_rate - _certified_rate(name)) <= 1e-3
+    assert traj.stats["accepted"] <= 0.7 * accepted
+    assert term.final_norm > pb.options.blowup_norm_cap
 
 
 def test_escape_on_the_horizon_is_called_by_the_fit():
@@ -342,17 +344,66 @@ def test_escape_on_the_horizon_is_called_by_the_fit():
     assert traj.times.size <= 260
 
 
-def _exponential(t_max):
-    """x' = x from x(0) = 1: past the cap at t = log(1e6) and no escape."""
-    fld = NonlinearField(eval=lambda t, x: np.array(x, dtype=float))
-    return (make_dae(np.eye(1), np.zeros((1, 1)), fld), np.ones(1),
+def _scalar(f, x0, t_max):
+    """x' = f(t, x) from x(0) = x0, as the pair A = I, B = 0 of size 1."""
+    fld = NonlinearField(eval=lambda t, x: np.array([f(t, x[0])]))
+    return (make_dae(np.eye(1), np.zeros((1, 1)), fld), np.array([x0]),
             IntegrationOptions(t_max=t_max))
 
 
 def test_exponential_growth_past_the_cap_is_no_escape():
-    traj = _integrate(*_exponential(40.0), "first")
+    # x' = x from x(0) = 1 passes the cap at t = log(1e2)
+    traj = _integrate(*_scalar(lambda t, x: x, 1.0, 40.0), "first")
     assert traj.termination.kind == "reached_tmax"
     assert traj.w_states[-1][0] > 1e17
+
+
+# more growth past the default cap that is no escape: polynomial in t;
+# logistic, bounded by K; quadratic and bounded by K, run to just past the
+# escape time 1 of x' = x^2; quadratic with an oscillating or a decaying
+# coefficient (1/x = 2 - sin t and 1/x = 1/x0 - t/(1+t))
+_NO_ESCAPE = {
+    "6x/(1+t)": (lambda t, x: 6.0 * x / (1.0 + t), 1.0, 1000.0),
+    "20x/(1+t)": (lambda t, x: 20.0 * x / (1.0 + t), 1.0, 100.0),
+    **{f"x(1-x/{k:g})": (lambda t, x, k=k: x * (1.0 - x / k), 1.0, 60.0)
+       for k in (1e3, 1e6, 1e9)},
+    **{f"x^2(1-x/{k:g})": (lambda t, x, k=k: x * x * (1.0 - x / k), 1.0,
+                           1.0 + 10.0 / k)
+       for k in (10.0, 1e3, 1e6)},
+    "x^2 cos t": (lambda t, x: x * x * np.cos(t), 0.5, 30.0),
+    **{f"x^2/(1+t)^2 from {x0}": (lambda t, x: x * x / (1.0 + t) ** 2, x0,
+                                  1e4)
+       for x0 in (0.5, 0.999)},
+}
+
+
+@pytest.mark.parametrize("law", list(_NO_ESCAPE))
+def test_bounded_or_slow_growth_is_no_escape(law):
+    traj = _integrate(*_scalar(*_NO_ESCAPE[law]), "first")
+    assert traj.termination.kind == "reached_tmax"
+
+
+# finite-time escapes from x(0) = x0: (f, x0, t_max, T*, alpha of the rate
+# fit, or None where the run ends at the floor)
+_ESCAPES = {
+    "x^2": (lambda t, x: x * x, 1.0, 2.0, 1.0, 1.0),
+    "x^1.1": (lambda t, x: abs(x) ** 1.1, 1.0, 20.0, 10.0, 10.0),
+    "x^2+1": (lambda t, x: x * x + 1.0, 1.0, 2.0, np.pi / 4, 1.0),
+    # x = -log(1 - t) is no power law; a step overflows at the floor
+    "e^x": (lambda t, x: np.exp(x), 0.0, 2.0, 1.0, None),
+}
+
+
+@pytest.mark.parametrize("law", list(_ESCAPES))
+def test_finite_time_escape_is_called(law):
+    f, x0, t_max, t_escape, alpha = _ESCAPES[law]
+    term = _integrate(*_scalar(f, x0, t_max), "first").termination
+    assert term.kind == "blowup_suspected"
+    assert abs(term.t_escape_estimate - t_escape) <= 1e-6 * t_escape
+    if alpha is None:
+        assert term.blowup_rate is None
+    else:
+        assert abs(term.blowup_rate - alpha) <= 1e-3 * alpha
 
 
 def test_fitted_escape_after_the_horizon_is_not_called():
@@ -444,12 +495,10 @@ def _route(dae, approach):
 
 @pytest.mark.parametrize("approach", ["first", "cascade"])
 def test_inconsistent_initial_value_raises(approach):
-    # index3_chain's pair with the index-2 field: the projection keeps x1
-    # and the levels cannot bring the start onto L0
-    from daekit.problems import FIELD_REGISTRY
-    pb = load_builtin("index3_chain")
-    dae = make_dae(pb.dae.pencil.a, pb.dae.pencil.b,
-                   FIELD_REGISTRY["structured_index2"]({}))
+    # a dependence of the chain row on x1 below the structure check's
+    # tolerance: the check passes, and the levels cannot bring the start
+    # onto L0
+    dae, pb = misdeclared_index2(1e-8, 0)
     red, integrate = _route(dae, approach)
     with pytest.raises(InconsistentInitialValue) as err:
         integrate(red, 0.0, pb.x_guess, pb.options)
@@ -546,14 +595,16 @@ def test_overflow_is_classified_as_escape():
 
 
 def test_overflow_escape_estimate_reads_accepted_points():
-    # x1' = x1^3 escapes at 1 / (2 x1(0)^2); from this start a step leaves
-    # the representable range at the floor
+    # x1' = x1^3 escapes at 1 / (2 x1(0)^2); from this start, under a cap
+    # of 1e6, a step leaves the representable range at the floor (the
+    # default cap lets the rate fit end the run first)
     pb = load_builtin("index1_cubic_blowup")
     red = reduce_first(pb.dae)
     x1_init = 0.8541666666666666
     x0 = red.consistent_point(0.0, np.array([x1_init, 0.0]))
+    opts = dataclasses.replace(pb.options, blowup_norm_cap=1e6)
     term = _ends_on_the_last_accepted_point(
-        integrate_first(red, 0.0, x0, pb.options))
+        integrate_first(red, 0.0, x0, opts))
     exact = 1.0 / (2.0 * x1_init ** 2)
     assert abs(term.t_escape_estimate - exact) <= 1e-8 * exact
 

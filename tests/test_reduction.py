@@ -102,21 +102,40 @@ def test_check_structure_passes_by_construction():
     assert report.worst_dependence <= 1e-7
 
 
-def test_check_structure_detects_injected_dependence():
+def misdeclared_index2(coef, j):
+    """index2_structured with coef * x_j added to its chain row (field row
+    2), still declared structured: for j = 0, 1 or 3 the row reads a slice
+    that the declared structure excludes."""
     pb = load_builtin("index2_structured")
     base = pb.dae.field.eval
 
     def tampered(t, x):
         out = base(t, x)
-        out[2] += 0.1 * x[0]  # chain row now depends on the explicit part
+        out[2] += coef * x[j]
         return out
 
     fld = NonlinearField(eval=tampered,
                          structure_tag=StructureTag.STRUCTURED)
-    dae = make_dae(pb.dae.pencil.a, pb.dae.pencil.b, fld)
+    return make_dae(pb.dae.pencil.a, pb.dae.pencil.b, fld), pb
+
+
+def test_check_structure_detects_injected_dependence():
+    # the chain row now depends on the explicit part
+    dae, _ = misdeclared_index2(0.1, 0)
     with pytest.raises(StructureViolation) as err:
         check_structure(dae)
     assert err.value.dependence > 1e-3
+
+
+@pytest.mark.parametrize("approach", ["first", "cascade"])
+@pytest.mark.parametrize("j", [0, 1, 3])
+def test_start_off_L0_names_a_misdeclared_structure(j, approach):
+    # the start fails on L0, and the structure check says why
+    dae, pb = misdeclared_index2(0.3, j)
+    red = reduce_first(dae) if approach == "first" \
+        else reduce_cascade(dae, waive_structure_check=True)
+    with pytest.raises(StructureViolation, match="^projection chain_rows"):
+        red.consistent_point(0.0, pb.x_guess)
 
 
 def test_check_structure_vacuous_for_index_one():
