@@ -33,5 +33,5 @@ from .certificates import (CertificateReport, ComparisonSpec,
                            check_lagrange_stability, monitor_comparison,
                            probe_integral)
 from .problems import (FIELD_REGISTRY, LoadedProblem, WeierstrassSample,
-                       builtin, builtin_names, load_builtin, load_problem,
+                       builtin_names, load_builtin, load_problem,
                        make_dae, random_weierstrass, reference_solution)

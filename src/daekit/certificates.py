@@ -87,9 +87,6 @@ class LyapunovSpec:
     def value(self, w) -> float:
         return self._extremum(w)[0]
 
-    def active_index(self, w) -> int:
-        return self._extremum(w)[1]
-
     def validate(self, points) -> float:
         """Check nonnegativity and gradient-vs-finite-difference agreement."""
         for k, comp in enumerate(self.components):

@@ -1,8 +1,10 @@
 """Projector family and auxiliary operators built from the chain systems.
 
-Everything is assembled as explicit matrices by outer-product sums of chain
-and dual vectors; every defining identity is verified numerically, once,
-before a set is returned.
+Each P2- and Q2-side projector, the correction of A and the semi-inverse
+of B P2 is one outer product of selected chain columns Phi and dual columns
+Q; P1, Q1 and the semi-inverse of A follow by complement and inversion.
+Every defining identity is verified numerically, once, before a set is
+returned.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class ProjectorSet:
     """All projectors plus the invertible correction and semi-inverses.
 
     Lists indexed by adjoined-vector order s run s = 0..nu-1 (or nu-2 for
-    `q2_sigma_s`); `q2s_by_mult[(s, j)]` refines by chain multiplicity j.
+    `q2_sigma_s`).
     """
 
     nu: int
@@ -38,7 +40,6 @@ class ProjectorSet:
     q2: np.ndarray
     p2s: list
     q2s: list
-    q2s_by_mult: dict
     p20: np.ndarray
     p2_sigma: np.ndarray
     q2_star: np.ndarray
@@ -63,9 +64,9 @@ def _outer(cols_left: np.ndarray, cols_right: np.ndarray) -> np.ndarray:
 
 def build_projectors(canonical: CanonicalSystem, dual: DualSystem,
                      pencil: Pencil) -> ProjectorSet:
-    """Assemble the projector family as partial outer-product sums, the
-    invertible correction of A and the semi-inverses, and verify every
-    defining identity once."""
+    """Assemble the projector family, the invertible correction of A and
+    the semi-inverses from the chain columns Phi and dual columns Q, and
+    verify every defining identity once."""
     n_dim = pencil.n_dim
     nu = canonical.nu
     a, b = pencil.a, pencil.b
@@ -74,19 +75,21 @@ def build_projectors(canonical: CanonicalSystem, dual: DualSystem,
     if dual_shape != canonical.multiplicities:
         raise InvariantViolation("chain/dual multiplicity match",
                                  float("inf"), TOL.proj)
-    phi = canonical.matrix()
-    qmat = dual.matrix()
-    dtype = np.result_type(phi.dtype if phi.size else float,
-                           qmat.dtype if qmat.size else float, a.dtype)
+    if canonical.n:
+        phi, qmat = canonical.matrix(), dual.matrix()
+    else:  # index 0: no columns, and every chain operator is zero
+        phi = qmat = np.zeros((n_dim, 0))
+
+    def cols(pred) -> tuple[np.ndarray, np.ndarray]:
+        """The columns of Phi and of Q whose chain length m and level j
+        satisfy pred."""
+        idx = canonical.columns(pred)
+        return phi[:, idx], qmat[:, idx]
 
     def select(pred, side: str) -> np.ndarray:
         """The P-side (side "p") or Q-side ("q") projector onto the chain
         columns whose (m, j) satisfy pred."""
-        idx = canonical.columns(pred)
-        if not idx:
-            return np.zeros((n_dim, n_dim), dtype=dtype)
-        ph = phi[:, idx]
-        qs = qmat[:, idx]
+        ph, qs = cols(pred)
         if side == "p":
             return _outer(ph, b.conj().T @ qs)   # phi <x, B* q> pairing
         return _outer(b @ ph, qs)                # B phi <y, q> pairing
@@ -97,9 +100,6 @@ def build_projectors(canonical: CanonicalSystem, dual: DualSystem,
 
     p2s, q2s = ([select(lambda m, j, s=s: j == s + 1, side)
                  for s in range(nu)] for side in "pq")
-    q2s_by_mult = {(s, mult): select(
-        lambda m, j, s=s, mult=mult: j == s + 1 and m == mult, "q")
-        for s in range(nu) for mult in range(s + 1, nu + 1)}
 
     p20 = select(lambda m, j: j == 1, "p")
     p2_sigma = select(lambda m, j: j >= 2, "p")
@@ -114,18 +114,32 @@ def build_projectors(canonical: CanonicalSystem, dual: DualSystem,
     q2_star_1 = select(lambda m, j: j == m == 1, "q")
     q2_star_2 = select(lambda m, j: j == m and m >= 2, "q")
 
-    a_tilde, a_tilde_inv = _tilde_a(pencil, canonical, dual)
-    z, *_ = np.linalg.lstsq(b @ p2, q2, rcond=None)
+    # The correction of A couples the image of each chain top with the
+    # functional of its chain's kernel coordinate; its inverse is checked
+    # against the closed form  inv (I - q2_star) + Phi_kernel Q_tops^H.
+    phi_tops, q_tops = cols(lambda m, j: j == m)
+    phi_kernel, q_kernel = cols(lambda m, j: j == 1)
+    a_tilde = a + _outer(b @ phi_tops, b.conj().T @ q_kernel)
+    try:
+        a_tilde_inv = np.linalg.inv(a_tilde)
+    except np.linalg.LinAlgError:
+        raise InvariantViolation("a_tilde invertible", float("inf"),
+                                 TOL.proj) from None
+    r = rel_residual(a_tilde_inv, a_tilde_inv @ (eye - q2_star)
+                     + _outer(phi_kernel, q_tops))
+    if not r <= TOL.proj:
+        raise InvariantViolation("a_tilde_inv closed form", r, TOL.proj)
+
     ps = ProjectorSet(
         nu=nu, n=canonical.n, multiplicities=canonical.multiplicities,
-        p1=p1, p2=p2, q1=q1, q2=q2,
-        p2s=p2s, q2s=q2s, q2s_by_mult=q2s_by_mult,
+        p1=p1, p2=p2, q1=q1, q2=q2, p2s=p2s, q2s=q2s,
         p20=p20, p2_sigma=p2_sigma, q2_star=q2_star, q2_sigma=q2_sigma,
         q2_sigma_s=q2_sigma_s,
         p2_sigma_1=p2_sigma_1, p2_sigma_2=p2_sigma_2,
         q2_star_1=q2_star_1, q2_star_2=q2_star_2,
         a_tilde=a_tilde, a_tilde_inv=a_tilde_inv,
-        a_semi_inv=a_tilde_inv @ (q1 + q2_sigma), b2_semi_inv=p2 @ z,
+        a_semi_inv=a_tilde_inv @ (q1 + q2_sigma),
+        b2_semi_inv=_outer(phi, qmat),   # Phi Q^H, the semi-inverse of B P2
         fingerprint=pencil.fingerprint,
     )
     ps.residuals = verify_projectors(ps, pencil)
@@ -134,43 +148,6 @@ def build_projectors(canonical: CanonicalSystem, dual: DualSystem,
     if not worst <= TOL.proj:
         raise InvariantViolation(worst_name, worst, TOL.proj)
     return ps
-
-
-def _tilde_a(pencil: Pencil, canonical: CanonicalSystem,
-             dual: DualSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Invertible correction of A and its inverse.
-
-    The correction adds, for every chain, the rank-one coupling of the
-    kernel-coordinate functional with the image of the chain top. The
-    inverse from direct solution is cross-checked against its closed form.
-    """
-    a, b = pencil.a, pencil.b
-    n_dim = pencil.n_dim
-    corr = np.zeros_like(a, dtype=np.result_type(a.dtype, canonical.matrix().dtype
-                                                 if canonical.n else float))
-    for chain, qs in zip(canonical.chains, dual.chains):
-        top_image = b @ chain.vectors()[-1]
-        kernel_functional = b.conj().T @ qs[0]
-        corr = corr + np.outer(top_image, kernel_functional.conj())
-    a_tilde = a + corr
-    try:
-        a_tilde_inv = np.linalg.inv(a_tilde)
-    except np.linalg.LinAlgError:
-        raise InvariantViolation("a_tilde invertible", float("inf"),
-                                 TOL.proj) from None
-    # closed-form cross check: inv = semi-inverse part + kernel couplings
-    closed = a_tilde_inv.copy()
-    if canonical.n:
-        couple = sum(np.outer(ch.eigenvector, qs[-1].conj())
-                     for ch, qs in zip(canonical.chains, dual.chains))
-        # semi-inverse part reproduces inv on the complement:
-        tops = canonical.columns(lambda m, j: j == m)
-        closed = a_tilde_inv @ (np.eye(n_dim) - _outer(
-            b @ canonical.matrix()[:, tops], dual.matrix()[:, tops])) + couple
-    r = rel_residual(a_tilde_inv, closed)
-    if not r <= TOL.proj:
-        raise InvariantViolation("a_tilde_inv closed form", r, TOL.proj)
-    return a_tilde, a_tilde_inv
 
 
 def build_all(pencil: Pencil):

@@ -202,10 +202,12 @@ class _Reduced:
                               f"most {TOL.state_max:g} in magnitude")
         state = state or self.make_state(x_guess)
         x0 = self._initial_state(t0, x_guess, state)
-        # the kernel solve's field value, recorded under x0
-        self._field(t0, x0, state, state.warm.get("kernel_level"))
-        res = self.residual_L0(t0, x0, state)
-        if res > TOL.cons:
+        # the kernel solve's field value, recorded under x0; a start where
+        # the field overflows leaves a NaN residual, which is off L0 too
+        with np.errstate(all="ignore"):
+            self._field(t0, x0, state, state.warm.get("kernel_level"))
+            res = self.residual_L0(t0, x0, state)
+        if not res <= TOL.cons:
             if self.dae.structured:
                 check_structure(self.dae)
             raise InconsistentInitialValue(res, TOL.cons)
@@ -255,10 +257,6 @@ class _Reduced:
 
         return ImplicitProblem(residual=resid, jac_y=jac)
 
-    def split_norm(self, x) -> float:
-        return (norm2(self.ps.p1 @ x) + norm2(self.ps.p2_sigma @ x)
-                + norm2(self.ps.p20 @ x))
-
     def _field(self, t, x, state, key):
         """f(t, x), taken from the per-run state where its record holds f at
         (t, key), and recorded there under x.
@@ -287,8 +285,9 @@ class _Reduced:
     def residual_L0(self, t, x, state=None) -> float:
         """Constraint distance, scaled by the block norm of the state so the
         measure stays meaningful on trajectories of growing magnitude."""
-        return (norm2(self.f2_star(t, x, state))
-                / max(1.0, self.split_norm(x)))
+        ps = self.ps
+        split = norm2(ps.p1 @ x) + norm2(ps.p2_sigma @ x) + norm2(ps.p20 @ x)
+        return norm2(self.f2_star(t, x, state)) / max(1.0, split)
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +310,6 @@ class ReducedFirst(_Reduced):
         if self.kernel.dim and not self.differentiated:
             self.levels["kernel_level"] = (
                 self.kernel, self._level_problem(self.kernel, self.tops))
-
-    # -- spec callbacks ----------------------------------------------------
-    def pi(self, t, x):
-        """Drift of the differential block, mapped back into the state space."""
-        f = self.dae.field(t, x)
-        return self.ps.a_tilde_inv @ (self.w_projector
-                                      @ (f - self.dae.pencil.b @ x))
 
     # -- algebraic solve -----------------------------------------------------
     def solve_x20(self, t, x12, state: "_CascadeEvaluator | None" = None):

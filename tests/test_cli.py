@@ -15,7 +15,8 @@ from daekit.cli import run
 from hypothesis import given, settings
 
 from daekit.problems import LoadedProblem, load_builtin
-from test_problems import _VALID_DOCUMENTS, BAD_INPUTS, edited_builtin
+from test_problems import (_VALID_DOCUMENTS, BAD_INPUTS, NAN_START,
+                           edited_builtin)
 
 
 def test_analyze_bundled(tmp_path, capsys):
@@ -445,6 +446,16 @@ def test_bad_initial_guess_exit_two(tmp_path, capsys, command, x_guess,
     path.write_text(raw.replace('"GUESS"', x_guess))
     assert run([command, str(path), "--out", str(tmp_path)]) == 2
     assert f"SchemaError: {pointer}:" in capsys.readouterr().err
+
+
+def test_nan_start_residual_exit_two(tmp_path, capsys):
+    path = tmp_path / "nan_start.json"
+    path.write_text(json.dumps(NAN_START))
+    assert run(["simulate", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: InconsistentInitialValue: initial point off the constraint "
+        "manifold: residual nan > 1.000e-10"]
+    assert not list(tmp_path.glob("*trajectory*"))
 
 
 def _must_not_integrate(*args):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
-from daekit import (DaekitError, SchemaError, UnknownRegistryId, builtin,
+from daekit import (DaekitError, SchemaError, UnknownRegistryId,
                     builtin_names, compute_index, load_builtin, load_problem)
 from daekit.implicit import _fd_mismatch
 from daekit.problems import (PROBLEM_SCHEMA, _checked, _walk,
@@ -20,13 +20,20 @@ EXPECTED_BUILTINS = {
     "failing_constraint",
 }
 
+# f = 1/x with the guess 0: the field divides by zero at the start, and with
+# B = 0 the constraint residual 0 * inf is NaN
+NAN_START = {"name": "sp", "A": [[1.0]], "B": [[0.0]],
+             "field": {"registry_id": "scalar_power",
+                       "params": {"exponent": -1.0}},
+             "initial": {"x_guess": [0.0]}}
+
 
 def test_builtin_registry():
     assert EXPECTED_BUILTINS <= set(builtin_names())
-    dae = builtin("index1_blowup")
+    dae = load_builtin("index1_blowup").dae
     assert dae.projectors.nu == 1
     with pytest.raises(UnknownRegistryId):
-        builtin("no_such_problem")
+        load_builtin("no_such_problem")
 
 
 def test_bundled_indices():
@@ -34,7 +41,16 @@ def test_bundled_indices():
                 "index2_nilpotent_linear": 2, "index2_structured": 2,
                 "index3_chain": 3}
     for name, nu in expected.items():
-        assert builtin(name).projectors.nu == nu
+        assert load_builtin(name).dae.projectors.nu == nu
+
+
+def test_field_shape_probe_is_quiet():
+    # loading evaluates f(t0, x_guess) only for its shape; a guess where
+    # the field overflows or divides by zero loads without a warning
+    overflowing = dict(load_builtin("index1_blowup").raw,
+                       initial={"x_guess": [1e200, 0.0]})
+    for data in (overflowing, NAN_START):
+        assert load_problem_dict(data).x_guess.size == len(data["A"])
 
 
 def test_load_problem_roundtrip(tmp_path):

@@ -8,8 +8,9 @@ import daekit.projectors
 from daekit import (InvariantViolation, Pencil, build_chains,
                     build_dual_chains, build_projectors, verify_projectors)
 from daekit._linalg import rel_residual, subspace_gap
+from daekit.config import DEFAULT_TOLERANCES as TOL
 from daekit.pencil import DualSystem
-from daekit.problems import load_problem_dict
+from daekit.problems import load_problem_dict, random_weierstrass
 from daekit.projectors import build_all
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -70,13 +71,61 @@ def test_semi_inverses_examples():
                                ps.p1 + ps.p2_sigma, atol=1e-12)
 
 
+def least_squares_b2_semi_inv(ps, pencil):
+    """The semi-inverse of B P2 by a least-squares solve: P2 Z with Z the
+    minimum-norm solution of (B P2) Z = Q2."""
+    z, *_ = np.linalg.lstsq(pencil.b @ ps.p2, ps.q2, rcond=None)
+    return ps.p2 @ z
+
+
+def rank_one_a_tilde(pencil, canonical, dual):
+    """A plus, chain by chain, the image of the chain top coupled with the
+    functional of the chain's kernel coordinate."""
+    a, b = pencil.a, pencil.b
+    return a + sum((np.outer(b @ chain.vectors()[-1],
+                             (b.conj().T @ qs[0]).conj())
+                    for chain, qs in zip(canonical.chains, dual.chains)),
+                   np.zeros_like(a))
+
+
+def benchmark_shaped_pairs():
+    """Pairs of the pair-analysis benchmark's shapes: N = 32, 64 and 128 and
+    index 1 to 6, with chains of length `index` and one shorter chain for
+    the remainder filling a quarter of N."""
+    shapes = [(n_dim, index) for n_dim in (32, 64, 128)
+              for index in range(1, 7)]
+    for seed, (n_dim, index) in enumerate(shapes, start=2000):
+        count, rest = divmod(n_dim // 4, index)
+        yield random_weierstrass(seed, n_dim,
+                                 [index] * count + ([rest] if rest else []))
+
+
 def test_b2_semi_inverse_closed_form(analyzed_corpus):
-    # the least-squares construction must coincide with  Phi Q^H
-    for ws, canonical, dual, ps in analyzed_corpus[:15]:
-        if canonical.n == 0:
-            continue
-        closed = canonical.matrix() @ dual.matrix().conj().T
-        np.testing.assert_allclose(ps.b2_semi_inv, closed, atol=1e-9)
+    # Phi Q^H is the least-squares semi-inverse of B P2
+    for ws, _c, _d, ps in analyzed_corpus:
+        np.testing.assert_allclose(
+            ps.b2_semi_inv, least_squares_b2_semi_inv(ps, ws.pencil),
+            atol=1e-9)
+
+
+def test_a_tilde_is_the_rank_one_sum_over_chains(analyzed_corpus):
+    for ws, canonical, dual, ps in analyzed_corpus:
+        np.testing.assert_allclose(
+            ps.a_tilde, rank_one_a_tilde(ws.pencil, canonical, dual),
+            atol=1e-9)
+
+
+def test_outer_products_at_benchmark_shapes():
+    for ws in benchmark_shaped_pairs():
+        canonical, dual, ps = build_all(ws.pencil)
+        assert ps.nu == ws.index
+        assert max(ps.residuals.values()) <= TOL.proj
+        np.testing.assert_allclose(
+            ps.b2_semi_inv, least_squares_b2_semi_inv(ps, ws.pencil),
+            atol=1e-9)
+        np.testing.assert_allclose(
+            ps.a_tilde, rank_one_a_tilde(ws.pencil, canonical, dual),
+            atol=1e-9)
 
 
 def test_identity_suite_on_corpus(analyzed_corpus):
@@ -99,9 +148,6 @@ def test_partial_sum_identities(analyzed_corpus):
         if ps.q2_sigma_s:
             np.testing.assert_allclose(sum(ps.q2_sigma_s), ps.q2_sigma,
                                        atol=1e-10)
-        for s, mat in enumerate(ps.q2s):
-            got = sum(ps.q2s_by_mult[(s, j)] for j in range(s + 1, ps.nu + 1))
-            np.testing.assert_allclose(got, mat, atol=1e-10)
 
 
 def test_inconsistent_inputs_raise():

@@ -4,13 +4,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from daekit import (ConstraintSolveFailure, IntegrationOptions,
-                    NoConvergence, NonlinearField, StructureTag,
-                    StructureViolation, check_structure, integrate_cascade,
-                    integrate_first, reduce_cascade, reduce_first)
+from daekit import (ConstraintSolveFailure, InconsistentInitialValue,
+                    IntegrationOptions, NoConvergence, NonlinearField,
+                    StructureTag, StructureViolation, check_structure,
+                    integrate_cascade, integrate_first, reduce_cascade,
+                    reduce_first)
 from daekit import reduction
-from daekit.problems import load_builtin, make_dae, random_weierstrass
+from daekit.problems import (load_builtin, load_problem_dict, make_dae,
+                             random_weierstrass)
 from daekit.reduction import ReducedCascade, _CascadeEvaluator, _Reduced
+from test_problems import NAN_START
 
 
 def quad_lag_dae():
@@ -22,10 +25,18 @@ def quad_lag_dae():
     return make_dae(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), fld)
 
 
+def semi_inverse_drift(dae, t, x):
+    """The drift of the differential block in the state space: the
+    semi-inverse of A applied to f(t, x) - B x."""
+    return dae.projectors.a_semi_inv @ (dae.field(t, x) - dae.pencil.b @ x)
+
+
 def test_reduce_first_index1_split():
-    red = reduce_first(quad_lag_dae())
+    dae = quad_lag_dae()
+    red = reduce_first(dae)
     x = np.array([1.3, 0.4])
-    np.testing.assert_allclose(red.pi(0.7, x), [1.3 ** 2, 0.0], atol=1e-12)
+    np.testing.assert_allclose(semi_inverse_drift(dae, 0.7, x),
+                               [1.3 ** 2, 0.0], atol=1e-12)
     f2 = red.f2_star(0.7, red.ps.p1 @ x + red.ps.p20 @ x)
     np.testing.assert_allclose(f2, [0.0, np.sin(0.7) + 1.3 - 0.4], atol=1e-12)
 
@@ -35,14 +46,18 @@ def test_reduce_first_linear_forcing_formula():
     q_of_t = lambda t: np.array([np.sin(t), np.cos(t)])
     fld = NonlinearField(eval=lambda t, x: q_of_t(t))
     dae = make_dae(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), fld)
-    red = reduce_first(dae)
     ps = dae.projectors
     for _ in range(5):
         t = float(rng.uniform(0, 3))
         x = rng.standard_normal(2)
         expect = ps.a_tilde_inv @ ((ps.q1 + ps.q2_sigma)
                                    @ (q_of_t(t) - dae.pencil.b @ x))
-        np.testing.assert_allclose(red.pi(t, x), expect, atol=1e-12)
+        np.testing.assert_allclose(semi_inverse_drift(dae, t, x), expect,
+                                   atol=1e-12)
+        # the first row reads x2' = sin t - x1; the kernel direction
+        # (the first coordinate) has no drift
+        np.testing.assert_allclose(expect, [0.0, np.sin(t) - x[0]],
+                                   atol=1e-12)
 
 
 def test_reduce_first_zero_field_constraint():
@@ -62,8 +77,8 @@ def test_reduce_first_index0_is_explicit():
     assert red.n == 0
     assert red.residual_L0(0.0, np.array([1.0, 1.0])) == 0.0
     x = np.array([2.0, -1.0])
-    np.testing.assert_allclose(red.pi(0.0, x), -np.diag([1.0, 2.0]) @ x,
-                               atol=1e-12)
+    np.testing.assert_allclose(semi_inverse_drift(dae, 0.0, x),
+                               -np.diag([1.0, 2.0]) @ x, atol=1e-12)
 
 
 def test_residual_L0_examples():
@@ -90,7 +105,8 @@ def test_recombination_identity():
             t = float(rng.uniform(0, 2))
             x = rng.standard_normal(dae.pencil.n_dim)
             full = dae.field(t, x) - dae.pencil.b @ x
-            pieces = ps.a_tilde @ red.pi(t, x) + red.f2_star(t, x)
+            pieces = (ps.a_tilde @ semi_inverse_drift(dae, t, x)
+                      + red.f2_star(t, x))
             assert np.abs(pieces - full).max() <= 1e-12 * max(
                 1.0, float(np.abs(full).max()))
 
@@ -204,7 +220,9 @@ def test_cascade_index3_hand_solution():
 
 
 def test_cascade_semi_inverse_equivalence():
-    # at solved points the level equation agrees with its semi-inverse form
+    # at solved points the level equation agrees with its semi-inverse form;
+    # at index 2 every order-1 vector tops a chain of length 2, so q2s[1]
+    # is the projector onto those chain tops
     pb = load_builtin("index2_structured")
     dae = pb.dae
     rc = reduce_cascade(dae, waive_structure_check=True)
@@ -214,7 +232,7 @@ def test_cascade_semi_inverse_equivalence():
         vals = ev.chain_values(t)["values"]
         x21 = rc.chain_blocks[1].lift(vals[1])
         arg = x21
-        rhs = b2 @ (dae.projectors.q2s_by_mult[(1, 2)] @ dae.field(t, arg))
+        rhs = b2 @ (dae.projectors.q2s[1] @ dae.field(t, arg))
         assert np.abs(x21 - rhs).max() <= 1e-10
 
 
@@ -497,3 +515,13 @@ def test_kept_factors_follow_a_varying_chain_jacobian(monkeypatch):
         assert np.abs(kept[a].states[-1] - cold.states[-1]).max() <= 1e-10
     gap = np.abs(kept["first"].states[-1] - kept["cascade"].states[-1]).max()
     assert gap <= 1e-7
+
+
+def test_nan_start_residual_is_off_the_manifold():
+    # NaN fails every comparison, so a start must pass `res <= tol`, not
+    # merely fail `res > tol`; the field's warnings at the start are muted
+    pb = load_problem_dict(NAN_START)
+    with pytest.raises(InconsistentInitialValue) as info:
+        integrate_first(reduce_first(pb.dae), pb.options.t0, pb.x_guess,
+                        pb.options)
+    assert np.isnan(info.value.residual)
