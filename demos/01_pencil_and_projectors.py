@@ -20,15 +20,20 @@ lam = pencil.regular_point()
 print(f"regular point lambda* = {lam}  (lam*A + B is invertible)")
 print(f"index nu = {compute_index(pencil)}  (double pole of the resolvent)")
 
+# the chains are one table: a column of Phi per chain vector, labelled by
+# its chain's length m and its level j (j = 1 is the eigenvector)
 canonical = build_chains(pencil)
+phi, labels = canonical.phi, canonical.labels
 print(f"\nkernel dimension n = {canonical.n}, "
       f"chain multiplicities = {canonical.multiplicities}")
-for k, chain in enumerate(canonical.chains):
-    print(f"chain {k}: eigenvector {chain.eigenvector}, "
-          f"adjoined {[v.tolist() for v in chain.adjoined]}")
+for k, first in enumerate(canonical.columns(lambda m, j: j == 1)):
+    m = labels[first][0]
+    print(f"chain {k}: eigenvector {phi[:, first]}, "
+          f"adjoined {phi[:, first + 1:first + m].T.tolist()}")
 
+# the dual chains: column k of Q is the dual of column k of Phi
 dual = build_dual_chains(pencil, canonical)
-print("dual chain:", [q.tolist() for q in dual.chains[0]])
+print("dual chain:", dual.q[:, :canonical.multiplicities[0]].T.tolist())
 
 canonical, dual, ps = build_all(pencil)
 print("\nP2 (root-space projector):\n", ps.p2)

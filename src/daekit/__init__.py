@@ -12,7 +12,7 @@ from .errors import (BiorthogonalizationFailure, ChainExtensionFailure,
                      NoConvergence, RankAmbiguity, SamplingFailure,
                      SchemaError, SingularJacobian, SingularPencil,
                      StructureViolation, UnknownRegistryId)
-from .pencil import (CanonicalSystem, Chain, DualSystem, Pencil,
+from .pencil import (CanonicalSystem, DualSystem, Pencil,
                      analysis_report, build_chains, build_dual_chains,
                      chain_residuals, compute_index, dual_residuals,
                      find_regular_point)

@@ -276,7 +276,11 @@ def _draw_direction(rng, adapter: _DriftAdapter):
 def _draw_samples(adapter: _DriftAdapter, comp: ComparisonSpec, seed: int,
                   region: Callable | None):
     """(t, w, drift) triples: the grid first, then a seeded random fill up
-    to _N_SAMPLES, keeping points inside `region` when one is given."""
+    to _N_SAMPLES, keeping points inside `region` when one is given.  A
+    reduced space of dimension 0 has no state to draw."""
+    if adapter.basis.shape[1] == 0:
+        raise SamplingFailure(
+            "the reduced space has dimension 0: there is no state to sample")
     rng = np.random.default_rng(seed)
     want = _N_SAMPLES
     out = []
@@ -473,7 +477,9 @@ def monitor_comparison(trajectory: Trajectory, lyap: LyapunovSpec,
 
     direction "ge": V(t2) - V(t1) >= integral is expected; "le" the reverse.
     Also reports how long the reduced state stayed inside the declared
-    region, when one is present.
+    region, when one is present.  A one-point trajectory has no
+    subinterval: both margins are then 0.0, and the region fields are
+    those of its one point.
     """
     ts = trajectory.times
     ws = trajectory.w_states
@@ -484,13 +490,14 @@ def monitor_comparison(trajectory: Trajectory, lyap: LyapunovSpec,
     d = vs - cum
     if direction == "ge":
         # want D nondecreasing: compare each point with the largest earlier D
-        run_extreme = np.maximum.accumulate(d)
-        worst = float(np.min(d[1:] - run_extreme[:-1]))
+        gaps = d[1:] - np.maximum.accumulate(d)[:-1]
+        worst_gap = np.min
     elif direction == "le":
-        run_extreme = np.minimum.accumulate(d)
-        worst = float(np.max(d[1:] - run_extreme[:-1]))
+        gaps = d[1:] - np.minimum.accumulate(d)[:-1]
+        worst_gap = np.max
     else:
         raise ValueError("direction must be 'ge' or 'le'")
+    worst = float(worst_gap(gaps)) if gaps.size else 0.0
     scale = 1.0 + float(np.max(np.abs(vs))) + float(np.max(np.abs(cum)))
     in_frac = None
     first_exit = None

@@ -24,7 +24,7 @@ from .errors import (BiorthogonalizationFailure, ChainExtensionFailure,
                      SingularPencil)
 
 __all__ = [
-    "Pencil", "Chain", "CanonicalSystem", "DualSystem",
+    "Pencil", "CanonicalSystem", "DualSystem",
     "find_regular_point", "compute_index", "build_chains",
     "build_dual_chains", "chain_residuals", "dual_residuals",
     "analysis_report",
@@ -76,68 +76,53 @@ class Pencil:
 
 
 @dataclass(frozen=True)
-class Chain:
-    """One root-vector chain: eigenvector plus its adjoined vectors."""
-
-    eigenvector: np.ndarray
-    adjoined: tuple
-    multiplicity: int
-
-    def vectors(self) -> list[np.ndarray]:
-        return [self.eigenvector, *self.adjoined]
-
-
-@dataclass(frozen=True)
 class CanonicalSystem:
-    """Root-vector chains of the pair, longest first, and a basis of the
-    finite deflating subspace range(G^nu).
+    """The root-vector chains of the pair as one table of columns, and a
+    basis of the finite deflating subspace range(G^nu).
 
-    `finite` is the orthonormal basis from the SVD of G^nu, N x (N - d)
-    for d chain vectors: the identity for index 0. range(G^nu) does not
-    depend on the shift lambda of G. `residuals` is what `chain_residuals`
-    returns for the chains, kept by `build_chains` from its final check.
+    `phi` holds every chain vector as a column, N x d, chain-major with the
+    longest chains first; `labels[k]` is the (chain length m, level j) of
+    column k, level 1 being the eigenvector. At index 0 `phi` is N x 0.
+    `finite` is the orthonormal basis from the SVD of G^nu, N x (N - d):
+    the identity for index 0. range(G^nu) does not depend on the shift
+    lambda of G. `residuals` is what `chain_residuals` returns for the
+    chains, kept by `build_chains` from its final check.
     """
 
-    chains: tuple
-    n: int
-    nu: int
+    phi: np.ndarray
+    labels: tuple
     finite: np.ndarray
     residuals: dict | None = None
 
-    def pairs(self):
-        """Column labels (chain index, level j starting at 1)."""
-        return [(i, j + 1) for i, c in enumerate(self.chains)
-                for j in range(c.multiplicity)]
-
     def columns(self, pred) -> list[int]:
-        """Indices, in `matrix()` order, of the columns whose chain length m
-        and level j satisfy pred(m, j)."""
-        return [k for k, (i, j) in enumerate(self.pairs())
-                if pred(self.chains[i].multiplicity, j)]
-
-    def matrix(self) -> np.ndarray:
-        """All chain vectors stacked as columns, chain-major."""
-        cols = [v for c in self.chains for v in c.vectors()]
-        n = self.chains[0].eigenvector.shape[0] if self.chains else 0
-        if not cols:
-            return np.zeros((n, 0))
-        return np.column_stack(cols)
+        """Indices of the columns whose chain length m and level j satisfy
+        pred(m, j)."""
+        return [k for k, (m, j) in enumerate(self.labels) if pred(m, j)]
 
     @property
     def multiplicities(self) -> list[int]:
-        return [c.multiplicity for c in self.chains]
+        """The chain lengths, longest first."""
+        return [m for m, j in self.labels if j == 1]
+
+    @property
+    def n(self) -> int:
+        """The number of chains, the dimension of ker A."""
+        return len(self.multiplicities)
+
+    @property
+    def nu(self) -> int:
+        """The index: the longest chain's length, 0 without chains."""
+        return max((m for m, _ in self.labels), default=0)
 
 
 @dataclass(frozen=True)
 class DualSystem:
-    chains: tuple  # tuple of tuples of vectors, aligned with CanonicalSystem
-    residuals: dict | None = None  # `dual_residuals`, from `build_dual_chains`
+    """The dual chains as one table: column k of `q` (N x d) is the dual
+    of column k of the canonical system's `phi`. `residuals` is what
+    `dual_residuals` returns, kept by `build_dual_chains`."""
 
-    def matrix(self) -> np.ndarray:
-        cols = [v for c in self.chains for v in c]
-        if not cols:
-            return np.zeros((0, 0))
-        return np.column_stack(cols)
+    q: np.ndarray
+    residuals: dict | None = None
 
 
 # seed and length of each random run in the ladder of candidate shifts
@@ -271,7 +256,8 @@ def build_chains(pencil: Pencil) -> CanonicalSystem:
     a_u, a_sig, a_vt = np.linalg.svd(pencil.a.conjugate(),
                                      full_matrices=False)
     if guarded_count(a_sig, n_dim, "A") == n_dim:
-        system = CanonicalSystem(chains=(), n=0, nu=0, finite=np.eye(n_dim))
+        system = CanonicalSystem(phi=np.zeros((n_dim, 0)), labels=(),
+                                 finite=np.eye(n_dim))
         return replace(system, residuals=chain_residuals(pencil, system))
 
     lam = pencil.regular_point()
@@ -368,10 +354,11 @@ def build_chains(pencil: Pencil) -> CanonicalSystem:
                 tuple(np.round(np.imag(v), 10)))
 
     finished.sort(key=sort_key)
-    chains = tuple(Chain(eigenvector=ch[0], adjoined=tuple(ch[1:]),
-                         multiplicity=len(ch)) for ch in finished)
-    system = CanonicalSystem(chains=chains, n=len(chains), nu=nu,
-                             finite=finite)
+    system = CanonicalSystem(
+        phi=np.column_stack([v for ch in finished for v in ch]),
+        labels=tuple((len(ch), j) for ch in finished
+                     for j in range(1, len(ch) + 1)),
+        finite=finite)
     residuals = chain_residuals(pencil, system)
     if not residuals["worst"] <= TOL.chain:
         raise ChainExtensionFailure(
@@ -397,20 +384,19 @@ def build_dual_chains(pencil: Pencil, canonical: CanonicalSystem) -> DualSystem:
     M = (lambda A + B) [T_f, Phi] and N_c the per-chain signed shift: one
     solve with M^H.
     """
-    if canonical.n == 0:
-        dual = DualSystem(chains=())
-        return replace(dual, residuals=dual_residuals(pencil, canonical, dual))
-    phi = canonical.matrix()
+    phi = canonical.phi
     n_dim, d = phi.shape
+    if d == 0:  # no chains: no shift is needed, and there is nothing to solve
+        dual = DualSystem(q=np.zeros((n_dim, 0)))
+        return replace(dual, residuals=dual_residuals(pencil, canonical, dual))
     lam = pencil.regular_point()
     pairing = pencil.shifted(lam) @ np.hstack([canonical.finite, phi])
     # [0, I + lambda N_c]^H: the identity, and -conj(lambda) pairing each
     # vector above a chain's first level with the dual one level below
     rhs = np.zeros((n_dim, d), dtype=pairing.dtype)
     rhs[n_dim - d:] = np.eye(d)
-    for c, (_, level) in enumerate(canonical.pairs()):
-        if level > 1:
-            rhs[n_dim - d + c, c - 1] = -np.conj(lam)
+    above = np.array(canonical.columns(lambda m, j: j > 1), dtype=int)
+    rhs[n_dim - d + above, above - 1] = -np.conj(lam)
     try:
         q = np.linalg.solve(pairing.conj().T, rhs)
     except np.linalg.LinAlgError:
@@ -421,11 +407,9 @@ def build_dual_chains(pencil: Pencil, canonical: CanonicalSystem) -> DualSystem:
             "subspace is numerically singular")
     vectors = list(q.T.copy())
     if not pencil.is_complex and not np.iscomplexobj(phi):
+        # the table is real only where every one of its columns trims
         vectors = [trim_imag(v, TOL.imag_trim) for v in vectors]
-    vectors = iter(vectors)
-    duals = [tuple(next(vectors) for _ in range(m))
-             for m in canonical.multiplicities]
-    dual = DualSystem(chains=tuple(duals))
+    dual = DualSystem(q=np.column_stack(vectors))
     residuals = dual_residuals(pencil, canonical, dual)
     if not residuals["worst"] <= TOL.biorth:
         raise BiorthogonalizationFailure(
@@ -434,46 +418,52 @@ def build_dual_chains(pencil: Pencil, canonical: CanonicalSystem) -> DualSystem:
     return replace(dual, residuals=residuals)
 
 
+def _vectors(table: np.ndarray) -> list[np.ndarray]:
+    """The columns of a chain or dual table as contiguous vectors, each one
+    real where its imaginary part is zero: the vectors as they were built,
+    so that a residual takes the products it took per vector."""
+    return [trim_imag(v, 0.0) for v in table.T.copy()]
+
+
 def chain_residuals(pencil: Pencil, canonical: CanonicalSystem) -> dict:
     """Relative residuals of the chain relations; keys per relation kind."""
     a, b = pencil.a, pencil.b
     scale = pencil.scale
+    vs = _vectors(canonical.phi)
     kernel = 0.0
     links = 0.0
-    for ch in canonical.chains:
-        vs = ch.vectors()
-        kernel = max(kernel, float(np.linalg.norm(a @ vs[0]))
-                     / (scale * max(1.0, float(np.linalg.norm(vs[0])))))
-        for j in range(1, len(vs)):
-            r = float(np.linalg.norm(a @ vs[j] + b @ vs[j - 1]))
-            links = max(links, r / (scale * max(1.0, float(np.linalg.norm(vs[j])))))
+    for k, (_, j) in enumerate(canonical.labels):
+        rel = scale * max(1.0, float(np.linalg.norm(vs[k])))
+        if j == 1:  # A phi^1 = 0
+            kernel = max(kernel, float(np.linalg.norm(a @ vs[k])) / rel)
+        else:       # A phi^j + B phi^{j-1} = 0
+            r = float(np.linalg.norm(a @ vs[k] + b @ vs[k - 1]))
+            links = max(links, r / rel)
     # chain vectors must stay independent
-    smin = 1.0
-    if canonical.n:
-        sig = np.linalg.svd(canonical.matrix(), compute_uv=False)
-        smin = float(sig[-1]) if sig.size else 0.0
+    sig = np.linalg.svd(canonical.phi, compute_uv=False)
+    smin = float(sig[-1]) if sig.size else 1.0
     return {"kernel": kernel, "links": links, "min_singular_value": smin,
             "worst": max(kernel, links)}
 
 
 def dual_residuals(pencil: Pencil, canonical: CanonicalSystem,
                    dual: DualSystem) -> dict:
+    """Residuals of the adjoint chain relations, relative to the pair's
+    scale, and of biorthogonality against B Phi."""
     a, b = pencil.a, pencil.b
     ah, bh = a.conj().T, b.conj().T
     scale = pencil.scale
+    qs = _vectors(dual.q)
     chain_rel = 0.0
-    for qs in dual.chains:
-        m = len(qs)
-        chain_rel = max(chain_rel, float(np.linalg.norm(ah @ qs[m - 1])) / scale)
-        for j in range(m - 1):
-            r = float(np.linalg.norm(ah @ qs[j] + bh @ qs[j + 1]))
-            chain_rel = max(chain_rel, r / scale)
-    biorth = 0.0
-    if canonical.n:
-        phi = canonical.matrix()
-        qmat = dual.matrix()
-        gram = qmat.conj().T @ (b @ phi)
-        biorth = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+    for k, (m, j) in enumerate(canonical.labels):
+        if j == m:  # A^H q^m = 0
+            r = float(np.linalg.norm(ah @ qs[k]))
+        else:       # A^H q^j + B^H q^{j+1} = 0
+            r = float(np.linalg.norm(ah @ qs[k] + bh @ qs[k + 1]))
+        chain_rel = max(chain_rel, r / scale)
+    gram = dual.q.conj().T @ (b @ canonical.phi)
+    biorth = float(np.max(np.abs(gram - np.eye(gram.shape[0])),
+                          initial=0.0))
     return {"adjoint_links": chain_rel, "biorthogonality": biorth,
             "worst": max(chain_rel, biorth)}
 

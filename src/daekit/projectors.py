@@ -67,22 +67,17 @@ def build_projectors(canonical: CanonicalSystem, dual: DualSystem,
     """Assemble the projector family, the invertible correction of A and
     the semi-inverses from the chain columns Phi and dual columns Q, and
     verify every defining identity once."""
-    n_dim = pencil.n_dim
     nu = canonical.nu
     a, b = pencil.a, pencil.b
-    eye = np.eye(n_dim)
-    dual_shape = [len(qs) for qs in dual.chains]
-    if dual_shape != canonical.multiplicities:
-        raise InvariantViolation("chain/dual multiplicity match",
-                                 float("inf"), TOL.proj)
-    if canonical.n:
-        phi, qmat = canonical.matrix(), dual.matrix()
-    else:  # index 0: no columns, and every chain operator is zero
-        phi = qmat = np.zeros((n_dim, 0))
+    eye = np.eye(pencil.n_dim)
+    phi, qmat = canonical.phi, dual.q
+    if qmat.shape != phi.shape:
+        raise InvariantViolation("chain/dual shape match", float("inf"),
+                                 TOL.proj)
 
     def cols(pred) -> tuple[np.ndarray, np.ndarray]:
         """The columns of Phi and of Q whose chain length m and level j
-        satisfy pred."""
+        satisfy pred (N x 0 where none does, so the product is zero)."""
         idx = canonical.columns(pred)
         return phi[:, idx], qmat[:, idx]
 

@@ -107,11 +107,7 @@ class _Block:
 
 def _select_block(dae: SemilinearDAE, pred) -> _Block:
     idx = dae.canonical.columns(pred)
-    n_dim = dae.pencil.n_dim
-    if not idx:
-        z = np.zeros((n_dim, 0))
-        return _Block(z, z.copy())
-    return _Block(dae.canonical.matrix()[:, idx], dae.dual.matrix()[:, idx])
+    return _Block(dae.canonical.phi[:, idx], dae.dual.q[:, idx])
 
 
 class _Reduced:

@@ -362,3 +362,21 @@ def test_monitor_flags_decaying_trajectory():
     comp = ComparisonSpec(U=lambda u: max(u, 1e-12), psi=lambda t: 1.0)
     rep = monitor_comparison(traj, sq_norm(), comp, direction="ge")
     assert rep.worst_margin < -1e-2  # expected violation, by construction
+
+
+@pytest.mark.parametrize("direction", ["ge", "le"])
+def test_monitor_on_a_one_point_trajectory(direction):
+    # a start just before the switch: the first step's constraint solve
+    # fails, so the trajectory holds its start alone and no subinterval
+    pb = load_builtin("failing_constraint")
+    traj = integrate_first(reduce_first(pb.dae), 0.3 - 5e-11,
+                           np.array([0.2, 0.0]), pb.options)
+    assert traj.times.size == 1
+    assert traj.termination.kind == "constraint_solve_failure"
+    for inside, fraction, exit_index in ((True, 1.0, None), (False, 0.0, 0)):
+        comp = ComparisonSpec(U=lambda u: u, psi=lambda t: 1.0,
+                              domain_set=lambda w, inside=inside: inside)
+        rep = monitor_comparison(traj, sq_norm(), comp, direction=direction)
+        assert rep.worst_margin == 0.0 and rep.worst_margin_relative == 0.0
+        assert rep.in_region_fraction == fraction
+        assert rep.first_exit_index == exit_index

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import daekit
-from daekit import cli
+from daekit import certificates, cli
 from daekit.cli import run
 from hypothesis import given, settings
 
@@ -387,6 +387,33 @@ def test_sampling_failure_counts_region_rejections(tmp_path, capsys,
     assert (f"random attempts ({len(rejected)} outside the region, "
             in err), err
     assert "constraint-solve failures)" in err
+
+
+def test_certify_on_a_reduced_space_of_dimension_zero_exit_two(
+        tmp_path, capsys, monkeypatch):
+    # A = 0: every state is algebraic, so there is no reduced state to draw,
+    # and the sampler says so before it evaluates a single drift
+    drifts = []
+    monkeypatch.setattr(certificates._DriftAdapter, "drift",
+                        lambda self, t, w: drifts.append(t))
+    problem = {
+        "name": "no_dynamics", "A": [[0.0]], "B": [[1.0]],
+        "field": {"registry_id": "zero"}, "initial": {"x_guess": [0.0]},
+        "certificate": {
+            "kind": "global_solvability", "combination": "max",
+            "V": [{"registry_id": "squared_norm"}],
+            "U": {"registry_id": "affine",
+                  "params": {"offset": 1.0, "slope": 1.0}},
+            "psi": {"registry_id": "constant", "params": {"value": 1.0}},
+            "R": 1.0},
+    }
+    path = tmp_path / "no_dynamics.json"
+    path.write_text(json.dumps(problem))
+    assert run(["certify", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: SamplingFailure: the reduced space has dimension "
+                   "0: there is no state to sample"]
+    assert drifts == []
 
 
 @pytest.mark.parametrize("command, code", [

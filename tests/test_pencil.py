@@ -122,22 +122,23 @@ def test_one_pass_staircase_matches_the_two_pass_reference(pencil_corpus):
 def test_chains_nilpotent_pair():
     cs = build_chains(Pencil(NILPOTENT, EYE2))
     assert cs.n == 1 and cs.nu == 2 and cs.multiplicities == [2]
-    chain = cs.chains[0]
-    np.testing.assert_allclose(chain.eigenvector, [1.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(chain.adjoined[0], [0.0, -1.0], atol=1e-12)
+    assert cs.labels == ((2, 1), (2, 2))
+    np.testing.assert_allclose(cs.phi, [[1.0, 0.0], [0.0, -1.0]],
+                               atol=1e-12)
 
 
 def test_chains_index_one():
     cs = build_chains(Pencil(np.diag([1.0, 0.0]), EYE2))
     assert cs.multiplicities == [1]
-    np.testing.assert_allclose(cs.chains[0].eigenvector, [0.0, 1.0],
+    np.testing.assert_allclose(cs.phi[:, 0], [0.0, 1.0],
                                atol=1e-12)
 
 
 def test_chains_trivial_kernel():
     rng = np.random.default_rng(0)
     cs = build_chains(Pencil(np.eye(3), rng.standard_normal((3, 3))))
-    assert cs.n == 0 and cs.nu == 0 and cs.chains == ()
+    assert cs.n == 0 and cs.nu == 0 and cs.labels == ()
+    assert cs.phi.shape == (3, 0)
     assert cs.residuals == {"kernel": 0.0, "links": 0.0,
                             "min_singular_value": 1.0, "worst": 0.0}
 
@@ -146,20 +147,20 @@ def test_duals_nilpotent_pair():
     p = Pencil(NILPOTENT, EYE2)
     cs = build_chains(p)
     ds = build_dual_chains(p, cs)
-    np.testing.assert_allclose(ds.chains[0][0], [1.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(ds.chains[0][1], [0.0, -1.0], atol=1e-12)
+    np.testing.assert_allclose(ds.q, [[1.0, 0.0], [0.0, -1.0]],
+                               atol=1e-12)
 
 
 def test_duals_index_one():
     p = Pencil(np.diag([1.0, 0.0]), EYE2)
     ds = build_dual_chains(p, build_chains(p))
-    np.testing.assert_allclose(ds.chains[0][0], [0.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(ds.q[:, 0], [0.0, 1.0], atol=1e-12)
 
 
 def test_duals_empty_for_index_zero():
     p = Pencil(EYE2, np.diag([1.0, 2.0]))
     ds = build_dual_chains(p, build_chains(p))
-    assert ds.chains == ()
+    assert ds.q.shape == (2, 0)
     assert ds.residuals == {"adjoint_links": 0.0, "biorthogonality": 0.0,
                             "worst": 0.0}
 
@@ -176,10 +177,11 @@ def test_corpus_chain_and_dual_invariants(analyzed_corpus):
         assert cres["worst"] <= 1e-8
         if canonical.n:
             assert cres["min_singular_value"] > 1e-8
-        for chain in canonical.chains:
-            assert abs(np.linalg.norm(chain.eigenvector) - 1.0) <= 1e-12
-            for v in chain.adjoined:
-                assert np.linalg.norm(v) <= 1e3  # unit-order, not unit
+        norms = np.linalg.norm(canonical.phi, axis=0)
+        eig = canonical.columns(lambda m, j: j == 1)
+        assert np.all(np.abs(norms[eig] - 1.0) <= 1e-12)
+        assert np.all(norms <= 1e3)  # adjoined vectors: unit-order, not unit
+        assert dual.q.shape == canonical.phi.shape
         dres = dual_residuals(p, canonical, dual)
         assert dual.residuals == dres
         assert dres["worst"] <= 1e-8
@@ -199,10 +201,8 @@ def test_determinism_bitwise():
     b = np.array([[1.0, 0.2, 0.0], [0.1, 1.0, 0.0], [0.0, 0.4, 1.0]])
     first = build_chains(Pencil(a, b))
     second = build_chains(Pencil(a, b))
-    for c1, c2 in zip(first.chains, second.chains):
-        assert c1.eigenvector.tobytes() == c2.eigenvector.tobytes()
-        for v1, v2 in zip(c1.adjoined, c2.adjoined):
-            assert v1.tobytes() == v2.tobytes()
+    assert first.labels == second.labels
+    assert first.phi.tobytes() == second.phi.tobytes()
 
 
 def test_complex_pencil_supported():
@@ -227,11 +227,8 @@ def test_complex_pencil_supported():
 
 def test_real_input_gives_real_output(analyzed_corpus):
     for ws, canonical, dual, _ps in analyzed_corpus[:10]:
-        for chain in canonical.chains:
-            assert not np.iscomplexobj(chain.eigenvector)
-        for qs in dual.chains:
-            for q in qs:
-                assert not np.iscomplexobj(q)
+        assert not np.iscomplexobj(canonical.phi)
+        assert not np.iscomplexobj(dual.q)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -241,7 +238,7 @@ def test_duals_of_equal_length_chains(seed):
     cs = build_chains(ws.pencil)
     assert cs.multiplicities == [3, 3, 3, 2, 2]
     ds = build_dual_chains(ws.pencil, cs)
-    assert [len(qs) for qs in ds.chains] == cs.multiplicities
+    assert ds.q.shape == cs.phi.shape == (48, 13)
     assert dual_residuals(ws.pencil, cs, ds)["worst"] <= 1e-8
 
 
@@ -265,13 +262,11 @@ def stacked_duals(pencil, canonical):
     the adjoint chain relations and biorthogonality against B phi on the
     unknowns q^1 ... q^m, solved in the least-squares sense."""
     a, b = pencil.a, pencil.b
-    phi = canonical.matrix()
-    bphi = b @ phi
-    n_dim, d = phi.shape
-    pairs = canonical.pairs()
+    bphi = b @ canonical.phi
+    n_dim, d = bphi.shape
     duals = []
-    for i, chain in enumerate(canonical.chains):
-        m = chain.multiplicity
+    for first in canonical.columns(lambda m, j: j == 1):
+        m = canonical.labels[first][0]
         mat = np.zeros((m * (n_dim + d), m * n_dim), dtype=bphi.dtype)
         mat[:n_dim, (m - 1) * n_dim:] = a.conj().T
         for j in range(m - 1):
@@ -282,10 +277,10 @@ def stacked_duals(pencil, canonical):
         for j in range(m):
             top = m * n_dim + j * d
             mat[top:top + d, j * n_dim:(j + 1) * n_dim] = bphi.conj().T
-            vec[top + pairs.index((i, j + 1))] = 1.0
+            vec[top + first + j] = 1.0
         sol = np.linalg.lstsq(mat, vec, rcond=None)[0]
-        duals.append(tuple(sol[j * n_dim:(j + 1) * n_dim] for j in range(m)))
-    return DualSystem(chains=tuple(duals))
+        duals.append(sol.reshape(m, n_dim).T)
+    return DualSystem(q=np.hstack(duals))
 
 
 def weierstrass_corpus():
@@ -302,8 +297,8 @@ def weierstrass_corpus():
 def test_duals_match_the_stacked_least_squares_solve():
     for ws in weierstrass_corpus():
         cs = build_chains(ws.pencil)
-        got = build_dual_chains(ws.pencil, cs).matrix()
-        ref = stacked_duals(ws.pencil, cs).matrix()
+        got = build_dual_chains(ws.pencil, cs).q
+        ref = stacked_duals(ws.pencil, cs).q
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
@@ -314,7 +309,7 @@ def test_duals_at_the_largest_benchmark_shape():
     assert cs.multiplicities == [6] * 5 + [2]
     assert chain_residuals(ws.pencil, cs)["worst"] <= 1e-10
     assert dual_residuals(ws.pencil, cs, ds)["worst"] <= 1e-10
-    p2 = cs.matrix() @ ds.matrix().conj().T @ ws.pencil.b
+    p2 = cs.phi @ ds.q.conj().T @ ws.pencil.b
     assert np.abs(p2 - ws.projectors_gt["p2"]).max() <= 1e-8
 
 
@@ -339,13 +334,11 @@ def test_duals_reach_numpy_linalg_with_square_matrices_only(monkeypatch):
 
 
 def _replaced(canonical, vector, level=0):
-    """The canonical system with one vector of its first chain replaced."""
-    first, *rest = canonical.chains
-    vs = first.vectors()
-    vs[level] = vector
-    first = dataclasses.replace(first, eigenvector=vs[0],
-                                adjoined=tuple(vs[1:]))
-    return dataclasses.replace(canonical, chains=(first, *rest))
+    """The canonical system with the vector of level `level` + 1 of its
+    first chain (column `level`) replaced."""
+    phi = canonical.phi.copy()
+    phi[:, level] = vector
+    return dataclasses.replace(canonical, phi=phi)
 
 
 @pytest.mark.parametrize("level", [0, 1, 2])
@@ -378,6 +371,6 @@ def test_complex_shift_of_a_real_pair_gives_real_duals():
     detour = Pencil(ws.pencil.a, ws.pencil.b)
     detour.lambda_star = 0.5 + 0.7j
     ds = build_dual_chains(detour, cs)
-    assert not np.iscomplexobj(ds.matrix())
+    assert not np.iscomplexobj(ds.q)
     np.testing.assert_allclose(
-        ds.matrix(), build_dual_chains(ws.pencil, cs).matrix(), atol=1e-12)
+        ds.q, build_dual_chains(ws.pencil, cs).q, atol=1e-12)

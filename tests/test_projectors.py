@@ -82,9 +82,11 @@ def rank_one_a_tilde(pencil, canonical, dual):
     """A plus, chain by chain, the image of the chain top coupled with the
     functional of the chain's kernel coordinate."""
     a, b = pencil.a, pencil.b
-    return a + sum((np.outer(b @ chain.vectors()[-1],
-                             (b.conj().T @ qs[0]).conj())
-                    for chain, qs in zip(canonical.chains, dual.chains)),
+    tops = canonical.columns(lambda m, j: j == m)
+    kernels = canonical.columns(lambda m, j: j == 1)
+    return a + sum((np.outer(b @ canonical.phi[:, top],
+                             (b.conj().T @ dual.q[:, kernel]).conj())
+                    for top, kernel in zip(tops, kernels)),
                    np.zeros_like(a))
 
 
@@ -156,7 +158,7 @@ def test_inconsistent_inputs_raise():
     cs1 = build_chains(p1)
     ds2 = build_dual_chains(p2, build_chains(p2))
     with pytest.raises(InvariantViolation):
-        build_projectors(cs1, ds2, p1)  # multiplicities disagree
+        build_projectors(cs1, ds2, p1)  # Q has one column, Phi two
 
     # same shape but duals from a rotated pair: identities must fail
     rot = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -170,9 +172,8 @@ def test_inconsistent_inputs_raise():
 def test_nan_duals_raise():
     p = Pencil(NILPOTENT, EYE2)
     cs = build_chains(p)
-    nan_duals = DualSystem(chains=tuple(
-        tuple(np.full(2, np.nan) for _ in qs)
-        for qs in build_dual_chains(p, cs).chains))
+    nan_duals = DualSystem(q=np.full_like(build_dual_chains(p, cs).q,
+                                          np.nan))
     with pytest.raises(InvariantViolation):
         build_projectors(cs, nan_duals, p)
 
