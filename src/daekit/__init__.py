@@ -19,7 +19,7 @@ from .pencil import (CanonicalSystem, DualSystem, Pencil,
 from .projectors import (ProjectorSet, build_all, build_projectors,
                          verify_projectors)
 from .implicit import (ImplicitProblem, JacobianCache, implicit_derivative,
-                       solve_newton)
+                       solve_newton, solve_newton_columns)
 from .reduction import (NonlinearField, ReducedCascade, ReducedFirst,
                         SemilinearDAE, StructureReport, StructureTag,
                         check_structure, reduce_cascade, reduce_first)

@@ -104,6 +104,11 @@ def norm2(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
+def column_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of a real 2-D array."""
+    return np.sqrt(np.einsum("ij,ij->j", a, a))
+
+
 def cond2(m: np.ndarray) -> float:
     sig = np.linalg.svd(m, compute_uv=False)
     if sig.size == 0:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from ._linalg import orth_basis
-from .errors import ConstraintSolveFailure, SamplingFailure
+from .errors import SamplingFailure
 from .implicit import _fd_mismatch
 from .integrate import Trajectory
 
@@ -47,6 +47,7 @@ _GRID_TIMES = (0.0, 1.0, 10.0, 100.0)
 _GRID_MAGNITUDES = (1.0, 10.0, 100.0)
 _N_SAMPLES = 500
 _T_LOW, _T_HIGH = 1e-3, 1e3
+_LOG_T = (float(np.log10(_T_LOW)), float(np.log10(_T_HIGH)))
 _W_SPAN = 1e3                   # magnitudes on [R, R * _W_SPAN]
 _MAX_ATTEMPT_FACTOR = 8
 _GRAD_CHECK_POINTS = 3          # samples on which V's gradients are checked
@@ -252,77 +253,115 @@ def probe_integral(g: Callable, lower: float, kind: str = "over_value",
 
 
 class _DriftAdapter:
-    """The reduced drift of either route on one warm-start state."""
+    """The reduced drift of either route at chunks of independent samples.
+
+    Each chunk's kernel level is one stacked solve from cold starts, so no
+    sample's solution depends on another's.  The one per-run state serves
+    only the parts of the state that depend on t alone (index 2 and up).
+    """
 
     def __init__(self, reduced):
         self.reduced = reduced
         self.basis = orth_basis(reduced.w_projector)
         self._state = reduced.make_state()
 
-    def drift(self, t: float, w: np.ndarray):
-        """Drift vector and the assembled on-manifold state at (t, w)."""
-        return self.reduced.drift(t, w, self._state)
+    def drift(self, ts: np.ndarray, w: np.ndarray):
+        """Drift vectors, assembled on-manifold states and solve flags at
+        the columns of w, at the times ts: `drift_columns`."""
+        return self.reduced.drift_columns(ts, w, self._state)
 
 
-def _draw_direction(rng, adapter: _DriftAdapter):
-    """A log-uniform time and a unit direction of the reduced coordinates,
-    or None for a zero direction."""
-    t = 10.0 ** rng.uniform(np.log10(_T_LOW), np.log10(_T_HIGH))
-    direction = rng.standard_normal(adapter.basis.shape[1])
-    nrm = float(np.linalg.norm(direction))
-    return None if nrm == 0.0 else (t, direction / nrm)
+def _random_draws(rng, basis: np.ndarray, magnitude: Callable):
+    """Endless seeded candidates (t, w): a log-uniform time, a unit
+    direction of the reduced coordinates and magnitude() along it, drawn in
+    that order, or None for a zero direction.
+
+    The arithmetic gives the bits of `rng.uniform` and `np.linalg.norm`.
+    """
+    lo, hi = _LOG_T
+    while True:
+        t = 10.0 ** (lo + (hi - lo) * rng.random())
+        direction = rng.standard_normal(basis.shape[1])
+        nrm = math.sqrt(float(direction.dot(direction)))
+        if nrm == 0.0:
+            yield None
+            continue
+        yield t, basis @ (magnitude() * (direction / nrm))
+
+
+@dataclass
+class _Placed:
+    """The samples a sampler placed, in draw order, and what it tried."""
+
+    samples: list            # (t, w, drift, state) of each placed sample
+    attempts: int = 0        # random draws
+    failures: int = 0        # candidates whose constraint solve failed
+    outside: int = 0         # candidates outside the region
+
+
+def _place(adapter: _DriftAdapter, want: int, draws, limit: int,
+           grid=(), region: Callable | None = None) -> _Placed:
+    """The first `want` candidates, in draw order, that lie in `region` and
+    whose drift solves: the `grid` first, then up to `limit` random draws.
+
+    Candidates are drawn one at a time, in chunks of as many in-region
+    candidates as samples are still wanted, and each chunk's drift is one
+    stacked solve; another chunk is drawn only where some solves failed.
+    So the draws, and the samples kept, are those of a sampler that solves
+    one candidate at a time and stops at `want` samples.
+    """
+    placed = _Placed([])
+    grid = iter(grid)
+    while len(placed.samples) < want:
+        ts, ws = [], []
+        while len(ts) < want - len(placed.samples):
+            cand = next(grid, None)
+            if cand is None:
+                if placed.attempts == limit:
+                    break
+                placed.attempts += 1
+                cand = next(draws)
+                if cand is None:
+                    continue
+            if region is not None and not region(cand[1]):
+                placed.outside += 1
+                continue
+            ts.append(cand[0])
+            ws.append(cand[1])
+        if not ts:
+            break
+        dw, x, ok = adapter.drift(np.array(ts), np.column_stack(ws))
+        placed.failures += int(ok.size - ok.sum())
+        placed.samples += [(ts[i], ws[i], dw[:, i].copy(), x[:, i].copy())
+                           for i in np.flatnonzero(ok)]
+    return placed
 
 
 def _draw_samples(adapter: _DriftAdapter, comp: ComparisonSpec, seed: int,
                   region: Callable | None):
-    """(t, w, drift) triples: the grid first, then a seeded random fill up
-    to _N_SAMPLES, keeping points inside `region` when one is given.  A
-    reduced space of dimension 0 has no state to draw."""
+    """(t, w, drift, state) of each sample: the grid first, then a seeded
+    random fill up to _N_SAMPLES, keeping points inside `region` when one
+    is given.  A reduced space of dimension 0 has no state to draw."""
     if adapter.basis.shape[1] == 0:
         raise SamplingFailure(
             "the reduced space has dimension 0: there is no state to sample")
     rng = np.random.default_rng(seed)
-    want = _N_SAMPLES
-    out = []
-    failures = outside = 0
-
-    def try_add(t, w):
-        nonlocal failures, outside
-        if region is not None and not region(w):
-            outside += 1
-            return
-        try:
-            dw, _ = adapter.drift(t, w)
-        except ConstraintSolveFailure:
-            failures += 1
-            return
-        out.append((t, w, dw))
-
+    lo, hi = float(np.log10(comp.R)), float(np.log10(comp.R * _W_SPAN))
     grid = ((t, adapter.basis[:, k] * (sign * mag * comp.R))
             for t in _GRID_TIMES for mag in _GRID_MAGNITUDES
             for k in range(adapter.basis.shape[1]) for sign in (1.0, -1.0))
-    for t, w in grid:
-        if len(out) >= want:
-            break
-        try_add(t, w)
-
-    attempts = 0
-    while len(out) < want and attempts < _MAX_ATTEMPT_FACTOR * want:
-        attempts += 1
-        draw = _draw_direction(rng, adapter)
-        if draw is None:
-            continue
-        t, direction = draw
-        mag = 10.0 ** rng.uniform(np.log10(comp.R),
-                                  np.log10(comp.R * _W_SPAN))
-        try_add(t, adapter.basis @ (mag * direction))
-    if len(out) < want:
-        rejected = "" if region is None else f"{outside} outside the region, "
+    draws = _random_draws(rng, adapter.basis,
+                          lambda: 10.0 ** (lo + (hi - lo) * rng.random()))
+    placed = _place(adapter, _N_SAMPLES, draws,
+                    _MAX_ATTEMPT_FACTOR * _N_SAMPLES, grid, region)
+    if len(placed.samples) < _N_SAMPLES:
+        rejected = ("" if region is None
+                    else f"{placed.outside} outside the region, ")
         raise SamplingFailure(
-            f"placed {len(out)}/{want} samples after the grid plus "
-            f"{attempts} random attempts ({rejected}{failures} "
-            f"constraint-solve failures)")
-    return out
+            f"placed {len(placed.samples)}/{_N_SAMPLES} samples after the "
+            f"grid plus {placed.attempts} random attempts ({rejected}"
+            f"{placed.failures} constraint-solve failures)")
+    return placed.samples
 
 
 def _gradient_side(dw, w, active: LyapunovComponent) -> float:
@@ -365,8 +404,8 @@ def _sampled_check(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
     violations = []
     with np.errstate(over="ignore", invalid="ignore"):
         samples = _draw_samples(adapter, comp, seed, region)
-        lyap.validate([w for (_, w, _) in samples[:_GRAD_CHECK_POINTS]])
-        for t, w, dw in samples:
+        lyap.validate([w for (_, w, _, _) in samples[:_GRAD_CHECK_POINTS]])
+        for t, w, dw, _ in samples:
             v, k = lyap._extremum(w)
             try:
                 rhs = comp.U(v) * comp.psi(t)
@@ -421,30 +460,25 @@ def check_lagrange_stability(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
     verdict = _verdict(base.violations, base.integral_U == DIVERGES
                        and base.integral_psi == CONVERGES)
 
-    # kernel-component bound K(b) over manifold samples with bounded
-    # explicit part; a fresh adapter, so its warm starts are its own
+    # kernel-component bound K(b) over manifold samples with |w| below b;
+    # the levels draw from one generator, and a fresh adapter keeps the
+    # warm starts of its t-only parts its own
     adapter = _DriftAdapter(reduced)
     rng = np.random.default_rng(seed + 1)
     kb = {}
     per_b = max(16, _N_SAMPLES // (4 * len(_KERNEL_LADDER)))
     for b in _KERNEL_LADDER:
-        worst = 0.0
-        placed = 0
-        attempts = 0
-        while placed < per_b and attempts < _MAX_ATTEMPT_FACTOR * per_b:
-            attempts += 1
-            draw = _draw_direction(rng, adapter)
-            if draw is None:
-                continue
-            t, direction = draw
-            w = adapter.basis @ (direction * rng.uniform(0.0, b))
-            try:
-                _, x = adapter.drift(t, w)
-            except ConstraintSolveFailure:
-                continue
-            placed += 1
-            worst = max(worst, float(np.linalg.norm(reduced.ps.p20 @ x)))
-        kb[str(b)] = worst
+        draws = _random_draws(rng, adapter.basis,
+                              lambda b=b: b * rng.random())
+        placed = _place(adapter, per_b, draws, _MAX_ATTEMPT_FACTOR * per_b)
+        if len(placed.samples) < per_b:
+            raise SamplingFailure(
+                f"kernel bound ladder at b = {b}: placed "
+                f"{len(placed.samples)}/{per_b} samples after "
+                f"{placed.attempts} random attempts ({placed.failures} "
+                f"constraint-solve failures)")
+        kb[str(b)] = max(float(np.linalg.norm(reduced.ps.p20 @ x))
+                         for *_, x in placed.samples)
     return replace(
         base, kind="lagrange_stability", verdict=verdict,
         extras={**base.extras, "kernel_bound_ladder": kb})

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -259,38 +260,41 @@ _OPTIONS = {
                                     "leading initial-guess entries"),
 }
 
-# each command takes only the options it reads
+# each command, run by `cmd_<name>`, takes only the options it reads
 _COMMANDS = (
-    ("analyze", cmd_analyze, ()),
-    ("reduce", cmd_reduce, ("--approach",)),
-    ("simulate", cmd_simulate,
-     ("--tol", "--tmax", "--format", "--approach", "--x0")),
-    ("certify", cmd_certify, ("--seed", "--approach")),
-    ("sweep", cmd_sweep, ("--tol", "--tmax", "--format", "--approach")),
+    ("analyze", ()),
+    ("reduce", ("--approach",)),
+    ("simulate", ("--tol", "--tmax", "--format", "--approach", "--x0")),
+    ("certify", ("--seed", "--approach")),
+    ("sweep", ("--tol", "--tmax", "--format", "--approach")),
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process at its first
+    use; each parse returns a fresh namespace."""
     parser = _Parser(
         prog="daekit",
         description="Analyze, reduce, simulate and certify semilinear "
                     "differential-algebraic systems.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, options in _COMMANDS:
+    for name, options in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("problem", help="problem file or bundled problem name")
         p.add_argument("--out", default="daekit-out", help="output directory")
         for flag in options:
             p.add_argument(flag, **_OPTIONS[flag])
-        p.set_defaults(fn=fn)
     return parser
 
 
 def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        # looked up at each call, not kept in the cached parser, so that a
+        # command function replaced on the module (a wrapper) is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except DaekitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -3,7 +3,8 @@
 Damped Newton on a condition-checked Jacobian, which can be kept across the
 solves of one run: a numerically singular Jacobian raises SingularJacobian,
 the sign that the level's algebraic part is not uniquely solvable there.
-Plus implicit differentiation of a solved branch.
+The same damped rule also solves many independent systems at once, one per
+column of a stack.  Plus implicit differentiation of a solved branch.
 
 The singularity test is the 1-norm condition number, in Python floats at
 dimension 1 and from numpy above it; the solves are a division or numpy's
@@ -20,11 +21,11 @@ import numpy as np
 
 # `cond2` is not called here, but `perfbench/layertrace.py` patches
 # `implicit.cond2` by name, so it stays importable until the tracer stops
-from ._linalg import cond2, norm2  # noqa: F401
+from ._linalg import column_norms, cond2, norm2  # noqa: F401
 from .errors import NoConvergence, SingularJacobian
 
 __all__ = ["ImplicitProblem", "JacobianCache", "solve_newton",
-           "implicit_derivative", "fd_jacobian"]
+           "solve_newton_columns", "implicit_derivative", "fd_jacobian"]
 
 
 @dataclass
@@ -210,6 +211,74 @@ def solve_newton(problem: ImplicitProblem, t: float, p, y0,
     if res <= tol:
         return y
     raise NoConvergence(_MAX_ITER, res, label="newton")
+
+
+def solve_newton_columns(problem: ImplicitProblem, ts: np.ndarray,
+                         params: Callable, y0: np.ndarray, tol: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton on S independent systems at once, one per column.
+
+    Column i solves F(ts[i], p_i, y) = 0 from y0[:, i] by `solve_newton`'s
+    damped rule (same iteration cap, damping and shortest step, no kept
+    Jacobian) until ||F|| <= tol[i].  The residual and `jac_y` take the
+    columns idx stacked, residual(ts[idx], params(idx), Y) -> (k, len(idx))
+    and jac_y(...) -> (len(idx), k, k), and only the columns still
+    iterating are evaluated.  The singularity test is one stacked 1-norm
+    condition number per iteration.
+
+    Returns (Y, ok), ok[i] False where column i did not converge.  Where
+    some dF/dy is numerically singular, SingularJacobian is raised at the
+    end for the lowest such column, as a column-by-column loop would.
+    """
+    y = np.array(y0, dtype=float)
+    ok = np.zeros(y.shape[1], dtype=bool)
+    singular = {}  # column -> its iterate at the singular Jacobian
+    act = np.arange(y.shape[1])
+    if not act.size:
+        return y, ok
+    f = problem.residual(ts, params(act), y)
+    res = column_norms(f)
+    for _ in range(_MAX_ITER):
+        done = res <= tol[act]
+        ok[act[done]] = True
+        live = ~done & np.isfinite(res)
+        act, f, res = act[live], f[:, live], res[live]
+        if not act.size:
+            break
+        jac = problem.jac_y(ts[act], params(act), y[:, act])
+        regular = np.linalg.cond(jac, 1) <= _COND_CAP
+        if not regular.all():
+            singular.update((i, y[:, i].copy()) for i in act[~regular])
+            act, f, res = act[regular], f[:, regular], res[regular]
+            jac = jac[regular]
+            if not act.size:
+                break
+        step = np.linalg.solve(jac, -f.T[:, :, None])[:, :, 0].T
+        # the line search, on the columns whose trial is not yet accepted
+        alpha = np.ones(act.size)
+        trial = np.arange(act.size)
+        while trial.size:
+            cols = act[trial]
+            y_new = y[:, cols] + alpha[trial] * step[:, trial]
+            f_new = problem.residual(ts[cols], params(cols), y_new)
+            res_new = column_norms(f_new)
+            accept = (np.isfinite(res_new)
+                      & (res_new <= (1.0 - 1e-4 * alpha[trial]) * res[trial]))
+            y[:, cols[accept]] = y_new[:, accept]
+            f[:, trial[accept]] = f_new[:, accept]
+            res[trial[accept]] = res_new[accept]
+            alpha[trial[~accept]] *= _DAMPING
+            trial = trial[~accept]
+            trial = trial[alpha[trial] >= _MIN_STEP]
+        # a column whose step shrank below the shortest one has failed
+        keep = alpha >= _MIN_STEP
+        act, f, res = act[keep], f[:, keep], res[keep]
+    ok[act[res <= tol[act]]] = True
+    if singular:
+        i = min(singular)
+        raise SingularJacobian(
+            point=(float(ts[i]), tuple(np.round(singular[i], 6).tolist())))
+    return y, ok
 
 
 def implicit_derivative(problem: ImplicitProblem, t: float, p,

@@ -18,13 +18,13 @@ from typing import Callable
 
 import numpy as np
 
-from ._linalg import norm2, orth_basis
+from ._linalg import column_norms, norm2, orth_basis
 from .config import DEFAULT_TOLERANCES as TOL
 from .errors import (ConstraintSolveFailure, DaekitError,
                      InconsistentInitialValue, NoConvergence,
                      SingularJacobian, StructureViolation)
 from .implicit import (ImplicitProblem, JacobianCache, _time_derivative,
-                       fd_jacobian, solve_newton)
+                       fd_jacobian, solve_newton, solve_newton_columns)
 from .pencil import CanonicalSystem, DualSystem, Pencil
 from .projectors import ProjectorSet
 
@@ -39,9 +39,20 @@ class StructureTag(enum.Enum):
     STRUCTURED_VARIANT = "structured_variant"
 
 
+def _columns(t, x):
+    """(t_i, x_i) for the times t (S,) and the columns of x (N, S), each x_i
+    a contiguous vector and each t_i a Python float, as one state is."""
+    return zip(np.asarray(t).tolist(), np.ascontiguousarray(x.T))
+
+
 @dataclass
 class NonlinearField:
-    """Right-hand side f(t, x) with optional analytic derivatives."""
+    """Right-hand side f(t, x) with optional analytic derivatives.
+
+    `__call__` and `jac` also take a stack: states x (N, S) as columns and
+    their times t (S,).  They evaluate the field one column at a time, so a
+    field need not broadcast, and return f (N, S) and df/dx (S, N, N).
+    """
 
     eval: Callable
     jacobian: Callable | None = None
@@ -49,9 +60,13 @@ class NonlinearField:
     structure_tag: StructureTag = StructureTag.GENERAL
 
     def __call__(self, t, x):
+        if np.ndim(x) == 2:
+            return np.stack([self(*tx) for tx in _columns(t, x)], axis=1)
         return np.asarray(self.eval(t, x), dtype=float)
 
     def jac(self, t, x):
+        if np.ndim(x) == 2:
+            return np.stack([self.jac(*tx) for tx in _columns(t, x)])
         if self.jacobian is not None:
             return np.asarray(self.jacobian(t, x), dtype=float)
         return fd_jacobian(lambda z: self.eval(t, z), np.asarray(x, float))
@@ -105,6 +120,19 @@ class _Block:
         return self.phi @ coords
 
 
+class _FieldColumns:
+    """The field values of a stacked level solve, one column per system: a
+    level residual on the columns idx records its values there, as one
+    residual records its value on a per-run state.  Each column then holds
+    the field at its last residual, which is at the returned solution."""
+
+    def __init__(self, values: np.ndarray, idx: np.ndarray):
+        self.values, self.idx = values, idx
+
+    def record(self, t, key, f) -> None:
+        self.values[:, self.idx] = f
+
+
 def _select_block(dae: SemilinearDAE, pred) -> _Block:
     idx = dae.canonical.columns(pred)
     return _Block(dae.canonical.phi[:, idx], dae.dual.q[:, idx])
@@ -116,8 +144,10 @@ class _Reduced:
     The level table (the slices and equation of every algebraic level),
     `make_state()` and `consistent_point`.  A route adds `_initial_state`
     and the reduction protocol: `w_projector` (the projector onto the
-    space of the reduced variable w) and `drift(t, w, state) -> (dw, x)`
-    (the reduced right-hand side plus the assembled state).
+    space of the reduced variable w), `drift(t, w, state) -> (dw, x)`
+    (the reduced right-hand side plus the assembled state) and
+    `drift_columns(ts, w, state) -> (dw, x, ok)`, the same at many
+    independent points at once (columns), each solved from a cold start.
     """
 
     def __init__(self, dae: SemilinearDAE):
@@ -222,8 +252,11 @@ class _Reduced:
         instead, the direct route's kernel equation for a general field:
         those rows of f(t, x) - B x at x = base + phi c.
 
-        The third entry of p is the per-run state or None.  A state gets
-        the field value of every residual, keyed by c, for `_field`.
+        The third entry of p is None or where the residual records its
+        field value: a per-run state, keyed by c, for `_field`, or the
+        `_FieldColumns` of a stacked solve.  The residual and Jacobian serve
+        one system and a stack alike: for the columns c (k, S) at the times
+        t (S,), base and offset are (N, S) and the Jacobian is (S, k, k).
         """
         fld = self.dae.field
         b = self.dae.pencil.b
@@ -237,7 +270,7 @@ class _Reduced:
                 x = phi @ c
                 fx = fld(t, base + x)
                 if state is not None:
-                    state.field_at = (t, c, fx)
+                    state.record(t, c, fx)
                 return q_h @ (fx - b @ x - offset)
         else:
             def resid(t, p, c):
@@ -245,7 +278,7 @@ class _Reduced:
                 x = base + phi @ c
                 fx = fld(t, x)
                 if state is not None:
-                    state.field_at = (t, c, fx)
+                    state.record(t, c, fx)
                 return q_h @ (fx - b @ x)
 
         def jac(t, p, c):
@@ -270,6 +303,56 @@ class _Reduced:
             f = self.dae.field(t, x)
         state.field_at = (t, x, f)
         return f
+
+    def _kernel_columns(self, ts, explicit, part=None):
+        """The states x = explicit + eta + phi c at the times ts (S,), one
+        per column, the field values f(t, x) there and which columns solved.
+
+        eta and the kernel level's offset depend on t only: part(t) gives
+        both, column by column and in order (both are zero where part is
+        None), and a column whose part does not solve is dropped.  c solves
+        the kernel level from zero, for all columns in one stacked Newton
+        solve, to TOL.solver max(1, |explicit|).  A singular column raises
+        SingularJacobian only after the columns before it are solved.
+        """
+        n_dim, cols = explicit.shape
+        base, offset = explicit, np.zeros((n_dim, cols))
+        ok = np.ones(cols, dtype=bool)
+        error = None
+        if part is not None:
+            eta = np.zeros((n_dim, cols))
+            for i, t in enumerate(ts.tolist()):
+                try:
+                    eta[:, i], offset[:, i] = part(t)
+                except ConstraintSolveFailure:
+                    ok[i] = False
+                except SingularJacobian as exc:
+                    ok[i:], error = False, exc
+                    break
+            base = explicit + eta
+        idx = np.flatnonzero(ok)
+        x, fx = base.copy(), np.zeros((n_dim, cols))
+        if not self.kernel.dim:
+            if idx.size:
+                fx[:, idx] = self.dae.field(ts[idx], base[:, idx])
+        else:
+            blk, problem = self.levels["kernel_level"]
+            tol = TOL.solver * np.maximum(1.0, column_norms(explicit[:, idx]))
+
+            def params(j):
+                return (base[:, idx[j]], offset[:, idx[j]],
+                        _FieldColumns(fx, idx[j]))
+            try:
+                c, ok[idx] = solve_newton_columns(
+                    problem, ts[idx], params, np.zeros((blk.dim, idx.size)),
+                    tol)
+            except SingularJacobian as exc:
+                exc.level = "kernel_level"
+                raise
+            x[:, idx] += blk.lift(c)
+        if error is not None:
+            raise error
+        return x, fx, ok
 
     def f2_star(self, t, x, state=None):
         """Constraint residual vector (ambient).  With the per-run state, a
@@ -341,6 +424,24 @@ class ReducedFirst(_Reduced):
     # the drift_w spans) sees every call.
     drift = property(lambda self: self.drift_w)
 
+    def drift_columns(self, ts, w, state=None):
+        """`drift_w` at every column of w (n x S), at the times ts (S,):
+        (dw, x, ok), ok False where a column did not solve.  The kernel
+        levels of all columns are one stacked solve from zero; for a
+        structure-tagged field, the offsets come column by column from the
+        per-run state (a fresh one if None)."""
+        w = self.w_projector @ w
+        x12 = self.ps.a_tilde_inv @ w
+        part = None
+        if self.differentiated:
+            state = state or self.make_state()
+            zero = np.zeros(self.dae.pencil.n_dim)
+
+            def part(t):
+                return zero, state.level_offset(0, t)
+        x, f, ok = self._kernel_columns(ts, x12, part)
+        return self.w_projector @ (f - self.dae.pencil.b @ x), x, ok
+
     def _initial_state(self, t0, x_guess, state):
         """Keep the explicit components of the guess, solve the rest; for a
         structure-tagged field the levels pin the chain-top parts too."""
@@ -380,6 +481,23 @@ class ReducedCascade(_Reduced):
 
     # looked up at call time for the same reason as ReducedFirst.drift
     drift = property(lambda self: self.drift_w1)
+
+    def drift_columns(self, ts, w1, state=None):
+        """`drift_w1` at every column of w1 (n x S), at the times ts (S,):
+        (dw, x, ok), as `ReducedFirst.drift_columns`; at index 2 and above
+        the algebraic parts come column by column from the per-run state (a
+        fresh one if None)."""
+        w1 = self.w_projector @ w1
+        x1 = self.ps.a_tilde_inv @ w1
+        part = None
+        if self.nu > 1:
+            state = state or self.make_state()
+
+            def part(t):
+                parts = state.algebraic_parts(t)
+                return parts["eta_2sigma"], parts["d_vec"]
+        x, f, ok = self._kernel_columns(ts, x1, part)
+        return self.w_projector @ (f - self.dae.pencil.b @ x1), x, ok
 
     def _initial_state(self, t0, x_guess, state):
         """The explicit part of the guess plus the level solutions."""
@@ -442,6 +560,10 @@ class _CascadeEvaluator:
         self._wedge_cache: dict[tuple[int, float], np.ndarray] = {}
         # (t, key, f(t, x)) of the last level residual or drift, see _field
         self.field_at: tuple | None = None
+
+    def record(self, t, key, f) -> None:
+        """Keep f(t, x) of a level residual, keyed by its coordinates."""
+        self.field_at = (t, key, f)
 
     def _solve(self, label: str, t: float, base, offset, scale: float = 1.0
                ) -> np.ndarray:

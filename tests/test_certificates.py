@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import json
 import math
 import warnings
 
@@ -6,14 +8,17 @@ import numpy as np
 import pytest
 
 from daekit import (ComparisonSpec, IntegrationOptions, LyapunovComponent,
-                    LyapunovSpec, SamplingFailure,
-                    check_blowup_certificate, check_global_solvability,
-                    check_lagrange_stability, integrate_first,
-                    monitor_comparison, probe_integral, reduce_first)
+                    LyapunovSpec, NonlinearField, SamplingFailure,
+                    SingularJacobian, check_blowup_certificate,
+                    check_global_solvability, check_lagrange_stability,
+                    integrate_first, make_dae, monitor_comparison,
+                    probe_integral, reduce_cascade, reduce_first)
 from daekit import certificates, problems
 from daekit.certificates import CONVERGES, DIVERGES, INCONCLUSIVE, PASS, \
     UNDECIDED, VIOLATED
-from daekit.problems import load_builtin
+from daekit.cli import run
+from daekit.errors import ConstraintSolveFailure
+from daekit.problems import load_builtin, load_problem_dict
 
 
 def sq_norm():
@@ -204,6 +209,28 @@ def test_lagrange_stability_fixture():
         assert k <= 1.0 + float(b) + 1e-9  # |x2| <= 1 + |x1|
 
 
+def _no_ladder_root_field():
+    # 0 = x2^2 + 64 - x1^2 - x2 has a real root only where x1^2 >= 63.75:
+    # every main-sampler point (|w| >= R = 10) has one, no point of the
+    # ladder levels b = 1, 2, 4 has one
+    return NonlinearField(
+        eval=lambda t, x: np.array([-x[0], x[1] ** 2 + 64.0 - x[0] ** 2]),
+        jacobian=lambda t, x: np.array([[-1.0, 0.0],
+                                        [-2.0 * x[0], 2.0 * x[1]]]))
+
+
+def test_ladder_level_without_samples_is_a_sampling_failure():
+    # a level that places nothing used to report K(b) = 0.0
+    pb = load_builtin("index1_stable")
+    dae = make_dae(pb.dae.pencil.a, pb.dae.pencil.b, _no_ladder_root_field())
+    comp = ComparisonSpec(U=lambda u: 1.0 + u, psi=lambda t: np.exp(-t),
+                          R=10.0)
+    with pytest.raises(SamplingFailure, match=(
+            r"^kernel bound ladder at b = 1.0: placed 0/31 samples after "
+            r"248 random attempts \(248 constraint-solve failures\)$")):
+        check_lagrange_stability(reduce_first(dae), sq_norm(), comp)
+
+
 def test_stability_with_constant_weight_inconclusive():
     red, pb = stable_setup()
     comp = dataclasses.replace(pb.comparison(), psi=lambda t: 1.0)
@@ -380,3 +407,165 @@ def test_monitor_on_a_one_point_trajectory(direction):
         assert rep.worst_margin == 0.0 and rep.worst_margin_relative == 0.0
         assert rep.in_region_fraction == fraction
         assert rep.first_exit_index == exit_index
+
+
+# -- the stacked sampler ------------------------------------------------------
+
+_CERTIFIED = ("index1_blowup", "index1_cubic_blowup", "index1_stable",
+              "ode_scalar_quadratic")
+_ROUTES = {"first": reduce_first, "cascade": reduce_cascade}
+
+
+def _one_at_a_time(reduced, comp, seed, region):
+    """The (t, w) that a sampler keeps which solves one candidate at a
+    time, on one warm state, drawing as the stacked sampler does."""
+    basis = certificates._DriftAdapter(reduced).basis
+    state = reduced.make_state()
+    rng = np.random.default_rng(seed)
+    want = certificates._N_SAMPLES
+    out = []
+
+    def try_add(t, w):
+        if region is not None and not region(w):
+            return
+        try:
+            reduced.drift(t, w, state)
+        except ConstraintSolveFailure:
+            return
+        out.append((t, w.tolist()))
+
+    for t in certificates._GRID_TIMES:
+        for mag in certificates._GRID_MAGNITUDES:
+            for k in range(basis.shape[1]):
+                for sign in (1.0, -1.0):
+                    if len(out) < want:
+                        try_add(t, basis[:, k] * (sign * mag * comp.R))
+    attempts = 0
+    while len(out) < want and attempts < 8 * want:
+        attempts += 1
+        t = 10.0 ** rng.uniform(np.log10(1e-3), np.log10(1e3))
+        direction = rng.standard_normal(basis.shape[1])
+        nrm = float(np.linalg.norm(direction))
+        if nrm == 0.0:
+            continue
+        mag = 10.0 ** rng.uniform(np.log10(comp.R), np.log10(comp.R * 1e3))
+        try_add(t, basis @ (mag * (direction / nrm)))
+    return out
+
+
+def _assert_per_sample_drifts(reduced, samples):
+    """Each stacked drift and state is the per-sample one, from a fresh
+    state, within 1e-12 relative."""
+    for t, w, dw, x in samples:
+        ref_dw, ref_x = reduced.drift(t, w, reduced.make_state())
+        np.testing.assert_allclose(dw, ref_dw, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(x, ref_x, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("approach", sorted(_ROUTES))
+@pytest.mark.parametrize("name", _CERTIFIED)
+def test_stacked_samples_are_the_one_at_a_time_draws(name, approach, seed):
+    pb = load_builtin(name)
+    reduced = _ROUTES[approach](pb.dae)
+    comp = pb.comparison()
+    samples = certificates._draw_samples(certificates._DriftAdapter(reduced),
+                                         comp, seed, comp.domain_set)
+    assert [(t, w.tolist()) for t, w, _, _ in samples] \
+        == _one_at_a_time(reduced, comp, seed, comp.domain_set)
+    _assert_per_sample_drifts(reduced, samples)
+
+
+def test_unsolved_column_is_dropped_and_counted():
+    pb = load_builtin("index1_stable")
+    reduced = reduce_first(make_dae(pb.dae.pencil.a, pb.dae.pencil.b,
+                                    _no_ladder_root_field()))
+    adapter = certificates._DriftAdapter(reduced)
+    e1 = adapter.basis[:, 0] * np.sign(adapter.basis[0, 0])
+    x1s = (5.0, 10.0, -7.0, 9.0, 20.0)
+    draws = iter([(float(k), x1 * e1) for k, x1 in enumerate(x1s)])
+    placed = certificates._place(adapter, 2, draws, limit=10)
+    # the two rootless candidates are dropped, and no draw follows the
+    # second sample
+    assert [w[0] for _, w, _, _ in placed.samples] == [10.0, 9.0]
+    assert (placed.attempts, placed.failures) == (4, 2)
+    _assert_per_sample_drifts(reduced, placed.samples)
+
+
+def test_damped_kernel_columns_give_the_per_sample_roots():
+    # 0 = -arctan(x2 - 3 x1): from x2 = 0 a full Newton step overshoots
+    # where |3 x1| > 1.39, so those columns need the line search
+    pb = load_builtin("index1_blowup")
+    fld = NonlinearField(
+        eval=lambda t, x: np.array([-x[0],
+                                    x[1] - np.arctan(x[1] - 3.0 * x[0])]),
+        jacobian=lambda t, x: np.array(
+            [[-1.0, 0.0],
+             [3.0, 1.0 - 1.0 / (1.0 + (x[1] - 3.0 * x[0]) ** 2)]]))
+    for route in _ROUTES.values():
+        reduced = route(make_dae(pb.dae.pencil.a, pb.dae.pencil.b, fld))
+        adapter = certificates._DriftAdapter(reduced)
+        ts = np.linspace(0.0, 2.0, 9)
+        w = np.outer(adapter.basis[:, 0], np.linspace(-4.0, 4.0, 9))
+        dw, x, ok = adapter.drift(ts, w)
+        assert ok.all()
+        np.testing.assert_allclose(x[1], 3.0 * x[0], rtol=1e-12, atol=1e-12)
+        _assert_per_sample_drifts(reduced, [
+            (t, w[:, i], dw[:, i], x[:, i]) for i, t in enumerate(ts)])
+
+
+def _singular_at_5(params):
+    # 0 = x2^2 + (x1 - 5) x2 - 1 has two real roots for every x1, but its
+    # Jacobian at the cold start x2 = 0 vanishes where x1 = 5
+    return NonlinearField(
+        eval=lambda t, x: np.array([-x[0], x[1] + x[1] ** 2
+                                    + (x[0] - 5.0) * x[1] - 1.0]),
+        jacobian=lambda t, x: np.array([[-1.0, 0.0],
+                                        [x[1], 1.0 + 2.0 * x[1] + x[0]
+                                         - 5.0]]))
+
+
+@pytest.mark.parametrize("approach", sorted(_ROUTES))
+def test_singular_column_raises_at_the_kernel_level(tmp_path, capsys,
+                                                    monkeypatch, approach):
+    monkeypatch.setitem(problems.FIELD_REGISTRY, "singular_at_5",
+                        _singular_at_5)
+    data = copy.deepcopy(load_builtin("index1_blowup").raw)
+    data.update(name="singular_at_5", field={"registry_id": "singular_at_5"})
+    data["certificate"] = {
+        "kind": "global_solvability", "V": [{"registry_id": "squared_norm"}],
+        "U": {"registry_id": "affine"},
+        "psi": {"registry_id": "constant"}, "R": 0.5}
+    pb = load_problem_dict(data)
+    # the grid's third or fourth point, x1 = 5 at t = 0, is the first
+    # singular column; the grid points after it are singular too
+    with pytest.raises(SingularJacobian) as err:
+        check_global_solvability(_ROUTES[approach](pb.dae), pb.lyapunov(),
+                                 pb.comparison())
+    assert err.value.level == "kernel_level"
+    assert err.value.point == (0.0, (0.0,))
+    path = tmp_path / "singular_at_5.json"
+    path.write_text(json.dumps(data))
+    assert run(["certify", str(path), "--approach", approach,
+                "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: SingularJacobian: singular jacobian at (0.0, (0.0,))\n")
+
+
+@pytest.mark.parametrize("approach", sorted(_ROUTES))
+def test_certificate_at_index_two_on_both_routes(approach):
+    # the parts that depend on t only (chain and wedge levels, the kernel
+    # offset) come column by column; no bundled certificate reaches them
+    data = copy.deepcopy(load_builtin("index2_structured").raw)
+    data["certificate"] = {
+        "kind": "global_solvability", "V": [{"registry_id": "squared_norm"}],
+        "U": {"registry_id": "affine"},
+        "psi": {"registry_id": "constant"}, "R": 1.0}
+    pb = load_problem_dict(data)
+    reduced = _ROUTES[approach](pb.dae)
+    assert reduced.nu == 2
+    rep = check_global_solvability(reduced, pb.lyapunov(), pb.comparison())
+    assert rep.samples_checked == 500
+    samples = certificates._draw_samples(certificates._DriftAdapter(reduced),
+                                         pb.comparison(), 42, None)
+    _assert_per_sample_drifts(reduced, samples)

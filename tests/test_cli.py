@@ -243,6 +243,25 @@ def test_recorded_command_lines_parse():
         parser.parse_args([sub, "index3_chain", *flags, "--out", "files"])
 
 
+def test_consecutive_runs_do_not_share_parsed_values(tmp_path, monkeypatch):
+    # the parser is built once per process, and each run parses afresh
+    seeds = []
+    check = cli.check_lagrange_stability
+    monkeypatch.setattr(cli, "check_lagrange_stability",
+                        lambda *args: seeds.append(args[3]) or check(*args))
+    out = str(tmp_path)
+    assert run(["certify", "index1_stable", "--seed", "7", "--out", out]) == 0
+    assert run(["certify", "index1_stable", "--out", out]) == 0
+    assert seeds == [7, 42]
+    ends = []
+    for extra in (["--tmax", "0.5"], []):
+        assert run(["simulate", "ode_scalar_decay", *extra, "--out", out]) == 0
+        ends.append(json.loads((tmp_path / "ode_scalar_decay_termination.json")
+                               .read_text())["t"])
+    assert ends == [0.5, load_builtin("ode_scalar_decay").options.t_max]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_sweep_summary(tmp_path):
     code = run(["sweep", "index1_blowup", "--out", str(tmp_path)])
     assert code == 0

@@ -7,7 +7,7 @@ import pytest
 from daekit import implicit
 from daekit import (ImplicitProblem, InconsistentInitialValue, JacobianCache,
                     SingularJacobian, implicit_derivative, reduce_cascade,
-                    reduce_first, solve_newton)
+                    reduce_first, solve_newton, solve_newton_columns)
 from daekit._linalg import norm2
 from daekit.problems import load_builtin
 from test_reduction import misdeclared_index2
@@ -344,3 +344,70 @@ def test_norm2_is_numpy_norm_bit_for_bit():
         for v in vectors:
             got = np.float64(norm2(v)).tobytes()
             assert got == np.float64(np.linalg.norm(v)).tobytes(), v
+
+
+# -- stacked Newton -----------------------------------------------------------
+
+def _arctan_problems():
+    """arctan(y - p) = 0 for one system and for a stack of columns: from
+    y = 0 a full Newton step overshoots where |p| > 1.39, so those columns
+    need the line search."""
+    def residual(t, p, y):
+        return np.arctan(y - p)
+
+    def slope(p, y):
+        return 1.0 / (1.0 + (y - p) ** 2)
+
+    return (ImplicitProblem(residual, lambda t, p, y: slope(p, y)[:, None]),
+            ImplicitProblem(residual,
+                            lambda t, p, y: slope(p, y).T[:, :, None]))
+
+
+def test_stacked_newton_damps_each_column_as_solve_newton_does():
+    single, stacked = _arctan_problems()
+    targets = np.linspace(-6.0, 6.0, 25)
+    roots, damped = [], []
+    for p in targets:
+        history, calls = [], [0]
+
+        def counted(t, p, y, fun=single.residual):
+            calls[0] += 1
+            return fun(t, p, y)
+
+        roots.append(solve_newton(ImplicitProblem(counted, single.jac_y), 0.0,
+                                  p, np.zeros(1), 1e-12, history)[0])
+        # an undamped solve makes one residual per history entry
+        damped.append(calls[0] > len(history))
+    assert any(damped) and not all(damped)
+    y, ok = solve_newton_columns(stacked, np.zeros(25),
+                                 lambda idx: targets[idx][None, :],
+                                 np.zeros((1, 25)), np.full(25, 1e-12))
+    assert ok.all()
+    np.testing.assert_allclose(y[0], roots, rtol=0.0, atol=1e-12)
+
+
+def test_stacked_newton_drops_a_column_without_a_root():
+    # y^2 - 2y + p = 0 has no real root for p > 1, and Newton there stalls
+    # near the vertex y = 1 until its line search gives up; the other
+    # columns converge
+    problem = ImplicitProblem(lambda t, p, y: y ** 2 - 2.0 * y + p,
+                              lambda t, p, y: (2.0 * y - 2.0).T[:, :, None])
+    ps = np.array([0.5, 2.3, -3.0])
+    y, ok = solve_newton_columns(problem, np.zeros(3),
+                                 lambda idx: ps[idx][None, :],
+                                 np.zeros((1, 3)), np.full(3, 1e-12))
+    assert ok.tolist() == [True, False, True]
+    np.testing.assert_allclose(y[0, ok], 1.0 - np.sqrt(1.0 - ps[ok]),
+                               rtol=1e-12)
+
+
+def test_stacked_newton_raises_for_the_first_singular_column():
+    # dF/dy = y - p vanishes at the start y = 0 where p = 0
+    problem = ImplicitProblem(lambda t, p, y: 0.5 * (y - p) ** 2 - 1.0,
+                              lambda t, p, y: (y - p).T[:, :, None])
+    ps = np.array([1.0, 0.0, 2.0, 0.0])
+    with pytest.raises(SingularJacobian) as err:
+        solve_newton_columns(problem, np.array([0.0, 1.0, 2.0, 3.0]),
+                             lambda idx: ps[idx][None, :],
+                             np.zeros((1, 4)), np.full(4, 1e-12))
+    assert err.value.point == (1.0, (0.0,))
