@@ -155,8 +155,10 @@ def solve_newton(problem: ImplicitProblem, t: float, p, y0,
     Stops when ||F|| <= tol (absolute, positive).  Each Jacobian is tested
     once; a numerically singular one (1-norm condition number above 1e14,
     which a non-finite entry or an exactly singular matrix exceeds) raises
-    SingularJacobian.  Each iterate's residual norm is appended to
-    `history` when given.
+    SingularJacobian at any iterate (`solve_newton_columns` fails a column
+    singular after its start instead; here that would reach the retry
+    `integrate_first` makes of a failed kernel solve but not of a singular
+    one).  Each iterate's residual norm is appended to `history` when given.
 
     With `jac_cache` the solve first reuses the Jacobian kept there
     (simplified Newton, Hairer & Wanner, Solving ODEs II, IV.8): a full step
@@ -226,19 +228,19 @@ def solve_newton_columns(problem: ImplicitProblem, ts: np.ndarray,
     iterating are evaluated.  The singularity test is one stacked 1-norm
     condition number per iteration.
 
-    Returns (Y, ok), ok[i] False where column i did not converge.  Where
-    some dF/dy is numerically singular, SingularJacobian is raised at the
-    end for the lowest such column, as a column-by-column loop would.
+    Returns (Y, ok), ok[i] False where column i did not converge, or where
+    its dF/dy turned numerically singular after its start.  Where some
+    dF/dy is singular at its column's start, SingularJacobian is raised
+    for the lowest such column.
     """
     y = np.array(y0, dtype=float)
     ok = np.zeros(y.shape[1], dtype=bool)
-    singular = {}  # column -> its iterate at the singular Jacobian
     act = np.arange(y.shape[1])
     if not act.size:
         return y, ok
     f = problem.residual(ts, params(act), y)
     res = column_norms(f)
-    for _ in range(_MAX_ITER):
+    for it in range(_MAX_ITER):
         done = res <= tol[act]
         ok[act[done]] = True
         live = ~done & np.isfinite(res)
@@ -248,7 +250,11 @@ def solve_newton_columns(problem: ImplicitProblem, ts: np.ndarray,
         jac = problem.jac_y(ts[act], params(act), y[:, act])
         regular = np.linalg.cond(jac, 1) <= _COND_CAP
         if not regular.all():
-            singular.update((i, y[:, i].copy()) for i in act[~regular])
+            # only the first iteration evaluates dF/dy at the starts
+            if it == 0:
+                i = act[~regular][0]
+                raise SingularJacobian(
+                    point=(float(ts[i]), tuple(np.round(y[:, i], 6).tolist())))
             act, f, res = act[regular], f[:, regular], res[regular]
             jac = jac[regular]
             if not act.size:
@@ -274,10 +280,6 @@ def solve_newton_columns(problem: ImplicitProblem, ts: np.ndarray,
         keep = alpha >= _MIN_STEP
         act, f, res = act[keep], f[:, keep], res[keep]
     ok[act[res <= tol[act]]] = True
-    if singular:
-        i = min(singular)
-        raise SingularJacobian(
-            point=(float(ts[i]), tuple(np.round(singular[i], 6).tolist())))
     return y, ok
 
 

@@ -142,12 +142,12 @@ class _Reduced:
     """What both routes share.
 
     The level table (the slices and equation of every algebraic level),
-    `make_state()` and `consistent_point`.  A route adds `_initial_state`
-    and the reduction protocol: `w_projector` (the projector onto the
-    space of the reduced variable w), `drift(t, w, state) -> (dw, x)`
-    (the reduced right-hand side plus the assembled state) and
-    `drift_columns(ts, w, state) -> (dw, x, ok)`, the same at many
-    independent points at once (columns), each solved from a cold start.
+    `make_state()`, `consistent_point` and `drift_columns`.  A route adds
+    `_initial_state`, what `drift_columns` reads of it (`_t_only_parts`,
+    `_drift_subtracts_state`) and the reduction protocol: `w_projector`
+    (the projector onto the space of the reduced variable w) and
+    `drift(t, w, state) -> (dw, x)` (the reduced right-hand side plus the
+    assembled state).
     """
 
     def __init__(self, dae: SemilinearDAE):
@@ -304,26 +304,31 @@ class _Reduced:
         state.field_at = (t, x, f)
         return f
 
-    def _kernel_columns(self, ts, explicit, part=None):
-        """The states x = explicit + eta + phi c at the times ts (S,), one
-        per column, the field values f(t, x) there and which columns solved.
+    def drift_columns(self, ts, w):
+        """The route's `drift` at every column of w (n x S), at the times ts
+        (S,): (dw, x, ok), ok False where a column did not solve.
 
-        eta and the kernel level's offset depend on t only: part(t) gives
-        both, column by column and in order (both are zero where part is
-        None), and a column whose part does not solve is dropped.  c solves
+        Column i is the state x = explicit + eta + phi c, explicit =
+        a_tilde_inv w.  eta and the kernel level's offset depend on t only;
+        for a structure-tagged field (reduce_cascade refuses any other at
+        index 2 and up) `_t_only_parts` solves them on a fresh state per
+        column, and a column whose parts do not solve is dropped.  c solves
         the kernel level from zero, for all columns in one stacked Newton
         solve, to TOL.solver max(1, |explicit|).  A singular column raises
         SingularJacobian only after the columns before it are solved.
         """
+        w = self.w_projector @ w
+        explicit = self.ps.a_tilde_inv @ w
         n_dim, cols = explicit.shape
         base, offset = explicit, np.zeros((n_dim, cols))
         ok = np.ones(cols, dtype=bool)
         error = None
-        if part is not None:
+        if self.dae.structured:
             eta = np.zeros((n_dim, cols))
             for i, t in enumerate(ts.tolist()):
                 try:
-                    eta[:, i], offset[:, i] = part(t)
+                    eta[:, i], offset[:, i] = self._t_only_parts(
+                        self.make_state(), t)
                 except ConstraintSolveFailure:
                     ok[i] = False
                 except SingularJacobian as exc:
@@ -352,7 +357,8 @@ class _Reduced:
             x[:, idx] += blk.lift(c)
         if error is not None:
             raise error
-        return x, fx, ok
+        minus = x if self._drift_subtracts_state else explicit
+        return self.w_projector @ (fx - self.dae.pencil.b @ minus), x, ok
 
     def f2_star(self, t, x, state=None):
         """Constraint residual vector (ambient).  With the per-run state, a
@@ -424,23 +430,12 @@ class ReducedFirst(_Reduced):
     # the drift_w spans) sees every call.
     drift = property(lambda self: self.drift_w)
 
-    def drift_columns(self, ts, w, state=None):
-        """`drift_w` at every column of w (n x S), at the times ts (S,):
-        (dw, x, ok), ok False where a column did not solve.  The kernel
-        levels of all columns are one stacked solve from zero; for a
-        structure-tagged field, the offsets come column by column from the
-        per-run state (a fresh one if None)."""
-        w = self.w_projector @ w
-        x12 = self.ps.a_tilde_inv @ w
-        part = None
-        if self.differentiated:
-            state = state or self.make_state()
-            zero = np.zeros(self.dae.pencil.n_dim)
+    # drift_w subtracts B x, of the whole state
+    _drift_subtracts_state = True
 
-            def part(t):
-                return zero, state.level_offset(0, t)
-        x, f, ok = self._kernel_columns(ts, x12, part)
-        return self.w_projector @ (f - self.dae.pencil.b @ x), x, ok
+    def _t_only_parts(self, state, t):
+        """No eta (x12 holds the chain-top parts) and the kernel offset."""
+        return np.zeros(self.dae.pencil.n_dim), state.level_offset(0, t)
 
     def _initial_state(self, t0, x_guess, state):
         """Keep the explicit components of the guess, solve the rest; for a
@@ -482,22 +477,13 @@ class ReducedCascade(_Reduced):
     # looked up at call time for the same reason as ReducedFirst.drift
     drift = property(lambda self: self.drift_w1)
 
-    def drift_columns(self, ts, w1, state=None):
-        """`drift_w1` at every column of w1 (n x S), at the times ts (S,):
-        (dw, x, ok), as `ReducedFirst.drift_columns`; at index 2 and above
-        the algebraic parts come column by column from the per-run state (a
-        fresh one if None)."""
-        w1 = self.w_projector @ w1
-        x1 = self.ps.a_tilde_inv @ w1
-        part = None
-        if self.nu > 1:
-            state = state or self.make_state()
+    # drift_w1 subtracts B x1, of the explicit part only
+    _drift_subtracts_state = False
 
-            def part(t):
-                parts = state.algebraic_parts(t)
-                return parts["eta_2sigma"], parts["d_vec"]
-        x, f, ok = self._kernel_columns(ts, x1, part)
-        return self.w_projector @ (f - self.dae.pencil.b @ x1), x, ok
+    def _t_only_parts(self, state, t):
+        """eta_2sigma and the kernel offset: the algebraic parts at t."""
+        parts = state.algebraic_parts(t)
+        return parts["eta_2sigma"], parts["d_vec"]
 
     def _initial_state(self, t0, x_guess, state):
         """The explicit part of the guess plus the level solutions."""

@@ -553,19 +553,29 @@ def test_singular_column_raises_at_the_kernel_level(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("approach", sorted(_ROUTES))
-def test_certificate_at_index_two_on_both_routes(approach):
+@pytest.mark.parametrize("name, nu, direct_violations",
+                         [("index2_structured", 2, 12),
+                          ("index3_chain", 3, 94)],
+                         ids=["index2_structured", "index3_chain"])
+def test_structured_certificate_on_both_routes(name, nu, direct_violations,
+                                               approach):
     # the parts that depend on t only (chain and wedge levels, the kernel
-    # offset) come column by column; no bundled certificate reaches them
-    data = copy.deepcopy(load_builtin("index2_structured").raw)
+    # offset) are solved per sample on a fresh state; no bundled
+    # certificate reaches them.  The direct route's samples are off L0 at
+    # index 2 and above, as w holds free x2_sigma coordinates, which is
+    # where its violations come from; the cascade route's are on L0.
+    data = copy.deepcopy(load_builtin(name).raw)
     data["certificate"] = {
         "kind": "global_solvability", "V": [{"registry_id": "squared_norm"}],
         "U": {"registry_id": "affine"},
         "psi": {"registry_id": "constant"}, "R": 1.0}
     pb = load_problem_dict(data)
     reduced = _ROUTES[approach](pb.dae)
-    assert reduced.nu == 2
+    assert reduced.nu == nu
     rep = check_global_solvability(reduced, pb.lyapunov(), pb.comparison())
     assert rep.samples_checked == 500
+    assert len(rep.violations) == (direct_violations if approach == "first"
+                                   else 0)
     samples = certificates._draw_samples(certificates._DriftAdapter(reduced),
                                          pb.comparison(), 42, None)
     _assert_per_sample_drifts(reduced, samples)

@@ -388,15 +388,16 @@ def test_stacked_newton_damps_each_column_as_solve_newton_does():
 
 def test_stacked_newton_drops_a_column_without_a_root():
     # y^2 - 2y + p = 0 has no real root for p > 1, and Newton there stalls
-    # near the vertex y = 1 until its line search gives up; the other
-    # columns converge
+    # near the vertex y = 1 until its line search gives up; at p = 2 the
+    # first step lands on the vertex, where dF/dy = 0, which fails that
+    # column and raises nothing; the other columns converge
     problem = ImplicitProblem(lambda t, p, y: y ** 2 - 2.0 * y + p,
                               lambda t, p, y: (2.0 * y - 2.0).T[:, :, None])
-    ps = np.array([0.5, 2.3, -3.0])
-    y, ok = solve_newton_columns(problem, np.zeros(3),
+    ps = np.array([0.5, 2.3, -3.0, 2.0])
+    y, ok = solve_newton_columns(problem, np.zeros(4),
                                  lambda idx: ps[idx][None, :],
-                                 np.zeros((1, 3)), np.full(3, 1e-12))
-    assert ok.tolist() == [True, False, True]
+                                 np.zeros((1, 4)), np.full(4, 1e-12))
+    assert ok.tolist() == [True, False, True, False]
     np.testing.assert_allclose(y[0, ok], 1.0 - np.sqrt(1.0 - ps[ok]),
                                rtol=1e-12)
 
