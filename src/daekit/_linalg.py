@@ -118,17 +118,6 @@ def cond2(m: np.ndarray) -> float:
     return float(sig[0] / sig[-1])
 
 
-def subspace_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Sine of the largest principal angle between two column spans."""
-    ua = orth_basis(a)
-    ub = orth_basis(b)
-    if ua.shape[1] != ub.shape[1]:
-        return 1.0
-    if ua.shape[1] == 0:
-        return 0.0
-    return float(np.linalg.norm(ua @ ua.conj().T - ub @ ub.conj().T, 2))
-
-
 def trim_imag(a: np.ndarray, rel: float) -> np.ndarray:
     """Drop negligible imaginary parts (relative to the array scale)."""
     if not np.iscomplexobj(a):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -129,7 +129,7 @@ class CertificateReport:
     extras: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -273,22 +273,23 @@ class _DriftAdapter:
         return self.reduced.drift_columns(ts, w)
 
 
-def _random_draws(rng, basis: np.ndarray, magnitude: Callable):
-    """Endless seeded candidates (t, w): a log-uniform time, a unit
-    direction of the reduced coordinates and magnitude() along it, drawn in
-    that order, or None for a zero direction.
-
-    The arithmetic gives the bits of `rng.uniform` and `np.linalg.norm`.
+def _random_draws(rng, basis: np.ndarray, magnitude: Callable, size: int):
+    """Endless seeded candidates (t, w), drawn in blocks of `size`: the
+    block's log-uniform times, then its standard-normal directions of the
+    reduced coordinates (row i is candidate i's), then magnitude(size) along
+    the unit directions, and one product with `basis`.  A zero direction
+    yields None.  So the candidates depend on the seed, `size` and the
+    reduced dimension only, not on which of them a sampler keeps.
     """
     lo, hi = _LOG_T
     while True:
-        t = 10.0 ** (lo + (hi - lo) * rng.random())
-        direction = rng.standard_normal(basis.shape[1])
-        nrm = math.sqrt(float(direction.dot(direction)))
-        if nrm == 0.0:
-            yield None
-            continue
-        yield t, basis @ (magnitude() * (direction / nrm))
+        ts = 10.0 ** (lo + (hi - lo) * rng.random(size))
+        directions = rng.standard_normal((size, basis.shape[1]))
+        nrm = np.linalg.norm(directions, axis=1)
+        units = directions / np.where(nrm == 0.0, 1.0, nrm)[:, None]
+        ws = basis @ (units * magnitude(size)[:, None]).T
+        for t, w, zero in zip(ts.tolist(), ws.T, (nrm == 0.0).tolist()):
+            yield None if zero else (t, w)
 
 
 @dataclass
@@ -296,7 +297,7 @@ class _Placed:
     """The samples a sampler placed, in draw order, and what it tried."""
 
     samples: list            # (t, w, drift, state) of each placed sample
-    attempts: int = 0        # random draws
+    attempts: int = 0        # random candidates taken
     failures: int = 0        # candidates whose constraint solve failed
     outside: int = 0         # candidates outside the region
 
@@ -306,11 +307,11 @@ def _place(adapter: _DriftAdapter, want: int, draws, limit: int,
     """The first `want` candidates, in draw order, that lie in `region` and
     whose drift solves: the `grid` first, then up to `limit` random draws.
 
-    Candidates are drawn one at a time, in chunks of as many in-region
+    Candidates are taken in order, in chunks of as many in-region
     candidates as samples are still wanted, and each chunk's drift is one
-    stacked solve; another chunk is drawn only where some solves failed.
-    So the draws, and the samples kept, are those of a sampler that solves
-    one candidate at a time and stops at `want` samples.
+    stacked solve; another chunk is taken only where some solves failed.
+    So the samples kept are those of a sampler that solves one candidate
+    at a time and stops at `want` samples.
     """
     placed = _Placed([])
     grid = iter(grid)
@@ -342,10 +343,10 @@ def _place(adapter: _DriftAdapter, want: int, draws, limit: int,
 def _draw_samples(adapter: _DriftAdapter, comp: ComparisonSpec, seed: int,
                   region: Callable | None):
     """(t, w, drift, state) of each sample: the grid first, then a seeded
-    random fill up to _N_SAMPLES, keeping points inside `region` when one
-    is given.  A reduced space of dimension 0 has no state to draw.  w is
-    drawn freely, so on the direct route at index 2 and above the samples
-    are off L0 (see `_DriftAdapter`)."""
+    random fill from blocks of _N_SAMPLES candidates, up to _N_SAMPLES
+    samples inside `region` when one is given.  A reduced space of
+    dimension 0 has no state to draw.  w is drawn freely, so on the direct
+    route at index 2 and above the samples are off L0 (see `_DriftAdapter`)."""
     if adapter.basis.shape[1] == 0:
         raise SamplingFailure(
             "the reduced space has dimension 0: there is no state to sample")
@@ -354,8 +355,9 @@ def _draw_samples(adapter: _DriftAdapter, comp: ComparisonSpec, seed: int,
     grid = ((t, adapter.basis[:, k] * (sign * mag * comp.R))
             for t in _GRID_TIMES for mag in _GRID_MAGNITUDES
             for k in range(adapter.basis.shape[1]) for sign in (1.0, -1.0))
-    draws = _random_draws(rng, adapter.basis,
-                          lambda: 10.0 ** (lo + (hi - lo) * rng.random()))
+    draws = _random_draws(
+        rng, adapter.basis,
+        lambda size: 10.0 ** (lo + (hi - lo) * rng.random(size)), _N_SAMPLES)
     placed = _place(adapter, _N_SAMPLES, draws,
                     _MAX_ATTEMPT_FACTOR * _N_SAMPLES, grid, region)
     if len(placed.samples) < _N_SAMPLES:
@@ -465,15 +467,15 @@ def check_lagrange_stability(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
                        and base.integral_psi == CONVERGES)
 
     # kernel-component bound K(b) over samples with |w| below b; the
-    # levels draw from one generator, and each sample's levels are solved
-    # on its own state, as in the check above
+    # levels draw blocks of per_b candidates from one generator, and each
+    # sample's levels are solved on its own state, as in the check above
     adapter = _DriftAdapter(reduced)
     rng = np.random.default_rng(seed + 1)
     kb = {}
     per_b = max(16, _N_SAMPLES // (4 * len(_KERNEL_LADDER)))
     for b in _KERNEL_LADDER:
         draws = _random_draws(rng, adapter.basis,
-                              lambda b=b: b * rng.random())
+                              lambda size, b=b: b * rng.random(size), per_b)
         placed = _place(adapter, per_b, draws, _MAX_ATTEMPT_FACTOR * per_b)
         if len(placed.samples) < per_b:
             raise SamplingFailure(

@@ -6,7 +6,7 @@ finite-time escape, constraint-solve failure, step collapse).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable
 
 import numpy as np
@@ -78,11 +78,13 @@ class TerminationReason:
     t: float | None = None
     level: str | None = None
     detail: str = ""
+    # first t and worst value of a recorded residual above Tolerances.traj
+    residual_exceeded: dict | None = None
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
         for key in ("t_escape_estimate", "blowup_rate", "final_norm", "t",
-                    "level", "detail"):
+                    "level", "detail", "residual_exceeded"):
             val = getattr(self, key)
             if val not in (None, ""):
                 out[key] = val
@@ -408,10 +410,16 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
     else:
         rec.reached_t_max = True
     rec.stats = {"nfev": nfev, "accepted": accepted, "rejected": rejected}
+    termination = classify_termination(rec)
+    residuals = np.asarray(residuals)
+    over = np.flatnonzero(residuals > TOL.traj)
+    if over.size:
+        termination = replace(termination, residual_exceeded={
+            "t": rec.times[over[0]], "worst": float(residuals[over].max())})
     return Trajectory(times=np.asarray(rec.times),
                       states=np.vstack(states), w_states=np.vstack(ws),
-                      residuals=np.asarray(residuals),
-                      termination=classify_termination(rec), stats=rec.stats)
+                      residuals=residuals, termination=termination,
+                      stats=rec.stats)
 
 
 def integrate_first(reduced: ReducedFirst, t0: float, x_guess,

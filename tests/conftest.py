@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
 
+from daekit._linalg import orth_basis
 from daekit.problems import random_weierstrass
 from daekit.projectors import build_all
+
+
+def subspace_gap(a, b):
+    """Sine of the largest principal angle between two column spans."""
+    ua = orth_basis(a)
+    ub = orth_basis(b)
+    if ua.shape[1] != ub.shape[1]:
+        return 1.0
+    if ua.shape[1] == 0:
+        return 0.0
+    return float(np.linalg.norm(ua @ ua.conj().T - ub @ ub.conj().T, 2))
 
 
 def corpus_samples(seed0=1000, count=100, max_dim=8, max_len=4):

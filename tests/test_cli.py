@@ -112,6 +112,32 @@ def test_simulate_escape_at_the_floor_reports_no_rate(tmp_path, capsys):
     assert "blowup_rate" not in term
 
 
+@pytest.mark.parametrize("t_max, flagged", [("2", False), ("20", True)])
+def test_residual_above_the_trajectory_tolerance_is_reported(tmp_path, t_max,
+                                                             flagged):
+    # the direct route integrates the x2_sigma coordinates of index3_chain
+    # as ODE states, and its constraint residual grows until it passes
+    # Tolerances.traj (1e-6) at t = 17.62; the run still reaches t_max
+    assert run(["simulate", "index3_chain", "--approach", "first",
+                "--tmax", t_max, "--out", str(tmp_path)]) == 0
+    term = json.loads(
+        (tmp_path / "index3_chain_termination.json").read_text())
+    assert term["kind"] == "reached_tmax"
+    rows = np.loadtxt(tmp_path / "index3_chain_trajectory.csv",
+                      delimiter=",", skiprows=1)
+    ts, residuals = rows[:, 0], rows[:, -1]
+    over = residuals > 1e-6
+    assert over.any() == flagged
+    if not flagged:
+        assert "residual_exceeded" not in term
+        return
+    assert term["residual_exceeded"] == {
+        "t": ts[np.argmax(over)], "worst": residuals.max()}
+    assert term["residual_exceeded"]["t"] == pytest.approx(17.62, abs=5e-3)
+    assert term["residual_exceeded"]["worst"] == pytest.approx(5.78e-6,
+                                                               rel=1e-3)
+
+
 def test_simulate_json_format(tmp_path):
     code = run(["simulate", "ode_scalar_decay", "--format", "json",
                 "--out", str(tmp_path)])

@@ -7,10 +7,11 @@ from daekit import (BiorthogonalizationFailure, Pencil, RankAmbiguity,
                     SingularPencil, build_all, build_chains,
                     build_dual_chains, chain_residuals, compute_index,
                     dual_residuals, find_regular_point)
-from daekit._linalg import (guarded_count, guarded_rank, rank_cutoff,
-                            subspace_gap, svd)
+from daekit._linalg import guarded_count, guarded_rank, rank_cutoff, svd
 from daekit.pencil import DualSystem, _shift_inverse, _staircase
 from daekit.problems import random_weierstrass
+
+from conftest import subspace_gap
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 EYE2 = np.eye(2)

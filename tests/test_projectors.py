@@ -7,11 +7,13 @@ import pytest
 import daekit.projectors
 from daekit import (InvariantViolation, Pencil, build_chains,
                     build_dual_chains, build_projectors, verify_projectors)
-from daekit._linalg import rel_residual, subspace_gap
+from daekit._linalg import rel_residual
 from daekit.config import DEFAULT_TOLERANCES as TOL
 from daekit.pencil import DualSystem
 from daekit.problems import load_problem_dict, random_weierstrass
 from daekit.projectors import build_all
+
+from conftest import subspace_gap
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
 EYE2 = np.eye(2)
