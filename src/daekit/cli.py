@@ -172,6 +172,10 @@ def cmd_simulate(args) -> int:
         rate = "" if term.blowup_rate is None \
             else f", rate {term.blowup_rate:.6g}"
         msg += f" (escape estimate {term.t_escape_estimate:.6g}{rate})"
+    if term.residual_exceeded is not None:
+        over = term.residual_exceeded
+        msg += (f", residual_exceeded from t {over['t']:.6g}"
+                f" (worst {over['worst']:.6g})")
     print(f"{problem.name}: {msg}, {traj.times.size} points -> {data_path}")
     return 0
 
@@ -231,7 +235,11 @@ def cmd_sweep(args) -> int:
                           f"{problem.name}_run{idx}")
     summary = out_dir / f"{problem.name}_sweep.csv"
     summary.write_text("\n".join(lines) + "\n")
-    print(f"{problem.name}: swept {len(results)} initial points -> {summary}")
+    flagged = [str(idx) for idx, _, traj in results
+               if traj.termination.residual_exceeded is not None]
+    over = f", residual_exceeded in runs {', '.join(flagged)}" if flagged else ""
+    print(f"{problem.name}: swept {len(results)} initial points{over}"
+          f" -> {summary}")
     return 0
 
 

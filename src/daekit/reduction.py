@@ -193,6 +193,19 @@ class _Reduced:
             for label, group in self.chain_levels}
         slices.update((f"wedge_level_{s}", self.wedge_blocks[s])
                       for s in reversed(self.wedge_blocks))
+        # the chain and wedge levels in table order, each with its wedge
+        # order s (None for a chain level), and the (label, start, end) of
+        # every chain-top slice within its level's coordinates
+        self.t_only = [(label, None) for label, _ in self.chain_levels]
+        self.t_only += [(f"wedge_level_{s}", s)
+                        for s in reversed(self.wedge_blocks)]
+        self.chain_slots = {}
+        for label, group in self.chain_levels:
+            start = 0
+            for s in group:
+                end = start + self.chain_blocks[s].dim
+                self.chain_slots[s] = (label, start, end)
+                start = end
         if self.kernel.dim:
             slices["kernel_level"] = self.kernel
         self.levels = {label: (blk, self._level_problem(blk))
@@ -501,9 +514,8 @@ class ReducedCascade(_Reduced):
         ev = evaluator or self.make_state()
         b = self.dae.pencil.b
         zero = np.zeros(self.dae.pencil.n_dim)
-        offsets = [(label, zero) for label, _ in self.chain_levels]
-        offsets += [(f"wedge_level_{s}", ev.level_offset(s, t))
-                    for s in reversed(self.wedge_blocks)]
+        offsets = [(label, zero if s is None else ev.level_offset(s, t))
+                   for label, s in self.t_only]
         if self.kernel.dim:
             offsets.append(("kernel_level", ev.algebraic_parts(t)["d_vec"]))
         out = {}
@@ -532,8 +544,8 @@ def reduce_cascade(dae: SemilinearDAE, waive_structure_check: bool = False
 
 class _CascadeEvaluator:
     """The per-run state of both routes, from `make_state()`: the warm start
-    and the kept Jacobian of every level, the field record and
-    small per-time caches of the chain and wedge levels."""
+    and the kept Jacobian of every level, the field record and a small
+    per-time cache of the chain and wedge levels."""
 
     _CACHE_MAX = 24
 
@@ -542,8 +554,8 @@ class _CascadeEvaluator:
         self.warm: dict[str, np.ndarray] = {}  # last solution of each level
         # kept Jacobian of each level, for its next Newton solve
         self.jac_caches = {label: JacobianCache() for label in rc.levels}
-        self._chain_cache: dict[float, dict] = {}
-        self._wedge_cache: dict[tuple[int, float], np.ndarray] = {}
+        # t -> {label: (c, dc)} of every chain and wedge level, see _levels
+        self._t_only_cache: dict[float, dict] = {}
         # (t, key, f(t, x)) of the last level residual or drift, see _field
         self.field_at: tuple | None = None
 
@@ -572,101 +584,144 @@ class _CascadeEvaluator:
         self.warm[label] = c
         return c
 
+    def _derivative(self, label: str, t: float, x, base_d, offset_d,
+                    keep: bool) -> np.ndarray:
+        """Implicit time derivative of a t-only level's coordinates at the
+        point x = base + phi c: dc = -J^-1 rows^H (f_t + f_x base' -
+        offset'), J = rows^H (f_x phi - B phi) the level Jacobian at x.  A
+        None base' or offset' is zero.  With `keep` (x a solution) J, tested
+        once, is kept for the level's next Newton solve.  A singular J
+        raises SingularJacobian labelled with the level."""
+        rc = self.rc
+        blk = rc.levels[label][0]
+        fld = rc.dae.field
+        jf = fld.jac(t, x)
+        j_own = blk.y_coords(jf @ blk.phi - rc.dae.pencil.b @ blk.phi)
+        g = fld.dt(t, x)
+        if base_d is not None:
+            g = g + jf @ base_d
+        if offset_d is not None:
+            g = g - offset_d
+        cache = self.jac_caches[label] if keep else JacobianCache()
+        dc = cache.factor_solve(j_own, -blk.y_coords(g))
+        if dc is None:
+            # Newton returns at once where the residual already vanishes,
+            # so a singular level Jacobian can first show here
+            raise SingularJacobian(point=(t,),
+                                   message=f"dF/dy of {label} singular",
+                                   level=label)
+        return dc
+
+    def _pass(self, t: float, values: dict | None = None,
+              last: str | None = None) -> dict:
+        """{label: (c, dc)} of the chain and wedge levels, top first.
+
+        Each level's base is the sum of the components of the levels
+        before it in the table, and a wedge level's offset is A times the
+        derivative of the parts one order up (`_order_term`).  Without
+        `values` every level is solved at t and its derivative keeps its
+        Jacobian.  With `values` (label -> c) nothing is solved: the
+        derivatives are taken at those coordinates, up to the level `last`.
+        """
+        rc = self.rc
+        a = rc.dae.pencil.a
+        zero = np.zeros(rc.dae.pencil.n_dim)
+        base, base_d = zero, None
+        out: dict = {}
+        for label, s in rc.t_only:
+            blk = rc.levels[label][0]
+            if values is None:
+                offset = zero if s is None \
+                    else a @ self._order_term(s + 1, out)
+                c = self._solve(label, t, base, offset)
+            else:
+                c = values[label]
+            offset_d = None if s is None \
+                else self._offset_derivative(s, t, out)
+            x = base + blk.lift(c)
+            dc = self._derivative(label, t, x, base_d, offset_d,
+                                  keep=values is None)
+            out[label] = (c, dc)
+            if label == last:
+                break
+            base = x
+            base_d = blk.lift(dc) if base_d is None else base_d + blk.lift(dc)
+        return out
+
+    def _order_term(self, k: int, levels: dict) -> np.ndarray:
+        """Time derivative of the chain and wedge parts of order k, from
+        the (c, dc) of their levels."""
+        rc = self.rc
+        label, start, end = rc.chain_slots.get(k, (None, 0, 0))
+        d_term = rc.chain_blocks[k].lift(levels[label][1][start:end]) \
+            if label is not None else np.zeros(rc.dae.pencil.n_dim)
+        if k in rc.wedge_blocks:
+            d_term = d_term + rc.wedge_blocks[k].lift(
+                levels[f"wedge_level_{k}"][1])
+        return d_term
+
+    def _offset_derivative(self, s: int, t: float, above: dict
+                           ) -> np.ndarray:
+        """Time derivative of wedge level s's offset, A times the second
+        derivative of the parts of order s + 1: the central difference of
+        their implicit first derivatives along the tangent line, each at
+        (t', c + (t' - t) dc) for every level in `above` (label -> (c, dc)).
+        No level is solved; for a wedge level of order s + 1 the
+        differences nest."""
+        rc = self.rc
+        k = s + 1
+        last = f"wedge_level_{k}" if k in rc.wedge_blocks \
+            else rc.chain_slots[k][0]
+
+        def term(tt):
+            shifted = {label: c + (tt - t) * dc
+                       for label, (c, dc) in above.items()}
+            return self._order_term(k, self._pass(tt, shifted, last))
+        return rc.dae.pencil.a @ _time_derivative(term, t)
+
+    def _levels(self, t: float) -> dict:
+        """{label: (c, dc)} of every chain and wedge level at t, from one
+        `_pass` on the first call at t."""
+        got = self._t_only_cache.get(t)
+        if got is None:
+            got = self._pass(t)
+            if len(self._t_only_cache) >= self._CACHE_MAX:
+                self._t_only_cache.pop(next(iter(self._t_only_cache)))
+            self._t_only_cache[t] = got
+        return got
+
     # -- chain-top levels ----------------------------------------------------
     def chain_values(self, t: float) -> dict:
-        got = self._chain_cache.get(t)
-        if got is not None:
-            return got
-        rc = self.rc
-        fld = rc.dae.field
-        b = rc.dae.pencil.b
-        zero = np.zeros(rc.dae.pencil.n_dim)
-        values = {s: np.zeros(0) for s in range(1, rc.nu)}
+        """Coordinates and derivatives of the chain-top parts at t, keyed by
+        order."""
+        levels = self._levels(t)
+        values = {s: np.zeros(0) for s in range(1, self.rc.nu)}
         derivs = dict(values)
-        above = []  # (slice, value, derivative) of the levels solved so far
-        for label, group in rc.chain_levels:
-            blk = rc.levels[label][0]
-            upper = sum((u.lift(c) for u, c, _ in reversed(above)), zero)
-            c = self._solve(label, t, upper, zero)
-            # implicit derivative with chain rule through upper levels; the
-            # level Jacobian at the solution, tested once, is kept for the
-            # level's next Newton solve
-            x = upper + blk.lift(c)
-            jf = fld.jac(t, x)
-            j_own = blk.y_coords(jf @ blk.phi - b @ blk.phi)
-            rhs = blk.y_coords(fld.dt(t, x))
-            for u, _, du in reversed(above):
-                rhs = rhs + blk.y_coords(jf @ u.phi) @ du
-            dc = self.jac_caches[label].factor_solve(j_own, -rhs)
-            if dc is None:
-                # Newton returns at once where the residual already vanishes,
-                # so a singular level Jacobian can first show here
-                raise SingularJacobian(point=(t,),
-                                       message=f"dF/dy of {label} singular",
-                                       level=label)
-            above.append((blk, c, dc))
-            off = 0
-            for s in group:
-                end = off + rc.chain_blocks[s].dim
-                values[s], derivs[s] = c[off:end], dc[off:end]
-                off = end
-
-        got = {"values": values, "derivatives": derivs}
-        if len(self._chain_cache) >= self._CACHE_MAX:
-            self._chain_cache.pop(next(iter(self._chain_cache)))
-        self._chain_cache[t] = got
-        return got
+        for s, (label, start, end) in self.rc.chain_slots.items():
+            c, dc = levels[label]
+            values[s], derivs[s] = c[start:end], dc[start:end]
+        return {"values": values, "derivatives": derivs}
 
     # -- wedge levels ----------------------------------------------------------
     def wedge_value(self, s: int, t: float) -> np.ndarray:
-        rc = self.rc
-        key = (s, t)
-        got = self._wedge_cache.get(key)
-        if got is not None:
-            return got
-        chain_part = self._chain_part(t)
-        upper_wedge = sum((rc.wedge_blocks[i].lift(self.wedge_value(i, t))
-                           for i in range(s + 1, rc.nu - 1)),
-                          np.zeros(rc.dae.pencil.n_dim))
-        c = self._solve(f"wedge_level_{s}", t, chain_part + upper_wedge,
-                        self.level_offset(s, t))
-        if len(self._wedge_cache) >= 4 * self._CACHE_MAX:
-            self._wedge_cache.pop(next(iter(self._wedge_cache)))
-        self._wedge_cache[key] = c
-        return c
+        return self._levels(t)[f"wedge_level_{s}"][0]
 
     def wedge_derivative(self, s: int, t: float) -> np.ndarray:
-        """Central finite difference of the wedge-level branch."""
-        return _time_derivative(lambda tt: self.wedge_value(s, tt), t)
+        """Implicit time derivative of wedge level s at t."""
+        return self._levels(t)[f"wedge_level_{s}"][1]
 
     def level_offset(self, s: int, t: float) -> np.ndarray:
         """Offset of wedge level s, or of the kernel level for s = 0: A times
         the time derivative of the chain and wedge parts of level s + 1."""
-        rc = self.rc
-        chain = self.chain_values(t)  # first: solve order sets warm starts
-        blk = rc.chain_blocks[s + 1]
-        d_term = blk.lift(chain["derivatives"][s + 1]) if blk.dim \
-            else np.zeros(rc.dae.pencil.n_dim)
-        if s + 1 in rc.wedge_blocks:
-            d_term = d_term + rc.wedge_blocks[s + 1].lift(
-                self.wedge_derivative(s + 1, t))
-        return rc.dae.pencil.a @ d_term
+        return self.rc.dae.pencil.a @ self._order_term(s + 1, self._levels(t))
 
     # -- assembled pieces --------------------------------------------------------
-    def _chain_part(self, t: float) -> np.ndarray:
-        rc = self.rc
-        values = self.chain_values(t)["values"]
-        return sum((rc.chain_blocks[j].lift(values[j]) for j in range(1, rc.nu)
-                    if rc.chain_blocks[j].dim), np.zeros(rc.dae.pencil.n_dim))
-
     def eta_2sigma(self, t: float) -> np.ndarray:
+        """The chain and wedge parts of the state at t."""
         rc = self.rc
-        if rc.nu <= 1:
-            return np.zeros(rc.dae.pencil.n_dim)
-        out = self._chain_part(t)
-        for s in range(1, rc.nu - 1):
-            out = out + rc.wedge_blocks[s].lift(self.wedge_value(s, t))
-        return out
+        levels = self._levels(t)
+        return sum((rc.levels[label][0].lift(levels[label][0])
+                    for label, _ in rc.t_only), np.zeros(rc.dae.pencil.n_dim))
 
     def algebraic_parts(self, t: float) -> dict:
         """The algebraic part eta_2sigma of the state and the offset d_vec of

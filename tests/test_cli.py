@@ -117,7 +117,7 @@ def test_residual_above_the_trajectory_tolerance_is_reported(tmp_path, t_max,
                                                              flagged):
     # the direct route integrates the x2_sigma coordinates of index3_chain
     # as ODE states, and its constraint residual grows until it passes
-    # Tolerances.traj (1e-6) at t = 17.62; the run still reaches t_max
+    # Tolerances.traj (1e-6) at t = 18.13; the run still reaches t_max
     assert run(["simulate", "index3_chain", "--approach", "first",
                 "--tmax", t_max, "--out", str(tmp_path)]) == 0
     term = json.loads(
@@ -133,9 +133,39 @@ def test_residual_above_the_trajectory_tolerance_is_reported(tmp_path, t_max,
         return
     assert term["residual_exceeded"] == {
         "t": ts[np.argmax(over)], "worst": residuals.max()}
-    assert term["residual_exceeded"]["t"] == pytest.approx(17.62, abs=5e-3)
-    assert term["residual_exceeded"]["worst"] == pytest.approx(5.78e-6,
+    assert term["residual_exceeded"]["t"] == pytest.approx(18.13, abs=5e-3)
+    assert term["residual_exceeded"]["worst"] == pytest.approx(3.90e-6,
                                                                rel=1e-3)
+
+
+def test_simulate_and_sweep_name_the_residual_flag(tmp_path, capsys):
+    # a copy of index3_chain run to t = 20: on the direct route simulate
+    # names the flag with its first t and worst residual, and sweep names
+    # each flagged run; the summary CSV keeps its columns
+    data = edited_builtin("index3_chain", ("integration", "t_max"), 20.0)
+    data["sweep"] = {"initial_values": [[0.3], [0.1]]}
+    path = tmp_path / "index3_chain.json"
+    path.write_text(json.dumps(data))
+    assert run(["simulate", str(path), "--approach", "first",
+                "--out", str(tmp_path / "s")]) == 0
+    term = json.loads(
+        (tmp_path / "s" / "index3_chain_termination.json").read_text())
+    over = term["residual_exceeded"]
+    assert (f"index3_chain: reached_tmax, residual_exceeded from t "
+            f"{over['t']:.6g} (worst {over['worst']:.6g}), 249 points -> "
+            in capsys.readouterr().out)
+    for approach, flag in (("first", ", residual_exceeded in runs 0, 1"),
+                           ("cascade", "")):
+        out_dir = tmp_path / approach
+        assert run(["sweep", str(path), "--approach", approach,
+                    "--out", str(out_dir)]) == 0
+        assert (f"index3_chain: swept 2 initial points{flag} -> "
+                in capsys.readouterr().out)
+        lines = (out_dir / "index3_chain_sweep.csv").read_text().splitlines()
+        assert lines[0] == ("index,x0_1,x0_2,x0_3,x0_4,termination,"
+                            "escape_estimate,final_norm")
+        assert [line.split(",")[5] for line in lines[1:]] == [
+            "reached_tmax", "reached_tmax"]
 
 
 def test_simulate_json_format(tmp_path):

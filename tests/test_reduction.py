@@ -1,5 +1,5 @@
 import dataclasses
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -12,7 +12,8 @@ from daekit import (ConstraintSolveFailure, InconsistentInitialValue,
 from daekit import reduction
 from daekit.problems import (load_builtin, load_problem_dict, make_dae,
                              random_weierstrass)
-from daekit.reduction import ReducedCascade, _CascadeEvaluator, _Reduced
+from daekit.reduction import (ReducedCascade, ReducedFirst, _CascadeEvaluator,
+                              _Reduced)
 from test_problems import NAN_START
 
 
@@ -392,9 +393,15 @@ def test_kept_level_factors_leave_the_trajectory_unchanged(name, approach,
 @pytest.mark.parametrize("name", ["index2_structured", "index3_chain"])
 def test_chain_level_evaluates_its_jacobian_once_per_time(name, approach,
                                                           monkeypatch):
-    # the implicit derivative's factorisation at a solved time serves the
-    # level's next Newton solve; beyond that, each level evaluates its
-    # Jacobian at its first solve and the kernel at its rare refreshes
+    # each chain and wedge level is solved once per time, and its implicit
+    # derivative there evaluates its Jacobian once, whose factorisation
+    # serves the level's next Newton solve; index3_chain's wedge level
+    # evaluates two more, of the chain level's derivative at t - h and
+    # t + h on its tangent line.  Every level equation here is affine, so
+    # beyond that each level evaluates its Jacobian only at its first solve
+    # (index2_structured's chain level starts at its solution, 0 at t0)
+    per_time, first = {"index2_structured": (1, 1),
+                       "index3_chain": (4, 3)}[name]
     pb = load_builtin(name)
     calls = [0]
 
@@ -405,28 +412,30 @@ def test_chain_level_evaluates_its_jacobian_once_per_time(name, approach,
     dae = dataclasses.replace(
         pb.dae, field=dataclasses.replace(pb.dae.field, jacobian=jac))
     solved = Counter()
+    times = set()
     solve = _CascadeEvaluator._solve
 
-    def counting(self, label, *args):
+    def counting(self, label, t, *args):
         solved[label] += 1
-        return solve(self, label, *args)
+        times.add(t)
+        return solve(self, label, t, *args)
 
     monkeypatch.setattr(_CascadeEvaluator, "_solve", counting)
-    red, traj = _run_route(dae, pb, approach, pb.options)
+    _, traj = _run_route(dae, pb, approach, pb.options)
     assert traj.termination.kind == "reached_tmax"
     chain_solves = sum(n for label, n in solved.items()
                        if label.startswith("chain_level"))
-    assert chain_solves > 50
-    assert calls[0] <= chain_solves + 2 * len(red.levels)
+    assert chain_solves == len(times) > 50
+    assert calls[0] == per_time * len(times) + first
 
 
 def test_direct_route_solves_wedge_levels_only_for_the_kernel_offset(
         monkeypatch):
-    # the direct route reads the kernel level's offset d_vec alone, whose
-    # finite difference solves the wedge level at t - h and t + h; the wedge
-    # value at t itself is solved only by the consistent initial point, at
-    # t0, and its solves at t0 - h and t0 + h serve the first right-hand
-    # side on the same per-run state
+    # the direct route reads the kernel level's offset d_vec alone, which
+    # needs the wedge level's implicit derivative at t, so the wedge level
+    # is solved once per drift time; the consistent initial point solves it
+    # at t0, and that solve serves the first right-hand side on the same
+    # per-run state
     pb = load_builtin("index3_chain")
     solved = Counter()
     times = set()
@@ -444,8 +453,96 @@ def test_direct_route_solves_wedge_levels_only_for_the_kernel_offset(
     monkeypatch.setattr(reduction.ReducedFirst, "drift_w", timed)
     _, traj = _run_route(pb.dae, pb, "first", pb.options)
     assert traj.termination.kind == "reached_tmax"
-    assert len(times) > 100
-    assert solved["wedge_level_1"] == 2 * len(times) + 1
+    assert len(times) > 100 and pb.options.t0 in times
+    assert solved["wedge_level_1"] == len(times)
+
+
+@pytest.mark.parametrize("approach", ["first", "cascade"])
+def test_levels_are_solved_only_at_the_times_asked_for(approach, monkeypatch):
+    # every chain and wedge level takes its derivative implicitly at the
+    # time it is solved, and a wedge offset's derivative differentiates the
+    # levels above along their tangent lines, so no level is solved at a
+    # shifted time: each only at the drift's times and the start t0
+    pb = load_builtin("index3_chain")
+    solved = defaultdict(set)
+    asked = {pb.options.t0}
+    solve = _CascadeEvaluator._solve
+    cls = ReducedFirst if approach == "first" else ReducedCascade
+    name = "drift_w" if approach == "first" else "drift_w1"
+    drift = getattr(cls, name)
+
+    def counting(self, label, t, *args):
+        solved[label].add(t)
+        return solve(self, label, t, *args)
+
+    def timed(self, t, w, state):
+        asked.add(t)
+        return drift(self, t, w, state)
+
+    monkeypatch.setattr(_CascadeEvaluator, "_solve", counting)
+    monkeypatch.setattr(cls, name, timed)
+    red, traj = _run_route(pb.dae, pb, approach, pb.options)
+    assert traj.termination.kind == "reached_tmax"
+    assert len(asked) > 100
+    assert set(solved) == set(red.levels) == {
+        "chain_level_2", "wedge_level_1", "kernel_level"}
+    for label in ("chain_level_2", "wedge_level_1"):
+        assert solved[label] == asked
+
+
+def _sine_chain_dae(omega):
+    """A = diag(1, J_3) with J_3 the nilpotent upper shift, B = I and
+    f = sin(omega t): index 3, one chain (x1, x2, x3) whose kernel row reads
+    x1 + x2' = sin(omega_1 t)."""
+    a = np.diag([1.0, 0.0, 0.0, 0.0])
+    a[1, 2] = a[2, 3] = 1.0
+    fld = NonlinearField(
+        eval=lambda t, x: np.sin(omega * t),
+        jacobian=lambda t, x: np.zeros((4, 4)),
+        t_derivative=lambda t, x: omega * np.cos(omega * t),
+        structure_tag=StructureTag.STRUCTURED)
+    return make_dae(a, np.eye(4), fld)
+
+
+def _sine_chain_velocity(omega, t):
+    """x'(t) of the sine chain: x_k = sum_j (-1)^j g_{k+j}^(j) for k = 1..3,
+    with g_k^(j)(t) = omega_k^j sin(omega_k t + j pi / 2); the explicit
+    component x0 is left 0, as no level reads it."""
+    def g(k, j):
+        return omega[k] ** j * np.sin(omega[k] * t + j * np.pi / 2)
+    return np.array([0.0] + [sum((-1) ** j * g(k + j, j + 1)
+                                 for j in range(4 - k)) for k in (1, 2, 3)])
+
+
+def test_level_derivatives_match_the_sine_chain_closed_form():
+    # each level's coordinates are q^H B x of its slice, so their exact
+    # derivatives are q^H B x'(t); the kernel offset is A times the
+    # derivative of the order-1 (wedge) part.  The wedge derivative needs
+    # the chain level's second derivative, taken along its tangent line
+    omega = np.array([0.9, 1.1, 1.3, 0.7])
+    dae = _sine_chain_dae(omega)
+    a, b = dae.pencil.a, dae.pencil.b
+    states = {"first": reduce_first(dae).make_state(),
+              "cascade": reduce_cascade(dae).make_state()}
+    rc = states["cascade"].rc
+    assert list(rc.levels) == ["chain_level_2", "wedge_level_1",
+                               "kernel_level"]
+    chain, wedge = rc.chain_blocks[2], rc.wedge_blocks[1]
+
+    def close(got, exact):
+        return np.linalg.norm(got - exact) <= 1e-9 * np.linalg.norm(exact)
+
+    for t in (0.0, 0.3, 0.7, 1.9, 4.2):
+        xdot = _sine_chain_velocity(omega, t)
+        exact_dvec = a @ wedge.lift(wedge.x_coords(b, xdot))
+        for approach, state in states.items():
+            d_vec = (state.level_offset(0, t) if approach == "first"
+                     else state.algebraic_parts(t)["d_vec"])
+            assert close(d_vec, exact_dvec), (approach, t)
+            assert close(state.chain_values(t)["derivatives"][2],
+                         chain.x_coords(b, xdot)), (approach, t)
+            assert close(state.wedge_derivative(1, t),
+                         wedge.x_coords(b, xdot)), (approach, t)
 
 
 @pytest.mark.parametrize("name", ["index1_blowup", "index3_chain",
