@@ -1,7 +1,7 @@
 """Walk through the linear-algebra layer on a small matrix pair.
 
-We take the 2x2 pair with a nilpotent A, find a shift that makes the pair
-invertible, read off its index from the rank staircase, build the
+We take the 2x2 pair with a nilpotent A, read off its index from the Wong
+sequence W_1 = ker A, W_{i+1} = A^{-1}(B W_i), build the
 eigenvector/adjoined-vector chains and their dual functionals, and assemble
 every projector of the decomposition, checking the defining identities.
 """
@@ -16,14 +16,17 @@ A = np.array([[0.0, 1.0], [0.0, 0.0]])
 B = np.eye(2)
 
 pencil = Pencil(A, B)
-lam = pencil.regular_point()
-print(f"regular point lambda* = {lam}  (lam*A + B is invertible)")
-print(f"index nu = {compute_index(pencil)}  (double pole of the resolvent)")
+nu = compute_index(pencil)
+print(f"index nu = {nu}  (steps of the Wong sequence before it stops growing)")
 
 # the chains are one table: a column of Phi per chain vector, labelled by
-# its chain's length m and its level j (j = 1 is the eigenvector)
+# its chain's length m and its level j (j = 1 is the eigenvector); W_j is
+# spanned by the chain vectors of levels up to j
 canonical = build_chains(pencil)
 phi, labels = canonical.phi, canonical.labels
+dims = [len(canonical.columns(lambda m, j, i=i: j <= i))
+        for i in range(1, nu + 1)]
+print(f"Wong dimensions dim W_1..W_nu = {dims}")
 print(f"\nkernel dimension n = {canonical.n}, "
       f"chain multiplicities = {canonical.multiplicities}")
 for k, first in enumerate(canonical.columns(lambda m, j: j == 1)):

@@ -14,8 +14,7 @@ from .errors import (BiorthogonalizationFailure, ChainExtensionFailure,
                      StructureViolation, UnknownRegistryId)
 from .pencil import (CanonicalSystem, DualSystem, Pencil,
                      analysis_report, build_chains, build_dual_chains,
-                     chain_residuals, compute_index, dual_residuals,
-                     find_regular_point)
+                     chain_residuals, compute_index, dual_residuals)
 from .projectors import (ProjectorSet, build_all, build_projectors,
                          verify_projectors)
 from .implicit import (ImplicitProblem, JacobianCache, implicit_derivative,

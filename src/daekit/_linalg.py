@@ -24,8 +24,8 @@ def as_matrix(a) -> np.ndarray:
 def rank_cutoff(sigmas: np.ndarray, n: int, ref: float | None = None
                 ) -> float:
     """Rank threshold; `ref` overrides the scale when the matrix itself may
-    be numerically zero (e.g. a power of a nilpotent matrix, whose own
-    largest singular value is pure floating-point fuzz)."""
+    be numerically zero (e.g. the part of B W off range A in the Wong
+    sequence, whose own largest singular value may be rounding alone)."""
     smax = float(sigmas[0]) if sigmas.size else 0.0
     scale = max(smax, ref) if ref is not None else smax
     return TOL.rank_factor * n * _EPS * scale
@@ -47,12 +47,6 @@ def guarded_count(sig: np.ndarray, n: int, what: str,
         if lo < s < hi:
             raise RankAmbiguity(f"rank of {what} ambiguous", float(s), (lo, hi))
     return int(np.sum(sig > cut))
-
-
-def guarded_rank(m: np.ndarray, what: str = "matrix") -> int:
-    """Numerical rank of `m` with the ambiguity guard of `guarded_count`."""
-    return guarded_count(np.linalg.svd(m, compute_uv=False), max(m.shape),
-                         what)
 
 
 def svd(m: np.ndarray, full_matrices: bool = True):
@@ -117,13 +111,3 @@ def cond2(m: np.ndarray) -> float:
         return np.inf
     return float(sig[0] / sig[-1])
 
-
-def trim_imag(a: np.ndarray, rel: float) -> np.ndarray:
-    """Drop negligible imaginary parts (relative to the array scale)."""
-    if not np.iscomplexobj(a):
-        return a
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    worst = float(np.max(np.abs(a.imag))) if a.size else 0.0
-    if worst <= rel * scale:
-        return np.ascontiguousarray(a.real)
-    return a

@@ -21,8 +21,6 @@ class Tolerances:
     # fuzz from matrix products (~N*eps*sigma_max) stays outside the band.
     guard_low: float = 30.0
     guard_high: float = 1e3
-    # Largest acceptable condition number for a regular-point candidate.
-    cond_cap: float = 1e12
     # Chain relation residuals, relative to the matrix scales.
     chain: float = 1e-8
     # Biorthogonality residuals.
@@ -40,9 +38,6 @@ class Tolerances:
     struct_dep: float = 1e-7
     # Inner algebraic (Newton) solves.
     solver: float = 1e-12
-    # Imaginary parts below this (relative) are trimmed when reporting
-    # real-field results computed through a complex detour.
-    imag_trim: float = 1e-10
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -12,7 +12,9 @@ class DaekitError(Exception):
 
 
 class SingularPencil(DaekitError):
-    """No candidate shift makes the matrix pair invertible."""
+    """The matrix pair is singular: det(lambda*A + B) vanishes for every
+    lambda, seen as B failing to be injective on the limit of the Wong
+    sequence, or as that limit and its dual differing in dimension."""
 
 
 class RankAmbiguity(DaekitError):
@@ -26,8 +28,9 @@ class RankAmbiguity(DaekitError):
 
 
 class ChainExtensionFailure(DaekitError):
-    """A chain extension predicted by the rank staircase failed the
-    range-membership residual test."""
+    """The chains the Wong sequence predicts could not be built: too few
+    independent top directions, or chain relations violated beyond
+    tolerance."""
 
 
 class BiorthogonalizationFailure(DaekitError):

@@ -1,13 +1,13 @@
 """Regularity, index and root-vector chains of a matrix pair (A, B).
 
-The central objects are the shifted inverse G = (lambda* A + B)^{-1} A and
-its staircase of kernels at the eigenvalue 0. One SVD of each power G^j
-decides its rank, gives its kernel basis and, at j = nu, an orthonormal
-basis of the finite deflating subspace range(G^nu). The staircase fixes
-how many chains of each length exist, and chains of G are converted into
-chains of the pair. The dual chains are the matching rows of the
-Weierstrass form's left transform: one N x N solve pairs them with the
-chains and with that finite subspace basis.
+The chain vectors of the pencil lambda*A + B span the limit W* of the Wong
+sequence W_1 = ker A, W_{i+1} = A^{-1}(B W_i) (Wong 1974; Berger, Ilchmann
+& Trenn 2012): W_i holds the chain vectors of levels up to i, so the growth
+of dim W_i gives the index and the chain lengths. Inside W* the nilpotent
+map N = -(B W*)^+ (A W*) takes each chain vector one level down. The same
+recursion on (A^H, B^H) gives the limit L*, the span of the dual chains,
+and one d x d solve pairs the duals with B times the chains. One SVD of A
+serves every step of both sequences; no shift of the pencil is taken.
 """
 
 from __future__ import annotations
@@ -17,15 +17,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._linalg import (as_matrix, cond2, guarded_count, guarded_rank,
-                      orth_basis, rank_cutoff, svd, trim_imag)
+from ._linalg import as_matrix, guarded_count, orth_basis, rank_cutoff, svd
 from .config import DEFAULT_TOLERANCES as TOL
 from .errors import (BiorthogonalizationFailure, ChainExtensionFailure,
                      SingularPencil)
 
 __all__ = [
     "Pencil", "CanonicalSystem", "DualSystem",
-    "find_regular_point", "compute_index", "build_chains",
+    "compute_index", "build_chains",
     "build_dual_chains", "chain_residuals", "dual_residuals",
     "analysis_report",
 ]
@@ -33,13 +32,11 @@ __all__ = [
 
 @dataclass
 class Pencil:
-    """Square matrix pair (A, B) defining lambda*A + B; `lambda_star` is
-    the regular point `regular_point()` found, once it has run, and `scale`
-    is max(1, ||A|| + ||B||) in Frobenius norms, the scale of the chains."""
+    """Square matrix pair (A, B) defining lambda*A + B; `scale` is
+    max(1, ||A|| + ||B||) in Frobenius norms, the scale of the chains."""
 
     a: np.ndarray
     b: np.ndarray
-    lambda_star: complex | float | None = field(default=None, init=False)
     scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -65,33 +62,24 @@ class Pencil:
         h.update(np.ascontiguousarray(self.b).tobytes())
         return h.hexdigest()[:16]
 
-    def shifted(self, lam) -> np.ndarray:
-        return lam * self.a + self.b
-
-    def regular_point(self):
-        """`find_regular_point` on the first call, kept in `lambda_star`."""
-        if self.lambda_star is None:
-            self.lambda_star = find_regular_point(self)
-        return self.lambda_star
-
 
 @dataclass(frozen=True)
 class CanonicalSystem:
     """The root-vector chains of the pair as one table of columns, and a
-    basis of the finite deflating subspace range(G^nu).
+    basis of the span of their duals.
 
     `phi` holds every chain vector as a column, N x d, chain-major with the
     longest chains first; `labels[k]` is the (chain length m, level j) of
     column k, level 1 being the eigenvector. At index 0 `phi` is N x 0.
-    `finite` is the orthonormal basis from the SVD of G^nu, N x (N - d):
-    the identity for index 0. range(G^nu) does not depend on the shift
-    lambda of G. `residuals` is what `chain_residuals` returns for the
-    chains, kept by `build_chains` from its final check.
+    `dual_span` is an orthonormal basis of L*, the limit of the Wong
+    sequence of (A^H, B^H), N x d: the span of the dual chains.
+    `residuals` is what `chain_residuals` returns for the chains, kept by
+    `build_chains` from its final check.
     """
 
     phi: np.ndarray
     labels: tuple
-    finite: np.ndarray
+    dual_span: np.ndarray
     residuals: dict | None = None
 
     def columns(self, pred) -> list[int]:
@@ -125,107 +113,71 @@ class DualSystem:
     residuals: dict | None = None
 
 
-# seed and length of each random run in the ladder of candidate shifts
-_LADDER_SEED = 0
-_LADDER_RANDOM = 16
+def _wong(b: np.ndarray, kernel: np.ndarray, outside: np.ndarray,
+          back: np.ndarray) -> list[np.ndarray]:
+    """Orthonormal bases of W_1 = ker A, W_{i+1} = ker A + A^+(B W_i ∩
+    range A), up to the last one that grows.
 
-
-def _candidate_points(pencil: Pencil):
-    n = pencil.n_dim
-    for k in range(1, n + 2):
-        yield float(k)
-        yield float(-k)
-    na = float(np.linalg.norm(pencil.a))
-    nb = float(np.linalg.norm(pencil.b))
-    scale = nb / na if na > 0 and nb > 0 else 1.0
-    rng = np.random.default_rng(_LADDER_SEED)
-    for _ in range(_LADDER_RANDOM):
-        draw = rng.standard_normal()
-        if pencil.is_complex:
-            draw = draw + 1j * rng.standard_normal()
-        yield scale * draw
-    if not pencil.is_complex:
-        # complex detour for real pairs whose real candidates all failed
-        for _ in range(_LADDER_RANDOM):
-            yield scale * (rng.standard_normal() + 1j * rng.standard_normal())
-
-
-def find_regular_point(pencil: Pencil):
-    """First shift in a deterministic ladder making lambda*A + B invertible.
-
-    The ladder is 1, -1, 2, -2, ... followed by seeded random draws scaled
-    to ||B||/||A||. Raises SingularPencil when every candidate fails the
-    condition-number cap.
+    `kernel` spans ker A, `outside` the orthogonal complement of range A,
+    and `back` is A^+. B W_i c lies in range A where (outside^H B W_i) c
+    = 0, a kernel that `guarded_count` decides against the scale of
+    B W_i: the part of B W_i off range A may be rounding alone.
     """
-    tried = 0
-    for lam in _candidate_points(pencil):
-        tried += 1
-        if cond2(pencil.shifted(lam)) <= TOL.cond_cap:
-            if isinstance(lam, complex) and lam.imag == 0.0:
-                lam = lam.real
-            return lam
-    raise SingularPencil(
-        f"no regular point among {tried} candidates; "
-        "the pair appears singular (det identically zero to tolerance)")
+    n_dim = b.shape[0]
+    spaces = [kernel]
+    while spaces[-1].shape[1] < n_dim:
+        bw = b @ spaces[-1]
+        _, sig, vh = svd(outside.conj().T @ bw)
+        rank = guarded_count(sig, n_dim, "B W_i off range A",
+                             ref=float(np.linalg.norm(bw)))
+        into = vh[rank:].conj().T
+        # W_{i+1} has at most dim ker A + (columns of `into`) dimensions
+        if into.shape[1] <= spaces[-1].shape[1] - kernel.shape[1]:
+            break
+        grown = np.hstack([kernel, orth_basis(back @ (bw @ into))])
+        if grown.shape[1] <= spaces[-1].shape[1]:
+            break
+        spaces.append(grown)
+    return spaces
 
 
-def _shift_inverse(pencil: Pencil) -> np.ndarray:
-    lam = pencil.regular_point()
-    c = pencil.shifted(lam)
-    a = pencil.a
-    if isinstance(lam, complex) and not pencil.is_complex:
-        c = c.astype(np.complex128)
-        a = a.astype(np.complex128)
-    return np.linalg.solve(c, a)
+def _wong_pair(pencil: Pencil):
+    """The Wong sequence of the pair, the limit L* of the sequence of
+    (A^H, B^H), and the map N = -(B W*)^+ (A W*) that takes a chain vector
+    one level down, in coordinates of W* = the last space. At index 0 the
+    sequence is empty.
 
-
-def _staircase(pencil: Pencil):
-    """The staircase of kernels of the powers of G, one SVD per power.
-
-    The SVD of G^j, j = 1..nu+1, gives its rank, the kernel basis and, at
-    j = nu, the range basis. Returns (G, ranks [N, rank G, ..., rank
-    G^{nu+1}], kernel bases of G^0..G^nu, orthonormal basis of
-    range(G^nu)). The rank threshold for the j-th power is referenced
-    against sigma_max(G)**j, not against the power's own largest singular
-    value: once the power is numerically zero the latter is pure rounding
-    fuzz.
+    Raises SingularPencil unless dim L* = dim W* and B W* has full column
+    rank: on a singular pair B maps some vector of W* to zero.
     """
-    g = _shift_inverse(pencil)
-    n = g.shape[0]
-    ranks = [n]
-    kernels = [np.zeros((n, 0), dtype=g.dtype)]
-    p = finite = np.eye(n, dtype=g.dtype)  # G^0
-    for j in range(1, n + 2):
-        p = p @ g
-        u, sig, vh = svd(p)
-        if j == 1:
-            smax = float(sig[0])
-        r = guarded_count(sig, n, what="power of shifted inverse",
-                          ref=max(smax, 1e-300) ** j)
-        ranks.append(r)
-        if r == ranks[-2]:
-            return g, ranks, kernels, finite
-        kernels.append(vh[r:].conj().T)
-        finite = u[:, :r]
-    raise AssertionError("rank staircase did not stabilize")  # pragma: no cover
-
-
-def _segre(ranks: list[int]) -> list[int]:
-    """Chain lengths (descending) from the rank staircase."""
-    nu = len(ranks) - 2  # index where ranks stabilized
-    ge = [ranks[j - 1] - ranks[j] for j in range(1, nu + 1)]  # blocks >= j
-    out = []
-    for j in range(1, nu + 1):
-        exact = ge[j - 1] - (ge[j] if j < nu else 0)
-        out.extend([j] * exact)
-    return sorted(out, reverse=True)
+    a, b, n_dim = pencil.a, pencil.b, pencil.n_dim
+    u, sig, vh = svd(a)
+    r = guarded_count(sig, n_dim, "A")
+    if r == n_dim:
+        return [], np.zeros((n_dim, 0)), np.zeros((0, 0))
+    kernel, outside = vh[r:].conj().T, u[:, r:]
+    back = (vh[:r].conj().T / sig[:r]) @ u[:, :r].conj().T   # A^+
+    spaces = _wong(b, kernel, outside, back)
+    dual_span = _wong(b.conj().T, outside, kernel, back.conj().T)[-1]
+    w = spaces[-1]
+    d = w.shape[1]
+    bu, bsig, bvh = svd(b @ w, full_matrices=False)
+    rank = guarded_count(bsig, n_dim, "B W*")
+    if dual_span.shape[1] != d or rank < d:
+        raise SingularPencil(
+            f"the pair is singular (det(lambda A + B) vanishes identically): "
+            f"B has rank {rank} on the limit of the Wong sequence, of "
+            f"dimension {d}, and the dual limit has dimension "
+            f"{dual_span.shape[1]}")
+    down = -(bvh.conj().T / bsig) @ (bu.conj().T @ (a @ w))
+    return spaces, dual_span, down
 
 
 def compute_index(pencil: Pencil) -> int:
-    """Pole order of (A + mu B)^{-1} at mu = 0; zero iff A is invertible."""
-    if guarded_rank(pencil.a, what="A") == pencil.n_dim:
-        return 0
-    return len(_staircase(pencil)[1]) - 2
+    """The index: the number of steps of the Wong sequence before it stops
+    growing, zero iff A is invertible. Raises SingularPencil for a singular
+    pair."""
+    return len(_wong_pair(pencil)[0])
 
 
 def _sign_fix(chain_vectors: list[np.ndarray]) -> list[np.ndarray]:
@@ -244,94 +196,51 @@ def _sign_fix(chain_vectors: list[np.ndarray]) -> list[np.ndarray]:
 def build_chains(pencil: Pencil) -> CanonicalSystem:
     """Construct a canonical system of root-vector chains.
 
-    Chain lengths come from the rank staircase of G = (lambda*A+B)^{-1}A;
-    top vectors are chosen greedily (longest chains first, deflating used
-    directions), mapped down by G, converted to chains of the pair, and
-    polished by a minimal-norm least-squares correction with a
-    range-membership residual test.
+    The growth of the Wong sequence fixes how many chains of each length
+    exist. Top vectors are chosen greedily from its spaces (longest chains
+    first, avoiding the level below and the directions already used) and
+    mapped down by N, so a chain is v, Nv, N^2 v, ...; a final check of
+    the chain relations guards the result.
     """
     n_dim = pencil.n_dim
-    # one SVD of A gives its rank and the polish step's pseudo-inverse, as
-    # numpy's pinv takes it: of the conjugate, with values to 1e-15 sigma_max
-    a_u, a_sig, a_vt = np.linalg.svd(pencil.a.conjugate(),
-                                     full_matrices=False)
-    if guarded_count(a_sig, n_dim, "A") == n_dim:
+    spaces, dual_span, down = _wong_pair(pencil)
+    nu = len(spaces)
+    if nu == 0:
         system = CanonicalSystem(phi=np.zeros((n_dim, 0)), labels=(),
-                                 finite=np.eye(n_dim))
+                                 dual_span=dual_span)
         return replace(system, residuals=chain_residuals(pencil, system))
 
-    lam = pencil.regular_point()
-    g, ranks, kernels, finite = _staircase(pencil)
-    nu = len(ranks) - 2
-    lengths = _segre(ranks)
-    count_exact = {m: lengths.count(m) for m in set(lengths)}
+    w = spaces[-1]
+    # at_least[j - 1]: the number of chains of length j or more
+    at_least = np.diff([0, *(s.shape[1] for s in spaces), w.shape[1]])
 
-    # greedy top-vector selection, longest chains first
-    tops: list[tuple[np.ndarray, int]] = []
+    # greedy top-vector selection, longest chains first; each top is mapped
+    # down in the coordinates of W*, and a chain is listed eigenvector first
+    chains: list[list[np.ndarray]] = []
     for j in range(nu, 0, -1):
-        need = count_exact.get(j, 0)
+        need = at_least[j - 1] - at_least[j]
         if need == 0:
             continue
-        avoid = [kernels[j - 1]]
-        for v, lvl in tops:
-            w = v
-            for _ in range(lvl - j):
-                w = g @ w
-            avoid.append(w.reshape(-1, 1))
+        avoid = [spaces[j - 2] if j > 1 else np.zeros((n_dim, 0))]
+        avoid += [ch[j - 1][:, np.newaxis] for ch in chains]
         w_basis = orth_basis(np.hstack(avoid))
-        cand = kernels[j]
+        cand = spaces[j - 1]
         proj = cand - w_basis @ (w_basis.conj().T @ cand)
         u, sig, _ = svd(proj, full_matrices=False)
-        cut = rank_cutoff(sig, n_dim)
-        if int(np.sum(sig > cut)) < need:
+        found = int(np.sum(sig > rank_cutoff(sig, n_dim)))
+        if found < need:
             raise ChainExtensionFailure(
-                f"staircase predicts {need} chains of length {j} but only "
-                f"{int(np.sum(sig > cut))} independent top directions found")
+                f"the Wong sequence predicts {need} chains of length {j} "
+                f"but only {found} independent top directions found")
         for k in range(need):
-            tops.append((u[:, k], j))
-
-    # map tops down by G and convert to chains of the pair
-    raw_chains: list[list[np.ndarray]] = []
-    for v, m in tops:
-        gv = [v]
-        for _ in range(m - 1):
-            gv.append(g @ gv[-1])
-        gv = gv[::-1]  # gv[0] is the eigenvector
-        # coefficient recurrence expressing pair-chain vectors in the g-chain
-        coeffs = np.zeros((m, m), dtype=g.dtype)
-        coeffs[0, 0] = 1.0
-        for j in range(1, m):
-            prev = coeffs[j - 1]
-            cur = np.zeros(m, dtype=g.dtype)
-            for l in range(1, m):
-                cur[l] = -prev[l - 1] + lam * prev[l]
-            coeffs[j] = cur
-        chain = [sum(coeffs[j, l] * gv[l] for l in range(m)) for j in range(m)]
-        raw_chains.append(chain)
-
-    # polish: enforce A phi^j = -B phi^{j-1} by least squares, testing
-    # range membership of -B phi^{j-1}
-    large = a_sig > 1e-15 * a_sig[0]
-    s_inv = np.divide(1, a_sig, where=large, out=np.zeros_like(a_sig))
-    a_pinv = a_vt.T @ (s_inv[:, np.newaxis] * a_u.T)
-    a, b = pencil.a, pencil.b
-    if np.iscomplexobj(g):
-        a = a.astype(np.complex128)
-        b = b.astype(np.complex128)
-    for chain in raw_chains:
-        for j in range(1, len(chain)):
-            rhs = -b @ chain[j - 1]
-            membership = float(np.linalg.norm(a @ (a_pinv @ rhs) - rhs))
-            if membership > TOL.chain * pencil.scale * max(
-                    1.0, float(np.linalg.norm(rhs))):
-                raise ChainExtensionFailure(
-                    f"extension to level {j + 1} failed the range test "
-                    f"(residual {membership:.3e})")
-            chain[j] = chain[j] - a_pinv @ (a @ chain[j] - rhs)
+            coords = [w.conj().T @ u[:, k]]
+            for _ in range(j - 1):
+                coords.append(down @ coords[-1])
+            chains.append([w @ c for c in reversed(coords)])
 
     # orthonormalize eigenvectors within equal-multiplicity groups
     grouped: dict[int, list[list[np.ndarray]]] = {}
-    for ch in raw_chains:
+    for ch in chains:
         grouped.setdefault(len(ch), []).append(ch)
     finished: list[list[np.ndarray]] = []
     for m, group in grouped.items():
@@ -345,8 +254,6 @@ def build_chains(pencil: Pencil) -> CanonicalSystem:
         finished.extend(group)
 
     finished = [_sign_fix(ch) for ch in finished]
-    if not pencil.is_complex:
-        finished = [[trim_imag(v, TOL.imag_trim) for v in ch] for ch in finished]
 
     def sort_key(ch):
         v = ch[0]
@@ -358,7 +265,7 @@ def build_chains(pencil: Pencil) -> CanonicalSystem:
         phi=np.column_stack([v for ch in finished for v in ch]),
         labels=tuple((len(ch), j) for ch in finished
                      for j in range(1, len(ch) + 1)),
-        finite=finite)
+        dual_span=dual_span)
     residuals = chain_residuals(pencil, system)
     if not residuals["worst"] <= TOL.chain:
         raise ChainExtensionFailure(
@@ -368,48 +275,32 @@ def build_chains(pencil: Pencil) -> CanonicalSystem:
 
 
 def build_dual_chains(pencil: Pencil, canonical: CanonicalSystem) -> DualSystem:
-    """Dual chains: the rows of the Weierstrass left transform that belong
-    to the chains, from one N x N solve.
+    """Dual chains Q = L* (L*^H B Phi)^{-H}, from one d x d solve.
 
     The duals q_i^j are pinned by the adjoint chain relations
     (A^H q^m = 0, A^H q^j + B^H q^{j+1} = 0) and biorthogonality
     <B phi_k^l, q_i^j> = delta_ik delta_jl; that system has a unique
     solution, the chain rows of the left transform of the Weierstrass form
     (Gantmacher 1959, ch. XII; Berger, Ilchmann & Trenn 2012). Those rows
-    annihilate (lambda A + B) T_f, where T_f spans the finite deflating
-    subspace range(G^nu), G = (lambda A + B)^{-1} A; here T_f is the
-    basis `canonical.finite` from the staircase. On the chains, A phi^l =
-    -B phi^{l-1} gives q_i^{jH} (lambda A + B) phi_k^l = delta_ik
-    (delta_jl - lambda delta_{j,l-1}). So Q^H M = [0, I + lambda N_c] with
-    M = (lambda A + B) [T_f, Phi] and N_c the per-chain signed shift: one
-    solve with M^H.
+    span L*, the limit of the Wong sequence of (A^H, B^H), whose basis
+    `canonical.dual_span` is; within L* biorthogonality alone pins them.
     """
     phi = canonical.phi
     n_dim, d = phi.shape
-    if d == 0:  # no chains: no shift is needed, and there is nothing to solve
+    if d == 0:  # no chains: there is nothing to solve
         dual = DualSystem(q=np.zeros((n_dim, 0)))
         return replace(dual, residuals=dual_residuals(pencil, canonical, dual))
-    lam = pencil.regular_point()
-    pairing = pencil.shifted(lam) @ np.hstack([canonical.finite, phi])
-    # [0, I + lambda N_c]^H: the identity, and -conj(lambda) pairing each
-    # vector above a chain's first level with the dual one level below
-    rhs = np.zeros((n_dim, d), dtype=pairing.dtype)
-    rhs[n_dim - d:] = np.eye(d)
-    above = np.array(canonical.columns(lambda m, j: j > 1), dtype=int)
-    rhs[n_dim - d + above, above - 1] = -np.conj(lam)
+    span = canonical.dual_span
+    pairing = span.conj().T @ (pencil.b @ phi)
     try:
-        q = np.linalg.solve(pairing.conj().T, rhs)
+        q = span @ np.linalg.solve(pairing.conj().T, np.eye(d))
     except np.linalg.LinAlgError:
         q = None
     if q is None or not np.all(np.isfinite(q)):
         raise BiorthogonalizationFailure(
-            "the pairing matrix of the chains and the finite deflating "
-            "subspace is numerically singular")
-    vectors = list(q.T.copy())
-    if not pencil.is_complex and not np.iscomplexobj(phi):
-        # the table is real only where every one of its columns trims
-        vectors = [trim_imag(v, TOL.imag_trim) for v in vectors]
-    dual = DualSystem(q=np.column_stack(vectors))
+            "the pairing matrix of the chains and the span of the duals is "
+            "numerically singular")
+    dual = DualSystem(q=q)
     residuals = dual_residuals(pencil, canonical, dual)
     if not residuals["worst"] <= TOL.biorth:
         raise BiorthogonalizationFailure(
@@ -419,10 +310,9 @@ def build_dual_chains(pencil: Pencil, canonical: CanonicalSystem) -> DualSystem:
 
 
 def _vectors(table: np.ndarray) -> list[np.ndarray]:
-    """The columns of a chain or dual table as contiguous vectors, each one
-    real where its imaginary part is zero: the vectors as they were built,
-    so that a residual takes the products it took per vector."""
-    return [trim_imag(v, 0.0) for v in table.T.copy()]
+    """The columns of a chain or dual table as contiguous vectors, so that
+    a residual takes the products it takes per vector."""
+    return list(table.T.copy())
 
 
 def chain_residuals(pencil: Pencil, canonical: CanonicalSystem) -> dict:
@@ -472,11 +362,8 @@ def analysis_report(pencil: Pencil, canonical: CanonicalSystem,
                     dual: DualSystem) -> dict:
     """JSON-ready summary of the pencil analysis; the residuals are those
     `build_chains` and `build_dual_chains` kept."""
-    lam = pencil.lambda_star
-    lam_out = ([lam.real, lam.imag] if isinstance(lam, complex) else lam)
     return {
         "dimension": pencil.n_dim,
-        "regular_point": lam_out,
         "index": canonical.nu,
         "kernel_dimension": canonical.n,
         "multiplicities": canonical.multiplicities,

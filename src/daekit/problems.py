@@ -435,7 +435,7 @@ class LoadedProblem:
 
 
 def make_dae(a, b, field: NonlinearField, name: str = "") -> SemilinearDAE:
-    """Full analysis pipeline: regular point, chains, duals, projectors."""
+    """Full analysis pipeline: chains, duals, projectors."""
     pencil = Pencil(a, b)
     canonical, dual, ps = build_all(pencil)
     return SemilinearDAE(pencil=pencil, projectors=ps, canonical=canonical,
@@ -647,8 +647,7 @@ def random_weierstrass(seed: int, n_dim: int, segre) -> WeierstrassSample:
     if n_ode:
         a_bar[:n_ode, :n_ode] = np.eye(n_ode)
         q, _ = np.linalg.qr(rng.standard_normal((n_ode, n_ode)))
-        # explicit-block eigenvalues kept away from the integer shift
-        # ladder so the first candidates stay well conditioned
+        # explicit-block eigenvalues of modulus 0.25 to 0.45, random sign
         b_bar[:n_ode, :n_ode] = q @ np.diag(
             rng.uniform(0.25, 0.45, n_ode) * rng.choice([-1.0, 1.0], n_ode)) @ q.T
     p20_bar = np.zeros((n_dim, n_dim))

@@ -601,7 +601,7 @@ def test_singular_column_raises_at_the_kernel_level(tmp_path, capsys,
 @pytest.mark.parametrize("approach", sorted(_ROUTES))
 @pytest.mark.parametrize("name, nu, direct_violations",
                          [("index2_structured", 2, 11),
-                          ("index3_chain", 3, 92)],
+                          ("index3_chain", 3, 73)],
                          ids=["index2_structured", "index3_chain"])
 def test_structured_certificate_on_both_routes(name, nu, direct_violations,
                                                approach):

@@ -117,7 +117,7 @@ def test_residual_above_the_trajectory_tolerance_is_reported(tmp_path, t_max,
                                                              flagged):
     # the direct route integrates the x2_sigma coordinates of index3_chain
     # as ODE states, and its constraint residual grows until it passes
-    # Tolerances.traj (1e-6) at t = 18.13; the run still reaches t_max
+    # Tolerances.traj (1e-6) at t = 19.83; the run still reaches t_max
     assert run(["simulate", "index3_chain", "--approach", "first",
                 "--tmax", t_max, "--out", str(tmp_path)]) == 0
     term = json.loads(
@@ -133,8 +133,8 @@ def test_residual_above_the_trajectory_tolerance_is_reported(tmp_path, t_max,
         return
     assert term["residual_exceeded"] == {
         "t": ts[np.argmax(over)], "worst": residuals.max()}
-    assert term["residual_exceeded"]["t"] == pytest.approx(18.13, abs=5e-3)
-    assert term["residual_exceeded"]["worst"] == pytest.approx(3.90e-6,
+    assert term["residual_exceeded"]["t"] == pytest.approx(19.83, abs=5e-3)
+    assert term["residual_exceeded"]["worst"] == pytest.approx(1.397e-6,
                                                                rel=1e-3)
 
 
@@ -152,7 +152,7 @@ def test_simulate_and_sweep_name_the_residual_flag(tmp_path, capsys):
         (tmp_path / "s" / "index3_chain_termination.json").read_text())
     over = term["residual_exceeded"]
     assert (f"index3_chain: reached_tmax, residual_exceeded from t "
-            f"{over['t']:.6g} (worst {over['worst']:.6g}), 249 points -> "
+            f"{over['t']:.6g} (worst {over['worst']:.6g}), 232 points -> "
             in capsys.readouterr().out)
     for approach, flag in (("first", ", residual_exceeded in runs 0, 1"),
                            ("cascade", "")):

@@ -6,9 +6,8 @@ import pytest
 from daekit import (BiorthogonalizationFailure, Pencil, RankAmbiguity,
                     SingularPencil, build_all, build_chains,
                     build_dual_chains, chain_residuals, compute_index,
-                    dual_residuals, find_regular_point)
-from daekit._linalg import guarded_count, guarded_rank, rank_cutoff, svd
-from daekit.pencil import DualSystem, _shift_inverse, _staircase
+                    dual_residuals)
+from daekit.pencil import DualSystem, _wong_pair
 from daekit.problems import random_weierstrass
 
 from conftest import subspace_gap
@@ -18,24 +17,64 @@ EYE2 = np.eye(2)
 
 
 def test_regular_point_identity_case():
-    assert find_regular_point(Pencil(EYE2, np.zeros((2, 2)))) == 1.0
+    # every lambda != 0 is a regular point of (I, 0); A is invertible, so
+    # the Wong sequence is empty and the index is 0
+    p = Pencil(EYE2, np.zeros((2, 2)))
+    assert np.linalg.det(p.a + p.b) == 1.0
+    assert compute_index(p) == 0
+    cs = build_chains(p)
+    assert cs.phi.shape == cs.dual_span.shape == (2, 0)
 
 
 def test_regular_point_nilpotent():
-    # 1*A + B = [[1,1],[0,1]] is invertible, so the first candidate wins
-    assert find_regular_point(Pencil(NILPOTENT, EYE2)) == 1.0
-
-
-def test_regular_point_caches_only_through_the_method():
+    # det(lambda*A + B) = 1 for every lambda, and the analysis takes none:
+    # the Wong sequence is ker A = span(e1), then the whole space
     p = Pencil(NILPOTENT, EYE2)
-    assert find_regular_point(p) == 1.0
-    assert p.lambda_star is None
-    assert p.regular_point() == 1.0 and p.lambda_star == 1.0
+    for lam in (0.0, 1.0, -2.5):
+        assert np.linalg.det(lam * p.a + p.b) == 1.0
+    spaces, dual_span, down = _wong_pair(p)
+    assert [s.shape[1] for s in spaces] == [1, 2]
+    assert dual_span.shape == (2, 2)
+    np.testing.assert_allclose(np.linalg.matrix_power(down, 2), 0.0,
+                               atol=1e-15)
 
 
 def test_regular_point_zero_pencil():
-    with pytest.raises(SingularPencil):
-        find_regular_point(Pencil(np.zeros((2, 2)), np.zeros((2, 2))))
+    # no lambda is a regular point of the zero pair: it is singular
+    for analyse in (compute_index, build_chains):
+        with pytest.raises(SingularPencil, match="the pair is singular"):
+            analyse(Pencil(np.zeros((2, 2)), np.zeros((2, 2))))
+
+
+def test_analysis_keeps_no_state_on_the_pencil():
+    p = Pencil(NILPOTENT, EYE2)
+    before = {k: np.copy(v) for k, v in vars(p).items()}
+    build_all(p)
+    assert compute_index(p) == 2
+    assert vars(p).keys() == before.keys() == {"a", "b", "scale"}
+    assert all(np.array_equal(vars(p)[k], v) for k, v in before.items())
+
+
+# more singular pairs, each with the rank of [A; B]: the L1 + L1^T pair's ker A =
+# span(e2) and ker B = span(e1) meet only in 0, yet det(lambda A + B)
+# vanishes for every lambda
+SINGULAR_PAIRS = {
+    "common_kernel": (np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), 1),
+    "l1_l1t": (np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
+               np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+               3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGULAR_PAIRS))
+def test_singular_pairs_raise(name):
+    a, b, stacked_rank = SINGULAR_PAIRS[name]
+    assert np.linalg.matrix_rank(np.vstack([a, b])) == stacked_rank
+    for lam in (0.3, -1.7, 2.9, 1j):
+        assert abs(np.linalg.det(lam * a + b)) == 0.0
+    for analyse in (compute_index, build_chains):
+        with pytest.raises(SingularPencil, match="the pair is singular"):
+            analyse(Pencil(a, b))
 
 
 def test_index_invertible_a():
@@ -56,37 +95,16 @@ def test_rank_ambiguity_guard():
         compute_index(Pencil(np.diag([1.0, 1e-10]), EYE2))
 
 
-def test_staircase_rank_ambiguity_guard():
-    # A's rank is clear, but sigma(G^2) = 2.5e-11 lies inside the guard
-    # band (5.6e-14, 1.7e-9) of the second power's rank cutoff
+def test_intersection_rank_ambiguity_guard():
+    # A's rank is clear, but B e3, the image of ker A, leaves range A by
+    # 1e-10, inside the guard band (2.2e-13, 6.7e-9) of the intersection's
+    # rank cutoff: index 1 and index 2 are both within rounding
+    a = np.diag([1.0, 1.0, 0.0])
+    b = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-10]])
     for analyse in (compute_index, build_chains):
         with pytest.raises(RankAmbiguity,
-                           match="rank of power of shifted inverse ambiguous"):
-            analyse(Pencil(np.diag([1.0, 5e-6, 0.0]), np.eye(3)))
-
-
-def two_pass_staircase(pencil):
-    """Reference: the guarded rank of each power of G from its singular
-    values alone, then the kernel of each power from a second SVD."""
-    g = _shift_inverse(pencil)
-    n = g.shape[0]
-    smax = float(np.linalg.svd(g, compute_uv=False)[0])
-    ranks = [n]
-    p = np.eye(n, dtype=g.dtype)
-    for j in range(1, n + 2):
-        p = p @ g
-        ranks.append(guarded_count(np.linalg.svd(p, compute_uv=False), n,
-                                   "power", ref=max(smax, 1e-300) ** j))
-        if ranks[-1] == ranks[-2]:
-            break
-    kernels = [np.zeros((n, 0), dtype=g.dtype)]
-    p = np.eye(n, dtype=g.dtype)
-    for j in range(1, len(ranks) - 1):
-        p = p @ g
-        _, sig, vh = svd(p)
-        cut = rank_cutoff(sig, n, ref=max(smax, 1e-300) ** j)
-        kernels.append(vh[int(np.sum(sig > cut)):].conj().T)
-    return ranks, kernels
+                           match="rank of B W_i off range A ambiguous"):
+            analyse(Pencil(a, b))
 
 
 def benchmark_shapes():
@@ -100,24 +118,77 @@ def benchmark_shapes():
             yield random_weierstrass(n_dim + index, n_dim, segre)
 
 
-def test_one_pass_staircase_matches_the_two_pass_reference(pencil_corpus):
+def test_wong_sequence_matches_the_weierstrass_form(pencil_corpus):
+    # W_j is spanned by the columns of T^{-1} at the first j levels of each
+    # chain block, and L* by the rows of S^{-1} at the chain blocks
     for ws in [*pencil_corpus, *benchmark_shapes()]:
         p = Pencil(ws.pencil.a, ws.pencil.b)
-        _, ranks, kernels, finite = _staircase(p)
-        ref_ranks, ref_kernels = two_pass_staircase(p)
-        assert ranks == ref_ranks
-        assert len(kernels) == len(ref_kernels) == ws.index + 1
-        for got, ref in zip(kernels, ref_kernels):
-            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
         n_dim, d = ws.pencil.n_dim, sum(ws.segre)
-        if ws.index == 0:
-            # A is invertible: the analysis takes no staircase
-            assert guarded_rank(ws.pencil.a) == n_dim
-            finite = build_chains(p).finite
-            assert np.array_equal(finite, np.eye(n_dim))
-        assert finite.shape == (n_dim, n_dim - d)
-        truth = np.linalg.inv(ws.t_mat)[:, :n_dim - d]
-        assert subspace_gap(finite, truth) <= 1e-8
+        n_ode = n_dim - d
+        spaces, dual_span, _ = _wong_pair(p)
+        assert compute_index(p) == len(spaces) == ws.index
+        assert [s.shape[1] for s in spaces] == [
+            sum(min(m, j) for m in ws.segre) for j in range(1, ws.index + 1)]
+        t_inv = np.linalg.inv(ws.t_mat)
+        starts = n_ode + np.cumsum([0] + ws.segre[:-1])
+        for j, space in enumerate(spaces, start=1):
+            cols = [s + k for s, m in zip(starts, ws.segre)
+                    for k in range(min(m, j))]
+            assert subspace_gap(space, t_inv[:, cols]) <= 1e-8
+        s_mat = np.hstack([(p.a @ t_inv)[:, :n_ode], (p.b @ t_inv)[:, n_ode:]])
+        truth = np.linalg.inv(s_mat).conj().T[:, n_ode:]
+        assert dual_span.shape == (n_dim, d)
+        assert subspace_gap(dual_span, truth) <= 1e-8
+
+
+def neumann_laplacian(n: int) -> np.ndarray:
+    """The discrete Neumann Laplacian on [0, 1] with n cells: it
+    annihilates constants, and its norm grows like 4 n^2."""
+    lap = (np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1)
+           + np.diag(np.ones(n - 1), -1))
+    lap[0, 0] = lap[-1, -1] = -1.0
+    return lap * n ** 2
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_method_of_lines_pair_is_index_one(n):
+    # A = diag(I_N, 0), B = diag(-L_N, 1): badly scaled, as ||B|| grows
+    # like 4 N^2 while ||A|| = 1
+    a = np.zeros((n + 1, n + 1))
+    a[:n, :n] = np.eye(n)
+    b = np.zeros((n + 1, n + 1))
+    b[:n, :n] = -neumann_laplacian(n)
+    b[n, n] = 1.0
+    p = Pencil(a, b)
+    assert compute_index(p) == 1
+    cs, ds, ps = build_all(p)
+    assert cs.multiplicities == [1]
+    np.testing.assert_array_equal(cs.phi[:, 0], np.eye(n + 1)[n])
+    assert ds.residuals["worst"] <= 1e-8
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_segre_characteristic_of_row_and_column_scaled_pairs(seed):
+    # D_r A D_c, D_r B D_c with diagonal entries 10^U(-1, 1) have the same
+    # chains up to the scaling, and the same Segre characteristic
+    rng = np.random.default_rng(900 + seed)
+    n_dim = int(rng.integers(6, 17))
+    segre = [int(m) for m in rng.integers(1, 5, rng.integers(1, 4))
+             ][:n_dim]
+    while sum(segre) > n_dim:
+        segre.pop()
+    ws = random_weierstrass(900 + seed, n_dim, segre)
+    rows = 10.0 ** rng.uniform(-1, 1, n_dim)
+    cols = 10.0 ** rng.uniform(-1, 1, n_dim)
+    p = Pencil(rows[:, np.newaxis] * ws.pencil.a * cols,
+               rows[:, np.newaxis] * ws.pencil.b * cols)
+    assert compute_index(p) == ws.index
+    cs, ds, ps = build_all(p)
+    assert cs.multiplicities == ws.segre
+    assert cs.residuals["worst"] <= 1e-8 and ds.residuals["worst"] <= 1e-8
+    gt_p2 = ws.projectors_gt["p2"]
+    p2 = (cols[:, np.newaxis] ** -1) * gt_p2 * cols
+    assert np.abs(ps.p2 - p2).max() <= 1e-6 * max(1.0, np.abs(p2).max())
 
 
 def test_chains_nilpotent_pair():
@@ -244,8 +315,7 @@ def test_duals_of_equal_length_chains(seed):
 
 
 def test_index_five_pair_beyond_the_bundled_problems():
-    # numpy's divide-and-conquer SVD (gesdd) can fail to converge on the
-    # third power of G for this pair; the analysis retries on its transpose
+    # an index-5 pair of dimension 64, beyond the bundled index 0 to 3
     ws = random_weierstrass(7, 64, [5, 5, 5, 1])
     cs, ds, ps = build_all(ws.pencil)
     assert cs.nu == 5 and cs.multiplicities == [5, 5, 5, 1]
@@ -344,13 +414,14 @@ def _replaced(canonical, vector, level=0):
 
 @pytest.mark.parametrize("level", [0, 1, 2])
 def test_chain_vector_in_the_finite_subspace_fails_biorthogonalization(level):
-    # the pairing matrix (lambda A + B) [T_f, Phi] is then singular: its
-    # solve must not return duals, nor let a LinAlgError escape
+    # B maps the finite deflating subspace, spanned by the columns of T^{-1}
+    # at the explicit block, onto vectors that L* annihilates: the pairing
+    # matrix L*^H B Phi is then singular, and its solve must not return
+    # duals, nor let a LinAlgError escape
     ws = random_weierstrass(4, 12, [3, 2])
     p = ws.pencil
     cs = build_chains(p)
-    g = np.linalg.solve(p.shifted(p.regular_point()), p.a)
-    x = np.linalg.matrix_power(g, cs.nu) @ np.ones(12)
+    x = np.linalg.inv(ws.t_mat)[:, :12 - 5] @ np.ones(12 - 5)
     with pytest.raises(BiorthogonalizationFailure):
         build_dual_chains(p, _replaced(cs, x / np.linalg.norm(x),
                                        level=level))
@@ -364,14 +435,19 @@ def test_zero_chain_vector_fails_biorthogonalization():
         build_dual_chains(ws.pencil, _replaced(cs, np.zeros(12), level=1))
 
 
-def test_complex_shift_of_a_real_pair_gives_real_duals():
-    # the complex detour: the pairing matrix is complex, the duals of real
-    # chains are real and do not depend on the shift
+def test_duals_do_not_depend_on_the_basis_of_the_dual_span():
+    # only the span L* enters the duals: a real rotation of its basis keeps
+    # them real, and a complex unitary one leaves no imaginary part beyond
+    # rounding
     ws = random_weierstrass(3, 10, [3, 2])
     cs = build_chains(ws.pencil)
-    detour = Pencil(ws.pencil.a, ws.pencil.b)
-    detour.lambda_star = 0.5 + 0.7j
-    ds = build_dual_chains(detour, cs)
-    assert not np.iscomplexobj(ds.q)
-    np.testing.assert_allclose(
-        ds.q, build_dual_chains(ws.pencil, cs).q, atol=1e-12)
+    ref = build_dual_chains(ws.pencil, cs).q
+    rng = np.random.default_rng(5)
+    real_rot, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    unitary, _ = np.linalg.qr(rng.standard_normal((5, 5))
+                              + 1j * rng.standard_normal((5, 5)))
+    for rot in (real_rot, unitary):
+        turned = dataclasses.replace(cs, dual_span=cs.dual_span @ rot)
+        ds = build_dual_chains(ws.pencil, turned)
+        assert np.iscomplexobj(ds.q) == np.iscomplexobj(rot)
+        np.testing.assert_allclose(ds.q, ref, atol=1e-12)
