@@ -30,11 +30,19 @@ from .reduction import (StructureTag, check_structure, reduce_cascade,
 
 
 def _load(spec: str) -> LoadedProblem:
+    """The problem file or bundled problem `spec`.  Every command writes
+    <out>/<name>_*, so the problem's name must be one path component."""
     path = Path(spec)
     if path.exists():
-        return load_problem(path)
-    name = spec[:-5] if spec.endswith(".json") else spec
-    return load_builtin(name)
+        problem = load_problem(path)
+    else:
+        problem = load_builtin(spec[:-5] if spec.endswith(".json") else spec)
+    name = problem.name
+    if name in ("", ".", "..") or "/" in name or "\0" in name:
+        raise DaekitError(f"problem name {name!r} is not one path component:"
+                          " it may not be empty, '.' or '..', nor hold '/'"
+                          " or NUL")
+    return problem
 
 
 def _dump_json(data: dict, path: Path) -> None:

@@ -435,7 +435,7 @@ def integrate_first(reduced: ReducedFirst, t0: float, x_guess,
         # the first) and a fresh Jacobian, keeping the warm starts and kept
         # Jacobians of the chain and wedge levels
         try:
-            return reduced.drift_w(t, w, state)
+            return reduced.drift(t, w, state)
         except ConstraintSolveFailure as first_exc:
             if first_exc.level != "kernel_level":
                 raise
@@ -443,7 +443,7 @@ def integrate_first(reduced: ReducedFirst, t0: float, x_guess,
             state.warm["kernel_level"] = seed.warm["kernel_level"]
             state.jac_caches["kernel_level"] = JacobianCache()
             try:
-                return reduced.drift_w(t, w, state)
+                return reduced.drift(t, w, state)
             except ConstraintSolveFailure:
                 raise first_exc
 
@@ -466,10 +466,10 @@ def integrate_cascade(reduced: ReducedCascade, t0: float, x_guess,
         # on failure retry once from cold level guesses, keeping the warm
         # starts the retry found
         try:
-            return reduced.drift_w1(t, w1, evaluator)
+            return reduced.drift(t, w1, evaluator)
         except ConstraintSolveFailure:
             fresh = reduced.make_state()
-            out = reduced.drift_w1(t, w1, fresh)
+            out = reduced.drift(t, w1, fresh)
             evaluator.warm = fresh.warm
             evaluator.jac_caches = fresh.jac_caches
             evaluator.field_at = fresh.field_at

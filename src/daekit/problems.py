@@ -17,6 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .certificates import ComparisonSpec, LyapunovComponent, LyapunovSpec
+from .config import DEFAULT_TOLERANCES as TOL
 from .errors import SchemaError, UnknownRegistryId
 from .integrate import IntegrationOptions
 from .pencil import Pencil
@@ -370,8 +371,9 @@ def _schema_errors(data) -> list:
 
 
 def _parse_matrix(rows: list, pointer: str) -> np.ndarray:
-    """A schema-valid A or B as a square, finite array; complex only if an
-    entry has a non-zero imaginary part."""
+    """A schema-valid A or B as a square array with entries of magnitude at
+    most TOL.state_max, above which the squares in the pair's norms
+    overflow; complex only if an entry has a non-zero imaginary part."""
     width = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != width:
@@ -390,11 +392,13 @@ def _parse_matrix(rows: list, pointer: str) -> np.ndarray:
                 mat = mat.real
     except OverflowError as exc:
         raise SchemaError(pointer, f"entry out of range: {exc}")
-    bad = np.argwhere(~np.isfinite(mat))
+    with np.errstate(over="ignore"):
+        bad = np.argwhere(~(np.abs(mat) <= TOL.state_max))
     if bad.size:
         i, j = bad[0]
-        raise SchemaError(f"{pointer}/{i}/{j}",
-                          f"entry {rows[i][j]!r} is not finite")
+        what = f"exceeds {TOL.state_max:g} in magnitude" \
+            if np.isfinite(mat[i, j]) else "is not finite"
+        raise SchemaError(f"{pointer}/{i}/{j}", f"entry {rows[i][j]!r} {what}")
     return mat
 
 
@@ -509,7 +513,7 @@ _INTEGRATION_KEYS = {"t0": float, "t_max": float, "rtol": float,
                      "blowup_norm_cap": float, "blowup_window": int}
 
 
-def load_problem_dict(data: dict, name_hint: str = "<dict>") -> LoadedProblem:
+def load_problem_dict(data: dict) -> LoadedProblem:
     """Validate and construct a problem from an already-parsed dictionary."""
     errors = _schema_errors(data)
     if errors:
@@ -522,7 +526,7 @@ def load_problem_dict(data: dict, name_hint: str = "<dict>") -> LoadedProblem:
         raise SchemaError("/B", f"shape {b.shape} does not match A {a.shape}")
     tag = StructureTag(data.get("structure_tag", "general"))
     fld = _build_field(data["field"], tag, "/field")
-    dae = make_dae(a, b, fld, name=data.get("name", name_hint))
+    dae = make_dae(a, b, fld, name=data["name"])
 
     integ = data.get("integration", {})
     try:
@@ -557,7 +561,7 @@ def load_problem_dict(data: dict, name_hint: str = "<dict>") -> LoadedProblem:
             raise SchemaError(f"/sweep/initial_values/{k}",
                               f"length {value.size} exceeds dimension {n}")
     bound = data.get("certificate", {}).get("bound_constant")
-    return LoadedProblem(name=data.get("name", name_hint), dae=dae,
+    return LoadedProblem(name=data["name"], dae=dae,
                          options=options, x_guess=guess, certificate=cert,
                          sweep_values=sweep, raw=data,
                          bound_constant=bound)
@@ -574,7 +578,9 @@ def load_problem(path) -> LoadedProblem:
         raise SchemaError("/", f"not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise SchemaError("/", f"invalid JSON: {exc}")
-    return load_problem_dict(data, name_hint=str(path))
+    except RecursionError:
+        raise SchemaError("/", "invalid JSON: nested too deeply")
+    return load_problem_dict(data)
 
 
 def builtin_names() -> list:
@@ -588,7 +594,7 @@ def load_builtin(name: str) -> LoadedProblem:
         raise UnknownRegistryId(
             f"no bundled problem '{name}'; available: {builtin_names()}")
     data = json.loads(candidate.read_text())
-    return load_problem_dict(data, name_hint=name)
+    return load_problem_dict(data)
 
 
 # ---------------------------------------------------------------------------

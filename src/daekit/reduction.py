@@ -139,15 +139,19 @@ def _select_block(dae: SemilinearDAE, pred) -> _Block:
 
 
 class _Reduced:
-    """What both routes share.
+    """What both routes share: the level table (the slices and equation of
+    every algebraic level), `make_state()` and the one rule of a reduced
+    state, x = explicit + eta + x20, with its drift dw = W (f(t, x) - B x)
+    or W (f(t, x) - B explicit), its start `consistent_point` and its
+    stacked form `drift_columns`.
 
-    The level table (the slices and equation of every algebraic level),
-    `make_state()`, `consistent_point` and `drift_columns`.  A route adds
-    `_initial_state`, what `drift_columns` reads of it (`_t_only_parts`,
-    `_drift_subtracts_state`) and the reduction protocol: `w_projector`
-    (the projector onto the space of the reduced variable w) and
-    `drift(t, w, state) -> (dw, x)` (the reduced right-hand side plus the
-    assembled state).
+    A route supplies only data: `w_projector` W (onto the space of the
+    reduced variable w, explicit = a_tilde_inv w), `start_projector` (the
+    explicit part of a start guess), `_drift_subtracts_state` and
+    `_t_only_parts` (eta and the kernel level's offset at t), and the name
+    `drift` looks up at call time, so a wrapper set on that class attribute
+    (the benchmark tracer counts right-hand sides by the `drift_w` and
+    `drift_w1` spans) sees every call.
     """
 
     def __init__(self, dae: SemilinearDAE):
@@ -206,6 +210,8 @@ class _Reduced:
                 end = start + self.chain_blocks[s].dim
                 self.chain_slots[s] = (label, start, end)
                 start = end
+        # the kernel level's offset for a field that declares no structure
+        self._no_offset = np.zeros(dae.pencil.n_dim)
         if self.kernel.dim:
             slices["kernel_level"] = self.kernel
         self.levels = {label: (blk, self._level_problem(blk))
@@ -228,19 +234,23 @@ class _Reduced:
         return state
 
     def consistent_point(self, t0, x_guess, state=None):
-        """The route's `_initial_state` from the guess, checked on L0: the
-        explicit components of the guess are kept and the algebraic ones
-        solved for, on the per-run state (a fresh one if None), which a run
-        then starts from.  A guess entry above TOL.state_max, which the
-        step loop could not step, or a start off L0 raises; for a field
-        that declares a structure, a start off L0 first runs
-        check_structure, so a mis-declared structure_tag is named."""
+        """The start from the guess, checked on L0: explicit =
+        `start_projector` x_guess is kept, and eta and x20 are solved for on
+        the per-run state (a fresh one if None), which a run then starts
+        from; for a structure-tagged field eta holds the chain-top parts on
+        both routes.  A guess entry above TOL.state_max, which the step
+        loop could not step, or a start off L0 raises; for a field that
+        declares a structure, a start off L0 first runs check_structure, so
+        a mis-declared structure_tag is named."""
         x_guess = np.asarray(x_guess, dtype=float)
         if not np.abs(x_guess).max() <= TOL.state_max:
             raise DaekitError("initial guess entries must be finite and at "
                               f"most {TOL.state_max:g} in magnitude")
         state = state or self.make_state(x_guess)
-        x0 = self._initial_state(t0, x_guess, state)
+        explicit = self.start_projector @ x_guess
+        parts = state.algebraic_parts(t0)
+        base = explicit + parts["eta_2sigma"]
+        x0 = base + self._x20(t0, explicit, base, parts["d_vec"], state)
         # the kernel solve's field value, recorded under x0; a start where
         # the field overflows leaves a NaN residual, which is off L0 too
         with np.errstate(all="ignore"):
@@ -317,17 +327,43 @@ class _Reduced:
         state.field_at = (t, x, f)
         return f
 
-    def drift_columns(self, ts, w):
-        """The route's `drift` at every column of w (n x S), at the times ts
-        (S,): (dw, x, ok), ok False where a column did not solve.
+    def _x20(self, t, explicit, base, offset, state):
+        """The kernel part phi c of the state base + phi c at t, base =
+        explicit + eta: c solves the kernel level on the per-run state,
+        warm-started, to TOL.solver max(1, |explicit|), the stop of every
+        kernel solve."""
+        if not self.kernel.dim:
+            return np.zeros(self.dae.pencil.n_dim)
+        c = state._solve("kernel_level", t, base, offset,
+                         max(1.0, norm2(explicit)))
+        return self.kernel.lift(c)
 
-        Column i is the state x = explicit + eta + phi c, explicit =
-        a_tilde_inv w.  eta and the kernel level's offset depend on t only;
-        for a structure-tagged field (reduce_cascade refuses any other at
-        index 2 and up) `_t_only_parts` solves them on a fresh state per
-        column, and a column whose parts do not solve is dropped.  c solves
-        the kernel level from zero, for all columns in one stacked Newton
-        solve, to TOL.solver max(1, |explicit|).  A singular column raises
+    def _drift(self, t, w, state):
+        """The reduced right-hand side at w, plus the assembled state x: the
+        one-column form of `drift_columns`, on the per-run state."""
+        w = self.w_projector @ w
+        explicit = self.ps.a_tilde_inv @ w
+        base, offset = explicit, self._no_offset
+        if self.dae.structured:
+            eta, offset = self._t_only_parts(state, t)
+            base = explicit + eta
+        x = base + self._x20(t, explicit, base, offset, state)
+        f = self._field(t, x, state, state.warm.get("kernel_level"))
+        minus = x if self._drift_subtracts_state else explicit
+        return self.w_projector @ (f - self.dae.pencil.b @ minus), x
+
+    drift = property(lambda self: getattr(self, self._drift_name))
+
+    def drift_columns(self, ts, w):
+        """`drift` at every column of w (n x S), at the times ts (S,): (dw,
+        x, ok), ok False where a column did not solve.
+
+        eta and the kernel level's offset depend on t only; for a
+        structure-tagged field (reduce_cascade refuses any other at index 2
+        and up) `_t_only_parts` solves them on a fresh state per column,
+        and a column whose parts do not solve is dropped.  c solves the
+        kernel level from zero, for all columns in one stacked Newton
+        solve, to the tolerance of `_x20`.  A singular column raises
         SingularJacobian only after the columns before it are solved.
         """
         w = self.w_projector @ w
@@ -395,70 +431,42 @@ class _Reduced:
 class ReducedFirst(_Reduced):
     """Explicit form with the whole (x1 + x2_sigma) block differential."""
 
+    _drift_name = "drift_w"
+    _drift_subtracts_state = True  # B x, of the whole state
+
     def __init__(self, dae: SemilinearDAE):
         super().__init__(dae)
         ps = self.ps
-        self.p12 = ps.p1 + ps.p2_sigma
         self.w_projector = ps.q1 + ps.q2_sigma
-        self.tops = _select_block(dae, lambda m, j: j == m)          # residual rows
-        # a structure-tagged field's constraint rows do not involve x20 (the
-        # Jacobian of the plain form is singular), so x20 solves the
-        # differentiated kernel-level form; any other field, the plain form
-        self.differentiated = dae.structured
-        if self.kernel.dim and not self.differentiated:
-            self.levels["kernel_level"] = (
-                self.kernel, self._level_problem(self.kernel, self.tops))
+        # a structure-tagged field's levels pin the chain-top parts of a
+        # start, and its constraint rows do not involve x20 (the Jacobian of
+        # the plain form is singular), so x20 solves the differentiated
+        # kernel-level form; any other field keeps x2_sigma of the guess and
+        # solves the plain form on the residual rows, the chain tops
+        if dae.structured:
+            self.start_projector = ps.p1
+        else:
+            self.start_projector = ps.p1 + ps.p2_sigma
+            if self.kernel.dim:
+                self.levels["kernel_level"] = (self.kernel, self._level_problem(
+                    self.kernel, _select_block(dae, lambda m, j: j == m)))
 
-    # -- algebraic solve -----------------------------------------------------
+    drift_w = _Reduced._drift
+
     def solve_x20(self, t, x12, state: "_CascadeEvaluator | None" = None):
-        """Kernel component on the constraint manifold at fixed (t, x12),
-        from the table's kernel level."""
+        """Kernel component on the constraint manifold at fixed (t, x12)."""
         state = state or self.make_state()
-        if self.n == 0:
-            return np.zeros(self.dae.pencil.n_dim), state
-        guess = state.warm.get("kernel_level")
-        # tolerance scaled by the state magnitude: at large states the
-        # floating-point floor of the residual grows alongside
-        scale = max(1.0, norm2(x12), 0.0 if guess is None else norm2(guess))
-        d_vec = state.level_offset(0, t) if self.differentiated else None
-        c = state._solve("kernel_level", t, x12, d_vec, scale)
-        return self.kernel.lift(c), state
+        offset = state.algebraic_parts(t)["d_vec"]
+        return self._x20(t, x12, x12, offset, state), state
 
     def eta_hat(self, t, w, state: "_CascadeEvaluator | None" = None):
         """Kernel component as a function of the reduced variable."""
         x12 = self.ps.a_tilde_inv @ w
         return self.solve_x20(t, x12, state)
 
-    def drift_w(self, t, w, state: "_CascadeEvaluator"):
-        """Right-hand side of the reduced ODE, plus the assembled state."""
-        w = self.w_projector @ w
-        x12 = self.ps.a_tilde_inv @ w
-        x20, _ = self.solve_x20(t, x12, state)
-        x = x12 + x20
-        f = self._field(t, x, state, state.warm.get("kernel_level"))
-        return self.w_projector @ (f - self.dae.pencil.b @ x), x
-
-    # The protocol's drift looks drift_w up at call time, so a wrapper set on
-    # the class attribute (the benchmark tracer counts right-hand sides by
-    # the drift_w spans) sees every call.
-    drift = property(lambda self: self.drift_w)
-
-    # drift_w subtracts B x, of the whole state
-    _drift_subtracts_state = True
-
     def _t_only_parts(self, state, t):
         """No eta (x12 holds the chain-top parts) and the kernel offset."""
         return np.zeros(self.dae.pencil.n_dim), state.level_offset(0, t)
-
-    def _initial_state(self, t0, x_guess, state):
-        """Keep the explicit components of the guess, solve the rest; for a
-        structure-tagged field the levels pin the chain-top parts too."""
-        if self.differentiated:
-            x1 = self.ps.p1 @ x_guess
-            x12 = x1 + state.eta_2sigma(t0)
-        else:
-            x12 = self.p12 @ x_guess
-        return x12 + self.solve_x20(t0, x12, state)[0]
 
 
 def reduce_first(dae: SemilinearDAE) -> ReducedFirst:
@@ -472,37 +480,20 @@ def reduce_first(dae: SemilinearDAE) -> ReducedFirst:
 class ReducedCascade(_Reduced):
     """Level-by-level explicit form for structure-tagged fields."""
 
+    _drift_name = "drift_w1"
+    _drift_subtracts_state = False  # B x1, of the explicit part only
+
     def __init__(self, dae: SemilinearDAE):
         super().__init__(dae)
         self.w_projector = self.ps.q1
+        self.start_projector = self.ps.p1
 
-    def drift_w1(self, t, w1, evaluator: "_CascadeEvaluator"):
-        """Right-hand side of the reduced ODE for w1 = corrected-A x1."""
-        w1 = self.w_projector @ w1
-        x1 = self.ps.a_tilde_inv @ w1
-        parts = evaluator.algebraic_parts(t)
-        x20 = evaluator.solve_x20(t, x1, parts)
-        x = x1 + parts["eta_2sigma"] + x20
-        f = self._field(t, x, evaluator, evaluator.warm.get("kernel_level"))
-        drift = self.w_projector @ (f - self.dae.pencil.b @ x1)
-        return drift, x
-
-    # looked up at call time for the same reason as ReducedFirst.drift
-    drift = property(lambda self: self.drift_w1)
-
-    # drift_w1 subtracts B x1, of the explicit part only
-    _drift_subtracts_state = False
+    drift_w1 = _Reduced._drift
 
     def _t_only_parts(self, state, t):
         """eta_2sigma and the kernel offset: the algebraic parts at t."""
         parts = state.algebraic_parts(t)
         return parts["eta_2sigma"], parts["d_vec"]
-
-    def _initial_state(self, t0, x_guess, state):
-        """The explicit part of the guess plus the level solutions."""
-        x1 = self.ps.p1 @ x_guess
-        parts = state.algebraic_parts(t0)
-        return x1 + parts["eta_2sigma"] + state.solve_x20(t0, x1, parts)
 
     def level_residuals(self, t, x, evaluator: "_CascadeEvaluator | None" = None):
         """Residual norm of every algebraic level equation at the state x.
@@ -544,18 +535,16 @@ def reduce_cascade(dae: SemilinearDAE, waive_structure_check: bool = False
 
 class _CascadeEvaluator:
     """The per-run state of both routes, from `make_state()`: the warm start
-    and the kept Jacobian of every level, the field record and a small
-    per-time cache of the chain and wedge levels."""
-
-    _CACHE_MAX = 24
+    and the kept Jacobian of every level, the field record and the chain and
+    wedge levels of the last time asked for."""
 
     def __init__(self, rc: _Reduced):
         self.rc = rc
         self.warm: dict[str, np.ndarray] = {}  # last solution of each level
         # kept Jacobian of each level, for its next Newton solve
         self.jac_caches = {label: JacobianCache() for label in rc.levels}
-        # t -> {label: (c, dc)} of every chain and wedge level, see _levels
-        self._t_only_cache: dict[float, dict] = {}
+        # (t, {label: (c, dc)}) of every chain and wedge level, see _levels
+        self._last_levels: tuple | None = None
         # (t, key, f(t, x)) of the last level residual or drift, see _field
         self.field_at: tuple | None = None
 
@@ -681,14 +670,12 @@ class _CascadeEvaluator:
 
     def _levels(self, t: float) -> dict:
         """{label: (c, dc)} of every chain and wedge level at t, from one
-        `_pass` on the first call at t."""
-        got = self._t_only_cache.get(t)
-        if got is None:
-            got = self._pass(t)
-            if len(self._t_only_cache) >= self._CACHE_MAX:
-                self._t_only_cache.pop(next(iter(self._t_only_cache)))
-            self._t_only_cache[t] = got
-        return got
+        `_pass` unless t is the last time asked for: a run asks again only
+        at its newest time."""
+        got = self._last_levels
+        if got is None or got[0] != t:
+            got = self._last_levels = (t, self._pass(t))
+        return got[1]
 
     # -- chain-top levels ----------------------------------------------------
     def chain_values(self, t: float) -> dict:
@@ -725,21 +712,18 @@ class _CascadeEvaluator:
 
     def algebraic_parts(self, t: float) -> dict:
         """The algebraic part eta_2sigma of the state and the offset d_vec of
-        the kernel level, both functions of time only."""
+        the kernel level, both functions of time only; zero for a field that
+        declares no structure."""
         rc = self.rc
-        if rc.nu <= 1:
+        if not rc.dae.structured:
             zero = np.zeros(rc.dae.pencil.n_dim)
             return {"eta_2sigma": zero, "d_vec": zero}
         d_vec = self.level_offset(0, t)
         return {"eta_2sigma": self.eta_2sigma(t), "d_vec": d_vec}
 
     def solve_x20(self, t: float, x1: np.ndarray, parts: dict) -> np.ndarray:
-        rc = self.rc
-        if rc.kernel.dim == 0:
-            return np.zeros(rc.dae.pencil.n_dim)
-        c = self._solve("kernel_level", t, x1 + parts["eta_2sigma"],
-                        parts["d_vec"], max(1.0, norm2(x1)))
-        return rc.kernel.lift(c)
+        return self.rc._x20(t, x1, x1 + parts["eta_2sigma"], parts["d_vec"],
+                            self)
 
 
 # ---------------------------------------------------------------------------

@@ -257,9 +257,13 @@ def test_error_exit_two(tmp_path, capsys):
                                "field": {"registry_id": "zero"}}))
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    # parsing it raised a raw RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
     out = tmp_path / "out"
     for argv in (["analyze", "no_such_problem"], ["analyze", str(bad)],
                  ["analyze", str(tmp_path)], ["analyze", str(latin1)],
+                 ["analyze", str(deep)],
                  ["certify", "index1_stable", "--seed", "-1"]):
         assert run(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -526,7 +530,9 @@ def test_sweep_start_longer_than_state_exit_two(tmp_path, capsys):
 @pytest.mark.parametrize("a_text, pointer", [
     ("[[1.0, 0.0], [0.0]]", "/A"),
     ("[[NaN, 0.0], [0.0, 0.0]]", "/A/0/0"),
-    ("[[1.0, Infinity], [0.0, 0.0]]", "/A/0/1")])
+    ("[[1.0, Infinity], [0.0, 0.0]]", "/A/0/1"),
+    # its square overflowed in the norm of the pair, a RuntimeWarning
+    ("[[1.0, 0.0], [-1e308, 0.0]]", "/A/1/0")])
 def test_malformed_matrix_exit_two(tmp_path, capsys, a_text, pointer):
     path = tmp_path / "bad_matrix.json"
     path.write_text(f'{{"name": "bad", "A": {a_text}, '
@@ -636,3 +642,40 @@ def test_bad_registry_params_and_geometry_exit_two(tmp_path, capsys, name,
     command = "certify" if keys[0] == "certificate" else "analyze"
     assert run([command, str(path), "--out", str(tmp_path)]) == 2
     assert f"error: SchemaError: {pointer}:" in capsys.readouterr().err
+
+
+def _files_under(root: Path) -> set:
+    return {p for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["analyze", "reduce", "simulate",
+                                     "certify", "sweep"])
+@pytest.mark.parametrize("name", ["ESCAPED", "../escaped", "a/b", ".", "..",
+                                  "", "a\u0000b"])
+def test_problem_name_must_be_one_path_component(tmp_path, capsys, command,
+                                                 name):
+    # every command writes <out>/<name>_*: a name with a '/' wrote outside
+    # --out (ESCAPED stands for an absolute path under tmp_path), and one
+    # with a NUL ended in a raw ValueError
+    if name == "ESCAPED":
+        name = str(tmp_path / "elsewhere" / "escaped")
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(dict(load_builtin("index1_blowup").raw,
+                                    name=name)))
+    before = _files_under(tmp_path)
+    assert run([command, str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        f"error: DaekitError: problem name {name!r} is not one path "
+        "component"), err
+    assert _files_under(tmp_path) == before
+
+
+def test_problem_name_of_one_component_is_kept(tmp_path):
+    name = "with space, dots.. and \u00e9"
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(dict(load_builtin("index1_blowup").raw,
+                                    name=name)))
+    out = tmp_path / "out"
+    assert run(["analyze", str(path), "--out", str(out)]) == 0
+    assert _files_under(tmp_path) == {path, out / f"{name}_analysis.json"}

@@ -235,6 +235,39 @@ def test_bad_registry_params_and_geometry_are_schema_errors(name, keys, value,
     assert err.value.pointer == pointer
 
 
+@pytest.mark.parametrize("key, rows, pointer", [
+    ("A", [[1e308]], "/A/0/0"),
+    ("B", [[1.0, 0.0], [-1e151, 1.0]], "/B/1/0"),
+    ("A", [[1.0, [1e200, 0.0]], [0.0, 1.0]], "/A/0/1"),
+    ("A", [[1.0, [0.0, -1e200]], [0.0, 1.0]], "/A/0/1")])
+def test_matrix_entry_above_the_state_bound_is_a_schema_error(key, rows,
+                                                              pointer):
+    # the square of such an entry overflows in the norms of the pair
+    data = {"name": "big", "A": np.eye(len(rows)).tolist(),
+            "B": np.eye(len(rows)).tolist(),
+            "field": {"registry_id": "zero"}, key: rows}
+    with pytest.raises(SchemaError) as err:
+        load_problem_dict(data)
+    assert err.value.pointer == pointer
+    assert "exceeds 1e+150 in magnitude" in str(err.value)
+
+
+def test_matrix_entries_at_the_state_bound_load_quietly():
+    # a RuntimeWarning fails the test
+    data = {"name": "at_bound", "A": [[1e150, 1e150], [0.0, 1e150]],
+            "B": [[1e150, 0.0], [1e150, -1e150]],
+            "field": {"registry_id": "zero"}}
+    assert load_problem_dict(data).dae.projectors.nu == 0
+
+
+def test_deeply_nested_json_is_a_schema_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(SchemaError) as err:
+        load_problem(path)
+    assert err.value.pointer == "/"
+
+
 def test_complex_matrix_entries():
     data = {"name": "cplx", "A": [[[0.0, 1.0]]], "B": [[1.0]],
             "field": {"registry_id": "zero"}}
