@@ -38,10 +38,10 @@ def _load(spec: str) -> LoadedProblem:
     else:
         problem = load_builtin(spec[:-5] if spec.endswith(".json") else spec)
     name = problem.name
-    if name in ("", ".", "..") or "/" in name or "\0" in name:
+    if name in ("", ".", "..") or re.search("[/\x00-\x1f\x7f]", name):
         raise DaekitError(f"problem name {name!r} is not one path component:"
                           " it may not be empty, '.' or '..', nor hold '/'"
-                          " or NUL")
+                          " or a control character")
     return problem
 
 
@@ -312,7 +312,10 @@ def run(argv=None) -> int:
         # command function replaced on the module (a wrapper) is the one run
         return globals()[f"cmd_{args.command}"](args)
     except DaekitError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        message = str(exc)  # cut at 500 characters: a repr may be any length
+        if len(message) > 500:
+            message = f"{message[:500]}... [{len(message)} characters]"
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 2
 
 

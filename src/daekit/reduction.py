@@ -13,7 +13,7 @@ equations and one per-run state.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -101,10 +101,15 @@ class SemilinearDAE:
 
 @dataclass(frozen=True)
 class _Block:
-    """Columns of chain vectors and dual functionals for one state slice."""
+    """Columns of chain vectors and dual functionals for one state slice.
+    A record of the level table is the block of one algebraic level with
+    its label, its equation and, for a wedge level, its order."""
 
     phi: np.ndarray  # N x k
     q: np.ndarray    # N x k
+    label: str = ""
+    order: int | None = None
+    problem: ImplicitProblem | None = None
 
     @property
     def dim(self) -> int:
@@ -147,8 +152,7 @@ class _Reduced:
 
     A route supplies only data: `w_projector` W (onto the space of the
     reduced variable w, explicit = a_tilde_inv w), `start_projector` (the
-    explicit part of a start guess), `_drift_subtracts_state` and
-    `_t_only_parts` (eta and the kernel level's offset at t), and the name
+    explicit part of a start guess), `_drift_subtracts_state`, and the name
     `drift` looks up at call time, so a wrapper set on that class attribute
     (the benchmark tracer counts right-hand sides by the `drift_w` and
     `drift_w1` spans) sees every call.
@@ -167,55 +171,43 @@ class _Reduced:
         self.nu = ps.nu
         self.n = ps.n
         self.kernel = _select_block(dae, lambda m, j: j == 1)       # x20 slice
-        # chain-top slices: level s holds the order-s vectors of chains of
-        # exact length s+1 (s = 1..nu-1)
-        self.chain_blocks = {
-            s: _select_block(dae, lambda m, j, s=s: j == s + 1 and m == s + 1)
-            for s in range(1, max(self.nu, 1))
-        }
-        # wedge slices: order-s vectors of strictly longer chains; never
-        # empty, as a longest chain (length nu >= s + 2) has one
-        self.wedge_blocks = {
-            s: _select_block(dae, lambda m, j, s=s: j == s + 1 and m >= s + 2)
-            for s in range(1, max(self.nu - 1, 1))
-        }
-        # chain levels, top first, each with the chain-top slices it solves
-        # for.  A variant field's chain rows read every chain-top slice, so
-        # its chain levels are one fused equation over the stacked slices.
+        # the non-empty chain-top slices, top first: order s holds the
+        # order-s vectors of chains of exact length s+1 (s = 1..nu-1)
+        tops = {s: _select_block(dae, lambda m, j, s=s: j == m == s + 1)
+                for s in range(self.nu - 1, 0, -1)}
+        tops = {s: blk for s, blk in tops.items() if blk.dim}
+        # the level table: every non-empty algebraic level, top first.  A
+        # variant field's chain rows read every chain-top slice, so its chain
+        # levels are one fused equation over the stacked slices.
         if dae.field.structure_tag is StructureTag.STRUCTURED_VARIANT:
-            fused = tuple(s for s in range(1, self.nu)
-                          if self.chain_blocks[s].dim)
-            self.chain_levels = [("chain_levels", fused)] if fused else []
+            groups = [("chain_levels", sorted(tops))] if tops else []
         else:
-            self.chain_levels = [(f"chain_level_{s}", (s,))
-                                 for s in range(self.nu - 1, 0, -1)
-                                 if self.chain_blocks[s].dim]
-        # every non-empty algebraic level, top first: label -> (slice, equation)
-        slices = {label: _Block(
-            np.column_stack([self.chain_blocks[s].phi for s in group]),
-            np.column_stack([self.chain_blocks[s].q for s in group]))
-            for label, group in self.chain_levels}
-        slices.update((f"wedge_level_{s}", self.wedge_blocks[s])
-                      for s in reversed(self.wedge_blocks))
-        # the chain and wedge levels in table order, each with its wedge
-        # order s (None for a chain level), and the (label, start, end) of
-        # every chain-top slice within its level's coordinates
-        self.t_only = [(label, None) for label, _ in self.chain_levels]
-        self.t_only += [(f"wedge_level_{s}", s)
-                        for s in reversed(self.wedge_blocks)]
-        self.chain_slots = {}
-        for label, group in self.chain_levels:
+            groups = [(f"chain_level_{s}", [s]) for s in tops]
+        # and, read off the table, where the parts of order k sit: [its
+        # chain-top part, its wedge part], each None or (the label of its
+        # level, its coordinates in that level, its own block)
+        self.levels = {}
+        self.parts = {k: [None, None] for k in range(1, self.nu)}
+        for label, group in groups:
+            self.levels[label] = self._level(label, _Block(
+                np.column_stack([tops[s].phi for s in group]),
+                np.column_stack([tops[s].q for s in group])))
             start = 0
             for s in group:
-                end = start + self.chain_blocks[s].dim
-                self.chain_slots[s] = (label, start, end)
-                start = end
+                cols = slice(start, start + tops[s].dim)
+                self.parts[s][0], start = (label, cols, tops[s]), cols.stop
+        # wedge slices: order-s vectors of strictly longer chains; never
+        # empty, as a longest chain (length nu >= s + 2) has one
+        for s in range(self.nu - 2, 0, -1):
+            label = f"wedge_level_{s}"
+            self.levels[label] = self._level(label, _select_block(
+                dae, lambda m, j, s=s: j == s + 1 and m >= s + 2), s)
+            self.parts[s][1] = (label, slice(None), self.levels[label])
         # the kernel level's offset for a field that declares no structure
         self._no_offset = np.zeros(dae.pencil.n_dim)
         if self.kernel.dim:
-            slices["kernel_level"] = self.kernel
-        self.levels = {label: (blk, self._level_problem(blk))
-                       for label, blk in slices.items()}
+            self.levels["kernel_level"] = self._level("kernel_level",
+                                                      self.kernel)
 
     @property
     def level_count(self) -> int:
@@ -262,10 +254,11 @@ class _Reduced:
             raise InconsistentInitialValue(res, TOL.cons)
         return x0
 
-    def _level_problem(self, blk: _Block, plain_rows: _Block | None = None
-                       ) -> ImplicitProblem:
-        """The equation for the coordinates c of the component phi c on the
-        slice `blk`, built once per reduction.
+    def _level(self, label: str, blk: _Block, order: int | None = None,
+               plain_rows: _Block | None = None) -> _Block:
+        """The level record `label` of the slice `blk`, built once per
+        reduction, with the equation for the coordinates c of its component
+        phi c.
 
         Every algebraic level solves rows^H (f(t, base + phi c) - B phi c
         - offset) = 0 on its own rows.  The parameter p = (base, offset)
@@ -307,7 +300,8 @@ class _Reduced:
         def jac(t, p, c):
             return q_h @ (fld.jac(t, p[0] + phi @ c) @ phi - b_phi)
 
-        return ImplicitProblem(residual=resid, jac_y=jac)
+        return replace(blk, label=label, order=order,
+                       problem=ImplicitProblem(residual=resid, jac_y=jac))
 
     def _field(self, t, x, state, key):
         """f(t, x), taken from the per-run state where its record holds f at
@@ -354,6 +348,15 @@ class _Reduced:
 
     drift = property(lambda self: getattr(self, self._drift_name))
 
+    def _t_only_parts(self, state, t):
+        """eta and the kernel level's offset at t for a structure-tagged
+        field, from the per-run state.  eta is zero where the drift
+        subtracts B x: there the explicit part holds the chain-top parts."""
+        offset = state.level_offset(0, t)
+        if self._drift_subtracts_state:
+            return np.zeros(self.dae.pencil.n_dim), offset
+        return state.eta_2sigma(t), offset
+
     def drift_columns(self, ts, w):
         """`drift` at every column of w (n x S), at the times ts (S,): (dw,
         x, ok), ok False where a column did not solve.
@@ -390,7 +393,7 @@ class _Reduced:
             if idx.size:
                 fx[:, idx] = self.dae.field(ts[idx], base[:, idx])
         else:
-            blk, problem = self.levels["kernel_level"]
+            blk = self.levels["kernel_level"]
             tol = TOL.solver * np.maximum(1.0, column_norms(explicit[:, idx]))
 
             def params(j):
@@ -398,8 +401,8 @@ class _Reduced:
                         _FieldColumns(fx, idx[j]))
             try:
                 c, ok[idx] = solve_newton_columns(
-                    problem, ts[idx], params, np.zeros((blk.dim, idx.size)),
-                    tol)
+                    blk.problem, ts[idx], params,
+                    np.zeros((blk.dim, idx.size)), tol)
             except SingularJacobian as exc:
                 exc.level = "kernel_level"
                 raise
@@ -448,8 +451,9 @@ class ReducedFirst(_Reduced):
         else:
             self.start_projector = ps.p1 + ps.p2_sigma
             if self.kernel.dim:
-                self.levels["kernel_level"] = (self.kernel, self._level_problem(
-                    self.kernel, _select_block(dae, lambda m, j: j == m)))
+                self.levels["kernel_level"] = self._level(
+                    "kernel_level", self.kernel,
+                    plain_rows=_select_block(dae, lambda m, j: j == m))
 
     drift_w = _Reduced._drift
 
@@ -463,10 +467,6 @@ class ReducedFirst(_Reduced):
         """Kernel component as a function of the reduced variable."""
         x12 = self.ps.a_tilde_inv @ w
         return self.solve_x20(t, x12, state)
-
-    def _t_only_parts(self, state, t):
-        """No eta (x12 holds the chain-top parts) and the kernel offset."""
-        return np.zeros(self.dae.pencil.n_dim), state.level_offset(0, t)
 
 
 def reduce_first(dae: SemilinearDAE) -> ReducedFirst:
@@ -490,11 +490,6 @@ class ReducedCascade(_Reduced):
 
     drift_w1 = _Reduced._drift
 
-    def _t_only_parts(self, state, t):
-        """eta_2sigma and the kernel offset: the algebraic parts at t."""
-        parts = state.algebraic_parts(t)
-        return parts["eta_2sigma"], parts["d_vec"]
-
     def level_residuals(self, t, x, evaluator: "_CascadeEvaluator | None" = None):
         """Residual norm of every algebraic level equation at the state x.
 
@@ -505,17 +500,17 @@ class ReducedCascade(_Reduced):
         ev = evaluator or self.make_state()
         b = self.dae.pencil.b
         zero = np.zeros(self.dae.pencil.n_dim)
-        offsets = [(label, zero if s is None else ev.level_offset(s, t))
-                   for label, s in self.t_only]
-        if self.kernel.dim:
-            offsets.append(("kernel_level", ev.algebraic_parts(t)["d_vec"]))
         out = {}
         above = zero
-        for label, offset in offsets:
-            blk, problem = self.levels[label]
+        for label, blk in self.levels.items():
+            base, offset = above, zero
+            if label == "kernel_level":
+                base = self.ps.p1 @ x + above
+                offset = ev.algebraic_parts(t)["d_vec"]
+            elif blk.order is not None:
+                offset = ev.level_offset(blk.order, t)
             c = blk.x_coords(b, x)
-            base = self.ps.p1 @ x + above if label == "kernel_level" else above
-            r = problem.residual(t, (base, offset, None), c)
+            r = blk.problem.residual(t, (base, offset, None), c)
             out[label] = float(np.linalg.norm(r))
             above = above + blk.lift(c)
         return out
@@ -558,11 +553,11 @@ class _CascadeEvaluator:
         solution and its kept Jacobian, to the solver tolerance times
         `scale`: the one Newton solve of every level on both routes.  A
         failure raises ConstraintSolveFailure labelled with the level."""
-        blk, problem = self.rc.levels[label]
+        blk = self.rc.levels[label]
         guess = self.warm.get(label)
         guess = np.zeros(blk.dim) if guess is None else guess
         try:
-            c = solve_newton(problem, t, (base, offset, self), guess,
+            c = solve_newton(blk.problem, t, (base, offset, self), guess,
                              TOL.solver * scale,
                              jac_cache=self.jac_caches[label])
         except NoConvergence as exc:
@@ -582,7 +577,7 @@ class _CascadeEvaluator:
         once, is kept for the level's next Newton solve.  A singular J
         raises SingularJacobian labelled with the level."""
         rc = self.rc
-        blk = rc.levels[label][0]
+        blk = rc.levels[label]
         fld = rc.dae.field
         jf = fld.jac(t, x)
         j_own = blk.y_coords(jf @ blk.phi - rc.dae.pencil.b @ blk.phi)
@@ -617,8 +612,10 @@ class _CascadeEvaluator:
         zero = np.zeros(rc.dae.pencil.n_dim)
         base, base_d = zero, None
         out: dict = {}
-        for label, s in rc.t_only:
-            blk = rc.levels[label][0]
+        for label, blk in rc.levels.items():
+            if label == "kernel_level":
+                break
+            s = blk.order
             if values is None:
                 offset = zero if s is None \
                     else a @ self._order_term(s + 1, out)
@@ -640,14 +637,14 @@ class _CascadeEvaluator:
     def _order_term(self, k: int, levels: dict) -> np.ndarray:
         """Time derivative of the chain and wedge parts of order k, from
         the (c, dc) of their levels."""
-        rc = self.rc
-        label, start, end = rc.chain_slots.get(k, (None, 0, 0))
-        d_term = rc.chain_blocks[k].lift(levels[label][1][start:end]) \
-            if label is not None else np.zeros(rc.dae.pencil.n_dim)
-        if k in rc.wedge_blocks:
-            d_term = d_term + rc.wedge_blocks[k].lift(
-                levels[f"wedge_level_{k}"][1])
-        return d_term
+        def lift(part):
+            label, cols, blk = part
+            return blk.lift(levels[label][1][cols])
+
+        top, wedge = self.rc.parts[k]
+        d_term = np.zeros(self.rc.dae.pencil.n_dim) if top is None \
+            else lift(top)
+        return d_term if wedge is None else d_term + lift(wedge)
 
     def _offset_derivative(self, s: int, t: float, above: dict
                            ) -> np.ndarray:
@@ -659,8 +656,8 @@ class _CascadeEvaluator:
         differences nest."""
         rc = self.rc
         k = s + 1
-        last = f"wedge_level_{k}" if k in rc.wedge_blocks \
-            else rc.chain_slots[k][0]
+        top, wedge = rc.parts[k]
+        last = (wedge or top)[0]
 
         def term(tt):
             shifted = {label: c + (tt - t) * dc
@@ -684,9 +681,10 @@ class _CascadeEvaluator:
         levels = self._levels(t)
         values = {s: np.zeros(0) for s in range(1, self.rc.nu)}
         derivs = dict(values)
-        for s, (label, start, end) in self.rc.chain_slots.items():
-            c, dc = levels[label]
-            values[s], derivs[s] = c[start:end], dc[start:end]
+        for s, (top, _) in self.rc.parts.items():
+            if top is not None:
+                c, dc = levels[top[0]]
+                values[s], derivs[s] = c[top[1]], dc[top[1]]
         return {"values": values, "derivatives": derivs}
 
     # -- wedge levels ----------------------------------------------------------
@@ -707,8 +705,9 @@ class _CascadeEvaluator:
         """The chain and wedge parts of the state at t."""
         rc = self.rc
         levels = self._levels(t)
-        return sum((rc.levels[label][0].lift(levels[label][0])
-                    for label, _ in rc.t_only), np.zeros(rc.dae.pencil.n_dim))
+        return sum((rc.levels[label].lift(c)
+                    for label, (c, _) in levels.items()),
+                   np.zeros(rc.dae.pencil.n_dim))
 
     def algebraic_parts(self, t: float) -> dict:
         """The algebraic part eta_2sigma of the state and the offset d_vec of
@@ -753,35 +752,26 @@ def check_structure(dae: SemilinearDAE) -> StructureReport:
     on the first projection whose observed dependence exceeds
     `DEFAULT_TOLERANCES.struct_dep`.
     """
-    tag = dae.field.structure_tag
-    nu = dae.projectors.nu
-    if tag is StructureTag.GENERAL:
+    if dae.field.structure_tag is StructureTag.GENERAL:
         raise StructureViolation()
     if not dae.structured:
         return StructureReport(True, "<vacuous>", 0.0)
 
-    rc = _Reduced(dae)  # its level slices
+    rc = _Reduced(dae)  # its level table
     n_dim = dae.pencil.n_dim
-
-    def directions(blocks):
-        return [v for blk in blocks for v in blk.phi.T]
-
-    # every row set may depend on neither the explicit part nor x20; chain
-    # rows of level s on no wedge slice and, for a structured field, on no
-    # chain slice below s; wedge rows of level s on no wedge slice below s
-    always = [*orth_basis(dae.projectors.p1).T, *rc.kernel.phi.T]
-    wedges = rc.wedge_blocks
+    # the rule of the table's order: the rows of a level may depend neither
+    # on the explicit part nor on any level after their own (the kernel
+    # level last).  Chain rows by order, then wedge rows by order.
+    labels = list(rc.levels)
+    explicit = list(orth_basis(dae.projectors.p1).T)
     checks = []  # (label, q_cols, excluded directions)
-    for s in range(1, nu):
-        blk = rc.chain_blocks[s]
-        below = range(1, s) if tag is StructureTag.STRUCTURED else ()
-        if blk.dim:
-            checks.append((f"chain_rows_level_{s}", blk.q, always
-                           + directions(rc.chain_blocks[j] for j in below)
-                           + directions(wedges.values())))
-    for s in range(1, nu - 1):
-        checks.append((f"wedge_rows_level_{s}", wedges[s].q,
-                       always + directions(wedges[i] for i in range(1, s))))
+    for which, kind in enumerate(("chain", "wedge")):
+        for k, parts in rc.parts.items():
+            if parts[which] is not None:
+                level, _, blk = parts[which]
+                after = labels[labels.index(level) + 1:]
+                checks.append((f"{kind}_rows_level_{k}", blk.q, explicit + [
+                    v for label in after for v in rc.levels[label].phi.T]))
 
     rng = np.random.default_rng(_STRUCT_SEED)
     worst_label, worst_dep = "<none>", 0.0

@@ -271,6 +271,25 @@ def test_error_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_error_line_is_bounded(tmp_path, capsys):
+    # a sweep start nested 900 deep printed its whole repr, a line of 1873
+    # characters: the line keeps the first 500 characters of the message
+    # and its length, and the error keeps the whole message
+    start = [0.5]
+    for _ in range(900):
+        start = [start]
+    path = tmp_path / "deep_start.json"
+    path.write_text(json.dumps(dict(load_builtin("index1_blowup").raw,
+                                    sweep={"initial_values": [start]})))
+    with pytest.raises(daekit.SchemaError) as err:
+        daekit.load_problem(path)
+    full = str(err.value)
+    assert len(full) > 1000
+    assert run(["analyze", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: SchemaError: {full[:500]}... [{len(full)} characters]"]
+
+
 def _must_not_load(spec):
     raise AssertionError(f"{spec} loaded for a malformed command line")
 
@@ -651,12 +670,14 @@ def _files_under(root: Path) -> set:
 @pytest.mark.parametrize("command", ["analyze", "reduce", "simulate",
                                      "certify", "sweep"])
 @pytest.mark.parametrize("name", ["ESCAPED", "../escaped", "a/b", ".", "..",
-                                  "", "a\u0000b"])
+                                  "", "a\u0000b", "a\nb", "a\u001b[31mb",
+                                  "a\u007fb", "\tab"])
 def test_problem_name_must_be_one_path_component(tmp_path, capsys, command,
                                                  name):
     # every command writes <out>/<name>_*: a name with a '/' wrote outside
-    # --out (ESCAPED stands for an absolute path under tmp_path), and one
-    # with a NUL ended in a raw ValueError
+    # --out (ESCAPED stands for an absolute path under tmp_path), one with a
+    # NUL ended in a raw ValueError, and one with a newline or an escape
+    # split the summary line or reached the terminal raw
     if name == "ESCAPED":
         name = str(tmp_path / "elsewhere" / "escaped")
     path = tmp_path / "problem.json"

@@ -164,6 +164,54 @@ def test_check_structure_vacuous_for_index_one():
     assert report.passed and report.worst_projection == "<vacuous>"
 
 
+@pytest.mark.parametrize("tag", [StructureTag.STRUCTURED,
+                                 StructureTag.STRUCTURED_VARIANT])
+def test_structure_rule_at_index_four(tag):
+    # levels are solved top first: chain tops by falling order, then wedges
+    # by falling order, then the kernel.  The rows of a level may read
+    # neither the explicit part nor a level solved after theirs; a variant
+    # field's chain tops are one fused level, so its chain rows may read
+    # chain tops of any order.  f = 0.1 B phi_L J (q_S^H B x), J all ones,
+    # makes only the rows of L read the slice S
+    ws = random_weierstrass(11, 11, [4, 3, 2])
+    dae = make_dae(ws.pencil.a, ws.pencil.b,
+                   NonlinearField(eval=lambda t, x: np.zeros(len(x))))
+    assert dae.projectors.nu == 4
+    b = dae.pencil.b
+    preds = {("chain", s): lambda m, j, s=s: j == s + 1 and m == s + 1
+             for s in (1, 2, 3)}
+    preds.update({("wedge", s): lambda m, j, s=s: j == s + 1 and m >= s + 2
+                  for s in (1, 2)})
+    preds["kernel", 0] = lambda m, j: j == 1
+    blocks = {key: reduction._select_block(dae, pred)
+              for key, pred in preds.items()}
+    readers = {key: b.conj().T @ blk.q for key, blk in blocks.items()}
+    p1 = dae.projectors.p1
+    readers["explicit", 0] = p1.conj().T @ p1[:, :1]
+
+    def rank(kind, s):
+        """The position of a slice's level in the solve order."""
+        if kind == "chain" and tag is StructureTag.STRUCTURED_VARIANT:
+            s = 0
+        return {"chain": 0, "wedge": 1, "kernel": 2}[kind], -s
+
+    for (kind, s), rows in blocks.items():
+        if kind == "kernel":
+            continue
+        for (read, r), reader in readers.items():
+            mix = 0.1 * b @ rows.phi @ np.ones((rows.dim, reader.shape[1]))
+            fld = NonlinearField(eval=lambda t, x, mix=mix, reader=reader:
+                                 mix @ (reader.conj().T @ x),
+                                 structure_tag=tag)
+            tampered = dataclasses.replace(dae, field=fld)
+            if read == "explicit" or rank(read, r) > rank(kind, s):
+                with pytest.raises(StructureViolation) as err:
+                    check_structure(tampered)
+                assert err.value.projection == f"{kind}_rows_level_{s}"
+            else:
+                assert check_structure(tampered).passed, (kind, s, read, r)
+
+
 def test_cascade_chain_level_closed_form():
     # the top level solves x3 = gamma*x3 + g(t), a scalar linear equation
     pb = load_builtin("index2_structured")
@@ -231,7 +279,7 @@ def test_cascade_semi_inverse_equivalence():
     b2 = dae.projectors.b2_semi_inv
     for t in (0.3, 1.2):
         vals = ev.chain_values(t)["values"]
-        x21 = rc.chain_blocks[1].lift(vals[1])
+        x21 = rc.levels["chain_level_1"].lift(vals[1])
         arg = x21
         rhs = b2 @ (dae.projectors.q2s[1] @ dae.field(t, arg))
         assert np.abs(x21 - rhs).max() <= 1e-10
@@ -346,10 +394,11 @@ def test_every_wedge_slice_is_non_empty(seed, segre):
     zero = NonlinearField(eval=lambda t, x: np.zeros(len(x)))
     red = _Reduced(make_dae(ws.pencil.a, ws.pencil.b, zero))
     assert red.nu == max(segre)
-    assert list(red.wedge_blocks) == list(range(1, red.nu - 1))
-    assert all(blk.dim for blk in red.wedge_blocks.values())
-    assert ({label for label in red.levels if label.startswith("wedge")}
-            == {f"wedge_level_{s}" for s in red.wedge_blocks})
+    wedges = [blk for blk in red.levels.values() if blk.order is not None]
+    assert [blk.order for blk in wedges] == list(range(red.nu - 2, 0, -1))
+    assert all(blk.dim for blk in wedges)
+    assert [blk.label for blk in wedges] == [
+        f"wedge_level_{s}" for s in range(red.nu - 2, 0, -1)]
 
 
 def _run_route(dae, pb, approach, opts):
@@ -527,7 +576,7 @@ def test_level_derivatives_match_the_sine_chain_closed_form():
     rc = states["cascade"].rc
     assert list(rc.levels) == ["chain_level_2", "wedge_level_1",
                                "kernel_level"]
-    chain, wedge = rc.chain_blocks[2], rc.wedge_blocks[1]
+    chain, wedge = rc.levels["chain_level_2"], rc.levels["wedge_level_1"]
 
     def close(got, exact):
         return np.linalg.norm(got - exact) <= 1e-9 * np.linalg.norm(exact)
