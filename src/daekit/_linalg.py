@@ -98,6 +98,14 @@ def norm2(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
+def column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b for two real vectors (n,), or for each pair of columns of two
+    real (n, S) arrays: one `@` of two vectors per pair, so that up to
+    n = 3 each has the bits of `np.dot` of that pair on any layout."""
+    a, b = np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def column_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of each column of a real 2-D array."""
     return np.sqrt(np.einsum("ij,ij->j", a, a))

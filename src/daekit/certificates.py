@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._linalg import orth_basis
+from ._linalg import column_dots, orth_basis
 from .errors import SamplingFailure
 from .implicit import _fd_mismatch
 from .integrate import Trajectory
@@ -62,8 +62,20 @@ _PROBE_DEPTH = 30               # halvings of a window piece at most
 _PROBE_SPLITS = 200             # bisections in one window at most
 
 
+def _at_columns(value, shape: tuple) -> np.ndarray:
+    """A callable's value at one point (shape ()) or at a stack (shape
+    (S,)), as a float array of that shape; a constant holds everywhere."""
+    return np.broadcast_to(np.asarray(value, dtype=float), shape)
+
+
 @dataclass
 class LyapunovComponent:
+    """One functional of the reduced state.  eval and gradient take one
+    state w (n,), giving a value and an (n,) gradient, or the columns of w
+    (n, S), giving (S,) values and (n, S) gradients.  U and psi of a
+    ComparisonSpec act elementwise on an array; a constant may return one
+    number."""
+
     eval: Callable
     gradient: Callable
 
@@ -75,19 +87,32 @@ class LyapunovSpec:
     components: list
     kind: str = "max"  # "max" for solvability/stability, "min" for escape
 
-    def _extremum(self, w) -> tuple[float, int]:
-        """V(w) and the lowest index among components tied at it."""
-        vals = [float(c.eval(w)) for c in self.components]
-        target = max(vals) if self.kind == "max" else min(vals)
-        for k, v in enumerate(vals):
-            if abs(v - target) <= _TIE_TOLERANCE * (1.0 + abs(target)):
-                return target, k
-        # an infinite extremum ties with nothing (inf - inf is NaN)
-        return target, int(np.argmax(vals) if self.kind == "max"
-                           else np.argmin(vals))
+    def _extremum(self, w) -> tuple:
+        """V and the lowest index among the components tied at it, at one
+        state w (n,) or at each column of w (n, S)."""
+        vals = np.array([_at_columns(c.eval(w), np.shape(w)[1:])
+                         for c in self.components])
+        target = vals.max(axis=0) if self.kind == "max" else vals.min(axis=0)
+        # an infinite extremum ties with no infinite component (inf - inf is
+        # NaN); where nothing ties, the first extremal index
+        with np.errstate(invalid="ignore"):
+            tied = (np.abs(vals - target)
+                    <= _TIE_TOLERANCE * (1.0 + np.abs(target)))
+        first = vals.argmax(axis=0) if self.kind == "max" \
+            else vals.argmin(axis=0)
+        return target, np.where(tied.any(axis=0), tied.argmax(axis=0), first)
 
-    def value(self, w) -> float:
+    def value(self, w):
         return self._extremum(w)[0]
+
+    def _active_gradients(self, w, k) -> np.ndarray:
+        """The gradient of component k[i] at each column w[:, i], (n, S):
+        one call per active component, on its columns."""
+        out = np.empty_like(w)
+        for c in np.unique(k).tolist():
+            cols = k == c
+            out[:, cols] = self.components[c].gradient(w[:, cols])
+        return out
 
     def validate(self, points) -> float:
         """Check nonnegativity and gradient-vs-finite-difference agreement."""
@@ -292,6 +317,11 @@ def _random_draws(rng, basis: np.ndarray, magnitude: Callable, size: int):
             yield None if zero else (t, w)
 
 
+def _stacked(vectors: list) -> np.ndarray:
+    """The (n, S) C-ordered array whose columns are the vectors (n,)."""
+    return np.array(vectors).T.copy()
+
+
 @dataclass
 class _Placed:
     """The samples a sampler placed, in draw order, and what it tried."""
@@ -333,7 +363,7 @@ def _place(adapter: _DriftAdapter, want: int, draws, limit: int,
             ws.append(cand[1])
         if not ts:
             break
-        dw, x, ok = adapter.drift(np.array(ts), np.column_stack(ws))
+        dw, x, ok = adapter.drift(np.array(ts), _stacked(ws))
         placed.failures += int(ok.size - ok.sum())
         placed.samples += [(ts[i], ws[i], dw[:, i].copy(), x[:, i].copy())
                            for i in np.flatnonzero(ok)]
@@ -370,9 +400,15 @@ def _draw_samples(adapter: _DriftAdapter, comp: ComparisonSpec, seed: int,
     return placed.samples
 
 
-def _gradient_side(dw, w, active: LyapunovComponent) -> float:
-    """<drift, grad V_active>, the left side of the gradient checks."""
-    return float(np.dot(dw, np.asarray(active.gradient(w), dtype=float)))
+def _gradient_side(dw, w, lyap: LyapunovSpec, k) -> np.ndarray:
+    """<drift, grad V_active> at each column, the left side of the gradient
+    checks."""
+    return column_dots(dw, lyap._active_gradients(w, k))
+
+
+def _norm_side(dw, w, lyap: LyapunovSpec, k) -> np.ndarray:
+    """||drift|| at each column, the left side of the norm check."""
+    return np.sqrt(column_dots(dw, dw))
 
 
 def _probes(comp: ComparisonSpec):
@@ -399,33 +435,35 @@ def _sampled_check(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
                    direction: str, passes: Callable,
                    region: Callable | None = None,
                    extras: dict | None = None) -> CertificateReport:
-    """lhs(drift, w, active component) <= U(V) psi(t) ("le"), or >= ("ge"),
-    on sampled manifold points, then the probes of both integrals.  The
-    verdict is VIOLATED on any violation, else PASS if `passes(integral_U,
-    integral_psi)`.  A non-finite side ends the check in a SamplingFailure
-    (NaN fails every comparison, so it would count as satisfied); numpy's
-    overflow warnings on the way to it are muted.
+    """lhs(drift, w, lyap, active index) <= U(V) psi(t) ("le"), or >=
+    ("ge"), on sampled manifold points, then the probes of both integrals.
+    V, the active gradients, U and psi are each called once, on the columns
+    of all samples.  The verdict is VIOLATED on any violation, else PASS if
+    `passes(integral_U, integral_psi)`.  A non-finite side ends the check in
+    a SamplingFailure at the first such sample (NaN fails every comparison,
+    so it would count as satisfied); numpy's overflow warnings on the way
+    to it are muted.
     """
     adapter = _DriftAdapter(reduced)
-    violations = []
     with np.errstate(over="ignore", invalid="ignore"):
         samples = _draw_samples(adapter, comp, seed, region)
         lyap.validate([w for (_, w, _, _) in samples[:_GRAD_CHECK_POINTS]])
-        for t, w, dw, _ in samples:
-            v, k = lyap._extremum(w)
-            try:
-                rhs = comp.U(v) * comp.psi(t)
-            except OverflowError:  # inside U or psi: reads as inf
-                rhs = math.inf
-            side = lhs(dw, w, lyap.components[k])
-            if not (math.isfinite(side) and math.isfinite(rhs)):
-                raise SamplingFailure(f"non-finite sample at t={t:.6g}: "
-                                      f"lhs {side}, rhs {rhs}")
-            slack = 1e-9 * (1.0 + abs(side) + abs(rhs))
-            if (side > rhs + slack if direction == "le"
-                    else side < rhs - slack):
-                violations.append({"t": t, "w": w.tolist(), "lhs": side,
-                                   "rhs": rhs})
+        ts = np.array([t for t, *_ in samples])
+        w = _stacked([s[1] for s in samples])
+        v, k = lyap._extremum(w)
+        rhs = _at_columns(comp.U(v) * comp.psi(ts), ts.shape)
+        side = lhs(_stacked([s[2] for s in samples]), w, lyap, k)
+        bad = np.flatnonzero(~(np.isfinite(side) & np.isfinite(rhs)))
+        if bad.size:
+            i = bad[0]
+            raise SamplingFailure(f"non-finite sample at t={ts[i]:.6g}: "
+                                  f"lhs {float(side[i])}, "
+                                  f"rhs {float(rhs[i])}")
+        slack = 1e-9 * (1.0 + np.abs(side) + np.abs(rhs))
+        hit = side > rhs + slack if direction == "le" else side < rhs - slack
+        violations = [{"t": samples[i][0], "w": samples[i][1].tolist(),
+                       "lhs": float(side[i]), "rhs": float(rhs[i])}
+                      for i in np.flatnonzero(hit).tolist()]
     u_probe, psi_probe, traces = _probes(comp)
     return CertificateReport(kind=kind, samples_checked=len(samples),
                              violations=violations, integral_U=u_probe,
@@ -450,8 +488,7 @@ def check_global_solvability(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
     if mode == "gradient":
         kind, lhs = "global_solvability", _gradient_side
     elif mode == "norm_lipschitz":
-        kind = "global_solvability_norm"
-        lhs = lambda dw, w, active: float(np.linalg.norm(dw))
+        kind, lhs = "global_solvability_norm", _norm_side
     else:
         raise ValueError("mode must be 'gradient' or 'norm_lipschitz'")
     return _sampled_check(reduced, lyap, comp, seed, kind, lhs, "le",
@@ -523,8 +560,8 @@ def monitor_comparison(trajectory: Trajectory, lyap: LyapunovSpec,
     """
     ts = trajectory.times
     ws = trajectory.w_states
-    vs = np.array([lyap.value(ws[k]) for k in range(ts.size)])
-    gs = np.array([comp.U(vs[k]) * comp.psi(ts[k]) for k in range(ts.size)])
+    vs = lyap.value(ws.T)
+    gs = _at_columns(comp.U(vs) * comp.psi(ts), ts.shape)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (gs[1:] + gs[:-1])
                                            * np.diff(ts))])
     d = vs - cum

@@ -16,6 +16,7 @@ from importlib import resources
 
 import numpy as np
 
+from ._linalg import column_dots
 from .certificates import ComparisonSpec, LyapunovComponent, LyapunovSpec
 from .config import DEFAULT_TOLERANCES as TOL
 from .errors import SchemaError, UnknownRegistryId
@@ -42,11 +43,25 @@ def _number(params: dict, key: str, default: float) -> float:
     return value
 
 
+# Every field below but `failing_constraint`, which branches on one time,
+# broadcasts and declares `columns` (see NonlinearField).
+
+
+def _jacobian(x, entries: dict) -> np.ndarray:
+    """df/dx at one state x (N,) or at each column of x (N, S), as (N, N) or
+    (S, N, N): zero but for `entries`, (row, column) -> value."""
+    j = np.zeros(np.shape(x)[1:] + (len(x), len(x)))
+    for (row, col), value in entries.items():
+        j[..., row, col] = value
+    return j
+
+
 def _field_zero(params):
     return NonlinearField(
         eval=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
         jacobian=lambda t, x: np.zeros((len(x), len(x))),
-        t_derivative=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)))
+        t_derivative=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
+        columns=True)
 
 
 def _field_scalar_power(params):
@@ -54,8 +69,8 @@ def _field_scalar_power(params):
 
     return NonlinearField(
         eval=lambda t, x: np.array([x[0] ** p]),
-        jacobian=lambda t, x: np.array([[p * x[0] ** (p - 1.0)]]),
-        t_derivative=lambda t, x: np.zeros(1))
+        jacobian=lambda t, x: _jacobian(x, {(0, 0): p * x[0] ** (p - 1.0)}),
+        t_derivative=lambda t, x: np.zeros(1), columns=True)
 
 
 def _field_blowup(p: int):
@@ -63,9 +78,9 @@ def _field_blowup(p: int):
     sin(t) + x1."""
     return lambda params: NonlinearField(
         eval=lambda t, x: np.array([x[0] ** p, np.sin(t) + x[0]]),
-        jacobian=lambda t, x: np.array([[p * x[0] ** (p - 1), 0.0],
-                                        [1.0, 0.0]]),
-        t_derivative=lambda t, x: np.array([0.0, np.cos(t)]))
+        jacobian=lambda t, x: _jacobian(x, {(0, 0): p * x[0] ** (p - 1),
+                                            (1, 0): 1.0}),
+        t_derivative=lambda t, x: np.array([0.0, np.cos(t)]), columns=True)
 
 
 def _field_stable_linear(params):
@@ -74,7 +89,8 @@ def _field_stable_linear(params):
     return NonlinearField(
         eval=lambda t, x: np.array([np.exp(-t), np.sin(t) + x[0]]),
         jacobian=lambda t, x: np.array([[0.0, 0.0], [1.0, 0.0]]),
-        t_derivative=lambda t, x: np.array([-np.exp(-t), np.cos(t)]))
+        t_derivative=lambda t, x: np.array([-np.exp(-t), np.cos(t)]),
+        columns=True)
 
 
 def _field_nilpotent_linear(params):
@@ -83,7 +99,8 @@ def _field_nilpotent_linear(params):
     return NonlinearField(
         eval=lambda t, x: np.array([np.exp(-t), x[0] + np.exp(-t)]),
         jacobian=lambda t, x: np.array([[0.0, 0.0], [1.0, 0.0]]),
-        t_derivative=lambda t, x: np.array([-np.exp(-t), -np.exp(-t)]))
+        t_derivative=lambda t, x: np.array([-np.exp(-t), -np.exp(-t)]),
+        columns=True)
 
 
 def _field_structured_index2(params):
@@ -110,7 +127,7 @@ def _field_structured_index2(params):
                          -0.5 * np.sin(t)])
 
     return NonlinearField(eval=ev, jacobian=jac, t_derivative=dt,
-                          structure_tag=StructureTag.STRUCTURED)
+                          structure_tag=StructureTag.STRUCTURED, columns=True)
 
 
 def _field_structured_index3(params):
@@ -134,7 +151,7 @@ def _field_structured_index3(params):
         return np.array([np.cos(t), 0.0, np.cos(t), -np.sin(t)])
 
     return NonlinearField(eval=ev, jacobian=jac, t_derivative=dt,
-                          structure_tag=StructureTag.STRUCTURED)
+                          structure_tag=StructureTag.STRUCTURED, columns=True)
 
 
 def _field_failing_constraint(params):
@@ -165,11 +182,30 @@ FIELD_REGISTRY = {
 
 # ---------------------------------------------------------------------------
 # certificate registries
+#
+# Each callable also takes an array (see LyapunovComponent).  On one Python
+# float or state it returns, or raises, what float arithmetic does: the
+# integral probes read the ZeroDivisionError or OverflowError of `**`.
+
+
+def _plain(value):
+    """One value (a numpy scalar or 0-d array) as a Python float; an array
+    of values as it is."""
+    return value if value.ndim else float(value)
+
+
+def _clipped_power(u, p: float):
+    """max(u, 0) ** p; on an array elementwise, by `np.float_power`, whose
+    bits are those of `**` on one value (numpy's array `**` differs in the
+    last bit on a few percent of inputs)."""
+    if isinstance(u, np.ndarray):
+        return np.float_power(np.maximum(u, 0.0), p)
+    return max(u, 0.0) ** p
 
 
 def _lyap_squared_norm(params):
     return LyapunovComponent(
-        eval=lambda w: float(np.dot(w, w)),
+        eval=lambda w: _plain(column_dots(w, w)),
         gradient=lambda w: 2.0 * np.asarray(w, dtype=float))
 
 
@@ -185,7 +221,7 @@ def _u_affine(params):
 def _u_power(params):
     c = _number(params, "coefficient", 1.0)
     p = _number(params, "exponent", 1.0)
-    return lambda u: c * max(u, 0.0) ** p
+    return lambda u: c * _clipped_power(u, p)
 
 
 _U_REGISTRY = {"affine": _u_affine, "power": _u_power}
@@ -198,7 +234,7 @@ def _psi_constant(params):
 
 def _psi_exp_decay(params):
     rate = _number(params, "rate", 1.0)
-    return lambda t: float(np.exp(-rate * t))
+    return lambda t: _plain(np.exp(-rate * t))
 
 
 _PSI_REGISTRY = {"constant": _psi_constant, "exp_decay": _psi_exp_decay}

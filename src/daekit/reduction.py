@@ -50,26 +50,34 @@ class NonlinearField:
     """Right-hand side f(t, x) with optional analytic derivatives.
 
     `__call__` and `jac` also take a stack: states x (N, S) as columns and
-    their times t (S,).  They evaluate the field one column at a time, so a
-    field need not broadcast, and return f (N, S) and df/dx (S, N, N).
+    their times t (S,).  They return f (N, S) and df/dx (S, N, N).  A field
+    that declares `columns` broadcasts: its `eval` and `jacobian` take the
+    stack as well, in one call, and `jacobian` may return one (N, N) that
+    holds for every column.  Any other field is evaluated one column at a
+    time, so it need not broadcast.
     """
 
     eval: Callable
     jacobian: Callable | None = None
     t_derivative: Callable | None = None
     structure_tag: StructureTag = StructureTag.GENERAL
+    columns: bool = False
 
     def __call__(self, t, x):
-        if np.ndim(x) == 2:
+        if np.ndim(x) == 2 and not self.columns:
             return np.stack([self(*tx) for tx in _columns(t, x)], axis=1)
         return np.asarray(self.eval(t, x), dtype=float)
 
     def jac(self, t, x):
-        if np.ndim(x) == 2:
+        stacked = np.ndim(x) == 2
+        if stacked and not (self.columns and self.jacobian is not None):
             return np.stack([self.jac(*tx) for tx in _columns(t, x)])
-        if self.jacobian is not None:
-            return np.asarray(self.jacobian(t, x), dtype=float)
-        return fd_jacobian(lambda z: self.eval(t, z), np.asarray(x, float))
+        if self.jacobian is None:
+            return fd_jacobian(lambda z: self.eval(t, z), np.asarray(x, float))
+        j = np.asarray(self.jacobian(t, x), dtype=float)
+        if stacked:  # a constant (N, N) holds for every column
+            return np.broadcast_to(j, (x.shape[1],) + j.shape[-2:])
+        return j
 
     def dt(self, t, x):
         if self.t_derivative is not None:

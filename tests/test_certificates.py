@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -24,7 +25,7 @@ from daekit.problems import load_builtin, load_problem_dict
 
 def sq_norm():
     return LyapunovSpec(components=[LyapunovComponent(
-        eval=lambda w: float(np.dot(w, w)),
+        eval=lambda w: np.sum(w * w, axis=0),
         gradient=lambda w: 2.0 * np.asarray(w))])
 
 
@@ -258,7 +259,7 @@ def test_blowup_certificate_weak_envelope_is_violated():
     # with envelope 2u^{3/2} the inequality 2w^4 >= 2|w|^3 fails on (1/2, 1)
     red, pb = cubic_flow()
     comp = dataclasses.replace(pb.comparison(),
-                               U=lambda u: 2.0 * max(u, 0.0) ** 1.5)
+                               U=lambda u: 2.0 * np.maximum(u, 0.0) ** 1.5)
     rep = check_blowup_certificate(red, pb.lyapunov(), comp)
     assert rep.verdict == VIOLATED
     for v in rep.violations:
@@ -270,7 +271,7 @@ def test_blowup_certificate_diverging_envelope_inconclusive():
     # integral diverges, so the escape conclusion stays out of reach
     red, pb = cubic_flow()
     comp = dataclasses.replace(pb.comparison(),
-                               U=lambda u: 0.5 * max(u, 1e-12))
+                               U=lambda u: 0.5 * np.maximum(u, 1e-12))
     rep = check_blowup_certificate(red, pb.lyapunov(), comp)
     assert rep.violations == []
     assert rep.integral_U == DIVERGES
@@ -387,7 +388,8 @@ def test_monitor_flags_decaying_trajectory():
     pb = load_builtin("ode_scalar_decay")
     red = reduce_first(pb.dae)
     traj = integrate_first(red, 0.0, np.array([1.0]), pb.options)
-    comp = ComparisonSpec(U=lambda u: max(u, 1e-12), psi=lambda t: 1.0)
+    comp = ComparisonSpec(U=lambda u: np.maximum(u, 1e-12),
+                          psi=lambda t: 1.0)
     rep = monitor_comparison(traj, sq_norm(), comp, direction="ge")
     assert rep.worst_margin < -1e-2  # expected violation, by construction
 
@@ -625,3 +627,160 @@ def test_structured_certificate_on_both_routes(name, nu, direct_violations,
     samples = certificates._draw_samples(certificates._DriftAdapter(reduced),
                                          pb.comparison(), 42, None)
     _assert_per_sample_drifts(reduced, samples)
+
+
+# -- the array form of the sampled check --------------------------------------
+
+def _one_extremum(lyap, w):
+    """V(w) and its active index by the one-state rule, in Python floats:
+    the reference of the tie rule over columns."""
+    vals = [float(c.eval(w)) for c in lyap.components]
+    target = max(vals) if lyap.kind == "max" else min(vals)
+    tol = certificates._TIE_TOLERANCE * (1.0 + abs(target))
+    for k, v in enumerate(vals):
+        if abs(v - target) <= tol:
+            return target, k
+    return target, int(np.argmax(vals) if lyap.kind == "max"
+                       else np.argmin(vals))
+
+
+def _per_sample_violations(reduced, lyap, comp, seed, norm, direction):
+    """The violations of the sampled check taken one sample at a time, with
+    one-value calls of V, its gradient, U and psi: the reference of the
+    array form."""
+    samples = certificates._draw_samples(certificates._DriftAdapter(reduced),
+                                         comp, seed, comp.domain_set)
+    out = []
+    for t, w, dw, _ in samples:
+        v, k = _one_extremum(lyap, w)
+        rhs = comp.U(v) * comp.psi(t)
+        side = float(np.linalg.norm(dw)) if norm else float(np.dot(
+            dw, np.asarray(lyap.components[k].gradient(w), dtype=float)))
+        assert math.isfinite(side) and math.isfinite(rhs)
+        slack = 1e-9 * (1.0 + abs(side) + abs(rhs))
+        if (side > rhs + slack if direction == "le"
+                else side < rhs - slack):
+            out.append({"t": t, "w": w.tolist(), "lhs": side, "rhs": rhs})
+    return out
+
+
+def _norm_above_blowup():
+    data = copy.deepcopy(load_builtin("index1_blowup").raw)
+    data["certificate"]["region"] = {"registry_id": "norm_above",
+                                     "params": {"radius": 0.5}}
+    return load_problem_dict(data)
+
+
+def _index3_global():
+    data = copy.deepcopy(load_builtin("index3_chain").raw)
+    data["certificate"] = {
+        "kind": "global_solvability", "V": [{"registry_id": "squared_norm"}],
+        "U": {"registry_id": "affine"},
+        "psi": {"registry_id": "constant"}, "R": 1.0}
+    return load_problem_dict(data)
+
+
+@pytest.mark.parametrize("case, approach, count", [
+    ("norm_above_blowup", "first", 253), ("norm_above_blowup", "cascade", 253),
+    ("index3_global", "first", 73), ("stable_norm", "first", 216),
+    ("stable_norm", "cascade", 216)])
+def test_array_check_is_the_per_sample_check(case, approach, count):
+    if case == "norm_above_blowup":
+        pb, norm, direction = _norm_above_blowup(), False, "ge"
+        check = check_blowup_certificate
+    elif case == "index3_global":
+        pb, norm, direction = _index3_global(), False, "le"
+        check = check_global_solvability
+    else:
+        pb, norm, direction = load_builtin("index1_stable"), True, "le"
+        check = functools.partial(check_global_solvability,
+                                  mode="norm_lipschitz")
+    reduced = _ROUTES[approach](pb.dae)
+    rep = check(reduced, pb.lyapunov(), pb.comparison())
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _per_sample_violations(reduced, pb.lyapunov(), pb.comparison(),
+                                     42, norm, direction)
+    assert len(rep.violations) == len(ref) == count
+    assert [(v["t"], v["w"]) for v in rep.violations] \
+        == [(v["t"], v["w"]) for v in ref]
+    for side in ("lhs", "rhs"):
+        np.testing.assert_allclose([v[side] for v in rep.violations],
+                                   [v[side] for v in ref],
+                                   rtol=1e-15, atol=0.0)
+
+
+def _component(value):
+    return LyapunovComponent(eval=value, gradient=lambda w: 2.0 * w)
+
+
+@pytest.mark.parametrize("kind", ["max", "min"])
+@pytest.mark.parametrize("values", [
+    # two tied components, one off by a relative 1e-12, within the tolerance
+    (lambda w: w[0] ** 2, lambda w: w[0] ** 2 * (1.0 + 1e-12)),
+    # a finite and an infinite component
+    (lambda w: np.sum(w * w, axis=0),
+     lambda w: np.full(np.shape(w)[1:], np.inf)),
+    # two infinite ones: an infinite extremum ties with neither
+    (lambda w: np.full(np.shape(w)[1:], np.inf),
+     lambda w: np.full(np.shape(w)[1:], np.inf), lambda w: w[1] ** 2),
+], ids=["tied", "one_infinite", "two_infinite"])
+def test_tie_rule_over_columns_is_the_one_state_rule(kind, values):
+    lyap = LyapunovSpec(components=[_component(v) for v in values],
+                        kind=kind)
+    w = np.array([[1.3, -0.2, 0.0, 2.0, 0.7],
+                  [0.5, 1.0, -3.0, 0.1, 0.0]])
+    v, k = lyap._extremum(w)
+    ref = [_one_extremum(lyap, w[:, i]) for i in range(w.shape[1])]
+    assert v.tolist() == [r[0] for r in ref]
+    assert k.tolist() == [r[1] for r in ref]
+
+
+def test_certify_runs_on_a_field_that_does_not_broadcast():
+    # the README's field: no `columns`, so the stacked kernel solves call
+    # it one column at a time
+    pb = load_builtin("index1_blowup")
+    fld = NonlinearField(
+        eval=lambda t, x: np.array([x[0] ** 2, np.sin(t) + x[0]]),
+        jacobian=lambda t, x: np.array([[2 * x[0], 0.0], [1.0, 0.0]]),
+        t_derivative=lambda t, x: np.array([0.0, np.cos(t)]))
+    assert not fld.columns and pb.dae.field.columns
+    for route in _ROUTES.values():
+        ref = check_blowup_certificate(route(pb.dae), pb.lyapunov(),
+                                       pb.comparison())
+        rep = check_blowup_certificate(
+            route(make_dae(pb.dae.pencil.a, pb.dae.pencil.b, fld)),
+            pb.lyapunov(), pb.comparison())
+        assert rep.verdict == ref.verdict == PASS
+        assert rep.samples_checked == 500 and rep.violations == []
+
+
+def _stable_with(**blocks):
+    data = copy.deepcopy(load_builtin("index1_stable").raw)
+    data["certificate"].update(blocks)
+    return data
+
+
+def test_power_envelope_of_coefficient_zero_probes_inconclusive():
+    # 1 / U(u) divides by a Python 0.0: the probe reads the raise
+    pb = load_problem_dict(_stable_with(
+        U={"registry_id": "power", "params": {"coefficient": 0.0}}))
+    assert certificates._probes(pb.comparison())[0] == INCONCLUSIVE
+    rep = check_lagrange_stability(reduce_first(pb.dae), pb.lyapunov(),
+                                   pb.comparison())
+    assert rep.integral_U == INCONCLUSIVE and rep.verdict == UNDECIDED
+
+
+@pytest.mark.parametrize("approach", sorted(_ROUTES))
+@pytest.mark.parametrize("blocks, line", [
+    ({"U": {"registry_id": "power", "params": {"exponent": 400.0}}},
+     "non-finite sample at t=0: lhs -180.0, rhs inf"),
+    ({"psi": {"registry_id": "exp_decay", "params": {"rate": -1000.0}}},
+     "non-finite sample at t=1: lhs -1.2642411176571153, rhs inf"),
+], ids=["power_400", "exp_decay_-1000"])
+def test_overflowing_envelope_ends_in_one_error_line(tmp_path, capsys,
+                                                     approach, blocks, line):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(_stable_with(**blocks)))
+    assert run(["certify", str(path), "--approach", approach,
+                "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: SamplingFailure: {line}\n"

@@ -9,9 +9,11 @@ from jsonschema import Draft202012Validator
 from daekit import (DaekitError, SchemaError, UnknownRegistryId,
                     builtin_names, compute_index, load_builtin, load_problem)
 from daekit.implicit import _fd_mismatch
-from daekit.problems import (PROBLEM_SCHEMA, _checked, _walk,
+from daekit import problems
+from daekit.problems import (FIELD_REGISTRY, PROBLEM_SCHEMA, _checked, _walk,
                              load_problem_dict, random_weierstrass,
                              reference_solution)
+from daekit.reduction import NonlinearField
 
 EXPECTED_BUILTINS = {
     "ode_index0", "ode_scalar_quadratic", "ode_scalar_decay",
@@ -286,6 +288,107 @@ def test_bundled_field_jacobians_match_fd():
                for _ in range(3)]
         assert _fd_mismatch((lambda z, t=t: fld.eval(t, z), fld.jac(t, x), x)
                             for t, x in pts) <= 1e-5
+
+
+# the state dimension each registry field is written for, and the fields
+# whose formulas hold `**`, whose array form may differ from the one-state
+# form in the last bit
+_FIELD_DIMS = {"zero": 3, "scalar_power": 1, "blowup_quadratic": 2,
+               "blowup_cubic": 2, "stable_linear": 2,
+               "nilpotent_linear_forced": 2, "structured_index2": 4,
+               "structured_index3_chain": 4, "failing_constraint": 2}
+_POWER_FIELDS = {"scalar_power", "blowup_quadratic", "blowup_cubic"}
+_COLUMN_FIELDS = sorted(rid for rid, build in FIELD_REGISTRY.items()
+                        if build({}).columns)
+
+
+def _per_column(fn, ts, x):
+    return [fn(t, x[:, i].copy()) for i, t in enumerate(ts.tolist())]
+
+
+def test_every_registry_field_but_the_switch_declares_columns():
+    assert set(FIELD_REGISTRY) - set(_COLUMN_FIELDS) == {"failing_constraint"}
+
+
+@pytest.mark.parametrize("size", [1, 300])
+@pytest.mark.parametrize("rid", _COLUMN_FIELDS)
+def test_stacked_field_is_the_per_column_field(rid, size):
+    fld = FIELD_REGISTRY[rid]({})
+    n = _FIELD_DIMS[rid]
+    rng = np.random.default_rng(size)
+    ts = rng.uniform(0.0, 5.0, size)
+    x = rng.uniform(-3.0, 3.0, (n, size))
+    assert np.unique(ts).size == size
+    f, jac = fld(ts, x), fld.jac(ts, x)
+    assert f.shape == (n, size) and jac.shape == (size, n, n)
+    ref_f = np.stack(_per_column(fld, ts, x), axis=1)
+    ref_jac = np.stack(_per_column(fld.jac, ts, x))
+    if rid in _POWER_FIELDS:
+        np.testing.assert_allclose(f, ref_f, rtol=4e-16, atol=0.0)
+        np.testing.assert_allclose(jac, ref_jac, rtol=4e-16, atol=0.0)
+    else:
+        assert np.array_equal(f, ref_f) and np.array_equal(jac, ref_jac)
+
+
+def test_field_without_columns_is_evaluated_per_column():
+    # the README's field does not broadcast: its Jacobian is a nested list
+    fld = NonlinearField(
+        eval=lambda t, x: np.array([x[0] ** 2, np.sin(t) + x[0]]),
+        jacobian=lambda t, x: np.array([[2 * x[0], 0.0], [1.0, 0.0]]))
+    assert not fld.columns
+    rng = np.random.default_rng(3)
+    ts, x = rng.uniform(0.0, 5.0, 7), rng.uniform(-3.0, 3.0, (2, 7))
+    assert np.array_equal(fld(ts, x),
+                          np.stack(_per_column(fld, ts, x), axis=1))
+    assert np.array_equal(fld.jac(ts, x),
+                          np.stack(_per_column(fld.jac, ts, x)))
+
+
+def _built(registry: dict, rid: str, **params):
+    return registry[rid](params)
+
+
+def test_registry_callables_on_one_value_are_unchanged():
+    # one Python float or state gives what plain float arithmetic gives:
+    # a Python float, or its ZeroDivisionError and OverflowError
+    power = _built(problems._U_REGISTRY, "power", coefficient=2.0,
+                      exponent=1.5)
+    affine = _built(problems._U_REGISTRY, "affine", offset=0.5, slope=3.0)
+    decay = _built(problems._PSI_REGISTRY, "exp_decay", rate=0.7)
+    for u in (-1.0, 0.0, 0.3, 2.0, 1e5):
+        assert type(power(u)) is float and power(u) == 2.0 * max(u, 0.0) ** 1.5
+        assert type(affine(u)) is float and affine(u) == 0.5 + 3.0 * u
+        assert type(decay(u)) is float and decay(u) == float(np.exp(-0.7 * u))
+    constant = _built(problems._PSI_REGISTRY, "constant", value=2.5)
+    assert constant(3.0) == 2.5
+    with pytest.raises(ZeroDivisionError):
+        _built(problems._U_REGISTRY, "power", exponent=-1.0)(0.0)
+    with pytest.raises(OverflowError):
+        _built(problems._U_REGISTRY, "power", exponent=400.0)(1e10)
+    norm = _built(problems._LYAPUNOV_REGISTRY, "squared_norm")
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3, 4, 7):
+        block = rng.standard_normal((n, 3))
+        for w in (block[:, 0], block[:, 1].copy()):  # strided, contiguous
+            assert type(norm.eval(w)) is float
+            assert norm.eval(w) == float(np.dot(w, w))
+            assert np.array_equal(norm.gradient(w), 2.0 * w)
+
+
+def test_registry_callables_on_arrays_are_the_one_value_callables():
+    rng = np.random.default_rng(5)
+    values = np.concatenate([[0.0, -1.0], rng.uniform(-1.0, 50.0, 500)])
+    for fn in (_built(problems._U_REGISTRY, "power", coefficient=2.0,
+                         exponent=1.5),
+               _built(problems._U_REGISTRY, "power", exponent=3.0),
+               _built(problems._U_REGISTRY, "affine", slope=0.3),
+               _built(problems._PSI_REGISTRY, "exp_decay", rate=0.7)):
+        assert np.array_equal(fn(values), [fn(u) for u in values.tolist()])
+    norm = _built(problems._LYAPUNOV_REGISTRY, "squared_norm")
+    for n in (1, 2, 3):  # beyond n = 3 BLAS may sum a column another way
+        w = rng.standard_normal((n, 400))
+        assert np.array_equal(norm.eval(w), [norm.eval(c) for c in w.T])
+        assert np.array_equal(norm.gradient(w), 2.0 * w)
 
 
 def test_reference_solutions_satisfy_the_equations():
