@@ -93,11 +93,12 @@ class LyapunovSpec:
         vals = np.array([_at_columns(c.eval(w), np.shape(w)[1:])
                          for c in self.components])
         target = vals.max(axis=0) if self.kind == "max" else vals.min(axis=0)
-        # an infinite extremum ties with no infinite component (inf - inf is
-        # NaN); where nothing ties, the first extremal index
+        # only an equal value ties with an infinite extremum; where nothing
+        # ties (a NaN extremum), the first extremal index
+        tol = np.where(np.isfinite(target),
+                       _TIE_TOLERANCE * (1.0 + np.abs(target)), 0.0)
         with np.errstate(invalid="ignore"):
-            tied = (np.abs(vals - target)
-                    <= _TIE_TOLERANCE * (1.0 + np.abs(target)))
+            tied = (vals == target) | (np.abs(vals - target) <= tol)
         first = vals.argmax(axis=0) if self.kind == "max" \
             else vals.argmin(axis=0)
         return target, np.where(tied.any(axis=0), tied.argmax(axis=0), first)
@@ -132,7 +133,9 @@ class LyapunovSpec:
 @dataclass
 class ComparisonSpec:
     """Comparison data: scalar envelope U, time weight psi, exclusion radius
-    R, and (for escape certificates) the declared region."""
+    R, and (for escape certificates) the declared region.  The region takes
+    one state w (n,), giving a bool, or the columns of w (n, S), giving (S,)
+    bools."""
 
     U: Callable
     psi: Callable
@@ -189,16 +192,46 @@ def _gauss_pair(g: Callable, a: float, b: float) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def _window_integral(g: Callable, a: float, b: float, floor: float) -> float:
-    """Adaptive Gauss–Legendre integral of g over [a, b].
+def _first_pairs(g: Callable, edges: list) -> list | None:
+    """`_gauss_pair` of g on each window [edges[i], edges[i + 1]], from one
+    call of g on the 30 nodes of every window, or None where that pass
+    raises, a floating-point exception included.
+
+    Each row's weighted values are added in the Python loop's order by
+    `np.cumsum`, so the pairs have its bits.  A pass that raises says
+    nothing about which window raised first; the one-value loop does.
+    """
+    # built outside the `try`, so that a failed import of the rules is an
+    # error and not an "inconclusive" verdict
+    rules = _gauss_rules()
+    nodes, weights = (np.array(c) for c in zip(*rules[0], *rules[1]))
+    a, b = np.array(edges[:-1]), np.array(edges[1:])
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            x = mid[:, None] + half[:, None] * nodes
+            terms = weights * _at_columns(g(x), x.shape)
+            # + 0.0: the loop starts from 0.0, so an all -0.0 row sums to 0.0
+            fine, coarse = (half * (np.cumsum(terms[:, part], axis=1)[:, -1]
+                                    + 0.0)
+                            for part in (slice(0, 20), slice(20, None)))
+            return list(zip(fine.tolist(), coarse.tolist()))
+    except Exception:
+        return None
+
+
+def _window_integral(g: Callable, a: float, b: float, floor: float,
+                     first: tuple) -> float:
+    """Adaptive Gauss–Legendre integral of g over [a, b], from its 20- and
+    10-node values `first`.
 
     A piece takes its 20-node value when that agrees with the 10-node value
     within _PROBE_RTOL times the larger of the window's 20-node value and
     `floor`; otherwise it is bisected, down to _PROBE_DEPTH halvings and
-    for at most _PROBE_SPLITS bisections in the window.  A non-finite value
-    ends the window at once.
+    for at most _PROBE_SPLITS bisections in the window, each half by
+    `_gauss_pair`.  A non-finite value ends the window at once.
     """
-    fine, coarse = _gauss_pair(g, a, b)
+    fine, coarse = first
     tol = _PROBE_RTOL * max(abs(fine), floor)
     total = 0.0
     splits = 0
@@ -218,37 +251,42 @@ def _window_integral(g: Callable, a: float, b: float, floor: float) -> float:
     return total
 
 
+def _probe_edges(lower: float, kind: str) -> list:
+    """The edges of the _PROBE_WINDOWS geometric windows of a probe."""
+    if kind == "over_value":
+        base = max(lower, 1e-6)
+        return [base * 2.0 ** k for k in range(_PROBE_WINDOWS + 1)]
+    if kind == "over_time":
+        start = max(lower, 0.0)
+        return [start] + [start + 2.0 ** k for k in range(_PROBE_WINDOWS)]
+    raise ValueError("kind must be 'over_value' or 'over_time'")
+
+
 def probe_integral(g: Callable, lower: float, kind: str = "over_value",
                    trace: list | None = None) -> str:
     """Heuristic classification of the improper integral of g.
 
     Geometric windows are integrated with adaptive Gauss–Legendre
-    quadrature (`_window_integral`, numpy's nodes and weights, plain Python
-    floats); the decision uses the asymptotic ratio of consecutive window
+    quadrature (`_window_integral`, numpy's nodes and weights).  The first
+    20- and 10-node values of all windows come from one call of g on an
+    array (`_first_pairs`); where that call raises, they are taken one
+    value of g at a time in plain Python floats, as the bisection's are.
+    The decision uses the asymptotic ratio of consecutive window
     contributions together with the tail fraction of the partial sum.
     Slowly divergent and slowly convergent integrands land in the
     inconclusive bucket on purpose.  An exception inside g reads as
     inconclusive, a non-finite window as divergent.  Window contributions
     are appended to `trace` when given.
     """
-    if kind == "over_value":
-        base = max(lower, 1e-6)
-        edges = [base * 2.0 ** k for k in range(_PROBE_WINDOWS + 1)]
-    elif kind == "over_time":
-        start = max(lower, 0.0)
-        edges = [start] + [start + 2.0 ** k for k in range(_PROBE_WINDOWS)]
-    else:
-        raise ValueError("kind must be 'over_value' or 'over_time'")
-
-    # built outside the `try`, so that a failed import of the rules is an
-    # error and not an "inconclusive" verdict
-    _gauss_rules()
+    edges = _probe_edges(lower, kind)
+    pairs = _first_pairs(g, edges)
     contributions = []
     running = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
+    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         try:
             with np.errstate(all="ignore"):
-                val = _window_integral(g, a, b, running)
+                first = _gauss_pair(g, a, b) if pairs is None else pairs[i]
+                val = _window_integral(g, a, b, running, first)
         except Exception:
             return INCONCLUSIVE
         if trace is not None:
@@ -299,12 +337,13 @@ class _DriftAdapter:
 
 
 def _random_draws(rng, basis: np.ndarray, magnitude: Callable, size: int):
-    """Endless seeded candidates (t, w), drawn in blocks of `size`: the
-    block's log-uniform times, then its standard-normal directions of the
-    reduced coordinates (row i is candidate i's), then magnitude(size) along
-    the unit directions, and one product with `basis`.  A zero direction
-    yields None.  So the candidates depend on the seed, `size` and the
-    reduced dimension only, not on which of them a sampler keeps.
+    """Endless seeded blocks of `size` candidates, each (ts (S,), ws (n, S),
+    nonzero (S,)): the block's log-uniform times, then its standard-normal
+    directions of the reduced coordinates (row i is candidate i's), then
+    magnitude(size) along the unit directions, and one product with
+    `basis`.  `nonzero` is False where a direction is zero.  So the
+    candidates depend on the seed, `size` and the reduced dimension only,
+    not on which of them a sampler keeps.
     """
     lo, hi = _LOG_T
     while True:
@@ -312,92 +351,118 @@ def _random_draws(rng, basis: np.ndarray, magnitude: Callable, size: int):
         directions = rng.standard_normal((size, basis.shape[1]))
         nrm = np.linalg.norm(directions, axis=1)
         units = directions / np.where(nrm == 0.0, 1.0, nrm)[:, None]
-        ws = basis @ (units * magnitude(size)[:, None]).T
-        for t, w, zero in zip(ts.tolist(), ws.T, (nrm == 0.0).tolist()):
-            yield None if zero else (t, w)
-
-
-def _stacked(vectors: list) -> np.ndarray:
-    """The (n, S) C-ordered array whose columns are the vectors (n,)."""
-    return np.array(vectors).T.copy()
+        yield ts, basis @ (units * magnitude(size)[:, None]).T, nrm != 0.0
 
 
 @dataclass
 class _Placed:
-    """The samples a sampler placed, in draw order, and what it tried."""
+    """The samples a sampler placed, in draw order, as the columns of
+    C-ordered arrays, and what it tried."""
 
-    samples: list            # (t, w, drift, state) of each placed sample
+    ts: np.ndarray           # (S,) times
+    w: np.ndarray            # (n, S) reduced states
+    dw: np.ndarray           # (n, S) drifts
+    x: np.ndarray            # (n, S) assembled states
     attempts: int = 0        # random candidates taken
     failures: int = 0        # candidates whose constraint solve failed
     outside: int = 0         # candidates outside the region
 
 
-def _place(adapter: _DriftAdapter, want: int, draws, limit: int,
-           grid=(), region: Callable | None = None) -> _Placed:
-    """The first `want` candidates, in draw order, that lie in `region` and
-    whose drift solves: the `grid` first, then up to `limit` random draws.
+def _columns(parts: list) -> np.ndarray:
+    """The (n, S_i) parts side by side, C-ordered (a selection of the
+    columns of a C-ordered array is F-ordered)."""
+    return np.ascontiguousarray(np.concatenate(parts, axis=1))
 
-    Candidates are taken in order, in chunks of as many in-region
-    candidates as samples are still wanted, and each chunk's drift is one
-    stacked solve; another chunk is taken only where some solves failed.
-    So the samples kept are those of a sampler that solves one candidate
-    at a time and stops at `want` samples.
+
+def _place(adapter: _DriftAdapter, want: int, draws, limit: int,
+           grid: tuple | None = None,
+           region: Callable | None = None) -> _Placed:
+    """The first `want` candidates, in draw order, that lie in `region` and
+    whose drift solves: the `grid` block first, then up to `limit` random
+    candidates from the blocks of `draws`, each drawn only when the one
+    before it is used up.
+
+    The region is called once per block, on all its candidates.  These are
+    taken in order, in chunks of as many in-region candidates as samples
+    are still wanted, and each chunk's drift is one stacked solve; another
+    chunk is taken only where some solves failed.  So the samples kept are
+    those of a sampler that solves one candidate at a time and stops at
+    `want` samples.
     """
-    placed = _Placed([])
-    grid = iter(grid)
-    while len(placed.samples) < want:
-        ts, ws = [], []
-        while len(ts) < want - len(placed.samples):
-            cand = next(grid, None)
-            if cand is None:
-                if placed.attempts == limit:
+    kept = [(np.empty(0),) + (np.empty((adapter.basis.shape[0], 0)),) * 3]
+    attempts = failures = outside = placed = 0
+    size = pos = 0
+    counted = False
+    while placed < want:
+        parts, need = [], want - placed
+        while need:
+            if pos == size:
+                if grid is not None:
+                    (ts, ws, nonzero), grid, counted = grid, None, False
+                elif attempts == limit:
                     break
-                placed.attempts += 1
-                cand = next(draws)
-                if cand is None:
-                    continue
-            if region is not None and not region(cand[1]):
-                placed.outside += 1
+                else:
+                    (ts, ws, nonzero), counted = next(draws), True
+                keep = nonzero if region is None else nonzero & region(ws)
+                size, pos = ts.size, 0
                 continue
-            ts.append(cand[0])
-            ws.append(cand[1])
-        if not ts:
+            end = min(size, pos + limit - attempts) if counted else size
+            if end == pos:
+                break
+            # the chunk ends at the need-th kept candidate, if it is here
+            csum = np.cumsum(keep[pos:end])
+            stop = (end if csum[-1] < need
+                    else pos + int(np.searchsorted(csum, need)) + 1)
+            take = pos + np.flatnonzero(keep[pos:stop])
+            if counted:
+                attempts += stop - pos
+            outside += int(np.count_nonzero(nonzero[pos:stop])) - take.size
+            parts.append((ts[take], ws[:, take]))
+            need -= take.size
+            pos = stop
+        if need == want - placed:      # no candidate left
             break
-        dw, x, ok = adapter.drift(np.array(ts), _stacked(ws))
-        placed.failures += int(ok.size - ok.sum())
-        placed.samples += [(ts[i], ws[i], dw[:, i].copy(), x[:, i].copy())
-                           for i in np.flatnonzero(ok)]
-    return placed
+        cts = np.concatenate([t for t, _ in parts])
+        cws = _columns([w for _, w in parts])
+        dw, x, ok = adapter.drift(cts, cws)
+        failures += int(ok.size - ok.sum())
+        placed += int(ok.sum())
+        kept.append((cts[ok], cws[:, ok], dw[:, ok], x[:, ok]))
+    return _Placed(np.concatenate([k[0] for k in kept]),
+                   *(_columns([k[j] for k in kept]) for j in (1, 2, 3)),
+                   attempts=attempts, failures=failures, outside=outside)
 
 
 def _draw_samples(adapter: _DriftAdapter, comp: ComparisonSpec, seed: int,
-                  region: Callable | None):
-    """(t, w, drift, state) of each sample: the grid first, then a seeded
-    random fill from blocks of _N_SAMPLES candidates, up to _N_SAMPLES
-    samples inside `region` when one is given.  A reduced space of
-    dimension 0 has no state to draw.  w is drawn freely, so on the direct
-    route at index 2 and above the samples are off L0 (see `_DriftAdapter`)."""
+                  region: Callable | None) -> _Placed:
+    """The samples: the grid first, then a seeded random fill from blocks
+    of _N_SAMPLES candidates, up to _N_SAMPLES samples inside `region` when
+    one is given.  A reduced space of dimension 0 has no state to draw.  w
+    is drawn freely, so on the direct route at index 2 and above the
+    samples are off L0 (see `_DriftAdapter`)."""
     if adapter.basis.shape[1] == 0:
         raise SamplingFailure(
             "the reduced space has dimension 0: there is no state to sample")
     rng = np.random.default_rng(seed)
     lo, hi = float(np.log10(comp.R)), float(np.log10(comp.R * _W_SPAN))
-    grid = ((t, adapter.basis[:, k] * (sign * mag * comp.R))
-            for t in _GRID_TIMES for mag in _GRID_MAGNITUDES
-            for k in range(adapter.basis.shape[1]) for sign in (1.0, -1.0))
+    ts, ks, scales = (np.array(c) for c in zip(*(
+        (t, k, sign * mag * comp.R)
+        for t in _GRID_TIMES for mag in _GRID_MAGNITUDES
+        for k in range(adapter.basis.shape[1]) for sign in (1.0, -1.0))))
+    grid = (ts, adapter.basis[:, ks] * scales, np.ones(ts.size, dtype=bool))
     draws = _random_draws(
         rng, adapter.basis,
         lambda size: 10.0 ** (lo + (hi - lo) * rng.random(size)), _N_SAMPLES)
     placed = _place(adapter, _N_SAMPLES, draws,
                     _MAX_ATTEMPT_FACTOR * _N_SAMPLES, grid, region)
-    if len(placed.samples) < _N_SAMPLES:
+    if placed.ts.size < _N_SAMPLES:
         rejected = ("" if region is None
                     else f"{placed.outside} outside the region, ")
         raise SamplingFailure(
-            f"placed {len(placed.samples)}/{_N_SAMPLES} samples after the "
+            f"placed {placed.ts.size}/{_N_SAMPLES} samples after the "
             f"grid plus {placed.attempts} random attempts ({rejected}"
             f"{placed.failures} constraint-solve failures)")
-    return placed.samples
+    return placed
 
 
 def _gradient_side(dw, w, lyap: LyapunovSpec, k) -> np.ndarray:
@@ -446,13 +511,12 @@ def _sampled_check(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
     """
     adapter = _DriftAdapter(reduced)
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = _draw_samples(adapter, comp, seed, region)
-        lyap.validate([w for (_, w, _, _) in samples[:_GRAD_CHECK_POINTS]])
-        ts = np.array([t for t, *_ in samples])
-        w = _stacked([s[1] for s in samples])
+        placed = _draw_samples(adapter, comp, seed, region)
+        ts, w = placed.ts, placed.w
+        lyap.validate(w.T[:_GRAD_CHECK_POINTS])
         v, k = lyap._extremum(w)
         rhs = _at_columns(comp.U(v) * comp.psi(ts), ts.shape)
-        side = lhs(_stacked([s[2] for s in samples]), w, lyap, k)
+        side = lhs(placed.dw, w, lyap, k)
         bad = np.flatnonzero(~(np.isfinite(side) & np.isfinite(rhs)))
         if bad.size:
             i = bad[0]
@@ -461,11 +525,11 @@ def _sampled_check(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
                                   f"rhs {float(rhs[i])}")
         slack = 1e-9 * (1.0 + np.abs(side) + np.abs(rhs))
         hit = side > rhs + slack if direction == "le" else side < rhs - slack
-        violations = [{"t": samples[i][0], "w": samples[i][1].tolist(),
+        violations = [{"t": float(ts[i]), "w": w[:, i].tolist(),
                        "lhs": float(side[i]), "rhs": float(rhs[i])}
                       for i in np.flatnonzero(hit).tolist()]
     u_probe, psi_probe, traces = _probes(comp)
-    return CertificateReport(kind=kind, samples_checked=len(samples),
+    return CertificateReport(kind=kind, samples_checked=ts.size,
                              violations=violations, integral_U=u_probe,
                              integral_psi=psi_probe,
                              verdict=_verdict(violations,
@@ -514,14 +578,15 @@ def check_lagrange_stability(reduced, lyap: LyapunovSpec, comp: ComparisonSpec,
         draws = _random_draws(rng, adapter.basis,
                               lambda size, b=b: b * rng.random(size), per_b)
         placed = _place(adapter, per_b, draws, _MAX_ATTEMPT_FACTOR * per_b)
-        if len(placed.samples) < per_b:
+        if placed.ts.size < per_b:
             raise SamplingFailure(
                 f"kernel bound ladder at b = {b}: placed "
-                f"{len(placed.samples)}/{per_b} samples after "
+                f"{placed.ts.size}/{per_b} samples after "
                 f"{placed.attempts} random attempts ({placed.failures} "
                 f"constraint-solve failures)")
+        # one product per state, each contiguous, as the samples' were
         kb[str(b)] = max(float(np.linalg.norm(reduced.ps.p20 @ x))
-                         for *_, x in placed.samples)
+                         for x in placed.x.T.copy())
     return replace(
         base, kind="lagrange_stability", verdict=verdict,
         extras={**base.extras, "kernel_bound_ladder": kb})
@@ -579,10 +644,10 @@ def monitor_comparison(trajectory: Trajectory, lyap: LyapunovSpec,
     in_frac = None
     first_exit = None
     if comp.domain_set is not None:
-        inside = [bool(comp.domain_set(ws[k])) for k in range(ts.size)]
+        inside = comp.domain_set(ws.T)
         in_frac = float(np.mean(inside))
-        if not all(inside):
-            first_exit = int(inside.index(False))
+        if not inside.all():
+            first_exit = int(np.argmin(inside))
     return MonitorReport(direction=direction, worst_margin=worst,
                          worst_margin_relative=worst / scale,
                          in_region_fraction=in_frac,

@@ -183,9 +183,11 @@ FIELD_REGISTRY = {
 # ---------------------------------------------------------------------------
 # certificate registries
 #
-# Each callable also takes an array (see LyapunovComponent).  On one Python
-# float or state it returns, or raises, what float arithmetic does: the
-# integral probes read the ZeroDivisionError or OverflowError of `**`.
+# Each callable also takes an array (see LyapunovComponent and
+# ComparisonSpec).  On one Python float or state it returns, or raises, what
+# float arithmetic does: where the integral probes' array pass raises, they
+# call U and psi one value at a time and read the ZeroDivisionError or
+# OverflowError of `**` as inconclusive.
 
 
 def _plain(value):
@@ -246,12 +248,12 @@ def _region_halfspace(params, n_dim):
         raise ValueError(f"normal must be {n_dim} finite numbers, "
                          f"got {params['normal']!r}")
     offset = _number(params, "offset", 0.0)
-    return lambda w: float(np.dot(normal, w)) > offset
+    return lambda w: column_dots(normal, w) > offset
 
 
 def _region_norm_above(params, n_dim):
     r = _number(params, "radius", 1.0)
-    return lambda w: float(np.linalg.norm(w)) > r
+    return lambda w: np.sqrt(column_dots(w, w)) > r
 
 
 _REGION_REGISTRY = {"halfspace": _region_halfspace,

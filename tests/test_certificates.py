@@ -140,6 +140,104 @@ def test_probe_rough_integrand_ends_within_the_split_budget():
         * (1 + 2 * certificates._PROBE_SPLITS)
 
 
+# -- the probe's array pass ---------------------------------------------------
+
+_CERTIFIED = ("index1_blowup", "index1_cubic_blowup", "index1_stable",
+              "ode_scalar_quadratic")
+
+
+def _integrand(which, name, params):
+    if which == "U":
+        envelope = problems._U_REGISTRY[name](params)
+        return lambda u: 1.0 / envelope(u), 1.0, "over_value"
+    return problems._PSI_REGISTRY[name](params), 0.0, "over_time"
+
+
+def _bundled_integrands():
+    for name in _CERTIFIED:
+        comp = load_builtin(name).comparison()
+        yield pytest.param(lambda u, U=comp.U: 1.0 / U(u), 1.0, "over_value",
+                           id=f"{name}-U")
+        yield pytest.param(comp.psi, 0.0, "over_time", id=f"{name}-psi")
+
+
+# every registry envelope but power-30, which overflows on the array pass,
+# and a weight of -0.0, whose one-value sums start from 0.0
+_ARRAY_INTEGRANDS = (
+    [pytest.param(*_integrand(*p.values[:3]), id=p.id) for p in _ENVELOPES
+     if p.id != "power-30.0"]
+    + [pytest.param(*_integrand("psi", "constant", {"value": -0.0}),
+                    id="constant--0.0")]
+    + list(_bundled_integrands()))
+
+
+def _hex_pairs(pairs):
+    return [tuple(map(float.hex, p)) for p in pairs]
+
+
+def _one_value_probe(monkeypatch, g, lower, kind):
+    """probe_integral's class and trace with the array pass switched off."""
+    trace = []
+    with monkeypatch.context() as m:
+        m.setattr(certificates, "_first_pairs", lambda g, edges: None)
+        cls = probe_integral(g, lower, kind, trace=trace)
+    return cls, trace
+
+
+@pytest.mark.parametrize("g, lower, kind", _ARRAY_INTEGRANDS)
+def test_array_pass_has_the_bits_of_the_one_value_pass(monkeypatch, g, lower,
+                                                       kind):
+    edges = certificates._probe_edges(lower, kind)
+    pairs = certificates._first_pairs(g, edges)
+    assert pairs is not None
+    with np.errstate(all="ignore"):
+        ref = [certificates._gauss_pair(g, a, b)
+               for a, b in zip(edges[:-1], edges[1:])]
+    assert _hex_pairs(pairs) == _hex_pairs(ref)
+    cls, ref_trace = _one_value_probe(monkeypatch, g, lower, kind)
+    trace = []
+    assert probe_integral(g, lower, kind, trace=trace) == cls
+    assert json.dumps(trace) == json.dumps(ref_trace)
+
+
+@pytest.mark.parametrize("name", _CERTIFIED)
+def test_probe_traces_are_the_one_value_traces(monkeypatch, name):
+    comp = dataclasses.replace(load_builtin(name).comparison(),
+                               declared_U_integral=None,
+                               declared_psi_integral=None)
+    batched = certificates._probes(comp)
+    with monkeypatch.context() as m:
+        m.setattr(certificates, "_first_pairs", lambda g, edges: None)
+        one_value = certificates._probes(comp)
+    assert json.dumps(batched) == json.dumps(one_value)
+
+
+def _scalar_only(u):
+    if np.ndim(u):
+        raise TypeError("one value at a time")
+    return 1.0 + u
+
+
+@pytest.mark.parametrize("g, expected, windows", [
+    (_integrand("U", "power", {"coefficient": 0.0})[0], INCONCLUSIVE, 0),
+    (_integrand("U", "power", {"exponent": 400.0})[0], INCONCLUSIVE, 2),
+    (_integrand("U", "power", {"exponent": 30.0})[0], INCONCLUSIVE, 34),
+    (lambda u: 1.0 / _scalar_only(u), DIVERGES, 40),
+], ids=["power-coefficient-0", "power-400", "power-30", "scalar-only"])
+def test_array_pass_that_raises_falls_back_to_one_value_calls(
+        monkeypatch, g, expected, windows):
+    edges = certificates._probe_edges(1.0, "over_value")
+    assert certificates._first_pairs(g, edges) is None
+    trace = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert probe_integral(g, 1.0, trace=trace) == expected
+    assert caught == []
+    assert len(trace) == windows
+    assert (expected, trace) == _one_value_probe(monkeypatch, g, 1.0,
+                                                 "over_value")
+
+
 # -- global solvability -----------------------------------------------------
 
 def stable_setup():
@@ -293,7 +391,7 @@ def test_blowup_certificate_decaying_flow_violated():
 def test_sampling_failure_on_unreachable_region():
     red, pb = cubic_flow()
     comp = dataclasses.replace(
-        pb.comparison(), domain_set=lambda w: float(w[0]) > 1e9)
+        pb.comparison(), domain_set=lambda w: w[0] > 1e9)
     with pytest.raises(SamplingFailure):
         check_blowup_certificate(red, pb.lyapunov(), comp)
 
@@ -378,7 +476,7 @@ def test_monitor_escape_inequality_holds():
 def test_monitor_vacuous_outside_region():
     traj, pb = cubic_trajectory()
     comp = dataclasses.replace(pb.comparison(),
-                               domain_set=lambda w: float(w[0]) > 1e9)
+                               domain_set=lambda w: w[0] > 1e9)
     rep = monitor_comparison(traj, pb.lyapunov(), comp, direction="ge")
     assert rep.in_region_fraction == 0.0
     assert rep.first_exit_index == 0
@@ -404,8 +502,10 @@ def test_monitor_on_a_one_point_trajectory(direction):
     assert traj.times.size == 1
     assert traj.termination.kind == "constraint_solve_failure"
     for inside, fraction, exit_index in ((True, 1.0, None), (False, 0.0, 0)):
-        comp = ComparisonSpec(U=lambda u: u, psi=lambda t: 1.0,
-                              domain_set=lambda w, inside=inside: inside)
+        comp = ComparisonSpec(
+            U=lambda u: u, psi=lambda t: 1.0,
+            domain_set=lambda w, inside=inside: np.full(np.shape(w)[1:],
+                                                        inside))
         rep = monitor_comparison(traj, sq_norm(), comp, direction=direction)
         assert rep.worst_margin == 0.0 and rep.worst_margin_relative == 0.0
         assert rep.in_region_fraction == fraction
@@ -414,8 +514,6 @@ def test_monitor_on_a_one_point_trajectory(direction):
 
 # -- the stacked sampler ------------------------------------------------------
 
-_CERTIFIED = ("index1_blowup", "index1_cubic_blowup", "index1_stable",
-              "ode_scalar_quadratic")
 _ROUTES = {"first": reduce_first, "cascade": reduce_cascade}
 
 
@@ -466,11 +564,12 @@ def _one_at_a_time(reduced, comp, seed, region):
     return out
 
 
-def _assert_per_sample_drifts(reduced, samples):
+def _assert_per_sample_drifts(reduced, placed):
     """Each stacked drift and state is the per-sample one, from a fresh
     state, within 1e-12 relative."""
-    for t, w, dw, x in samples:
-        ref_dw, ref_x = reduced.drift(t, w, reduced.make_state())
+    for i, t in enumerate(placed.ts.tolist()):
+        dw, x = placed.dw[:, i], placed.x[:, i]
+        ref_dw, ref_x = reduced.drift(t, placed.w[:, i], reduced.make_state())
         np.testing.assert_allclose(dw, ref_dw, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(x, ref_x, rtol=1e-12, atol=0.0)
 
@@ -482,11 +581,11 @@ def test_stacked_samples_are_the_one_at_a_time_draws(name, approach, seed):
     pb = load_builtin(name)
     reduced = _ROUTES[approach](pb.dae)
     comp = pb.comparison()
-    samples = certificates._draw_samples(certificates._DriftAdapter(reduced),
-                                         comp, seed, comp.domain_set)
-    assert [(t, w.tolist()) for t, w, _, _ in samples] \
+    placed = certificates._draw_samples(certificates._DriftAdapter(reduced),
+                                        comp, seed, comp.domain_set)
+    assert list(zip(placed.ts.tolist(), placed.w.T.tolist())) \
         == _one_at_a_time(reduced, comp, seed, comp.domain_set)
-    _assert_per_sample_drifts(reduced, samples)
+    _assert_per_sample_drifts(reduced, placed)
 
 
 def test_region_keeps_a_subsequence_of_the_region_free_candidates():
@@ -501,13 +600,197 @@ def test_region_keeps_a_subsequence_of_the_region_free_candidates():
         return certificates._random_draws(
             rng, adapter.basis, lambda size: 10.0 * rng.random(size), want)
 
-    candidates = iter([c for c in itertools.islice(draws(), limit)
+    candidates = iter([c for c in itertools.islice(_candidates(draws()), limit)
                        if c is not None])
     placed = certificates._place(adapter, want, draws(), limit,
                                  region=pb.comparison().domain_set)
-    assert len(placed.samples) == want and placed.outside > 0
-    for t, w, _, _ in placed.samples:
+    assert placed.ts.size == want and placed.outside > 0
+    for t, w in zip(placed.ts.tolist(), placed.w.T):
         assert any(t == c[0] and np.array_equal(w, c[1]) for c in candidates)
+
+
+def _candidates(blocks):
+    """The candidates of `_random_draws` blocks one at a time: (t, w), or
+    None for a zero direction.  A block is drawn when the one before it is
+    used up."""
+    for ts, ws, nonzero in blocks:
+        for t, w, ok in zip(ts.tolist(), ws.T, nonzero.tolist()):
+            yield (t, w) if ok else None
+
+
+def _place_one_at_a_time(adapter, want, draws, limit, grid=(), region=None):
+    """The per-candidate placement loop, over (t, w) candidates or None:
+    the reference of `_place`, which takes its candidates block by block.
+    Returns the (t, w, drift, state) of each sample and the counts."""
+    samples, attempts, failures, outside = [], 0, 0, 0
+    grid = iter(grid)
+    while len(samples) < want:
+        ts, ws = [], []
+        while len(ts) < want - len(samples):
+            cand = next(grid, None)
+            if cand is None:
+                if attempts == limit:
+                    break
+                attempts += 1
+                cand = next(draws)
+                if cand is None:
+                    continue
+            if region is not None and not region(cand[1]):
+                outside += 1
+                continue
+            ts.append(cand[0])
+            ws.append(cand[1])
+        if not ts:
+            break
+        dw, x, ok = adapter.drift(np.array(ts), np.array(ws).T.copy())
+        failures += int(ok.size - ok.sum())
+        samples += [(ts[i], ws[i], dw[:, i], x[:, i])
+                    for i in np.flatnonzero(ok)]
+    return samples, attempts, failures, outside
+
+
+class _ZeroRows:
+    """A seeded generator whose standard-normal draws have the given rows
+    set to zero, so that those candidates have a zero direction."""
+
+    def __init__(self, seed, rows):
+        self.gen, self.rows = np.random.default_rng(seed), list(rows)
+
+    def random(self, size):
+        return self.gen.random(size)
+
+    def standard_normal(self, shape):
+        out = self.gen.standard_normal(shape)
+        out[self.rows] = 0.0
+        return out
+
+
+def _assert_same_placement(placed, ref):
+    samples, attempts, failures, outside = ref
+    assert (placed.attempts, placed.failures, placed.outside) \
+        == (attempts, failures, outside)
+    assert placed.ts.tolist() == [s[0] for s in samples]
+    for j, arr in enumerate((placed.w, placed.dw, placed.x), start=1):
+        assert arr.flags.c_contiguous
+        assert arr.shape == (placed.w.shape[0], len(samples))
+        assert all(np.array_equal(arr[:, i], s[j])
+                   for i, s in enumerate(samples))
+
+
+def _compare_placements(adapter, want, limit, size, rng, magnitude,
+                        region=None, grid=None):
+    """`_place` against the per-candidate loop, each on a fresh copy of the
+    generator `rng()`: the samples, counts and generator states after."""
+    out = []
+    for blocks in (True, False):
+        gen = rng()
+        draws = certificates._random_draws(
+            gen, adapter.basis, lambda n, gen=gen: magnitude(gen, n), size)
+        if blocks:
+            placed = certificates._place(adapter, want, draws, limit, grid,
+                                         region)
+        else:
+            ref = _place_one_at_a_time(
+                adapter, want, _candidates(draws), limit,
+                () if grid is None else _candidates(iter([grid])), region)
+        out.append(getattr(gen, "gen", gen).bit_generator.state)
+    assert out[0] == out[1]
+    _assert_same_placement(placed, ref)
+    return placed
+
+
+def _rootless_adapter():
+    """index1_stable's pair with a kernel level that has a root only where
+    x1^2 >= 63.75, so that about half of |x1| <= 16 fail their solve."""
+    pb = load_builtin("index1_stable")
+    return certificates._DriftAdapter(reduce_first(make_dae(
+        pb.dae.pencil.a, pb.dae.pencil.b, _no_ladder_root_field())))
+
+
+def _right_half(w):
+    return w[0] > 0.0
+
+
+@pytest.mark.parametrize("case", [
+    "limit_inside_a_block", "limit_at_a_block_boundary", "zero_direction",
+    "rejects_everything", "grid_only"])
+def test_block_placement_is_the_per_candidate_loop(case):
+    adapter = _rootless_adapter()
+    e1 = adapter.basis[:, 0] * np.sign(adapter.basis[0, 0])
+    grid = (np.arange(6.0), np.outer(e1, [5.0, 10.0, -9.0, 2.0, -20.0, 12.0]),
+            np.ones(6, dtype=bool))
+    wide = lambda gen, n: 16.0 * gen.random(n)  # noqa: E731
+    seeded = functools.partial(np.random.default_rng, 5)
+    if case in ("limit_inside_a_block", "limit_at_a_block_boundary"):
+        # three blocks hold too few samples; the limit cuts the third block
+        # part-way, or ends the second, and then no third block is drawn
+        limit = 60 if case == "limit_inside_a_block" else 50
+        placed = _compare_placements(adapter, 40, limit, 25, seeded, wide,
+                                     _right_half, grid)
+        assert placed.attempts == limit and placed.ts.size < 40
+        assert placed.failures > 0 and placed.outside > 0
+    elif case == "zero_direction":
+        for region in (None, _right_half):
+            placed = _compare_placements(
+                adapter, 30, 200, 25,
+                functools.partial(_ZeroRows, 5, (0, 3, 24)), wide, region)
+            assert placed.ts.size == 30 and placed.failures > 0
+    elif case == "rejects_everything":
+        placed = _compare_placements(
+            adapter, 30, 70, 25, seeded, wide,
+            lambda w: np.zeros(np.shape(w)[1:], dtype=bool), grid)
+        assert placed.ts.size == 0 and placed.failures == 0
+        assert (placed.attempts, placed.outside) == (70, 76)
+    else:
+        placed = _compare_placements(adapter, 2, 200, 25, seeded, wide,
+                                     _right_half, grid)
+        assert placed.attempts == 0 and placed.w[0].tolist() == [10.0, 12.0]
+        assert (placed.failures, placed.outside) == (2, 2)
+
+
+def test_ladder_levels_share_the_generator_as_the_per_candidate_loop():
+    # the four levels draw from one generator, so each level's blocks
+    # start where the level before it stopped drawing
+    pb = load_builtin("index1_stable")
+    adapter = certificates._DriftAdapter(reduce_first(pb.dae))
+    per_b = max(16, certificates._N_SAMPLES
+                // (4 * len(certificates._KERNEL_LADDER)))
+    limit = certificates._MAX_ATTEMPT_FACTOR * per_b
+    gens = [np.random.default_rng(43), np.random.default_rng(43)]
+    for b in certificates._KERNEL_LADDER:
+        draws = [certificates._random_draws(
+            gen, adapter.basis, lambda n, gen=gen, b=b: b * gen.random(n),
+            per_b) for gen in gens]
+        placed = certificates._place(adapter, per_b, draws[0], limit)
+        ref = _place_one_at_a_time(adapter, per_b, _candidates(draws[1]),
+                                   limit)
+        _assert_same_placement(placed, ref)
+        assert placed.ts.size == per_b
+        assert gens[0].bit_generator.state == gens[1].bit_generator.state
+
+
+@pytest.mark.parametrize("n_dim", range(1, 7))
+@pytest.mark.parametrize("name", ["halfspace", "norm_above"])
+def test_region_on_a_stack_is_the_one_state_decision(name, n_dim):
+    rng = np.random.default_rng(n_dim)
+    w = rng.standard_normal((n_dim, 10_000)) * 10.0 ** rng.uniform(-1, 1,
+                                                                    10_000)
+    if name == "halfspace":
+        normal = rng.standard_normal(n_dim)
+        params = {"normal": normal.tolist(), "offset": 0.3}
+        old = lambda v: float(np.dot(normal, v)) > 0.3  # noqa: E731
+    else:
+        params = {"radius": 1.5}
+        old = lambda v: float(np.linalg.norm(v)) > 1.5  # noqa: E731
+    region = problems._REGION_REGISTRY[name](params, n_dim)
+    stack = region(w)
+    assert stack.shape == (w.shape[1],) and stack.dtype == bool
+    assert 0 < stack.sum() < w.shape[1]
+    columns = [w[:, i].copy() for i in range(w.shape[1])]
+    assert stack.tolist() == [bool(region(v)) for v in columns]
+    if n_dim <= 3:
+        # column_dots has the bits of np.dot up to n = 3
+        assert stack.tolist() == [old(v) for v in columns]
 
 
 _CHECKS = {"blowup": check_blowup_certificate,
@@ -531,13 +814,14 @@ def test_unsolved_column_is_dropped_and_counted():
     adapter = certificates._DriftAdapter(reduced)
     e1 = adapter.basis[:, 0] * np.sign(adapter.basis[0, 0])
     x1s = (5.0, 10.0, -7.0, 9.0, 20.0)
-    draws = iter([(float(k), x1 * e1) for k, x1 in enumerate(x1s)])
+    draws = iter([(np.arange(len(x1s), dtype=float), np.outer(e1, x1s),
+                   np.ones(len(x1s), dtype=bool))])
     placed = certificates._place(adapter, 2, draws, limit=10)
     # the two rootless candidates are dropped, and no draw follows the
     # second sample
-    assert [w[0] for _, w, _, _ in placed.samples] == [10.0, 9.0]
+    assert placed.w[0].tolist() == [10.0, 9.0]
     assert (placed.attempts, placed.failures) == (4, 2)
-    _assert_per_sample_drifts(reduced, placed.samples)
+    _assert_per_sample_drifts(reduced, placed)
 
 
 def test_damped_kernel_columns_give_the_per_sample_roots():
@@ -558,8 +842,8 @@ def test_damped_kernel_columns_give_the_per_sample_roots():
         dw, x, ok = adapter.drift(ts, w)
         assert ok.all()
         np.testing.assert_allclose(x[1], 3.0 * x[0], rtol=1e-12, atol=1e-12)
-        _assert_per_sample_drifts(reduced, [
-            (t, w[:, i], dw[:, i], x[:, i]) for i, t in enumerate(ts)])
+        _assert_per_sample_drifts(reduced,
+                                  certificates._Placed(ts, w, dw, x))
 
 
 def _singular_at_5(params):
@@ -624,21 +908,22 @@ def test_structured_certificate_on_both_routes(name, nu, direct_violations,
     assert rep.samples_checked == 500
     assert len(rep.violations) == (direct_violations if approach == "first"
                                    else 0)
-    samples = certificates._draw_samples(certificates._DriftAdapter(reduced),
-                                         pb.comparison(), 42, None)
-    _assert_per_sample_drifts(reduced, samples)
+    placed = certificates._draw_samples(certificates._DriftAdapter(reduced),
+                                        pb.comparison(), 42, None)
+    _assert_per_sample_drifts(reduced, placed)
 
 
 # -- the array form of the sampled check --------------------------------------
 
 def _one_extremum(lyap, w):
     """V(w) and its active index by the one-state rule, in Python floats:
-    the reference of the tie rule over columns."""
+    the reference of the tie rule over columns.  Only an equal value ties
+    with an infinite extremum."""
     vals = [float(c.eval(w)) for c in lyap.components]
     target = max(vals) if lyap.kind == "max" else min(vals)
     tol = certificates._TIE_TOLERANCE * (1.0 + abs(target))
     for k, v in enumerate(vals):
-        if abs(v - target) <= tol:
+        if v == target or math.isfinite(target) and abs(v - target) <= tol:
             return target, k
     return target, int(np.argmax(vals) if lyap.kind == "max"
                        else np.argmin(vals))
@@ -648,10 +933,10 @@ def _per_sample_violations(reduced, lyap, comp, seed, norm, direction):
     """The violations of the sampled check taken one sample at a time, with
     one-value calls of V, its gradient, U and psi: the reference of the
     array form."""
-    samples = certificates._draw_samples(certificates._DriftAdapter(reduced),
-                                         comp, seed, comp.domain_set)
+    placed = certificates._draw_samples(certificates._DriftAdapter(reduced),
+                                        comp, seed, comp.domain_set)
     out = []
-    for t, w, dw, _ in samples:
+    for t, w, dw in zip(placed.ts.tolist(), placed.w.T, placed.dw.T):
         v, k = _one_extremum(lyap, w)
         rhs = comp.U(v) * comp.psi(t)
         side = float(np.linalg.norm(dw)) if norm else float(np.dot(

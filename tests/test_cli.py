@@ -470,8 +470,7 @@ def test_sampling_failure_counts_region_rejections(tmp_path, capsys,
 
         def domain_set(w):
             ok = inside(w)
-            if not ok:
-                rejected.append(w)
+            rejected.extend(w[:, ~ok].T)
             return ok
         return dataclasses.replace(spec, domain_set=domain_set)
 
