@@ -50,6 +50,7 @@ keep = np.abs(traj.w_states[:, 0]) < 1e3
 clipped = dataclasses.replace(traj, times=traj.times[keep],
                               states=traj.states[keep],
                               w_states=traj.w_states[keep],
+                              w_norms=traj.w_norms[keep],
                               residuals=traj.residuals[keep])
 monitor = monitor_comparison(clipped, cubic.lyapunov(), cubic.comparison(),
                              direction="ge")

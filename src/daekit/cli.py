@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._linalg import norm2
 from .certificates import (VIOLATED, check_blowup_certificate,
                            check_global_solvability, check_lagrange_stability)
 from .errors import DaekitError
@@ -103,7 +102,7 @@ def _trajectory_json(traj) -> dict:
     return {
         "times": traj.times.tolist(),
         "states": traj.states.tolist(),
-        "w_norms": [norm2(w) for w in traj.w_states],
+        "w_norms": traj.w_norms.tolist(),
         "residuals": traj.residuals.tolist(),
         "termination": traj.termination.to_dict(),
         "stats": traj.stats,
@@ -236,7 +235,7 @@ def cmd_sweep(args) -> int:
         term = traj.termination
         esc = "" if term.t_escape_estimate is None \
             else f"{term.t_escape_estimate:.17g}"
-        fin = f"{norm2(traj.w_states[-1]):.17g}"
+        fin = f"{traj.w_norms[-1]:.17g}"
         lines.append(f"{idx}," + ",".join(f"{v:.17g}" for v in guess)
                      + f",{term.kind},{esc},{fin}")
         _write_trajectory(traj, args.format, out_dir,

@@ -140,6 +140,7 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     w_states: np.ndarray
+    w_norms: np.ndarray  # |w| of each point, as the escape test read it
     residuals: np.ndarray
     termination: TerminationReason
     stats: dict = dc_field(default_factory=dict)
@@ -152,7 +153,7 @@ class Trajectory:
             + ",w_norm,residual"
         fmt = "{:.17g}".format
         rows = zip(self.times.tolist(), self.states.tolist(),
-                   map(norm2, self.w_states), self.residuals.tolist())
+                   self.w_norms.tolist(), self.residuals.tolist())
         with open(path, "w") as fh:
             fh.write(header + "\n")
             for t, x, w_norm, res in rows:
@@ -160,19 +161,16 @@ class Trajectory:
 
 
 def _escape_estimate(times, norms) -> float:
-    """Extrapolated escape time: the reciprocal norm is driven to zero by
-    successive secant steps (Richardson-style refinement on the last pairs).
-    """
-    ts = np.asarray(times, dtype=float)
-    us = 1.0 / np.maximum(np.asarray(norms, dtype=float), 1e-300)
-    keep = min(6, ts.size)
-    ts, us = ts[-keep:], us[-keep:]
-    est = ts[-1]
-    for k in range(1, ts.size):
-        du = us[k - 1] - us[k]
-        if du > 0:
-            est = ts[k] + us[k] * (ts[k] - ts[k - 1]) / du
-    return float(est)
+    """Extrapolated escape time: where the secant of the reciprocal norm
+    through the last consecutive pair of the last six points along which it
+    falls meets zero; the last time where it falls along none."""
+    ts = np.asarray(times, dtype=float)[-6:]
+    us = 1.0 / np.maximum(np.asarray(norms, dtype=float)[-6:], 1e-300)
+    falls = np.flatnonzero(us[:-1] - us[1:] > 0)
+    if not falls.size:
+        return float(ts[-1])
+    k = falls[-1] + 1
+    return float(ts[k] + us[k] * (ts[k] - ts[k - 1]) / (us[k - 1] - us[k]))
 
 
 def _log_expm1(x: float) -> float:
@@ -418,8 +416,8 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
             "t": rec.times[over[0]], "worst": float(residuals[over].max())})
     return Trajectory(times=np.asarray(rec.times),
                       states=np.vstack(states), w_states=np.vstack(ws),
-                      residuals=residuals, termination=termination,
-                      stats=rec.stats)
+                      w_norms=np.asarray(rec.norms), residuals=residuals,
+                      termination=termination, stats=rec.stats)
 
 
 def integrate_first(reduced: ReducedFirst, t0: float, x_guess,
@@ -439,8 +437,8 @@ def integrate_first(reduced: ReducedFirst, t0: float, x_guess,
         except ConstraintSolveFailure as first_exc:
             if first_exc.level != "kernel_level":
                 raise
-            seed = reduced.make_state(x0 if x_accepted is None else x_accepted)
-            state.warm["kernel_level"] = seed.warm["kernel_level"]
+            state.warm["kernel_level"] = reduced.kernel_coords(
+                x0 if x_accepted is None else x_accepted)
             state.jac_caches["kernel_level"] = JacobianCache()
             try:
                 return reduced.drift(t, w, state)

@@ -178,7 +178,6 @@ class _Reduced:
         self.ps = ps
         self.nu = ps.nu
         self.n = ps.n
-        self.kernel = _select_block(dae, lambda m, j: j == 1)       # x20 slice
         # the non-empty chain-top slices, top first: order s holds the
         # order-s vectors of chains of exact length s+1 (s = 1..nu-1)
         tops = {s: _select_block(dae, lambda m, j, s=s: j == m == s + 1)
@@ -213,9 +212,9 @@ class _Reduced:
             self.parts[s][1] = (label, slice(None), self.levels[label])
         # the kernel level's offset for a field that declares no structure
         self._no_offset = np.zeros(dae.pencil.n_dim)
-        if self.kernel.dim:
-            self.levels["kernel_level"] = self._level("kernel_level",
-                                                      self.kernel)
+        kernel = _select_block(dae, lambda m, j: j == 1)  # x20 slice, last
+        if kernel.dim:
+            self.levels["kernel_level"] = self._level("kernel_level", kernel)
 
     @property
     def level_count(self) -> int:
@@ -226,12 +225,15 @@ class _Reduced:
         """A fresh per-run state; with a state x, the kernel level is
         warm-started from the kernel coordinates of x."""
         state = _CascadeEvaluator(self)
-        if x is not None and self.kernel.dim:
-            # an x out of range is rejected by consistent_point before use
-            with np.errstate(over="ignore", invalid="ignore"):
-                state.warm["kernel_level"] = self.kernel.x_coords(
-                    self.dae.pencil.b, x)
+        if x is not None and "kernel_level" in self.levels:
+            state.warm["kernel_level"] = self.kernel_coords(x)
         return state
+
+    def kernel_coords(self, x) -> np.ndarray:
+        """The kernel level's coordinates of the state x, its warm start from
+        x; an x out of range is rejected by consistent_point before use."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.levels["kernel_level"].x_coords(self.dae.pencil.b, x)
 
     def consistent_point(self, t0, x_guess, state=None):
         """The start from the guess, checked on L0: explicit =
@@ -334,11 +336,11 @@ class _Reduced:
         explicit + eta: c solves the kernel level on the per-run state,
         warm-started, to TOL.solver max(1, |explicit|), the stop of every
         kernel solve."""
-        if not self.kernel.dim:
+        if "kernel_level" not in self.levels:
             return np.zeros(self.dae.pencil.n_dim)
         c = state._solve("kernel_level", t, base, offset,
                          max(1.0, norm2(explicit)))
-        return self.kernel.lift(c)
+        return self.levels["kernel_level"].lift(c)
 
     def _drift(self, t, w, state):
         """The reduced right-hand side at w, plus the assembled state x: the
@@ -397,11 +399,11 @@ class _Reduced:
             base = explicit + eta
         idx = np.flatnonzero(ok)
         x, fx = base.copy(), np.zeros((n_dim, cols))
-        if not self.kernel.dim:
+        blk = self.levels.get("kernel_level")
+        if blk is None:
             if idx.size:
                 fx[:, idx] = self.dae.field(ts[idx], base[:, idx])
         else:
-            blk = self.levels["kernel_level"]
             tol = TOL.solver * np.maximum(1.0, column_norms(explicit[:, idx]))
 
             def params(j):
@@ -458,9 +460,9 @@ class ReducedFirst(_Reduced):
             self.start_projector = ps.p1
         else:
             self.start_projector = ps.p1 + ps.p2_sigma
-            if self.kernel.dim:
+            if "kernel_level" in self.levels:
                 self.levels["kernel_level"] = self._level(
-                    "kernel_level", self.kernel,
+                    "kernel_level", self.levels["kernel_level"],
                     plain_rows=_select_block(dae, lambda m, j: j == m))
 
     drift_w = _Reduced._drift
@@ -546,7 +548,8 @@ class _CascadeEvaluator:
         self.warm: dict[str, np.ndarray] = {}  # last solution of each level
         # kept Jacobian of each level, for its next Newton solve
         self.jac_caches = {label: JacobianCache() for label in rc.levels}
-        # (t, {label: (c, dc)}) of every chain and wedge level, see _levels
+        # (t, {label: (c, dc)}, eta) of the chain and wedge levels at the last
+        # time asked for, see _levels
         self._last_levels: tuple | None = None
         # (t, key, f(t, x)) of the last level residual or drift, see _field
         self.field_at: tuple | None = None
@@ -605,15 +608,16 @@ class _CascadeEvaluator:
         return dc
 
     def _pass(self, t: float, values: dict | None = None,
-              last: str | None = None) -> dict:
-        """{label: (c, dc)} of the chain and wedge levels, top first.
+              last: str | None = None) -> tuple:
+        """({label: (c, dc)} of the chain and wedge levels, top first, eta).
 
         Each level's base is the sum of the components of the levels
-        before it in the table, and a wedge level's offset is A times the
-        derivative of the parts one order up (`_order_term`).  Without
-        `values` every level is solved at t and its derivative keeps its
-        Jacobian.  With `values` (label -> c) nothing is solved: the
-        derivatives are taken at those coordinates, up to the level `last`.
+        before it in the table, and eta is that sum over all of them.  A
+        wedge level's offset is A times the derivative of the parts one
+        order up (`_order_term`).  Without `values` every level is solved
+        at t and its derivative keeps its Jacobian.  With `values` (label
+        -> c) nothing is solved: the derivatives are taken at those
+        coordinates, up to the level `last`.
         """
         rc = self.rc
         a = rc.dae.pencil.a
@@ -640,7 +644,7 @@ class _CascadeEvaluator:
                 break
             base = x
             base_d = blk.lift(dc) if base_d is None else base_d + blk.lift(dc)
-        return out
+        return out, base
 
     def _order_term(self, k: int, levels: dict) -> np.ndarray:
         """Time derivative of the chain and wedge parts of order k, from
@@ -670,23 +674,22 @@ class _CascadeEvaluator:
         def term(tt):
             shifted = {label: c + (tt - t) * dc
                        for label, (c, dc) in above.items()}
-            return self._order_term(k, self._pass(tt, shifted, last))
+            return self._order_term(k, self._pass(tt, shifted, last)[0])
         return rc.dae.pencil.a @ _time_derivative(term, t)
 
-    def _levels(self, t: float) -> dict:
-        """{label: (c, dc)} of every chain and wedge level at t, from one
-        `_pass` unless t is the last time asked for: a run asks again only
-        at its newest time."""
-        got = self._last_levels
-        if got is None or got[0] != t:
-            got = self._last_levels = (t, self._pass(t))
-        return got[1]
+    def _levels(self, t: float) -> tuple:
+        """({label: (c, dc)} of every chain and wedge level at t, eta), from
+        one `_pass` unless t is the last time asked for: a run asks again
+        only at its newest time."""
+        if self._last_levels is None or self._last_levels[0] != t:
+            self._last_levels = (t, *self._pass(t))
+        return self._last_levels[1:]
 
     # -- chain-top levels ----------------------------------------------------
     def chain_values(self, t: float) -> dict:
         """Coordinates and derivatives of the chain-top parts at t, keyed by
         order."""
-        levels = self._levels(t)
+        levels, _ = self._levels(t)
         values = {s: np.zeros(0) for s in range(1, self.rc.nu)}
         derivs = dict(values)
         for s, (top, _) in self.rc.parts.items():
@@ -697,25 +700,22 @@ class _CascadeEvaluator:
 
     # -- wedge levels ----------------------------------------------------------
     def wedge_value(self, s: int, t: float) -> np.ndarray:
-        return self._levels(t)[f"wedge_level_{s}"][0]
+        return self._levels(t)[0][f"wedge_level_{s}"][0]
 
     def wedge_derivative(self, s: int, t: float) -> np.ndarray:
         """Implicit time derivative of wedge level s at t."""
-        return self._levels(t)[f"wedge_level_{s}"][1]
+        return self._levels(t)[0][f"wedge_level_{s}"][1]
 
     def level_offset(self, s: int, t: float) -> np.ndarray:
         """Offset of wedge level s, or of the kernel level for s = 0: A times
         the time derivative of the chain and wedge parts of level s + 1."""
-        return self.rc.dae.pencil.a @ self._order_term(s + 1, self._levels(t))
+        levels, _ = self._levels(t)
+        return self.rc.dae.pencil.a @ self._order_term(s + 1, levels)
 
     # -- assembled pieces --------------------------------------------------------
     def eta_2sigma(self, t: float) -> np.ndarray:
-        """The chain and wedge parts of the state at t."""
-        rc = self.rc
-        levels = self._levels(t)
-        return sum((rc.levels[label].lift(c)
-                    for label, (c, _) in levels.items()),
-                   np.zeros(rc.dae.pencil.n_dim))
+        """The chain and wedge parts of the state at t, summed by `_pass`."""
+        return self._levels(t)[1]
 
     def algebraic_parts(self, t: float) -> dict:
         """The algebraic part eta_2sigma of the state and the offset d_vec of

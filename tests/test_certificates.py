@@ -460,6 +460,7 @@ def cubic_trajectory(x1_init=0.8, norm_cap=1e3):
     return dataclasses.replace(traj, times=traj.times[keep],
                                states=traj.states[keep],
                                w_states=traj.w_states[keep],
+                               w_norms=traj.w_norms[keep],
                                residuals=traj.residuals[keep]), pb
 
 

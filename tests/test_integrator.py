@@ -9,9 +9,10 @@ from daekit import (InconsistentInitialValue, IntegrationOptions,
                     NonlinearField, StructureTag, TrajectoryInternals,
                     classify_termination, integrate_cascade,
                     integrate_first, reduce_cascade, reduce_first)
-from daekit.integrate import _rate_fit
-from daekit.problems import (_FIXTURES, load_builtin, make_dae,
-                             reference_solution)
+from daekit._linalg import norm2
+from daekit.integrate import _escape_estimate, _rate_fit
+from daekit.problems import (_FIXTURES, builtin_names, load_builtin,
+                             make_dae, reference_solution)
 from test_reduction import misdeclared_index2
 
 
@@ -448,6 +449,17 @@ def test_rate_fit_rejects_degenerate_triples(times, norms):
     assert _rate_fit(times, norms) is None
 
 
+def test_escape_estimate_reads_the_last_falling_pair():
+    # the reciprocal norms 1, 1/2, 1/4, 1/4 fall along the first two pairs
+    # only: the secant through the second, (1, 1/2) to (2, 1/4), meets
+    # zero at t = 3 (through the first it would be t = 2)
+    assert _escape_estimate([0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 4.0, 4.0]) == 3.0
+    # only the last six points count: a pair that falls before them does
+    # not, and with none falling the estimate is the last time
+    assert _escape_estimate([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+                            [1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0]) == 6.0
+
+
 def test_classifier_unit():
     internals = TrajectoryInternals(IntegrationOptions(
         h_min=1e-10, blowup_norm_cap=10.0, blowup_window=3))
@@ -723,3 +735,18 @@ def test_stage_sums_match_the_builtin_sum_bit_for_bit():
             for i, coefs in enumerate((*_A[1:], _E), start=1):
                 ref = sum(c * k for c, k in zip(coefs, ks))
                 assert _stage_sum(buf, i).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_w_norms_are_the_norms_of_the_recorded_w(name):
+    # |w| is computed once, by the step loop for the escape test; the
+    # trajectory writers read it from there.  The cascade route runs where
+    # it admits the field
+    pb = load_builtin(name)
+    runs = [(reduce_first(pb.dae), integrate_first)]
+    if pb.dae.structured or pb.dae.projectors.nu < 2:
+        runs.append((reduce_cascade(pb.dae, waive_structure_check=True),
+                     integrate_cascade))
+    for red, integrate in runs:
+        traj = integrate(red, pb.options.t0, pb.x_guess, pb.options)
+        assert traj.w_norms.tolist() == [norm2(w) for w in traj.w_states]

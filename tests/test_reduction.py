@@ -212,6 +212,38 @@ def test_structure_rule_at_index_four(tag):
                 assert check_structure(tampered).passed, (kind, s, read, r)
 
 
+@pytest.mark.parametrize("tag", [StructureTag.STRUCTURED,
+                                 StructureTag.STRUCTURED_VARIANT])
+def test_eta_is_the_sum_of_the_lifted_level_values(tag):
+    # eta is summed once, by the pass that solves the levels: it has the
+    # bits of the lifts of the chain and wedge coordinates added in the
+    # table's order.  The field reads no state, so it has either structure
+    ws = random_weierstrass(11, 11, [4, 3, 2])
+    g = np.random.default_rng(3).standard_normal(11)
+    dae = make_dae(ws.pencil.a, ws.pencil.b, NonlinearField(
+        eval=lambda t, x: np.sin(t + g), structure_tag=tag))
+    rc = reduce_cascade(dae)
+    ev = rc.make_state()
+    for t in (0.0, 0.3, 1.7):
+        parts = ev.algebraic_parts(t)
+        values = ev.chain_values(t)["values"]
+        eta = np.zeros(11)
+        for label, blk in rc.levels.items():
+            if label == "kernel_level":
+                continue
+            if blk.order is None:  # a chain level, one or more orders fused
+                c = np.zeros(blk.dim)
+                for s, (top, _) in rc.parts.items():
+                    if top is not None and top[0] == label:
+                        c[top[1]] = values[s]
+            else:
+                c = ev.wedge_value(blk.order, t)
+            eta = eta + blk.lift(c)
+        assert np.abs(eta).max() > 0.1
+        assert parts["eta_2sigma"].tobytes() == eta.tobytes()
+        assert parts["d_vec"].tobytes() == ev.level_offset(0, t).tobytes()
+
+
 def test_cascade_chain_level_closed_form():
     # the top level solves x3 = gamma*x3 + g(t), a scalar linear equation
     pb = load_builtin("index2_structured")
@@ -322,7 +354,8 @@ def test_level_residuals_vanish_on_the_manifold(name, labels):
     assert list(res) == labels
     assert max(res.values()) <= 1e-12
     # moving the kernel component off its solution shows in its own row
-    moved = rc.level_residuals(0.4, x0 + 0.1 * rc.kernel.phi[:, 0])
+    moved = rc.level_residuals(
+        0.4, x0 + 0.1 * rc.levels["kernel_level"].phi[:, 0])
     assert moved["kernel_level"] >= 1e-3
 
 
