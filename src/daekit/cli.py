@@ -13,6 +13,7 @@ import functools
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +45,76 @@ def _load(spec: str) -> LoadedProblem:
     return problem
 
 
+_INF = float("inf")
+
+
+class _NotPlain(Exception):
+    """A value `_emit` does not write: json.dumps decides what it becomes."""
+
+
+def _emit(o, nl: str, out: list) -> None:
+    """Append to out the text of o in the layout of json.dumps(o, indent=2,
+    sort_keys=True), for nl the newline and indentation of o's own line.
+    Types are tested in json's order, and each is written by the function
+    json's encoder calls on it; a key that is not a str, or a value that is
+    none of str, None, bool, int, float, list, tuple or dict, raises
+    _NotPlain."""
+    if isinstance(o, str):
+        out.append(_escape(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append("NaN" if o != o else "Infinity" if o == _INF
+                   else "-Infinity" if o == -_INF else float.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _emit(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        if not all(isinstance(k, str) for k in o):
+            raise _NotPlain
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(o):
+            out.append(sep + _escape(k) + ": ")
+            _emit(o[k], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise _NotPlain
+
+
 def _dump_json(data: dict, path: Path) -> None:
+    """Write data as json.dump(data, fh, indent=2, sort_keys=True) and a
+    newline would, byte for byte, in one write once the whole text is
+    built.  Where `_emit` cannot write data (a value json rejects, a key
+    json converts, a reference cycle), json.dumps builds the text, or
+    raises its own error before the file is opened."""
+    out = []
+    try:
+        _emit(data, "\n", out)
+        text = "".join(out)
+    except (_NotPlain, RecursionError):
+        text = json.dumps(data, indent=2, sort_keys=True)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _apply_overrides(problem: LoadedProblem, args) -> None:

@@ -89,6 +89,13 @@ def _time_derivative(g: Callable, t: float):
     return (g(t + h) - g(t - h)) / (2.0 * h)
 
 
+def _fd_steps(y: np.ndarray) -> np.ndarray:
+    """The central-difference step of `fd_jacobian` at each entry of y (of
+    any shape): _FD_REL_STEP * max(1, |y_k|), a NaN entry taking step
+    _FD_REL_STEP."""
+    return _FD_REL_STEP * np.fmax(1.0, np.abs(y))
+
+
 def fd_jacobian(fun: Callable, y: np.ndarray, f0: np.ndarray | None = None
                 ) -> np.ndarray:
     """Central-difference Jacobian of fun at y."""
@@ -98,8 +105,7 @@ def fd_jacobian(fun: Callable, y: np.ndarray, f0: np.ndarray | None = None
         f0 = _vec(fun(y))
     m = f0.size
     jac = np.empty((m, n))
-    for k in range(n):
-        h = _FD_REL_STEP * max(1.0, abs(y[k]))
+    for k, h in enumerate(_fd_steps(y).tolist()):
         yp = y.copy(); yp[k] += h
         ym = y.copy(); ym[k] -= h
         jac[:, k] = (_vec(fun(yp)) - _vec(fun(ym))) / (2.0 * h)

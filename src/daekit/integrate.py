@@ -297,9 +297,14 @@ def _rms(r) -> float:
 
 def _initial_step(y0, f0, opts: IntegrationOptions) -> float:
     sc = opts.atol + opts.rtol * np.abs(y0)
-    d0 = _rms(y0 / sc)
-    d1 = _rms(f0 / sc)
+    # below rtol ~ 1e-155 both scaled norms overflow and their quotient is
+    # NaN, which no step floor catches: such a start takes the 1e-6 step
+    with np.errstate(over="ignore"):
+        d0 = _rms(y0 / sc)
+        d1 = _rms(f0 / sc)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if not math.isfinite(h0):
+        h0 = 1e-6
     return float(min(max(h0, opts.h_min), opts.step_bound,
                      opts.t_max - opts.t0))
 

@@ -20,6 +20,7 @@ from daekit.certificates import CONVERGES, DIVERGES, INCONCLUSIVE, PASS, \
     UNDECIDED, VIOLATED
 from daekit.cli import run
 from daekit.errors import ConstraintSolveFailure
+from daekit.implicit import _fd_mismatch
 from daekit.problems import load_builtin, load_problem_dict
 
 
@@ -434,10 +435,70 @@ def test_tie_breaking_is_lowest_index():
 
 def test_gradient_validation_catches_mismatch():
     bad = LyapunovSpec(components=[LyapunovComponent(
-        eval=lambda w: float(np.dot(w, w)),
+        eval=lambda w: np.sum(w * w, axis=0),
         gradient=lambda w: 3.0 * np.asarray(w))])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gradient mismatch"):
         bad.validate([np.array([1.0, 2.0])])
+
+
+def _validate_one_point(spec: LyapunovSpec, points) -> float:
+    """The gradient check one point and one coordinate at a time, with
+    `fd_jacobian`: the reference of LyapunovSpec.validate."""
+    for k, comp in enumerate(spec.components):
+        if any(float(comp.eval(w)) < -1e-12 for w in points):
+            raise ValueError(f"component {k} negative at sampled point")
+    worst = _fd_mismatch(
+        (lambda z, c=comp: np.atleast_1d(c.eval(z)),
+         np.atleast_2d(np.asarray(comp.gradient(w), dtype=float)), w)
+        for w in points for comp in spec.components)
+    if worst > certificates._GRAD_RTOL:
+        raise ValueError(f"gradient mismatch {worst:.3e}")
+    return worst
+
+
+def _squared_norm():
+    return problems._LYAPUNOV_REGISTRY["squared_norm"]({})
+
+
+def _gradient_cases():
+    rng = np.random.default_rng(39)
+    sq = _squared_norm()
+    shifted = LyapunovComponent(
+        eval=sq.eval, gradient=lambda w: sq.gradient(w) + 1e-3)
+    below_one = LyapunovComponent(
+        eval=lambda w: sq.eval(w) - 1.0, gradient=sq.gradient)
+    quartic = LyapunovComponent(
+        eval=lambda w: sq.eval(w) ** 2,
+        gradient=lambda w: 2.0 * sq.eval(w) * sq.gradient(w))
+    # NaN far out, where the one-point check passes a point over
+    nan_far = LyapunovComponent(
+        eval=lambda w: np.where(sq.eval(w) > 1e3, np.nan, sq.eval(w)),
+        gradient=shifted.gradient)
+    for n in (1, 2, 3):
+        points = list(rng.standard_normal((3, n)) * [[0.5], [3.0], [40.0]])
+        far = [2.0 + p for p in points]
+        yield [sq], points
+        yield [sq, quartic], far
+        # a gradient off by 1e-3, and a component negative at one point
+        yield [sq, shifted], points
+        yield [below_one], [far[0], 0.1 * points[0], far[2]]
+        yield [nan_far], [points[0], 100.0 + points[1], points[2]]
+        yield [nan_far], [100.0 + p for p in points]
+
+
+@pytest.mark.parametrize("k, case", enumerate(_gradient_cases()))
+def test_stacked_gradient_check_decides_as_the_one_point_check(k, case):
+    components, points = case
+    spec = LyapunovSpec(components=components)
+    try:
+        expected = _validate_one_point(spec, points)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            spec.validate(points)
+        assert str(err.value).split()[:2] == str(exc).split()[:2]
+        return
+    assert spec.validate(points) == pytest.approx(expected, rel=1e-9,
+                                                  abs=1e-15)
 
 
 def test_kind_mismatch_rejected():

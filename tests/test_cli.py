@@ -12,7 +12,7 @@ import pytest
 import daekit
 from daekit import certificates, cli
 from daekit.cli import run
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from daekit.problems import LoadedProblem, load_builtin
 from test_problems import (_VALID_DOCUMENTS, BAD_INPUTS, NAN_START,
@@ -699,3 +699,77 @@ def test_problem_name_of_one_component_is_kept(tmp_path):
     out = tmp_path / "out"
     assert run(["analyze", str(path), "--out", str(out)]) == 0
     assert _files_under(tmp_path) == {path, out / f"{name}_analysis.json"}
+
+
+# floats that json writes in a way of its own, or at the edges of repr
+_EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324,
+                2.2250738585072014e-308, 1e16, 1e-7, 1e22, 0.1,
+                1.7976931348623157e308, np.float64(0.1), np.float64("nan"),
+                np.float64(-1e300)]
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2 ** 64, max_value=2 ** 300),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats().map(np.float64), st.sampled_from(_EDGE_FLOATS),
+    st.text(), st.sampled_from(['"quoted" \\ back', "\x00\x1f\t\n\x7f",
+                                "caf\u00e9 \u2603 \U0001d11e \ud800"]))
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=6), inner,
+                                            max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.text(max_size=6), _JSON_DOCUMENTS, max_size=5))
+def test_dump_json_writes_the_text_of_json_dumps(tmp_path_factory, data):
+    # the one-pass writer and json's own encoder, byte for byte
+    path = tmp_path_factory.mktemp("dump") / "doc.json"
+    cli._dump_json(data, path)
+    assert path.read_bytes() == (
+        json.dumps(data, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_dump_json_defers_to_json_where_it_cannot_write(tmp_path):
+    # json writes non-str keys as strings, sorted as they were
+    data = {"a": [{2: "b", 1.5: "a"}]}
+    cli._dump_json(data, tmp_path / "doc.json")
+    assert (tmp_path / "doc.json").read_text() == json.dumps(
+        data, indent=2, sort_keys=True) + "\n"
+    # and a reference cycle is json's ValueError, raised before the file
+    data["a"].append(data)
+    with pytest.raises(ValueError, match="Circular reference"):
+        cli._dump_json(data, tmp_path / "cycle.json")
+    assert not (tmp_path / "cycle.json").exists()
+
+
+@pytest.mark.parametrize("value", [np.int64(3), {1.0, 2.0}])
+def test_dump_json_raises_jsons_type_error_before_writing(tmp_path, value):
+    data = {"a": [0.5, {"b": value}]}
+    with pytest.raises(TypeError) as err:
+        json.dumps(data, indent=2, sort_keys=True)
+    path = tmp_path / "out" / "doc.json"
+    with pytest.raises(TypeError) as ours:
+        cli._dump_json(data, path)
+    assert str(ours.value) == str(err.value)
+    assert not path.exists()
+
+
+def test_tiny_tolerance_ends_classified_without_a_warning(tmp_path):
+    # at rtol 1e-300 the start's scaled norms overflowed, its first step
+    # was NaN, and the step loop ran forever
+    src = str(Path(daekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        entry for entry in (src, os.environ.get("PYTHONPATH")) if entry))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "daekit",
+         "simulate", "index1_blowup", "--tol", "1e-300", "--format", "json",
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    traj = json.loads((tmp_path / "index1_blowup_trajectory.json").read_text())
+    assert traj["termination"]["kind"] == "step_collapse"
+    assert traj["stats"]["nfev"] <= 100

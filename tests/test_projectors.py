@@ -1,3 +1,4 @@
+import math
 import warnings
 from collections import Counter
 
@@ -10,8 +11,9 @@ from daekit import (InvariantViolation, Pencil, build_chains,
 from daekit._linalg import rel_residual
 from daekit.config import DEFAULT_TOLERANCES as TOL
 from daekit.pencil import DualSystem
-from daekit.problems import load_problem_dict, random_weierstrass
-from daekit.projectors import build_all
+from daekit.problems import (builtin_names, load_builtin, load_problem_dict,
+                             random_weierstrass)
+from daekit.projectors import build_all, verify_projectors
 
 from conftest import subspace_gap
 
@@ -242,6 +244,80 @@ def test_rel_residual_of_large_entries_does_not_overflow():
         warnings.simplefilter("error")
         r = rel_residual(lhs, lhs - 5e153)
     assert abs(r - 0.05) <= 1e-12
+
+
+def _rel_residual_reference(lhs, rhs):
+    """rel_residual as written on `np.linalg.norm`, with both largest
+    entries looked up: the oracle of its shorter form."""
+    big = max(float(np.abs(lhs).max(initial=0.0)),
+              float(np.abs(rhs).max(initial=0.0)))
+    floor = 1.0
+    if big > 2.0 ** 500:
+        floor = math.ldexp(1.0, -math.frexp(big)[1])
+        lhs, rhs = lhs * floor, rhs * floor
+    num = float(np.linalg.norm(lhs - rhs))
+    den = max(floor, float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
+    return num / den
+
+
+def _residual_cases():
+    rng = np.random.default_rng(39)
+    for shape in [(3, 3), (7, 5), (64, 64), (4,), (0, 4), (1, 1)]:
+        a = rng.standard_normal(shape)
+        b = a + 1e-9 * rng.standard_normal(shape)
+        yield a, b
+        yield a.T, b.T                              # Fortran order
+        yield a, np.zeros_like(a)
+        yield np.zeros_like(a), np.zeros_like(a)
+        yield a * 1e151, b * 1e151                  # entries above 2**500
+        yield a * 1e160, b * 1e160                  # squares overflow
+        yield a + 1j * b, b - 2j * a                # complex
+    a = rng.standard_normal((6, 8))
+    b = a + 1e-3
+    yield a[::2, ::3], b[1::2, ::3]                 # strided views
+    yield a, b.T.copy().T                           # mixed layouts
+    # squared norms at the 2**1000 bound and just past it
+    yield np.array([[2.0 ** 500]]), np.array([[2.0 ** 500 - 2.0 ** 450]])
+    yield np.array([[2.0 ** 500 * (1.0 + 2.0 ** -52)]]), np.array([[1.0]])
+    yield np.array([[2.0 ** 500, 1.0]]), np.array([[1.0, 0.0]])
+    yield np.array([[2.0 ** 499, 2.0 ** 499]]), np.array([[0.5, 0.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        c = a.copy()
+        c[2, 3] = bad
+        yield c, a
+        yield a, c
+        yield c, c
+
+
+@pytest.mark.parametrize("k, case", enumerate(_residual_cases()))
+def test_rel_residual_matches_the_norm_formula_bit_for_bit(k, case):
+    lhs, rhs = case
+    out = {}
+    for name, fun in (("ours", rel_residual),
+                      ("reference", _rel_residual_reference)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = fun(lhs, rhs)
+        out[name] = (np.float64(value).tobytes(),
+                     [str(w.message) for w in caught])
+    assert out["ours"] == out["reference"]
+
+
+def _verify_with_reference(ps, pencil, monkeypatch) -> dict:
+    with monkeypatch.context() as m:
+        m.setattr(daekit.projectors, "rel_residual", _rel_residual_reference)
+        return verify_projectors(ps, pencil)
+
+
+def test_verification_residuals_equal_the_norm_formulas(monkeypatch):
+    # every bundled fixture and the benchmark's seeded pair shapes
+    pairs = [(pb.dae.projectors, pb.dae.pencil)
+             for pb in map(load_builtin, builtin_names())]
+    for ws in benchmark_shaped_pairs():
+        pairs.append((build_all(ws.pencil)[2], ws.pencil))
+    for ps, pencil in pairs:
+        ours = verify_projectors(ps, pencil)
+        assert ours == _verify_with_reference(ps, pencil, monkeypatch)
 
 
 def test_tiny_b_pair_loads_without_overflow():
