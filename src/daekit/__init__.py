@@ -23,7 +23,6 @@ from .reduction import (NonlinearField, ReducedCascade, ReducedFirst,
                         SemilinearDAE, StructureReport, StructureTag,
                         check_structure, reduce_cascade, reduce_first)
 from .integrate import (IntegrationOptions, TerminationReason, Trajectory,
-                        TrajectoryInternals, classify_termination,
                         integrate_cascade, integrate_first)
 from .certificates import (CertificateReport, ComparisonSpec,
                            LyapunovComponent, LyapunovSpec, MonitorReport,

@@ -11,15 +11,14 @@ from typing import Callable
 
 import numpy as np
 
-from ._linalg import norm2
+from ._linalg import _EPS, norm2
 from .config import DEFAULT_TOLERANCES as TOL
 from .errors import ConstraintSolveFailure, NoConvergence, SingularJacobian
 from .implicit import JacobianCache
 from .reduction import ReducedCascade, ReducedFirst
 
 __all__ = ["IntegrationOptions", "Trajectory", "TerminationReason",
-           "TrajectoryInternals", "integrate_first", "integrate_cascade",
-           "classify_termination"]
+           "integrate_first", "integrate_cascade"]
 
 # The rate fit past the cap: alpha is searched below _RATE_MAX, and the
 # escape is called once the fits through the triples ending at the last
@@ -28,6 +27,9 @@ __all__ = ["IntegrationOptions", "Trajectory", "TerminationReason",
 # fits difference the recorded norms twice.
 _RATE_MAX = 20.0
 _RATE_FIT_RTOL = 1e-6
+# No step meets a relative error below 100 unit roundoffs, where scipy's
+# solve_ivp clamps rtol; IntegrationOptions refuses a smaller one.
+_RTOL_MIN = 100 * _EPS
 
 
 @dataclass
@@ -54,9 +56,15 @@ class IntegrationOptions:
             raise ValueError("t_max must exceed t0")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.rtol < _RTOL_MIN:
+            raise ValueError(f"rtol must be at least {_RTOL_MIN:.3g}, "
+                             f"got {self.rtol:g}")
         if self.h_min <= 0:
             raise ValueError("h_min must be positive")
-        # below one, escaping() checks no growth and reads the cap alone
+        # the step loop takes no step on a horizon shorter than its floor
+        if self.t_max - self.t0 < self.h_min:
+            raise ValueError("t_max - t0 must be at least h_min")
+        # below one, _escaping() checks no growth and reads the cap alone
         if self.blowup_window < 1:
             raise ValueError("blowup_window must be at least 1")
         # a step bound below the floor would clamp every step to h_min
@@ -89,50 +97,6 @@ class TerminationReason:
             if val not in (None, ""):
                 out[key] = val
         return out
-
-
-@dataclass
-class TrajectoryInternals:
-    """Per-step record of the accepted points of a run under `opts`, read by
-    the termination classifier; `nonfinite` marks a run ended at the floor
-    by a step that left the representable range, `rate_fit` the (alpha,
-    T*) of a run ended by a converged rate fit past the cap."""
-
-    opts: IntegrationOptions
-    times: list = dc_field(default_factory=list)
-    norms: list = dc_field(default_factory=list)
-    steps: list = dc_field(default_factory=list)
-    reached_t_max: bool = False
-    nonfinite: bool = False
-    failure: tuple | None = None  # (t, level, message)
-    rate_fit: tuple | None = None  # (alpha, t_escape)
-    stats: dict = dc_field(default_factory=dict)  # nfev, accepted, rejected
-
-    def escaping(self) -> bool:
-        """The tracked norm exceeded the cap and grew monotonically over the
-        configured window of accepted steps; an overflow at the floor counts
-        as one more step to an infinite norm."""
-        w = self.opts.blowup_window
-        norms = self.norms[-(w + 1 - self.nonfinite):] \
-            + [math.inf] * self.nonfinite
-        return (len(norms) == w + 1 and norms[-1] > self.opts.blowup_norm_cap
-                and all(a < b for a, b in zip(norms, norms[1:])))
-
-    def converged_fit(self) -> tuple | None:
-        """The last (alpha, T*) of the rate fits through the triples ending
-        at the window's points, where all of them are found, agree with it
-        within _RATE_FIT_RTOL (T* relative to T* - t0), and put the escape
-        at most t_max within that tolerance; else None."""
-        opts, n = self.opts, len(self.norms)
-        fits = [_rate_fit(self.times[k - 3:k], self.norms[k - 3:k])
-                for k in range(max(3, n - opts.blowup_window + 1), n + 1)]
-        if len(fits) < opts.blowup_window or None in fits:
-            return None
-        alpha, t_escape = fits[-1]
-        tol = _RATE_FIT_RTOL * (t_escape - self.times[0])
-        agree = all(abs(a - alpha) <= _RATE_FIT_RTOL * alpha
-                    and abs(t - t_escape) <= tol for a, t in fits)
-        return fits[-1] if agree and t_escape - opts.t_max <= tol else None
 
 
 @dataclass
@@ -216,44 +180,39 @@ def _rate_fit(times, norms) -> tuple | None:
     return 1.0 / mid, t3 + (t3 - t2) * math.exp(-_log_expm1(mid * l2))
 
 
-def classify_termination(internals: TrajectoryInternals) -> TerminationReason:
-    """Label the end of an integration from its per-step record.
+def _escaping(norms, opts: IntegrationOptions) -> bool:
+    """The tracked norm exceeded the cap and grew monotonically over the
+    configured window of accepted steps."""
+    w = opts.blowup_window
+    norms = norms[-(w + 1):]
+    return (len(norms) == w + 1 and norms[-1] > opts.blowup_norm_cap
+            and all(a < b for a, b in zip(norms, norms[1:])))
 
-    A suspected finite-time escape needs the tracked norm above the cap
-    and growing monotonically over the configured window of accepted
-    steps, and one of two endings: the rate fits past the cap converged
-    (their rate and escape time are reported), or the step size was
-    driven to its floor (or the state left the representable range while
-    growing), where the escape time is extrapolated from the last points.
-    """
-    if internals.failure is not None:
-        t, level, msg = internals.failure
-        return TerminationReason(kind="constraint_solve_failure", t=t,
-                                 level=level, detail=msg)
-    if internals.reached_t_max:
-        return TerminationReason(kind="reached_tmax",
-                                 t=internals.times[-1] if internals.times else None)
-    norms = internals.norms
-    if internals.rate_fit is not None:
-        alpha, t_escape = internals.rate_fit
-        return TerminationReason(
-            kind="blowup_suspected", t_escape_estimate=t_escape,
-            blowup_rate=alpha, final_norm=float(norms[-1]),
-            t=float(internals.times[-1]))
-    floored = (bool(internals.steps)
-               and internals.steps[-1] <= internals.opts.h_min * (1 + 1e-9))
-    overflow = "state left the representable range" \
-        if internals.nonfinite else ""
-    if internals.escaping() and (floored or internals.nonfinite):
-        return TerminationReason(
-            kind="blowup_suspected",
-            t_escape_estimate=_escape_estimate(internals.times, norms),
-            final_norm=float(norms[-1]),
-            t=float(internals.times[-1]), detail=overflow)
-    t_last = float(internals.times[-1]) if internals.times else None
+
+def _converged_fit(times, norms, opts: IntegrationOptions) -> tuple | None:
+    """The last (alpha, T*) of the rate fits through the triples ending at
+    the window's points, where all of them are found, agree with it within
+    _RATE_FIT_RTOL (T* relative to T* - t0), and put the escape at most
+    t_max within that tolerance; else None."""
+    n = len(norms)
+    fits = [_rate_fit(times[k - 3:k], norms[k - 3:k])
+            for k in range(max(3, n - opts.blowup_window + 1), n + 1)]
+    if len(fits) < opts.blowup_window or None in fits:
+        return None
+    alpha, t_escape = fits[-1]
+    tol = _RATE_FIT_RTOL * (t_escape - times[0])
+    agree = all(abs(a - alpha) <= _RATE_FIT_RTOL * alpha
+                and abs(t - t_escape) <= tol for a, t in fits)
+    return fits[-1] if agree and t_escape - opts.t_max <= tol else None
+
+
+def _floor_escape(times, norms, detail="") -> TerminationReason:
+    """A suspected escape ended at the step floor: its time extrapolated
+    from the last accepted points, and no rate."""
     return TerminationReason(
-        kind="step_collapse", t=t_last,
-        detail=overflow or "step size collapsed without norm growth")
+        kind="blowup_suspected",
+        t_escape_estimate=_escape_estimate(times, norms),
+        final_norm=norms[-1], t=times[-1], detail=detail)
 
 
 # Dormand-Prince 5(4) coefficients, as Python floats
@@ -297,14 +256,14 @@ def _rms(r) -> float:
 
 def _initial_step(y0, f0, opts: IntegrationOptions) -> float:
     sc = opts.atol + opts.rtol * np.abs(y0)
-    # below rtol ~ 1e-155 both scaled norms overflow and their quotient is
-    # NaN, which no step floor catches: such a start takes the 1e-6 step
+    # |y0| / sc is at most about 1 / rtol: d0 is finite, or NaN for an
+    # infinite y0.  A tiny atol may overflow f0 / sc, and an infinite d1
+    # gives the step h_min.  A NaN norm (or drift) fails both comparisons
+    # and takes the 1e-6 step: a NaN step would never end the loop
     with np.errstate(over="ignore"):
         d0 = _rms(y0 / sc)
         d1 = _rms(f0 / sc)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    if not math.isfinite(h0):
-        h0 = 1e-6
+    h0 = 0.01 * d0 / d1 if d0 >= 1e-5 and d1 >= 1e-5 else 1e-6
     return float(min(max(h0, opts.h_min), opts.step_bound,
                      opts.t_max - opts.t0))
 
@@ -314,8 +273,8 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
     """Integrate w' = dw for (dw, x) = solve(t, w, x_accepted) by the
     embedded Dormand-Prince 5(4) pair with PI step control and a
     forced-accept floor.  Past the escape cap, each accepted step fits a
-    blow-up rate, and the run stops once the fits converge (see
-    classify_termination).
+    blow-up rate, and the run stops once the fits converge.  The loop
+    builds the TerminationReason at the place it stops.
 
     x_accepted is the state of the last accepted point, None at t0, for a
     solve that retries from it.  Each accepted point records w, the
@@ -329,8 +288,7 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
     buf = np.zeros((8, y.size))  # the stage buffer of _stage_sum
     buf[1], x = solve(t, y, None)
     nfev = 1
-    rec = TrajectoryInternals(opts=opts, times=[float(t0)],
-                              norms=[norm2(y)], steps=[0.0])
+    times, norms = [float(t0)], [norm2(y)]
     ws, states, residuals = [y], [x], [residual(t, x)]
 
     def f(tt, yy):
@@ -372,11 +330,20 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
             # left the representable range: overflow of the dynamics, not
             # failure of the solvability hypotheses
             if at_floor and not _nonfinite_cause(exc):
-                rec.failure = (exc.t, exc.level, str(exc.cause))
+                termination = TerminationReason(
+                    kind="constraint_solve_failure", t=exc.t,
+                    level=exc.level, detail=str(exc.cause))
                 break
         if bad:
             if at_floor:
-                rec.nonfinite = True
+                # the step to an infinite norm counts as one more point of
+                # the window, though no accepted point records it
+                overflow = "state left the representable range"
+                if _escaping(norms + [math.inf], opts):
+                    termination = _floor_escape(times, norms, overflow)
+                else:
+                    termination = TerminationReason(
+                        kind="step_collapse", t=times[-1], detail=overflow)
                 break
             h = max(h * 0.25, opts.h_min)
             rejected += 1
@@ -389,17 +356,27 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
             buf[1] = buf[7]
             accepted += 1
             # x is still the last stage's: no solve ran after it
-            rec.times.append(float(t))
-            rec.steps.append(float(h))
-            rec.norms.append(norm2(y))
+            times.append(float(t))
+            norms.append(norm2(y))
             ws.append(y)
             states.append(x)
             residuals.append(residual(t, x))
-            if rec.escaping():
-                rec.rate_fit = rec.converged_fit()
-                if rec.rate_fit is not None or at_floor:
+            if _escaping(norms, opts):
+                fit = _converged_fit(times, norms, opts)
+                if fit is not None:
+                    termination = TerminationReason(
+                        kind="blowup_suspected", t_escape_estimate=fit[1],
+                        blowup_rate=fit[0], final_norm=norms[-1],
+                        t=times[-1])
                     break
+                if at_floor:
+                    termination = _floor_escape(times, norms)
+                    break
+            # a forced step is at the floor, where an escaping run stopped
             if consecutive_forced > max(50, 3 * opts.blowup_window):
+                termination = TerminationReason(
+                    kind="step_collapse", t=times[-1],
+                    detail="step size collapsed without norm growth")
                 break
             fac = 0.9 * err ** (-0.14) * err_prev ** 0.08 if err > 0 else 5.0
             fac = min(5.0, max(0.2, fac))
@@ -411,18 +388,18 @@ def _run(t0, w0, opts: IntegrationOptions, solve: Callable,
             rejected += 1
             h = h * min(1.0, max(0.2, 0.9 * err ** (-0.2)))
     else:
-        rec.reached_t_max = True
-    rec.stats = {"nfev": nfev, "accepted": accepted, "rejected": rejected}
-    termination = classify_termination(rec)
+        termination = TerminationReason(kind="reached_tmax", t=times[-1])
     residuals = np.asarray(residuals)
     over = np.flatnonzero(residuals > TOL.traj)
     if over.size:
         termination = replace(termination, residual_exceeded={
-            "t": rec.times[over[0]], "worst": float(residuals[over].max())})
-    return Trajectory(times=np.asarray(rec.times),
+            "t": times[over[0]], "worst": float(residuals[over].max())})
+    return Trajectory(times=np.asarray(times),
                       states=np.vstack(states), w_states=np.vstack(ws),
-                      w_norms=np.asarray(rec.norms), residuals=residuals,
-                      termination=termination, stats=rec.stats)
+                      w_norms=np.asarray(norms), residuals=residuals,
+                      termination=termination,
+                      stats={"nfev": nfev, "accepted": accepted,
+                             "rejected": rejected})
 
 
 def integrate_first(reduced: ReducedFirst, t0: float, x_guess,

@@ -605,6 +605,21 @@ def test_infinite_horizon_exit_two(tmp_path, capsys, monkeypatch, command):
            "be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("flags, message", [
+    # the step loop would take no step, and write t0 alone as reached_tmax
+    (["--tmax", "1e-12"], "t_max - t0 must be at least h_min"),
+    # an rtol no step can meet, at which a run took ever more points
+    (["--tol", "1e-20"], "rtol must be at least 2.22e-14, got 1e-20")])
+def test_unmeetable_override_exit_two(tmp_path, capsys, monkeypatch, command,
+                                      flags, message):
+    monkeypatch.setattr(cli, "_simulate_once", _must_not_integrate)
+    assert run([command, "index1_blowup", *flags,
+                "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: DaekitError: invalid --tmax/--tol override: {message}\n")
+
+
 def varying_jacobian_problem(starts) -> dict:
     # the constraint row reads x2 = x1^3 and the kernel is spanned by
     # (1, -1), so the kernel-level Jacobian changes along a run: LU factors
@@ -759,7 +774,8 @@ def test_dump_json_raises_jsons_type_error_before_writing(tmp_path, value):
 
 def test_tiny_tolerance_ends_classified_without_a_warning(tmp_path):
     # at rtol 1e-300 the start's scaled norms overflowed, its first step
-    # was NaN, and the step loop ran forever
+    # was NaN, and the step loop ran forever.  No step can meet such an
+    # rtol, so it is refused before the run starts
     src = str(Path(daekit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         entry for entry in (src, os.environ.get("PYTHONPATH")) if entry))
@@ -768,8 +784,9 @@ def test_tiny_tolerance_ends_classified_without_a_warning(tmp_path):
          "simulate", "index1_blowup", "--tol", "1e-300", "--format", "json",
          "--out", str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 2, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
-    traj = json.loads((tmp_path / "index1_blowup_trajectory.json").read_text())
-    assert traj["termination"]["kind"] == "step_collapse"
-    assert traj["stats"]["nfev"] <= 100
+    assert proc.stderr.splitlines() == [
+        "error: DaekitError: invalid --tmax/--tol override: rtol must be at "
+        "least 2.22e-14, got 1e-300"]
+    assert not any(tmp_path.iterdir())

@@ -1,16 +1,16 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from daekit import (InconsistentInitialValue, IntegrationOptions,
-                    NonlinearField, StructureTag, TrajectoryInternals,
-                    classify_termination, integrate_cascade,
+                    NonlinearField, StructureTag, integrate_cascade,
                     integrate_first, reduce_cascade, reduce_first)
 from daekit._linalg import norm2
-from daekit.integrate import _escape_estimate, _rate_fit
+from daekit.integrate import _converged_fit, _escape_estimate, _rate_fit
 from daekit.problems import (_FIXTURES, builtin_names, load_builtin,
                              make_dae, reference_solution)
 from test_reduction import misdeclared_index2
@@ -280,6 +280,10 @@ _ENDINGS = {
                           IntegrationOptions(t_max=2.0,
                                              blowup_norm_cap=1e120)),
                  "blowup_suspected"),
+    # x' = 1e200 from 0: every step leaves the representable range, down
+    # to the floor, while |w| stays 0
+    "overflow without growth": (lambda: _scalar(lambda t, x: 1e200, 0.0, 1.0),
+                                "step_collapse"),
     "step collapse": (_unresolvable, "step_collapse"),
     "solve failure after t0": (_chain_singular_at_half,
                                "constraint_solve_failure"),
@@ -295,6 +299,42 @@ def test_trajectory_arrays_hold_one_row_per_accepted_point(ending, approach):
     rows = traj.stats["accepted"] + 1
     assert (traj.times.shape[0] == traj.states.shape[0]
             == traj.w_states.shape[0] == traj.residuals.shape[0] == rows)
+
+
+@pytest.mark.parametrize("approach", ["first", "cascade"])
+def test_overflow_without_growth_is_a_step_collapse(approach):
+    # no window of growth to extrapolate an escape from: the overflow at
+    # the floor is named, at the start, after seven shrinking rejections
+    build, _ = _ENDINGS["overflow without growth"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = _integrate(*build(), approach)
+    assert traj.termination.to_dict() == {
+        "kind": "step_collapse", "t": 0.0,
+        "detail": "state left the representable range"}
+    assert (traj.stats["accepted"], traj.stats["rejected"]) == (0, 7)
+
+
+@pytest.mark.parametrize("approach", ["first", "cascade"])
+@pytest.mark.parametrize("ending", ["escape by rate fit",
+                                    "escape at the floor", "overflow"])
+def test_escape_record_holds_the_last_accepted_point(ending, approach):
+    # a converged fit reports its rate and escape time; an escape at the
+    # floor, by an accepted step or by an overflow, extrapolates with none
+    build, _ = _ENDINGS[ending]
+    dae, guess, opts = build()
+    traj = _integrate(dae, guess, opts, approach)
+    times, norms = traj.times.tolist(), traj.w_norms.tolist()
+    expected = {"kind": "blowup_suspected", "final_norm": norms[-1],
+                "t": times[-1]}
+    if ending == "escape by rate fit":
+        alpha, t_escape = _converged_fit(times, norms, opts)
+        expected.update(blowup_rate=alpha, t_escape_estimate=t_escape)
+    else:
+        expected["t_escape_estimate"] = _escape_estimate(times, norms)
+    if ending == "overflow":
+        expected["detail"] = "state left the representable range"
+    assert traj.termination.to_dict() == expected
 
 
 # accepted steps and relative escape-time error of each bundled escape
@@ -460,27 +500,6 @@ def test_escape_estimate_reads_the_last_falling_pair():
                             [1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0]) == 6.0
 
 
-def test_classifier_unit():
-    internals = TrajectoryInternals(IntegrationOptions(
-        h_min=1e-10, blowup_norm_cap=10.0, blowup_window=3))
-    internals.times = [0.0, 0.5, 0.8, 0.9, 0.95]
-    internals.norms = [1.0, 2.0, 5.0, 12.0, 30.0]
-    internals.steps = [0.0, 0.5, 0.3, 0.1, 1e-10]
-    reason = classify_termination(internals)
-    assert reason.kind == "blowup_suspected"
-    assert reason.t_escape_estimate >= 0.95
-    assert "blowup_rate" not in reason.to_dict()
-    # a converged rate fit gives the estimate and the rate
-    internals.rate_fit = (1.0, 0.97)
-    reason = classify_termination(internals)
-    assert reason.kind == "blowup_suspected"
-    assert reason.to_dict() == {
-        "kind": "blowup_suspected", "t_escape_estimate": 0.97,
-        "blowup_rate": 1.0, "final_norm": 30.0, "t": 0.95}
-    internals.reached_t_max = True
-    assert classify_termination(internals).kind == "reached_tmax"
-
-
 def test_options_validation():
     with pytest.raises(ValueError):
         IntegrationOptions(t0=1.0, t_max=0.5)
@@ -497,6 +516,18 @@ def test_options_validation():
     for window in (0, -1):  # no monotone-growth check left
         with pytest.raises(ValueError, match="^blowup_window"):
             IntegrationOptions(blowup_window=window)
+    # no step meets an rtol below 100 unit roundoffs
+    floor = 100 * np.finfo(float).eps
+    for rtol in (np.nextafter(floor, 0.0), 1e-20, 1e-300):
+        with pytest.raises(ValueError, match="^rtol must be at least"):
+            IntegrationOptions(rtol=rtol)
+    IntegrationOptions(rtol=floor)
+    # nor can the loop step on a horizon shorter than the step floor
+    with pytest.raises(ValueError, match="^t_max - t0 must be at least"):
+        IntegrationOptions(t_max=1e-12)
+    with pytest.raises(ValueError, match="^t_max - t0 must be at least"):
+        IntegrationOptions(t0=1.0, t_max=1.5, h_min=0.75, h_max=1.0)
+    IntegrationOptions(t0=1.0, t_max=1.5, h_min=0.5)
 
 
 def _route(dae, approach):

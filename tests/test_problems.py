@@ -170,7 +170,10 @@ def test_schema_rejects_start_not_finite_real(blocks, pointer):
     ("blowup_norm_cap", float("inf")),
     pytest.param("t_max", 10 ** 400, id="t_max-huge_int"),
     pytest.param("blowup_window", 0, id="blowup_window-zero"),
-    pytest.param("blowup_window", -2, id="blowup_window-negative")])
+    pytest.param("blowup_window", -2, id="blowup_window-negative"),
+    # an rtol no step can meet, and a horizon shorter than h_min = 1e-10
+    pytest.param("rtol", 1e-16, id="rtol-below-floor"),
+    pytest.param("t_max", 1e-12, id="t_max-below-h_min")])
 def test_schema_rejects_non_finite_integration_option(key, value):
     with pytest.raises(SchemaError) as err:
         load_problem_dict(_unit_pair(integration={key: value}))
